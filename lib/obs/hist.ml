@@ -114,11 +114,6 @@ let merge_into ~into b =
     if b.max_v > into.max_v then into.max_v <- b.max_v
   end
 
-let copy t =
-  let c = create () in
-  merge_into ~into:c t;
-  c
-
 (* Smallest representative value whose cumulative count reaches p*total. *)
 let percentile t p =
   if t.total = 0 then invalid_arg "Hist.percentile: empty histogram";

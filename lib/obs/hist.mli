@@ -25,8 +25,6 @@ val merge_into : into:t -> t -> unit
 (** Bucket-wise addition: merging per-domain histograms then reading
     percentiles equals recording everything into one histogram. *)
 
-val copy : t -> t
-
 val percentile : t -> float -> float
 (** Representative (bucket-midpoint) value at quantile [p] in [\[0, 1\]];
     exact [max] for the tail bucket.

@@ -1,9 +1,8 @@
 (* Closed / open / half-open circuit breaker over a two-bucket rotating
    stats window.  Immutable values: [admit]/[observe] return successors.
-   The latency histograms are Lf_obs.Hist (mutable), so transitions that
-   write one work on a copy — purity at the cost of an array copy per
-   observation, which is well below the cost of the dictionary call the
-   observation describes. *)
+   A bucket is two counters, so a closed-state observation allocates a
+   few small records and nothing else: it runs once per key call on the
+   serve path, so anything larger becomes per-request garbage. *)
 
 type config = {
   window : int;
@@ -30,9 +29,9 @@ let kind_to_string = function
   | Open -> "open"
   | Half_open -> "half-open"
 
-type bucket = { calls : int; failures : int; lat : Lf_obs.Hist.t }
+type bucket = { calls : int; failures : int }
 
-let empty_bucket () = { calls = 0; failures = 0; lat = Lf_obs.Hist.create () }
+let empty_bucket = { calls = 0; failures = 0 }
 
 type st =
   | S_closed
@@ -42,7 +41,7 @@ type st =
 type t = { cfg : config; st : st; cur : bucket; prev : bucket; start : int }
 
 let create cfg ~now =
-  { cfg; st = S_closed; cur = empty_bucket (); prev = empty_bucket (); start = now }
+  { cfg; st = S_closed; cur = empty_bucket; prev = empty_bucket; start = now }
 
 let state t =
   match t.st with S_closed -> Closed | S_open _ -> Open | S_half _ -> Half_open
@@ -53,13 +52,13 @@ let rotate t ~now =
   let elapsed = now - t.start in
   if elapsed < w then t
   else if elapsed < 2 * w then
-    { t with prev = t.cur; cur = empty_bucket (); start = t.start + w }
+    { t with prev = t.cur; cur = empty_bucket; start = t.start + w }
   else
     (* Both buckets have aged out; realign the boundary to the grid. *)
     {
       t with
-      prev = empty_bucket ();
-      cur = empty_bucket ();
+      prev = empty_bucket;
+      cur = empty_bucket;
       start = now - (elapsed mod w);
     }
 
@@ -68,12 +67,6 @@ let live_failures t = t.cur.failures + t.prev.failures
 
 let window_calls t ~now = live_calls (rotate t ~now)
 let window_failures t ~now = live_failures (rotate t ~now)
-
-let window_latency t ~now =
-  let t = rotate t ~now in
-  let h = Lf_obs.Hist.copy t.prev.lat in
-  Lf_obs.Hist.merge_into ~into:h t.cur.lat;
-  h
 
 let admit t ~now =
   match t.st with
@@ -95,8 +88,8 @@ let observe t ~now ~ok ~latency =
         {
           t with
           st = S_closed;
-          cur = empty_bucket ();
-          prev = empty_bucket ();
+          cur = empty_bucket;
+          prev = empty_bucket;
           start = now;
         }
       else { t with st = S_half (n + 1) }
@@ -106,13 +99,10 @@ let observe t ~now ~ok ~latency =
       t
   | S_closed ->
       let t = rotate t ~now in
-      let lat = Lf_obs.Hist.copy t.cur.lat in
-      Lf_obs.Hist.add lat latency;
       let cur =
         {
           calls = t.cur.calls + 1;
           failures = (t.cur.failures + if failed then 1 else 0);
-          lat;
         }
       in
       let t = { t with cur } in

@@ -15,10 +15,6 @@
     [probes] consecutive probe successes close the breaker and reset the
     window, one probe failure re-opens it.
 
-    Latencies are additionally kept in a {!Lf_obs.Hist.t} per window
-    bucket, so health endpoints can report windowed quantiles from the
-    same observations that drive the trip decision.
-
     Pure: a {!t} is an immutable value; {!admit} and {!observe} return
     the successor state.  Ticks come from the caller's {!Clock.t}. *)
 
@@ -65,7 +61,3 @@ val observe : t -> now:int -> ok:bool -> latency:int -> t
 
 val window_calls : t -> now:int -> int
 val window_failures : t -> now:int -> int
-
-val window_latency : t -> now:int -> Lf_obs.Hist.t
-(** Merged histogram of the latencies in the live window (a fresh
-    histogram; callers may mutate it freely). *)

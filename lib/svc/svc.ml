@@ -145,11 +145,11 @@ let with_mu t f =
 let now t = Clock.now t.cfg.clock
 let clock t = t.cfg.clock
 
-(* Callers hold [mu]. *)
-let log_locked t fmt =
-  Printf.ksprintf
-    (fun s -> if t.cfg.log_decisions then t.log <- s :: t.log)
-    fmt
+(* Callers hold [mu] and test [t.cfg.log_decisions] first: the format
+   arguments ([req_to_string] and friends) are evaluated before
+   [ksprintf] runs, so only the call-site guard keeps the default,
+   log-off path free of formatting. *)
+let log_locked t fmt = Printf.ksprintf (fun s -> t.log <- s :: t.log) fmt
 
 let reason_index r =
   let rec go i = function
@@ -175,7 +175,7 @@ let set_breaker_locked t ~now:tick b' =
   if before <> Some after then begin
     let s = Breaker.kind_to_string after in
     t.transitions <- (tick, s) :: t.transitions;
-    log_locked t "t=%d breaker %s" tick s
+    if t.cfg.log_decisions then log_locked t "t=%d breaker %s" tick s
   end
 
 (* Feed a completed execution into breaker and shed (under [mu]). *)
@@ -277,8 +277,9 @@ let admission_locked t ~ctx ~now:tick ~dl ~queue_depth req =
 let reject t ~now:tick r req =
   with_mu t (fun () ->
       t.n_rejected.(reason_index r) <- t.n_rejected.(reason_index r) + 1;
-      log_locked t "t=%d reject %s %s" tick (reason_to_string r)
-        (req_to_string req));
+      if t.cfg.log_decisions then
+        log_locked t "t=%d reject %s %s" tick (reason_to_string r)
+          (req_to_string req));
   Rejected r
 
 let ops_for t = function
@@ -309,13 +310,15 @@ let served t ~route ~ok ~latency ~tick req =
          hit a duplicate) — the execution itself succeeded, which is
          what the breaker and the shed estimator observe. *)
       observe_locked t ~now:tick ~ok:true ~latency;
-      log_locked t "t=%d served %s -> %b" tick (req_to_string req) ok);
+      if t.cfg.log_decisions then
+        log_locked t "t=%d served %s -> %b" tick (req_to_string req) ok);
   Served ok
 
 let failed t ~tick req msg =
   with_mu t (fun () ->
       t.n_failed <- t.n_failed + 1;
-      log_locked t "t=%d failed %s: %s" tick (req_to_string req) msg);
+      if t.cfg.log_decisions then
+        log_locked t "t=%d failed %s: %s" tick (req_to_string req) msg);
   Failed msg
 
 (* Execute one attempt with its span registered as the lane's current
@@ -368,9 +371,10 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
         then begin
           let p = Option.get t.cfg.retry in
           let d = with_mu t (fun () -> Retry.delay p t.rng ~attempt) in
-          with_mu t (fun () ->
-              log_locked t "t=%d retry %s attempt=%d delay=%d" t1
-                (req_to_string req) (attempt + 1) d);
+          if t.cfg.log_decisions then
+            with_mu t (fun () ->
+                log_locked t "t=%d retry %s attempt=%d delay=%d" t1
+                  (req_to_string req) (attempt + 1) d);
           if Span.active ctx then
             Span.event ctx ~now:t1
               (Span.Retry_wait { attempt = attempt + 1; delay = d });
@@ -397,11 +401,12 @@ let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
   | `Execute route ->
       with_mu t (fun () ->
           t.inflight <- t.inflight + 1;
-          log_locked t "t=%d admit %s%s" tick (req_to_string req)
-            (match route with
-            | Via_primary -> ""
-            | Via_fallback -> " (no-hints)"
-            | Via_degraded_read -> " (read-only)"));
+          if t.cfg.log_decisions then
+            log_locked t "t=%d admit %s%s" tick (req_to_string req)
+              (match route with
+              | Via_primary -> ""
+              | Via_fallback -> " (no-hints)"
+              | Via_degraded_read -> " (read-only)"));
       Fun.protect
         ~finally:(fun () -> with_mu t (fun () -> t.inflight <- t.inflight - 1))
         (fun () -> attempt_loop t ctx route req ~dl ~attempt:1)

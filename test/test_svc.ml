@@ -86,6 +86,145 @@ let test_breaker_latency_trips () =
     "slow successes open the breaker" "open"
     (Breaker.kind_to_string (Breaker.state !b))
 
+(* Window rotation and realignment against a plain reference: the model
+   keeps every closed-state observation since the last reset as a
+   (tick, failed) list, and the live window at [now] is the entries whose
+   bucket, counted in [window]-wide steps from the reset tick, is
+   [now]'s bucket or the one before it.  Ticks jump by up to three
+   windows, so scripts cross bucket edges, skip whole buckets, and trip,
+   probe and re-close the breaker. *)
+type model_st = M_closed | M_open of int | M_half of int
+
+let test_breaker_window_model =
+  Support.qcheck ~count:300 "breaker: two-bucket window matches a list model"
+    QCheck2.Gen.(
+      int_range 2 20 >>= fun window ->
+      let step =
+        triple
+          (frequency [ (4, int_bound 3); (1, int_bound (3 * window)) ])
+          (frequency [ (3, return true); (1, return false) ])
+          (int_bound 20)
+      in
+      pair
+        (quad (return window) (int_range 1 6) (int_range 20 80)
+           (pair (int_range 1 30) (int_range 1 3)))
+        (list_size (int_bound 120) step))
+    (fun ((window, min_calls, failure_pct, (open_for, probes)), script) ->
+      let threshold = 10 in
+      let cfg =
+        Breaker.config ~window ~min_calls ~failure_pct
+          ~latency_threshold:threshold ~open_for ~probes ()
+      in
+      let b = ref (Breaker.create cfg ~now:0) in
+      let m = ref M_closed and origin = ref 0 and obs = ref [] in
+      let live now =
+        let cur = (now - !origin) / window in
+        List.filter (fun (tick, _) -> (tick - !origin) / window >= cur - 1) !obs
+      in
+      let kind = function
+        | M_closed -> Breaker.Closed
+        | M_open _ -> Breaker.Open
+        | M_half _ -> Breaker.Half_open
+      in
+      let now = ref 0 and agree = ref true in
+      List.iter
+        (fun (dt, ok, latency) ->
+          now := !now + dt;
+          let now = !now in
+          let b', verdict = Breaker.admit !b ~now in
+          b := b';
+          (match !m with
+          | M_open until when now >= until -> m := M_half 0
+          | _ -> ());
+          if verdict <> `Reject then begin
+            b := Breaker.observe !b ~now ~ok ~latency;
+            let failed = (not ok) || latency > threshold in
+            match !m with
+            | M_open _ -> ()
+            | M_half n ->
+                if failed then m := M_open (now + open_for)
+                else if n + 1 >= probes then begin
+                  m := M_closed;
+                  origin := now;
+                  obs := []
+                end
+                else m := M_half (n + 1)
+            | M_closed ->
+                obs := (now, failed) :: !obs;
+                let w = live now in
+                let calls = List.length w in
+                let fails = List.length (List.filter snd w) in
+                if calls >= min_calls && fails * 100 >= failure_pct * calls then
+                  m := M_open (now + open_for)
+          end;
+          let w = live now in
+          if
+            Breaker.state !b <> kind !m
+            || Breaker.window_calls !b ~now <> List.length w
+            || Breaker.window_failures !b ~now
+               <> List.length (List.filter snd w)
+          then agree := false)
+        script;
+      !agree)
+
+(* Words allocated while [f] runs: minor words plus words allocated
+   directly in the major heap (major words that were not promoted from
+   the minor heap).  Large blocks skip the minor heap, so
+   [Gc.minor_words] alone cannot see them. *)
+let words_during f =
+  let s0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  f ();
+  let m1 = Gc.minor_words () in
+  let s1 = Gc.quick_stat () in
+  m1 -. m0
+  +. (s1.Gc.major_words -. s0.Gc.major_words)
+  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+
+(* A closed-state observation is two counters and a record: it must not
+   copy anything proportional to the window's history. *)
+let test_breaker_observe_alloc () =
+  let n = 10_000 in
+  let cfg = Breaker.config ~window:100 ~min_calls:10 ~failure_pct:50 () in
+  let b = ref (Breaker.create cfg ~now:0) in
+  let words =
+    words_during (fun () ->
+        for i = 1 to n do
+          b := Breaker.observe !b ~now:i ~ok:true ~latency:(i land 63)
+        done)
+  in
+  Alcotest.(check string) "still closed" "closed"
+    (Breaker.kind_to_string (Breaker.state !b));
+  let per_call = words /. float_of_int n in
+  if per_call > 16. then
+    Alcotest.failf "Breaker.observe allocates %.1f words/call (bar: 16)"
+      per_call
+
+(* The default, log-off pipeline formats nothing: no decision-log lines
+   and no per-call strings.  What remains is the pipeline's own closures
+   and outcome values (~80 words); formatting the admit and served log
+   lines would add over 200 more. *)
+let test_svc_call_alloc () =
+  let n = 10_000 in
+  let clock, advance = Clock.manual () in
+  let ops =
+    { Svc.insert = (fun _ _ -> true); delete = (fun _ -> true);
+      find = (fun _ -> true) }
+  in
+  let svc = Svc.create (Svc.config ~clock ()) ops in
+  let words =
+    words_during (fun () ->
+        for i = 1 to n do
+          advance 1;
+          ignore (Sys.opaque_identity (Svc.call svc (Svc.Find i)))
+        done)
+  in
+  Alcotest.(check (list string)) "no decision log" [] (Svc.decision_log svc);
+  let per_call = words /. float_of_int n in
+  if per_call > 128. then
+    Alcotest.failf "policy-free Svc.call allocates %.1f words/call (bar: 128)"
+      per_call
+
 (* --- Retry budget: conservation -------------------------------------- *)
 
 let test_budget_conservation_pure =
@@ -610,6 +749,11 @@ let () =
           test_breaker_cycle;
           Alcotest.test_case "latency threshold trips" `Quick
             test_breaker_latency_trips;
+          test_breaker_window_model;
+          Alcotest.test_case "closed-state observe allocation budget" `Quick
+            test_breaker_observe_alloc;
+          Alcotest.test_case "log-off Svc.call allocation budget" `Quick
+            test_svc_call_alloc;
         ] );
       ( "budget",
         [
