@@ -37,8 +37,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("exp19", "observability overhead + contention", fun () -> ignore (Exp19.run ()));
     ("exp20", "overload robustness: svc pipeline", fun () -> ignore (Exp20.run ()));
     ("exp21", "DPOR vs CHESS schedule counts", fun () -> ignore (Exp21.run ()));
-    ("exp22", "allocation pragmatics: descriptor reuse + GC tail", fun () ->
-      ignore (Exp22.run ()));
     ("exp23", "sharded service: containment + scaling", fun () ->
       ignore (Exp23.run ()));
     ("exp24", "request tracing: overhead + tail attribution + flight recorder",

@@ -22,7 +22,6 @@
      dune exec bin/lfdict.exe -- metrics -i fr-skiplist -d 4
      dune exec bin/lfdict.exe -- throughput -i fr-skiplist -d 4 -n 100000
      dune exec bin/lfdict.exe -- throughput -i fr-list --hints off
-     dune exec bin/lfdict.exe -- throughput -i fr-list --reuse off
      dune exec bin/lfdict.exe -- throughput -i lf-hashtable --batch 64
      dune exec bin/lfdict.exe -- check -i fr-list -s 50
      dune exec bin/lfdict.exe -- chaos -i fr-list \
@@ -76,36 +75,6 @@ let nohints_impls : (string * (module Lf_workload.Runner.INT_DICT)) list =
     ("lf-hashtable", (module Lf_hashtable_nohints));
   ]
 
-(* --reuse off variants: descriptor interning disabled, so every C&S
-   attempt allocates fresh descriptors (the EXP-22 ablation baseline). *)
-module Fr_list_noreuse = struct
-  include Lf_list.Fr_list.Atomic_int
-
-  let name = "fr-list(-reuse)"
-  let create () = create_with ~reuse_descriptors:false ~use_flags:true ()
-end
-
-module Fr_skiplist_noreuse = struct
-  include Lf_skiplist.Fr_skiplist.Atomic_int
-
-  let name = "fr-skiplist(-reuse)"
-  let create () = create_with ~reuse_descriptors:false ()
-end
-
-module Lf_hashtable_noreuse = struct
-  include Lf_hashtable.Atomic_int
-
-  let name = "lf-hashtable(-reuse)"
-  let create () = create_with ~reuse_descriptors:false ()
-end
-
-let noreuse_impls : (string * (module Lf_workload.Runner.INT_DICT)) list =
-  [
-    ("fr-list", (module Fr_list_noreuse));
-    ("fr-skiplist", (module Fr_skiplist_noreuse));
-    ("lf-hashtable", (module Lf_hashtable_noreuse));
-  ]
-
 (* --batch n routes the op stream through the batched entry points
    (insert_batch / delete_batch / mem_batch), n operations per chunk. *)
 let batched_impls ~hints :
@@ -138,30 +107,16 @@ let checked_impls : (string * (module Lf_workload.Runner.INT_DICT)) list =
     ("fr-skiplist", (module Checked_fr_skiplist));
   ]
 
-let resolve ?(reuse = true) name checked ~hints :
-    (module Lf_workload.Runner.INT_DICT) =
+let resolve name checked ~hints : (module Lf_workload.Runner.INT_DICT) =
   if checked then (
     if not hints then (
       prerr_endline "--hints off is not supported together with --checked";
-      exit 2);
-    if not reuse then (
-      prerr_endline "--reuse off is not supported together with --checked";
       exit 2);
     match List.assoc_opt name checked_impls with
     | Some m -> m
     | None ->
         Printf.eprintf "--checked is available for: %s\n"
           (String.concat ", " (List.map fst checked_impls));
-        exit 2)
-  else if not reuse then (
-    if not hints then (
-      prerr_endline "--reuse off is not supported together with --hints off";
-      exit 2);
-    match List.assoc_opt name noreuse_impls with
-    | Some m -> m
-    | None ->
-        Printf.eprintf "--reuse off is available for: %s\n"
-          (String.concat ", " (List.map fst noreuse_impls));
         exit 2)
   else if not hints then
     match List.assoc_opt name nohints_impls with
@@ -221,16 +176,6 @@ let hints_arg =
           "Per-domain predecessor caches (fr-list, fr-skiplist, \
            lf-hashtable).  $(b,off) recreates the EXP-17 ablation baseline.")
 
-let reuse_arg =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "reuse" ] ~docv:"on|off"
-        ~doc:
-          "Descriptor interning (fr-list, fr-skiplist, lf-hashtable).  \
-           $(b,off) allocates fresh descriptors on every C&S attempt, \
-           recreating the EXP-22 ablation baseline.")
-
 let batch_arg =
   Arg.(
     value & opt int 0
@@ -240,12 +185,12 @@ let batch_arg =
            chunk (0 = one at a time; fr-list, fr-skiplist, lf-hashtable).")
 
 let throughput_cmd =
-  let run impl checked hints reuse batch domains ops range (ins, del) seed =
+  let run impl checked hints batch domains ops range (ins, del) seed =
     let mix = { Lf_workload.Opgen.insert_pct = ins; delete_pct = del } in
     let r =
       if batch <= 0 then
         let (module D : Lf_workload.Runner.INT_DICT) =
-          resolve ~reuse impl checked ~hints
+          resolve impl checked ~hints
         in
         Lf_workload.Runner.run_throughput
           (module D)
@@ -253,9 +198,6 @@ let throughput_cmd =
       else begin
         if checked then (
           prerr_endline "--batch is not supported together with --checked";
-          exit 2);
-        if not reuse then (
-          prerr_endline "--batch is not supported together with --reuse off";
           exit 2);
         let (module D : Lf_workload.Runner.INT_DICT_BATCHED) =
           match List.assoc_opt impl (batched_impls ~hints) with
@@ -282,7 +224,7 @@ let throughput_cmd =
   Cmd.v
     (Cmd.info "throughput" ~doc:"Measure workload throughput.")
     Term.(
-      const run $ impl_arg $ checked_arg $ hints_arg $ reuse_arg $ batch_arg
+      const run $ impl_arg $ checked_arg $ hints_arg $ batch_arg
       $ domains_arg $ ops_arg $ range_arg $ mix_arg $ seed_arg)
 
 let check_cmd =
@@ -630,9 +572,7 @@ let model_cmd =
           ~doc:
             "Structure to certify (repeatable).  Default: all of them. \
              One of: $(docv) in fr-list, fr-skiplist, lf-hashtable, \
-             pqueue, harris-list, valois-list, or the EXP-22 \
-             interning-off ablations fr-list-noreuse and \
-             fr-skiplist-noreuse.")
+             pqueue, harris-list, valois-list.")
   in
   let quick_arg =
     Arg.(

@@ -40,18 +40,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     elt : 'a option; (* [None] only for the head and tail sentinels *)
     succ : 'a succ M.aref;
     backlink : 'a link M.aref;
-    (* Descriptor-interning caches (DESIGN.md §12): the last marked /
-       flagged / unlinking descriptor built for this node, so retry loops
-       reuse a physically-equal descriptor instead of allocating per
-       attempt.  Plain mutable fields, racy on purpose: a stale read fails
-       validation (wrong bits or wrong [right]) and allocates fresh, so a
-       race costs one allocation, never correctness.  All three start as
-       the node's initial clean descriptor — no extra allocation at
-       creation, and the [un_cache] is immediately valid for the common
-       delete-after-insert-no-movement case. *)
-    mutable mk_cache : 'a succ;
-    mutable fl_cache : 'a succ;
-    mutable un_cache : 'a succ;
   }
 
   and 'a succ = { right : 'a link; mark : bool; flag : bool }
@@ -76,8 +64,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     tail : 'a node;
     use_flags : bool;
     use_backoff : bool;
-    reuse_descriptors : bool;
-        (* intern succ descriptors per node; [false] = allocating ablation *)
     mutation : mutation option;
     hints : 'a node H.t option;
         (* per-domain predecessor cache; [None] = ablation (hints off) *)
@@ -120,29 +106,21 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     end
 
   let create_with ?mutation ?(use_hints = true) ?(use_backoff = false)
-      ?(reuse_descriptors = true) ~use_flags () =
-    let tail_succ = { right = Null; mark = false; flag = false } in
+      ~use_flags () =
     let tail =
       {
         key = Pos_inf;
         elt = None;
-        succ = M.make tail_succ;
+        succ = M.make { right = Null; mark = false; flag = false };
         backlink = M.make Null;
-        mk_cache = tail_succ;
-        fl_cache = tail_succ;
-        un_cache = tail_succ;
       }
     in
-    let head_succ = { right = Node tail; mark = false; flag = false } in
     let head =
       {
         key = Neg_inf;
         elt = None;
-        succ = M.make head_succ;
+        succ = M.make { right = Node tail; mark = false; flag = false };
         backlink = M.make Null;
-        mk_cache = head_succ;
-        fl_cache = head_succ;
-        un_cache = head_succ;
       }
     in
     (* The flagless ablation deliberately breaks the protocol; it stays
@@ -152,7 +130,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       annotate_node ~head:true ~sentinel:true head
     end;
     let hints = if use_hints then Some (H.create ()) else None in
-    { head; tail; use_flags; use_backoff; reuse_descriptors; mutation; hints }
+    { head; tail; use_flags; use_backoff; mutation; hints }
 
   let create () = create_with ~use_flags:true ()
 
@@ -165,68 +143,9 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let same_node l n = match l with Node m -> m == n | Null -> false
 
-  (* Same successor *target*: two [Node] links are interchangeable when
-     they name the same node, whatever block they were boxed in. *)
-  let same_link a b =
-    match (a, b) with
-    | Null, Null -> true
-    | Node x, Node y -> x == y
-    | _ -> false
-
   (* The [No_help] mutant refuses the altruistic help at sites that find
      another operation's flag; honest code always helps. *)
   let no_help t = match t.mutation with Some No_help -> true | _ -> false
-
-  (* ------------------------------------------------------------------ *)
-  (* Descriptor interning (DESIGN.md §12).  The protocol's C&S sites build
-     one of three descriptor shapes — marked {r,1,0}, flagged {r,0,1},
-     clean {r,0,0} — and failed-C&S retry loops rebuild them every
-     iteration; at exp19's workload that allocation is what drives the GC
-     p999 cliff.  Each helper below consults the owner node's cache and
-     hands back the cached descriptor iff its bits and [right] target
-     match the request, allocating (and caching) otherwise.
-
-     Safety: a C&S [expect] always comes from [M.get], never from a cache,
-     so reuse only changes the physical identity of the *new* value — and
-     a physically shared descriptor is by construction value-equal to what
-     the paper's value-C&S would write.  Descriptors for distinct [right]
-     targets can never come back physically equal (the [same_link] check),
-     which is the no-ABA contract the qcheck audit enforces.  Caches are
-     unsynchronized: concurrent writers can at worst overwrite each
-     other's fresh descriptor, making the next request allocate again. *)
-
-  let marked_desc t del (s : _ succ) =
-    if not t.reuse_descriptors then { s with mark = true }
-    else
-      let c = del.mk_cache in
-      if c.mark && (not c.flag) && same_link c.right s.right then c
-      else begin
-        let d = { right = s.right; mark = true; flag = false } in
-        del.mk_cache <- d;
-        d
-      end
-
-  let flagged_desc t prev (ps : _ succ) =
-    if not t.reuse_descriptors then { ps with flag = true }
-    else
-      let c = prev.fl_cache in
-      if c.flag && (not c.mark) && same_link c.right ps.right then c
-      else begin
-        let d = { right = ps.right; mark = false; flag = true } in
-        prev.fl_cache <- d;
-        d
-      end
-
-  let clean_desc t del next =
-    if not t.reuse_descriptors then { right = next; mark = false; flag = false }
-    else
-      let c = del.un_cache in
-      if (not c.mark) && (not c.flag) && same_link c.right next then c
-      else begin
-        let d = { right = next; mark = false; flag = false } in
-        del.un_cache <- d;
-        d
-      end
 
   (* HELPMARKED (Fig. 3): [del] is marked, so [del.succ] is frozen; attempt
      the physical deletion C&S on [prev].succ: (del,0,1) -> (del.right,0,0).
@@ -243,7 +162,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     then
       ignore
         (M.cas prev.succ ~kind:Ev.Physical_delete ~expect
-           (clean_desc t del next))
+           { right = next; mark = false; flag = false })
 
   (* HELPFLAGGED / TRYMARK (Fig. 4).  [prev] is flagged with successor [del]:
      set the backlink, mark [del] (helping any deletion of [del]'s own
@@ -268,8 +187,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         help_flagged t del (as_node s.right);
         try_mark_n t del fails
       end
-    else if
-      M.cas del.succ ~kind:Ev.Marking ~expect:s (marked_desc t del s)
+    else if M.cas del.succ ~kind:Ev.Marking ~expect:s { s with mark = true }
     then ()
     else begin
       if t.use_backoff then M.pause fails;
@@ -388,8 +306,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         (Some prev, false)
       else if
         same_node ps.right target && (not ps.mark) && (not ps.flag)
-        && M.cas prev.succ ~kind:Ev.Flagging ~expect:ps
-             (flagged_desc t prev ps)
+        && M.cas prev.succ ~kind:Ev.Flagging ~expect:ps { ps with flag = true }
       then (Some prev, true)
       else begin
         (* The flagging C&S failed (or was doomed): re-examine the cell to
@@ -425,16 +342,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   (* INSERT (Fig. 5). *)
   let insert_from t kb elt start =
-    (* Candidate reuse: a freshly built node (and the descriptor that would
-       splice it in) survives a failed C&S and is reused on the next attempt
-       whenever the re-searched successor is unchanged — the common case
-       under pure C&S contention.  Pointing the node's succ cell at a *new*
-       successor would need an [M.set] (one extra simulator step), so a
-       changed successor builds a fresh candidate instead: reuse stays
-       step-neutral, which EXP-22's sim-steps ablation checks.  The
-       candidate is private until its C&S succeeds, so reusing it cannot be
-       observed. *)
-    let candidate = ref None in
     let rec attempt fails prev next =
       let ps = M.get prev.succ in
       if ps.flag then
@@ -449,30 +356,19 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         (* Stale view: the C&S would fail; recover as after a failure. *)
         recover fails prev
       else begin
-        let nn, desc =
-          match !candidate with
-          | Some (nn, inner, desc)
-            when t.reuse_descriptors && same_node inner.right next ->
-              (nn, desc)
-          | _ ->
-              let inner = { right = Node next; mark = false; flag = false } in
-              let nn =
-                {
-                  key = kb;
-                  elt = Some elt;
-                  succ = M.make inner;
-                  backlink = M.make Null;
-                  mk_cache = inner;
-                  fl_cache = inner;
-                  un_cache = inner;
-                }
-              in
-              if t.use_flags then annotate_node nn;
-              let desc = { right = Node nn; mark = false; flag = false } in
-              candidate := Some (nn, inner, desc);
-              (nn, desc)
+        let nn =
+          {
+            key = kb;
+            elt = Some elt;
+            succ = M.make { right = Node next; mark = false; flag = false };
+            backlink = M.make Null;
+          }
         in
-        if M.cas prev.succ ~kind:Ev.Insertion ~expect:ps desc then (true, nn)
+        if t.use_flags then annotate_node nn;
+        if
+          M.cas prev.succ ~kind:Ev.Insertion ~expect:ps
+            { right = Node nn; mark = false; flag = false }
+        then (true, nn)
         else begin
           if t.use_backoff then M.pause fails;
           recover (fails + 1) prev
@@ -532,8 +428,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       M.set del.backlink (Node prev);
       let s = M.get del.succ in
       if s.mark then false
-      else if
-        M.cas del.succ ~kind:Ev.Marking ~expect:s (marked_desc t del s)
+      else if M.cas del.succ ~kind:Ev.Marking ~expect:s { s with mark = true }
       then true
       else mark_it prev del
     in
@@ -549,7 +444,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       let unlinked =
         same_node expect.right del && (not expect.mark) && (not expect.flag)
         && M.cas prev.succ ~kind:Ev.Physical_delete ~expect
-             (clean_desc t del next)
+             { right = next; mark = false; flag = false }
       in
       (* Inclusive so the search traverses (and thus physically deletes) the
          marked node with key [kb] itself. *)
@@ -857,50 +752,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       in
       walk t.head
 
-    (* Interning-contract audit (the no-ABA qcheck property): exercising
-       the descriptor caches of every physically linked node must (a) hand
-       back physically equal descriptors for repeated identical requests
-       when reuse is on, (b) never make descriptors for distinct [right]
-       targets physically equal, and (c) always match the requested bits.
-       Quiescent use only — the probes overwrite the caches (harmlessly:
-       a mismatching cache just re-allocates). *)
-    let reuse_audit t =
-      let fail fmt = Format.kasprintf (fun m -> Error m) fmt in
-      let probe n r other =
-        let s = { right = r; mark = false; flag = false } in
-        let m1 = marked_desc t n s and f1 = flagged_desc t n s in
-        let u1 = clean_desc t n r in
-        let m2 = marked_desc t n s and f2 = flagged_desc t n s in
-        let u2 = clean_desc t n r in
-        if t.reuse_descriptors && not (m1 == m2 && f1 == f2 && u1 == u2)
-        then fail "repeated request not shared at %a" BK.pp n.key
-        else if
-          (not t.reuse_descriptors) && (m1 == m2 || f1 == f2 || u1 == u2)
-        then fail "ablation shared a descriptor at %a" BK.pp n.key
-        else if not (m1.mark && (not m1.flag) && same_link m1.right r) then
-          fail "marked descriptor bits wrong at %a" BK.pp n.key
-        else if not (f1.flag && (not f1.mark) && same_link f1.right r) then
-          fail "flagged descriptor bits wrong at %a" BK.pp n.key
-        else if
-          not ((not u1.mark) && (not u1.flag) && same_link u1.right r)
-        then fail "clean descriptor bits wrong at %a" BK.pp n.key
-        else
-          let s' = { right = other; mark = false; flag = false } in
-          let m3 = marked_desc t n s' and f3 = flagged_desc t n s' in
-          let u3 = clean_desc t n other in
-          if m3 == m1 || f3 == f1 || u3 == u1 then
-            fail "distinct rights share a descriptor at %a" BK.pp n.key
-          else Ok ()
-      in
-      let rec walk n =
-        match (M.get n.succ).right with
-        | Null -> Ok ()
-        | Node m -> (
-            match probe n (Node m) Null with
-            | Error _ as e -> e
-            | Ok () -> walk m)
-      in
-      walk t.head
   end
 end
 

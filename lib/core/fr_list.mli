@@ -59,7 +59,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
     ?mutation:mutation ->
     ?use_hints:bool ->
     ?use_backoff:bool ->
-    ?reuse_descriptors:bool ->
     use_flags:bool ->
     unit ->
     'a t
@@ -82,16 +81,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
       re-entering a C&S retry loop after a failed C&S — in TRYMARK,
       TRYFLAG and INSERT.  Helping is never delayed.  EXP-18 measures its
       effect under spurious-C&S-failure storms.
-
-      [reuse_descriptors] (default [true]) interns succ descriptors: each
-      node caches its marked/flagged/clean descriptor variants so retry
-      loops and the three-step protocol reuse physically-equal descriptors
-      instead of allocating per C&S attempt, and a failed insert reuses
-      its private candidate node while the successor is unchanged.  C&S
-      expectations always come from reads, never from caches, and
-      descriptors for distinct [right] targets stay physically distinct
-      (no ABA — DESIGN.md §12).  Reuse is step-neutral in the simulator;
-      [~reuse_descriptors:false] is the EXP-22 allocating ablation.
 
       [create () = create_with ~use_flags:true ()]. *)
 
@@ -173,13 +162,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
         sortedness, mark/flag exclusion, flagged predecessor and correct
         backlink for every logically deleted node.  The flagless ablation is
         only checked for INV 1 and INV 5. *)
-
-    val reuse_audit : 'a t -> (unit, string) result
-    (** Interning-contract audit over every physically linked node: with
-        reuse on, repeated identical descriptor requests share physically;
-        descriptors for distinct [right] targets are never physically
-        equal; descriptor bits always match the request.  Quiescent use
-        only (the probes overwrite the per-node caches, harmlessly). *)
   end
 end
 

@@ -22,15 +22,13 @@ module Make (K : HASHABLE) (M : Lf_kernel.Mem.S) = struct
 
   let name = "lf-hashtable"
 
-  let create_with ?(buckets = 64) ?(use_hints = true)
-      ?(reuse_descriptors = true) () =
+  let create_with ?(buckets = 64) ?(use_hints = true) () =
     if buckets <= 0 || buckets land (buckets - 1) <> 0 then
       invalid_arg "Lf_hashtable.create_with: buckets must be a power of two";
     {
       buckets =
         Array.init buckets (fun _ ->
-            Bucket.create_with ~use_hints ~reuse_descriptors ~use_flags:true
-              ());
+            Bucket.create_with ~use_hints ~use_flags:true ());
       mask = buckets - 1;
     }
 

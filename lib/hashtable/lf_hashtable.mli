@@ -16,11 +16,10 @@ module Make (K : HASHABLE) (M : Lf_kernel.Mem.S) : sig
   include Lf_kernel.Dict_intf.BATCHED with type key = K.t
 
   val create_with :
-    ?buckets:int -> ?use_hints:bool -> ?reuse_descriptors:bool -> unit -> 'a t
+    ?buckets:int -> ?use_hints:bool -> unit -> 'a t
   (** [buckets] must be a power of two (default 64).  [use_hints] (default
-      [true]) and [reuse_descriptors] (default [true], descriptor interning
-      — the EXP-22 ablation when [false]) are forwarded to every bucket
-      list (see [Fr_list.create_with]).  Batched operations partition the
+      [true]) is forwarded to every bucket list (see
+      [Fr_list.create_with]).  Batched operations partition the
       batch per bucket and delegate to the bucket lists' batches, so the
       Träff–Pöter predecessor carrying applies within each bucket.
       @raise Invalid_argument if [buckets] is not a power of two. *)

@@ -92,7 +92,7 @@ let pqueue_grid =
 let scenarios ?(structure = "fr-list") ~quick () =
   let grid =
     match structure with
-    | "fr-skiplist" | "fr-skiplist-noreuse" -> skiplist_grid
+    | "fr-skiplist" -> skiplist_grid
     | "pqueue" -> pqueue_grid
     | _ -> list_grid
   in
@@ -102,9 +102,7 @@ let scenarios ?(structure = "fr-list") ~quick () =
 let structures =
   [
     "fr-list";
-    "fr-list-noreuse";
     "fr-skiplist";
-    "fr-skiplist-noreuse";
     "lf-hashtable";
     "pqueue";
     "harris-list";
@@ -124,12 +122,12 @@ type dict_ops = {
   do_check : unit -> unit;  (* raises Failure on invariant violation *)
 }
 
-let fr_list_dict ?mutation ?(reuse = true) () =
+let fr_list_dict ?mutation () =
   let module CM = Lf_check.Check_mem.Make (Lf_dsim.Sim_mem) in
   let module L = Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (CM) in
   let t =
     match mutation with
-    | None -> L.create_with ~use_flags:true ~reuse_descriptors:reuse ()
+    | None -> L.create_with ~use_flags:true ()
     | Some m ->
         let mu =
           match m with
@@ -140,7 +138,7 @@ let fr_list_dict ?mutation ?(reuse = true) () =
           | "no-help" -> L.No_help
           | other -> invalid_arg ("Certify: unknown mutation " ^ other)
         in
-        L.create_with ~mutation:mu ~use_flags:true ~reuse_descriptors:reuse ()
+        L.create_with ~mutation:mu ~use_flags:true ()
   in
   {
     do_insert = (fun k -> L.insert t k k);
@@ -152,13 +150,13 @@ let fr_list_dict ?mutation ?(reuse = true) () =
         match L.Debug.check_now t with Ok () -> () | Error m -> failwith m);
   }
 
-let fr_skiplist_dict ?(reuse = true) () =
+let fr_skiplist_dict () =
   let module CM = Lf_check.Check_mem.Make (Lf_dsim.Sim_mem) in
   let module L = Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (CM) in
   (* Two levels: enough for the full tower protocol (root deletion plus
      upper-level unlink) while keeping the trace space exhaustible - each
      extra level multiplies the racing-access pairs. *)
-  let t = L.create_with ~max_level:2 ~reuse_descriptors:reuse () in
+  let t = L.create_with ~max_level:2 () in
   {
     do_insert = (fun k -> L.insert_with_height t ~height:((k mod 2) + 1) k k);
     do_delete = (fun k -> L.delete t k);
@@ -301,12 +299,7 @@ let mk ~structure ?mutation sc =
   | _ -> ());
   match structure with
   | "fr-list" -> dict_mk (fr_list_dict ?mutation) sc
-  (* The -noreuse variants certify the EXP-22 allocating ablation: the
-     descriptor-interning flag must be invisible to the exhaustive
-     small-scope check in either position. *)
-  | "fr-list-noreuse" -> dict_mk (fr_list_dict ?mutation ~reuse:false) sc
   | "fr-skiplist" -> dict_mk fr_skiplist_dict sc
-  | "fr-skiplist-noreuse" -> dict_mk (fr_skiplist_dict ~reuse:false) sc
   | "lf-hashtable" -> dict_mk hashtable_dict sc
   | "harris-list" -> dict_mk harris_dict sc
   | "valois-list" -> dict_mk valois_dict sc

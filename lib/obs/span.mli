@@ -16,8 +16,8 @@
 
     Levels mirror the recorder's discipline: every entry point reads a
     single level word first, and at [Off] returns a constant — no
-    domain-local lookup, no allocation (the no-hot-alloc rule; exp24
-    part A prices it).  [Counters] tallies spans and events without
+    domain-local lookup, no allocation (test_trace's "off level
+    allocates nothing" checks it; exp24 part A prices it).  [Counters] tallies spans and events without
     materializing them; [Spans] builds the trees.  Ticks come from
     whatever clock the caller reads — the [Clock] seam in the service
     layer, the recorder clock for structure ops — so under the

@@ -17,9 +17,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   type 'a t = 'a SL.t
 
-  let create ?(max_level = 24) ?(use_hints = true)
-      ?(reuse_descriptors = true) () =
-    SL.create_with ~max_level ~use_hints ~reuse_descriptors ()
+  let create ?(max_level = 24) ?(use_hints = true) () =
+    SL.create_with ~max_level ~use_hints ()
 
   let push t prio v = SL.insert t prio v
   let pop_min t = SL.delete_min t
@@ -63,9 +62,8 @@ module Stamped (M : Lf_kernel.Mem.S) = struct
 
   type 'a t = { q : 'a Q.t; stamp : int Atomic.t }
 
-  let create ?max_level ?use_hints ?reuse_descriptors () =
-    { q = Q.create ?max_level ?use_hints ?reuse_descriptors ();
-      stamp = Atomic.make 0 }
+  let create ?max_level ?use_hints () =
+    { q = Q.create ?max_level ?use_hints (); stamp = Atomic.make 0 }
 
   let push t prio v =
     let s = Atomic.fetch_and_add t.stamp 1 in

@@ -11,12 +11,9 @@
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   type 'a t
 
-  val create :
-    ?max_level:int -> ?use_hints:bool -> ?reuse_descriptors:bool -> unit -> 'a t
-  (** [use_hints] (default [true]) and [reuse_descriptors] (default [true],
-      descriptor interning — the EXP-22 ablation when [false]) are
-      forwarded to the underlying skip list (see
-      [Fr_skiplist.create_with]). *)
+  val create : ?max_level:int -> ?use_hints:bool -> unit -> 'a t
+  (** [use_hints] (default [true]) is forwarded to the underlying skip list
+      (see [Fr_skiplist.create_with]). *)
 
   val push : 'a t -> K.t -> 'a -> bool
   (** [false] if this priority is already queued. *)
@@ -42,8 +39,7 @@ end
 module Stamped (M : Lf_kernel.Mem.S) : sig
   type 'a t
 
-  val create :
-    ?max_level:int -> ?use_hints:bool -> ?reuse_descriptors:bool -> unit -> 'a t
+  val create : ?max_level:int -> ?use_hints:bool -> unit -> 'a t
 
   val push : 'a t -> int -> 'a -> unit
   val pop_min : 'a t -> (int * 'a) option

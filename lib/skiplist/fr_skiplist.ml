@@ -42,15 +42,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     tower_root : 'a link; (* Null for roots and sentinels (self / none) *)
     succ : 'a succ M.aref;
     backlink : 'a link M.aref;
-    (* Descriptor-interning caches, exactly as in Fr_list (DESIGN.md §12):
-       the last marked / flagged / unlinking descriptor built for this
-       node.  Racy plain fields — a stale read fails validation and
-       allocates fresh.  Each level runs the Section 3 protocol
-       independently, and each node lives at exactly one level, so the
-       per-node caches need no level qualification. *)
-    mutable mk_cache : 'a succ;
-    mutable fl_cache : 'a succ;
-    mutable un_cache : 'a succ;
   }
 
   and 'a succ = { right : 'a link; mark : bool; flag : bool }
@@ -69,7 +60,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     tail : 'a node; (* shared +inf sentinel *)
     help_superfluous : bool;
     use_backoff : bool;
-    reuse_descriptors : bool; (* [false] = allocating EXP-22 ablation *)
     hints : 'a hint_path H.t option; (* [None] = hints-off ablation *)
   }
 
@@ -112,9 +102,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let rng = Lf_kernel.Splitmix.domain_local 0x5ee
 
   let create_with ?(max_level = 24) ?(help_superfluous = true)
-      ?(use_hints = true) ?(use_backoff = false) ?(reuse_descriptors = true)
-      () =
-    let tail_succ = { right = Null; mark = false; flag = false } in
+      ?(use_hints = true) ?(use_backoff = false) () =
     let tail =
       {
         key = Pos_inf;
@@ -122,17 +110,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         level = 0;
         down = Null;
         tower_root = Null;
-        succ = M.make tail_succ;
+        succ = M.make { right = Null; mark = false; flag = false };
         backlink = M.make Null;
-        mk_cache = tail_succ;
-        fl_cache = tail_succ;
-        un_cache = tail_succ;
       }
     in
     let heads = Array.make max_level tail in
     annotate_node ~sentinel:true ~level:0 tail;
     for l = 1 to max_level do
-      let head_succ = { right = Node tail; mark = false; flag = false } in
       heads.(l - 1) <-
         {
           key = Neg_inf;
@@ -140,17 +124,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           level = l;
           down = (if l = 1 then Null else Node heads.(l - 2));
           tower_root = Null;
-          succ = M.make head_succ;
+          succ = M.make { right = Node tail; mark = false; flag = false };
           backlink = M.make Null;
-          mk_cache = head_succ;
-          fl_cache = head_succ;
-          un_cache = head_succ;
         };
       annotate_node ~head:true ~sentinel:true ~level:l heads.(l - 1)
     done;
     let hints = if use_hints then Some (H.create ()) else None in
-    { max_level; heads; tail; help_superfluous; use_backoff;
-      reuse_descriptors; hints }
+    { max_level; heads; tail; help_superfluous; use_backoff; hints }
 
   let create () = create_with ()
   let head_at t l = t.heads.(l - 1)
@@ -161,12 +141,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let same_node l n = match l with Node m -> m == n | Null -> false
 
-  let same_link a b =
-    match (a, b) with
-    | Null, Null -> true
-    | Node x, Node y -> x == y
-    | _ -> false
-
   (* A node is superfluous when the root of its tower is marked.  Roots and
      sentinels answer false here: a marked root is handled by the ordinary
      marked-node logic. *)
@@ -175,58 +149,20 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     | Null -> false
     | Node r -> (M.get r.succ).mark
 
-  (* Descriptor interning, as in Fr_list (see there and DESIGN.md §12 for
-     the safety argument): C&S expects always come from [M.get], so reuse
-     only changes the physical identity of the new value, and the
-     [same_link] keying keeps descriptors for distinct rights distinct. *)
-
-  let marked_desc t del (s : _ succ) =
-    if not t.reuse_descriptors then { s with mark = true }
-    else
-      let c = del.mk_cache in
-      if c.mark && (not c.flag) && same_link c.right s.right then c
-      else begin
-        let d = { right = s.right; mark = true; flag = false } in
-        del.mk_cache <- d;
-        d
-      end
-
-  let flagged_desc t prev (ps : _ succ) =
-    if not t.reuse_descriptors then { ps with flag = true }
-    else
-      let c = prev.fl_cache in
-      if c.flag && (not c.mark) && same_link c.right ps.right then c
-      else begin
-        let d = { right = ps.right; mark = false; flag = true } in
-        prev.fl_cache <- d;
-        d
-      end
-
-  let clean_desc t del next =
-    if not t.reuse_descriptors then { right = next; mark = false; flag = false }
-    else
-      let c = del.un_cache in
-      if (not c.mark) && (not c.flag) && same_link c.right next then c
-      else begin
-        let d = { right = next; mark = false; flag = false } in
-        del.un_cache <- d;
-        d
-      end
-
   (* --- The per-level linked-list machinery (Section 3 reused). --- *)
 
-  let help_marked t prev del =
+  let help_marked prev del =
     let next = (M.get del.succ).right in
     let expect = M.get prev.succ in
     if same_node expect.right del && (not expect.mark) && expect.flag then
       ignore
         (M.cas prev.succ ~kind:Ev.Physical_delete ~expect
-           (clean_desc t del next))
+           { right = next; mark = false; flag = false })
 
   let rec help_flagged t prev del =
     M.set del.backlink (Node prev);
     if not (M.get del.succ).mark then try_mark t del;
-    help_marked t prev del
+    help_marked prev del
 
   and try_mark t del = try_mark_n t del 0
 
@@ -238,8 +174,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       help_flagged t del (as_node s.right);
       try_mark_n t del fails
     end
-    else if
-      M.cas del.succ ~kind:Ev.Marking ~expect:s (marked_desc t del s)
+    else if M.cas del.succ ~kind:Ev.Marking ~expect:s { s with mark = true }
     then ()
     else begin
       if t.use_backoff then M.pause fails;
@@ -267,7 +202,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         if nsucc.mark then begin
           let cs = M.get curr.succ in
           if (not cs.mark) || not (same_node cs.right next) then begin
-            if same_node cs.right next then help_marked t curr next;
+            if same_node cs.right next then help_marked curr next;
             M.event Ev.Next_update;
             loop curr (as_node (M.get curr.succ).right)
           end
@@ -308,8 +243,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         (Some prev, false)
       else if
         same_node ps.right target && (not ps.mark) && (not ps.flag)
-        && M.cas prev.succ ~kind:Ev.Flagging ~expect:ps
-             (flagged_desc t prev ps)
+        && M.cas prev.succ ~kind:Ev.Flagging ~expect:ps { ps with flag = true }
       then (Some prev, true)
       else begin
         let ps' = M.get prev.succ in
@@ -483,11 +417,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      inserted node or [`Duplicate] when a node with the same key is found at
      this level. *)
   let insert_node t ~key ~elt ~down ~tower_root ~level prev next =
-    (* Candidate reuse across failed C&S attempts, as in Fr_list: the
-       private node survives while the re-searched successor is unchanged;
-       retargeting its succ cell would cost an [M.set] step, so a changed
-       successor builds afresh (step-neutral reuse). *)
-    let candidate = ref None in
     let rec attempt fails prev next =
       let ps = M.get prev.succ in
       if ps.flag then begin
@@ -497,34 +426,22 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       end
       else if ps.mark || not (same_node ps.right next) then recover fails prev
       else begin
-        let nn, desc =
-          match !candidate with
-          | Some (nn, inner, desc)
-            when t.reuse_descriptors && same_node inner.right next ->
-              (nn, desc)
-          | _ ->
-              let inner = { right = Node next; mark = false; flag = false } in
-              let nn =
-                {
-                  key;
-                  elt;
-                  level;
-                  down;
-                  tower_root;
-                  succ = M.make inner;
-                  backlink = M.make Null;
-                  mk_cache = inner;
-                  fl_cache = inner;
-                  un_cache = inner;
-                }
-              in
-              annotate_node ~level nn;
-              let desc = { right = Node nn; mark = false; flag = false } in
-              candidate := Some (nn, inner, desc);
-              (nn, desc)
+        let nn =
+          {
+            key;
+            elt;
+            level;
+            down;
+            tower_root;
+            succ = M.make { right = Node next; mark = false; flag = false };
+            backlink = M.make Null;
+          }
         in
-        if M.cas prev.succ ~kind:Ev.Insertion ~expect:ps desc then
-          (prev, `Inserted nn)
+        annotate_node ~level nn;
+        if
+          M.cas prev.succ ~kind:Ev.Insertion ~expect:ps
+            { right = Node nn; mark = false; flag = false }
+        then (prev, `Inserted nn)
         else begin
           if t.use_backoff then M.pause fails;
           recover (fails + 1) prev
@@ -567,11 +484,10 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           ~level:1 prev next
       with
       | _, `Duplicate -> false
-      | prev, `Inserted root ->
+      | _, `Inserted root ->
           let path = match path with Some _ as p -> p | None -> op_path t in
           (* Build the tower bottom-up; stop if the root gets marked. *)
-          let rec ascend level last prev_hint =
-            ignore prev_hint;
+          let rec ascend level last =
             if level > height then true
             else if (M.get root.succ).mark then true
             else begin
@@ -581,8 +497,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
                    level; the search that found it is also removing it (or
                    our own root got marked) - retry. *)
                 M.event Ev.Retry;
-                if (M.get root.succ).mark then true
-                else ascend level last prev
+                if (M.get root.succ).mark then true else ascend level last
               end
               else
                 match
@@ -591,7 +506,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
                 with
                 | _, `Duplicate ->
                     M.event Ev.Retry;
-                    if (M.get root.succ).mark then true else ascend level last prev
+                    if (M.get root.succ).mark then true else ascend level last
                 | prev', `Inserted nn ->
                     if (M.get root.succ).mark then begin
                       (* The tower became superfluous while we were building
@@ -599,10 +514,10 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
                       ignore (delete_node t prev' nn);
                       true
                     end
-                    else ascend (level + 1) nn prev'
+                    else ascend (level + 1) nn
             end
           in
-          ignore (ascend 2 root prev);
+          ignore (ascend 2 root);
           true
     end
 
@@ -693,7 +608,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       let n1, n2 = search_to_level t ~inclusive:false kb 1 in
       if n2 == t.tail then None
       else if (M.get n2.succ).mark then begin
-        help_marked t n1 n2;
+        help_marked n1 n2;
         go ()
       end
       else
@@ -711,7 +626,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       | Node n ->
           if n == t.tail then None
           else if (M.get n.succ).mark then begin
-            help_marked t head n;
+            help_marked head n;
             go ()
           end
           else (

@@ -33,7 +33,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
     ?help_superfluous:bool ->
     ?use_hints:bool ->
     ?use_backoff:bool ->
-    ?reuse_descriptors:bool ->
     unit ->
     'a t
   (** [~help_superfluous:false] is the EXP-9 ablation: searches traverse
@@ -54,13 +53,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
       ([Mem.S.pause]) before re-entering a C&S retry loop after a failed
       C&S — in TRYMARK, TRYFLAGNODE and INSERTNODE.  Helping is never
       delayed.  EXP-18 measures its effect under spurious-C&S-failure
-      storms.
-
-      [reuse_descriptors] (default [true]) interns succ descriptors per
-      node exactly as in [Lf_list.Fr_list] (see there and DESIGN.md §12):
-      retry loops and the per-level three-step protocol reuse
-      physically-equal descriptors instead of allocating per C&S attempt.
-      [~reuse_descriptors:false] is the EXP-22 allocating ablation. *)
+      storms. *)
 
   (** {1 Dictionary operations (SEARCH_SL / INSERT_SL / DELETE_SL)} *)
 

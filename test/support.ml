@@ -44,10 +44,10 @@ let run_against_oracle script ~insert ~delete ~find =
    implementation. *)
 module type INT_DICT = Lf_kernel.Dict_intf.S with type key = int
 
-let oracle_test ?count (module D : INT_DICT) =
+let oracle_test ?count ?(key_range = 16) ?(len = 120) (module D : INT_DICT) =
   qcheck ?count
     (Printf.sprintf "%s agrees with oracle" D.name)
-    (ops_gen ~key_range:16 ~len:120)
+    (ops_gen ~key_range ~len)
     (fun script ->
       let t = D.create () in
       let expected =
@@ -58,6 +58,48 @@ let oracle_test ?count (module D : INT_DICT) =
       in
       D.check_invariants t;
       D.to_list t = expected && D.length t = List.length expected)
+
+(* Words still reachable from a dictionary after inserting keys [0, n)
+   and deleting them all again in [order]: what the emptied structure
+   holds on to. *)
+let emptied_words (module D : INT_DICT) ~order n =
+  let t = D.create () in
+  for k = 0 to n - 1 do
+    ignore (D.insert t k k)
+  done;
+  let keys = Array.init n Fun.id in
+  (match order with
+  | `Ascending -> ()
+  | `Descending -> Array.iteri (fun i _ -> keys.(i) <- n - 1 - i) keys
+  | `Shuffled ->
+      let rng = Lf_kernel.Splitmix.create 42 in
+      for i = n - 1 downto 1 do
+        let j = Lf_kernel.Splitmix.int rng (i + 1) in
+        let k = keys.(i) in
+        keys.(i) <- keys.(j);
+        keys.(j) <- k
+      done);
+  Array.iter (fun k -> ignore (D.delete t k)) keys;
+  Alcotest.(check int) "emptied" 0 (D.length t);
+  Obj.reachable_words (Obj.repr t)
+
+(* Deleted nodes must become garbage once unlinked: nothing reachable from
+   the structure may keep pointing at them, so an emptied structure holds
+   the same number of words whether it held 100 keys or 1000. *)
+let retention_tests (module D : INT_DICT) =
+  List.map
+    (fun (name, order) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let small = emptied_words (module D) ~order 100 in
+          let large = emptied_words (module D) ~order 1000 in
+          Alcotest.(check int)
+            (Printf.sprintf "words reachable from an emptied %s" D.name)
+            small large))
+    [
+      ("emptied ascending", `Ascending);
+      ("emptied descending", `Descending);
+      ("emptied shuffled", `Shuffled);
+    ]
 
 (* Assert a history is linearizable, pretty-printing it on failure. *)
 let assert_linearizable h =

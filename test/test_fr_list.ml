@@ -28,59 +28,9 @@ let oracle_flagless =
       in
       FR.to_list t = expected)
 
-(* --- Descriptor interning (EXP-22 ablation) --- *)
-
-(* Small key range so keys are deleted and re-inserted many times: that is
-   what cycles the per-node descriptor caches through stale and fresh
-   states, which is where an interning bug would corrupt a C&S. *)
-let reuse_matches_oracle =
-  Support.qcheck "interning ablation agrees with oracle"
-    (Support.ops_gen ~key_range:6 ~len:200)
-    (fun script ->
-      let t = FR.create_with ~use_flags:true ~reuse_descriptors:true () in
-      let expected =
-        Support.run_against_oracle script
-          ~insert:(fun k v -> FR.insert t k v)
-          ~delete:(fun k -> FR.delete t k)
-          ~find:(fun k -> FR.find t k)
-      in
-      FR.check_invariants t;
-      FR.to_list t = expected)
-
-let reuse_audit_holds =
-  Support.qcheck "interning contract audits clean after random scripts"
-    (Support.ops_gen ~key_range:6 ~len:200)
-    (fun script ->
-      let t = FR.create_with ~use_flags:true ~reuse_descriptors:true () in
-      List.iter
-        (fun (op, k) ->
-          match op with
-          | 0 -> ignore (FR.insert t k k)
-          | 1 -> ignore (FR.delete t k)
-          | _ -> ignore (FR.find t k))
-        script;
-      match FR.Debug.reuse_audit t with
-      | Ok () -> true
-      | Error msg -> Alcotest.failf "reuse audit: %s" msg)
-
-let reuse_onoff_equivalent =
-  Support.qcheck "interning on/off are observationally identical"
-    (Support.ops_gen ~key_range:6 ~len:200)
-    (fun script ->
-      let run reuse =
-        let t = FR.create_with ~use_flags:true ~reuse_descriptors:reuse () in
-        let results =
-          List.map
-            (fun (op, k) ->
-              match op with
-              | 0 -> Some (FR.insert t k k)
-              | 1 -> Some (FR.delete t k)
-              | _ -> Option.map (fun v -> v = k) (FR.find t k))
-            script
-        in
-        (results, FR.to_list t)
-      in
-      run true = run false)
+(* A small key range deletes and re-inserts every key many times, so
+   operations keep meeting marked nodes and recovering through backlinks. *)
+let oracle_reinsert = Support.oracle_test ~key_range:6 ~len:200 (module FR)
 
 let test_edges () =
   let t = FR.create () in
@@ -498,8 +448,8 @@ let () =
             test_fold_range_concurrent;
           range_prop;
         ] );
-      ( "interning",
-        [ reuse_matches_oracle; reuse_audit_holds; reuse_onoff_equivalent ] );
+      ("reinsert", [ oracle_reinsert ]);
+      ("retention", Support.retention_tests (module FR));
       ( "invariants",
         [
           Alcotest.test_case "random schedules" `Quick

@@ -177,26 +177,6 @@ let test_certify_harris () = certified "harris-list" "2x2-conflict"
 
 let test_certify_fr_list_2x3 () = certified "fr-list" "2x3-mixed"
 
-(* EXP-22 ablation: both descriptor-interning variants must certify, and
-   interning must be schedule-neutral — reusing a physically-equal
-   descriptor must not change which C&Ss DPOR considers dependent, so the
-   explored schedule count is identical to the allocating variant's. *)
-let test_certify_fr_list_noreuse () = certified "fr-list-noreuse" "2x2-conflict"
-
-let test_certify_fr_skiplist_noreuse () =
-  certified "fr-skiplist-noreuse" "2x2-conflict"
-
-let test_reuse_schedule_neutral () =
-  let outcome structure =
-    (Certify.certify ~structure (scenario ~structure "2x2-conflict")).ct_outcome
-  in
-  let on = outcome "fr-list" and off = outcome "fr-list-noreuse" in
-  Alcotest.(check (list (pair (list int) string))) "both clean" [] on.Dpor.failures;
-  Alcotest.(check (list (pair (list int) string))) "both clean" [] off.Dpor.failures;
-  Alcotest.(check int)
-    "same schedule count with and without interning"
-    off.Dpor.schedules_run on.Dpor.schedules_run
-
 (* --- Mutant-kill gate --- *)
 
 let test_mutants_killed_at_minimal_scope () =
@@ -277,12 +257,6 @@ let () =
           Alcotest.test_case "pqueue conflict" `Slow test_certify_pqueue;
           Alcotest.test_case "harris conflict" `Slow test_certify_harris;
           Alcotest.test_case "fr-list 2x3" `Slow test_certify_fr_list_2x3;
-          Alcotest.test_case "fr-list no-reuse conflict" `Slow
-            test_certify_fr_list_noreuse;
-          Alcotest.test_case "fr-skiplist no-reuse conflict" `Slow
-            test_certify_fr_skiplist_noreuse;
-          Alcotest.test_case "interning schedule-neutral" `Slow
-            test_reuse_schedule_neutral;
         ] );
       ( "mutants",
         [

@@ -627,6 +627,8 @@ let () =
   Alcotest.run "skiplist"
     [
       ("oracle", oracle_tests);
+      ("reinsert", [ Support.oracle_test ~key_range:6 ~len:200 (module SL) ]);
+      ("retention", Support.retention_tests (module SL));
       ( "range ops",
         [ Alcotest.test_case "basics" `Quick test_range_ops; range_prop ] );
       ( "towers",

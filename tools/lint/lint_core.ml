@@ -53,14 +53,6 @@
      inside [lib/kernel/] — the seam implementations themselves are the
      waivered exceptions, not the whole directory.
 
-   - [no-hot-alloc]: C&S retry loops in the structure libraries must not
-     build records or arrays per attempt.  Under contention every failed
-     C&S retries, so an inline descriptor construction there is a
-     minor-heap allocation site at the hottest point of the algorithm —
-     the GC-tail mechanism EXP-22 measures.  Descriptors come from the
-     per-node interning caches instead; the caches' refill helpers are
-     plain functions outside any loop.
-
    - [no-unbounded-retry]: a retry loop in the service layer ([lib/svc/])
      that never consults a [Retry.Budget] can amplify a failure storm
      without bound — exactly the cascade the layer exists to prevent.
@@ -110,7 +102,6 @@ let rule_fault_hooks = "no-fault-hooks"
 let rule_timing = "no-timing-in-structures"
 let rule_unbounded_retry = "no-unbounded-retry"
 let rule_bare_atomic = "no-bare-atomic"
-let rule_hot_alloc = "no-hot-alloc"
 let rule_cross_shard = "no-cross-shard-state"
 let rule_orphan_span = "no-orphan-span"
 let rule_policy_sleep = "no-policy-sleep"
@@ -148,15 +139,6 @@ let bare_atomic_scope_prefixes =
    an unbudgeted retry path cannot sneak in (the "budgets off" ablation
    uses [Budget.unlimited] — same code path, different answer). *)
 let retry_scope_prefixes = [ "lib/svc/" ]
-
-(* Structure code whose C&S retry loops must stay allocation-free: a
-   record or array built per attempt becomes minor-heap churn exactly at
-   the contention hot spot, which EXP-22 measured as the GC tail.  Fresh
-   descriptors belong in the per-node interning caches
-   ([Fr_list.create_with ~reuse_descriptors]), whose refill helpers sit
-   outside the loops. *)
-let hot_alloc_scope_prefixes =
-  [ "lib/core/"; "lib/skiplist/"; "lib/hashtable/"; "lib/pqueue/" ]
 
 (* The sharding layer: per-shard failure containment is an isolation
    property, so mutable state evaluated at module initialization (shared
@@ -215,28 +197,6 @@ let waivers =
     ( "lib/workload/runner.ml",
       rule_raw_atomic,
       "start barrier for benchmark domains; harness synchronization" );
-    ( "lib/core/fr_list.ml",
-      rule_hot_alloc,
-      "the flagged constructions are the insert candidate's refill slow \
-       path: they run only when the re-searched successor changed, and \
-       the built node+descriptor are cached and reused across attempts \
-       while the successor holds — the allocation-free fast path the rule \
-       exists to protect" );
-    ( "lib/skiplist/fr_skiplist.ml",
-      rule_hot_alloc,
-      "same candidate-refill pattern as fr_list.ml: fresh node and \
-       descriptor only when the re-searched successor changed, reused \
-       across C&S attempts otherwise" );
-    ( "lib/skiplist/fraser_skiplist.ml",
-      rule_hot_alloc,
-      "comparison baseline for EXP-13; reproduces Fraser's allocating \
-       retry loops faithfully and is not a subject of the EXP-22 \
-       interning pass" );
-    ( "lib/skiplist/st_skiplist.ml",
-      rule_hot_alloc,
-      "comparison baseline (Sundell-Tsigas); reproduces the published \
-       allocating retry loops and is not a subject of the EXP-22 \
-       interning pass" );
     ( "lib/hashtable/lf_hashtable.ml",
       rule_poly_compare,
       "Hashtbl.hash on string keys, which are acyclic and node-free" );
@@ -304,8 +264,6 @@ let rule_active ~all path rule =
        has_prefix path retry_scope_prefixes
      else if String.equal rule rule_bare_atomic then
        has_prefix path bare_atomic_scope_prefixes
-     else if String.equal rule rule_hot_alloc then
-       has_prefix path hot_alloc_scope_prefixes
      else if String.equal rule rule_cross_shard then
        has_prefix path cross_shard_scope_prefixes
      else if String.equal rule rule_orphan_span then
@@ -482,56 +440,6 @@ let unbounded_retry_msg =
    lib/svc must go through Retry.Budget (Budget.take — Budget.unlimited \
    for the ablation) so failure storms cannot amplify without bound"
 
-(* no-hot-alloc: a C&S retry loop — a [while], or a recursive binding,
-   whose body performs a C&S — must not build records or arrays per
-   attempt.  Under contention every failed C&S retries, so an inline
-   [{ right; mark; flag }] or array literal there turns the hottest code
-   path into a minor-heap allocation site: exactly the churn EXP-22
-   attributed the p999/p9999 latency cliff to.  Descriptors belong in the
-   per-node interning caches, whose refill helpers are ordinary
-   (non-recursive) functions outside the loop.  Syntactic by design, like
-   [no-unbounded-retry]: loops that delegate their C&S to a helper are
-   not recognized, and allocation hidden behind a call is not chased —
-   the EXP-22 ablation benches check the semantics. *)
-
-let lid_is_cas lid =
-  match List.rev (lid_components lid) with
-  | op :: _ ->
-      String.equal op "cas"
-      || String.equal op "compare_and_set"
-      || String.equal op "compare_exchange"
-  | [] -> false
-
-let mentions_cas =
-  expr_contains (fun e ->
-      match e.pexp_desc with
-      | Pexp_ident { txt; _ } -> lid_is_cas txt
-      | _ -> false)
-
-(* Every record/array construction in [e], as (loc, what) pairs. *)
-let iter_allocs f (e : Parsetree.expression) =
-  let default = Ast_iterator.default_iterator in
-  let it =
-    {
-      default with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_record (_, _) -> f e.pexp_loc "record"
-          | Pexp_array _ -> f e.pexp_loc "array"
-          | _ -> ());
-          default.expr it e);
-    }
-  in
-  it.expr it e
-
-let hot_alloc_msg what =
-  what
-  ^ " allocation inside a C&S retry loop: every failed attempt pays a \
-     minor-heap block at the contention hot spot (the GC tail EXP-22 \
-     measures); hoist it out of the loop or serve it from the per-node \
-     descriptor interning caches"
-
 (* no-cross-shard-state: mutable-state allocators whose result, bound at
    module initialization time, becomes process-wide state shared by every
    shard (and every router) in the process.  Allocations under a lambda
@@ -689,17 +597,6 @@ let check_file ~all path =
           report vb.pvb_loc rule_unbounded_retry unbounded_retry_msg)
       vbs
   in
-  let report_hot_allocs e =
-    iter_allocs (fun loc what -> report loc rule_hot_alloc (hot_alloc_msg what)) e
-  in
-  (* A recursive binding that performs a C&S is a retry loop; every
-     record/array built in its body is a per-attempt allocation. *)
-  let check_hot_alloc_bindings vbs =
-    List.iter
-      (fun (vb : value_binding) ->
-        if mentions_cas vb.pvb_expr then report_hot_allocs vb.pvb_expr)
-      vbs
-  in
   let default = Ast_iterator.default_iterator in
   let it =
     {
@@ -708,10 +605,7 @@ let check_file ~all path =
         (fun it si ->
           (match si.pstr_desc with
           | Pstr_value (rf, vbs) ->
-              if rf = Recursive then begin
-                check_retry_bindings vbs;
-                check_hot_alloc_bindings vbs
-              end;
+              if rf = Recursive then check_retry_bindings vbs;
               List.iter
                 (fun (vb : value_binding) ->
                   if opens_span vb.pvb_expr && not (closes_span vb.pvb_expr)
@@ -735,11 +629,9 @@ let check_file ~all path =
           | Pexp_while (_, _) ->
               if not (mentions_budget e) then
                 report e.pexp_loc rule_unbounded_retry unbounded_retry_msg;
-              if mentions_cas e then report_hot_allocs e;
               default.expr it e
           | Pexp_let (Recursive, vbs, _) ->
               check_retry_bindings vbs;
-              check_hot_alloc_bindings vbs;
               default.expr it e
           | _ -> default.expr it e);
       module_expr =
