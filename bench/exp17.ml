@@ -5,26 +5,26 @@
    experiment quantifies the payoff of the per-domain hint caches in three
    parts:
 
-   Part A (simulator): mean essential steps per operation on the FR list
-   and FR skip list, hints on vs off, under four key distributions -
-   uniform, hotspot (hot window parked mid-keyspace so wins cannot come
-   from hot keys sitting next to the head), zipf, and global ascending
-   inserts.  PASS: hints on improves steps/op by >= 1.5x for hotspot and
-   ascending; uniform regression <= 5%.
+   Part A (simulator): mean essential steps per operation on the FR list,
+   hints on vs off, under four key distributions - uniform, hotspot (hot
+   window parked mid-keyspace so wins cannot come from hot keys sitting
+   next to the head), zipf, and global ascending inserts.  PASS: hints on
+   improves steps/op by >= 1.5x for hotspot and ascending; uniform
+   regression <= 5%.
 
-   Part B (wall-clock, Atomic_mem): throughput of the same structures with
-   hints on/off.  Single-core machine: numbers measure overhead/locality,
-   not parallel speedup.
+   Part B (wall-clock, Atomic_mem): throughput of the list with hints
+   on/off.  Single-core machine: numbers measure overhead/locality, not
+   parallel speedup.
 
    Part C (wall-clock): batched entry points (insert_batch/delete_batch/
-   mem_batch, sorted batches carrying the predecessor element to element)
-   vs one-at-a-time, on the list, skip list and hash table. *)
+   mem_batch) vs one-at-a-time, on the list, skip list and hash table.
+   The list's batches are key-sorted and carry the predecessor element to
+   element; the skip list's run one operation per element. *)
 
 open Lf_workload
 
 module K = Lf_kernel.Ordered.Int
 module SimL = Lf_list.Fr_list.Make (K) (Lf_dsim.Sim_mem)
-module SimS = Lf_skiplist.Fr_skiplist.Make (K) (Lf_dsim.Sim_mem)
 
 let insert_only = { Opgen.insert_pct = 100; delete_pct = 0 }
 
@@ -88,28 +88,15 @@ type sim_run = {
   stats : Lf_kernel.Hint.stats option;
 }
 
-let run_sim ~structure ~use_hints c : sim_run =
-  let ops, hint_stats =
-    match structure with
-    | "fr-list" ->
-        let t = SimL.create_with ~use_hints ~use_flags:true () in
-        ( Sim_driver.
-            {
-              insert = (fun k -> SimL.insert t k k);
-              delete = (fun k -> SimL.delete t k);
-              find = (fun k -> SimL.mem t k);
-            },
-          fun () -> SimL.hint_stats t )
-    | "fr-skiplist" ->
-        let t = SimS.create_with ~use_hints () in
-        ( Sim_driver.
-            {
-              insert = (fun k -> SimS.insert t k k);
-              delete = (fun k -> SimS.delete t k);
-              find = (fun k -> SimS.mem t k);
-            },
-          fun () -> SimS.hint_stats t )
-    | s -> invalid_arg s
+let run_sim ~use_hints c : sim_run =
+  let t = SimL.create_with ~use_hints ~use_flags:true () in
+  let ops =
+    Sim_driver.
+      {
+        insert = (fun k -> SimL.insert t k k);
+        delete = (fun k -> SimL.delete t k);
+        find = (fun k -> SimL.mem t k);
+      }
   in
   let filled =
     if c.prefill = 0 then 0
@@ -130,91 +117,84 @@ let run_sim ~structure ~use_hints c : sim_run =
     steps_per_op =
       float_of_int (Lf_dsim.Sim.total_essential res) /. float_of_int n_ops;
     n_ops;
-    stats = hint_stats ();
+    stats = SimL.hint_stats t;
   }
 
 let part_a () =
   Tables.subsection
-    "Part A: essential steps/op in the simulator (4 procs, hints off vs on)";
-  let widths = [ 14; 10; 8; 10; 10; 8; 22 ] in
+    "Part A: essential steps/op in the simulator (fr-list, 4 procs, hints off \
+     vs on)";
+  let widths = [ 10; 8; 10; 10; 8; 22 ] in
   Tables.row widths
-    [ "structure"; "workload"; "ops"; "off"; "on"; "ratio"; "hits/stale/miss" ];
+    [ "workload"; "ops"; "off"; "on"; "ratio"; "hits/stale/miss" ];
   let failures = ref [] in
   List.iter
-    (fun (structure, cases) ->
+    (fun c ->
+      let off = run_sim ~use_hints:false c in
+      let on = run_sim ~use_hints:true c in
+      let ratio = off.steps_per_op /. on.steps_per_op in
+      let hs =
+        match on.stats with
+        | None -> "-"
+        | Some s ->
+            Printf.sprintf "%d/%d/%d" s.Lf_kernel.Hint.hits s.stale s.misses
+      in
+      Tables.row widths
+        [
+          c.workload;
+          string_of_int on.n_ops;
+          Printf.sprintf "%.1f" off.steps_per_op;
+          Printf.sprintf "%.1f" on.steps_per_op;
+          Printf.sprintf "%.2fx" ratio;
+          hs;
+        ];
+      (match c.workload with
+      | "hotspot" | "ascending" ->
+          if ratio < 1.5 then
+            failures :=
+              Printf.sprintf "%s ratio %.2f < 1.5" c.workload ratio
+              :: !failures
+      | "uniform" ->
+          if ratio < 0.95 then
+            failures :=
+              Printf.sprintf "uniform regression %.2f > 5%%"
+                ((1.0 -. ratio) *. 100.)
+              :: !failures
+      | _ -> ());
       List.iter
-        (fun c ->
-          let off = run_sim ~structure ~use_hints:false c in
-          let on = run_sim ~structure ~use_hints:true c in
-          let ratio = off.steps_per_op /. on.steps_per_op in
-          let hs =
-            match on.stats with
-            | None -> "-"
+        (fun (hints, (r : sim_run)) ->
+          let stats_fields =
+            match r.stats with
+            | None -> []
             | Some s ->
-                Printf.sprintf "%d/%d/%d" s.Lf_kernel.Hint.hits s.stale s.misses
+                Bench_json.
+                  [
+                    ("hits", I s.Lf_kernel.Hint.hits);
+                    ("stale", I s.stale);
+                    ("misses", I s.misses);
+                    ("stores", I s.stores);
+                  ]
           in
-          Tables.row widths
-            [
-              structure;
-              c.workload;
-              string_of_int on.n_ops;
-              Printf.sprintf "%.1f" off.steps_per_op;
-              Printf.sprintf "%.1f" on.steps_per_op;
-              Printf.sprintf "%.2fx" ratio;
-              hs;
-            ];
-          (match c.workload with
-          | "hotspot" | "ascending" ->
-              if ratio < 1.5 then
-                failures :=
-                  Printf.sprintf "%s/%s ratio %.2f < 1.5" structure c.workload
-                    ratio
-                  :: !failures
-          | "uniform" ->
-              if ratio < 0.95 then
-                failures :=
-                  Printf.sprintf "%s/uniform regression %.2f > 5%%" structure
-                    ((1.0 -. ratio) *. 100.)
-                  :: !failures
-          | _ -> ());
-          List.iter
-            (fun (hints, (r : sim_run)) ->
-              let stats_fields =
-                match r.stats with
-                | None -> []
-                | Some s ->
-                    Bench_json.
-                      [
-                        ("hits", I s.Lf_kernel.Hint.hits);
-                        ("stale", I s.stale);
-                        ("misses", I s.misses);
-                        ("stores", I s.stores);
-                      ]
-              in
-              Bench_json.emit_part ~exp:"exp17" ~part:"sim_steps"
-                (Bench_json.
-                   [
-                     ("structure", S structure);
-                     ("workload", S c.workload);
-                     ("hints", B hints);
-                     ("ops", I r.n_ops);
-                     ("essential_per_op", F r.steps_per_op);
-                   ]
-                @ stats_fields))
-            [ (false, off); (true, on) ];
-          Bench_json.emit_part ~exp:"exp17" ~part:"sim_ratio"
-            Bench_json.
-              [
-                ("structure", S structure);
-                ("workload", S c.workload);
-                ("off_over_on", F ratio);
-              ])
-        cases;
-      print_newline ())
-    [
-      ("fr-list", sim_cases ~key_range:512 ~prefill:256 ~ops:600);
-      ("fr-skiplist", sim_cases ~key_range:4096 ~prefill:1024 ~ops:800);
-    ];
+          Bench_json.emit_part ~exp:"exp17" ~part:"sim_steps"
+            (Bench_json.
+               [
+                 ("structure", S "fr-list");
+                 ("workload", S c.workload);
+                 ("hints", B hints);
+                 ("ops", I r.n_ops);
+                 ("essential_per_op", F r.steps_per_op);
+               ]
+            @ stats_fields))
+        [ (false, off); (true, on) ];
+      Bench_json.emit_part ~exp:"exp17" ~part:"sim_ratio"
+        Bench_json.
+          [
+            ("structure", S "fr-list");
+            ("workload", S c.workload);
+            ("off_over_on", F ratio);
+          ])
+    (sim_cases ~key_range:512 ~prefill:256 ~ops:600);
+  print_newline ();
   !failures
 
 (* ------------------------------------------------------------------ *)
@@ -227,15 +207,6 @@ module L_off = struct
 
   let name = "fr-list(-h)"
   let create () = create_with ~use_hints:false ~use_flags:true ()
-end
-
-module S_on = Lf_skiplist.Fr_skiplist.Atomic_int
-
-module S_off = struct
-  include Lf_skiplist.Fr_skiplist.Atomic_int
-
-  let name = "fr-skiplist(-h)"
-  let create () = create_with ~use_hints:false ()
 end
 
 let part_b () =
@@ -272,12 +243,7 @@ let part_b () =
                     ("kops_per_s", F (r.ops_per_s /. 1000.));
                   ])
             [ 1; 2 ])
-        [
-          (module L_off : Runner.INT_DICT);
-          (module L_on);
-          (module S_off);
-          (module S_on);
-        ];
+        [ (module L_off : Runner.INT_DICT); (module L_on) ];
       print_newline ())
     [
       ("uniform", fun _did -> Keygen.uniform 1024);

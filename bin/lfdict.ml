@@ -54,13 +54,6 @@ module Fr_list_nohints = struct
   let create () = create_with ~use_hints:false ~use_flags:true ()
 end
 
-module Fr_skiplist_nohints = struct
-  include Lf_skiplist.Fr_skiplist.Atomic_int
-
-  let name = "fr-skiplist(-hints)"
-  let create () = create_with ~use_hints:false ()
-end
-
 module Lf_hashtable_nohints = struct
   include Lf_hashtable.Atomic_int
 
@@ -71,7 +64,6 @@ end
 let nohints_impls : (string * (module Lf_workload.Runner.INT_DICT)) list =
   [
     ("fr-list", (module Fr_list_nohints));
-    ("fr-skiplist", (module Fr_skiplist_nohints));
     ("lf-hashtable", (module Lf_hashtable_nohints));
   ]
 
@@ -88,7 +80,6 @@ let batched_impls ~hints :
   else
     [
       ("fr-list", (module Fr_list_nohints));
-      ("fr-skiplist", (module Fr_skiplist_nohints));
       ("lf-hashtable", (module Lf_hashtable_nohints));
     ]
 
@@ -173,8 +164,8 @@ let hints_arg =
     & opt (enum [ ("on", true); ("off", false) ]) true
     & info [ "hints" ] ~docv:"on|off"
         ~doc:
-          "Per-domain predecessor caches (fr-list, fr-skiplist, \
-           lf-hashtable).  $(b,off) recreates the EXP-17 ablation baseline.")
+          "Per-domain predecessor caches (fr-list, lf-hashtable).  $(b,off) \
+           recreates the EXP-17 ablation baseline.")
 
 let batch_arg =
   Arg.(
@@ -203,9 +194,9 @@ let throughput_cmd =
           match List.assoc_opt impl (batched_impls ~hints) with
           | Some m -> m
           | None ->
-              Printf.eprintf "--batch is available for: %s\n"
-                (String.concat ", "
-                   (List.map fst (batched_impls ~hints:true)));
+              Printf.eprintf "--batch%s is available for: %s\n"
+                (if hints then "" else " --hints off")
+                (String.concat ", " (List.map fst (batched_impls ~hints)));
               exit 2
         in
         Lf_workload.Runner.run_throughput_batched

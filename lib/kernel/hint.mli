@@ -43,9 +43,8 @@ module Make (M : Mem.S) : sig
 
   val note_stale : 'a t -> unit
   (** Record that a loaded hint failed validation.  Does not drop the
-      value: callers whose cached value amortizes across operations (the
-      skip list's tower path) keep it; callers for whom staleness means
-      a dead node ({!clear}) drop it themselves. *)
+      value: a caller for whom staleness means a dead node drops it
+      itself with {!clear}. *)
 
   val note_miss : 'a t -> unit
   (** Record that no hint was cached. *)

@@ -17,15 +17,14 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   type 'a t = 'a SL.t
 
-  let create ?(max_level = 24) ?(use_hints = true) () =
-    SL.create_with ~max_level ~use_hints ()
+  let create ?(max_level = 24) () = SL.create_with ~max_level ()
 
   let push t prio v = SL.insert t prio v
   let pop_min t = SL.delete_min t
 
-  (* Batched push (the skip list's key-ordered carry applies); results in
-     input order.  [pop_min_batch] pops up to [n] elements, smallest first;
-     each pop claims its element exactly once, as in the unbatched case. *)
+  (* Batched push: one insert per element; results in input order.
+     [pop_min_batch] pops up to [n] elements, smallest first; each pop
+     claims its element exactly once, as in the unbatched case. *)
   let push_batch t pvs = SL.insert_batch t pvs
 
   let pop_min_batch t n =
@@ -62,8 +61,8 @@ module Stamped (M : Lf_kernel.Mem.S) = struct
 
   type 'a t = { q : 'a Q.t; stamp : int Atomic.t }
 
-  let create ?max_level ?use_hints () =
-    { q = Q.create ?max_level ?use_hints (); stamp = Atomic.make 0 }
+  let create ?max_level () =
+    { q = Q.create ?max_level (); stamp = Atomic.make 0 }
 
   let push t prio v =
     let s = Atomic.fetch_and_add t.stamp 1 in

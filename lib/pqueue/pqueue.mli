@@ -11,9 +11,7 @@
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   type 'a t
 
-  val create : ?max_level:int -> ?use_hints:bool -> unit -> 'a t
-  (** [use_hints] (default [true]) is forwarded to the underlying skip list
-      (see [Fr_skiplist.create_with]). *)
+  val create : ?max_level:int -> unit -> 'a t
 
   val push : 'a t -> K.t -> 'a -> bool
   (** [false] if this priority is already queued. *)
@@ -22,8 +20,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   val peek_min : 'a t -> (K.t * 'a) option
 
   val push_batch : 'a t -> (K.t * 'a) list -> bool list
-  (** Batched push via the skip list's key-ordered predecessor carrying;
-      results in input order. *)
+  (** Batched push, one insert per element; results in input order. *)
 
   val pop_min_batch : 'a t -> int -> (K.t * 'a) list
   (** Pop up to [n] elements, smallest first; each element is claimed by
@@ -39,7 +36,7 @@ end
 module Stamped (M : Lf_kernel.Mem.S) : sig
   type 'a t
 
-  val create : ?max_level:int -> ?use_hints:bool -> unit -> 'a t
+  val create : ?max_level:int -> unit -> 'a t
 
   val push : 'a t -> int -> 'a -> unit
   val pop_min : 'a t -> (int * 'a) option

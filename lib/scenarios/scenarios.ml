@@ -245,15 +245,9 @@ let omega_schedule ~m (mk : unit -> omega_target) =
 let tower_height = 8
 
 (* Rounds of insert-tall / delete / search past it, single process.
-   Returns (avg essential per op, dead nodes still linked at the end).
-   Hints off: the repeated search past the dead region is exactly what a
-   predecessor cache short-circuits, and this experiment isolates the
-   superfluous-helping variable (EXP-17 measures hints). *)
+   Returns (avg essential per op, dead nodes still linked at the end). *)
 let superfluous_mode ~help_superfluous ~m =
-  let t =
-    FrS.create_with ~max_level:tower_height ~help_superfluous
-      ~use_hints:false ()
-  in
+  let t = FrS.create_with ~max_level:tower_height ~help_superfluous () in
   let body _pid =
     for r = 1 to m do
       Sim.op_begin ~n:1;

@@ -30,7 +30,6 @@
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   module BK = Lf_kernel.Ordered.Bounded (K)
   module Ev = Lf_kernel.Mem_event
-  module H = Lf_kernel.Hint.Make (M)
 
   type key = K.t
 
@@ -47,20 +46,12 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   and 'a succ = { right : 'a link; mark : bool; flag : bool }
   and 'a link = Null | Node of 'a node
 
-  (* A remembered tower path (Foresight-style): [levels.(l-1)] is the last
-     node a search ended on at level l ([Null] = nothing remembered), [top]
-     the highest level with an entry.  One path per domain lives in the
-     hint cache; batches thread a private one.  Every entry is re-validated
-     before use, so a path may be arbitrarily stale. *)
-  type 'a hint_path = { mutable top : int; levels : 'a link array }
-
   type 'a t = {
     max_level : int;
     heads : 'a node array; (* heads.(l-1) is the -inf sentinel of level l *)
     tail : 'a node; (* shared +inf sentinel *)
     help_superfluous : bool;
     use_backoff : bool;
-    hints : 'a hint_path H.t option; (* [None] = hints-off ablation *)
   }
 
   let name = "fr-skiplist"
@@ -102,7 +93,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let rng = Lf_kernel.Splitmix.domain_local 0x5ee
 
   let create_with ?(max_level = 24) ?(help_superfluous = true)
-      ?(use_hints = true) ?(use_backoff = false) () =
+      ?(use_backoff = false) () =
     let tail =
       {
         key = Pos_inf;
@@ -129,8 +120,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         };
       annotate_node ~head:true ~sentinel:true ~level:l heads.(l - 1)
     done;
-    let hints = if use_hints then Some (H.create ()) else None in
-    { max_level; heads; tail; help_superfluous; use_backoff; hints }
+    { max_level; heads; tail; help_superfluous; use_backoff }
 
   let create () = create_with ()
   let head_at t l = t.heads.(l - 1)
@@ -281,133 +271,25 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let lvl = go 1 in
     (head_at t lvl, lvl)
 
-  (* --- Hint paths (Section 3.2's guarantee as an optimization). ---
-
-     A level-l search may start at any node that was once linked at level l
-     and is currently unmarked there with key <= the target (< for
-     exclusive searches): level l runs the Section 3 list protocol, under
-     which unmarked nodes are never unlinked.  A marked candidate recovers
-     leftward through its level-l backlinks; a candidate that is still
-     unusable falls back to that level's head. *)
-
-  let rec unmark_left t ~level n =
-    if (M.get n.succ).mark then begin
-      M.event Ev.Backlink_step;
-      match M.get n.backlink with
-      | Null -> head_at t level
-      | Node p -> unmark_left t ~level p
-    end
-    else n
-
-  (* A validated candidate from a path entry, or [None].  Superfluous
-     candidates (upper nodes of a tower whose root is marked) are rejected
-     even though they are unmarked at their own level: the tower may have
-     been logically deleted before this operation began, so adopting one
-     could descend into the dead tower and observe its old binding — a
-     non-linearizable read — besides starting past a node the search is
-     responsible for helping to unlink. *)
-  let path_candidate t ~inclusive k ~level link =
-    match link with
-    | Null -> None
-    | Node c ->
-        let c = unmark_left t ~level c in
-        if
-          (not (is_superfluous c))
-          && (if inclusive then BK.le c.key k else BK.lt c.key k)
-        then Some c
-        else None
-
-  let mk_path t = { top = 1; levels = Array.make t.max_level Null }
-
-  (* The calling domain's path, created on first use.  [None] iff hints are
-     off. *)
-  let op_path t =
-    match t.hints with
-    | None -> None
-    | Some h -> (
-        match H.load h with
-        | Some p -> Some p
-        | None ->
-            let p = mk_path t in
-            H.store h p;
-            Some p)
-
-  (* SEARCHTOLEVEL_SL: descend, searching right at each level, until level
-     [v]; returns the (n1, n2) window at level v.
-
-     Without a path (hints off) this descends from FINDSTART_SL's level
-     exactly as the paper writes it.  With a path — [?path] threads one
-     explicitly (batches, tower building); otherwise the domain's cached
-     path is used — the search starts at [max v path.top] (self-correcting
-     one level upward per search while taller content exists), at each
-     level adopts whichever is further right of the descended node and the
-     validated path entry, and re-records the path on the way down.
-     [account] classifies the search in the hint-cache statistics; only
-     domain-cache-resolved searches account.  [full] forces the descent to
-     begin at FINDSTART_SL's level even with a path: the cleanup search
-     after a deletion must visit every level the dead tower might occupy,
-     which a path that tops out below the tower would skip. *)
-  let search_to_level ?path ?(account = false) ?(full = false) t ~inclusive k v
-      =
+  (* SEARCHTOLEVEL_SL: descend from FINDSTART_SL's level, searching right
+     at each level, until level [v]; returns the (n1, n2) window at level
+     v. *)
+  let search_to_level t ~inclusive k v =
     let v = min v t.max_level in
-    let with_path p used =
-      let start_level =
-        let s = max v (min p.top t.max_level) in
-        let s = if full then max s (snd (find_start t v)) else s in
-        if s < t.max_level && level_nonempty t (s + 1) then s + 1 else s
-      in
-      let rec descend curr level =
-        let curr =
-          match path_candidate t ~inclusive k ~level p.levels.(level - 1) with
-          | Some c when BK.le curr.key c.key ->
-              if c != curr && c != head_at t level then used := true;
-              c
-          | _ -> curr
-        in
-        let curr, next = search_right t ~inclusive k curr in
-        p.levels.(level - 1) <- Node curr;
-        if level > v then descend (as_node curr.down) (level - 1)
-        else (curr, next)
-      in
-      let r = descend (head_at t start_level) start_level in
-      p.top <- start_level;
-      r
+    let start, level = find_start t v in
+    let rec descend curr level =
+      let curr, next = search_right t ~inclusive k curr in
+      if level > v then descend (as_node curr.down) (level - 1)
+      else (curr, next)
     in
-    match path with
-    | Some p -> with_path p (ref false)
-    | None -> (
-        match t.hints with
-        | None ->
-            let start, level = find_start t v in
-            let rec descend curr level =
-              let curr, next = search_right t ~inclusive k curr in
-              if level > v then descend (as_node curr.down) (level - 1)
-              else (curr, next)
-            in
-            descend start level
-        | Some h ->
-            let p, fresh =
-              match H.load h with
-              | Some p -> (p, false)
-              | None ->
-                  let p = mk_path t in
-                  H.store h p;
-                  (p, true)
-            in
-            let used = ref false in
-            let r = with_path p used in
-            if account then
-              if fresh then H.note_miss h
-              else if !used then H.note_hit h
-              else H.note_stale h;
-            r)
+    descend start level
 
-  let hint_stats t = Option.map H.totals t.hints
+  let hint_stats (_ : 'a t) : Lf_kernel.Hint.stats option = None
 
   (* SEARCH_SL. *)
   let find t k =
     let kb = Lf_kernel.Ordered.Mid k in
-    let curr, _ = search_to_level ~account:true t ~inclusive:true kb 1 in
+    let curr, _ = search_to_level t ~inclusive:true kb 1 in
     if BK.equal curr.key kb then curr.elt else None
 
   let mem t k = Option.is_some (find t k)
@@ -469,14 +351,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   (* INSERT_SL with an explicit tower height (used by tests and by the
      deterministic experiments; [insert] draws the height by coin flips).
-     [?path] threads an explicit tower path (batches); otherwise the
-     domain's cached path is used, so the upper-level searches of the
-     ascend loop reuse the lower levels' just-recorded positions instead of
-     re-descending from the top. *)
-  let insert_with_path ?path t ~height k e =
+     Each upper level is located by a fresh search from the top. *)
+  let insert_with_height t ~height k e =
     let height = max 1 (min height t.max_level) in
     let kb = Lf_kernel.Ordered.Mid k in
-    let prev, next = search_to_level ?path ~account:true t ~inclusive:true kb 1 in
+    let prev, next = search_to_level t ~inclusive:true kb 1 in
     if BK.equal prev.key kb then false
     else begin
       match
@@ -485,13 +364,12 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       with
       | _, `Duplicate -> false
       | _, `Inserted root ->
-          let path = match path with Some _ as p -> p | None -> op_path t in
           (* Build the tower bottom-up; stop if the root gets marked. *)
           let rec ascend level last =
             if level > height then true
             else if (M.get root.succ).mark then true
             else begin
-              let prev, next = search_to_level ?path t ~inclusive:true kb level in
+              let prev, next = search_to_level t ~inclusive:true kb level in
               if BK.equal prev.key kb then begin
                 (* A same-key node from an old superfluous tower blocks this
                    level; the search that found it is also removing it (or
@@ -521,64 +399,28 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           true
     end
 
-  let insert_with_height t ~height k e = insert_with_path t ~height k e
-  let insert t k e = insert_with_path t ~height:(random_height t) k e
+  let insert t k e = insert_with_height t ~height:(random_height t) k e
 
   (* DELETE_SL: delete the root (linearization: its marking), then let a
      search clean the upper levels of the now-superfluous tower. *)
-  let delete_with ?path t k =
+  let delete t k =
     let kb = Lf_kernel.Ordered.Mid k in
-    let prev, del = search_to_level ?path ~account:true t ~inclusive:false kb 1 in
+    let prev, del = search_to_level t ~inclusive:false kb 1 in
     if not (BK.equal del.key kb) then false
     else begin
       match delete_node t prev del with
       | `Deleted_by_us ->
-          if t.help_superfluous && t.max_level >= 2 then begin
-            let path = match path with Some _ as p -> p | None -> op_path t in
-            ignore (search_to_level ?path ~full:true t ~inclusive:true kb 2)
-          end;
+          if t.help_superfluous && t.max_level >= 2 then
+            ignore (search_to_level t ~inclusive:true kb 2);
           true
       | `Deleted_by_other | `Gone -> false
     end
 
-  let delete t k = delete_with t k
-
-  (* Batched operations (the Traeff-Poeter "pragmatic" pattern): process
-     the batch in key order threading one private tower path, so a batch
-     of b nearby keys descends from the top once and then crawls right.
-     Entries are re-validated before every use, so the batch is safe under
-     full concurrency; results are in the caller's original order, and each
-     element linearizes independently inside the batch call. *)
-  let run_batch t ~key_of ~f elems =
-    let arr = Array.of_list elems in
-    let n = Array.length arr in
-    let order = Array.init n Fun.id in
-    Array.sort
-      (fun i j ->
-        let c = K.compare (key_of arr.(i)) (key_of arr.(j)) in
-        if c <> 0 then c else Int.compare i j)
-      order;
-    let results = Array.make n false in
-    let path = mk_path t in
-    Array.iter (fun i -> results.(i) <- f ~path arr.(i)) order;
-    Array.to_list results
-
-  let insert_batch t kvs =
-    run_batch t ~key_of:fst
-      ~f:(fun ~path (k, e) ->
-        insert_with_path ~path t ~height:(random_height t) k e)
-      kvs
-
-  let delete_batch t ks =
-    run_batch t ~key_of:Fun.id ~f:(fun ~path k -> delete_with ~path t k) ks
-
-  let mem_batch t ks =
-    run_batch t ~key_of:Fun.id
-      ~f:(fun ~path k ->
-        let kb = Lf_kernel.Ordered.Mid k in
-        let curr, _ = search_to_level ~path t ~inclusive:true kb 1 in
-        BK.equal curr.key kb && Option.is_some curr.elt)
-      ks
+  (* Batched operations: one independent operation per element, in input
+     order. *)
+  let insert_batch t kvs = List.map (fun (k, e) -> insert t k e) kvs
+  let delete_batch t ks = List.map (delete t) ks
+  let mem_batch t ks = List.map (mem t) ks
 
   (* Lotan-Shavit style delete-min on the root level: claim the leftmost
      regular root via the three-step deletion.  Quiescently consistent (a
@@ -593,7 +435,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           match delete_node t head first with
           | `Deleted_by_us ->
               if t.help_superfluous && t.max_level >= 2 then
-                ignore (search_to_level ~full:true t ~inclusive:true first.key 2);
+                ignore (search_to_level t ~inclusive:true first.key 2);
               (match (first.key, first.elt) with
               | Mid k, Some e -> Some (k, e)
               | _ -> None)

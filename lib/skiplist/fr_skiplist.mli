@@ -31,7 +31,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   val create_with :
     ?max_level:int ->
     ?help_superfluous:bool ->
-    ?use_hints:bool ->
     ?use_backoff:bool ->
     unit ->
     'a t
@@ -39,15 +38,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
       superfluous towers instead of deleting them, and deletions skip the
       upper-level cleanup.  Only safe when keys are never reinserted (a
       stale same-key upper node would block a new tower forever).
-
-      [use_hints] (default [true]) enables per-domain tower-path caching
-      (Foresight-style): each search starts from the calling domain's last
-      recorded per-level positions, validated per Section 3.2 before use
-      (unmarked at that level with key below the target; marked entries
-      recover through backlinks, unusable ones fall back to that level's
-      head), and an insertion's upper-level searches reuse the tower path
-      its own lower levels just recorded.  [~use_hints:false] is the EXP-17
-      ablation.
 
       [use_backoff] (default [false]) inserts bounded exponential backoff
       ([Mem.S.pause]) before re-entering a C&S retry loop after a failed
@@ -78,20 +68,18 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
 
   (** {1 Batched operations}
 
-      The Träff–Pöter "pragmatic" pattern: the batch is processed in key
-      order threading one private tower path, so a batch of b nearby keys
-      descends from the top once and then crawls right.  Results are in
-      the caller's original order; each element is an independent
-      linearizable operation that takes effect inside the batch call. *)
+      One {!insert}, {!delete} or {!mem} per element, in input order; each
+      element is an independent linearizable operation that takes effect
+      inside the batch call. *)
 
   val insert_batch : 'a t -> (key * 'a) list -> bool list
   val delete_batch : 'a t -> key list -> bool list
   val mem_batch : 'a t -> key list -> bool list
 
   val hint_stats : 'a t -> Lf_kernel.Hint.stats option
-  (** Summed hint-cache counters ([None] when hints are off).  A "hit" is a
-      search that adopted at least one cached level entry; "stale" means a
-      path existed but no entry survived validation.  Quiescent use only. *)
+  (** Always [None]: every search descends from the top, so there is no
+      hint cache to report.  Kept for callers written against the
+      [Fr_list] interface (the perfbench ladder reads it). *)
 
   (** {1 Order-aware operations} *)
 

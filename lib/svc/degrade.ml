@@ -1,8 +1,8 @@
-type mode = Normal | Read_only | No_hints | Coalesce
+type mode = Normal | Read_only | Coalesce
 
 type policy = { on_open : mode; on_half_open : mode }
 
-let policy ?(on_open = Read_only) ?(on_half_open = No_hints) () =
+let policy ?(on_open = Read_only) ?(on_half_open = Normal) () =
   { on_open; on_half_open }
 
 let mode_for p = function
@@ -13,12 +13,4 @@ let mode_for p = function
 let mode_to_string = function
   | Normal -> "normal"
   | Read_only -> "read-only"
-  | No_hints -> "no-hints"
   | Coalesce -> "coalesce"
-
-let mode_of_string = function
-  | "normal" -> Some Normal
-  | "read-only" -> Some Read_only
-  | "no-hints" -> Some No_hints
-  | "coalesce" -> Some Coalesce
-  | _ -> None

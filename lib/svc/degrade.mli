@@ -1,17 +1,13 @@
 (** Explicit degraded modes, driven by the breaker's state.
 
     A service that cannot give full answers should say what it {e can}
-    do, not fail randomly.  The three degraded behaviours map onto
+    do, not fail randomly.  The two degraded behaviours map onto
     capabilities the dictionaries already have:
 
     - {!Read_only}: writes are rejected (as rejections, never silent
       drops); searches keep being served even while the breaker is
       open — the FR structures' wait-free searches are exactly the
       operation that stays safe under a write-side storm.
-    - {!No_hints}: route operations to a fallback instance created with
-      the per-domain predecessor caches disabled (the PR 2 ablation),
-      for recovery phases where stale hints would keep touching the
-      contended region.
     - {!Coalesce}: drain queued work through the PR 2 [BATCHED] entry
       points — key-sorted carry batches amortize the search cost
       precisely when the queue is long.
@@ -19,7 +15,7 @@
     The mapping is configuration ({!policy}), the decision function
     ({!mode_for}) is pure, and the mechanics live in {!Svc}. *)
 
-type mode = Normal | Read_only | No_hints | Coalesce
+type mode = Normal | Read_only | Coalesce
 
 type policy = {
   on_open : mode;  (** mode while the breaker is open *)
@@ -27,10 +23,10 @@ type policy = {
 }
 
 val policy : ?on_open:mode -> ?on_half_open:mode -> unit -> policy
-(** Defaults: [Read_only] while open, [No_hints] while half-open. *)
+(** Defaults: [Read_only] while open, [Normal] while half-open (probes
+    run on the primary). *)
 
 val mode_for : policy -> Breaker.kind -> mode
 (** [Normal] when closed. *)
 
 val mode_to_string : mode -> string
-val mode_of_string : string -> mode option

@@ -94,7 +94,6 @@ let config ?(seed = 1) ?(deadline = max_int) ?(retry = None)
 type t = {
   cfg : config;
   primary : ops;
-  fallback : ops option;
   batched : batched_ops option;
   mu : Mutex.t;
   rng : Lf_kernel.Splitmix.t;  (* jitter stream; guarded by [mu] *)
@@ -114,12 +113,11 @@ type t = {
   mutable log : string list;  (* newest first *)
 }
 
-let create ?fallback ?batched cfg primary =
+let create ?batched cfg primary =
   let now = Clock.now cfg.clock in
   {
     cfg;
     primary;
-    fallback;
     batched;
     mu = Mutex.create ();
     rng = Lf_kernel.Splitmix.create cfg.seed;
@@ -190,7 +188,6 @@ let observe_locked t ~now:tick ~ok ~latency =
 (* How an admitted request will execute. *)
 type route =
   | Via_primary
-  | Via_fallback  (* hints-off instance (No_hints degraded mode) *)
   | Via_degraded_read  (* breaker open, read-only mode: single attempt *)
 
 let default_deadline t =
@@ -246,16 +243,10 @@ let admission_locked t ~ctx ~now:tick ~dl ~queue_depth req =
                 if traced then
                   decide ctx ~tick "breaker" true (Span.Breaker_verdict "admit");
                 `Execute Via_primary
-            | `Probe -> (
+            | `Probe ->
                 if traced then
                   decide ctx ~tick "breaker" true (Span.Breaker_verdict "probe");
-                match mode_locked t with
-                | Degrade.No_hints when t.fallback <> None ->
-                    if traced then
-                      decide ctx ~tick "degrade" true
-                        (Span.Degrade_mode "no-hints");
-                    `Execute Via_fallback
-                | _ -> `Execute Via_primary)
+                `Execute Via_primary
             | `Reject -> (
                 if traced then
                   decide ctx ~tick "breaker" false
@@ -282,16 +273,11 @@ let reject t ~now:tick r req =
           (req_to_string req));
   Rejected r
 
-let ops_for t = function
-  | Via_primary | Via_degraded_read -> t.primary
-  | Via_fallback -> Option.value t.fallback ~default:t.primary
-
-let exec_once t route req =
-  let o = ops_for t route in
+let exec_once t req =
   match req with
-  | Insert (k, v) -> o.insert k v
-  | Delete k -> o.delete k
-  | Find k -> o.find k
+  | Insert (k, v) -> t.primary.insert k v
+  | Delete k -> t.primary.delete k
+  | Find k -> t.primary.find k
 
 (* Spend one budget token for a retry; [false] = denied.  Under [mu]. *)
 let budget_take_locked t ~now:tick =
@@ -325,10 +311,10 @@ let failed t ~tick req msg =
    context, so the recorder's hooks (failed C&S, structure-op spans)
    attribute into it.  The closure only exists on the traced path —
    the off path must not allocate. *)
-let run_attempt t aspan route req =
+let run_attempt t aspan req =
   if Span.active aspan then
-    Span.with_current aspan (fun () -> exec_once t route req)
-  else exec_once t route req
+    Span.with_current aspan (fun () -> exec_once t req)
+  else exec_once t req
 
 (* The retry loop.  Each attempt re-checks the deadline first, so an
    admitted operation never starts executing past its deadline (the
@@ -346,7 +332,7 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
   end
   else
     let aspan = Span.begin_ ctx ~name:"attempt" ~now:t0 in
-    match run_attempt t aspan route req with
+    match run_attempt t aspan req with
     | ok ->
         let t1 = now t in
         Span.end_ aspan ~now:t1 ~ok:true;
@@ -405,7 +391,6 @@ let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
             log_locked t "t=%d admit %s%s" tick (req_to_string req)
               (match route with
               | Via_primary -> ""
-              | Via_fallback -> " (no-hints)"
               | Via_degraded_read -> " (read-only)"));
       Fun.protect
         ~finally:(fun () -> with_mu t (fun () -> t.inflight <- t.inflight - 1))

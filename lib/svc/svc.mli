@@ -99,9 +99,8 @@ val config :
 
 type t
 
-val create : ?fallback:ops -> ?batched:batched_ops -> config -> ops -> t
-(** [fallback] is the hints-off instance used by {!Degrade.No_hints};
-    [batched] enables the {!Degrade.Coalesce} path in {!call_many}. *)
+val create : ?batched:batched_ops -> config -> ops -> t
+(** [batched] enables the {!Degrade.Coalesce} path in {!call_many}. *)
 
 val call :
   t ->

@@ -276,5 +276,9 @@ let () =
           exhaustive "hotspot" skiplist_dict hotspot_scripts;
           exhaustive "mixed" skiplist_dict mixed_scripts;
           exhaustive "three-way" skiplist_dict three_way_scripts;
+          (* Key 1 is a height-2 tower: both finds race every step of its
+             root deletion and of the cleanup search that unlinks level 2. *)
+          exhaustive "tower delete races finds" skiplist_dict
+            [ [ (`F, 1); (`F, 3) ]; [ (`D, 1) ] ];
         ] );
     ]

@@ -3,7 +3,7 @@
 
    - unit tests of the cache itself (slot per domain, counter totals);
    - deterministic simulator runs exercising hit/stale accounting on the
-     list and the skip list;
+     list;
    - bounded-exhaustive Explore scenarios where a concurrent delete flags,
      marks and unlinks the hinted node in every <=2-preemption window
      around the hinted search, under the Check_mem protocol sanitizer with
@@ -69,8 +69,6 @@ let test_domains_isolated_and_summed () =
 (* Deterministic simulator runs: accounting on the structures.         *)
 
 module SimList = Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
-module SimSl =
-  Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
 
 let stats_exn = function
   | Some (s : Lf_kernel.Hint.stats) -> s
@@ -108,24 +106,6 @@ let test_list_hints_off_no_stats () =
   ignore (Sim.run [| body |]);
   Alcotest.(check bool) "no stats when disabled" true
     (SimList.hint_stats t = None)
-
-let test_skiplist_accounting () =
-  let t = SimSl.create_with ~max_level:4 () in
-  let body _pid =
-    List.iter
-      (fun k -> ignore (SimSl.insert_with_height t ~height:((k mod 3) + 1) k k))
-      [ 10; 20; 30; 40 ];
-    assert (SimSl.mem t 40);
-    assert (SimSl.mem t 40);
-    assert (SimSl.delete t 40);
-    assert (not (SimSl.mem t 40));
-    assert (SimSl.mem t 30)
-  in
-  ignore (Sim.run [| body |]);
-  let s = stats_exn (SimSl.hint_stats t) in
-  Alcotest.(check bool) "hits > 0" true (s.Lf_kernel.Hint.hits > 0);
-  Alcotest.(check bool) "stores > 0" true (s.stores > 0);
-  Sim.quiet (fun () -> SimSl.check_invariants t)
 
 (* ------------------------------------------------------------------ *)
 (* Bounded-exhaustive staleness: a concurrent delete flags, marks and    *)
@@ -213,60 +193,11 @@ let explore_list_staleness () =
   Alcotest.(check bool) "stale hint recovered in some schedule" true
     (!stale > 0)
 
-let explore_skiplist_staleness () =
-  let hits = ref 0 and stale = ref 0 in
-  let mk () =
-    let module CM = Lf_check.Check_mem.Make (Lf_dsim.Sim_mem) in
-    let module S = Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (CM) in
-    let t = S.create_with ~max_level:3 () in
-    Sim.quiet (fun () ->
-        ignore (S.insert_with_height t ~height:2 3 3);
-        ignore (S.insert_with_height t ~height:1 5 5));
-    (* Seed the shared tower path at node 3's tower. *)
-    Sim.quiet (fun () -> ignore (S.mem t 3));
-    let clock = ref 0 and entries = ref [] in
-    let scripts =
-      [|
-        (fun () ->
-          record entries clock 0 (Lf_lin.History.Find 3) (fun () ->
-              S.mem t 3);
-          record entries clock 0 (Lf_lin.History.Find 5) (fun () -> S.mem t 5));
-        (fun () ->
-          record entries clock 1 (Lf_lin.History.Delete 3) (fun () ->
-              S.delete t 3));
-      |]
-    in
-    let check () =
-      match Sim.quiet (fun () -> S.check_invariants t) with
-      | exception Failure m -> Error m
-      | () ->
-          let r = lin_oracle ~initial:[ 3; 5 ] entries () in
-          (match S.hint_stats t with
-          | Some s ->
-              hits := !hits + s.Lf_kernel.Hint.hits;
-              stale := !stale + s.stale
-          | None -> ());
-          r
-    in
-    (Array.map (fun f _pid -> f ()) scripts, check)
-  in
-  let res = Lf_dsim.Explore.run ~max_preemptions:2 ~max_schedules:40_000 mk in
-  (match res.failures with
-  | [] -> ()
-  | (prefix, msg) :: _ ->
-      Alcotest.failf "%s under schedule [%s] (%d schedules)" msg
-        (String.concat ";" (List.map string_of_int prefix))
-        res.schedules_run);
-  Alcotest.(check bool) "explored schedules" true (res.schedules_run > 10);
-  Alcotest.(check bool) "path adopted in some schedule" true (!hits > 0);
-  Alcotest.(check bool) "dead path entry rejected in some schedule" true
-    (!stale > 0)
-
 (* ------------------------------------------------------------------ *)
-(* Batched operations agree with the sequential oracle.  Batches apply  *)
-(* same-kind operations in key order with a stable sort, so duplicate   *)
-(* keys keep input order and sequential input-order results are the     *)
-(* exact expectation.                                                   *)
+(* Batched operations agree with the sequential oracle.  List and hash- *)
+(* table batches apply same-kind operations in key order with a stable  *)
+(* sort, skip-list batches in input order, so duplicate keys keep input *)
+(* order and sequential input-order results are the exact expectation.  *)
 
 let batch_oracle_test (module D : Lf_workload.Runner.INT_DICT_BATCHED) =
   Support.qcheck ~count:100
@@ -337,12 +268,6 @@ let list_ops create () =
   ( (fun k -> Lf_list.Fr_list.Atomic_int.insert t k k),
     (fun k -> Lf_list.Fr_list.Atomic_int.delete t k),
     fun k -> Lf_list.Fr_list.Atomic_int.mem t k )
-
-let skiplist_ops create () =
-  let t : int Lf_skiplist.Fr_skiplist.Atomic_int.t = create () in
-  ( (fun k -> Lf_skiplist.Fr_skiplist.Atomic_int.insert t k k),
-    (fun k -> Lf_skiplist.Fr_skiplist.Atomic_int.delete t k),
-    fun k -> Lf_skiplist.Fr_skiplist.Atomic_int.mem t k )
 
 (* ------------------------------------------------------------------ *)
 (* Priority-queue batches.                                             *)
@@ -489,15 +414,11 @@ let () =
           Alcotest.test_case "list hit/miss/store" `Quick test_list_accounting;
           Alcotest.test_case "list hints off" `Quick
             test_list_hints_off_no_stats;
-          Alcotest.test_case "skiplist hit/store" `Quick
-            test_skiplist_accounting;
         ] );
       ( "staleness (bounded-exhaustive)",
         [
           Alcotest.test_case "list: delete races hinted search" `Slow
             explore_list_staleness;
-          Alcotest.test_case "skiplist: delete races hinted search" `Slow
-            explore_skiplist_staleness;
         ] );
       ( "batches",
         [
@@ -515,14 +436,6 @@ let () =
               (list_ops (fun () ->
                    Lf_list.Fr_list.Atomic_int.create_with ~use_hints:false
                      ~use_flags:true ()));
-          hints_agreement_test "fr-skiplist"
-            ~mk_on:
-              (skiplist_ops (fun () ->
-                   Lf_skiplist.Fr_skiplist.Atomic_int.create ()))
-            ~mk_off:
-              (skiplist_ops (fun () ->
-                   Lf_skiplist.Fr_skiplist.Atomic_int.create_with
-                     ~use_hints:false ()));
         ] );
       ( "multi-domain stress",
         [

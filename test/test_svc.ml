@@ -385,20 +385,16 @@ let test_shed_rejects () =
 let test_breaker_through_svc () =
   let clock, advance = Clock.manual () in
   let failing = ref true in
-  let fallback_hits = ref 0 in
-  let maybe_boom () = if !failing then failwith "boom" else true in
+  let primary_writes = ref 0 in
+  let maybe_boom () =
+    incr primary_writes;
+    if !failing then failwith "boom" else true
+  in
   let primary =
     {
       Svc.insert = (fun _ _ -> maybe_boom ());
       delete = (fun _ -> maybe_boom ());
       find = (fun _ -> true);
-    }
-  in
-  let fallback =
-    {
-      Svc.insert = (fun _ _ -> incr fallback_hits; true);
-      delete = (fun _ -> incr fallback_hits; true);
-      find = (fun _ -> incr fallback_hits; true);
     }
   in
   let cfg =
@@ -409,7 +405,7 @@ let test_breaker_through_svc () =
               ~open_for:50 ~probes:2 ()))
       ~log_decisions:true ()
   in
-  let svc = Svc.create ~fallback cfg primary in
+  let svc = Svc.create cfg primary in
   (* Three failed writes trip the breaker. *)
   for i = 1 to 3 do
     advance 1;
@@ -424,25 +420,29 @@ let test_breaker_through_svc () =
     (Svc.call svc (Svc.Insert (9, 9)));
   Alcotest.check outcome "read served while open" (Svc.Served true)
     (Svc.call svc (Svc.Find 1));
-  (* Recovery: cool-down passes, the fault clears, probes go through the
-     hints-off fallback (the default half-open mode), and two successes
+  (* Recovery: cool-down passes, the fault clears, probes run on the
+     primary (the default half-open mode is normal), and two successes
      close the breaker. *)
   failing := false;
   advance 100;
-  Alcotest.check outcome "probe 1 (via fallback)" (Svc.Served true)
+  let writes_before = !primary_writes in
+  Alcotest.check outcome "probe 1" (Svc.Served true)
     (Svc.call svc (Svc.Insert (10, 10)));
-  Alcotest.check outcome "probe 2 (via fallback)" (Svc.Served true)
+  let st = Svc.stats svc in
+  Alcotest.(check (option string)) "probing" (Some "half-open") st.breaker;
+  Alcotest.(check string) "normal mode while half-open" "normal" st.mode;
+  Alcotest.check outcome "probe 2" (Svc.Served true)
     (Svc.call svc (Svc.Insert (11, 11)));
-  Alcotest.(check bool) "no-hints fallback took the probes" true
-    (!fallback_hits = 2);
+  Alcotest.(check int) "the primary took both probes" 2
+    (!primary_writes - writes_before);
   let st = Svc.stats svc in
   Alcotest.(check (option string)) "breaker closed" (Some "closed") st.breaker;
   Alcotest.(check (list string))
     "transition trace"
     [ "open"; "half-open"; "closed" ]
     (List.map snd st.transitions);
-  Alcotest.(check bool) "degraded serves counted" true
-    (st.served_degraded >= 3);
+  Alcotest.(check int) "degraded serve counted (the read while open)" 1
+    st.served_degraded;
   Alcotest.(check bool) "decision log recorded" true
     (Svc.decision_log svc <> [])
 
