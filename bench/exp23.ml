@@ -43,7 +43,6 @@ module Svc = Lf_svc.Svc
 module Clock = Lf_svc.Clock
 module Deadline = Lf_svc.Deadline
 module Breaker = Lf_svc.Breaker
-module Degrade = Lf_svc.Degrade
 module Fault = Lf_fault.Fault
 module FP = Lf_kernel.Fault_point
 module Hash_ring = Lf_shard.Hash_ring
@@ -241,7 +240,7 @@ let run_b ~clock ~contained ~scenario =
           (Some
              (Breaker.config ~window:(ms 200) ~min_calls:10 ~failure_pct:40
                 ~latency_threshold:(ms 1 / 64) ~open_for:(ms 100) ~probes:3 ()))
-        ~degrade:(Degrade.policy ~on_open:Degrade.Normal ~on_half_open:Degrade.Normal ())
+        ~read_only_when_open:false
         ()
     else Svc.config ~clock ()
   in

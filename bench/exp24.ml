@@ -37,7 +37,6 @@ module Svc = Lf_svc.Svc
 module Clock = Lf_svc.Clock
 module Retry = Lf_svc.Retry
 module Breaker = Lf_svc.Breaker
-module Degrade = Lf_svc.Degrade
 module Hash_ring = Lf_shard.Hash_ring
 module Router = Lf_shard.Router
 module Health = Lf_shard.Health
@@ -360,8 +359,7 @@ let part_c () =
         (Some
            (Breaker.config ~window:1_000_000 ~min_calls:2 ~failure_pct:50
               ~open_for:1_000_000 ~probes:1 ()))
-      ~degrade:
-        (Degrade.policy ~on_open:Degrade.Normal ~on_half_open:Degrade.Normal ())
+      ~read_only_when_open:false
       ()
   in
   let router =

@@ -53,7 +53,6 @@ module Svc = Lf_svc.Svc
 module Clock = Lf_svc.Clock
 module Deadline = Lf_svc.Deadline
 module Breaker = Lf_svc.Breaker
-module Degrade = Lf_svc.Degrade
 module Fault = Lf_fault.Fault
 module FP = Lf_kernel.Fault_point
 module Hash_ring = Lf_shard.Hash_ring
@@ -154,7 +153,7 @@ let run_one ~clock ~fault ~supervised =
         (Some
            (Breaker.config ~window:(ms 100) ~min_calls:8 ~failure_pct:50
               ~latency_threshold:(ms 1) ~open_for:(ms 100) ~probes:3 ()))
-      ~degrade:(Degrade.policy ~on_open:Degrade.Normal ~on_half_open:Degrade.Normal ())
+      ~read_only_when_open:false
       ()
   in
   (* Hedging is the kill fault's failover seam (dead backend -> replica,

@@ -627,32 +627,14 @@ let model_cmd =
       $ out_arg)
 
 (* ------------------------------------------------------------------ *)
-(* serve / call: a minimal line-protocol TCP front over the service
-   layer (lib/svc).  One request per line (PUT/DEL/GET/HEALTH/METRICS/
-   QUIT/SHUTDOWN — see Lf_svc.Wire); every operation runs through the
-   Svc pipeline, so deadlines, retry budgets, shedding and the breaker
-   are all live behind the socket.  Sequential accept loop: this is the
-   demo front for EXP-20 and the CI smoke, not a production server. *)
-
-(* Wrap an implementation as Svc closures, with recorder spans around
-   each operation so METRICS (the PR 4 Prometheus snapshot) has live
-   operation counters and latency quantiles to report. *)
-let svc_ops (module D : Lf_workload.Runner.INT_DICT) : Lf_svc.Svc.ops =
-  let t = D.create () in
-  let span op key f =
-    Lf_obs.Recorder.span_begin ~op ~key;
-    let ok = f () in
-    Lf_obs.Recorder.span_end ~op ~ok;
-    ok
-  in
-  {
-    insert =
-      (fun k v -> span Lf_obs.Obs_event.Insert k (fun () -> D.insert t k v));
-    delete = (fun k -> span Lf_obs.Obs_event.Delete k (fun () -> D.delete t k));
-    find =
-      (fun k ->
-        span Lf_obs.Obs_event.Find k (fun () -> Option.is_some (D.find t k)));
-  }
+(* serve / call: a minimal line-protocol TCP front over the shard
+   router (lib/shard) and its per-shard service pipelines (lib/svc).
+   One request per line (PUT/DEL/GET/MGET/MSET/HEALTH/METRICS/...
+   QUIT/SHUTDOWN — see Lf_svc.Wire); every --shards, 1 included, takes
+   the same path (wire, Router, Svc, backend), so deadlines, retry
+   budgets, shedding and the breaker are all live behind the socket.
+   Sequential accept loop: this is the demo front for EXP-20 and the CI
+   smoke, not a production server. *)
 
 let port_arg =
   Arg.(
@@ -705,8 +687,8 @@ let shards_arg =
            consistent-hash router, each shard wrapped in its own \
            pipeline, so one faulted shard degrades only its own \
            keyspace.  HEALTH reports per-shard status; KILL <i> makes \
-           shard $(i,i)'s backend fail (containment demo).  1 = the \
-           plain single-instance server.")
+           shard $(i,i)'s backend fail (containment demo).  1 = one \
+           shard behind the same router.")
 
 let trace_requests_flag =
   Arg.(
@@ -817,181 +799,91 @@ let serve_cmd =
         ~backoff:(fun d -> Unix.sleepf (float_of_int d /. 1e9))
         ()
     in
-    (* Two server shapes behind one dispatch: the single-instance
-       pipeline (unchanged), or --shards N instances behind the
-       consistent-hash router, each with its own pipeline built from
-       the same flags.  KILL flips a per-shard switch that makes that
-       backend raise — the containment demo for the CI smoke: the
-       victim's breaker trips and HEALTH turns "s<i>=degraded" while
-       the other shards keep answering.  The accept loop is
-       sequential, so plain bool switches suffice. *)
+    if shards < 1 then begin
+      prerr_endline "lfdict serve: --shards must be >= 1";
+      exit 2
+    end;
     if (self_heal || replicas) && shards <= 1 then begin
       prerr_endline "lfdict serve: --self-heal/--replicas need --shards > 1";
       exit 2
     end;
-    let op_h, multi_h, health_h, metrics_h, kill_h, newly_open_h, replicas_h,
-        heal_h, tick_raw =
-      if shards <= 1 then
-        let svc = Lf_svc.Svc.create cfg (svc_ops (module D)) in
-        ( (fun ctx req -> Lf_svc.Svc.call svc ~ctx req),
-          (fun ctx reqs -> Lf_svc.Svc.call_many svc ~ctx reqs),
-          (fun () -> Lf_svc.Wire.health_line (Lf_svc.Svc.stats svc)),
-          (fun () -> Lf_obs.Prom.snapshot ()),
-          (fun _ -> Lf_svc.Wire.format_error "no shards (serve with --shards)"),
-          (let prev = ref false in
-           fun () ->
-             let open_ =
-               match (Lf_svc.Svc.stats svc).breaker with
-               | Some b when b <> "closed" -> true
-               | Some _ | None -> false
-             in
-             let fresh = open_ && not !prev in
-             prev := open_;
-             if fresh then [ 0 ] else []),
-          (fun () ->
-            Lf_svc.Wire.format_error "no replicas (serve with --replicas)"),
-          (fun () ->
-            Lf_svc.Wire.format_error "no supervisor (serve with --self-heal)"),
-          fun () -> [] )
+    (* --shards N dictionary instances behind the consistent-hash
+       router, each with its own pipeline built from the same flags.
+       KILL flips a per-shard switch that makes that backend raise —
+       the containment demo for the CI smoke: the victim's breaker trips
+       and HEALTH turns "s<i>=degraded" while the other shards keep
+       answering.  The accept loop is sequential, so plain bool
+       switches suffice. *)
+    let kills = Array.make shards false in
+    let mk_backend i : Lf_shard.Router.backend =
+      let t = D.create () in
+      let guard f = if kills.(i) then failwith "shard killed" else f () in
+      (* Recorder spans around each operation, so METRICS (the §9
+         Prometheus snapshot) has live operation counters and latency
+         quantiles to report. *)
+      let span op key ok f =
+        Lf_obs.Recorder.span_begin ~op ~key;
+        let r = f () in
+        Lf_obs.Recorder.span_end ~op ~ok:(ok r);
+        r
+      in
+      {
+        Lf_shard.Router.insert =
+          (fun k v ->
+            guard (fun () ->
+                span Lf_obs.Obs_event.Insert k Fun.id (fun () ->
+                    D.insert t k v)));
+        delete =
+          (fun k ->
+            guard (fun () ->
+                span Lf_obs.Obs_event.Delete k Fun.id (fun () -> D.delete t k)));
+        find =
+          (fun k ->
+            guard (fun () ->
+                span Lf_obs.Obs_event.Find k Option.is_some (fun () ->
+                    D.find t k)));
+        batched = None;
+      }
+    in
+    let ring = Lf_shard.Hash_ring.create ~seed:1 ~shards () in
+    let router =
+      Lf_shard.Router.create ~ring ~svc_config:(fun _ -> cfg) mk_backend
+    in
+    (* Replicas: every slot's copy lives one shard over, in a store
+       private to the replica layer (never a shard backend), fed
+       asynchronously from the write journal on the supervisor's
+       tick. *)
+    let reps =
+      if not replicas then None
       else begin
-        let kills = Array.make shards false in
-        let mk_backend i : Lf_shard.Router.backend =
-          let t = D.create () in
-          let guard f = if kills.(i) then failwith "shard killed" else f () in
-          let span op key ok f =
-            Lf_obs.Recorder.span_begin ~op ~key;
-            let r = f () in
-            Lf_obs.Recorder.span_end ~op ~ok:(ok r);
-            r
-          in
-          {
-            Lf_shard.Router.insert =
-              (fun k v ->
-                guard (fun () ->
-                    span Lf_obs.Obs_event.Insert k Fun.id (fun () ->
-                        D.insert t k v)));
-            delete =
-              (fun k ->
-                guard (fun () ->
-                    span Lf_obs.Obs_event.Delete k Fun.id (fun () ->
-                        D.delete t k)));
-            find =
-              (fun k ->
-                guard (fun () ->
-                    span Lf_obs.Obs_event.Find k Option.is_some (fun () ->
-                        D.find t k)));
-            batched = None;
-          }
-        in
-        let ring = Lf_shard.Hash_ring.create ~seed:1 ~shards () in
-        let router =
-          Lf_shard.Router.create ~ring ~svc_config:(fun _ -> cfg) mk_backend
-        in
-        (* Replicas: every slot's copy lives one shard over, in a store
-           private to the replica layer (never a shard backend), fed
-           asynchronously from the write journal on the supervisor's
-           tick. *)
-        let reps =
-          if not replicas then None
-          else begin
-            let r = Lf_shard.Replica.create () in
-            for slot = 0 to shards - 1 do
-              let copy = D.create () in
-              Lf_shard.Replica.add_slot r ~slot
-                ~on:((Lf_shard.Hash_ring.owner ring slot + 1) mod shards)
-                ~store:
-                  {
-                    Lf_shard.Replica.r_insert = (fun k v -> D.insert copy k v);
-                    r_delete = (fun k -> D.delete copy k);
-                    r_find = (fun k -> D.find copy k);
-                  }
-            done;
-            Lf_shard.Router.attach_replicas router r;
-            Some r
-          end
-        in
-        let sup =
-          if not self_heal then None
-          else
-            Some
-              (Lf_shard.Supervisor.create
-                 (Lf_shard.Supervisor.config ~clock ~poll_every:(ms 100)
-                    ~sick_after:2 ~healthy_after:2 ~move_budget:2
-                    ~backoff_base:(ms 200) ~backoff_max:(ms 2000)
-                    ~apply_budget:1024 ~key_range ())
-                 ~shards)
-        in
-        let mon = Lf_shard.Health.monitor () in
-        ( (fun ctx req -> Lf_shard.Router.call router ~ctx req),
-          (fun ctx reqs -> Lf_shard.Router.call_many router ~ctx reqs),
-          (fun () -> Lf_shard.Health.line router),
-          (fun () ->
-            let shard_of k = string_of_int (Lf_shard.Router.route router k) in
-            Lf_obs.Prom.snapshot ()
-            ^ Lf_obs.Prom.render_metrics
-                (Lf_shard.Health.metrics router
-                @ [
-                    {
-                      Lf_obs.Prom.m_name = "lf_shard_cas_failures_total";
-                      m_help =
-                        "Keyed C&S failures attributed to the owning shard";
-                      m_type = "counter";
-                      m_samples =
-                        List.map
-                          (fun (g, n) ->
-                            ([ ("shard", g) ], float_of_int n))
-                          (Lf_obs.Profile.by_group ~group:shard_of
-                             (Lf_obs.Recorder.profile ()));
-                    };
-                  ])),
-          (fun s ->
-            if s < 0 || s >= shards then Lf_svc.Wire.format_error "bad shard"
-            else begin
-              kills.(s) <- true;
-              (* The kill's own bundle names this shard; pre-marking the
-                 monitor keeps the inevitable breaker trip from firing a
-                 second, breaker-open bundle for the same incident. *)
-              Lf_shard.Health.mark_open mon s;
-              "OK true"
-            end),
-          (fun () -> Lf_shard.Health.newly_open mon router),
-          (fun () ->
-            match reps with
-            | None ->
-                Lf_svc.Wire.format_error "no replicas (serve with --replicas)"
-            | Some r ->
-                let rs = Lf_shard.Replica.stats r ~now:(now ()) in
-                Printf.sprintf "REPLICAS n=%d%s" (List.length rs)
-                  (String.concat ""
-                     (List.map
-                        (fun (s : Lf_shard.Replica.slot_stats) ->
-                          Printf.sprintf
-                            " slot=%d on=%d lag=%d pending=%d applied=%d"
-                            s.Lf_shard.Replica.s_slot s.Lf_shard.Replica.s_on
-                            s.Lf_shard.Replica.s_lag
-                            s.Lf_shard.Replica.s_pending
-                            s.Lf_shard.Replica.s_applied)
-                        rs))),
-          (fun () ->
-            match sup with
-            | None ->
-                Lf_svc.Wire.format_error "no supervisor (serve with --self-heal)"
-            | Some sup -> Lf_shard.Supervisor.line sup),
-          fun () ->
-            match sup with
-            | Some sup ->
-                let fast_burn = Lf_obs.Slo.fast_burn slo ~now:(now ()) in
-                ignore (Lf_shard.Supervisor.run_tick ~fast_burn sup router);
-                Lf_shard.Supervisor.events sup
-            | None ->
-                (* Replication without a supervisor still needs its
-                   async applier: a bounded slice per request. *)
-                (match reps with
-                | Some r -> ignore (Lf_shard.Replica.apply ~budget:256 r)
-                | None -> ());
-                [] )
+        let r = Lf_shard.Replica.create () in
+        for slot = 0 to shards - 1 do
+          let copy = D.create () in
+          Lf_shard.Replica.add_slot r ~slot
+            ~on:((Lf_shard.Hash_ring.owner ring slot + 1) mod shards)
+            ~store:
+              {
+                Lf_shard.Replica.r_insert = (fun k v -> D.insert copy k v);
+                r_delete = (fun k -> D.delete copy k);
+                r_find = (fun k -> D.find copy k);
+              }
+        done;
+        Lf_shard.Router.attach_replicas router r;
+        Some r
       end
     in
+    let sup =
+      if not self_heal then None
+      else
+        Some
+          (Lf_shard.Supervisor.create
+             (Lf_shard.Supervisor.config ~clock ~poll_every:(ms 100)
+                ~sick_after:2 ~healthy_after:2 ~move_budget:2
+                ~backoff_base:(ms 200) ~backoff_max:(ms 2000)
+                ~apply_budget:1024 ~key_range ())
+             ~shards)
+    in
+    let mon = Lf_shard.Health.monitor () in
     (* Flight-recorder anomaly triggers.  The dump is a serialization of
        rings that are already populated, so firing it from the accept
        loop costs one traversal — no steady-state overhead. *)
@@ -1008,7 +900,7 @@ let serve_cmd =
            (which pre-marks its victim and dumps its own bundle) followed
            immediately by FLIGHTDUMP or traffic cannot double-fire a
            breaker-open bundle for the same opening. *)
-        let newly = newly_open_h () in
+        let newly = Lf_shard.Health.newly_open mon router in
         if newly <> [] then
           dump "breaker-open"
             [
@@ -1047,7 +939,18 @@ let serve_cmd =
                   ("ok", string_of_bool e_ok);
                   ("moved", string_of_int e_moved);
                 ])
-        (tick_raw ())
+        (match sup with
+        | Some sup ->
+            let fast_burn = Lf_obs.Slo.fast_burn slo ~now:(now ()) in
+            ignore (Lf_shard.Supervisor.run_tick ~fast_burn sup router);
+            Lf_shard.Supervisor.events sup
+        | None ->
+            (* Replication without a supervisor still needs its async
+               applier: a bounded slice per request. *)
+            (match reps with
+            | Some r -> ignore (Lf_shard.Replica.apply ~budget:256 r)
+            | None -> ());
+            [])
     in
     (* A stale answer is still an answered read: the SLO counts served,
        fresh or lag-tagged — the staleness contract is the wire token's
@@ -1094,36 +997,97 @@ let serve_cmd =
                    output_char oc '\n'
                | Ok (Lf_svc.Wire.Op req) ->
                    let out =
-                     match traced "request" (fun ctx -> [ op_h ctx req ]) with
+                     match
+                       traced "request" (fun ctx ->
+                           [ Lf_shard.Router.call router ~ctx req ])
+                     with
                      | [ o ] -> o
                      | _ -> assert false
                    in
                    output_string oc (Lf_svc.Wire.format_outcome out);
                    output_char oc '\n'
                | Ok (Lf_svc.Wire.Multi reqs) ->
-                   let outs = traced "multi" (fun ctx -> multi_h ctx reqs) in
+                   let outs =
+                     traced "multi" (fun ctx ->
+                         Lf_shard.Router.call_many router ~ctx reqs)
+                   in
                    output_string oc (Lf_svc.Wire.format_multi outs);
                    output_char oc '\n'
                | Ok (Lf_svc.Wire.Kill s) ->
-                   let resp = kill_h s in
-                   output_string oc resp;
-                   output_char oc '\n';
-                   if resp = "OK true" then
+                   if s < 0 || s >= shards then begin
+                     output_string oc (Lf_svc.Wire.format_error "bad shard");
+                     output_char oc '\n'
+                   end
+                   else begin
+                     kills.(s) <- true;
+                     (* The kill's own bundle names this shard; pre-marking
+                        the monitor keeps the inevitable breaker trip from
+                        firing a second, breaker-open bundle for the same
+                        incident. *)
+                     Lf_shard.Health.mark_open mon s;
+                     output_string oc "OK true\n";
                      dump "shard-kill" [ ("shard", string_of_int s) ]
+                   end
                | Ok Lf_svc.Wire.Health ->
-                   output_string oc (health_h ());
+                   output_string oc (Lf_shard.Health.line router);
                    output_char oc '\n'
                | Ok Lf_svc.Wire.Metrics ->
-                   output_string oc (metrics_h ());
+                   let shard_of k =
+                     string_of_int (Lf_shard.Router.route router k)
+                   in
+                   output_string oc
+                     (Lf_obs.Prom.snapshot ()
+                     ^ Lf_obs.Prom.render_metrics
+                         (Lf_shard.Health.metrics router
+                         @ [
+                             {
+                               Lf_obs.Prom.m_name =
+                                 "lf_shard_cas_failures_total";
+                               m_help =
+                                 "Keyed C&S failures attributed to the \
+                                  owning shard";
+                               m_type = "counter";
+                               m_samples =
+                                 List.map
+                                   (fun (g, n) ->
+                                     ([ ("shard", g) ], float_of_int n))
+                                   (Lf_obs.Profile.by_group ~group:shard_of
+                                      (Lf_obs.Recorder.profile ()));
+                             };
+                           ]));
                    output_string oc "END\n"
                | Ok Lf_svc.Wire.Slo ->
                    output_string oc (Lf_obs.Slo.line slo ~now:(now ()));
                    output_char oc '\n'
                | Ok Lf_svc.Wire.Replicas ->
-                   output_string oc (replicas_h ());
+                   output_string oc
+                     (match reps with
+                     | None ->
+                         Lf_svc.Wire.format_error
+                           "no replicas (serve with --replicas)"
+                     | Some r ->
+                         let rs = Lf_shard.Replica.stats r ~now:(now ()) in
+                         Printf.sprintf "REPLICAS n=%d%s" (List.length rs)
+                           (String.concat ""
+                              (List.map
+                                 (fun (s : Lf_shard.Replica.slot_stats) ->
+                                   Printf.sprintf
+                                     " slot=%d on=%d lag=%d pending=%d \
+                                      applied=%d"
+                                     s.Lf_shard.Replica.s_slot
+                                     s.Lf_shard.Replica.s_on
+                                     s.Lf_shard.Replica.s_lag
+                                     s.Lf_shard.Replica.s_pending
+                                     s.Lf_shard.Replica.s_applied)
+                                 rs)));
                    output_char oc '\n'
                | Ok Lf_svc.Wire.Heal ->
-                   output_string oc (heal_h ());
+                   output_string oc
+                     (match sup with
+                     | None ->
+                         Lf_svc.Wire.format_error
+                           "no supervisor (serve with --self-heal)"
+                     | Some sup -> Lf_shard.Supervisor.line sup);
                    output_char oc '\n'
                | Ok Lf_svc.Wire.Flightdump ->
                    (if not trace_requests then
@@ -1150,10 +1114,10 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Serve an implementation over a line-protocol TCP socket, behind \
-          the lib/svc robustness pipeline (deadlines, retry budgets, load \
-          shedding, circuit breaking), optionally sharded behind a \
-          consistent-hash router (--shards), with optional end-to-end \
+         "Serve an implementation over a line-protocol TCP socket: a \
+          consistent-hash router over --shards instances (1 by default), \
+          each behind the lib/svc robustness pipeline (deadlines, retry \
+          budgets, load shedding, circuit breaking), with optional end-to-end \
           request tracing, SLO burn tracking and an anomaly-triggered \
           flight recorder (--trace-requests), lagged read replicas with \
           an explicit staleness contract (--replicas), and a \

@@ -4,12 +4,12 @@ type shard_health = {
   h_id : int;
   h_ok : bool;
   h_breaker : string;
-  h_mode : string;
   h_slots : int;
   h_calls : int;
   h_served : int;
   h_failed : int;
   h_rejected : int;
+  h_retries : int;
   h_hedged : int;
   h_hedge_wins : int;
 }
@@ -26,12 +26,12 @@ let of_router r =
            h_id = i;
            h_ok = ok;
            h_breaker = Option.value s.breaker ~default:"none";
-           h_mode = s.mode;
            h_slots = slots.(i);
            h_calls = s.calls;
            h_served = s.served;
            h_failed = s.failed;
            h_rejected = List.fold_left (fun a (_, n) -> a + n) 0 s.rejected;
+           h_retries = s.retries;
            h_hedged = fst hedged.(i);
            h_hedge_wins = snd hedged.(i);
          })
@@ -46,11 +46,12 @@ let line r =
   let overall = if List.for_all counts hs then "ok" else "degraded" in
   let shard h =
     Printf.sprintf
-      "s%d=%s(%s) slots=%d calls=%d served=%d failed=%d rejected=%d hedged=%d/%d"
+      "s%d=%s(%s) slots=%d calls=%d served=%d failed=%d rejected=%d \
+       retries=%d hedged=%d/%d"
       h.h_id
       (if h.h_ok then "ok" else if h.h_slots = 0 then "evacuated" else "degraded")
       h.h_breaker h.h_slots h.h_calls h.h_served h.h_failed h.h_rejected
-      h.h_hedge_wins h.h_hedged
+      h.h_retries h.h_hedge_wins h.h_hedged
   in
   Printf.sprintf "%s shards=%d migrated=%d %s" overall (List.length hs)
     (Router.migrated_keys r)

@@ -6,12 +6,12 @@ type shard_health = {
   h_id : int;
   h_ok : bool;  (** breaker absent or closed *)
   h_breaker : string;  (** "none" when the shard has no breaker *)
-  h_mode : string;
   h_slots : int;  (** slots currently assigned; 0 = evacuated *)
   h_calls : int;
   h_served : int;
   h_failed : int;
   h_rejected : int;
+  h_retries : int;  (** retries issued by the shard's pipeline *)
   h_hedged : int;  (** hedge attempts via the failover read path *)
   h_hedge_wins : int;  (** of which the backend served the read *)
 }
@@ -22,7 +22,8 @@ val of_router : Router.t -> shard_health list
 val line : Router.t -> string
 (** One line: overall status, shard count, keys migrated, then
     [s<i>=ok(closed)] / [s<i>=degraded(open)] / [s<i>=evacuated(open)]
-    and aggregate counters per shard ([hedged=<wins>/<attempts>]) —
+    and aggregate counters per shard ([retries=<n>],
+    [hedged=<wins>/<attempts>]) —
     stable order, greppable.  Overall is [ok] iff every shard that
     still owns slots is ok: a sick shard the supervisor has fully
     evacuated no longer degrades the service. *)

@@ -21,7 +21,7 @@ type backend = {
   insert : int -> int -> bool;
   delete : int -> bool;
   find : int -> int option;
-  batched : Svc.batched_ops option;
+  batched : unit option;
 }
 
 type shard = {
@@ -106,10 +106,7 @@ let create ?(hedge_reads = true) ~ring ~svc_config mk_backend =
   let shards =
     Array.init (Hash_ring.shards ring) (fun i ->
         let backend = mk_backend i in
-        let svc =
-          Svc.create ?batched:backend.batched (svc_config i)
-            (ops_of_backend backend)
-        in
+        let svc = Svc.create (svc_config i) (ops_of_backend backend) in
         { id = i; svc; backend; hedged = 0; hedge_wins = 0 })
   in
   {

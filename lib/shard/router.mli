@@ -32,8 +32,8 @@ type backend = {
   insert : int -> int -> bool;
   delete : int -> bool;
   find : int -> int option;
-  batched : Svc.batched_ops option;
-      (** enables the coalesced path in each shard's pipeline *)
+  batched : unit option;
+      (** ignored; kept only so existing backend records still build *)
 }
 
 type t
@@ -92,9 +92,8 @@ val call_many :
   Svc.req list ->
   Svc.outcome list
 (** Scatter-gather: split by owning shard, run each sub-batch through
-    its shard's {!Svc.call_many} (per-element admission, batched
-    execution when available), gather per-key outcomes back into input
-    order.  The result has exactly one outcome per request. *)
+    its shard's {!Svc.call_many}, gather per-key outcomes back into
+    input order.  The result has exactly one outcome per request. *)
 
 val rebalance : t -> slot:int -> to_:int -> key_range:int -> int
 (** [rebalance t ~slot ~to_ ~key_range] hands [slot]'s keyspace to

@@ -49,12 +49,6 @@ type ops = {
   find : int -> bool;
 }
 
-type batched_ops = {
-  insert_batch : (int * int) list -> bool list;
-  delete_batch : int list -> bool list;
-  find_batch : int list -> bool list;
-}
-
 type config = {
   clock : Clock.t;
   seed : int;
@@ -63,8 +57,7 @@ type config = {
   budget : Retry.Budget.config;
   breaker : Breaker.config option;
   shed : Shed.config option;
-  degrade : Degrade.policy;
-  coalesce_min : int;
+  read_only_when_open : bool;
   retryable : exn -> bool;
   backoff : int -> unit;
   log_decisions : bool;
@@ -72,10 +65,8 @@ type config = {
 
 let config ?(seed = 1) ?(deadline = max_int) ?(retry = None)
     ?(budget = Retry.Budget.unlimited) ?(breaker = None) ?(shed = None)
-    ?(degrade = Degrade.policy ()) ?(coalesce_min = 8)
-    ?(retryable = fun _ -> true) ?(backoff = fun _ -> ())
-    ?(log_decisions = false) ~clock () =
-  if coalesce_min < 1 then invalid_arg "Svc.config: coalesce_min < 1";
+    ?(read_only_when_open = true) ?(retryable = fun _ -> true)
+    ?(backoff = fun _ -> ()) ?(log_decisions = false) ~clock () =
   {
     clock;
     seed;
@@ -84,8 +75,7 @@ let config ?(seed = 1) ?(deadline = max_int) ?(retry = None)
     budget;
     breaker;
     shed;
-    degrade;
-    coalesce_min;
+    read_only_when_open;
     retryable;
     backoff;
     log_decisions;
@@ -94,7 +84,6 @@ let config ?(seed = 1) ?(deadline = max_int) ?(retry = None)
 type t = {
   cfg : config;
   primary : ops;
-  batched : batched_ops option;
   mu : Mutex.t;
   rng : Lf_kernel.Splitmix.t;  (* jitter stream; guarded by [mu] *)
   mutable breaker_st : Breaker.t option;
@@ -113,12 +102,11 @@ type t = {
   mutable log : string list;  (* newest first *)
 }
 
-let create ?batched cfg primary =
+let create cfg primary =
   let now = Clock.now cfg.clock in
   {
     cfg;
     primary;
-    batched;
     mu = Mutex.create ();
     rng = Lf_kernel.Splitmix.create cfg.seed;
     breaker_st = Option.map (fun c -> Breaker.create c ~now) cfg.breaker;
@@ -159,12 +147,14 @@ let reason_index r =
 let breaker_kind t =
   match t.breaker_st with None -> None | Some b -> Some (Breaker.state b)
 
-let mode_locked t =
-  match breaker_kind t with
-  | None -> Degrade.Normal
-  | Some k -> Degrade.mode_for t.cfg.degrade k
-
-let mode t = with_mu t (fun () -> mode_locked t)
+(* Read-only while the breaker is open; half-open probes run on the
+   primary like ordinary traffic. *)
+let read_only_locked t =
+  t.cfg.read_only_when_open
+  &&
+  match t.breaker_st with
+  | Some b -> Breaker.state b = Breaker.Open
+  | None -> false
 
 let set_breaker_locked t ~now:tick b' =
   let before = breaker_kind t in
@@ -202,7 +192,7 @@ let decide ctx ~tick name ok ev =
   Span.event s ~now:tick ev;
   Span.end_ s ~now:tick ~ok
 
-(* The admission pipeline: deadline, shed, breaker + degrade.  Returns
+(* The admission pipeline: deadline, shed, breaker + read-only.  Returns
    the execution route or the rejection.  Runs under [mu].  Span
    completion never takes other locks, so tracing under [mu] cannot
    invert a lock order. *)
@@ -251,18 +241,14 @@ let admission_locked t ~ctx ~now:tick ~dl ~queue_depth req =
                 if traced then
                   decide ctx ~tick "breaker" false
                     (Span.Breaker_verdict "reject");
-                match mode_locked t with
-                | Degrade.Read_only when not (is_write req) ->
-                    if traced then
-                      decide ctx ~tick "degrade" true
-                        (Span.Degrade_mode "read-only");
-                    `Execute Via_degraded_read
-                | Degrade.Read_only ->
-                    if traced then
-                      decide ctx ~tick "degrade" false
-                        (Span.Degrade_mode "read-only");
-                    `Reject Write_degraded
-                | _ -> `Reject Breaker_open)))
+                if not (read_only_locked t) then `Reject Breaker_open
+                else
+                  let read = not (is_write req) in
+                  if traced then
+                    decide ctx ~tick "degrade" read
+                      (Span.Degrade_mode "read-only");
+                  if read then `Execute Via_degraded_read
+                  else `Reject Write_degraded)))
   end
 
 let reject t ~now:tick r req =
@@ -396,81 +382,8 @@ let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
         ~finally:(fun () -> with_mu t (fun () -> t.inflight <- t.inflight - 1))
         (fun () -> attempt_loop t ctx route req ~dl ~attempt:1)
 
-(* Coalesced path: per-element admission, then one pass through the
-   batched entry points (single attempt — a batch is not retried; its
-   failures surface per element as [Failed]). *)
-let call_many t ?(ctx = Span.nil) ?deadline ?queue_depth reqs =
-  let use_batched =
-    match t.batched with
-    | None -> false
-    | Some _ ->
-        List.length reqs >= t.cfg.coalesce_min || mode t = Degrade.Coalesce
-  in
-  if not use_batched then
-    List.map (fun r -> call t ~ctx ?deadline ?queue_depth r) reqs
-  else begin
-    let b = Option.get t.batched in
-    let tick = now t in
-    let dl = match deadline with Some d -> d | None -> default_deadline t in
-    let decisions =
-      List.map
-        (fun r ->
-          let d =
-            with_mu t (fun () ->
-                admission_locked t ~ctx ~now:tick ~dl ~queue_depth r)
-          in
-          match d with
-          | `Reject reason -> `Rejected (reject t ~now:tick reason r)
-          | `Execute route -> `Run (r, route))
-        reqs
-    in
-    (* Partition the admitted requests by kind, keeping input slots. *)
-    let ins = ref [] and del = ref [] and fnd = ref [] in
-    List.iteri
-      (fun i d ->
-        match d with
-        | `Rejected _ -> ()
-        | `Run (Insert (k, v), _) -> ins := (i, (k, v)) :: !ins
-        | `Run (Delete k, _) -> del := (i, k) :: !del
-        | `Run (Find k, _) -> fnd := (i, k) :: !fnd)
-      decisions;
-    let results = Array.make (List.length reqs) None in
-    let t0 = now t in
-    let run_batch part exec =
-      let slots = List.rev_map fst part and args = List.rev_map snd part in
-      match slots with
-      | [] -> ()
-      | _ -> (
-          match exec args with
-          | outs ->
-              List.iter2 (fun i ok -> results.(i) <- Some (Ok ok)) slots outs
-          | exception e ->
-              let msg = Printexc.to_string e in
-              List.iter (fun i -> results.(i) <- Some (Error msg)) slots)
-    in
-    let bspan = Span.begin_ ctx ~name:"batch-exec" ~now:t0 in
-    let run () =
-      run_batch !ins b.insert_batch;
-      run_batch !del b.delete_batch;
-      run_batch !fnd b.find_batch
-    in
-    if Span.active bspan then Span.with_current bspan run else run ();
-    let t1 = now t in
-    Span.end_ bspan ~now:t1 ~ok:true;
-    let admitted = List.length !ins + List.length !del + List.length !fnd in
-    let per_op_latency = if admitted = 0 then 0 else (t1 - t0) / admitted in
-    List.mapi
-      (fun i d ->
-        match d with
-        | `Rejected o -> o
-        | `Run (r, route) -> (
-            match results.(i) with
-            | Some (Ok ok) ->
-                served t ~route ~ok ~latency:per_op_latency ~tick:t1 r
-            | Some (Error msg) -> failed t ~tick:t1 r (msg ^ " (batched)")
-            | None -> failed t ~tick:t1 r "batch result missing"))
-      decisions
-  end
+let call_many t ?ctx ?deadline ?queue_depth reqs =
+  List.map (fun r -> call t ?ctx ?deadline ?queue_depth r) reqs
 
 type stats = {
   calls : int;
@@ -505,7 +418,7 @@ let stats t =
           Option.map
             (fun b -> Breaker.kind_to_string (Breaker.state b))
             t.breaker_st;
-        mode = Degrade.mode_to_string (mode_locked t);
+        mode = (if read_only_locked t then "read-only" else "normal");
         shed_estimate = Option.map Shed.estimate t.shed_st;
         transitions = List.rev t.transitions;
       })

@@ -3,10 +3,11 @@
 
     A {!call} runs the admission pipeline in order — deadline check
     (dead-on-arrival work is refused before it costs anything), load
-    shedding ({!Shed}), circuit breaking ({!Breaker}) with explicit
-    degraded modes ({!Degrade}) — and then executes the operation under
-    a budget-governed retry loop ({!Retry}).  Every refusal is an
-    explicit {!outcome}; nothing is silently dropped.
+    shedding ({!Shed}), circuit breaking ({!Breaker}), read-only while
+    the breaker is open (unless [config.read_only_when_open] is off) —
+    and then executes the operation under a budget-governed retry loop
+    ({!Retry}).  Every refusal is an explicit {!outcome}; nothing is
+    silently dropped.
 
     All policy decisions are pure state machines over the injected
     {!Clock.t} and a SplitMix stream seeded from [config.seed]; the
@@ -22,8 +23,8 @@ type reject_reason =
   | Expired  (** dead on arrival (or while queued): never executed *)
   | Queue_full  (** shed: queue depth above the configured cap *)
   | Doomed  (** shed: deadline infeasible against the service-time estimate *)
-  | Breaker_open  (** breaker open and no degraded mode applies *)
-  | Write_degraded  (** read-only mode: writes refused while degraded *)
+  | Breaker_open  (** breaker open and read-only mode is off *)
+  | Write_degraded  (** read-only mode: writes refused while open *)
 
 val reason_to_string : reject_reason -> string
 
@@ -49,12 +50,6 @@ type ops = {
   find : int -> bool;
 }
 
-type batched_ops = {
-  insert_batch : (int * int) list -> bool list;
-  delete_batch : int list -> bool list;
-  find_batch : int list -> bool list;
-}
-
 type config = {
   clock : Clock.t;
   seed : int;  (** seeds the jitter stream *)
@@ -65,9 +60,11 @@ type config = {
           for the ablation), per the [no-unbounded-retry] lint *)
   breaker : Breaker.config option;
   shed : Shed.config option;
-  degrade : Degrade.policy;
-  coalesce_min : int;
-      (** {!call_many} uses the batched path at this length or above *)
+  read_only_when_open : bool;
+      (** while the breaker is open, serve reads (single attempt) and
+          reject writes as [Write_degraded]; [false] rejects everything
+          as [Breaker_open].  Half-open probes always run on the
+          primary. *)
   retryable : exn -> bool;
       (** which execution exceptions may retry (injected so [lib/svc]
           never names [Lf_fault]; harnesses pass their classifier) *)
@@ -85,8 +82,7 @@ val config :
   ?budget:Retry.Budget.config ->
   ?breaker:Breaker.config option ->
   ?shed:Shed.config option ->
-  ?degrade:Degrade.policy ->
-  ?coalesce_min:int ->
+  ?read_only_when_open:bool ->
   ?retryable:(exn -> bool) ->
   ?backoff:(int -> unit) ->
   ?log_decisions:bool ->
@@ -94,13 +90,12 @@ val config :
   unit ->
   config
 (** Defaults: no default deadline, no retry, unlimited budget, no
-    breaker, no shedding, default degrade policy, [coalesce_min = 8],
-    everything retryable, no-op backoff, no decision log. *)
+    breaker, no shedding, read-only while open, everything retryable,
+    no-op backoff, no decision log. *)
 
 type t
 
-val create : ?batched:batched_ops -> config -> ops -> t
-(** [batched] enables the {!Degrade.Coalesce} path in {!call_many}. *)
+val create : config -> ops -> t
 
 val call :
   t ->
@@ -125,18 +120,10 @@ val call_many :
   ?queue_depth:int ->
   req list ->
   outcome list
-(** Admission per element; admitted elements execute through the
-    batched entry points when available and the batch is
-    [coalesce_min]-long or the degrade mode is {!Degrade.Coalesce}
-    (single-attempt, no retries), else one by one via {!call}.
-    Results in input order. *)
+(** {!call} on each element, in input order. *)
 
 val clock : t -> Clock.t
 (** The pipeline's clock seam (layers above read ticks through it). *)
-
-val mode : t -> Degrade.mode
-(** Current degraded mode (from the breaker state; {!Degrade.Normal}
-    without a breaker). *)
 
 (** Aggregate counters since {!create}.  [retries = Retry.Budget.spent]:
     tokens spent and retries issued are the same number by
@@ -145,13 +132,13 @@ type stats = {
   calls : int;
   served : int;  (** completed executions, degraded ones included *)
   served_ok : int;  (** of which returned [true] *)
-  served_degraded : int;  (** served through a degraded mode *)
+  served_degraded : int;  (** reads served while read-only *)
   failed : int;
   retries : int;
   budget_denied : int;  (** retries refused by the budget *)
   rejected : (string * int) list;  (** reason -> count, fixed order *)
   breaker : string option;
-  mode : string;
+  mode : string;  (** ["read-only"] while read-only, else ["normal"] *)
   shed_estimate : int option;
   transitions : (int * string) list;
       (** breaker state changes, (tick, new state), oldest first *)

@@ -109,16 +109,3 @@ let format_multi outcomes =
     (String.concat " " (List.map outcome_token outcomes))
 
 let format_error msg = "ERR " ^ msg
-
-let health_line (s : Svc.stats) =
-  let status =
-    match s.breaker with
-    | Some "closed" | None -> "ok"
-    | Some _ -> "degraded"
-  in
-  let rejected = List.fold_left (fun a (_, n) -> a + n) 0 s.rejected in
-  Printf.sprintf
-    "%s mode=%s breaker=%s calls=%d served=%d failed=%d rejected=%d retries=%d"
-    status s.mode
-    (Option.value s.breaker ~default:"none")
-    s.calls s.served s.failed rejected s.retries

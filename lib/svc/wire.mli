@@ -11,7 +11,7 @@
     MGET <k1> .. <kn>     multi-key find (scatter-gather per shard)
     MSET <k1> <v1> ..     multi-key insert, key/value pairs
     KILL <shard>          chaos: make one shard's backend fail (demo)
-    HEALTH                one-line liveness/readiness summary
+    HEALTH                one-line per-shard liveness/readiness summary
     METRICS               Prometheus-format snapshot, terminated by END
     SLO                   one-line multi-window burn-rate summary
     REPLICAS              one-line replica summary: per-slot host, lag, journal
@@ -39,7 +39,7 @@
 type command =
   | Op of Svc.req
   | Multi of Svc.req list  (** MGET/MSET: scatter-gather, per-key outcomes *)
-  | Kill of int  (** chaos verb for the multi-shard demo server *)
+  | Kill of int  (** chaos verb: make one shard's backend fail *)
   | Health
   | Metrics
   | Slo  (** burn-rate summary ([SLO ...] line, or [ERR] untracked) *)
@@ -62,7 +62,3 @@ val format_multi : Svc.outcome list -> string
 
 val format_error : string -> string
 (** The [ERR ...] line for unparseable input. *)
-
-val health_line : Svc.stats -> string
-(** [ok] while the breaker (if any) is closed, [degraded] otherwise,
-    followed by [key=value] counters — stable order, one line. *)

@@ -10,7 +10,6 @@
 module Svc = Lf_svc.Svc
 module Clock = Lf_svc.Clock
 module Breaker = Lf_svc.Breaker
-module Degrade = Lf_svc.Degrade
 module Hash_ring = Lf_shard.Hash_ring
 module Router = Lf_shard.Router
 module Health = Lf_shard.Health
@@ -121,6 +120,76 @@ let test_routing_hits_owner =
           |> List.for_all Fun.id)
         keys)
 
+(* A one-shard router answers exactly like the bare pipeline it wraps,
+   which is what lets [lfdict serve --shards 1] run through the router.
+   Writes fail on a recurring stretch of lines, so most scripts open the
+   breaker: the comparison covers read-only serves, [Write_degraded]
+   rejections and half-open probes, not only the happy path. *)
+let test_one_shard_router_matches_pipeline =
+  Support.qcheck ~count:200 "router: one shard answers like its pipeline"
+    QCheck2.Gen.(
+      list_size (1 -- 60)
+        (pair bool (list_size (1 -- 5) (pair (0 -- 2) (0 -- 15)))))
+    (fun script ->
+      let cfg clock =
+        Svc.config ~clock
+          ~breaker:
+            (Some
+               (Breaker.config ~window:4 ~min_calls:2 ~failure_pct:50
+                  ~open_for:3 ~probes:1 ()))
+          ()
+      in
+      let req_of (op, k) =
+        match op with
+        | 0 -> Svc.Insert (k, k)
+        | 1 -> Svc.Delete k
+        | _ -> Svc.Find k
+      in
+      (* One tick per line; writes fail while [i mod 12] is in 4..8. *)
+      let play ~advance ~(tb : tb) ~call ~call_many =
+        List.concat
+          (List.mapi
+             (fun i (multi, ops) ->
+               advance 1;
+               tb.w_killed := i mod 12 >= 4 && i mod 12 <= 8;
+               let reqs = List.map req_of ops in
+               if multi then call_many reqs else [ call (List.hd reqs) ])
+             script)
+      in
+      let r_clock, r_advance = Clock.manual () in
+      let r_tb, r_backend = table_backend () in
+      let router =
+        Router.create
+          ~ring:(Hash_ring.create ~seed:1 ~shards:1 ())
+          ~svc_config:(fun _ -> cfg r_clock)
+          (fun _ -> r_backend)
+      in
+      let r_out =
+        play ~advance:r_advance ~tb:r_tb
+          ~call:(fun r -> Router.call router r)
+          ~call_many:(fun rs -> Router.call_many router rs)
+      in
+      let p_clock, p_advance = Clock.manual () in
+      let p_tb, (b : Router.backend) = table_backend () in
+      let svc =
+        Svc.create (cfg p_clock)
+          {
+            Svc.insert = b.insert;
+            delete = b.delete;
+            find = (fun k -> b.find k <> None);
+          }
+      in
+      let p_out =
+        play ~advance:p_advance ~tb:p_tb
+          ~call:(fun r -> Svc.call svc r)
+          ~call_many:(fun rs -> Svc.call_many svc rs)
+      in
+      let summary (st : Svc.stats) =
+        (st.calls, st.served, st.failed, st.rejected, st.mode, st.transitions)
+      in
+      r_out = p_out
+      && summary (Router.stats router).(0) = summary (Svc.stats svc))
+
 (* --- Scatter-gather: per-key outcomes, order and count preserved ----- *)
 
 let test_call_many_partial_failure () =
@@ -181,7 +250,7 @@ let hedging_router ~hedge_reads =
         (Some
            (Breaker.config ~window:1_000_000 ~min_calls:2 ~failure_pct:50
               ~open_for:1_000_000 ~probes:1 ()))
-      ~degrade:(Degrade.policy ~on_open:Degrade.Normal ~on_half_open:Degrade.Normal ())
+      ~read_only_when_open:false
       ()
   in
   let router =
@@ -345,7 +414,7 @@ let test_chaos_shard_targeted_stall () =
         (Some
            (Breaker.config ~window:(ms 100) ~min_calls:3 ~failure_pct:40
               ~latency_threshold:(ms 1 / 64) ~open_for:(ms 100) ~probes:3 ()))
-      ~degrade:(Degrade.policy ~on_open:Degrade.Normal ~on_half_open:Degrade.Normal ())
+      ~read_only_when_open:false
       ()
   in
   let router =
@@ -710,12 +779,12 @@ let mk_health ?(calls = fun _ -> 0) ?(rejected = fun _ -> 0) ~sick ids =
         Health.h_id = i;
         h_ok = not bad;
         h_breaker = (if bad then "open" else "closed");
-        h_mode = "normal";
         h_slots = 1;
         h_calls = calls i;
         h_served = calls i - rejected i;
         h_failed = 0;
         h_rejected = rejected i;
+        h_retries = 0;
         h_hedged = 0;
         h_hedge_wins = 0;
       })
@@ -862,7 +931,7 @@ let test_supervisor_promotes_off_dead_shard () =
         (Some
            (Breaker.config ~window:1_000_000 ~min_calls:2 ~failure_pct:50
               ~open_for:1_000_000 ~probes:1 ()))
-      ~degrade:(Degrade.policy ~on_open:Degrade.Normal ~on_half_open:Degrade.Normal ())
+      ~read_only_when_open:false
       ()
   in
   let router = Router.create ~ring ~svc_config:cfg (fun i -> snd pairs.(i)) in
@@ -1064,8 +1133,18 @@ let test_hedged_read_vs_handoff =
       && observed <> [])
 
 let test_health_and_metrics () =
-  let router, ring, tbs = plain_router ~shards:2 ~seed:8 () in
-  ignore ring;
+  let clock, _ = Clock.manual () in
+  let ring = Hash_ring.create ~seed:8 ~shards:2 () in
+  let pairs = Array.init 2 (fun _ -> table_backend ()) in
+  (* Two attempts per call, so a killed shard's retry reaches the line. *)
+  let router =
+    Router.create ~ring
+      ~svc_config:(fun _ ->
+        Svc.config ~clock
+          ~retry:(Some (Lf_svc.Retry.policy ~max_attempts:2 ()))
+          ())
+      (fun i -> snd pairs.(i))
+  in
   List.iter
     (fun k -> ignore (Router.call router (Svc.Insert (k, k))))
     (List.init 10 Fun.id);
@@ -1077,9 +1156,22 @@ let test_health_and_metrics () =
   in
   Alcotest.(check bool) "health names every shard" true
     (contains line "s0=" && contains line "s1=");
-  tbs.(0).killed := true;
-  (match Router.call router (Svc.Find 0) with
+  (fst pairs.(0)).killed := true;
+  (match Router.call router (Svc.Find (shard_key ring 0)) with
    | _ -> ());
+  let line = Health.line router in
+  Alcotest.(check int) "the killed shard retried once" 1
+    (Router.stats router).(0).retries;
+  Array.iteri
+    (fun i (st : Svc.stats) ->
+      let rejected = List.fold_left (fun a (_, n) -> a + n) 0 st.rejected in
+      Alcotest.(check bool)
+        (Printf.sprintf "s%d carries retries= after rejected=" i)
+        true
+        (contains line
+           (Printf.sprintf "failed=%d rejected=%d retries=%d hedged=" st.failed
+              rejected st.retries)))
+    (Router.stats router);
   let text = Lf_obs.Prom.render_metrics (Health.metrics router) in
   match Lf_obs.Prom.validate text with
   | Ok () -> ()
@@ -1093,6 +1185,7 @@ let () =
       ( "routing",
         [
           test_routing_hits_owner;
+          test_one_shard_router_matches_pipeline;
           Alcotest.test_case "scatter-gather partial failure" `Quick
             test_call_many_partial_failure;
         ] );

@@ -1,9 +1,9 @@
 (* The service layer (lib/svc, DESIGN.md §10): breaker state-machine
    transitions, retry-budget conservation (tokens spent = retries
    issued), the shedding invariant (no admitted operation executes past
-   its deadline), degraded modes through the pipeline, the coalesced
-   batch path, chaos integration (rejections reported, never dropped),
-   and decision-log determinism under the manual clock. *)
+   its deadline), read-only degradation through the pipeline, per-key
+   batch outcomes, chaos integration (rejections reported, never
+   dropped), and decision-log determinism under the manual clock. *)
 
 module Svc = Lf_svc.Svc
 module Clock = Lf_svc.Clock
@@ -11,7 +11,6 @@ module Deadline = Lf_svc.Deadline
 module Retry = Lf_svc.Retry
 module Breaker = Lf_svc.Breaker
 module Shed = Lf_svc.Shed
-module Degrade = Lf_svc.Degrade
 module Runner = Lf_workload.Runner
 module Opgen = Lf_workload.Opgen
 module Fault = Lf_fault.Fault
@@ -382,7 +381,14 @@ let test_shed_rejects () =
 
 (* --- Degraded modes through the pipeline ------------------------------ *)
 
-let test_breaker_through_svc () =
+(* Run once with the read-only default and once failing fast: while
+   open, read-only serves reads and refuses writes as [Write_degraded];
+   fail-fast refuses both as [Breaker_open].  Probes run on the primary
+   either way. *)
+let breaker_lifecycle read_only =
+  let label name =
+    Printf.sprintf "%s (read_only_when_open=%b)" name read_only
+  in
   let clock, advance = Clock.manual () in
   let failing = ref true in
   let primary_writes = ref 0 in
@@ -403,7 +409,7 @@ let test_breaker_through_svc () =
         (Some
            (Breaker.config ~window:1000 ~min_calls:3 ~failure_pct:50
               ~open_for:50 ~probes:2 ()))
-      ~log_decisions:true ()
+      ~read_only_when_open:read_only ~log_decisions:true ()
   in
   let svc = Svc.create cfg primary in
   (* Three failed writes trip the breaker. *)
@@ -412,41 +418,50 @@ let test_breaker_through_svc () =
     ignore (Svc.call svc (Svc.Insert (i, i)))
   done;
   let st = Svc.stats svc in
-  Alcotest.(check (option string)) "breaker open" (Some "open") st.breaker;
-  Alcotest.(check string) "read-only mode" "read-only" st.mode;
-  (* Read-only degrade: writes rejected AS rejections, reads served. *)
-  Alcotest.check outcome "write refused while open"
-    (Svc.Rejected Svc.Write_degraded)
+  Alcotest.(check (option string))
+    (label "breaker open") (Some "open") st.breaker;
+  Alcotest.(check string) (label "mode while open")
+    (if read_only then "read-only" else "normal")
+    st.mode;
+  (* Writes refused AS rejections; reads served only when read-only. *)
+  Alcotest.check outcome (label "write refused while open")
+    (Svc.Rejected (if read_only then Svc.Write_degraded else Svc.Breaker_open))
     (Svc.call svc (Svc.Insert (9, 9)));
-  Alcotest.check outcome "read served while open" (Svc.Served true)
+  Alcotest.check outcome (label "read while open")
+    (if read_only then Svc.Served true else Svc.Rejected Svc.Breaker_open)
     (Svc.call svc (Svc.Find 1));
   (* Recovery: cool-down passes, the fault clears, probes run on the
-     primary (the default half-open mode is normal), and two successes
-     close the breaker. *)
+     primary, and two successes close the breaker. *)
   failing := false;
   advance 100;
   let writes_before = !primary_writes in
-  Alcotest.check outcome "probe 1" (Svc.Served true)
+  Alcotest.check outcome (label "probe 1") (Svc.Served true)
     (Svc.call svc (Svc.Insert (10, 10)));
   let st = Svc.stats svc in
-  Alcotest.(check (option string)) "probing" (Some "half-open") st.breaker;
-  Alcotest.(check string) "normal mode while half-open" "normal" st.mode;
-  Alcotest.check outcome "probe 2" (Svc.Served true)
+  Alcotest.(check (option string))
+    (label "probing") (Some "half-open") st.breaker;
+  Alcotest.(check string)
+    (label "normal mode while half-open") "normal" st.mode;
+  Alcotest.check outcome (label "probe 2") (Svc.Served true)
     (Svc.call svc (Svc.Insert (11, 11)));
-  Alcotest.(check int) "the primary took both probes" 2
+  Alcotest.(check int) (label "the primary took both probes") 2
     (!primary_writes - writes_before);
   let st = Svc.stats svc in
-  Alcotest.(check (option string)) "breaker closed" (Some "closed") st.breaker;
+  Alcotest.(check (option string))
+    (label "breaker closed") (Some "closed") st.breaker;
   Alcotest.(check (list string))
-    "transition trace"
+    (label "transition trace")
     [ "open"; "half-open"; "closed" ]
     (List.map snd st.transitions);
-  Alcotest.(check int) "degraded serve counted (the read while open)" 1
+  Alcotest.(check int) (label "degraded serves (the read while open)")
+    (if read_only then 1 else 0)
     st.served_degraded;
-  Alcotest.(check bool) "decision log recorded" true
+  Alcotest.(check bool) (label "decision log recorded") true
     (Svc.decision_log svc <> [])
 
-(* --- The coalesced batch path ----------------------------------------- *)
+let test_breaker_through_svc () = List.iter breaker_lifecycle [ true; false ]
+
+(* --- Batch paths report per-key outcomes, never one collapsed error --- *)
 
 let hashtbl_ops () =
   let h = Hashtbl.create 64 in
@@ -459,69 +474,23 @@ let hashtbl_ops () =
   let find k = Hashtbl.mem h k in
   ({ Svc.insert; delete; find }, h)
 
-let test_call_many_coalesce () =
+let test_call_many_partial_failure () =
   let clock, advance = Clock.manual () in
   let ops, _ = hashtbl_ops () in
-  let batch_calls = ref 0 in
-  let batched =
-    {
-      Svc.insert_batch =
-        (fun kvs -> incr batch_calls; List.map (fun (k, v) -> ops.Svc.insert k v) kvs);
-      delete_batch = (fun ks -> incr batch_calls; List.map ops.Svc.delete ks);
-      find_batch = (fun ks -> incr batch_calls; List.map ops.Svc.find ks);
-    }
-  in
-  let cfg = Svc.config ~clock ~coalesce_min:8 () in
-  let svc = Svc.create ~batched cfg ops in
-  (* Below the threshold: one-by-one through [call]. *)
-  let r1 = Svc.call_many svc [ Svc.Find 0; Svc.Insert (1, 1); Svc.Find 1 ] in
-  Alcotest.(check int) "short list stays unbatched" 0 !batch_calls;
-  Alcotest.(check (list outcome))
-    "unbatched results"
-    [ Svc.Served false; Svc.Served true; Svc.Served true ]
-    r1;
-  (* At the threshold: partitioned through the batched entry points,
-     results returned in input order. *)
-  let reqs =
-    [
-      Svc.Insert (2, 2); Svc.Insert (3, 3); Svc.Delete 1; Svc.Find 2;
-      Svc.Find 9; Svc.Insert (2, 9); Svc.Delete 9; Svc.Find 3;
-    ]
-  in
-  let r2 = Svc.call_many svc reqs in
-  Alcotest.(check int) "three kind-batches" 3 !batch_calls;
-  Alcotest.(check (list outcome))
-    "batched results in input order"
-    [
-      Svc.Served true; Svc.Served true; Svc.Served true; Svc.Served true;
-      Svc.Served false; Svc.Served false; Svc.Served false; Svc.Served true;
-    ]
-    r2;
-  (* Per-element admission still applies on the batched path. *)
-  let expired = Deadline.at 0 in
-  advance 1;
-  let r3 =
-    Svc.call_many svc ~deadline:expired
-      (List.init 8 (fun i -> Svc.Find i))
-  in
-  Alcotest.(check (list outcome))
-    "expired batch elements rejected, not executed"
-    (List.init 8 (fun _ -> Svc.Rejected Svc.Expired))
-    r3
-
-(* --- Batch paths report per-key outcomes, never one collapsed error --- *)
-
-let test_call_many_partial_failure () =
-  let clock, _ = Clock.manual () in
-  let ops, _ = hashtbl_ops () in
+  let execs = ref 0 in
   (* Key 13's backend is down; every other key must still get its own
      honest outcome, in input order, one per request. *)
   let poisoned =
     {
       ops with
       Svc.insert =
-        (fun k v -> if k = 13 then failwith "shard down" else ops.Svc.insert k v);
-      find = (fun k -> if k = 13 then failwith "shard down" else ops.Svc.find k);
+        (fun k v ->
+          incr execs;
+          if k = 13 then failwith "shard down" else ops.Svc.insert k v);
+      find =
+        (fun k ->
+          incr execs;
+          if k = 13 then failwith "shard down" else ops.Svc.find k);
     }
   in
   let cfg = Svc.config ~clock ~retryable:(fun _ -> false) () in
@@ -543,7 +512,17 @@ let test_call_many_partial_failure () =
   let st = Svc.stats svc in
   Alcotest.(check int) "no silent drops: calls = requests" (List.length reqs)
     st.calls;
-  Alcotest.(check int) "failures counted, not hidden" 2 st.failed
+  Alcotest.(check int) "failures counted, not hidden" 2 st.failed;
+  (* Admission is per element: an expired deadline rejects every
+     element as [Expired] and executes none of them. *)
+  advance 1;
+  let before = !execs in
+  Alcotest.(check (list outcome))
+    "expired batch elements rejected"
+    (List.init 8 (fun _ -> Svc.Rejected Svc.Expired))
+    (Svc.call_many svc ~deadline:(Deadline.at 0)
+       (List.init 8 (fun i -> Svc.Find i)));
+  Alcotest.(check int) "expired batch elements not executed" before !execs
 
 (* --- The wire protocol (pure parse/format) ---------------------------- *)
 
@@ -771,7 +750,6 @@ let () =
         [
           Alcotest.test_case "breaker lifecycle through the pipeline" `Quick
             test_breaker_through_svc;
-          Alcotest.test_case "coalesced batches" `Quick test_call_many_coalesce;
           Alcotest.test_case "partial failure: per-key outcomes" `Quick
             test_call_many_partial_failure;
         ] );
