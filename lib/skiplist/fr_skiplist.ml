@@ -139,7 +139,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     | Null -> false
     | Node r -> (M.get r.succ).mark
 
-  (* --- The per-level linked-list machinery (Section 3 reused). --- *)
+  (* --- The per-level linked-list machinery (Section 3 reused). ---
+
+     Every operation loop below is a top-level function with explicit
+     arguments: without flambda a local recursive function is a closure
+     allocated on each call, and a search would pay for one per level. *)
 
   let help_marked prev del =
     let next = (M.get del.succ).right in
@@ -178,76 +182,87 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     end
     else p
 
-  (* SEARCHRIGHT: traverse one level starting at [curr] (curr.key <= k or
-     curr is a head), helping physical deletions of marked nodes and - in
-     the default mode - deleting superfluous towers encountered on the way.
-     Returns (n1, n2) with n1.key <= k < n2.key (inclusive) or
-     n1.key < k <= n2.key (exclusive), adjacent at some instant. *)
-  let rec search_right t ~inclusive k curr0 =
-    let goes_past key = if inclusive then BK.le key k else BK.lt key k in
-    let rec loop curr next =
-      if not (goes_past next.key) then (curr, next)
-      else
-        let nsucc = M.get next.succ in
-        if nsucc.mark then begin
-          let cs = M.get curr.succ in
-          if (not cs.mark) || not (same_node cs.right next) then begin
-            if same_node cs.right next then help_marked curr next;
-            M.event Ev.Next_update;
-            loop curr (as_node (M.get curr.succ).right)
-          end
-          else begin
-            (* curr and next both marked and adjacent: step through. *)
-            M.event Ev.Curr_update;
-            loop next (as_node (M.get next.succ).right)
-          end
-        end
-        else if t.help_superfluous && is_superfluous next then begin
-          (* Delete the superfluous node from this level (Section 4:
-             searches perform all three deletion steps if necessary). *)
-          match try_flag_node t curr next with
-          | Some prev, _we_flagged ->
-              help_flagged t prev next;
-              M.event Ev.Next_update;
-              loop prev (as_node (M.get prev.succ).right)
-          | None, _ ->
-              M.event Ev.Next_update;
-              loop curr (as_node (M.get curr.succ).right)
+  (* SEARCHRIGHT's walk, with SEARCHTOLEVEL_SL's descent folded in.  It
+     traverses the level of [curr] ([curr.level]: a walk moves only along
+     one level's succ fields and backlinks), [next] being the successor
+     last read from [curr], helping physical deletions of marked nodes and
+     - in the default mode - deleting superfluous towers on the way.
+     Where SEARCHRIGHT would return above level [v], it steps down and
+     walks on; at level [v] it returns the window (n1, n2) with
+     n1.key <= k < n2.key (inclusive) or n1.key < k <= n2.key (exclusive),
+     adjacent at some instant.  Its shared accesses are those of one
+     SEARCHRIGHT per level, in the same order. *)
+  let rec walk t inclusive k v curr next =
+    if not (if inclusive then BK.le next.key k else BK.lt next.key k) then begin
+      if curr.level > v then
+        let d = as_node curr.down in
+        walk t inclusive k v d (as_node (M.get d.succ).right)
+      else (curr, next)
+    end
+    else
+      let nsucc = M.get next.succ in
+      if nsucc.mark then begin
+        let cs = M.get curr.succ in
+        if (not cs.mark) || not (same_node cs.right next) then begin
+          if same_node cs.right next then help_marked curr next;
+          M.event Ev.Next_update;
+          walk t inclusive k v curr (as_node (M.get curr.succ).right)
         end
         else begin
+          (* curr and next both marked and adjacent: step through. *)
           M.event Ev.Curr_update;
-          loop next (as_node (M.get next.succ).right)
+          walk t inclusive k v next (as_node (M.get next.succ).right)
         end
-    in
-    loop curr0 (as_node (M.get curr0.succ).right)
+      end
+      else if t.help_superfluous && is_superfluous next then begin
+        (* Delete the superfluous node from this level (Section 4:
+           searches perform all three deletion steps if necessary). *)
+        match try_flag_node t curr next with
+        | Some prev, _we_flagged ->
+            help_flagged t prev next;
+            M.event Ev.Next_update;
+            walk t inclusive k v prev (as_node (M.get prev.succ).right)
+        | None, _ ->
+            M.event Ev.Next_update;
+            walk t inclusive k v curr (as_node (M.get curr.succ).right)
+      end
+      else begin
+        M.event Ev.Curr_update;
+        walk t inclusive k v next (as_node (M.get next.succ).right)
+      end
+
+  (* SEARCHRIGHT: the walk confined to the level of [curr] (curr.key <= k
+     or curr is a head). *)
+  and search_right t ~inclusive k curr =
+    walk t inclusive k curr.level curr (as_node (M.get curr.succ).right)
 
   (* TRYFLAGNODE: flag the in-level predecessor of [target], relocating via
      backlinks and a level-local search when interference hits.  Returns
      [Some prev, true] if we placed the flag, [Some prev, false] if a
      concurrent deletion had placed it, [None, false] if [target] left the
      level. *)
-  and try_flag_node t prev target =
-    let rec loop fails prev =
-      let ps = M.get prev.succ in
-      if same_node ps.right target && (not ps.mark) && ps.flag then
+  and try_flag_node t prev target = try_flag_node_n t target prev 0
+
+  and try_flag_node_n t target prev fails =
+    let ps = M.get prev.succ in
+    if same_node ps.right target && (not ps.mark) && ps.flag then
+      (Some prev, false)
+    else if
+      same_node ps.right target && (not ps.mark) && (not ps.flag)
+      && M.cas prev.succ ~kind:Ev.Flagging ~expect:ps { ps with flag = true }
+    then (Some prev, true)
+    else begin
+      let ps' = M.get prev.succ in
+      if same_node ps'.right target && (not ps'.mark) && ps'.flag then
         (Some prev, false)
-      else if
-        same_node ps.right target && (not ps.mark) && (not ps.flag)
-        && M.cas prev.succ ~kind:Ev.Flagging ~expect:ps { ps with flag = true }
-      then (Some prev, true)
       else begin
-        let ps' = M.get prev.succ in
-        if same_node ps'.right target && (not ps'.mark) && ps'.flag then
-          (Some prev, false)
-        else begin
-          if t.use_backoff then M.pause fails;
-          let prev = backtrack prev in
-          let prev, del = search_right t ~inclusive:false target.key prev in
-          if del != target then (None, false) else loop (fails + 1) prev
-        end
+        if t.use_backoff then M.pause fails;
+        let prev = backtrack prev in
+        let prev, del = search_right t ~inclusive:false target.key prev in
+        if del != target then (None, false)
+        else try_flag_node_n t target prev (fails + 1)
       end
-    in
-    loop 0 prev
+    end
 
   (* DELETENODE: the three-step deletion given a position hint. *)
   let delete_node t prev del =
@@ -262,27 +277,19 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     | Node n -> n != t.tail
     | Null -> false
 
-  (* FINDSTART_SL: the highest level that has content (or [v] if higher). *)
-  let find_start t v =
-    let rec go l =
-      if l < t.max_level && (l < v || level_nonempty t (l + 1)) then go (l + 1)
-      else l
-    in
-    let lvl = go 1 in
-    (head_at t lvl, lvl)
+  (* FINDSTART_SL: the highest level that has content (or [v] if higher),
+     scanning up from level [l]. *)
+  let rec find_start t v l =
+    if l < t.max_level && (l < v || level_nonempty t (l + 1)) then
+      find_start t v (l + 1)
+    else l
 
-  (* SEARCHTOLEVEL_SL: descend from FINDSTART_SL's level, searching right
-     at each level, until level [v]; returns the (n1, n2) window at level
-     v. *)
+  (* SEARCHTOLEVEL_SL: one walk from FINDSTART_SL's head down to level [v];
+     returns the (n1, n2) window at level v. *)
   let search_to_level t ~inclusive k v =
     let v = min v t.max_level in
-    let start, level = find_start t v in
-    let rec descend curr level =
-      let curr, next = search_right t ~inclusive k curr in
-      if level > v then descend (as_node curr.down) (level - 1)
-      else (curr, next)
-    in
-    descend start level
+    let start = head_at t (find_start t v 1) in
+    walk t inclusive k v start (as_node (M.get start.succ).right)
 
   let hint_stats (_ : 'a t) : Lf_kernel.Hint.stats option = None
 
@@ -294,64 +301,96 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let mem t k = Option.is_some (find t k)
 
-  (* INSERTNODE: insert a fresh node with [key] between [prev] and [next] at
-     one level, with the linked-list INSERT loop's recovery.  Returns the
+  (* INSERTNODE: insert a fresh node with [key] between [prev] and [next] on
+     prev's level, with the linked-list INSERT loop's recovery.  Returns the
      inserted node or [`Duplicate] when a node with the same key is found at
      this level. *)
-  let insert_node t ~key ~elt ~down ~tower_root ~level prev next =
-    let rec attempt fails prev next =
-      let ps = M.get prev.succ in
-      if ps.flag then begin
-        M.event Ev.Help;
-        help_flagged t prev (as_node ps.right);
-        relocate fails prev
-      end
-      else if ps.mark || not (same_node ps.right next) then recover fails prev
+  let rec insert_node t ~key ~elt ~down ~tower_root prev next =
+    insert_attempt t key elt down tower_root 0 prev next
+
+  and insert_attempt t key elt down tower_root fails prev next =
+    let ps = M.get prev.succ in
+    if ps.flag then begin
+      M.event Ev.Help;
+      help_flagged t prev (as_node ps.right);
+      insert_relocate t key elt down tower_root fails prev
+    end
+    else if ps.mark || not (same_node ps.right next) then
+      insert_recover t key elt down tower_root fails prev
+    else begin
+      let level = prev.level in
+      let nn =
+        {
+          key;
+          elt;
+          level;
+          down;
+          tower_root;
+          succ = M.make { right = Node next; mark = false; flag = false };
+          backlink = M.make Null;
+        }
+      in
+      annotate_node ~level nn;
+      if
+        M.cas prev.succ ~kind:Ev.Insertion ~expect:ps
+          { right = Node nn; mark = false; flag = false }
+      then (prev, `Inserted nn)
       else begin
-        let nn =
-          {
-            key;
-            elt;
-            level;
-            down;
-            tower_root;
-            succ = M.make { right = Node next; mark = false; flag = false };
-            backlink = M.make Null;
-          }
-        in
-        annotate_node ~level nn;
-        if
-          M.cas prev.succ ~kind:Ev.Insertion ~expect:ps
-            { right = Node nn; mark = false; flag = false }
-        then (prev, `Inserted nn)
-        else begin
-          if t.use_backoff then M.pause fails;
-          recover (fails + 1) prev
-        end
+        if t.use_backoff then M.pause fails;
+        insert_recover t key elt down tower_root (fails + 1) prev
       end
-    and recover fails prev =
-      let ps = M.get prev.succ in
-      if ps.flag then begin
-        M.event Ev.Help;
-        help_flagged t prev (as_node ps.right)
-      end;
-      relocate fails (backtrack prev)
-    and relocate fails prev =
-      let prev, next = search_right t ~inclusive:true key prev in
-      if BK.equal prev.key key then (prev, `Duplicate)
-      else attempt fails prev next
-    in
-    attempt 0 prev next
+    end
+
+  and insert_recover t key elt down tower_root fails prev =
+    let ps = M.get prev.succ in
+    if ps.flag then begin
+      M.event Ev.Help;
+      help_flagged t prev (as_node ps.right)
+    end;
+    insert_relocate t key elt down tower_root fails (backtrack prev)
+
+  and insert_relocate t key elt down tower_root fails prev =
+    let prev, next = search_right t ~inclusive:true key prev in
+    if BK.equal prev.key key then (prev, `Duplicate)
+    else insert_attempt t key elt down tower_root fails prev next
 
   let flip () = Lf_kernel.Splitmix.bool (rng ())
 
-  let random_height t =
-    let rec go h = if h < t.max_level && flip () then go (h + 1) else h in
-    go 1
+  let rec random_height t h =
+    if h < t.max_level && flip () then random_height t (h + 1) else h
+
+  (* Build [root]'s tower bottom-up from [level], [last] being the node
+     below; stop once the root gets marked.  Each upper level is located
+     by a fresh search from the top. *)
+  let rec ascend t kb root height level last =
+    if level <= height && not (M.get root.succ).mark then begin
+      let prev, next = search_to_level t ~inclusive:true kb level in
+      if BK.equal prev.key kb then begin
+        (* A same-key node from an old superfluous tower blocks this
+           level; the search that found it is also removing it (or our
+           own root got marked) - retry. *)
+        M.event Ev.Retry;
+        if not (M.get root.succ).mark then ascend t kb root height level last
+      end
+      else
+        match
+          insert_node t ~key:kb ~elt:None ~down:(Node last)
+            ~tower_root:(Node root) prev next
+        with
+        | _, `Duplicate ->
+            M.event Ev.Retry;
+            if not (M.get root.succ).mark then
+              ascend t kb root height level last
+        | prev', `Inserted nn ->
+            if (M.get root.succ).mark then
+              (* The tower became superfluous while we were building it:
+                 undo the node we just added. *)
+              ignore (delete_node t prev' nn)
+            else ascend t kb root height (level + 1) nn
+    end
 
   (* INSERT_SL with an explicit tower height (used by tests and by the
-     deterministic experiments; [insert] draws the height by coin flips).
-     Each upper level is located by a fresh search from the top. *)
+     deterministic experiments; [insert] draws the height by coin flips). *)
   let insert_with_height t ~height k e =
     let height = max 1 (min height t.max_level) in
     let kb = Lf_kernel.Ordered.Mid k in
@@ -359,47 +398,16 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     if BK.equal prev.key kb then false
     else begin
       match
-        insert_node t ~key:kb ~elt:(Some e) ~down:Null ~tower_root:Null
-          ~level:1 prev next
+        insert_node t ~key:kb ~elt:(Some e) ~down:Null ~tower_root:Null prev
+          next
       with
       | _, `Duplicate -> false
       | _, `Inserted root ->
-          (* Build the tower bottom-up; stop if the root gets marked. *)
-          let rec ascend level last =
-            if level > height then true
-            else if (M.get root.succ).mark then true
-            else begin
-              let prev, next = search_to_level t ~inclusive:true kb level in
-              if BK.equal prev.key kb then begin
-                (* A same-key node from an old superfluous tower blocks this
-                   level; the search that found it is also removing it (or
-                   our own root got marked) - retry. *)
-                M.event Ev.Retry;
-                if (M.get root.succ).mark then true else ascend level last
-              end
-              else
-                match
-                  insert_node t ~key:kb ~elt:None ~down:(Node last)
-                    ~tower_root:(Node root) ~level prev next
-                with
-                | _, `Duplicate ->
-                    M.event Ev.Retry;
-                    if (M.get root.succ).mark then true else ascend level last
-                | prev', `Inserted nn ->
-                    if (M.get root.succ).mark then begin
-                      (* The tower became superfluous while we were building
-                         it: undo the node we just added. *)
-                      ignore (delete_node t prev' nn);
-                      true
-                    end
-                    else ascend (level + 1) nn
-            end
-          in
-          ignore (ascend 2 root);
+          ascend t kb root height 2 root;
           true
     end
 
-  let insert t k e = insert_with_height t ~height:(random_height t) k e
+  let insert t k e = insert_with_height t ~height:(random_height t 1) k e
 
   (* DELETE_SL: delete the root (linearization: its marking), then let a
      search clean the upper levels of the now-superfluous tower. *)
@@ -443,62 +451,65 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         end
 
   (* Successor query in O(log n) expected: the smallest regular binding
-     with key >= [k]. *)
-  let find_ge t k =
-    let kb = Lf_kernel.Ordered.Mid k in
-    let rec go () =
-      let n1, n2 = search_to_level t ~inclusive:false kb 1 in
-      if n2 == t.tail then None
-      else if (M.get n2.succ).mark then begin
-        help_marked n1 n2;
-        go ()
-      end
-      else
-        match (n2.key, n2.elt) with
-        | Mid key, Some e -> Some (key, e)
-        | _ -> None
-    in
-    go ()
+     with key >= [kb]. *)
+  let rec find_ge_bounded t kb =
+    let n1, n2 = search_to_level t ~inclusive:false kb 1 in
+    if n2 == t.tail then None
+    else if (M.get n2.succ).mark then begin
+      help_marked n1 n2;
+      find_ge_bounded t kb
+    end
+    else
+      match (n2.key, n2.elt) with
+      | Mid key, Some e -> Some (key, e)
+      | _ -> None
 
-  let min_binding t =
+  let find_ge t k = find_ge_bounded t (Lf_kernel.Ordered.Mid k)
+
+  let rec min_binding t =
     let head = head_at t 1 in
-    let rec go () =
-      match (M.get head.succ).right with
-      | Null -> None
-      | Node n ->
-          if n == t.tail then None
-          else if (M.get n.succ).mark then begin
-            help_marked head n;
-            go ()
-          end
-          else (
-            match (n.key, n.elt) with
-            | Mid k, Some e -> Some (k, e)
-            | _ -> None)
-    in
-    go ()
+    match (M.get head.succ).right with
+    | Null -> None
+    | Node n ->
+        if n == t.tail then None
+        else if (M.get n.succ).mark then begin
+          help_marked head n;
+          min_binding t
+        end
+        else (
+          match (n.key, n.elt) with
+          | Mid k, Some e -> Some (k, e)
+          | _ -> None)
+
+  let rec rightmost t curr =
+    match (M.get curr.succ).right with
+    | Node n when n != t.tail -> rightmost t n
+    | Node _ | Null -> curr
+
+  let rec rightmost_descend t curr =
+    let curr = rightmost t curr in
+    if curr.level > 1 then rightmost_descend t (as_node curr.down) else curr
 
   (* Largest regular binding, located by walking right at each level before
      descending: O(log n) expected.  If the rightmost bottom node is marked
      its backlink leads to the nearest unmarked predecessor. *)
   let max_binding t =
-    let rightmost curr =
-      let rec go curr =
-        match (M.get curr.succ).right with
-        | Node n when n != t.tail -> go n
-        | Node _ | Null -> curr
-      in
-      go curr
-    in
-    let start, level = find_start t 1 in
-    let rec descend curr level =
-      let curr = rightmost curr in
-      if level > 1 then descend (as_node curr.down) (level - 1) else curr
-    in
-    let last = backtrack (rightmost (descend start level)) in
+    let start = head_at t (find_start t 1 1) in
+    let last = backtrack (rightmost t (rightmost_descend t start)) in
     match (last.key, last.elt) with
     | Mid k, Some e -> Some (k, e)
     | _ -> None
+
+  let rec fold_level_from t hib f acc n =
+    if n == t.tail || BK.lt hib n.key then acc
+    else
+      let s = M.get n.succ in
+      let acc =
+        match (n.key, n.elt) with
+        | Mid k, Some e when not s.mark -> f acc k e
+        | _ -> acc
+      in
+      match s.right with Null -> acc | Node m -> fold_level_from t hib f acc m
 
   (* Fold over regular bindings with lo <= key <= hi, in key order; weakly
      consistent under concurrency (like any lock-free iterator). *)
@@ -507,18 +518,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     else begin
       let hib = Lf_kernel.Ordered.Mid hi in
       let _, start = search_to_level t ~inclusive:false (Mid lo) 1 in
-      let rec go acc n =
-        if n == t.tail || BK.lt hib n.key then acc
-        else
-          let s = M.get n.succ in
-          let acc =
-            match (n.key, n.elt) with
-            | Mid k, Some e when not s.mark -> f acc k e
-            | _ -> acc
-          in
-          match s.right with Null -> acc | Node m -> go acc m
-      in
-      go acc start
+      fold_level_from t hib f acc start
     end
 
   (* --- Quiescent snapshots and validation. --- *)

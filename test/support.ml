@@ -3,6 +3,23 @@
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+(* Words allocated while [f] runs: minor words plus words allocated
+   directly in the major heap (major words that were not promoted from
+   the minor heap).  Large blocks skip the minor heap, so
+   [Gc.minor_words] alone cannot see them.  The minor heap is emptied
+   first: otherwise promoting what the caller allocated before [f] would
+   be subtracted from [f]'s count. *)
+let words_during f =
+  Gc.minor ();
+  let s0 = Gc.quick_stat () in
+  let m0 = Gc.minor_words () in
+  f ();
+  let m1 = Gc.minor_words () in
+  let s1 = Gc.quick_stat () in
+  m1 -. m0
+  +. (s1.Gc.major_words -. s0.Gc.major_words)
+  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
+
 (* A scripted sequence of dictionary operations, the common random input of
    the oracle tests: (op tag, key) pairs over a small key space. *)
 let ops_gen ~key_range ~len =

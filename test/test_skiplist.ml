@@ -1,7 +1,7 @@
 (* Tests for the skip lists: Pugh's sequential oracle, the lock-free
    Fomitchev-Ruppert skip list (tower structure, interrupted insertions,
-   superfluous-node helping, delete_min), the locked baseline, and the
-   height distribution of Section 4's last paragraph. *)
+   superfluous-node helping, delete_min, allocation budgets), the locked
+   baseline, and the height distribution of Section 4's last paragraph. *)
 
 module SL = Lf_skiplist.Fr_skiplist.Atomic_int
 module SLS = Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
@@ -599,6 +599,47 @@ let test_ablation_no_helping_correct () =
   Sim.quiet (fun () ->
       Alcotest.(check int) "conservation" !net (SLS.length t))
 
+(* --- Allocation budgets --- *)
+
+(* Minor words per operation on a half-full skip list over keys [0, n):
+   [ops] calls of [op] on uniform random keys, each measured on a fresh
+   list holding the even keys.  A search must not allocate per level, so
+   its words per op are small and do not grow with the tower heights a
+   larger list brings. *)
+let words_per_op ~n ~ops op =
+  let t = SL.create () in
+  for k = 0 to (n / 2) - 1 do
+    ignore (SL.insert t (2 * k) k)
+  done;
+  let rng = Lf_kernel.Splitmix.create n in
+  let keys = Array.init ops (fun _ -> Lf_kernel.Splitmix.int rng n) in
+  let words =
+    Support.words_during (fun () ->
+        Array.iter (fun k -> ignore (Sys.opaque_identity (op t k))) keys)
+  in
+  words /. float_of_int ops
+
+let check_budget name ~bar op =
+  let words = words_per_op ~n:4096 ~ops:10_000 op in
+  if words > bar then
+    Alcotest.failf "%s allocates %.1f words/op at 4,096 keys (bar: %.0f)" name
+      words bar
+
+let test_find_alloc () = check_budget "find" ~bar:8. SL.find
+
+let test_insert_alloc () =
+  check_budget "insert" ~bar:40. (fun t k -> SL.insert t k k)
+
+let test_delete_alloc () = check_budget "delete" ~bar:16. SL.delete
+
+let test_find_alloc_flat () =
+  let small = words_per_op ~n:256 ~ops:10_000 SL.find in
+  let large = words_per_op ~n:16_384 ~ops:10_000 SL.find in
+  if Float.abs (large -. small) > 1. then
+    Alcotest.failf
+      "find allocates %.1f words/op at 256 keys but %.1f at 16,384 keys"
+      small large
+
 (* --- Multi-domain stress --- *)
 
 let test_domain_stress () =
@@ -684,6 +725,13 @@ let () =
             test_delete_min_sequential;
           Alcotest.test_case "unique claims" `Quick
             test_delete_min_unique_claims_sim;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "find budget" `Quick test_find_alloc;
+          Alcotest.test_case "insert budget" `Quick test_insert_alloc;
+          Alcotest.test_case "delete budget" `Quick test_delete_alloc;
+          Alcotest.test_case "find flat in size" `Quick test_find_alloc_flat;
         ] );
       ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);
     ]

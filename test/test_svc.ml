@@ -166,20 +166,6 @@ let test_breaker_window_model =
         script;
       !agree)
 
-(* Words allocated while [f] runs: minor words plus words allocated
-   directly in the major heap (major words that were not promoted from
-   the minor heap).  Large blocks skip the minor heap, so
-   [Gc.minor_words] alone cannot see them. *)
-let words_during f =
-  let s0 = Gc.quick_stat () in
-  let m0 = Gc.minor_words () in
-  f ();
-  let m1 = Gc.minor_words () in
-  let s1 = Gc.quick_stat () in
-  m1 -. m0
-  +. (s1.Gc.major_words -. s0.Gc.major_words)
-  -. (s1.Gc.promoted_words -. s0.Gc.promoted_words)
-
 (* A closed-state observation is two counters and a record: it must not
    copy anything proportional to the window's history. *)
 let test_breaker_observe_alloc () =
@@ -187,7 +173,7 @@ let test_breaker_observe_alloc () =
   let cfg = Breaker.config ~window:100 ~min_calls:10 ~failure_pct:50 () in
   let b = ref (Breaker.create cfg ~now:0) in
   let words =
-    words_during (fun () ->
+    Support.words_during (fun () ->
         for i = 1 to n do
           b := Breaker.observe !b ~now:i ~ok:true ~latency:(i land 63)
         done)
@@ -212,7 +198,7 @@ let test_svc_call_alloc () =
   in
   let svc = Svc.create (Svc.config ~clock ()) ops in
   let words =
-    words_during (fun () ->
+    Support.words_during (fun () ->
         for i = 1 to n do
           advance 1;
           ignore (Sys.opaque_identity (Svc.call svc (Svc.Find i)))
