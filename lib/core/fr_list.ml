@@ -40,10 +40,20 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     elt : 'a option; (* [None] only for the head and tail sentinels *)
     succ : 'a succ M.aref;
     backlink : 'a link M.aref;
+    anchor : 'a anchor;
   }
 
   and 'a succ = { right : 'a link; mark : bool; flag : bool }
   and 'a link = Null | Node of 'a node
+
+  (* What a hint slot holds: a box that points at its node until the
+     node is marked, when the winner of the marking C&S empties it.  A
+     slot that outlives the node then pins two words, not the chain of
+     nodes deleted after it that the node's frozen [right] and backlink
+     reach.  A plain field, not a [Mem.S] cell: it is never a scheduling
+     point, and a racing reader sees [Node n] or [Null], both safe
+     because the candidate is validated. *)
+  and 'a anchor = { mutable live : 'a link }
 
   (* Seeded protocol bugs for the sanitizer and watchdog tests: the first
      four corrupt one step of the deletion protocol in a way that runs
@@ -65,7 +75,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     use_flags : bool;
     use_backoff : bool;
     mutation : mutation option;
-    hints : 'a node H.t option;
+    hints : 'a anchor H.t option;
         (* per-domain predecessor cache; [None] = ablation (hints off) *)
   }
 
@@ -113,6 +123,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         elt = None;
         succ = M.make { right = Null; mark = false; flag = false };
         backlink = M.make Null;
+        anchor = { live = Null };
       }
     in
     let head =
@@ -121,6 +132,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         elt = None;
         succ = M.make { right = Node tail; mark = false; flag = false };
         backlink = M.make Null;
+        anchor = { live = Null };
       }
     in
     (* The flagless ablation deliberately breaks the protocol; it stays
@@ -188,7 +200,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         try_mark_n t del fails
       end
     else if M.cas del.succ ~kind:Ev.Marking ~expect:s { s with mark = true }
-    then ()
+    then del.anchor.live <- Null
     else begin
       if t.use_backoff then M.pause fails;
       try_mark_n t del (fails + 1)
@@ -243,10 +255,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      physically in the list and (b) is currently unmarked with key <= the
      target (strictly < for the exclusive searches deletions use): an
      unmarked node is still logically in the list, because physical
-     unlinking requires the mark bit and marking is terminal.  A marked
-     candidate recovers leftward through backlinks exactly as a failed
-     operation would; a Null backlink (never set on honestly marked nodes,
-     but cheap to be total against) falls back to the head. *)
+     unlinking requires the mark bit and marking is terminal.  A hint
+     whose node was marked is dropped: its anchor is empty, and the search
+     starts at the head.  A candidate found marked in the window between
+     the mark and the clear, or a batch carry marked between elements,
+     recovers leftward through backlinks exactly as a failed operation
+     would; a Null backlink (never set on honestly marked nodes, but cheap
+     to be total against) falls back to the head. *)
 
   let rec unmark_left t n =
     if (M.get n.succ).mark then begin
@@ -272,8 +287,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         | None ->
             H.note_miss h;
             t.head
-        | Some cand -> (
-            match valid_start t ~inclusive kb cand with
+        | Some a -> (
+            let start =
+              match a.live with
+              | Node cand -> valid_start t ~inclusive kb cand
+              | Null -> None
+            in
+            match start with
             | Some s ->
                 H.note_hit h;
                 s
@@ -290,7 +310,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      honest code paths undisturbed. *)
   let publish t n =
     match (t.hints, t.mutation) with
-    | Some h, None when n != t.head -> H.store h n
+    | Some h, None when n != t.head -> H.store h n.anchor
     | _ -> ()
 
   let hint_stats t = Option.map H.totals t.hints
@@ -356,18 +376,22 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         (* Stale view: the C&S would fail; recover as after a failure. *)
         recover fails prev
       else begin
+        let anchor = { live = Null } in
         let nn =
           {
             key = kb;
             elt = Some elt;
             succ = M.make { right = Node next; mark = false; flag = false };
             backlink = M.make Null;
+            anchor;
           }
         in
+        let link = Node nn in
+        anchor.live <- link;
         if t.use_flags then annotate_node nn;
         if
           M.cas prev.succ ~kind:Ev.Insertion ~expect:ps
-            { right = Node nn; mark = false; flag = false }
+            { right = link; mark = false; flag = false }
         then (true, nn)
         else begin
           if t.use_backoff then M.pause fails;
@@ -429,7 +453,10 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       let s = M.get del.succ in
       if s.mark then false
       else if M.cas del.succ ~kind:Ev.Marking ~expect:s { s with mark = true }
-      then true
+      then begin
+        del.anchor.live <- Null;
+        true
+      end
       else mark_it prev del
     in
     let prev, del = search_from t ~inclusive:false kb t.head in

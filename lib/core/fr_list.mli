@@ -72,9 +72,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
       [use_hints] (default [true]) enables the per-domain predecessor
       cache: each operation starts its search from the last node the
       calling domain ended on, validated per Section 3.2 (unmarked, key
-      below the target; marked hints recover through backlinks, unusable
-      ones fall back to the head).  [~use_hints:false] is the EXP-17
-      ablation.
+      below the target; unusable ones fall back to the head).  A hint
+      whose node was marked is dropped, so an idle domain's cache never
+      keeps a deleted node reachable.  Backlink recovery remains for the
+      window between the mark and the drop, and for batch carries.
+      [~use_hints:false] is the EXP-17 ablation.
 
       [use_backoff] (default [false]) inserts bounded exponential backoff
       ([Mem.S.pause], growing with the consecutive-failure count) before

@@ -9,10 +9,19 @@
    hint before use, and a hint that fails validation merely costs the
    fallback to the head.
 
-   One cache instance belongs to one structure instance.  The slot is
-   domain-local (no synchronization on the hot path); a lock-free registry
-   collects per-domain statistics for the benches, mirroring
-   [Counting_mem].  Cached values are ordinary heap pointers: under a
+   One cache instance belongs to one structure instance and owns its
+   slots: an array indexed by a small per-domain index, so dropping the
+   structure drops every domain's slot with it.  One global DLS key hands
+   out the indices, and a domain gives its index back when it exits; a
+   later domain that takes it inherits the slot and its counters, which is
+   harmless because hints are validated and totals are sums.  [Domain.self]
+   ids cannot index the array: they are never reused.  A slot is written
+   only by the domain that holds its index, so the hot path needs no
+   synchronization beyond the array load.
+
+   A slot keeps whatever the structure hands it alive, so a structure
+   whose nodes die must cache something that lets go of a dead node:
+   [Fr_list] caches a node's anchor, a box that marking empties.  Under a
    simulated memory all processes share the one real domain's slot, which
    is still safe (validation) and still deterministic (the slot belongs to
    the structure, which Explore recreates per schedule). *)
@@ -32,34 +41,51 @@ let add_stats ~into s =
   into.misses <- into.misses + s.misses;
   into.stores <- into.stores + s.stores
 
+(* Domain indices: a lock-free free list of returned indices, and a
+   counter for fresh ones when the list is empty.  The list's cells are
+   immutable and never reused, so popping by C&S has no ABA. *)
+let free_indices : int list Atomic.t = Atomic.make []
+let next_index = Atomic.make 0
+
+let rec take_index () =
+  match Atomic.get free_indices with
+  | [] -> Atomic.fetch_and_add next_index 1
+  | i :: rest as old ->
+      if Atomic.compare_and_set free_indices old rest then i else take_index ()
+
+let rec give_back i =
+  let old = Atomic.get free_indices in
+  if not (Atomic.compare_and_set free_indices old (i :: old)) then give_back i
+
+let index_key =
+  Domain.DLS.new_key (fun () ->
+      let i = take_index () in
+      Domain.at_exit (fun () -> give_back i);
+      i)
+
 module Make (M : Mem.S) = struct
   type 'a slot = { mutable value : 'a option; stats : stats }
+  type 'a t = 'a slot option array Atomic.t
 
-  type 'a t = {
-    key : 'a slot Domain.DLS.key;
-    registry : (int * stats) list Atomic.t;
-  }
+  let create () = Atomic.make [||]
 
-  let register registry st =
-    let id = (Domain.self () :> int) in
-    let rec add () =
-      let old = Atomic.get registry in
-      if not (Atomic.compare_and_set registry old ((id, st) :: old)) then
-        add ()
-    in
-    add ()
+  (* First use in this domain: copy the array with the domain's slot
+     added, and retry if another domain installed its own meanwhile. *)
+  let rec install t i =
+    let old = Atomic.get t in
+    let a = Array.make (max (Array.length old) (i + 1)) None in
+    Array.blit old 0 a 0 (Array.length old);
+    let s = { value = None; stats = mk_stats () } in
+    a.(i) <- Some s;
+    if Atomic.compare_and_set t old a then s else install t i
 
-  let create () =
-    let registry = Atomic.make [] in
-    let key =
-      Domain.DLS.new_key (fun () ->
-          let st = mk_stats () in
-          register registry st;
-          { value = None; stats = st })
-    in
-    { key; registry }
+  let slot t =
+    let i = Domain.DLS.get index_key in
+    let a = Atomic.get t in
+    match if i < Array.length a then a.(i) else None with
+    | Some s -> s
+    | None -> install t i
 
-  let slot t = Domain.DLS.get t.key
   let load t = (slot t).value
 
   (* Preallocated so the hot path never builds a string. *)
@@ -100,6 +126,8 @@ module Make (M : Mem.S) = struct
   (* Quiescent use only, like [Counting_mem.grand_total]. *)
   let totals t =
     let total = mk_stats () in
-    List.iter (fun (_, s) -> add_stats ~into:total s) (Atomic.get t.registry);
+    Array.iter
+      (function Some s -> add_stats ~into:total s.stats | None -> ())
+      (Atomic.get t);
     total
 end

@@ -4,9 +4,15 @@
     that is unmarked with key [<=] the target, and recovers from marked
     nodes through backlinks — so the structures may begin a search at a
     cached predecessor instead of the head whenever the cache survives
-    validation.  This module is only the cache: one domain-local slot per
-    [Domain], per structure instance, plus hit/stale/miss accounting.
-    Validation is the structure's job.
+    validation.  This module is only the cache: one slot per domain, owned
+    by the structure instance, plus hit/stale/miss accounting.  Validation
+    is the structure's job.
+
+    The slots live in an array inside the cache, indexed by a small
+    per-domain index that a domain hands back when it exits, so a dropped
+    structure takes its slots with it.  A slot holds its value strongly:
+    [Fr_list] stores a node's anchor, a box that marking the node empties,
+    so no slot keeps a deleted node reachable.
 
     Generic over {!Mem.S} purely for observability: cache traffic is
     emitted as [Mem_event.User] annotations ([hint:hit], [hint:stale],
@@ -23,8 +29,8 @@ type stats = {
 
 module Make (M : Mem.S) : sig
   type 'a t
-  (** A cache of ['a] values (typically a node pointer), one slot per
-      domain.  Belongs to exactly one structure instance. *)
+  (** A cache of ['a] values (typically a box that points at a node), one
+      slot per domain.  Belongs to exactly one structure instance. *)
 
   val create : unit -> 'a t
 

@@ -76,6 +76,15 @@ let oracle_test ?count ?(key_range = 16) ?(len = 120) (module D : INT_DICT) =
       D.check_invariants t;
       D.to_list t = expected && D.length t = List.length expected)
 
+(* Fisher-Yates, in place. *)
+let shuffle rng keys =
+  for i = Array.length keys - 1 downto 1 do
+    let j = Lf_kernel.Splitmix.int rng (i + 1) in
+    let k = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- k
+  done
+
 (* Words still reachable from a dictionary after inserting keys [0, n)
    and deleting them all again in [order]: what the emptied structure
    holds on to. *)
@@ -88,14 +97,7 @@ let emptied_words (module D : INT_DICT) ~order n =
   (match order with
   | `Ascending -> ()
   | `Descending -> Array.iteri (fun i _ -> keys.(i) <- n - 1 - i) keys
-  | `Shuffled ->
-      let rng = Lf_kernel.Splitmix.create 42 in
-      for i = n - 1 downto 1 do
-        let j = Lf_kernel.Splitmix.int rng (i + 1) in
-        let k = keys.(i) in
-        keys.(i) <- keys.(j);
-        keys.(j) <- k
-      done);
+  | `Shuffled -> shuffle (Lf_kernel.Splitmix.create 42) keys);
   Array.iter (fun k -> ignore (D.delete t k)) keys;
   Alcotest.(check int) "emptied" 0 (D.length t);
   Obj.reachable_words (Obj.repr t)
@@ -117,6 +119,77 @@ let retention_tests (module D : INT_DICT) =
       ("emptied descending", `Descending);
       ("emptied shuffled", `Shuffled);
     ]
+
+(* Live heap words after a full major collection.  Unlike
+   [Obj.reachable_words] on a structure, this sees what other roots keep
+   alive: the hint slots of idle domains, and anything a domain holds on
+   behalf of a structure that was dropped. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* Words a structure leaves live after 128 of 256 keys are prefilled from
+   the calling domain and two spawned domains run [ops] operations each
+   of a seeded 50/50 insert/delete mix.  The calling domain stays idle
+   through the churn, as a server's main domain does. *)
+let churn_words (module D : INT_DICT) ~ops =
+  let range = 256 in
+  let base = live_words () in
+  let t = D.create () in
+  let keys = Array.init range Fun.id in
+  shuffle (Lf_kernel.Splitmix.create 42) keys;
+  for i = 0 to (range / 2) - 1 do
+    ignore (D.insert t keys.(i) keys.(i))
+  done;
+  let churn seed () =
+    let rng = Lf_kernel.Splitmix.create seed in
+    for _ = 1 to ops do
+      let k = Lf_kernel.Splitmix.int rng range in
+      if Lf_kernel.Splitmix.bool rng then ignore (D.insert t k k)
+      else ignore (D.delete t k)
+    done
+  in
+  List.iter Domain.join
+    [ Domain.spawn (churn 1); Domain.spawn (churn 2) ];
+  let words = live_words () - base in
+  ignore (Sys.opaque_identity t);
+  words
+
+(* Deleted nodes must become garbage even while a domain that touched
+   them sits idle: ten times the churn may leave only a few more words
+   live, not the deletion history. *)
+let churn_retention_tests (module D : INT_DICT) =
+  [
+    Alcotest.test_case (D.name ^ " two-domain churn") `Slow (fun () ->
+        let small = churn_words (module D) ~ops:20_000 in
+        let large = churn_words (module D) ~ops:200_000 in
+        if large - small > 16_384 then
+          Alcotest.failf
+            "%s: %d live words after 2x%d ops, %d after 2x%d ops" D.name
+            small 20_000 large 200_000);
+  ]
+
+(* Words left live after [count] structures of [keys] keys each are
+   created, filled and dropped from the calling domain: nothing a domain
+   holds may keep a dropped structure reachable.  Descending inserts
+   leave each list's hint on its first node, which reaches all the
+   others. *)
+let dropped_retention_test (module D : INT_DICT) ~count ~keys =
+  Alcotest.test_case
+    (Printf.sprintf "%d dropped %s" count D.name)
+    `Quick
+    (fun () ->
+      let base = live_words () in
+      for _ = 1 to count do
+        let t = D.create () in
+        for k = keys - 1 downto 0 do
+          ignore (D.insert t k k)
+        done
+      done;
+      let words = live_words () - base in
+      if words > 4_096 then
+        Alcotest.failf "%s: %d live words after dropping %d structures"
+          D.name words count)
 
 (* Assert a history is linearizable, pretty-printing it on failure. *)
 let assert_linearizable h =

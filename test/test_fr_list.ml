@@ -11,6 +11,15 @@ module Ev = Lf_kernel.Mem_event
 (* Static interface conformance. *)
 module _ : Support.INT_DICT = Lf_list.Fr_list.Atomic_int
 
+(* The flagless ablation as a dictionary, for the tests that cover its
+   marking site. *)
+module Flagless = struct
+  include FR
+
+  let name = "fr-list(noflag)"
+  let create () = FR.create_with ~use_flags:false ()
+end
+
 (* --- Sequential semantics --- *)
 
 let oracle = Support.oracle_test (module FR)
@@ -449,7 +458,12 @@ let () =
           range_prop;
         ] );
       ("reinsert", [ oracle_reinsert ]);
-      ("retention", Support.retention_tests (module FR));
+      ( "retention",
+        Support.retention_tests (module FR)
+        @ Support.churn_retention_tests (module FR)
+        @ Support.churn_retention_tests (module Flagless)
+        @ [ Support.dropped_retention_test (module FR) ~count:2_000 ~keys:32 ]
+      );
       ( "invariants",
         [
           Alcotest.test_case "random schedules" `Quick

@@ -95,4 +95,7 @@ let () =
           Alcotest.test_case "sim linearizable" `Quick test_sim_linearizable;
           Alcotest.test_case "domain stress" `Slow test_domain_stress;
         ] );
+      ( "retention",
+        Support.churn_retention_tests (module H)
+        @ [ Support.dropped_retention_test (module H) ~count:200 ~keys:256 ] );
     ]

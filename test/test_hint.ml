@@ -1,7 +1,8 @@
 (* Tests for the hint layer (Lf_kernel.Hint, per-domain predecessor caches)
    and for the hinted + batched entry points of the structures:
 
-   - unit tests of the cache itself (slot per domain, counter totals);
+   - unit tests of the cache itself (slot per domain, counter totals,
+     slots handed back by exited domains);
    - deterministic simulator runs exercising hit/stale accounting on the
      list;
    - bounded-exhaustive Explore scenarios where a concurrent delete flags,
@@ -64,6 +65,19 @@ let test_domains_isolated_and_summed () =
   Alcotest.(check int) "summed hits" 2 s.Lf_kernel.Hint.hits;
   Alcotest.(check int) "summed stale" 1 s.stale;
   Alcotest.(check int) "summed stores" 2 s.stores
+
+(* A domain hands its index back when it exits, and the next domain takes
+   it over, so a cache holds a slot per domain alive at once, not one per
+   domain ever spawned. *)
+let test_exited_domains_hand_back_slots () =
+  let h : int Hint.t = Hint.create () in
+  for i = 1 to 64 do
+    Domain.join (Domain.spawn (fun () -> Hint.store h i))
+  done;
+  let words = Obj.reachable_words (Obj.repr h) in
+  if words > 100 then
+    Alcotest.failf "%d words reachable after 64 sequential domains" words;
+  Alcotest.(check int) "inherited counters summed" 64 (Hint.totals h).stores
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic simulator runs: accounting on the structures.         *)
@@ -408,6 +422,8 @@ let () =
             test_instances_independent;
           Alcotest.test_case "domains isolated, totals summed" `Quick
             test_domains_isolated_and_summed;
+          Alcotest.test_case "exited domains hand back their slot" `Quick
+            test_exited_domains_hand_back_slots;
         ] );
       ( "accounting",
         [

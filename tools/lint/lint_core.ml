@@ -185,9 +185,10 @@ let waivers =
        registry; both sit below the seam by construction" );
     ( "lib/kernel/hint.ml",
       rule_bare_atomic,
-      "the hint registry is observer-side accounting shared across \
-       domains; hint payloads structures read are plain per-domain refs, \
-       never raced, so no scheduling point is lost" );
+      "the slot array and the domain-index free list: a domain swaps in \
+       a copy of the array only on its first use of a cache, and payloads \
+       structures read are plain fields that are validated, never \
+       scheduling points, so no protocol access is lost" );
     ( "lib/pqueue/pqueue.ml",
       rule_bare_atomic,
       "timestamp counter for priority ties: a fetch-and-add whose value \
