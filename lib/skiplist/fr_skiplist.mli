@@ -14,6 +14,12 @@
     just-added node.  Deletion deletes the root first (linearization: its
     marking) and leaves the remaining levels to a cleanup search.
 
+    Nodes are inline records, so links point straight at them.  Each succ
+    descriptor [{right; right_key; mark; flag}] carries a copy of its right
+    node's immutable key, so a search step that stops or descends never
+    loads the next node.  C&S compares whole descriptors physically and
+    never looks at [right_key]; the copy is not a deviation from the paper.
+
     Deviations from the paper (recorded in DESIGN.md): the head tower is
     preallocated up to [max_level] instead of growing through [up]
     pointers, and one tail sentinel is shared by all levels; both are
@@ -34,7 +40,10 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
     ?use_backoff:bool ->
     unit ->
     'a t
-  (** [~help_superfluous:false] is the EXP-9 ablation: searches traverse
+  (** [max_level] (default 24) is the number of levels; it must be at
+      least 1.  @raise Invalid_argument if [max_level < 1].
+
+      [~help_superfluous:false] is the EXP-9 ablation: searches traverse
       superfluous towers instead of deleting them, and deletions skip the
       upper-level cleanup.  Only safe when keys are never reinserted (a
       stale same-key upper node would block a new tower forever).
@@ -115,8 +124,9 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
 
   val check_invariants : 'a t -> unit
   (** Quiescent validation of every level (sortedness, no marked/flagged
-      nodes, down-pointer key consistency, no surviving superfluous nodes
-      in helping mode).  Raises [Failure] on violation. *)
+      nodes, down-pointer key consistency, every descriptor's [right_key]
+      physically its right node's key, no surviving superfluous nodes in
+      helping mode).  Raises [Failure] on violation. *)
 end
 
 module Atomic_int : module type of Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)

@@ -6,15 +6,20 @@ let qcheck ?(count = 200) name gen prop =
 (* Words allocated while [f] runs: minor words plus words allocated
    directly in the major heap (major words that were not promoted from
    the minor heap).  Large blocks skip the minor heap, so
-   [Gc.minor_words] alone cannot see them.  The minor heap is emptied
-   first: otherwise promoting what the caller allocated before [f] would
-   be subtracted from [f]'s count. *)
+   [Gc.minor_words] alone cannot see them.  Both ends of the window run
+   a full major collection.  [quick_stat]'s [major_words] advances only
+   when a major slice folds in what the domain allocated since the last
+   one, while [promoted_words] advances at every minor collection, so
+   without the collections words promoted before [f] (the caller's data)
+   could be counted as [f]'s, and words [f] allocated in the major heap
+   could be missed. *)
 let words_during f =
-  Gc.minor ();
+  Gc.full_major ();
   let s0 = Gc.quick_stat () in
   let m0 = Gc.minor_words () in
   f ();
   let m1 = Gc.minor_words () in
+  Gc.full_major ();
   let s1 = Gc.quick_stat () in
   m1 -. m0
   +. (s1.Gc.major_words -. s0.Gc.major_words)

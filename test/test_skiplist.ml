@@ -114,6 +114,24 @@ let test_height_clamped () =
   Alcotest.(check int) "clamped to max" 1 (SL.height_histogram t).(4);
   SL.check_invariants t
 
+(* A list needs at least its level-1 head; with none, the first insert
+   used to fail with an index error. *)
+let test_max_level_rejected () =
+  List.iter
+    (fun max_level ->
+      let msg =
+        Printf.sprintf "Fr_skiplist.create_with: max_level %d < 1" max_level
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "create_with ~max_level:%d" max_level)
+        (Invalid_argument msg)
+        (fun () -> ignore (SL.create_with ~max_level ()));
+      Alcotest.check_raises
+        (Printf.sprintf "Pqueue.create ~max_level:%d" max_level)
+        (Invalid_argument msg)
+        (fun () -> ignore (Lf_pqueue.Pqueue.Atomic_int.create ~max_level ())))
+    [ 0; -1 ]
+
 (* --- Height distribution (EXP-7's property, small scale) --- *)
 
 let test_height_distribution_geometric () =
@@ -640,6 +658,23 @@ let test_find_alloc_flat () =
       "find allocates %.1f words/op at 256 keys but %.1f at 16,384 keys"
       small large
 
+(* Words reachable per key in a list of 16,384 keys: a node is one inline
+   record, and no pointer to it goes through a box.  The random tower
+   heights move the figure by about a word between 256 and 65,536 keys,
+   so the bar sits two words above the 38 measured. *)
+let test_footprint () =
+  let n = 16_384 in
+  let words t = Obj.reachable_words (Obj.repr t) in
+  let empty = words (SL.create ()) in
+  let t = SL.create () in
+  for k = 0 to n - 1 do
+    ignore (SL.insert t (2 * k) k)
+  done;
+  let per_key = float_of_int (words t - empty) /. float_of_int n in
+  if per_key > 40. then
+    Alcotest.failf "%.1f words reachable per key at 16,384 keys (bar: 40)"
+      per_key
+
 (* --- Multi-domain stress --- *)
 
 let test_domain_stress () =
@@ -679,6 +714,8 @@ let () =
           Alcotest.test_case "delete removes tower" `Quick
             test_delete_removes_whole_tower;
           Alcotest.test_case "height clamped" `Quick test_height_clamped;
+          Alcotest.test_case "max_level < 1 rejected" `Quick
+            test_max_level_rejected;
         ] );
       ( "height distribution",
         [
@@ -732,6 +769,7 @@ let () =
           Alcotest.test_case "insert budget" `Quick test_insert_alloc;
           Alcotest.test_case "delete budget" `Quick test_delete_alloc;
           Alcotest.test_case "find flat in size" `Quick test_find_alloc_flat;
+          Alcotest.test_case "footprint per key" `Quick test_footprint;
         ] );
       ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);
     ]
