@@ -4,14 +4,14 @@
 
    The claims under test:
 
-   Part A (overhead): the span machinery has three levels.  Off must be
+   Part A (overhead): request trees follow the recorder's level, the
+   one observability switch, and build only at Tracing.  Off must be
    free — the call sites stay in place, every operation pays a couple
    of flag loads, and the span path allocates nothing (measured twice:
    words/op over a real Svc workload, and a strict span-only microcheck
-   whose budget is 64 minor words over 10k iterations).  Counters pays
-   for per-domain counting but never builds trees; Spans pays the full
-   price.  The table prices all three against the same workload so the
-   cost of turning tracing on is a number, not a guess.
+   whose budget is 64 minor words over 10k iterations).  Tracing pays
+   the full price.  The table prices both against the same workload so
+   the cost of turning tracing on is a number, not a guess.
 
    Part B (tail-spike attribution): the point of exemplars is that a
    latency outlier in the histogram leads somewhere.  Under a manual
@@ -33,6 +33,7 @@
 
 module Span = Lf_obs.Span
 module Flight = Lf_obs.Flight
+module Recorder = Lf_obs.Recorder
 module Svc = Lf_svc.Svc
 module Clock = Lf_svc.Clock
 module Retry = Lf_svc.Retry
@@ -55,16 +56,11 @@ let contains hay needle =
 let a_key_range = 1024
 let a_ops () = if !Bench_json.quick then 20_000 else 200_000
 
-let level_name = function
-  | Span.Off -> "off"
-  | Span.Counters -> "counters"
-  | Span.Spans -> "spans"
-
 (* The same call sites at every level: the level gates the cost, not
    the code path — exactly how lib/svc and bin/lfdict hold them. *)
 let run_level ~clock level =
   Span.reset ();
-  Span.set_level level;
+  Recorder.set_level level;
   let t = AI.create () in
   for k = 0 to a_key_range - 1 do
     if k land 1 = 0 then ignore (AI.insert t k k)
@@ -78,7 +74,8 @@ let run_level ~clock level =
   in
   let svc = Svc.create (Svc.config ~clock ()) ops in
   let n = a_ops () in
-  let now () = if Span.spans_on () then Clock.now clock else 0 in
+  let traced = level = Recorder.Tracing in
+  let now () = if traced then Clock.now clock else 0 in
   let w0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for i = 0 to n - 1 do
@@ -96,41 +93,35 @@ let run_level ~clock level =
   done;
   let secs = Unix.gettimeofday () -. t0 in
   let words = Gc.minor_words () -. w0 in
-  Span.set_level Span.Off;
+  Recorder.set_level Recorder.Off;
   (float_of_int n /. secs, words /. float_of_int n)
 
 (* The strict form of the Off claim: the span calls themselves, with
    the Svc pipeline (which allocates outcomes by design) out of the
-   frame.  The lazy-tick closures live outside the loop, as they do at
-   the production call sites. *)
+   frame. *)
 let off_zero_alloc () =
-  Span.set_level Span.Off;
+  Recorder.set_level Recorder.Off;
   let iters = 10_000 in
-  let tick = ref 0 in
-  let now () = !tick in
   let w0 = Gc.minor_words () in
   for i = 1 to iters do
-    tick := i;
     let r = Span.root ~name:"request" ~now:i in
     let c = Span.begin_ r ~name:"child" ~now:i in
     if Span.active c then Span.event c ~now:i (Span.Note "x");
     Span.end_ c ~now:i ~ok:true;
     Span.end_ r ~now:i ~ok:true;
-    Span.note_cas_fail ~now Lf_kernel.Mem_event.Marking;
-    Span.op_begin ~name:"insert" ~key:i ~now;
-    Span.op_end ~ok:true ~now
+    Span.note_cas_fail Lf_kernel.Mem_event.Marking
   done;
   Gc.minor_words () -. w0
 
 let part_a ~clock =
-  Tables.subsection "Part A: per-request cost of each tracing level";
+  Tables.subsection "Part A: per-request cost of tracing, off vs on";
   Tables.row [ 10; 12; 12; 10 ] [ "level"; "ops/s"; "words/op"; "vs off" ];
   let measured =
     List.map
       (fun lvl ->
         let rate, wpo = run_level ~clock lvl in
         (lvl, rate, wpo))
-      [ Span.Off; Span.Counters; Span.Spans ]
+      [ Recorder.Off; Recorder.Tracing ]
   in
   let off_rate =
     match measured with (_, r, _) :: _ -> r | [] -> assert false
@@ -139,14 +130,14 @@ let part_a ~clock =
     (fun (lvl, rate, wpo) ->
       Tables.row [ 10; 12; 12; 10 ]
         [
-          level_name lvl;
+          Recorder.level_to_string lvl;
           Printf.sprintf "%.0f" rate;
           Printf.sprintf "%.2f" wpo;
           Printf.sprintf "%.2fx" (off_rate /. rate);
         ];
       Bench_json.emit_part ~exp:"exp24" ~part:"overhead"
         Bench_json.[
-          ("level", S (level_name lvl));
+          ("level", S (Recorder.level_to_string lvl));
           ("ops", I (a_ops ()));
           ("ops_per_s", F rate);
           ("minor_words_per_op", F wpo);
@@ -189,7 +180,7 @@ let b_spike_at = 40
    pull plus the serialized dumps for the replay check. *)
 let run_spike mode =
   Span.reset ();
-  Span.set_level Span.Spans;
+  Recorder.set_level Recorder.Tracing;
   let clock, advance = Clock.manual () in
   let i_req = ref 0 in
   let find _ =
@@ -243,7 +234,7 @@ let run_spike mode =
       ()
   in
   let chrome = Flight.chrome_string () in
-  Span.set_level Span.Off;
+  Recorder.set_level Recorder.Off;
   (verdict, dump, chrome)
 
 let part_b () =
@@ -306,16 +297,6 @@ let c_shards = 3
 let c_victim = 1
 let c_dir = Filename.concat "bench/results" "exp24-flight"
 
-let mkdir_p d =
-  List.fold_left
-    (fun parent seg ->
-      let p = if parent = "" then seg else Filename.concat parent seg in
-      (try Unix.mkdir p 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      p)
-    ""
-    (String.split_on_char '/' d)
-  |> ignore
-
 let read_file p =
   let ic = open_in_bin p in
   let s = really_input_string ic (in_channel_length ic) in
@@ -325,7 +306,7 @@ let read_file p =
 let part_c () =
   Tables.subsection "Part C: flight dump when a shard's breaker opens";
   Span.reset ();
-  Span.set_level Span.Spans;
+  Recorder.set_level Recorder.Tracing;
   let clock, advance = Clock.manual () in
   let ring = Hash_ring.create ~seed:3 ~shards:c_shards () in
   let killed = Array.make c_shards false in
@@ -381,13 +362,16 @@ let part_c () =
     incr k
   done;
   let open_shards = Health.open_breakers router in
-  mkdir_p c_dir;
   let json_path, trace_path =
-    Flight.dump ~dir:c_dir ~reason:"shard-kill"
-      ~meta:[ ("shard", string_of_int c_victim) ]
-      ()
+    match
+      Flight.dump ~dir:c_dir ~reason:"shard-kill"
+        ~meta:[ ("shard", string_of_int c_victim) ]
+        ()
+    with
+    | Ok paths -> paths
+    | Error msg -> failwith ("exp24: flight dump failed: " ^ msg)
   in
-  Span.set_level Span.Off;
+  Recorder.set_level Recorder.Off;
   let bundle = read_file json_path in
   let chrome_ok =
     match Lf_obs.Chrome_trace.check (read_file trace_path) with

@@ -695,12 +695,13 @@ let trace_requests_flag =
     value & flag
     & info [ "trace-requests" ]
         ~doc:
-          "End-to-end request tracing: every request runs under a causal \
-           span tree (router fan-out, pipeline decisions, structure ops, \
-           failed C&S attribution), the flight recorder retains completed \
+          "End-to-end request tracing: sets the recorder to its tracing \
+           level, so every request runs under a causal span tree (router \
+           fan-out, pipeline decisions, one span per backend attempt \
+           naming its op and key), the flight recorder retains completed \
            trees per domain, METRICS carries tail exemplars, and \
            anomalies (KILL, a breaker opening, SLO fast burn) dump a \
-           trace bundle into --dump-dir.")
+           trace bundle into --dump-dir (created if missing).")
 
 let dump_dir_arg =
   Arg.(
@@ -749,24 +750,18 @@ let key_range_arg =
 let serve_cmd =
   let run impl port deadline_ms retry budget shed breaker shards trace_requests
       dump_dir self_heal replicas key_range =
-    Lf_obs.Recorder.set_level Lf_obs.Recorder.Off;
-    Lf_obs.Recorder.reset ();
-    Lf_obs.Recorder.set_clock Lf_obs.Recorder.Real;
-    Lf_obs.Recorder.set_level Lf_obs.Recorder.Histograms;
+    (* The one observability switch: METRICS reports the recorder's
+       operation histograms, and --trace-requests also builds request
+       span trees. *)
+    Lf_obs.Recorder.set_level
+      (if trace_requests then Lf_obs.Recorder.Tracing
+       else Lf_obs.Recorder.Histograms);
     let (module D : Lf_workload.Runner.INT_DICT) =
       resolve impl false ~hints:true
     in
     let clock = Lf_svc.Clock.real () in
     let ms = Lf_svc.Clock.ms clock in
     let now () = Lf_svc.Clock.now clock in
-    (* Tracing: the request spans and the recorder's structure-op spans
-       must tick off the SAME clock, or op spans would not nest inside
-       their request spans — align the recorder to the pipeline clock. *)
-    if trace_requests then begin
-      Lf_obs.Span.reset ();
-      Lf_obs.Span.set_level Lf_obs.Span.Spans;
-      Lf_obs.Recorder.set_clock (Lf_obs.Recorder.Manual now)
-    end;
     (* The serve SLO: 99% of requests good over a 5s fast window and a
        60s slow window, quarter-second buckets.  Served counts as good;
        rejections and failures burn budget. *)
@@ -886,12 +881,16 @@ let serve_cmd =
     let mon = Lf_shard.Health.monitor () in
     (* Flight-recorder anomaly triggers.  The dump is a serialization of
        rings that are already populated, so firing it from the accept
-       loop costs one traversal — no steady-state overhead. *)
+       loop costs one traversal — no steady-state overhead.  A dump that
+       cannot be written is reported and the server keeps serving. *)
     let dump reason meta =
-      if trace_requests then begin
-        let path, _ = Lf_obs.Flight.dump ~dir:dump_dir ~reason ~meta () in
-        Printf.printf "lfdict serve: flight dump %s (%s)\n%!" path reason
-      end
+      if trace_requests then
+        match Lf_obs.Flight.dump ~dir:dump_dir ~reason ~meta () with
+        | Ok (path, _) ->
+            Printf.printf "lfdict serve: flight dump %s (%s)\n%!" path reason
+        | Error msg ->
+            Printf.eprintf "lfdict serve: flight dump failed (%s): %s\n%!"
+              reason msg
     in
     let burning = ref false in
     let check_anomalies () =
@@ -1032,29 +1031,10 @@ let serve_cmd =
                    output_string oc (Lf_shard.Health.line router);
                    output_char oc '\n'
                | Ok Lf_svc.Wire.Metrics ->
-                   let shard_of k =
-                     string_of_int (Lf_shard.Router.route router k)
-                   in
                    output_string oc
                      (Lf_obs.Prom.snapshot ()
                      ^ Lf_obs.Prom.render_metrics
-                         (Lf_shard.Health.metrics router
-                         @ [
-                             {
-                               Lf_obs.Prom.m_name =
-                                 "lf_shard_cas_failures_total";
-                               m_help =
-                                 "Keyed C&S failures attributed to the \
-                                  owning shard";
-                               m_type = "counter";
-                               m_samples =
-                                 List.map
-                                   (fun (g, n) ->
-                                     ([ ("shard", g) ], float_of_int n))
-                                   (Lf_obs.Profile.by_group ~group:shard_of
-                                      (Lf_obs.Recorder.profile ()));
-                             };
-                           ]));
+                         (Lf_shard.Health.metrics router));
                    output_string oc "END\n"
                | Ok Lf_svc.Wire.Slo ->
                    output_string oc (Lf_obs.Slo.line slo ~now:(now ()));
@@ -1095,10 +1075,14 @@ let serve_cmd =
                         (Lf_svc.Wire.format_error
                            "tracing off (serve with --trace-requests)")
                     else
-                      let path, _ =
-                        Lf_obs.Flight.dump ~dir:dump_dir ~reason:"manual" ()
-                      in
-                      output_string oc ("OK " ^ path));
+                      output_string oc
+                        (match
+                           Lf_obs.Flight.dump ~dir:dump_dir ~reason:"manual" ()
+                         with
+                        | Ok (path, _) -> "OK " ^ path
+                        | Error msg ->
+                            Lf_svc.Wire.format_error
+                              ("flight dump failed: " ^ msg)));
                    output_char oc '\n'
                | Ok Lf_svc.Wire.Quit -> quit := true
                | Ok Lf_svc.Wire.Shutdown ->

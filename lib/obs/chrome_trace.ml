@@ -67,7 +67,8 @@ module IPSet = Set.Make (struct
   let compare = compare
 end)
 
-let to_buffer ?(time_div = 1) ?gc buf (events : Obs_event.t list) =
+let to_string ?(time_div = 1) ?gc (events : Obs_event.t list) =
+  let buf = Buffer.create 4096 in
   let events = Array.of_list events in
   let keep = matched_edges events in
   let ts_of (e : Obs_event.t) = e.ts / max 1 time_div in
@@ -138,11 +139,7 @@ let to_buffer ?(time_div = 1) ?gc buf (events : Obs_event.t list) =
                  (escape (Lf_kernel.Mem_event.to_string ev))
                  (ts_of e) e.dom e.lane))
     events;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n"
-
-let to_string ?time_div ?gc events =
-  let buf = Buffer.create 4096 in
-  to_buffer ?time_div ?gc buf events;
+  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)

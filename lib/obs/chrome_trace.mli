@@ -5,14 +5,14 @@
     overwrites, so emitted spans always pair.  With the simulator clock
     and [time_div = 1] the output is a pure function of the seed. *)
 
-val to_buffer :
-  ?time_div:int -> ?gc:Gc_attr.snap -> Buffer.t -> Obs_event.t list -> unit
+val to_string : ?time_div:int -> ?gc:Gc_attr.snap -> Obs_event.t list -> string
 (** [time_div] divides recorder timestamps into the file's time unit:
     1 (default) under the simulator, 1000 for ns -> us on real memory.
     [gc], when given, is emitted as a "C" (counter) row carrying the GC
     attribution for the window the trace covers. *)
 
-val to_string : ?time_div:int -> ?gc:Gc_attr.snap -> Obs_event.t list -> string
+val escape : string -> string
+(** JSON string-body escaping, shared with [Flight]'s renderings. *)
 
 val check : string -> (unit, string) result
 (** Well-formedness: parses as JSON, has a [traceEvents] array, B/E
@@ -21,6 +21,3 @@ val check : string -> (unit, string) result
     process_name metadata, and "C" counter rows carry a name and
     timestamp. *)
 
-val cas_name : Lf_kernel.Mem_event.cas_kind -> string
-(** ["cas:flag"], ["cas:mark"], ["cas:unlink"], ... — the instant names
-    the exporter uses. *)

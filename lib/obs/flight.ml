@@ -1,21 +1,7 @@
 (* Serialization of the span flight rings.  All state lives in [Span];
    the only thing here is the dump counter that names the files. *)
 
-let esc s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let esc = Chrome_trace.escape
 
 (* ------------------------------------------------------------------ *)
 (* JSON bundle *)
@@ -152,12 +138,23 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents)
 
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let dump ~dir ~reason ?meta () =
-  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   incr seq;
   let base = Printf.sprintf "flight-%03d-%s" !seq (slug reason) in
   let bundle = Filename.concat dir (base ^ ".json") in
   let chrome = Filename.concat dir (base ^ ".trace.json") in
-  write_file bundle (dump_string ~reason ?meta ());
-  write_file chrome (chrome_string ());
-  (bundle, chrome)
+  match
+    mkdir_p dir;
+    write_file bundle (dump_string ~reason ?meta ());
+    write_file chrome (chrome_string ())
+  with
+  | () -> Ok (bundle, chrome)
+  | exception Unix.Unix_error (e, fn, arg) ->
+      Error (Printf.sprintf "%s %s: %s" fn arg (Unix.error_message e))
+  | exception Sys_error msg -> Error msg

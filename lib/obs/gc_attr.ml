@@ -62,7 +62,3 @@ let window () =
   d
 
 let reset_window () = window_base := totals ()
-
-let pp ppf s =
-  Format.fprintf ppf "minor=%d major=%d minor_words=%.0f promoted=%.0f"
-    s.minor_collections s.major_collections s.minor_words s.promoted_words

@@ -30,5 +30,3 @@ val window : unit -> snap
 
 val reset_window : unit -> unit
 (** Start a fresh window without reading the previous one. *)
-
-val pp : Format.formatter -> snap -> unit

@@ -101,7 +101,6 @@ let count t = t.total
 let sum t = t.sum
 let max_value t = t.max_v
 let min_value t = if t.total = 0 then 0 else t.min_v
-let mean t = if t.total = 0 then nan else float_of_int t.sum /. float_of_int t.total
 
 let merge_into ~into b =
   for i = 0 to bucket_count - 1 do
@@ -128,28 +127,4 @@ let percentile t p =
   in
   go 0 0
 
-let iter_buckets t f =
-  for i = 0 to bucket_count - 1 do
-    if t.counts.(i) > 0 then
-      f ~low:(bucket_low i) ~high:(bucket_high i) ~count:t.counts.(i)
-  done
-
-(* Non-empty (midpoint, count) pairs: the input Stats.of_weighted expects. *)
-let weighted t =
-  let out = ref [] in
-  for i = bucket_count - 1 downto 0 do
-    if t.counts.(i) > 0 then
-      out := (float_of_int (bucket_mid i), t.counts.(i)) :: !out
-  done;
-  Array.of_list !out
-
-let summary t = Lf_kernel.Stats.of_weighted (weighted t)
 let p9999 t = percentile t 0.9999
-
-let pp fmt t =
-  if t.total = 0 then Format.pp_print_string fmt "empty"
-  else
-    Format.fprintf fmt
-      "n=%d mean=%.0f p50=%.0f p90=%.0f p99=%.0f p999=%.0f p9999=%.0f max=%d"
-      t.total (mean t) (percentile t 0.5) (percentile t 0.9)
-      (percentile t 0.99) (percentile t 0.999) (p9999 t) t.max_v

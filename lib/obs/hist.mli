@@ -17,7 +17,6 @@ val add : t -> int -> unit
 
 val count : t -> int
 val sum : t -> int
-val mean : t -> float
 val min_value : t -> int
 val max_value : t -> int
 
@@ -30,21 +29,9 @@ val percentile : t -> float -> float
     exact [max] for the tail bucket.
     @raise Invalid_argument on an empty histogram. *)
 
-val iter_buckets : t -> (low:int -> high:int -> count:int -> unit) -> unit
-(** Non-empty buckets in increasing order; [high] is exclusive.  (The
-    Prometheus exporter's iteration.) *)
-
-val weighted : t -> (float * int) array
-(** Non-empty (bucket midpoint, count) pairs — the histogram-friendly
-    input of [Lf_kernel.Stats.of_weighted]. *)
-
-val summary : t -> Lf_kernel.Stats.summary
-
 val p9999 : t -> float
 (** [percentile t 0.9999]: the extreme-tail quantile EXP-22 tracks.
     @raise Invalid_argument on an empty histogram. *)
-
-val pp : Format.formatter -> t -> unit
 
 (**/**)
 

@@ -41,17 +41,3 @@ type t = {
 
 (* Placeholder for ring-buffer slots that have never been written. *)
 let dummy = { ts = 0; dom = 0; lane = 0; seq = 0; kind = Note Lf_kernel.Mem_event.Retry }
-
-let kind_to_string = function
-  | Cas { cas; ok } ->
-      Lf_kernel.Mem_event.cas_kind_to_string cas
-      ^ if ok then ":ok" else ":fail"
-  | Note e -> Lf_kernel.Mem_event.to_string e
-  | Span_begin { op; key } ->
-      Printf.sprintf "%s(%d):begin" (op_to_string op) key
-  | Span_end { op; ok } ->
-      Printf.sprintf "%s:end:%s" (op_to_string op) (if ok then "ok" else "no")
-
-let pp fmt e =
-  Format.fprintf fmt "[%d] d%d/l%d #%d %s" e.ts e.dom e.lane e.seq
-    (kind_to_string e.kind)

@@ -33,6 +33,3 @@ type t = {
 
 val dummy : t
 (** Placeholder for never-written ring slots. *)
-
-val kind_to_string : kind -> string
-val pp : Format.formatter -> t -> unit

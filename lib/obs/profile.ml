@@ -88,23 +88,6 @@ type report = {
   r_hot_keys : hot_key list;  (* most-contended keys first, truncated *)
 }
 
-(* Contention rows grouped by a key classifier (e.g. shard of key):
-   keyed failures only, since unkeyed ones cannot be attributed. *)
-let by_group ~group t =
-  let tbl = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun key row ->
-      let fails = Array.fold_left ( + ) 0 row in
-      if fails > 0 then begin
-        let g = group key in
-        Hashtbl.replace tbl g
-          (fails + Option.value (Hashtbl.find_opt tbl g) ~default:0)
-      end)
-    t.by_key;
-  Hashtbl.fold (fun g n acc -> (g, n) :: acc) tbl []
-  |> List.stable_sort (fun (ga, a) (gb, b) ->
-         match Int.compare b a with 0 -> String.compare ga gb | c -> c)
-
 let dominant_phase row =
   let best = ref 0 in
   Array.iteri (fun i v -> if v > row.(!best) then best := i) row;

@@ -16,16 +16,10 @@ val no_key : int
 val record : t -> key:int -> Lf_kernel.Mem_event.cas_kind -> unit
 (** Record one {e failed} C&S.  O(1). *)
 
-val total : t -> int
 val merge_into : into:t -> t -> unit
 
 val phase_name : int -> string
 val phase_index : Lf_kernel.Mem_event.cas_kind -> int
-
-val by_group : group:(int -> string) -> t -> (string * int) list
-(** Keyed C&S failures aggregated by [group key] — e.g. the owning
-    shard — most-contended group first, name ties alphabetical.
-    Unkeyed failures are excluded (they cannot be attributed). *)
 
 type hot_key = {
   hk_key : int;

@@ -17,7 +17,9 @@
    [Histograms] additionally times operation spans and attributes failed
    C&S to phase and key; [Tracing] additionally records the event stream
    into per-domain bounded rings (oldest events overwritten, drops
-   counted).
+   counted).  The level is the process's one observability switch: the
+   request tracer reads it too, and builds span trees only at
+   [Tracing].
 
    Lanes vs domains: under the deterministic simulator many simulated
    processes share one domain, so the per-domain span state is a small
@@ -38,21 +40,12 @@ let level_to_string = function
   | Histograms -> "histograms"
   | Tracing -> "tracing"
 
-let level_of_string = function
-  | "off" -> Some Off
-  | "counters" -> Some Counters
-  | "histograms" -> Some Histograms
-  | "tracing" -> Some Tracing
-  | _ -> None
-
 (* The level as an int: the single word the hot path reads first. *)
 let lvl = ref 0
 let set_level l = lvl := rank l
 
 let level () =
   match !lvl with 0 -> Off | 1 -> Counters | 2 -> Histograms | _ -> Tracing
-
-let enabled () = !lvl > 0
 
 type clock = Real | Sim_steps | Manual of (unit -> int)
 
@@ -165,12 +158,6 @@ let on_write () =
     st.tally.C.writes <- st.tally.C.writes + 1
 
 let on_cas kind ok =
-  (* Request-span attribution rides on the span layer's own level, so a
-     serve process tracing requests sees C&S failures inside the owning
-     request even with the recorder off.  [Span.note_cas_fail] reads one
-     level word and returns when spans are off, keeping this path
-     allocation-free at both Offs. *)
-  if not ok then Span.note_cas_fail ~now kind;
   if !lvl = 0 then ()
   else begin
     let st = local () in
@@ -209,10 +196,6 @@ let on_event (e : Lf_kernel.Mem_event.t) =
   end
 
 let span_begin ~op ~key =
-  (* Mirror the operation as a structure-op span inside the owning
-     request's tree (no-op unless request tracing is at [Spans] and the
-     executing lane registered a context via [Span.with_current]). *)
-  Span.op_begin ~name:(Obs_event.op_to_string op) ~key ~now;
   if !lvl < 2 then ()
   else begin
     let st = local () in
@@ -222,7 +205,6 @@ let span_begin ~op ~key =
   end
 
 let span_end ~op ~ok =
-  Span.op_end ~ok ~now;
   if !lvl = 0 then ()
   else begin
     let st = local () in

@@ -12,7 +12,9 @@
     - [Histograms]: read/write tallies, operation-span latencies,
       C&S-failure attribution to protocol phase and key.
     - [Tracing]: the timestamped event stream, in bounded per-domain rings
-      (oldest overwritten, drops counted).
+      (oldest overwritten, drops counted), and request span trees: the
+      level is the one observability switch, and {!Span} builds trees
+      only at [Tracing].
 
     Configure ({!set_level}, {!set_clock}, {!set_ring_capacity}) before
     spawning worker domains; collect ({!tallies}, {!latencies}, {!events},
@@ -22,9 +24,7 @@ type level = Off | Counters | Histograms | Tracing
 
 val set_level : level -> unit
 val level : unit -> level
-val enabled : unit -> bool
 val level_to_string : level -> string
-val level_of_string : string -> level option
 
 type clock =
   | Real  (** wall clock, nanoseconds *)
@@ -33,6 +33,10 @@ type clock =
 
 val set_clock : clock -> unit
 val now : unit -> int
+
+val lane : unit -> int
+(** The executing lane: the simulated process under the simulator, else
+    {!Lf_kernel.Lane} — what per-lane span state is keyed on. *)
 
 val set_ring_capacity : int -> unit
 (** Capacity of per-domain event rings created afterwards (default 65536);

@@ -18,8 +18,6 @@ let create ~capacity dummy =
   if capacity <= 0 then invalid_arg "Ring.create: capacity must be positive";
   { buf = Array.make capacity dummy; capacity; next = 0; dropped = 0 }
 
-let capacity t = t.capacity
-
 let push t x =
   if t.next >= t.capacity then t.dropped <- t.dropped + 1;
   t.buf.(t.next mod t.capacity) <- x;

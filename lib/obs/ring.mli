@@ -10,8 +10,6 @@ val create : capacity:int -> 'a -> 'a t
 (** [create ~capacity dummy]: [dummy] fills never-written slots.
     @raise Invalid_argument if [capacity <= 0]. *)
 
-val capacity : 'a t -> int
-
 val push : 'a t -> 'a -> unit
 (** O(1); overwrites the oldest element (counting it dropped) when full. *)
 

@@ -34,9 +34,6 @@ let create ?(fast_threshold = 10.0) ~target ~bucket ~windows () =
     mu = Mutex.create ();
   }
 
-let target t = t.tgt
-let windows t = t.wins
-
 let bucket_for t ~now =
   let start = now / t.bucket_w * t.bucket_w in
   let b = t.buckets.((now / t.bucket_w) mod Array.length t.buckets) in
@@ -62,18 +59,16 @@ let totals_locked t ~now ~window =
       else (g, b))
     (0, 0) t.buckets
 
-let totals t ~now ~window =
-  Mutex.lock t.mu;
-  let r = totals_locked t ~now ~window in
-  Mutex.unlock t.mu;
-  r
-
 let burn_of t (good, bad) =
   let total = good + bad in
   if total = 0 then 0.0
   else float_of_int bad /. float_of_int total /. (1.0 -. t.tgt)
 
-let burn_rate t ~now ~window = burn_of t (totals t ~now ~window)
+let burn_rate t ~now ~window =
+  Mutex.lock t.mu;
+  let r = burn_of t (totals_locked t ~now ~window) in
+  Mutex.unlock t.mu;
+  r
 
 let fast_burn t ~now =
   burn_rate t ~now ~window:(List.hd t.wins) >= t.fast_threshold

@@ -32,9 +32,6 @@ val create :
 
 val observe : t -> now:int -> good:bool -> unit
 
-val totals : t -> now:int -> window:int -> int * int
-(** [(good, bad)] observed over the trailing [window] ticks. *)
-
 val burn_rate : t -> now:int -> window:int -> float
 (** [bad / (good + bad) / (1 - target)] over the window; 0.0 when
     nothing was observed. *)
@@ -42,9 +39,6 @@ val burn_rate : t -> now:int -> window:int -> float
 val fast_burn : t -> now:int -> bool
 (** Burn over the smallest configured window at or above the
     threshold — the flight recorder's SLO anomaly trigger. *)
-
-val target : t -> float
-val windows : t -> int list
 
 val line : t -> now:int -> string
 (** One-line rendering for the wire protocol's SLO verb:

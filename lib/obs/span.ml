@@ -2,14 +2,15 @@
    one serve process traces every pipeline without threading recorder
    state through the layers; the request context itself is explicit.
 
-   Hot-path discipline: every entry point reads the single level word
-   first and returns a constant at [Off] — no DLS lookup, no
-   allocation.  Above [Off], each domain records into its own [dstate]
-   (ids, tallies, flight ring, per-lane current-span table) so tracing
-   never synchronizes with other domains except at two cold points: the
-   registry (locked once per domain at registration and at collection)
-   and the exemplar table (locked once per {e completed request}, not
-   per span).
+   One switch: trees build only while [Recorder.level () = Tracing].
+   [root] reads that level and returns [Nil] below it, and every other
+   entry point dispatches on the context it is handed, so the untraced
+   path does no DLS lookup and allocates nothing.  When tracing, each
+   domain records into its own [dstate] (ids, tallies, flight ring,
+   per-lane current-span table) so tracing never synchronizes with
+   other domains except at two cold points: the registry (locked once
+   per domain at registration and at collection) and the exemplar table
+   (locked once per {e completed request}, not per span).
 
    Determinism: span ids are [(domain id << 40) | per-domain counter],
    so a single-domain run under the simulator or a manual clock
@@ -18,28 +19,6 @@
    byte-identical across runs (the exp24 replay check).  Multi-domain
    runs keep ids collision-free but not stable — the id uniqueness
    qcheck covers that half. *)
-
-type level = Off | Counters | Spans
-
-let rank = function Off -> 0 | Counters -> 1 | Spans -> 2
-
-let level_to_string = function
-  | Off -> "off"
-  | Counters -> "counters"
-  | Spans -> "spans"
-
-let level_of_string = function
-  | "off" -> Some Off
-  | "counters" -> Some Counters
-  | "spans" -> Some Spans
-  | _ -> None
-
-(* The level as an int: the one word the hot path reads first. *)
-let lvl = ref 0
-let set_level l = lvl := rank l
-let level () = match !lvl with 0 -> Off | 1 -> Counters | _ -> Spans
-let enabled () = !lvl > 0
-let spans_on () = !lvl >= 2
 
 type event =
   | Deadline_check of bool
@@ -50,7 +29,7 @@ type event =
   | Budget_denied
   | Hedge_outcome of string
   | Drain_wait of int
-  | Key of int
+  | Op of Obs_event.op * int
   | Cas_fail of Lf_kernel.Mem_event.cas_kind
   | Note of string
 
@@ -65,7 +44,7 @@ let event_strings = function
   | Budget_denied -> ("budget-denied", "")
   | Hedge_outcome v -> ("hedge", v)
   | Drain_wait k -> ("drain-wait", string_of_int k)
-  | Key k -> ("key", string_of_int k)
+  | Op (op, k) -> ("op", Printf.sprintf "%s %d" (Obs_event.op_to_string op) k)
   | Cas_fail k -> ("cas-fail", Lf_kernel.Mem_event.cas_kind_to_string k)
   | Note s -> ("note", s)
 
@@ -86,14 +65,11 @@ type tree = {
   mutable t_closed : span list;  (* completed non-root spans, newest first *)
 }
 
-(* [Light] is the [Counters]-level sentinel: tally without
-   materializing.  It is a constant, so propagating it allocates
-   nothing. *)
-type ctx = Nil | Light | C of { tree : tree; span : span }
+type ctx = Nil | C of { tree : tree; span : span }
 
 let nil = Nil
-let active = function Nil -> false | Light | C _ -> true
-let trace_id = function C { tree; _ } -> tree.t_trace | Nil | Light -> 0
+let active = function Nil -> false | C _ -> true
+let trace_id = function C { tree; _ } -> tree.t_trace | Nil -> 0
 
 (* ------------------------------------------------------------------ *)
 (* Per-domain state *)
@@ -102,8 +78,7 @@ type dstate = {
   dom : int;
   mutable next : int;  (* per-domain id counter *)
   mutable flight : tree Ring.t;  (* completed trees, oldest overwritten *)
-  current : (int, ctx) Hashtbl.t;  (* lane -> executing span (attribution) *)
-  saved : (int, ctx) Hashtbl.t;  (* lane -> ctx shadowed by an op span *)
+  current : (int, span) Hashtbl.t;  (* lane -> executing span (attribution) *)
   mutable c_roots : int;
   mutable c_spans : int;
   mutable c_events : int;
@@ -131,12 +106,8 @@ let dummy_tree = { t_trace = 0; t_root = dummy_span; t_closed = [] }
 let mu = Mutex.create ()
 let registry : dstate list ref = ref []
 
-let default_flight_capacity = 256
-let flight_capacity = ref default_flight_capacity
-
-let set_flight_capacity n =
-  if n <= 0 then invalid_arg "Span.set_flight_capacity: capacity must be > 0";
-  flight_capacity := n
+(* Completed trees kept per domain. *)
+let flight_capacity = 256
 
 (* ------------------------------------------------------------------ *)
 (* Tail-based exemplars: log-bucketed by latency, each bucket keeping
@@ -221,9 +192,8 @@ let make_dstate () =
   {
     dom = (Domain.self () :> int);
     next = 0;
-    flight = Ring.create ~capacity:!flight_capacity dummy_tree;
+    flight = Ring.create ~capacity:flight_capacity dummy_tree;
     current = Hashtbl.create 8;
-    saved = Hashtbl.create 8;
     c_roots = 0;
     c_spans = 0;
     c_events = 0;
@@ -244,19 +214,13 @@ let key =
 
 let local () = Domain.DLS.get key
 
-let lane () =
-  match Lf_dsim.Sim.running_pid () with
-  | Some p -> p
-  | None -> Lf_kernel.Lane.get ()
-
 let reset () =
   Mutex.lock mu;
   List.iter
     (fun st ->
       st.next <- 0;
-      st.flight <- Ring.create ~capacity:!flight_capacity dummy_tree;
+      st.flight <- Ring.create ~capacity:flight_capacity dummy_tree;
       Hashtbl.reset st.current;
-      Hashtbl.reset st.saved;
       st.c_roots <- 0;
       st.c_spans <- 0;
       st.c_events <- 0;
@@ -282,12 +246,11 @@ let fresh st =
   (st.dom lsl 40) lor st.next
 
 let root ~name ~now =
-  if !lvl = 0 then Nil
-  else begin
-    let st = local () in
-    st.c_roots <- st.c_roots + 1;
-    if !lvl < 2 then Light
-    else begin
+  match Recorder.level () with
+  | Recorder.(Off | Counters | Histograms) -> Nil
+  | Recorder.Tracing ->
+      let st = local () in
+      st.c_roots <- st.c_roots + 1;
       let id = fresh st in
       let sp =
         {
@@ -302,16 +265,10 @@ let root ~name ~now =
         }
       in
       C { tree = { t_trace = id; t_root = sp; t_closed = [] }; span = sp }
-    end
-  end
 
 let begin_ ctx ~name ~now =
   match ctx with
   | Nil -> Nil
-  | Light ->
-      let st = local () in
-      st.c_spans <- st.c_spans + 1;
-      Light
   | C { tree; span = parent } ->
       let st = local () in
       st.c_spans <- st.c_spans + 1;
@@ -340,84 +297,45 @@ let complete st tree =
 
 let end_ ctx ~now ~ok =
   match ctx with
-  | Nil | Light -> ()
+  | Nil -> ()
   | C { tree; span } ->
       span.s_end <- now;
       span.s_ok <- ok;
       if span.s_id == tree.t_root.s_id then complete (local ()) tree
       else tree.t_closed <- span :: tree.t_closed
 
+let record st span ~now e =
+  st.c_events <- st.c_events + 1;
+  span.s_events <- (now, e) :: span.s_events
+
 let event ctx ~now e =
-  match ctx with
-  | Nil -> ()
-  | Light ->
-      let st = local () in
-      st.c_events <- st.c_events + 1
-  | C { span; _ } ->
-      let st = local () in
-      st.c_events <- st.c_events + 1;
-      span.s_events <- (now, e) :: span.s_events
+  match ctx with Nil -> () | C { span; _ } -> record (local ()) span ~now e
 
 let with_current ctx f =
-  if !lvl = 0 then f ()
-  else
-    match ctx with
-    | Nil -> f ()
-    | Light | C _ ->
-        let st = local () in
-        let ln = lane () in
-        let prev = Hashtbl.find_opt st.current ln in
-        Hashtbl.replace st.current ln ctx;
-        Fun.protect
-          ~finally:(fun () ->
-            match prev with
-            | Some p -> Hashtbl.replace st.current ln p
-            | None -> Hashtbl.remove st.current ln)
-          f
+  match ctx with
+  | Nil -> f ()
+  | C { span; _ } ->
+      let st = local () in
+      let ln = Recorder.lane () in
+      let prev = Hashtbl.find_opt st.current ln in
+      Hashtbl.replace st.current ln span;
+      Fun.protect
+        ~finally:(fun () ->
+          match prev with
+          | Some p -> Hashtbl.replace st.current ln p
+          | None -> Hashtbl.remove st.current ln)
+        f
 
-let note_cas_fail ~now kind =
-  if !lvl = 0 then ()
-  else
-    let st = local () in
-    match Hashtbl.find_opt st.current (lane ()) with
-    | None | Some Nil -> ()
-    | Some Light -> st.c_cas_attr <- st.c_cas_attr + 1
-    | Some (C { span; _ }) ->
-        st.c_cas_attr <- st.c_cas_attr + 1;
-        st.c_events <- st.c_events + 1;
-        span.s_events <- (now (), Cas_fail kind) :: span.s_events
-
-(* Structure-op spans only materialize at [Spans]: below that the
-   recorder's own per-op tallies already count operations, and hooking
-   every op at [Counters] would price the trees without building them. *)
-let op_begin ~name ~key:k ~now =
-  if !lvl < 2 then ()
-  else
-    let st = local () in
-    let ln = lane () in
-    if not (Hashtbl.mem st.saved ln) then
-      match Hashtbl.find_opt st.current ln with
-      | Some (C _ as parent) ->
-          let ts = now () in
-          let sp = begin_ parent ~name ~now:ts in
-          event sp ~now:ts (Key k);
-          Hashtbl.replace st.saved ln parent;
-          Hashtbl.replace st.current ln sp
-      | _ -> ()
-
-let op_end ~ok ~now =
-  if !lvl < 2 then ()
-  else
-    let st = local () in
-    let ln = lane () in
-    match Hashtbl.find_opt st.saved ln with
-    | None -> ()
-    | Some parent ->
-        (match Hashtbl.find_opt st.current ln with
-        | Some (C _ as sp) -> end_ sp ~now:(now ()) ~ok
-        | _ -> ());
-        Hashtbl.remove st.saved ln;
-        Hashtbl.replace st.current ln parent
+let note_cas_fail kind =
+  match Recorder.level () with
+  | Recorder.(Off | Counters | Histograms) -> ()
+  | Recorder.Tracing -> (
+      let st = local () in
+      match Hashtbl.find_opt st.current (Recorder.lane ()) with
+      | Some span ->
+          st.c_cas_attr <- st.c_cas_attr + 1;
+          record st span ~now:(Recorder.now ()) (Cas_fail kind)
+      | None -> ())
 
 (* ------------------------------------------------------------------ *)
 (* Trees: accessors and analysis (collection at quiescence) *)
@@ -435,15 +353,15 @@ let tree_spans t =
        t.t_closed
 
 let span_events s = List.rev s.s_events
-let span_duration s = if s.s_end < s.s_begin then 0 else s.s_end - s.s_begin
+let duration s = if s.s_end < s.s_begin then 0 else s.s_end - s.s_begin
 
 let dominant_phase t =
-  (* Self time: a span's duration minus its direct children's, so an
-     attempt containing a structure-op span is not double-counted. *)
+  (* Self time: a span's duration minus its direct children's, so a
+     shard fan-out containing its attempts is not double-counted. *)
   let child_time = Hashtbl.create 8 in
   List.iter
     (fun s ->
-      let d = span_duration s in
+      let d = duration s in
       let cur =
         Option.value (Hashtbl.find_opt child_time s.s_parent) ~default:0
       in
@@ -453,7 +371,7 @@ let dominant_phase t =
   List.iter
     (fun s ->
       let kids = Option.value (Hashtbl.find_opt child_time s.s_id) ~default:0 in
-      let self = max 0 (span_duration s - kids) in
+      let self = max 0 (duration s - kids) in
       let cur = Option.value (Hashtbl.find_opt by_name s.s_name) ~default:0 in
       Hashtbl.replace by_name s.s_name (cur + self))
     t.t_closed;

@@ -3,45 +3,32 @@
 
     A {e span} is a named interval of one request's journey through the
     serve → router → shard pipeline (an admission decision, a retry
-    attempt, a hedge, a structure operation), carrying typed events.
-    Spans form a tree per request rooted at the span {!root} creates;
-    the tree's trace id is the root's span id.  Context is propagated
+    attempt, a hedge, a shard fan-out), carrying typed events.  Spans
+    form a tree per request rooted at the span {!root} creates; the
+    tree's trace id is the root's span id.  Context is propagated
     {e explicitly}: the serve layer creates a root {!ctx}, threads it
     through [Svc.call ?ctx] / [Router.call ?ctx], and each layer opens
     children with {!begin_} — there is no ambient request context.  The
     one implicit hop is C&S-failure attribution: {!with_current}
-    registers the executing attempt for the current lane so the
-    recorder's [on_cas] hook can land {!note_cas_fail} events inside the
-    owning request span without the structures knowing about requests.
+    registers the executing attempt for the current lane, so
+    [Trace_mem]'s C&S hook can land {!note_cas_fail} events inside the
+    owning attempt without the structures knowing about requests.
 
-    Levels mirror the recorder's discipline: every entry point reads a
-    single level word first, and at [Off] returns a constant — no
-    domain-local lookup, no allocation (test_trace's "off level
-    allocates nothing" checks it; exp24 part A prices it).  [Counters] tallies spans and events without
-    materializing them; [Spans] builds the trees.  Ticks come from
-    whatever clock the caller reads — the [Clock] seam in the service
-    layer, the recorder clock for structure ops — so under the
-    simulator or a manual clock a run's span dump is byte-identical
-    across executions.
+    There is one switch: {!Recorder.level}.  Trees build only at
+    [Recorder.Tracing]; below it {!root} returns {!nil}, and every other
+    entry point, handed {!nil}, returns at once — no domain-local
+    lookup, no allocation (test_trace's "off level allocates nothing"
+    checks it; exp24 part A prices it).  Ticks come from whatever clock
+    the caller reads — the [Clock] seam in the service layer, the
+    recorder clock for C&S failures — so under the simulator or a
+    manual clock a run's span dump is byte-identical across
+    executions.
 
     Completed trees feed two consumers: a bounded per-domain flight ring
     ({!trees}, dumped by [Flight] on anomalies) and the tail-based
     exemplar table ({!exemplars}: per latency bucket, the trace id of
     the worst recent request — exported as Prometheus exemplars on
     [lf_latency]). *)
-
-type level = Off | Counters | Spans
-
-val set_level : level -> unit
-val level : unit -> level
-val level_to_string : level -> string
-val level_of_string : string -> level option
-
-val enabled : unit -> bool
-(** [level () > Off]. *)
-
-val spans_on : unit -> bool
-(** [level () = Spans]: trees are being materialized. *)
 
 (** Typed span events: the pipeline-decision vocabulary. *)
 type event =
@@ -53,7 +40,8 @@ type event =
   | Budget_denied
   | Hedge_outcome of string
   | Drain_wait of int  (** rebalance waited for this key's inflight ops *)
-  | Key of int  (** the key a structure-op span works on *)
+  | Op of Obs_event.op * int
+      (** the backend operation and key an attempt runs, ["insert 7"] *)
   | Cas_fail of Lf_kernel.Mem_event.cas_kind
   | Note of string
 
@@ -74,8 +62,8 @@ type span = private {
 type tree
 
 type ctx
-(** A handle to an open span (or a no-op sentinel below [Spans]).
-    Values are immutable; propagation is by argument passing. *)
+(** A handle to an open span, or {!nil} when not tracing.  Values are
+    immutable; propagation is by argument passing. *)
 
 val nil : ctx
 (** The inert context: every operation on it is a no-op.  [?ctx]
@@ -91,8 +79,8 @@ val trace_id : ctx -> int
     span. *)
 
 val root : name:string -> now:int -> ctx
-(** Open a new trace (one per request).  Returns {!nil} at [Off], a
-    tally-only context at [Counters]. *)
+(** Open a new trace (one per request).  Returns {!nil} unless the
+    recorder is at [Tracing]. *)
 
 val begin_ : ctx -> name:string -> now:int -> ctx
 (** Open a child span under [ctx].  On {!nil}, returns {!nil}. *)
@@ -108,20 +96,11 @@ val event : ctx -> now:int -> event -> unit
 val with_current : ctx -> (unit -> 'a) -> 'a
 (** Run [f] with [ctx] registered as the current lane's executing span,
     restoring the previous registration on all exits — the attribution
-    seam {!note_cas_fail} and the recorder's op-span hooks use. *)
+    seam {!note_cas_fail} uses.  On {!nil}, just [f ()]. *)
 
-val note_cas_fail : now:(unit -> int) -> Lf_kernel.Mem_event.cas_kind -> unit
-(** Attribute one failed C&S to the current lane's span, if any.  [now]
-    is a function so the clock is only read when an event is actually
-    recorded. *)
-
-val op_begin : name:string -> key:int -> now:(unit -> int) -> unit
-(** Recorder hook: open a structure-operation span under the current
-    lane's registered context (no-op without one).  Paired with
-    {!op_end}; the pair is what places [Trace_mem]'s per-op view inside
-    the owning request span. *)
-
-val op_end : ok:bool -> now:(unit -> int) -> unit
+val note_cas_fail : Lf_kernel.Mem_event.cas_kind -> unit
+(** Attribute one failed C&S to the current lane's span, if any, stamped
+    with {!Recorder.now}.  Returns at once below [Tracing]. *)
 
 (** {1 Trees (collection at quiescence)} *)
 
@@ -134,8 +113,6 @@ val tree_spans : tree -> span list
 
 val span_events : span -> (int * event) list
 (** Oldest first. *)
-
-val span_duration : span -> int
 
 val dominant_phase : tree -> string
 (** The span name with the largest summed {e self} time (duration minus
@@ -158,15 +135,10 @@ type counts = {
   spans : int;  (** non-root spans opened *)
   events : int;
   completed : int;  (** trees completed *)
-  cas_attributed : int;  (** failed C&S landed in request spans *)
+  cas_attributed : int;  (** failed C&S landed in attempt spans *)
 }
 
 val counts : unit -> counts
-
-val set_flight_capacity : int -> unit
-(** Per-domain completed-tree ring capacity (default 256); applies to
-    rings created after the call (and to all after {!reset}).
-    @raise Invalid_argument if [<= 0]. *)
 
 val reset : unit -> unit
 (** Clear every domain's rings, tallies, registrations and id counters,

@@ -1,7 +1,8 @@
 (** Tracing memory wrapper: a {!Lf_kernel.Mem.S} that forwards to the
     wrapped memory and reports every access to the module-level
-    {!Recorder}.  Free (one word read per access) while the recorder is
-    [Off]; stacks with the other wrappers ([Atomic_mem], [Sim_mem],
-    [Fault_mem], [Check_mem]) like any memory. *)
+    {!Recorder}, and every failed C&S to {!Span.note_cas_fail}.  Free
+    (a level-word read per access) while the recorder is [Off]; stacks
+    with the other wrappers ([Atomic_mem], [Sim_mem], [Fault_mem],
+    [Check_mem]) like any memory. *)
 
 module Make (M : Lf_kernel.Mem.S) : Lf_kernel.Mem.S with type 'a aref = 'a M.aref

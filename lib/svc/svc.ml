@@ -293,13 +293,20 @@ let failed t ~tick req msg =
         log_locked t "t=%d failed %s: %s" tick (req_to_string req) msg);
   Failed msg
 
-(* Execute one attempt with its span registered as the lane's current
-   context, so the recorder's hooks (failed C&S, structure-op spans)
-   attribute into it.  The closure only exists on the traced path —
-   the off path must not allocate. *)
-let run_attempt t aspan req =
-  if Span.active aspan then
+(* Execute one attempt.  Traced, the attempt span records the backend
+   operation it runs and is registered as the lane's current context,
+   so [Trace_mem] attributes failed C&S into it.  The event and the
+   closure only exist on the traced path — the off path must not
+   allocate. *)
+let run_attempt t aspan ~tick req =
+  if Span.active aspan then begin
+    Span.event aspan ~now:tick
+      (match req with
+      | Insert (k, _) -> Span.Op (Lf_obs.Obs_event.Insert, k)
+      | Delete k -> Span.Op (Lf_obs.Obs_event.Delete, k)
+      | Find k -> Span.Op (Lf_obs.Obs_event.Find, k));
     Span.with_current aspan (fun () -> exec_once t req)
+  end
   else exec_once t req
 
 (* The retry loop.  Each attempt re-checks the deadline first, so an
@@ -318,7 +325,7 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
   end
   else
     let aspan = Span.begin_ ctx ~name:"attempt" ~now:t0 in
-    match run_attempt t aspan req with
+    match run_attempt t aspan ~tick:t0 req with
     | ok ->
         let t1 = now t in
         Span.end_ aspan ~now:t1 ~ok:true;

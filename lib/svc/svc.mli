@@ -110,8 +110,10 @@ val call :
     queue pass its length.  [ctx] (default {!Lf_obs.Span.nil}) is the
     request's trace context: when active, the pipeline opens one child
     span per decision (deadline, shed, breaker, degrade), one per
-    attempt and retry wait, and registers the executing attempt so the
-    recorder attributes failed C&S and structure-op spans into it. *)
+    attempt and retry wait.  Each attempt span carries an
+    {!Lf_obs.Span.Op} event naming the backend operation and key, and is
+    registered as the executing lane's span, so failed C&S reported
+    through [Trace_mem] land in it. *)
 
 val call_many :
   t ->

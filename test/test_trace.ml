@@ -1,13 +1,15 @@
 (* End-to-end request tracing (lib/obs Span/Slo/Flight, DESIGN.md §14):
    span-tree well-formedness over scripted nestings, id uniqueness
    across domains, byte-identical dumps across two deterministic
-   executions (the replay half of EXP-24), exemplar and SLO burn math,
-   Chrome-trace output validity, the Off level's zero-allocation
-   contract, pipeline decision spans through Svc, hedge/drain tracing
-   through the Router, C&S-failure attribution, and the journal's
-   seq/tick stamping. *)
+   executions (the replay half of EXP-24), flight dumps into missing and
+   unusable directories, exemplar and SLO burn math, Chrome-trace output
+   validity, the Off level's zero-allocation contract, pipeline decision
+   spans through Svc, C&S-failure attribution through the [Trace_mem]
+   seam, hedge/drain tracing through the Router, trees that follow the
+   recorder's level, and the journal's seq/tick stamping. *)
 
 module Span = Lf_obs.Span
+module Recorder = Lf_obs.Recorder
 module Slo = Lf_obs.Slo
 module Flight = Lf_obs.Flight
 module Svc = Lf_svc.Svc
@@ -18,10 +20,12 @@ module Hash_ring = Lf_shard.Hash_ring
 module Router = Lf_shard.Router
 module Health = Lf_shard.Health
 
-let with_spans f =
+let with_level level f =
   Span.reset ();
-  Span.set_level Span.Spans;
-  Fun.protect ~finally:(fun () -> Span.set_level Span.Off) f
+  Recorder.set_level level;
+  Fun.protect ~finally:(fun () -> Recorder.set_level Recorder.Off) f
+
+let with_spans f = with_level Recorder.Tracing f
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -100,7 +104,7 @@ let test_ids_unique_across_domains () =
    executions must serialize identically, byte for byte. *)
 let traced_run () =
   Span.reset ();
-  Span.set_level Span.Spans;
+  Recorder.set_level Recorder.Tracing;
   let clock, advance = Clock.manual () in
   let fails = ref 2 in
   let ops =
@@ -141,7 +145,7 @@ let traced_run () =
     ];
   let dump = Flight.dump_string ~reason:"replay" ~meta:[ ("run", "x") ] () in
   let chrome = Flight.chrome_string () in
-  Span.set_level Span.Off;
+  Recorder.set_level Recorder.Off;
   (dump, chrome)
 
 let test_replay_byte_identical () =
@@ -155,6 +159,40 @@ let test_replay_byte_identical () =
   match Lf_obs.Chrome_trace.check c1 with
   | Ok () -> ()
   | Error e -> Alcotest.failf "chrome trace invalid: %s" e
+
+(* --- Flight dumps on disk ---------------------------------------------- *)
+
+let rec rm_rf p =
+  if Sys.is_directory p then begin
+    Array.iter (fun f -> rm_rf (Filename.concat p f)) (Sys.readdir p);
+    Sys.rmdir p
+  end
+  else Sys.remove p
+
+(* A dump creates its directory with any missing parents; a directory
+   that cannot exist (it sits under a regular file) is an [Error], not
+   an exception, so a server can report it and keep serving. *)
+let test_flight_dump_dirs () =
+  with_spans @@ fun () ->
+  let r = Span.root ~name:"request" ~now:1 in
+  Span.end_ r ~now:2 ~ok:true;
+  let base = Filename.temp_file "lf-flight" "" in
+  Sys.remove base;
+  Fun.protect ~finally:(fun () -> if Sys.file_exists base then rm_rf base)
+  @@ fun () ->
+  let dir = Filename.concat (Filename.concat base "a") "b" in
+  (match Flight.dump ~dir ~reason:"nested" () with
+  | Error e -> Alcotest.failf "dump into a missing nested dir failed: %s" e
+  | Ok (bundle, chrome) ->
+      Alcotest.(check string) "bundle lands in the nested dir" dir
+        (Filename.dirname bundle);
+      Alcotest.(check bool) "bundle written" true (Sys.file_exists bundle);
+      Alcotest.(check bool) "chrome trace written" true (Sys.file_exists chrome));
+  let file = Filename.concat base "plain" in
+  close_out (open_out file);
+  match Flight.dump ~dir:(Filename.concat file "sub") ~reason:"blocked" () with
+  | Ok _ -> Alcotest.fail "dump under a regular file succeeded"
+  | Error _ -> ()
 
 (* --- Exemplars and the latency histogram ------------------------------ *)
 
@@ -261,24 +299,16 @@ let test_slo_burn_math () =
 (* --- Off level: constant-cost, zero-allocation ------------------------ *)
 
 let test_off_zero_alloc () =
-  Span.set_level Span.Off;
+  Recorder.set_level Recorder.Off;
   let iters = 10_000 in
-  (* The lazy-tick closure is hoisted so the loop body measures only the
-     span path itself — the production call sites hold theirs the same
-     way (one closure per request, not per op). *)
-  let tick = ref 0 in
-  let now () = !tick in
   let w0 = Gc.minor_words () in
   for i = 1 to iters do
-    tick := i;
     let r = Span.root ~name:"request" ~now:i in
     let c = Span.begin_ r ~name:"child" ~now:i in
     if Span.active c then Span.event c ~now:i (Span.Note "x");
     Span.end_ c ~now:i ~ok:true;
     Span.end_ r ~now:i ~ok:true;
-    Span.note_cas_fail ~now Lf_kernel.Mem_event.Marking;
-    Span.op_begin ~name:"insert" ~key:i ~now;
-    Span.op_end ~ok:true ~now
+    Span.note_cas_fail Lf_kernel.Mem_event.Marking
   done;
   let dw = Gc.minor_words () -. w0 in
   if dw > 64.0 then
@@ -339,25 +369,46 @@ let test_svc_decision_spans () =
        (fun (_, e) -> match e with Span.Retry_wait _ -> true | _ -> false)
        (Span.span_events (Span.tree_root tr)))
 
-(* --- C&S attribution and structure-op spans --------------------------- *)
+(* --- C&S attribution through the memory seam ------------------------- *)
+
+(* Atomic memory whose next C&S fails once, as if another process had
+   won the race. *)
+module Flaky_mem = struct
+  include Lf_kernel.Atomic_mem
+
+  let fail_next = ref false
+
+  let cas r ~kind ~expect v =
+    if !fail_next then begin
+      fail_next := false;
+      false
+    end
+    else cas r ~kind ~expect v
+end
+
+module Traced_list =
+  Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (Lf_obs.Trace_mem.Make (Flaky_mem))
 
 let test_cas_attribution () =
   with_spans @@ fun () ->
-  let t = ref 0 in
-  let tick () =
-    incr t;
-    !t
+  let clock, _ = Clock.manual () in
+  let l = Traced_list.create () in
+  let ops =
+    {
+      Svc.insert = Traced_list.insert l;
+      delete = Traced_list.delete l;
+      find = (fun k -> Option.is_some (Traced_list.find l k));
+    }
   in
-  let root = Span.root ~name:"request" ~now:(tick ()) in
-  let aspan = Span.begin_ root ~name:"attempt" ~now:(tick ()) in
-  Span.with_current aspan (fun () ->
-      Span.op_begin ~name:"insert" ~key:7 ~now:tick;
-      Span.note_cas_fail ~now:tick Lf_kernel.Mem_event.Flagging;
-      Span.op_end ~ok:true ~now:tick);
-  Span.end_ aspan ~now:(tick ()) ~ok:true;
-  Span.end_ root ~now:(tick ()) ~ok:true;
-  let c = Span.counts () in
-  Alcotest.(check int) "one C&S failure attributed" 1 c.Span.cas_attributed;
+  let svc = Svc.create (Svc.config ~clock ()) ops in
+  let root = Span.root ~name:"request" ~now:(Clock.now clock) in
+  Flaky_mem.fail_next := true;
+  let out = Svc.call svc ~ctx:root (Svc.Insert (7, 70)) in
+  Span.end_ root ~now:(Clock.now clock) ~ok:true;
+  Alcotest.(check bool) "insert served" true (out = Svc.Served true);
+  Alcotest.(check bool) "the injected C&S failure fired" false !Flaky_mem.fail_next;
+  Alcotest.(check int) "one C&S failure attributed" 1
+    (Span.counts ()).Span.cas_attributed;
   let tr =
     match Span.find_trace (Span.trace_id root) with
     | Some tr -> tr
@@ -366,20 +417,21 @@ let test_cas_attribution () =
   (match Span.well_formed tr with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  let op =
-    match
-      List.filter (fun s -> s.Span.s_name = "insert") (Span.tree_spans tr)
-    with
+  let spans = Span.tree_spans tr in
+  let attempt =
+    match List.filter (fun s -> s.Span.s_name = "attempt") spans with
     | [ s ] -> s
-    | l -> Alcotest.failf "expected one op span, got %d" (List.length l)
+    | l -> Alcotest.failf "expected one attempt span, got %d" (List.length l)
   in
-  (match Span.span_events op with
-  | [ (_, Span.Key 7); (_, Span.Cas_fail Lf_kernel.Mem_event.Flagging) ] -> ()
-  | evs -> Alcotest.failf "unexpected op events (%d)" (List.length evs));
-  Alcotest.(check bool) "op span nested under the attempt" true
-    (List.exists
-       (fun s -> s.Span.s_name = "attempt" && s.Span.s_id = op.Span.s_parent)
-       (Span.tree_spans tr))
+  (match Span.span_events attempt with
+  | [
+   (_, Span.Op (Lf_obs.Obs_event.Insert, 7));
+   (_, Span.Cas_fail Lf_kernel.Mem_event.Insertion);
+  ] ->
+      ()
+  | evs -> Alcotest.failf "unexpected attempt events (%d)" (List.length evs));
+  Alcotest.(check bool) "no span nested under the attempt" false
+    (List.exists (fun s -> s.Span.s_parent = attempt.Span.s_id) spans)
 
 (* --- Router: hedge spans, drain accounting, journal stamps ------------ *)
 
@@ -614,6 +666,40 @@ let test_rebalance_drain_and_journal () =
     (List.for_all2 ( < ) (List.filteri (fun i _ -> i < List.length seqs - 1) seqs)
        (List.tl seqs))
 
+(* One switch: a rebalance opens its root span at every level, but a
+   tree exists only while the recorder is at Tracing — below it nothing
+   reaches the flight rings or the [lf_latency] exemplars. *)
+let test_trees_follow_recorder_level () =
+  let rebalance_trees level =
+    with_level level @@ fun () ->
+    let clock, _ = Clock.manual () in
+    let ring = Hash_ring.create ~seed:5 ~shards:2 () in
+    let tbs = Array.init 2 (fun _ -> table_backend ()) in
+    let router =
+      Router.create ~hedge_reads:false ~ring
+        ~svc_config:(fun _ -> Svc.config ~clock ())
+        (fun i -> snd tbs.(i))
+    in
+    let k = shard_key ring 0 in
+    ignore (Router.call router (Svc.Insert (k, 9)));
+    let moved =
+      Router.rebalance router ~slot:(Hash_ring.slot_of ring k) ~to_:1
+        ~key_range:(k + 1)
+    in
+    Alcotest.(check int) "the key moved" 1 moved;
+    (Span.trees (), Span.exemplars ())
+  in
+  with_level Recorder.Histograms (fun () ->
+      Alcotest.(check bool) "root is nil below Tracing" false
+        (Span.active (Span.root ~name:"request" ~now:0)));
+  let trees, exemplars = rebalance_trees Recorder.Histograms in
+  Alcotest.(check int) "no tree at Histograms" 0 (List.length trees);
+  Alcotest.(check int) "no exemplar at Histograms" 0 (List.length exemplars);
+  let trees, _ = rebalance_trees Recorder.Tracing in
+  Alcotest.(check (list string)) "one rebalance tree at Tracing"
+    [ "rebalance" ]
+    (List.map (fun tr -> (Span.tree_root tr).Span.s_name) trees)
+
 (* --- Wire verbs ------------------------------------------------------- *)
 
 let test_wire_verbs () =
@@ -643,6 +729,11 @@ let () =
           Alcotest.test_case "deterministic executions dump byte-identical"
             `Quick test_replay_byte_identical;
         ] );
+      ( "flight",
+        [
+          Alcotest.test_case "dumps create missing dirs, report unusable ones"
+            `Quick test_flight_dump_dirs;
+        ] );
       ( "exemplars",
         [
           Alcotest.test_case "tail buckets and worst-recent traces" `Quick
@@ -656,7 +747,7 @@ let () =
         [
           Alcotest.test_case "decision spans through Svc" `Quick
             test_svc_decision_spans;
-          Alcotest.test_case "C&S attribution into op spans" `Quick
+          Alcotest.test_case "C&S attribution into the attempt span" `Quick
             test_cas_attribution;
         ] );
       ( "router",
@@ -665,6 +756,8 @@ let () =
             test_router_hedge_spans;
           Alcotest.test_case "rebalance drain accounting + journal stamps"
             `Quick test_rebalance_drain_and_journal;
+          Alcotest.test_case "rebalance trees follow the recorder level"
+            `Quick test_trees_follow_recorder_level;
         ] );
       ( "wire",
         [ Alcotest.test_case "SLO / FLIGHTDUMP verbs" `Quick test_wire_verbs ]
