@@ -747,6 +747,17 @@ let key_range_arg =
            contract as Router.rebalance).  Keys outside the bound are \
            still served and replicated, but not migrated.")
 
+(* A stale answer is still an answered read: the SLO counts served,
+   fresh or lag-tagged — the staleness contract is the wire token's
+   job, the burn rate's job is "did we answer". *)
+let good = function
+  | Lf_svc.Svc.Served _ | Lf_svc.Svc.Served_stale _ -> true
+  | Lf_svc.Svc.Rejected _ | Lf_svc.Svc.Failed _ -> false
+
+let rec count_bad acc = function
+  | [] -> acc
+  | o :: rest -> count_bad (if good o then acc else acc + 1) rest
+
 let serve_cmd =
   let run impl port deadline_ms retry budget shed breaker shards trace_requests
       dump_dir self_heal replicas key_range =
@@ -810,33 +821,36 @@ let serve_cmd =
        answering.  The accept loop is sequential, so plain bool
        switches suffice. *)
     let kills = Array.make shards false in
+    (* Recorder spans around each operation, so METRICS (the §9
+       Prometheus snapshot) has live operation counters and latency
+       quantiles to report.  Written out per operation: a wrapper
+       taking the operation as a closure would allocate one per key. *)
     let mk_backend i : Lf_shard.Router.backend =
       let t = D.create () in
-      let guard f = if kills.(i) then failwith "shard killed" else f () in
-      (* Recorder spans around each operation, so METRICS (the §9
-         Prometheus snapshot) has live operation counters and latency
-         quantiles to report. *)
-      let span op key ok f =
-        Lf_obs.Recorder.span_begin ~op ~key;
-        let r = f () in
-        Lf_obs.Recorder.span_end ~op ~ok:(ok r);
-        r
-      in
+      let live () = if kills.(i) then failwith "shard killed" in
       {
         Lf_shard.Router.insert =
           (fun k v ->
-            guard (fun () ->
-                span Lf_obs.Obs_event.Insert k Fun.id (fun () ->
-                    D.insert t k v)));
+            live ();
+            Lf_obs.Recorder.span_begin ~op:Lf_obs.Obs_event.Insert ~key:k;
+            let ok = D.insert t k v in
+            Lf_obs.Recorder.span_end ~op:Lf_obs.Obs_event.Insert ~ok;
+            ok);
         delete =
           (fun k ->
-            guard (fun () ->
-                span Lf_obs.Obs_event.Delete k Fun.id (fun () -> D.delete t k)));
+            live ();
+            Lf_obs.Recorder.span_begin ~op:Lf_obs.Obs_event.Delete ~key:k;
+            let ok = D.delete t k in
+            Lf_obs.Recorder.span_end ~op:Lf_obs.Obs_event.Delete ~ok;
+            ok);
         find =
           (fun k ->
-            guard (fun () ->
-                span Lf_obs.Obs_event.Find k Option.is_some (fun () ->
-                    D.find t k)));
+            live ();
+            Lf_obs.Recorder.span_begin ~op:Lf_obs.Obs_event.Find ~key:k;
+            let v = D.find t k in
+            Lf_obs.Recorder.span_end ~op:Lf_obs.Obs_event.Find
+              ~ok:(Option.is_some v);
+            v);
         batched = None;
       }
     in
@@ -915,63 +929,52 @@ let serve_cmd =
        chance to poll — the poll_every gate (Clock ticks, never sleeps)
        makes the extra calls free — and its heal begin/end events become
        flight bundles. *)
-    let sup_tick () =
-      List.iter
-        (function
-          | Lf_shard.Supervisor.Heal_begun { e_shard; e_slot; e_to; e_via } ->
-              dump "heal-begin"
-                [
-                  ("shard", string_of_int e_shard);
-                  ("slot", string_of_int e_slot);
-                  ("to", string_of_int e_to);
-                  ( "via",
-                    match e_via with
-                    | Lf_shard.Supervisor.Copy -> "copy"
-                    | Lf_shard.Supervisor.Promote -> "promote" );
-                ]
-          | Lf_shard.Supervisor.Heal_ended { e_shard; e_slot; e_ok; e_moved }
-            ->
-              dump "heal-end"
-                [
-                  ("shard", string_of_int e_shard);
-                  ("slot", string_of_int e_slot);
-                  ("ok", string_of_bool e_ok);
-                  ("moved", string_of_int e_moved);
-                ])
-        (match sup with
-        | Some sup ->
-            let fast_burn = Lf_obs.Slo.fast_burn slo ~now:(now ()) in
-            ignore (Lf_shard.Supervisor.run_tick ~fast_burn sup router);
-            Lf_shard.Supervisor.events sup
-        | None ->
-            (* Replication without a supervisor still needs its async
-               applier: a bounded slice per request. *)
-            (match reps with
-            | Some r -> ignore (Lf_shard.Replica.apply ~budget:256 r)
-            | None -> ());
-            [])
+    let on_heal_event = function
+      | Lf_shard.Supervisor.Heal_begun { e_shard; e_slot; e_to; e_via } ->
+          dump "heal-begin"
+            [
+              ("shard", string_of_int e_shard);
+              ("slot", string_of_int e_slot);
+              ("to", string_of_int e_to);
+              ( "via",
+                match e_via with
+                | Lf_shard.Supervisor.Copy -> "copy"
+                | Lf_shard.Supervisor.Promote -> "promote" );
+            ]
+      | Lf_shard.Supervisor.Heal_ended { e_shard; e_slot; e_ok; e_moved } ->
+          dump "heal-end"
+            [
+              ("shard", string_of_int e_shard);
+              ("slot", string_of_int e_slot);
+              ("ok", string_of_bool e_ok);
+              ("moved", string_of_int e_moved);
+            ]
     in
-    (* A stale answer is still an answered read: the SLO counts served,
-       fresh or lag-tagged — the staleness contract is the wire token's
-       job, the burn rate's job is "did we answer". *)
-    let good = function
-      | Lf_svc.Svc.Served _ | Lf_svc.Svc.Served_stale _ -> true
-      | Lf_svc.Svc.Rejected _ | Lf_svc.Svc.Failed _ -> false
+    let sup_tick () =
+      match sup with
+      | Some sup ->
+          let fast_burn = Lf_obs.Slo.fast_burn slo ~now:(now ()) in
+          ignore (Lf_shard.Supervisor.run_tick ~fast_burn sup router);
+          List.iter on_heal_event (Lf_shard.Supervisor.events sup)
+      | None -> (
+          (* Replication without a supervisor still needs its async
+             applier: a bounded slice per request. *)
+          match reps with
+          | Some r -> ignore (Lf_shard.Replica.apply ~budget:256 r)
+          | None -> ())
     in
     (* One root span per wire request; ended ok iff every outcome was
-       served, which is also what the SLO counts as good. *)
-    let traced name f =
-      let ctx =
-        if trace_requests then Lf_obs.Span.root ~name ~now:(now ())
-        else Lf_obs.Span.nil
-      in
-      let outcomes = f ctx in
-      let ok = List.for_all good outcomes in
-      Lf_obs.Span.end_ ctx ~now:(now ()) ~ok;
-      List.iter (fun o -> Lf_obs.Slo.observe slo ~now:(now ()) ~good:(good o))
-        outcomes;
-      check_anomalies ();
-      outcomes
+       served, which is also what the SLO counts as good.  A line's
+       outcomes reach the SLO in one observation at one clock read. *)
+    let request_ctx name =
+      if trace_requests then Lf_obs.Span.root ~name ~now:(now ())
+      else Lf_obs.Span.nil
+    in
+    let finish ctx ~good ~bad =
+      let t = now () in
+      Lf_obs.Span.end_ ctx ~now:t ~ok:(bad = 0);
+      Lf_obs.Slo.observe slo ~now:t ~good ~bad;
+      check_anomalies ()
     in
     let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
     Unix.setsockopt sock Unix.SO_REUSEADDR true;
@@ -981,6 +984,9 @@ let serve_cmd =
     let shutdown = ref false in
     while not !shutdown do
       let fd, _ = Unix.accept sock in
+      (* A pipelining client must not wait for its delayed ACK before
+         each reply after the first. *)
+      Unix.setsockopt fd Unix.TCP_NODELAY true;
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
       let quit = ref false in
@@ -995,21 +1001,17 @@ let serve_cmd =
                    output_string oc (Lf_svc.Wire.format_error e);
                    output_char oc '\n'
                | Ok (Lf_svc.Wire.Op req) ->
-                   let out =
-                     match
-                       traced "request" (fun ctx ->
-                           [ Lf_shard.Router.call router ~ctx req ])
-                     with
-                     | [ o ] -> o
-                     | _ -> assert false
-                   in
+                   let ctx = request_ctx "request" in
+                   let out = Lf_shard.Router.call router ~ctx req in
+                   let bad = if good out then 0 else 1 in
+                   finish ctx ~good:(1 - bad) ~bad;
                    output_string oc (Lf_svc.Wire.format_outcome out);
                    output_char oc '\n'
                | Ok (Lf_svc.Wire.Multi reqs) ->
-                   let outs =
-                     traced "multi" (fun ctx ->
-                         Lf_shard.Router.call_many router ~ctx reqs)
-                   in
+                   let ctx = request_ctx "multi" in
+                   let outs = Lf_shard.Router.call_many router ~ctx reqs in
+                   let bad = count_bad 0 outs in
+                   finish ctx ~good:(List.length outs - bad) ~bad;
                    output_string oc (Lf_svc.Wire.format_multi outs);
                    output_char oc '\n'
                | Ok (Lf_svc.Wire.Kill s) ->

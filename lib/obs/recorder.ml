@@ -22,10 +22,11 @@
    [Tracing].
 
    Lanes vs domains: under the deterministic simulator many simulated
-   processes share one domain, so the per-domain span state is a small
-   table keyed by lane ([Sim.running_pid], falling back to
+   processes share one domain, so the per-domain span state is a pair
+   of slot arrays indexed by lane ([Sim.running_pid], falling back to
    [Lf_kernel.Lane] on real domains) — the same identification
-   [Fault_mem] uses. *)
+   [Fault_mem] uses.  Lanes are small integers, so the arrays grow to
+   the largest lane seen and a span pair allocates nothing. *)
 
 module Ev = Lf_kernel.Mem_event
 module C = Lf_kernel.Counters
@@ -69,7 +70,9 @@ let set_ring_capacity n =
 (* ------------------------------------------------------------------ *)
 (* Per-domain state *)
 
-type span = { sp_op : Obs_event.op; sp_key : int; sp_start : int }
+(* A lane's start slot holds [closed] while it has no open span; a
+   clock never reads [min_int]. *)
+let closed = min_int
 
 type dstate = {
   dom : int;
@@ -78,7 +81,9 @@ type dstate = {
   hist : Hist.t array;  (* span latencies, by Obs_event.op_index *)
   profile : Profile.t;
   mutable ring : Obs_event.t Ring.t;
-  spans : (int, span) Hashtbl.t;  (* lane -> open operation span *)
+  (* The open operation span of each lane, by [slot_of] the lane. *)
+  mutable span_key : int array;
+  mutable span_start : int array;
   mutable seq : int;  (* per-domain event sequence; breaks ts ties *)
 }
 
@@ -92,7 +97,8 @@ let make_dstate () =
     hist = Array.init Obs_event.op_count (fun _ -> Hist.create ());
     profile = Profile.create ();
     ring = Ring.create ~capacity:!ring_capacity Obs_event.dummy;
-    spans = Hashtbl.create 8;
+    span_key = Array.make 8 0;
+    span_start = Array.make 8 closed;
     seq = 0;
   }
 
@@ -124,9 +130,29 @@ let reset () =
       Array.iter Hist.clear st.hist;
       Profile.clear st.profile;
       st.ring <- Ring.create ~capacity:!ring_capacity Obs_event.dummy;
-      Hashtbl.reset st.spans;
+      Array.fill st.span_start 0 (Array.length st.span_start) closed;
       st.seq <- 0)
     (Atomic.get registry)
+
+(* A lane's slot index: lanes are small and may be negative (a
+   harness's coordinator runs as lane -1), so fold the sign into bit 0. *)
+let slot_of lane = if lane >= 0 then lane lsl 1 else ((-lane) lsl 1) - 1
+
+(* The slot of [lane], growing the arrays to hold it. *)
+let slot st lane =
+  let i = slot_of lane in
+  let n = Array.length st.span_start in
+  if i >= n then begin
+    let n' = max (i + 1) (2 * n) in
+    let grow a fill =
+      let a' = Array.make n' fill in
+      Array.blit a 0 a' 0 n;
+      a'
+    in
+    st.span_key <- grow st.span_key 0;
+    st.span_start <- grow st.span_start closed
+  end;
+  i
 
 (* ------------------------------------------------------------------ *)
 (* Hot path *)
@@ -165,10 +191,9 @@ let on_cas kind ok =
     if ok then C.record_cas_success st.tally kind
     else if !lvl >= 2 then begin
       (* Attribute the lost C&S to the operation that suffered it. *)
+      let i = slot st (lane ()) in
       let key =
-        match Hashtbl.find_opt st.spans (lane ()) with
-        | Some sp -> sp.sp_key
-        | None -> Profile.no_key
+        if st.span_start.(i) = closed then Profile.no_key else st.span_key.(i)
       in
       Profile.record st.profile ~key kind
     end;
@@ -199,8 +224,9 @@ let span_begin ~op ~key =
   if !lvl < 2 then ()
   else begin
     let st = local () in
-    Hashtbl.replace st.spans (lane ())
-      { sp_op = op; sp_key = key; sp_start = now () };
+    let i = slot st (lane ()) in
+    st.span_key.(i) <- key;
+    st.span_start.(i) <- now ();
     if !lvl >= 3 then push st (Obs_event.Span_begin { op; key })
   end
 
@@ -211,12 +237,12 @@ let span_end ~op ~ok =
     let i = Obs_event.op_index op in
     st.ops_tally.(i) <- st.ops_tally.(i) + 1;
     if !lvl >= 2 then begin
-      let ln = lane () in
-      (match Hashtbl.find_opt st.spans ln with
-      | Some sp ->
-          Hashtbl.remove st.spans ln;
-          Hist.add st.hist.(i) (now () - sp.sp_start)
-      | None -> ());
+      let j = slot st (lane ()) in
+      let start = st.span_start.(j) in
+      if start <> closed then begin
+        st.span_start.(j) <- closed;
+        Hist.add st.hist.(i) (now () - start)
+      end;
       if !lvl >= 3 then push st (Obs_event.Span_end { op; ok })
     end
   end

@@ -1,6 +1,6 @@
 (* Multi-window burn rates over a ring of fixed-width tick buckets.
    One mutex guards the ring: observations are once per completed
-   request (cold relative to the span path), queries are operator
+   request line (cold relative to the span path), queries are operator
    reads. *)
 
 type bucket = { mutable b_start : int; mutable b_good : int; mutable b_bad : int }
@@ -44,10 +44,11 @@ let bucket_for t ~now =
   end;
   b
 
-let observe t ~now ~good =
+let observe t ~now ~good ~bad =
   Mutex.lock t.mu;
   let b = bucket_for t ~now in
-  if good then b.b_good <- b.b_good + 1 else b.b_bad <- b.b_bad + 1;
+  b.b_good <- b.b_good + good;
+  b.b_bad <- b.b_bad + bad;
   Mutex.unlock t.mu
 
 let totals_locked t ~now ~window =

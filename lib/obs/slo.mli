@@ -30,7 +30,9 @@ val create :
     @raise Invalid_argument on an empty window list, a window smaller
     than the bucket, or a target outside (0, 1). *)
 
-val observe : t -> now:int -> good:bool -> unit
+val observe : t -> now:int -> good:int -> bad:int -> unit
+(** Count [good] and [bad] requests (both [>= 0]) that completed at
+    [now]: a wire line's outcomes land in one call. *)
 
 val burn_rate : t -> now:int -> window:int -> float
 (** [bad / (good + bad) / (1 - target)] over the window; 0.0 when

@@ -3,7 +3,9 @@
    small counters; dictionary operations themselves run OUTSIDE the
    mutex, through each shard's own Svc pipeline, so the router adds two
    short critical sections per call (route-and-mark, unmark), never a
-   lock around the work.
+   lock around the work.  [call_many] takes the same two for a whole
+   line: it routes and marks every key under one, and unmarks them all
+   under the other.
 
    Per-key linearizability across a handoff hangs on one invariant:
    at every instant each key has exactly one owner (assignment, or the
@@ -76,6 +78,18 @@ let note ~now fmt =
 
 let journal () = List.rev !journal_log
 
+(* Per-key in-flight counts, keyed by int with a cheap mix: no
+   polymorphic hashing on the request path. *)
+module Inflight = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash k =
+    let h = k * 0x2545F4914F6CDD1D in
+    h lxor (h lsr 29)
+end)
+
 type t = {
   mutable ring : Hash_ring.t;
   shards : shard array;
@@ -84,7 +98,7 @@ type t = {
   hedge_reads : bool;
   mu : Mutex.t;
   drained : Condition.t;  (* signalled when a key's inflight count drains *)
-  inflight : (int, int) Hashtbl.t;
+  inflight : int Inflight.t;
   mutable migration : migration option;
   mutable migrated : int;
   mutable rebalanced : int;
@@ -117,7 +131,7 @@ let create ?(hedge_reads = true) ~ring ~svc_config mk_backend =
     hedge_reads;
     mu = Mutex.create ();
     drained = Condition.create ();
-    inflight = Hashtbl.create 64;
+    inflight = Inflight.create 64;
     migration = None;
     migrated = 0;
     rebalanced = 0;
@@ -149,22 +163,42 @@ let route t k =
 
 (* Acquire an owner for [k] and mark it in flight, atomically w.r.t.
    any migration. *)
+let mark_locked t k =
+  let n =
+    if Inflight.mem t.inflight k then Inflight.find t.inflight k else 0
+  in
+  Inflight.replace t.inflight k (n + 1);
+  owner_locked t k
+
+let unmark_locked t k =
+  if Inflight.mem t.inflight k then
+    let n = Inflight.find t.inflight k in
+    if n <= 1 then Inflight.remove t.inflight k
+    else Inflight.replace t.inflight k (n - 1)
+
+(* A migration waiting on a key's drain is woken by every unmark. *)
+let wake_drain_locked t =
+  match t.migration with
+  | Some _ -> Condition.broadcast t.drained
+  | None -> ()
+
 let begin_op t k =
   Mutex.lock t.mu;
-  let s = owner_locked t k in
-  Hashtbl.replace t.inflight k
-    (1 + Option.value (Hashtbl.find_opt t.inflight k) ~default:0);
+  let s = mark_locked t k in
   Mutex.unlock t.mu;
   s
 
 let end_op t k =
   Mutex.lock t.mu;
-  (match Hashtbl.find_opt t.inflight k with
-  | Some 1 -> Hashtbl.remove t.inflight k
-  | Some n -> Hashtbl.replace t.inflight k (n - 1)
-  | None -> ());
-  if t.migration <> None then Condition.broadcast t.drained;
+  unmark_locked t k;
+  wake_drain_locked t;
   Mutex.unlock t.mu
+
+let in_flight t =
+  Mutex.lock t.mu;
+  let n = Inflight.length t.inflight in
+  Mutex.unlock t.mu;
+  n
 
 let key_of = function Svc.Insert (k, _) -> k | Svc.Delete k -> k | Svc.Find k -> k
 let is_read = function Svc.Find _ -> true | Svc.Insert _ | Svc.Delete _ -> false
@@ -255,54 +289,92 @@ let record_write t req out =
             (Replica.Del k)
       | _ -> ())
 
-let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
-  let k = key_of req in
-  let s = begin_op t k in
-  Fun.protect ~finally:(fun () -> end_op t k) @@ fun () ->
+(* The pipeline call with the fan-out span as its context.  The
+   optional argument is boxed only while the span is live. *)
+let svc_call sh fspan ~deadline ~queue_depth req =
+  if Span.active fspan then
+    Svc.call sh.svc ~ctx:fspan ?deadline ?queue_depth req
+  else Svc.call sh.svc ?deadline ?queue_depth req
+
+(* One fan-out span per shard touched, the shard's pipeline spans
+   nested inside it. *)
+let call_owned t ctx s ~deadline ~queue_depth req =
   let sh = t.shards.(s) in
-  (* One fan-out span per shard touched, the shard's pipeline spans
-     nested inside it. *)
   let fspan = Span.begin_ ctx ~name:t.names.(s) ~now:(now_of t ctx) in
   let out =
     maybe_hedge t ~ctx:fspan sh req
-      (Svc.call sh.svc ~ctx:fspan ?deadline ?queue_depth req)
+      (svc_call sh fspan ~deadline ~queue_depth req)
   in
   record_write t req out;
   Span.end_ fspan ~now:(now_of t fspan) ~ok:(outcome_ok out);
   out
 
+let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
+  let k = key_of req in
+  let s = begin_op t k in
+  match call_owned t ctx s ~deadline ~queue_depth req with
+  | out ->
+      end_op t k;
+      out
+  | exception e ->
+      end_op t k;
+      raise e
+
+(* Shard [s]'s share of a line, in input order: every pipeline call
+   first, then each outcome's hedge and journal entry. *)
+let fan_out_shard t ctx s ~deadline ~queue_depth reqs owners out =
+  let sh = t.shards.(s) in
+  let fspan = Span.begin_ ctx ~name:t.names.(s) ~now:(now_of t ctx) in
+  for i = 0 to Array.length reqs - 1 do
+    if owners.(i) = s then
+      out.(i) <- svc_call sh fspan ~deadline ~queue_depth reqs.(i)
+  done;
+  for i = 0 to Array.length reqs - 1 do
+    if owners.(i) = s then begin
+      let o = maybe_hedge t ~ctx:fspan sh reqs.(i) out.(i) in
+      record_write t reqs.(i) o;
+      out.(i) <- o
+    end
+  done;
+  Span.end_ fspan ~now:(now_of t fspan) ~ok:true
+
+let rec owns owners s i =
+  i < Array.length owners && (owners.(i) = s || owns owners s (i + 1))
+
+let fan_out t ctx ~deadline ~queue_depth reqs owners out =
+  for s = 0 to Array.length t.shards - 1 do
+    if owns owners s 0 then
+      fan_out_shard t ctx s ~deadline ~queue_depth reqs owners out
+  done
+
+let unmark_all t reqs =
+  Mutex.lock t.mu;
+  for i = 0 to Array.length reqs - 1 do
+    unmark_locked t (key_of reqs.(i))
+  done;
+  wake_drain_locked t;
+  Mutex.unlock t.mu
+
 let call_many t ?(ctx = Span.nil) ?deadline ?queue_depth reqs =
   match reqs with
   | [] -> []
-  | _ ->
+  | _ -> (
       let reqs = Array.of_list reqs in
       let n = Array.length reqs in
-      let owners = Array.map (fun r -> begin_op t (key_of r)) reqs in
-      Fun.protect
-        ~finally:(fun () -> Array.iter (fun r -> end_op t (key_of r)) reqs)
-      @@ fun () ->
+      let owners = Array.make n 0 in
+      Mutex.lock t.mu;
+      for i = 0 to n - 1 do
+        owners.(i) <- mark_locked t (key_of reqs.(i))
+      done;
+      Mutex.unlock t.mu;
       let out = Array.make n (Svc.Rejected Svc.Expired) in
-      Array.iteri
-        (fun s sh ->
-          let idx = ref [] in
-          for i = n - 1 downto 0 do
-            if owners.(i) = s then idx := i :: !idx
-          done;
-          match !idx with
-          | [] -> ()
-          | idx ->
-              let sub = List.map (fun i -> reqs.(i)) idx in
-              let fspan = Span.begin_ ctx ~name:t.names.(s) ~now:(now_of t ctx) in
-              let res = Svc.call_many sh.svc ~ctx:fspan ?deadline ?queue_depth sub in
-              List.iter2
-                (fun i o ->
-                  let o = maybe_hedge t ~ctx:fspan sh reqs.(i) o in
-                  record_write t reqs.(i) o;
-                  out.(i) <- o)
-                idx res;
-              Span.end_ fspan ~now:(now_of t fspan) ~ok:true)
-        t.shards;
-      Array.to_list out
+      match fan_out t ctx ~deadline ~queue_depth reqs owners out with
+      | () ->
+          unmark_all t reqs;
+          Array.to_list out
+      | exception e ->
+          unmark_all t reqs;
+          raise e)
 
 (* The migration engine behind [rebalance] and [promote]: set up (or
    resume) the watermark record, walk the keyspace with a per-key
@@ -375,7 +447,7 @@ let migrate t ~label ~slot ~to_ ~key_range ~copy_key =
       for k = max 0 m.m_watermark to key_range - 1 do
         if Hash_ring.slot_of t.ring k = slot then begin
           Mutex.lock t.mu;
-          if Hashtbl.mem t.inflight k then begin
+          if Inflight.mem t.inflight k then begin
             t.drained_keys <- t.drained_keys + 1;
             let dspan =
               Span.begin_ rctx ~name:"drain" ~now:(Lf_svc.Clock.now t.clock)
@@ -384,7 +456,7 @@ let migrate t ~label ~slot ~to_ ~key_range ~copy_key =
               Span.event dspan
                 ~now:(Lf_svc.Clock.now t.clock)
                 (Span.Drain_wait k);
-            while Hashtbl.mem t.inflight k do
+            while Inflight.mem t.inflight k do
               Condition.wait t.drained t.mu
             done;
             Span.end_ dspan ~now:(Lf_svc.Clock.now t.clock) ~ok:true

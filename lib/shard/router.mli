@@ -91,9 +91,14 @@ val call_many :
   ?queue_depth:int ->
   Svc.req list ->
   Svc.outcome list
-(** Scatter-gather: split by owning shard, run each sub-batch through
-    its shard's {!Svc.call_many}, gather per-key outcomes back into
-    input order.  The result has exactly one outcome per request. *)
+(** Scatter-gather: route and mark every key under one router lock,
+    run each shard's keys through its pipeline in input order, gather
+    per-key outcomes back into input order, and unmark every key under
+    one lock.  The result has exactly one outcome per request. *)
+
+val in_flight : t -> int
+(** Keys with at least one operation in flight (read-only; 0 whenever
+    no {!call} or {!call_many} is running). *)
 
 val rebalance : t -> slot:int -> to_:int -> key_range:int -> int
 (** [rebalance t ~slot ~to_ ~key_range] hands [slot]'s keyspace to

@@ -2,7 +2,15 @@
    Retry.Budget) are immutable values; this module holds the current
    states behind one mutex and runs the admission/execution protocol
    around the wrapped dictionary closures.  Executions happen outside
-   the mutex — only decisions are serialized. *)
+   the mutex — only decisions are serialized.
+
+   A served call takes the mutex twice: once to admit (and count the
+   call in flight), once to record the outcome (and take it out of
+   flight).  Every exit from a call — served, failed, rejected at its
+   first attempt, or an exception from an injected closure — decrements
+   the in-flight count exactly once.  The hot path locks and unlocks
+   explicitly, with no [Fun.protect]: its critical sections run only
+   non-raising counter updates and pure policy steps. *)
 
 module Span = Lf_obs.Span
 
@@ -124,6 +132,7 @@ let create cfg primary =
     log = [];
   }
 
+(* Cold paths only (retries, stats); the served path locks by hand. *)
 let with_mu t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
@@ -137,15 +146,20 @@ let clock t = t.cfg.clock
    log-off path free of formatting. *)
 let log_locked t fmt = Printf.ksprintf (fun s -> t.log <- s :: t.log) fmt
 
-let reason_index r =
-  let rec go i = function
-    | [] -> assert false
-    | x :: rest -> if x = r then i else go (i + 1) rest
-  in
-  go 0 all_reasons
+(* Position in [all_reasons]. *)
+let reason_index = function
+  | Expired -> 0
+  | Queue_full -> 1
+  | Doomed -> 2
+  | Breaker_open -> 3
+  | Write_degraded -> 4
 
-let breaker_kind t =
-  match t.breaker_st with None -> None | Some b -> Some (Breaker.state b)
+(* Outcome values preallocated, so a served call returns without
+   allocating. *)
+let served_true = Served true
+let served_false = Served false
+let rejected_outcomes =
+  Array.of_list (List.map (fun r -> Rejected r) all_reasons)
 
 (* Read-only while the breaker is open; half-open probes run on the
    primary like ordinary traffic. *)
@@ -156,15 +170,24 @@ let read_only_locked t =
   | Some b -> Breaker.state b = Breaker.Open
   | None -> false
 
+(* Install the breaker's successor; a transition is journaled when its
+   kind changed (kinds are constant constructors, so [<>] compiles to an
+   integer compare).  An unchanged breaker (a closed admit returns its
+   argument) is not boxed again. *)
 let set_breaker_locked t ~now:tick b' =
-  let before = breaker_kind t in
-  t.breaker_st <- Some b';
-  let after = Breaker.state b' in
-  if before <> Some after then begin
-    let s = Breaker.kind_to_string after in
-    t.transitions <- (tick, s) :: t.transitions;
-    if t.cfg.log_decisions then log_locked t "t=%d breaker %s" tick s
-  end
+  match t.breaker_st with
+  | Some b when b == b' -> ()
+  | before ->
+      t.breaker_st <- Some b';
+      let after = Breaker.state b' in
+      let changed =
+        match before with Some b -> Breaker.state b <> after | None -> true
+      in
+      if changed then begin
+        let s = Breaker.kind_to_string after in
+        t.transitions <- (tick, s) :: t.transitions;
+        if t.cfg.log_decisions then log_locked t "t=%d breaker %s" tick s
+      end
 
 (* Feed a completed execution into breaker and shed (under [mu]). *)
 let observe_locked t ~now:tick ~ok ~latency =
@@ -251,13 +274,13 @@ let admission_locked t ~ctx ~now:tick ~dl ~queue_depth req =
                   else `Reject Write_degraded)))
   end
 
-let reject t ~now:tick r req =
-  with_mu t (fun () ->
-      t.n_rejected.(reason_index r) <- t.n_rejected.(reason_index r) + 1;
-      if t.cfg.log_decisions then
-        log_locked t "t=%d reject %s %s" tick (reason_to_string r)
-          (req_to_string req));
-  Rejected r
+let reject_locked t ~now:tick r req =
+  let i = reason_index r in
+  t.n_rejected.(i) <- t.n_rejected.(i) + 1;
+  if t.cfg.log_decisions then
+    log_locked t "t=%d reject %s %s" tick (reason_to_string r)
+      (req_to_string req);
+  rejected_outcomes.(i)
 
 let exec_once t req =
   match req with
@@ -272,26 +295,41 @@ let budget_take_locked t ~now:tick =
   if not granted then t.n_budget_denied <- t.n_budget_denied + 1;
   granted
 
+(* The three ends of an admitted call each take it out of flight in
+   their own critical section. *)
 let served t ~route ~ok ~latency ~tick req =
-  with_mu t (fun () ->
-      t.n_served <- t.n_served + 1;
-      if ok then t.n_served_ok <- t.n_served_ok + 1;
-      if route <> Via_primary then
-        t.n_served_degraded <- t.n_served_degraded + 1;
-      (* [ok] is the dictionary's answer (a find can miss, an insert can
-         hit a duplicate) — the execution itself succeeded, which is
-         what the breaker and the shed estimator observe. *)
-      observe_locked t ~now:tick ~ok:true ~latency;
-      if t.cfg.log_decisions then
-        log_locked t "t=%d served %s -> %b" tick (req_to_string req) ok);
-  Served ok
+  Mutex.lock t.mu;
+  t.inflight <- t.inflight - 1;
+  t.n_served <- t.n_served + 1;
+  if ok then t.n_served_ok <- t.n_served_ok + 1;
+  (match route with
+  | Via_primary -> ()
+  | Via_degraded_read -> t.n_served_degraded <- t.n_served_degraded + 1);
+  (* [ok] is the dictionary's answer (a find can miss, an insert can
+     hit a duplicate) — the execution itself succeeded, which is what
+     the breaker and the shed estimator observe. *)
+  observe_locked t ~now:tick ~ok:true ~latency;
+  if t.cfg.log_decisions then
+    log_locked t "t=%d served %s -> %b" tick (req_to_string req) ok;
+  Mutex.unlock t.mu;
+  if ok then served_true else served_false
 
 let failed t ~tick req msg =
-  with_mu t (fun () ->
-      t.n_failed <- t.n_failed + 1;
-      if t.cfg.log_decisions then
-        log_locked t "t=%d failed %s: %s" tick (req_to_string req) msg);
+  Mutex.lock t.mu;
+  t.inflight <- t.inflight - 1;
+  t.n_failed <- t.n_failed + 1;
+  if t.cfg.log_decisions then
+    log_locked t "t=%d failed %s: %s" tick (req_to_string req) msg;
+  Mutex.unlock t.mu;
   Failed msg
+
+(* An admitted call that never executed: a pure rejection. *)
+let expired_unrun t ~tick req =
+  Mutex.lock t.mu;
+  t.inflight <- t.inflight - 1;
+  let out = reject_locked t ~now:tick Expired req in
+  Mutex.unlock t.mu;
+  out
 
 (* Execute one attempt.  Traced, the attempt span records the backend
    operation it runs and is registered as the lane's current context,
@@ -318,10 +356,10 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
   if Deadline.expired ~now:t0 dl then begin
     if Span.active ctx then
       decide ctx ~tick:t0 "deadline" false (Span.Deadline_check true);
-    if attempt = 1 then
-      (* Never executed: a pure rejection, not a failure. *)
-      reject t ~now:t0 Expired req
-    else failed t ~tick:t0 req (Printf.sprintf "deadline after %d attempts" (attempt - 1))
+    if attempt = 1 then expired_unrun t ~tick:t0 req
+    else
+      failed t ~tick:t0 req
+        (Printf.sprintf "deadline after %d attempts" (attempt - 1))
   end
   else
     let aspan = Span.begin_ ctx ~name:"attempt" ~now:t0 in
@@ -369,25 +407,35 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
                attempt)
         end
 
+(* One critical section decides admission and either counts the call
+   in flight or counts the rejection.  An exception out of the attempt
+   loop can only come from an injected closure ([retryable], [backoff])
+   outside every critical section that decrements, so the handler's
+   decrement is the call's only one. *)
 let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
   let tick = now t in
   let dl = match deadline with Some d -> d | None -> default_deadline t in
-  let decision =
-    with_mu t (fun () -> admission_locked t ~ctx ~now:tick ~dl ~queue_depth req)
-  in
-  match decision with
-  | `Reject r -> reject t ~now:tick r req
-  | `Execute route ->
-      with_mu t (fun () ->
-          t.inflight <- t.inflight + 1;
-          if t.cfg.log_decisions then
-            log_locked t "t=%d admit %s%s" tick (req_to_string req)
-              (match route with
-              | Via_primary -> ""
-              | Via_degraded_read -> " (read-only)"));
-      Fun.protect
-        ~finally:(fun () -> with_mu t (fun () -> t.inflight <- t.inflight - 1))
-        (fun () -> attempt_loop t ctx route req ~dl ~attempt:1)
+  Mutex.lock t.mu;
+  match admission_locked t ~ctx ~now:tick ~dl ~queue_depth req with
+  | `Reject r ->
+      let out = reject_locked t ~now:tick r req in
+      Mutex.unlock t.mu;
+      out
+  | `Execute route -> (
+      t.inflight <- t.inflight + 1;
+      if t.cfg.log_decisions then
+        log_locked t "t=%d admit %s%s" tick (req_to_string req)
+          (match route with
+          | Via_primary -> ""
+          | Via_degraded_read -> " (read-only)");
+      Mutex.unlock t.mu;
+      match attempt_loop t ctx route req ~dl ~attempt:1 with
+      | out -> out
+      | exception e ->
+          Mutex.lock t.mu;
+          t.inflight <- t.inflight - 1;
+          Mutex.unlock t.mu;
+          raise e)
 
 let call_many t ?ctx ?deadline ?queue_depth reqs =
   List.map (fun r -> call t ?ctx ?deadline ?queue_depth r) reqs

@@ -31,6 +31,18 @@
     [failed]); a shard that sheds or trips yields per-key tokens, never
     one collapsed error.  Parse errors get [ERR <message>].
 
+    Tokens are separated by one or more spaces; the verb is
+    case-insensitive.  Keys, values and shard numbers are decimal:
+
+    {v
+    <int> ::= [-] <digit> { <digit> }      within [min_int, max_int]
+    v}
+
+    so each number has one spelling apart from leading zeros and [-0].
+    Hex, octal and binary prefixes, [_] separators, a leading [+] and
+    values outside the int range are all [ERR bad key "<token>"] (or
+    [value], [shard]).
+
     Batches are validated at parse time: empty batches, batches above
     {!max_batch} keys, duplicate keys, and MSET with an odd argument
     count are all [ERR] — a duplicate key has no well-defined per-key

@@ -213,6 +213,28 @@ let test_off_fast_path_no_alloc () =
      >= 120k words.  Allow slack for the Gc.minor_words calls. *)
   if dw > 256.0 then Alcotest.failf "off path allocated %.0f words" dw
 
+(* At [Histograms] a span pair writes the lane's key and start slots
+   and reads them back: no per-span record, table entry or box.  The
+   real clock is the one [serve] runs on. *)
+let test_histogram_span_no_alloc () =
+  with_recorder ~level:Recorder.Histograms ~clock:Recorder.Real (fun () ->
+      Recorder.span_begin ~op:Obs_event.Find ~key:0;
+      Recorder.span_end ~op:Obs_event.Find ~ok:true;
+      let n = 10_000 in
+      let words =
+        Support.words_during (fun () ->
+            for k = 1 to n do
+              Recorder.span_begin ~op:Obs_event.Find ~key:k;
+              Recorder.span_end ~op:Obs_event.Find ~ok:true
+            done)
+      in
+      Alcotest.(check int) "every span timed" (n + 1)
+        (Hist.count (Recorder.latency Obs_event.Find));
+      let per_pair = words /. float_of_int n in
+      if per_pair > 1. then
+        Alcotest.failf "a Histograms span pair allocates %.1f words (bar: 1)"
+          per_pair)
+
 let test_counters_level () =
   with_recorder ~level:Recorder.Counters ~clock:Recorder.Real (fun () ->
       Recorder.on_read ();
@@ -482,6 +504,8 @@ let () =
           Alcotest.test_case "counters level" `Quick test_counters_level;
           Alcotest.test_case "histograms level spans" `Quick
             test_histogram_level_spans;
+          Alcotest.test_case "histograms span pair allocates nothing" `Quick
+            test_histogram_span_no_alloc;
           Alcotest.test_case "drop accounting" `Quick
             test_recorder_drop_accounting;
         ] );

@@ -233,6 +233,89 @@ let test_call_many_partial_failure () =
   Alcotest.(check bool) "all requests admitted somewhere" true
     (calls >= List.length reqs)
 
+(* --- In-flight accounting and the lean path --------------------------- *)
+
+(* Every key a call or a line marked in flight is unmarked on every
+   exit: a served call, a line whose backend raises (outcomes [Failed],
+   then hedged), a line that raises out of the router (a backoff that
+   raises), and a line that names one key twice.  A leak would hang a
+   later rebalance's drain, so it is read directly. *)
+let test_inflight_unmarked () =
+  let router, _, tbs = plain_router ~shards:3 ~seed:7 () in
+  ignore (Router.call router (Svc.Insert (1, 1)));
+  Alcotest.(check int) "after call" 0 (Router.in_flight router);
+  Array.iter (fun tb -> tb.killed := true) tbs;
+  let out = Router.call_many router (List.init 8 (fun k -> Svc.Find k)) in
+  Alcotest.(check bool) "raising backend: every key failed" true
+    (List.for_all (function Svc.Failed _ -> true | _ -> false) out);
+  Alcotest.(check int) "after a raising backend" 0 (Router.in_flight router);
+  Array.iter (fun tb -> tb.killed := false) tbs;
+  Alcotest.(check (list outcome)) "repeated key: one outcome each"
+    [ Svc.Served true; Svc.Served false; Svc.Served true ]
+    (Router.call_many router
+       [ Svc.Insert (5, 5); Svc.Insert (5, 6); Svc.Find 5 ]);
+  Alcotest.(check int) "after a repeated key" 0 (Router.in_flight router);
+  let clock, _ = Clock.manual () in
+  let ring = Hash_ring.create ~seed:7 ~shards:3 () in
+  let tbs = Array.init 3 (fun _ -> table_backend ()) in
+  let raising =
+    Router.create ~ring
+      ~svc_config:(fun _ ->
+        Svc.config ~clock
+          ~retry:(Some (Lf_svc.Retry.policy ~max_attempts:2 ()))
+          ~backoff:(fun _ -> failwith "no sleep")
+          ())
+      (fun i -> snd tbs.(i))
+  in
+  (fst tbs.(Hash_ring.shard_of ring 3)).killed := true;
+  (match Router.call_many raising (List.init 8 (fun k -> Svc.Insert (k, k))) with
+  | _ -> Alcotest.fail "the raising backoff did not leave call_many"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "after call_many raised" 0 (Router.in_flight raising);
+  (match Router.call raising (Svc.Insert (3, 3)) with
+  | _ -> Alcotest.fail "the raising backoff did not leave call"
+  | exception Failure _ -> ());
+  Alcotest.(check int) "after call raised" 0 (Router.in_flight raising)
+
+(* The router's own words per key: an int-keyed in-flight table, no
+   closures, no lists per line.  The backend answers from preallocated
+   values, so what is measured is the router and the default pipeline
+   (plus 2 words for each request). *)
+let test_router_alloc () =
+  let clock, _ = Clock.manual () in
+  let ring = Hash_ring.create ~seed:1 ~shards:4 () in
+  let found = Some 1 in
+  let backend _ =
+    { Router.insert = (fun _ _ -> true); delete = (fun _ -> true);
+      find = (fun _ -> found); batched = None }
+  in
+  let router =
+    Router.create ~ring ~svc_config:(fun _ -> Svc.config ~clock ()) backend
+  in
+  let n = 10_000 in
+  let call =
+    Support.words_during (fun () ->
+        for k = 1 to n do
+          ignore (Sys.opaque_identity (Router.call router (Svc.Find k)))
+        done)
+    /. float_of_int n
+  in
+  if call > 24. then
+    Alcotest.failf "Router.call allocates %.1f words (bar: 24)" call;
+  let lines =
+    Array.init 1_000 (fun i -> List.init 16 (fun j -> Svc.Find ((16 * i) + j)))
+  in
+  let per_key =
+    Support.words_during (fun () ->
+        Array.iter
+          (fun l -> ignore (Sys.opaque_identity (Router.call_many router l)))
+          lines)
+    /. float_of_int (16 * Array.length lines)
+  in
+  if per_key > 32. then
+    Alcotest.failf "Router.call_many allocates %.1f words per key (bar: 32)"
+      per_key
+
 (* --- Hedged/failover reads ------------------------------------------- *)
 
 (* A shard whose writes die trips its breaker; with full fast-fail
@@ -1188,6 +1271,10 @@ let () =
           test_one_shard_router_matches_pipeline;
           Alcotest.test_case "scatter-gather partial failure" `Quick
             test_call_many_partial_failure;
+          Alcotest.test_case "every exit unmarks its keys" `Quick
+            test_inflight_unmarked;
+          Alcotest.test_case "call and call_many allocation budget" `Quick
+            test_router_alloc;
         ] );
       ( "hedging",
         [

@@ -185,18 +185,15 @@ let test_breaker_observe_alloc () =
     Alcotest.failf "Breaker.observe allocates %.1f words/call (bar: 16)"
       per_call
 
-(* The default, log-off pipeline formats nothing: no decision-log lines
-   and no per-call strings.  What remains is the pipeline's own closures
-   and outcome values (~80 words); formatting the admit and served log
-   lines would add over 200 more. *)
-let test_svc_call_alloc () =
+let always_true =
+  { Svc.insert = (fun _ _ -> true); delete = (fun _ -> true);
+    find = (fun _ -> true) }
+
+(* Words per [Svc.call] of a fresh [Find] (2 of them are the request
+   itself), over [n] calls one tick apart. *)
+let call_words cfg advance =
   let n = 10_000 in
-  let clock, advance = Clock.manual () in
-  let ops =
-    { Svc.insert = (fun _ _ -> true); delete = (fun _ -> true);
-      find = (fun _ -> true) }
-  in
-  let svc = Svc.create (Svc.config ~clock ()) ops in
+  let svc = Svc.create cfg always_true in
   let words =
     Support.words_during (fun () ->
         for i = 1 to n do
@@ -204,11 +201,132 @@ let test_svc_call_alloc () =
           ignore (Sys.opaque_identity (Svc.call svc (Svc.Find i)))
         done)
   in
+  (svc, words /. float_of_int n)
+
+(* The default, log-off pipeline formats nothing and allocates nothing
+   of its own: two critical sections locked by hand, no closures, and
+   preallocated outcomes.  What remains is the request (2 words). *)
+let test_svc_call_alloc () =
+  let clock, advance = Clock.manual () in
+  let svc, per_call = call_words (Svc.config ~clock ()) advance in
   Alcotest.(check (list string)) "no decision log" [] (Svc.decision_log svc);
-  let per_call = words /. float_of_int n in
-  if per_call > 128. then
-    Alcotest.failf "policy-free Svc.call allocates %.1f words/call (bar: 128)"
+  if per_call > 8. then
+    Alcotest.failf "policy-free Svc.call allocates %.1f words/call (bar: 8)"
       per_call
+
+(* The serve policy set (deadline, retry, budget, shed, breaker): what
+   is left is the pure state machines' successor values, ~19 words. *)
+let test_svc_policy_call_alloc () =
+  let clock, advance = Clock.manual ~ticks_per_ms:1000 () in
+  let ms = Clock.ms clock in
+  let cfg =
+    Svc.config ~clock ~deadline:(ms 100)
+      ~retry:(Some (Retry.policy ~max_attempts:3 ~base_delay:(ms 1) ()))
+      ~budget:(Retry.Budget.config ~capacity:64 ~refill_every:(ms 100) ())
+      ~shed:(Some (Shed.config ~max_queue:256 ~est_init:(ms 1) ()))
+      ~breaker:
+        (Some
+           (Breaker.config ~window:(ms 1000) ~latency_threshold:(ms 100)
+              ~open_for:(ms 1000) ()))
+      ()
+  in
+  let svc, per_call = call_words cfg advance in
+  Alcotest.(check int) "every call served" 10_000 (Svc.stats svc).served;
+  if per_call > 32. then
+    Alcotest.failf "serve-policy Svc.call allocates %.1f words/call (bar: 32)"
+      per_call
+
+(* --- In-flight accounting: one decrement on every exit ----------------- *)
+
+(* With [max_queue = 0] the shed stage admits a call only while nothing
+   is in flight, so a call that leaked its in-flight count would make
+   every later call [Queue_full].  Each case ends one call through a
+   different exit; the next call must be admitted and served. *)
+let shed0 = Some (Shed.config ~max_queue:0 ~est_init:1 ())
+
+let flaky_ops =
+  let exec k = if k >= 100 then failwith "down" else true in
+  { Svc.insert = (fun k _ -> exec k); delete = exec; find = exec }
+
+let next_call_admitted name svc =
+  Alcotest.check outcome (name ^ ": next call admitted") (Svc.Served true)
+    (Svc.call svc (Svc.Find 1))
+
+let is_failed = function Svc.Failed _ -> true | _ -> false
+
+let test_inflight_exits () =
+  let case name cfg ?deadline req check =
+    let svc = Svc.create cfg flaky_ops in
+    let out = Svc.call svc ?deadline req in
+    if not (check out) then
+      Alcotest.failf "%s: unexpected outcome %s" name (Svc.outcome_to_string out);
+    next_call_admitted name svc
+  in
+  let clock, advance = Clock.manual () in
+  let retry = Some (Retry.policy ~max_attempts:2 ~base_delay:1 ()) in
+  case "served" (Svc.config ~clock ~shed:shed0 ()) (Svc.Find 2)
+    (( = ) (Svc.Served true));
+  case "retries exhausted"
+    (Svc.config ~clock ~shed:shed0 ~retry ())
+    (Svc.Find 100)
+    (fun o ->
+      match o with
+      | Svc.Failed m -> m = "Failure(\"down\") (attempt 2)"
+      | _ -> false);
+  case "budget denied"
+    (Svc.config ~clock ~shed:shed0 ~retry
+       ~budget:(Retry.Budget.config ~capacity:0 ())
+       ())
+    (Svc.Find 100) is_failed;
+  case "deadline after attempt 1"
+    (Svc.config ~clock ~shed:shed0 ~retry ~backoff:(fun _ -> advance 50) ())
+    ~deadline:(Deadline.at (Clock.now clock + 10))
+    (Svc.Find 100)
+    (fun o ->
+      match o with
+      | Svc.Failed m -> m = "deadline after 1 attempts"
+      | _ -> false);
+  (* A backoff that raises: the exception leaves [call], and so does the
+     call's in-flight count. *)
+  let svc =
+    Svc.create
+      (Svc.config ~clock ~shed:shed0 ~retry
+         ~backoff:(fun _ -> failwith "no sleep")
+         ())
+      flaky_ops
+  in
+  (match Svc.call svc (Svc.Find 100) with
+  | o -> Alcotest.failf "raising backoff: returned %s" (Svc.outcome_to_string o)
+  | exception Failure _ -> ());
+  next_call_admitted "raising backoff" svc
+
+(* Expiry at attempt 1 needs the clock to pass the deadline between
+   admission and the first attempt, which only a clock that moves on its
+   own does.  On the real clock (microsecond steps) a deadline half a
+   microsecond out is admitted within the microsecond it was set in and
+   expires at attempt 1 once the next one starts; the decision log
+   tells that exit from a rejection at admission.  Each try gets a
+   fresh pipeline, so no service-time estimate carries over and dooms
+   the next try. *)
+let test_inflight_expired_unrun () =
+  let clock = Clock.real () in
+  let verb line = List.nth (String.split_on_char ' ' line) 1 in
+  let rec go tries =
+    if tries = 0 then
+      Alcotest.fail "no call expired between admission and attempt 1";
+    let svc =
+      Svc.create
+        (Svc.config ~clock ~shed:shed0 ~log_decisions:true ())
+        flaky_ops
+    in
+    let deadline = Deadline.at (Clock.now clock + 500) in
+    match (Svc.call svc ~deadline (Svc.Find 2), Svc.decision_log svc) with
+    | Svc.Rejected Svc.Expired, [ admit; reject ]
+      when verb admit = "admit" && verb reject = "reject" ->
+        next_call_admitted "expired at attempt 1" svc
+    | _ -> go (tries - 1)
+  in
+  go 10_000
 
 (* --- Retry budget: conservation -------------------------------------- *)
 
@@ -566,6 +684,56 @@ let test_wire_format_multi () =
   Alcotest.(check string) "empty outcome list" "MULTI 0 "
     (Wire.format_multi [])
 
+(* Keys, values and shard numbers are decimal: an optional [-], then
+   digits, within the int range — one spelling per number, so a batch's
+   duplicate check sees every duplicate. *)
+let test_wire_decimal_grammar () =
+  (match cmd_ok "GET 16" with
+  | Wire.Op (Svc.Find 16) -> ()
+  | _ -> Alcotest.fail "GET 16 parsed wrong");
+  List.iter
+    (fun spelling ->
+      Alcotest.(check string) ("GET " ^ spelling)
+        (Printf.sprintf "bad key %S" spelling)
+        (cmd_err ("GET " ^ spelling)))
+    [ "0x10"; "1_6"; "+16"; "0b10000"; "0o20"; "0u16"; "0x7fffffffffffffff";
+      "-"; "1-"; "4611686018427387904"; "-4611686018427387905" ];
+  Alcotest.(check string) "one key, two spellings" "bad key \"0x10\""
+    (cmd_err "MGET 16 0x10");
+  Alcotest.(check string) "hex value" "bad value \"0x10\"" (cmd_err "PUT 1 0x10");
+  Alcotest.(check string) "hex shard" "bad shard \"0x1\"" (cmd_err "KILL 0x1");
+  List.iter
+    (fun k ->
+      match cmd_ok (Printf.sprintf "PUT %d %d" k k) with
+      | Wire.Op (Svc.Insert (k', v)) when k' = k && v = k -> ()
+      | _ -> Alcotest.failf "PUT %d %d does not round-trip" k k)
+    [ max_int; min_int; 0; -1 ];
+  match cmd_ok "MGET -0 1" with
+  | Wire.Multi [ Svc.Find 0; Svc.Find 1 ] -> ()
+  | _ -> Alcotest.fail "-0 is key 0"
+
+(* Parsing a 16-key batch builds its requests and one array of keys;
+   formatting a 16-token reply writes one string of the exact length. *)
+let test_wire_alloc () =
+  let n = 10_000 in
+  let per f =
+    Support.words_during (fun () -> for _ = 1 to n do f () done)
+    /. float_of_int n
+  in
+  let keys = List.init 16 (fun i -> string_of_int (100_000 + (i * 7919))) in
+  let mget = String.concat " " ("MGET" :: keys) in
+  let parse = per (fun () -> ignore (Sys.opaque_identity (Wire.parse mget))) in
+  if parse > 128. then
+    Alcotest.failf "Wire.parse of a 16-key MGET allocates %.1f words (bar: 128)"
+      parse;
+  let outs = List.init 16 (fun i -> Svc.Served (i land 1 = 0)) in
+  let format =
+    per (fun () -> ignore (Sys.opaque_identity (Wire.format_multi outs)))
+  in
+  if format > 16. then
+    Alcotest.failf
+      "Wire.format_multi of 16 tokens allocates %.1f words (bar: 16)" format
+
 (* The staleness contract on the wire: a replica-served read is always
    an explicit STALE line (single op) or stale:* token (batch) carrying
    its lag — never formatted as a fresh answer. *)
@@ -719,6 +887,15 @@ let () =
             test_breaker_observe_alloc;
           Alcotest.test_case "log-off Svc.call allocation budget" `Quick
             test_svc_call_alloc;
+          Alcotest.test_case "serve-policy Svc.call allocation budget" `Quick
+            test_svc_policy_call_alloc;
+        ] );
+      ( "in-flight",
+        [
+          Alcotest.test_case "every exit leaves flight once" `Quick
+            test_inflight_exits;
+          Alcotest.test_case "expiry at attempt 1 leaves flight" `Quick
+            test_inflight_expired_unrun;
         ] );
       ( "budget",
         [
@@ -746,6 +923,10 @@ let () =
           Alcotest.test_case "MULTI formatting" `Quick test_wire_format_multi;
           Alcotest.test_case "STALE tokens + REPLICAS/HEAL verbs" `Quick
             test_wire_stale_and_heal_verbs;
+          Alcotest.test_case "decimal numbers only" `Quick
+            test_wire_decimal_grammar;
+          Alcotest.test_case "parse and format allocation budget" `Quick
+            test_wire_alloc;
         ] );
       ( "chaos",
         [

@@ -264,12 +264,12 @@ let test_prom_exemplar_lines () =
 let test_slo_burn_math () =
   let slo = Slo.create ~target:0.9 ~bucket:10 ~windows:[ 100; 1000 ] () in
   for i = 0 to 9 do
-    Slo.observe slo ~now:i ~good:true
+    Slo.observe slo ~now:i ~good:1 ~bad:0
   done;
   Alcotest.(check (float 1e-9)) "all good, no burn" 0.0
     (Slo.burn_rate slo ~now:9 ~window:100);
   for i = 10 to 19 do
-    Slo.observe slo ~now:i ~good:false
+    Slo.observe slo ~now:i ~good:0 ~bad:1
   done;
   (* 10 good / 10 bad over the window: bad ratio 0.5 against a 0.1
      budget — burning five times faster than the budget accrues. *)
@@ -277,7 +277,7 @@ let test_slo_burn_math () =
     (Slo.burn_rate slo ~now:19 ~window:100);
   Alcotest.(check bool) "5x is not fast burn" false (Slo.fast_burn slo ~now:19);
   for i = 100 to 199 do
-    Slo.observe slo ~now:i ~good:false
+    Slo.observe slo ~now:i ~good:0 ~bad:1
   done;
   Alcotest.(check (float 1e-9)) "all bad = 10x burn" 10.0
     (Slo.burn_rate slo ~now:199 ~window:100);
@@ -292,6 +292,24 @@ let test_slo_burn_math () =
     (Slo.burn_rate slo ~now:400 ~window:100);
   Alcotest.(check bool) "long window still burning" true
     (Slo.burn_rate slo ~now:400 ~window:1000 > 0.0);
+  (* A line's outcomes arrive as one observation of counts: the same
+     burn rates and line as one observation per outcome. *)
+  let singles = Slo.create ~target:0.9 ~bucket:10 ~windows:[ 100; 1000 ] () in
+  List.iter
+    (fun good ->
+      Slo.observe singles ~now:42 ~good:(Bool.to_int good)
+        ~bad:(Bool.to_int (not good)))
+    [ true; false; true; true ];
+  let counts = Slo.create ~target:0.9 ~bucket:10 ~windows:[ 100; 1000 ] () in
+  Slo.observe counts ~now:42 ~good:3 ~bad:1;
+  List.iter
+    (fun window ->
+      Alcotest.(check (float 1e-9)) "counts burn like singles"
+        (Slo.burn_rate singles ~now:50 ~window)
+        (Slo.burn_rate counts ~now:50 ~window))
+    [ 100; 1000 ];
+  Alcotest.(check string) "counts line like singles" (Slo.line singles ~now:50)
+    (Slo.line counts ~now:50);
   List.iter
     (fun mk -> Alcotest.check_raises "bad config" (Invalid_argument "Slo.create: target must be in (0, 1)") mk)
     [ (fun () -> ignore (Slo.create ~target:1.5 ~bucket:10 ~windows:[ 100 ] ())) ]
