@@ -22,12 +22,7 @@
    Part C (simulator): steps-to-recover - a lone deleter crashes between
    TRYFLAG and TRYMARK (fault plan: crash at its first mark-cas); the
    essential steps of the survivor operation that completes the orphaned
-   deletion, vs the same delete with no residue.
-
-   Part D (wall-clock): bounded exponential backoff (create_with
-   ~use_backoff:true) under a spurious-C&S-failure storm
-   (cas-fail:cas:p=0.3:burst=4), reported on/off for the FR list and skip
-   list. *)
+   deletion, vs the same delete with no residue. *)
 
 open Lf_workload
 module K = Lf_kernel.Ordered.Int
@@ -526,90 +521,12 @@ let part_c () =
   if base_ok && rec_ok then []
   else [ "part C: recovery left the structure dirty" ]
 
-(* ------------------------------------------------------------------ *)
-(* Part D: backoff under a spurious-C&S-failure storm.                 *)
-
-(* Run under run_chaos rather than run_throughput: a storm can leave a
-   spuriously-failed unlink pending at the end of the window (a flagged
-   node at quiescence that the next operation would have helped), which a
-   strict quiescent check_invariants rightly rejects. *)
-let storm_plan =
-  Fault.make_plan ~seed:3 [ Fault.spurious ~p:0.3 ~burst:4 FP.Any_cas ]
-
-let part_d () =
-  Tables.subsection
-    "Part D: exponential backoff under a C&S-failure storm (p=0.3, burst 4)";
-  let widths = [ 22; 10; 10; 8 ] in
-  Tables.row widths [ "impl"; "ops/s"; "injected"; "helps" ];
-  List.iter
-    (fun (name, backoff, make_ops) ->
-      FMem.install storm_plan;
-      let insert, delete, find = make_ops () in
-      let r =
-        Runner.run_chaos ~budget_s ~window_s:(window_s ()) ~sample:sample_faulted
-          ~name ~insert ~delete ~find ~domains:2 ~key_range:512
-          ~mix:Opgen.mixed ~seed:46 ()
-      in
-      FMem.uninstall ();
-      let lookup key =
-        match List.assoc_opt key r.c_counters with Some v -> v | None -> 0
-      in
-      Tables.row widths
-        [
-          name;
-          Printf.sprintf "%.0f" r.c_survivor_ops_per_s;
-          string_of_int (lookup "injected");
-          string_of_int (lookup "helps");
-        ];
-      Bench_json.emit_part ~exp:"exp18" ~part:"backoff"
-        Bench_json.
-          [
-            ("impl", S name);
-            ("domains", I 2);
-            ("backoff", B backoff);
-            ("ops_per_s", F r.c_survivor_ops_per_s);
-            ("injected", I (lookup "injected"));
-            ("helps", I (lookup "helps"));
-          ])
-    [
-      ( "fr-list(storm)",
-        false,
-        fun () ->
-          let t = FL.create () in
-          ( (fun k -> FL.insert t k k),
-            (fun k -> FL.delete t k),
-            fun k -> FL.mem t k ) );
-      ( "fr-list(storm,bo)",
-        true,
-        fun () ->
-          let t = FL.create_with ~use_backoff:true ~use_flags:true () in
-          ( (fun k -> FL.insert t k k),
-            (fun k -> FL.delete t k),
-            fun k -> FL.mem t k ) );
-      ( "fr-skiplist(storm)",
-        false,
-        fun () ->
-          let t = FS.create () in
-          ( (fun k -> FS.insert t k k),
-            (fun k -> FS.delete t k),
-            fun k -> FS.mem t k ) );
-      ( "fr-skiplist(storm,bo)",
-        true,
-        fun () ->
-          let t = FS.create_with ~use_backoff:true () in
-          ( (fun k -> FS.insert t k k),
-            (fun k -> FS.delete t k),
-            fun k -> FS.mem t k ) );
-    ];
-  print_newline ()
-
 let run () =
   Tables.section "EXP-18  Graceful degradation under crashes and stalls";
   let fa = part_a () in
   let fb = part_b () in
   let fc = part_c () in
   let failures = fa @ fb @ fc in
-  part_d ();
   (match failures with
   | [] ->
       Tables.note

@@ -59,7 +59,7 @@ let a_ops () = if !Bench_json.quick then 20_000 else 200_000
 (* The same call sites at every level: the level gates the cost, not
    the code path — exactly how lib/svc and bin/lfdict hold them. *)
 let run_level ~clock level =
-  Span.reset ();
+  Recorder.reset ();
   Recorder.set_level level;
   let t = AI.create () in
   for k = 0 to a_key_range - 1 do
@@ -108,8 +108,7 @@ let off_zero_alloc () =
     let c = Span.begin_ r ~name:"child" ~now:i in
     if Span.active c then Span.event c ~now:i (Span.Note "x");
     Span.end_ c ~now:i ~ok:true;
-    Span.end_ r ~now:i ~ok:true;
-    Span.note_cas_fail Lf_kernel.Mem_event.Marking
+    Span.end_ r ~now:i ~ok:true
   done;
   Gc.minor_words () -. w0
 
@@ -179,7 +178,7 @@ let b_spike_at = 40
    jitter, fixed spike index.  Returns the evidence the operator would
    pull plus the serialized dumps for the replay check. *)
 let run_spike mode =
-  Span.reset ();
+  Recorder.reset ();
   Recorder.set_level Recorder.Tracing;
   let clock, advance = Clock.manual () in
   let i_req = ref 0 in
@@ -214,14 +213,14 @@ let run_spike mode =
   (* The operator's walk: worst bucket -> exemplar -> span tree. *)
   let worst =
     List.fold_left
-      (fun acc e -> match acc with Some w when w.Span.ex_le >= e.Span.ex_le -> acc | _ -> Some e)
-      None (Span.exemplars ())
+      (fun acc e -> match acc with Some w when w.Recorder.ex_le >= e.Recorder.ex_le -> acc | _ -> Some e)
+      None (Recorder.exemplars ())
   in
   let verdict =
     match worst with
     | None -> Error "no exemplars recorded"
     | Some e -> (
-        match Span.find_trace e.Span.ex_trace with
+        match Span.find_trace e.Recorder.ex_trace with
         | None -> Error "exemplar trace id resolves to no retained tree"
         | Some tr -> (
             match Span.well_formed tr with
@@ -254,7 +253,7 @@ let part_b () =
       let le, phase, attributed =
         match v1 with
         | Ok (e, phase) ->
-            (string_of_int e.Span.ex_le, phase,
+            (string_of_int e.Recorder.ex_le, phase,
              String.equal phase (expected_phase mode))
         | Error err -> ("-", "ERROR: " ^ err, false)
       in
@@ -305,7 +304,7 @@ let read_file p =
 
 let part_c () =
   Tables.subsection "Part C: flight dump when a shard's breaker opens";
-  Span.reset ();
+  Recorder.reset ();
   Recorder.set_level Recorder.Tracing;
   let clock, advance = Clock.manual () in
   let ring = Hash_ring.create ~seed:3 ~shards:c_shards () in

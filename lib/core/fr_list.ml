@@ -73,7 +73,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     head : 'a node;
     tail : 'a node;
     use_flags : bool;
-    use_backoff : bool;
     mutation : mutation option;
     hints : 'a anchor H.t option;
         (* per-domain predecessor cache; [None] = ablation (hints off) *)
@@ -115,8 +114,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         (Lf_kernel.Protocol.Backlink { owner; view = link_view_of n })
     end
 
-  let create_with ?mutation ?(use_hints = true) ?(use_backoff = false)
-      ~use_flags () =
+  let create_with ?mutation ?(use_hints = true) ~use_flags () =
     let tail =
       {
         key = Pos_inf;
@@ -142,7 +140,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       annotate_node ~head:true ~sentinel:true head
     end;
     let hints = if use_hints then Some (H.create ()) else None in
-    { head; tail; use_flags; use_backoff; mutation; hints }
+    { head; tail; use_flags; mutation; hints }
 
   let create () = create_with ~use_flags:true ()
 
@@ -184,27 +182,22 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     if not (M.get del.succ).mark then try_mark t del;
     help_marked t prev del
 
-  and try_mark t del = try_mark_n t del 0
-
-  and try_mark_n t del fails =
+  and try_mark t del =
     (* Repeat until [del] is marked.  A flagged successor field means the
        deletion of [del]'s successor is in progress: help it finish first
        (the flag blocks our marking C&S). *)
     let s = M.get del.succ in
     if s.mark then ()
     else if s.flag then
-      if no_help t then try_mark_n t del fails
+      if no_help t then try_mark t del
       else begin
         M.event Ev.Help;
         help_flagged t del (as_node s.right);
-        try_mark_n t del fails
+        try_mark t del
       end
     else if M.cas del.succ ~kind:Ev.Marking ~expect:s { s with mark = true }
     then del.anchor.live <- Null
-    else begin
-      if t.use_backoff then M.pause fails;
-      try_mark_n t del (fails + 1)
-    end
+    else try_mark t del
 
   (* SEARCHFROM (Fig. 3).  Starting from [start] (whose key must be <= k),
      returns two nodes (n1, n2) such that at some instant during the search
@@ -320,7 +313,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      [(Some prev, false)] - a concurrent deletion already placed it,
      [(None, false)]      - [target] is no longer in the list. *)
   let try_flag t prev target =
-    let rec loop fails prev =
+    let rec loop prev =
       let ps = M.get prev.succ in
       if same_node ps.right target && (not ps.mark) && ps.flag then
         (Some prev, false)
@@ -335,14 +328,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         if same_node ps'.right target && (not ps'.mark) && ps'.flag then
           (Some prev, false)
         else begin
-          if t.use_backoff then M.pause fails;
           let prev = backtrack prev in
           let prev, del = search_from t ~inclusive:false target.key prev in
-          if del != target then (None, false) else loop (fails + 1) prev
+          if del != target then (None, false) else loop prev
         end
       end
     in
-    loop 0 prev
+    loop prev
 
   (* SEARCH (Fig. 3).  Each [*_from] entry point takes a validated start
      node and returns the operation's result together with a "carry": the
@@ -362,19 +354,19 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   (* INSERT (Fig. 5). *)
   let insert_from t kb elt start =
-    let rec attempt fails prev next =
+    let rec attempt prev next =
       let ps = M.get prev.succ in
       if ps.flag then
-        if no_help t then attempt fails prev next
+        if no_help t then attempt prev next
         else begin
           (* Predecessor is flagged: help the pending deletion complete. *)
           M.event Ev.Help;
           help_flagged t prev (as_node ps.right);
-          relocate fails prev
+          relocate prev
         end
       else if ps.mark || not (same_node ps.right next) then
         (* Stale view: the C&S would fail; recover as after a failure. *)
-        recover fails prev
+        recover prev
       else begin
         let anchor = { live = Null } in
         let nn =
@@ -393,12 +385,9 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           M.cas prev.succ ~kind:Ev.Insertion ~expect:ps
             { right = link; mark = false; flag = false }
         then (true, nn)
-        else begin
-          if t.use_backoff then M.pause fails;
-          recover (fails + 1) prev
-        end
+        else recover prev
       end
-    and recover fails prev =
+    and recover prev =
       (* Lines 14-18: if the failure was due to flagging, help; if due to
          marking, traverse backlinks to an unmarked node. *)
       let ps = M.get prev.succ in
@@ -406,12 +395,12 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         M.event Ev.Help;
         help_flagged t prev (as_node ps.right)
       end;
-      relocate fails (backtrack prev)
-    and relocate fails prev =
+      relocate (backtrack prev)
+    and relocate prev =
       let prev, next = search_from t ~inclusive:true kb prev in
-      if BK.equal prev.key kb then (false, prev) else attempt fails prev next
+      if BK.equal prev.key kb then (false, prev) else attempt prev next
     in
-    relocate 0 start
+    relocate start
 
   let insert t k elt =
     let kb = Lf_kernel.Ordered.Mid k in

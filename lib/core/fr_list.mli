@@ -58,7 +58,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   val create_with :
     ?mutation:mutation ->
     ?use_hints:bool ->
-    ?use_backoff:bool ->
     use_flags:bool ->
     unit ->
     'a t
@@ -77,12 +76,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
       keeps a deleted node reachable.  Backlink recovery remains for the
       window between the mark and the drop, and for batch carries.
       [~use_hints:false] is the EXP-17 ablation.
-
-      [use_backoff] (default [false]) inserts bounded exponential backoff
-      ([Mem.S.pause], growing with the consecutive-failure count) before
-      re-entering a C&S retry loop after a failed C&S — in TRYMARK,
-      TRYFLAG and INSERT.  Helping is never delayed.  EXP-18 measures its
-      effect under spurious-C&S-failure storms.
 
       [create () = create_with ~use_flags:true ()]. *)
 

@@ -10,6 +10,9 @@
    then a pure function of the seed, which CI checks byte-for-byte) and
    1000 on real memory (ns -> us, the format's native unit).
 
+   Request spans are not rendered here: [Flight] draws them as trees,
+   through the same row printer.
+
    The ring buffers overwrite oldest events, which can orphan a span
    edge: an "E" whose "B" was overwritten, or a "B" whose "E" was never
    recorded (operation in flight at collection, or the lane's span was
@@ -67,11 +70,57 @@ module IPSet = Set.Make (struct
   let compare = compare
 end)
 
-let to_string ?(time_div = 1) ?gc (events : Obs_event.t list) =
+(* ------------------------------------------------------------------ *)
+(* The one row printer: both this module's recorder view and [Flight]'s
+   request trees write their rows through it. *)
+
+type arg = Int of int | Bool of bool | Str of string | Num of float
+type rows = { buf : Buffer.t; mutable first : bool }
+
+let rows () =
   let buf = Buffer.create 4096 in
-  let events = Array.of_list events in
+  Buffer.add_string buf "{\"traceEvents\":[";
+  { buf; first = true }
+
+(* Fields in one order: name, cat, ph, ts, pid, tid, the instant scope
+   ("s", on "i" rows only), args (left out when empty). *)
+let row r ?cat ?ts ~ph ~pid ~tid ?(args = []) name =
+  let b = r.buf in
+  if r.first then r.first <- false else Buffer.add_char b ',';
+  Printf.bprintf b "\n{\"name\":\"%s\"" (escape name);
+  Option.iter (fun c -> Printf.bprintf b ",\"cat\":\"%s\"" (escape c)) cat;
+  Printf.bprintf b ",\"ph\":\"%c\"" ph;
+  Option.iter (Printf.bprintf b ",\"ts\":%d") ts;
+  Printf.bprintf b ",\"pid\":%d,\"tid\":%d" pid tid;
+  if ph = 'i' then Buffer.add_string b ",\"s\":\"t\"";
+  List.iteri
+    (fun i (k, v) ->
+      Printf.bprintf b "%s\"%s\":" (if i = 0 then ",\"args\":{" else ",") k;
+      match v with
+      | Int n -> Printf.bprintf b "%d" n
+      | Bool x -> Printf.bprintf b "%b" x
+      | Str x -> Printf.bprintf b "\"%s\"" (escape x)
+      | Num x -> Printf.bprintf b "%.0f" x)
+    args;
+  Buffer.add_string b (if args = [] then "}" else "}}")
+
+let contents r =
+  Buffer.add_string r.buf "\n],\"displayTimeUnit\":\"ms\"}\n";
+  Buffer.contents r.buf
+
+(* ------------------------------------------------------------------ *)
+(* The recorder's events.  Request spans are left to [Flight], which
+   renders them as trees. *)
+
+let to_string ?(time_div = 1) ?gc (events : Obs_event.t list) =
+  let events =
+    List.filter
+      (fun (e : Obs_event.t) ->
+        match e.kind with Req_begin _ | Req_end _ | Req_event _ -> false | _ -> true)
+      events
+    |> Array.of_list
+  in
   let keep = matched_edges events in
-  let ts_of (e : Obs_event.t) = e.ts / max 1 time_div in
   let doms = ref ISet.empty in
   let lanes = ref IPSet.empty in
   Array.iter
@@ -79,68 +128,46 @@ let to_string ?(time_div = 1) ?gc (events : Obs_event.t list) =
       doms := ISet.add e.dom !doms;
       lanes := IPSet.add (e.dom, e.lane) !lanes)
     events;
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let row s =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf "\n";
-    Buffer.add_string buf s
-  in
+  let r = rows () in
   (* Metadata first: name every process (domain) and thread (lane). *)
   ISet.iter
     (fun d ->
-      row
-        (Printf.sprintf
-           "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"domain-%d\"}}"
-           d d))
+      row r ~ph:'M' ~pid:d ~tid:0
+        ~args:[ ("name", Str (Printf.sprintf "domain-%d" d)) ] "process_name")
     !doms;
   IPSet.iter
     (fun (d, l) ->
-      row
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"lane-%d\"}}"
-           d l l))
+      row r ~ph:'M' ~pid:d ~tid:l
+        ~args:[ ("name", Str (Printf.sprintf "lane-%d" l)) ] "thread_name")
     !lanes;
   (* GC attribution as a counter track (ph "C"): collections and words for
      the window the trace covers, rendered by Perfetto as a counter lane. *)
-  (match gc with
-  | None -> ()
-  | Some (g : Gc_attr.snap) ->
-      row
-        (Printf.sprintf
-           "{\"name\":\"gc\",\"cat\":\"gc\",\"ph\":\"C\",\"ts\":0,\"pid\":0,\"tid\":0,\"args\":{\"minor_collections\":%d,\"major_collections\":%d,\"minor_words\":%.0f,\"promoted_words\":%.0f}}"
-           g.Gc_attr.minor_collections g.Gc_attr.major_collections
-           g.Gc_attr.minor_words g.Gc_attr.promoted_words));
+  Option.iter
+    (fun (g : Gc_attr.snap) ->
+      row r ~cat:"gc" ~ts:0 ~ph:'C' ~pid:0 ~tid:0
+        ~args:
+          [
+            ("minor_collections", Int g.minor_collections);
+            ("major_collections", Int g.major_collections);
+            ("minor_words", Num g.minor_words);
+            ("promoted_words", Num g.promoted_words);
+          ]
+        "gc")
+    gc;
   Array.iteri
     (fun i (e : Obs_event.t) ->
+      let row = row r ~ts:(e.ts / max 1 time_div) ~pid:e.dom ~tid:e.lane in
       if keep.(i) then
         match e.kind with
-        | Obs_event.Span_begin { op; key } ->
-            row
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"cat\":\"op\",\"ph\":\"B\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"key\":%d}}"
-                 (escape (Obs_event.op_to_string op))
-                 (ts_of e) e.dom e.lane key)
-        | Obs_event.Span_end { op; ok } ->
-            row
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"cat\":\"op\",\"ph\":\"E\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"args\":{\"ok\":%b}}"
-                 (escape (Obs_event.op_to_string op))
-                 (ts_of e) e.dom e.lane ok)
-        | Obs_event.Cas { cas; ok } ->
-            row
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"cat\":\"cas\",\"ph\":\"i\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"s\":\"t\",\"args\":{\"ok\":%b}}"
-                 (escape (cas_name cas)) (ts_of e) e.dom e.lane ok)
-        | Obs_event.Note ev ->
-            row
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"cat\":\"note\",\"ph\":\"i\",\"ts\":%d,\"pid\":%d,\"tid\":%d,\"s\":\"t\"}"
-                 (escape (Lf_kernel.Mem_event.to_string ev))
-                 (ts_of e) e.dom e.lane))
+        | Span_begin { op; key } ->
+            row ~cat:"op" ~ph:'B' ~args:[ ("key", Int key) ] (Obs_event.op_to_string op)
+        | Span_end { op; ok } ->
+            row ~cat:"op" ~ph:'E' ~args:[ ("ok", Bool ok) ] (Obs_event.op_to_string op)
+        | Cas { cas; ok } -> row ~cat:"cas" ~ph:'i' ~args:[ ("ok", Bool ok) ] (cas_name cas)
+        | Note ev -> row ~cat:"note" ~ph:'i' (Lf_kernel.Mem_event.to_string ev)
+        | Req_begin _ | Req_end _ | Req_event _ -> ())
     events;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+  contents r
 
 (* ------------------------------------------------------------------ *)
 (* Well-formedness checker (lfdict trace --check, and the tests).

@@ -9,10 +9,30 @@ val to_string : ?time_div:int -> ?gc:Gc_attr.snap -> Obs_event.t list -> string
 (** [time_div] divides recorder timestamps into the file's time unit:
     1 (default) under the simulator, 1000 for ns -> us on real memory.
     [gc], when given, is emitted as a "C" (counter) row carrying the GC
-    attribution for the window the trace covers. *)
+    attribution for the window the trace covers.  Request-span events
+    are skipped: [Flight] renders them as trees. *)
+
+(** {1 The row printer} — shared with [Flight] *)
+
+type arg = Int of int | Bool of bool | Str of string | Num of float
+(** An ["args"] value; [Str] is escaped, [Num] printed without decimals. *)
+
+type rows
+
+val rows : unit -> rows
+
+val row :
+  rows -> ?cat:string -> ?ts:int -> ph:char -> pid:int -> tid:int ->
+  ?args:(string * arg) list -> string -> unit
+(** [row r ~ph ~pid ~tid name] appends one event, fields in the order
+    name, cat, ph, ts, pid, tid, ["s":"t"] (on ['i'] rows only), args
+    (left out when empty). *)
+
+val contents : rows -> string
+(** Close the file and return it; call once. *)
 
 val escape : string -> string
-(** JSON string-body escaping, shared with [Flight]'s renderings. *)
+(** JSON string-body escaping, shared with [Flight]'s bundle. *)
 
 val check : string -> (unit, string) result
 (** Well-formedness: parses as JSON, has a [traceEvents] array, B/E

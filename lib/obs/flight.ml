@@ -1,5 +1,6 @@
-(* Serialization of the span flight rings.  All state lives in [Span];
-   the only thing here is the dump counter that names the files. *)
+(* Serialization of the request trees [Span] rebuilds from the
+   recorder's rings.  The only state here is the dump counter that
+   names the files. *)
 
 let esc = Chrome_trace.escape
 
@@ -61,63 +62,42 @@ let dump_string ~reason ?(meta = []) () =
    was misconfigured). *)
 
 let chrome_string () =
-  let trees = Span.trees () in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  let first = ref true in
-  let row s =
-    if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_char buf '\n';
-    Buffer.add_string buf s
-  in
-  row
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"lfdict-requests\"}}";
+  let r = Chrome_trace.rows () in
+  let row = Chrome_trace.row r ~pid:0 in
+  row ~ph:'M' ~tid:0 ~args:[ ("name", Str "lfdict-requests") ] "process_name";
   List.iter
     (fun t ->
-      let trace = Span.tree_trace t in
-      row
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"trace-%d\"}}"
-           trace trace);
-      let spans = Span.tree_spans t in
+      let tid = Span.tree_trace t in
+      row ~ph:'M' ~tid
+        ~args:[ ("name", Str (Printf.sprintf "trace-%d" tid)) ]
+        "thread_name";
+      let root = Span.tree_root t in
       let children = Hashtbl.create 16 in
       List.iter
         (fun (s : Span.span) ->
-          if s.Span.s_id <> (Span.tree_root t).Span.s_id then
-            Hashtbl.replace children s.Span.s_parent
+          if s.s_id <> root.s_id then
+            Hashtbl.replace children s.s_parent
               (s
-              :: Option.value
-                   (Hashtbl.find_opt children s.Span.s_parent)
-                   ~default:[]))
-        (List.rev spans);
+              :: Option.value (Hashtbl.find_opt children s.s_parent) ~default:[]))
+        (List.rev (Span.tree_spans t));
       let rec emit ~lo ~hi (s : Span.span) =
-        let b = min (max s.Span.s_begin lo) hi in
-        let e = min (max s.Span.s_end b) hi in
-        row
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"B\",\"ts\":%d,\"pid\":0,\"tid\":%d,\"args\":{\"id\":%d}}"
-             (esc s.Span.s_name) b trace s.Span.s_id);
+        let b = min (max s.s_begin lo) hi in
+        let e = min (max s.s_end b) hi in
+        row ~cat:"span" ~ts:b ~ph:'B' ~tid ~args:[ ("id", Int s.s_id) ] s.s_name;
         List.iter
           (fun (ts, ev) ->
             let kind, arg = Span.event_strings ev in
-            row
-              (Printf.sprintf
-                 "{\"name\":\"%s\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":%d,\"pid\":0,\"tid\":%d,\"s\":\"t\",\"args\":{\"arg\":\"%s\"}}"
-                 (esc kind)
-                 (min (max ts b) e)
-                 trace (esc arg)))
+            row ~cat:"event" ~ts:(min (max ts b) e) ~ph:'i' ~tid
+              ~args:[ ("arg", Str arg) ]
+              kind)
           (Span.span_events s);
         List.iter (emit ~lo:b ~hi:e)
-          (Option.value (Hashtbl.find_opt children s.Span.s_id) ~default:[]);
-        row
-          (Printf.sprintf
-             "{\"name\":\"%s\",\"cat\":\"span\",\"ph\":\"E\",\"ts\":%d,\"pid\":0,\"tid\":%d,\"args\":{\"ok\":%b}}"
-             (esc s.Span.s_name) e trace s.Span.s_ok)
+          (Option.value (Hashtbl.find_opt children s.s_id) ~default:[]);
+        row ~cat:"span" ~ts:e ~ph:'E' ~tid ~args:[ ("ok", Bool s.s_ok) ] s.s_name
       in
-      emit ~lo:min_int ~hi:max_int (Span.tree_root t))
-    trees;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+      emit ~lo:min_int ~hi:max_int root)
+    (Span.trees ());
+  Chrome_trace.contents r
 
 (* ------------------------------------------------------------------ *)
 (* Files *)

@@ -1,6 +1,6 @@
-(** The flight recorder: dump the span trees retained in {!Span}'s
-    per-domain rings as a deterministic JSON bundle plus a Chrome-trace
-    file.
+(** The flight recorder: dump the request trees {!Span.trees} rebuilds
+    from the recorder's per-domain rings as a deterministic JSON bundle
+    plus a Chrome-trace file.
 
     The rings fill while the recorder is at [Tracing]; this module only
     serializes what they hold, so a dump is cheap enough to trigger

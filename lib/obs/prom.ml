@@ -116,22 +116,22 @@ let snapshot () =
       int_sample buf "lf_op_latency_count" [ op_l ] (Hist.count h))
     (Recorder.latencies ());
   (* Request latency histogram with tail-based exemplars: cumulative
-     buckets from the span layer's exemplar table, each bucket carrying
-     the trace id of its worst recent request (OpenMetrics exemplar
-     syntax, accepted by [validate]). *)
+     buckets from the recorder's exemplars, each bucket carrying the
+     trace id of its worst recent request (OpenMetrics exemplar syntax,
+     accepted by [validate]). *)
   header buf "lf_latency"
     "Request latency histogram with trace-id exemplars (clock ticks)"
     "histogram";
   let cum = ref 0 in
   List.iter
-    (fun (x : Span.exemplar) ->
-      cum := !cum + x.Span.ex_count;
+    (fun (x : Recorder.exemplar) ->
+      cum := !cum + x.ex_count;
       Buffer.add_string buf
         (Printf.sprintf
            "lf_latency_bucket{le=\"%d\"} %d # {trace_id=\"%d\"} %d\n"
-           x.Span.ex_le !cum x.Span.ex_trace x.Span.ex_latency))
-    (Span.exemplars ());
-  let lat_sum, lat_count = Span.latency_totals () in
+           x.ex_le !cum x.ex_trace x.ex_latency))
+    (Recorder.exemplars ());
+  let lat_sum, lat_count = Recorder.latency_totals () in
   int_sample buf "lf_latency_bucket" [ ("le", "+Inf") ] lat_count;
   int_sample buf "lf_latency_sum" [] lat_sum;
   int_sample buf "lf_latency_count" [] lat_count;

@@ -18,8 +18,10 @@
    C&S to phase and key; [Tracing] additionally records the event stream
    into per-domain bounded rings (oldest events overwritten, drops
    counted).  The level is the process's one observability switch: the
-   request tracer reads it too, and builds span trees only at
-   [Tracing].
+   request tracer reads it too, and opens request spans only at
+   [Tracing].  Their begin, end and event records go into the same ring,
+   so each domain's ring is the one store of a trace: [Span.trees]
+   rebuilds request trees from [rings], and [reset] is the one reset.
 
    Lanes vs domains: under the deterministic simulator many simulated
    processes share one domain, so the per-domain span state is a pair
@@ -74,6 +76,30 @@ let set_ring_capacity n =
    clock never reads [min_int]. *)
 let closed = min_int
 
+(* Tail-based exemplars: completed requests log-bucketed by latency,
+   each bucket keeping the worst recent request that landed in it.
+   Bucket [i] holds latencies in [(2^(i-1), 2^i - 1]]; bucket 0 holds
+   <= 0. *)
+type exemplar = {
+  ex_le : int;
+  ex_count : int;
+  ex_trace : int;
+  ex_latency : int;
+  ex_tick : int;
+}
+
+let n_buckets = 63
+
+let no_exemplars () =
+  Array.init n_buckets (fun i ->
+      {
+        ex_le = (if i = 0 then 0 else (1 lsl i) - 1);
+        ex_count = 0;
+        ex_trace = 0;
+        ex_latency = -1;
+        ex_tick = 0;
+      })
+
 type dstate = {
   dom : int;
   tally : C.t;  (* access/cost-model tallies: the existing vocabulary *)
@@ -85,6 +111,10 @@ type dstate = {
   mutable span_key : int array;
   mutable span_start : int array;
   mutable seq : int;  (* per-domain event sequence; breaks ts ties *)
+  mutable span_ids : int;  (* request-span ids handed out *)
+  mutable exemplars : exemplar array;  (* by [bucket_of] latency *)
+  mutable lat_sum : int;  (* completed-request latencies *)
+  mutable lat_count : int;
 }
 
 let registry : dstate list Atomic.t = Atomic.make []
@@ -100,6 +130,10 @@ let make_dstate () =
     span_key = Array.make 8 0;
     span_start = Array.make 8 closed;
     seq = 0;
+    span_ids = 0;
+    exemplars = no_exemplars ();
+    lat_sum = 0;
+    lat_count = 0;
   }
 
 let register st =
@@ -131,7 +165,11 @@ let reset () =
       Profile.clear st.profile;
       st.ring <- Ring.create ~capacity:!ring_capacity Obs_event.dummy;
       Array.fill st.span_start 0 (Array.length st.span_start) closed;
-      st.seq <- 0)
+      st.seq <- 0;
+      st.span_ids <- 0;
+      st.exemplars <- no_exemplars ();
+      st.lat_sum <- 0;
+      st.lat_count <- 0)
     (Atomic.get registry)
 
 (* A lane's slot index: lanes are small and may be negative (a
@@ -157,11 +195,12 @@ let slot st lane =
 (* ------------------------------------------------------------------ *)
 (* Hot path *)
 
-let push st kind =
+let push_at st ~ts kind =
   let s = st.seq in
   st.seq <- s + 1;
-  Ring.push st.ring
-    { Obs_event.ts = now (); dom = st.dom; lane = lane (); seq = s; kind }
+  Ring.push st.ring { Obs_event.ts; dom = st.dom; lane = lane (); seq = s; kind }
+
+let push st kind = push_at st ~ts:(now ()) kind
 
 (* Reads and writes are the one per-access cost that scales with traversal
    length: on a pointer-chasing search they outnumber C&S by orders of
@@ -247,6 +286,33 @@ let span_end ~op ~ok =
     end
   end
 
+(* Request spans.  A live [Span] context is the gate, so these do not
+   read the level: a span opened at [Tracing] records its end even if
+   the level dropped in between. *)
+
+let span_id () =
+  let st = local () in
+  st.span_ids <- st.span_ids + 1;
+  (st.dom lsl 40) lor st.span_ids
+
+let push_request ~now kind = push_at (local ()) ~ts:now kind
+
+(* The bit length of [latency], capped at the last bucket. *)
+let rec bucket_of latency =
+  if latency <= 0 then 0 else min (n_buckets - 1) (1 + bucket_of (latency lsr 1))
+
+let complete_request ~trace ~latency ~tick =
+  let st = local () in
+  let i = bucket_of latency in
+  let e = st.exemplars.(i) in
+  let e = { e with ex_count = e.ex_count + 1 } in
+  st.exemplars.(i) <-
+    (if latency >= e.ex_latency then
+       { e with ex_trace = trace; ex_latency = latency; ex_tick = tick }
+     else e);
+  st.lat_sum <- st.lat_sum + latency;
+  st.lat_count <- st.lat_count + 1
+
 (* ------------------------------------------------------------------ *)
 (* Collection (at quiescence) *)
 
@@ -299,3 +365,31 @@ let events () =
 
 let event_count () =
   List.fold_left (fun acc st -> acc + Ring.length st.ring) 0 (states ())
+
+(* Each domain's retained events in ring order, domains by id. *)
+let rings () =
+  List.sort (fun a b -> Int.compare a.dom b.dom) (states ())
+  |> List.map (fun st -> Ring.to_list st.ring)
+
+(* Buckets merge like the histograms: counts add, and the worst latency
+   wins, ties going to the later tick. *)
+let merge_exemplar a b =
+  let worst =
+    if b.ex_latency > a.ex_latency || (b.ex_latency = a.ex_latency && b.ex_tick > a.ex_tick)
+    then b
+    else a
+  in
+  { worst with ex_count = a.ex_count + b.ex_count }
+
+let exemplars () =
+  let merged = no_exemplars () in
+  List.iter
+    (fun st ->
+      Array.iteri (fun i e -> merged.(i) <- merge_exemplar merged.(i) e) st.exemplars)
+    (states ());
+  List.filter (fun e -> e.ex_count > 0) (Array.to_list merged)
+
+let latency_totals () =
+  List.fold_left
+    (fun (sum, count) st -> (sum + st.lat_sum, count + st.lat_count))
+    (0, 0) (states ())

@@ -12,9 +12,11 @@
     - [Histograms]: read/write tallies, operation-span latencies,
       C&S-failure attribution to protocol phase and key.
     - [Tracing]: the timestamped event stream, in bounded per-domain rings
-      (oldest overwritten, drops counted), and request span trees: the
-      level is the one observability switch, and {!Span} builds trees
-      only at [Tracing].
+      (oldest overwritten, drops counted), and request spans: the level
+      is the one observability switch, and {!Span} opens spans only at
+      [Tracing].  Their records go into the same rings, so one ring per
+      domain holds every observation and {!Span.trees} is a view built
+      from {!rings}.
 
     Configure ({!set_level}, {!set_clock}, {!set_ring_capacity}) before
     spawning worker domains; collect ({!tallies}, {!latencies}, {!events},
@@ -34,18 +36,15 @@ type clock =
 val set_clock : clock -> unit
 val now : unit -> int
 
-val lane : unit -> int
-(** The executing lane: the simulated process under the simulator, else
-    {!Lf_kernel.Lane} — what per-lane span state is keyed on. *)
-
 val set_ring_capacity : int -> unit
 (** Capacity of per-domain event rings created afterwards (default 65536);
     {!reset} re-creates existing rings at the current capacity.
     @raise Invalid_argument if not positive. *)
 
 val reset : unit -> unit
-(** Clear every registered domain's tallies, histograms, profile, and
-    ring.  Call at quiescence between measured runs. *)
+(** Clear every registered domain's tallies, histograms, profile, ring,
+    request-span id counter and exemplars — so also every request tree.
+    The one reset; call at quiescence between measured runs. *)
 
 (** {1 Hot path} — called by {!Trace_mem} and the harnesses *)
 
@@ -62,6 +61,22 @@ val span_end : op:Obs_event.op -> ok:bool -> unit
 (** Close the current lane's span: counts the operation, records its
     latency into the per-op histogram. *)
 
+(** {1 Request spans} — called by {!Span} once a context is live; none
+    of these reads the level *)
+
+val span_id : unit -> int
+(** A fresh request-span id, [(domain lsl 40) lor n] with a per-domain
+    [n] that restarts at {!reset}: a single-domain run allocates the
+    same ids in every execution. *)
+
+val push_request : now:int -> Obs_event.kind -> unit
+(** Append a request-span event ([Req_begin], [Req_end] or [Req_event])
+    to the current domain's ring, stamped [now] — the caller's tick. *)
+
+val complete_request : trace:int -> latency:int -> tick:int -> unit
+(** Count one completed request into the exemplar buckets and the
+    latency totals. *)
+
 (** {1 Collection} — merge the per-domain states; quiescence only *)
 
 val tallies : unit -> Lf_kernel.Counters.t
@@ -74,8 +89,32 @@ val profile_report : ?top:int -> unit -> Profile.report
 val events : unit -> Obs_event.t list
 (** Every retained event, merged across domains and sorted by
     [(ts, dom, seq)] — a deterministic total order under the simulator
-    clock. *)
+    clock.  Request-span events sort by the caller's tick. *)
+
+val rings : unit -> Obs_event.t list list
+(** Each domain's retained events in ring (sequence) order, domains
+    ordered by id. *)
 
 val event_count : unit -> int
 val dropped : unit -> int
 (** Events lost to ring overwrites since the last {!reset}. *)
+
+(** {1 Tail-based exemplars} *)
+
+type exemplar = {
+  ex_le : int;  (** inclusive upper latency bound of the bucket *)
+  ex_count : int;  (** completed requests that landed in the bucket *)
+  ex_trace : int;  (** trace id of the worst recent request in it *)
+  ex_latency : int;
+  ex_tick : int;  (** completion tick of that request *)
+}
+
+val exemplars : unit -> exemplar list
+(** Non-empty latency buckets in ascending bound order, each carrying
+    the trace id of its worst recent request.  Domains merge like the
+    histograms: counts add, the worst latency wins, and a tie goes to
+    the later tick. *)
+
+val latency_totals : unit -> int * int
+(** [(sum, count)] of completed-request latencies — the histogram's
+    [_sum] / [_count] pair. *)

@@ -8,13 +8,19 @@
     tree's trace id is the root's span id.  Context is propagated
     {e explicitly}: the serve layer creates a root {!ctx}, threads it
     through [Svc.call ?ctx] / [Router.call ?ctx], and each layer opens
-    children with {!begin_} — there is no ambient request context.  The
-    one implicit hop is C&S-failure attribution: {!with_current}
-    registers the executing attempt for the current lane, so
-    [Trace_mem]'s C&S hook can land {!note_cas_fail} events inside the
-    owning attempt without the structures knowing about requests.
+    children with {!begin_} — there is no ambient request context.
 
-    There is one switch: {!Recorder.level}.  Trees build only at
+    [Span] keeps no state.  A context is an immutable handle, and
+    {!root}, {!begin_}, {!end_} and {!event} append one record each to
+    the recorder's per-domain ring, stamped with the caller's tick, next
+    to the recorder's own C&S and cost-model events.  {!trees} rebuilds
+    the completed trees from those rings, so [Recorder.reset] is the one
+    reset.  A failed C&S lands, as a {!Cas_fail} event, in the innermost
+    request span open on its lane when it happened: the attempt during a
+    pipeline call, the hedge during a failover read, the rebalance root
+    during a migration copy.  The structures never learn about requests.
+
+    There is one switch: {!Recorder.level}.  Spans open only at
     [Recorder.Tracing]; below it {!root} returns {!nil}, and every other
     entry point, handed {!nil}, returns at once — no domain-local
     lookup, no allocation (test_trace's "off level allocates nothing"
@@ -22,26 +28,19 @@
     the caller reads — the [Clock] seam in the service layer, the
     recorder clock for C&S failures — so under the simulator or a
     manual clock a run's span dump is byte-identical across
-    executions.
+    executions.  Closing a root also feeds [Recorder.exemplars]. *)
 
-    Completed trees feed two consumers: a bounded per-domain flight ring
-    ({!trees}, dumped by [Flight] on anomalies) and the tail-based
-    exemplar table ({!exemplars}: per latency bucket, the trace id of
-    the worst recent request — exported as Prometheus exemplars on
-    [lf_latency]). *)
-
-(** Typed span events: the pipeline-decision vocabulary. *)
-type event =
-  | Deadline_check of bool  (** [true] = expired *)
+(** Typed span events, re-exported from {!Obs_event.span_event}. *)
+type event = Obs_event.span_event =
+  | Deadline_check of bool
   | Shed_verdict of string
   | Breaker_verdict of string
   | Degrade_mode of string
   | Retry_wait of { attempt : int; delay : int }
   | Budget_denied
   | Hedge_outcome of string
-  | Drain_wait of int  (** rebalance waited for this key's inflight ops *)
+  | Drain_wait of int
   | Op of Obs_event.op * int
-      (** the backend operation and key an attempt runs, ["insert 7"] *)
   | Cas_fail of Lf_kernel.Mem_event.cas_kind
   | Note of string
 
@@ -54,7 +53,7 @@ type span = private {
   s_parent : int;  (** 0 for the root *)
   s_name : string;
   s_begin : int;
-  mutable s_end : int;  (** -1 while open *)
+  mutable s_end : int;
   mutable s_ok : bool;
   mutable s_events : (int * event) list;  (** newest first *)
 }
@@ -86,21 +85,11 @@ val begin_ : ctx -> name:string -> now:int -> ctx
 (** Open a child span under [ctx].  On {!nil}, returns {!nil}. *)
 
 val end_ : ctx -> now:int -> ok:bool -> unit
-(** Close the span.  Closing a root completes its tree: the tree enters
-    the flight ring and its root latency the exemplar table.  Every
-    [begin_] must be paired with an [end_] on all exits (the
-    [no-orphan-span] lint). *)
+(** Close the span.  Closing a root completes its tree, and its latency
+    enters the recorder's exemplars.  Every [begin_] must be paired
+    with an [end_] on all exits (the [no-orphan-span] lint). *)
 
 val event : ctx -> now:int -> event -> unit
-
-val with_current : ctx -> (unit -> 'a) -> 'a
-(** Run [f] with [ctx] registered as the current lane's executing span,
-    restoring the previous registration on all exits — the attribution
-    seam {!note_cas_fail} uses.  On {!nil}, just [f ()]. *)
-
-val note_cas_fail : Lf_kernel.Mem_event.cas_kind -> unit
-(** Attribute one failed C&S to the current lane's span, if any, stamped
-    with {!Recorder.now}.  Returns at once below [Tracing]. *)
 
 (** {1 Trees (collection at quiescence)} *)
 
@@ -125,39 +114,12 @@ val well_formed : tree -> (unit, string) result
     close before it closes, no span from a foreign trace. *)
 
 val trees : unit -> tree list
-(** Completed trees retained in the per-domain flight rings, sorted by
-    trace id.  Meaningful at quiescence. *)
+(** The completed trees the recorder's rings still hold, sorted by
+    trace id; meaningful at quiescence.  Retention: a tree is kept while
+    its root's begin and end records are both in the rings and the root
+    is among the 256 most recently completed on the domain that closed
+    it; once the root's begin is overwritten the whole trace is dropped,
+    as a root that never completes is.  A tree holds the spans whose
+    begin and end records are both retained. *)
 
 val find_trace : int -> tree option
-
-type counts = {
-  roots : int;
-  spans : int;  (** non-root spans opened *)
-  events : int;
-  completed : int;  (** trees completed *)
-  cas_attributed : int;  (** failed C&S landed in attempt spans *)
-}
-
-val counts : unit -> counts
-
-val reset : unit -> unit
-(** Clear every domain's rings, tallies, registrations and id counters,
-    and the exemplar table.  Callers must be quiescent. *)
-
-(** {1 Tail-based exemplars} *)
-
-type exemplar = {
-  ex_le : int;  (** inclusive upper latency bound of the bucket *)
-  ex_count : int;  (** completed requests that landed in the bucket *)
-  ex_trace : int;  (** trace id of the worst recent request in it *)
-  ex_latency : int;
-  ex_tick : int;  (** completion tick of that request *)
-}
-
-val exemplars : unit -> exemplar list
-(** Non-empty latency buckets in ascending bound order, each carrying
-    the trace id of its worst recent request. *)
-
-val latency_totals : unit -> int * int
-(** [(sum, count)] of completed-root latencies — the histogram's
-    [_sum] / [_count] pair. *)

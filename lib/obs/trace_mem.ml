@@ -2,10 +2,10 @@
 
    [Make (M)] is a [Mem.S] that forwards every access to [M] and reports
    it to the module-level {!Recorder} — which structure code cannot see
-   and which costs one word read when recording is off.  A failed C&S
-   also goes to {!Span}, which lands it in the request attempt the lane
-   is executing, if any.  Stacks like the
-   other wrappers: [Trace_mem.Make (Atomic_mem)] for wall-clock runs,
+   and which costs one word read when recording is off.  At [Tracing] a
+   C&S lands in the same ring as the request spans, which is how
+   [Span.trees] finds the attempt that suffered a failed one.  Stacks
+   like the other wrappers: [Trace_mem.Make (Atomic_mem)] for wall-clock runs,
    [Trace_mem.Make (Sim_mem)] for deterministic traces, and it composes
    under or over [Fault_mem] / [Check_mem] since all speak [Mem.S]. *)
 
@@ -26,7 +26,6 @@ module Make (M : Lf_kernel.Mem.S) = struct
   let cas r ~kind ~expect v =
     let ok = M.cas r ~kind ~expect v in
     Recorder.on_cas kind ok;
-    if not ok then Span.note_cas_fail kind;
     ok
 
   let event e =

@@ -71,7 +71,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     heads : 'a node array; (* heads.(l-1) is the -inf sentinel of level l *)
     tail : 'a node; (* shared +inf sentinel *)
     help_superfluous : bool;
-    use_backoff : bool;
   }
 
   let name = "fr-skiplist"
@@ -121,8 +120,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let rng = Lf_kernel.Splitmix.domain_local 0x5ee
 
-  let create_with ?(max_level = 24) ?(help_superfluous = true)
-      ?(use_backoff = false) () =
+  let create_with ?(max_level = 24) ?(help_superfluous = true) () =
     if max_level < 1 then
       invalid_arg
         (Printf.sprintf "Fr_skiplist.create_with: max_level %d < 1" max_level);
@@ -158,7 +156,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           };
       annotate_node ~head:true ~sentinel:true heads.(l - 1)
     done;
-    { max_level; heads; tail; help_superfluous; use_backoff }
+    { max_level; heads; tail; help_superfluous }
 
   let create () = create_with ()
   let head_at t l = t.heads.(l - 1)
@@ -194,23 +192,18 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     if not (M.get (succ_of del)).mark then try_mark t del;
     help_marked prev del
 
-  and try_mark t del = try_mark_n t del 0
-
-  and try_mark_n t del fails =
+  and try_mark t del =
     let s = M.get (succ_of del) in
     if s.mark then ()
     else if s.flag then begin
       M.event Ev.Help;
       help_flagged t del s.right;
-      try_mark_n t del fails
+      try_mark t del
     end
     else if
       M.cas (succ_of del) ~kind:Ev.Marking ~expect:s { s with mark = true }
     then ()
-    else begin
-      if t.use_backoff then M.pause fails;
-      try_mark_n t del (fails + 1)
-    end
+    else try_mark t del
 
   let rec backtrack p =
     if (M.get (succ_of p)).mark then begin
@@ -282,9 +275,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      [Some prev, true] if we placed the flag, [Some prev, false] if a
      concurrent deletion had placed it, [None, false] if [target] left the
      level. *)
-  and try_flag_node t prev target = try_flag_node_n t target prev 0
-
-  and try_flag_node_n t target prev fails =
+  and try_flag_node t prev target =
     let ps = M.get (succ_of prev) in
     if ps.right == target && (not ps.mark) && ps.flag then (Some prev, false)
     else if
@@ -297,13 +288,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       if ps'.right == target && (not ps'.mark) && ps'.flag then
         (Some prev, false)
       else begin
-        if t.use_backoff then M.pause fails;
         let prev = backtrack prev in
         let prev, del =
           search_right t ~inclusive:false (key_of target) prev
         in
-        if del != target then (None, false)
-        else try_flag_node_n t target prev (fails + 1)
+        if del != target then (None, false) else try_flag_node t prev target
       end
     end
 
@@ -347,17 +336,17 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      inserted node or [`Duplicate] when a node with the same key is found at
      this level. *)
   let rec insert_node t ~key ~elt ~down ~tower_root prev next =
-    insert_attempt t key elt down tower_root 0 prev next
+    insert_attempt t key elt down tower_root prev next
 
-  and insert_attempt t key elt down tower_root fails prev next =
+  and insert_attempt t key elt down tower_root prev next =
     let ps = M.get (succ_of prev) in
     if ps.flag then begin
       M.event Ev.Help;
       help_flagged t prev ps.right;
-      insert_relocate t key elt down tower_root fails prev
+      insert_relocate t key elt down tower_root prev
     end
     else if ps.mark || ps.right != next then
-      insert_recover t key elt down tower_root fails prev
+      insert_recover t key elt down tower_root prev
     else begin
       (* [ps.right] is [next], so [ps.right_key] is its key. *)
       let nn =
@@ -384,24 +373,21 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
           { right = nn; right_key = key; mark = false; flag = false }
       then (prev, `Inserted nn)
-      else begin
-        if t.use_backoff then M.pause fails;
-        insert_recover t key elt down tower_root (fails + 1) prev
-      end
+      else insert_recover t key elt down tower_root prev
     end
 
-  and insert_recover t key elt down tower_root fails prev =
+  and insert_recover t key elt down tower_root prev =
     let ps = M.get (succ_of prev) in
     if ps.flag then begin
       M.event Ev.Help;
       help_flagged t prev ps.right
     end;
-    insert_relocate t key elt down tower_root fails (backtrack prev)
+    insert_relocate t key elt down tower_root (backtrack prev)
 
-  and insert_relocate t key elt down tower_root fails prev =
+  and insert_relocate t key elt down tower_root prev =
     let prev, next = search_right t ~inclusive:true key prev in
     if BK.equal (key_of prev) key then (prev, `Duplicate)
-    else insert_attempt t key elt down tower_root fails prev next
+    else insert_attempt t key elt down tower_root prev next
 
   let flip () = Lf_kernel.Splitmix.bool (rng ())
 

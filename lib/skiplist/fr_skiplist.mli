@@ -37,7 +37,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   val create_with :
     ?max_level:int ->
     ?help_superfluous:bool ->
-    ?use_backoff:bool ->
     unit ->
     'a t
   (** [max_level] (default 24) is the number of levels; it must be at
@@ -46,13 +45,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
       [~help_superfluous:false] is the EXP-9 ablation: searches traverse
       superfluous towers instead of deleting them, and deletions skip the
       upper-level cleanup.  Only safe when keys are never reinserted (a
-      stale same-key upper node would block a new tower forever).
-
-      [use_backoff] (default [false]) inserts bounded exponential backoff
-      ([Mem.S.pause]) before re-entering a C&S retry loop after a failed
-      C&S — in TRYMARK, TRYFLAGNODE and INSERTNODE.  Helping is never
-      delayed.  EXP-18 measures its effect under spurious-C&S-failure
-      storms. *)
+      stale same-key upper node would block a new tower forever). *)
 
   (** {1 Dictionary operations (SEARCH_SL / INSERT_SL / DELETE_SL)} *)
 

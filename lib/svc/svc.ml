@@ -106,7 +106,7 @@ type t = {
   mutable n_failed : int;
   mutable n_budget_denied : int;
   mutable n_rejected : int array;  (* indexed like [all_reasons] *)
-  mutable transitions : (int * string) list;  (* newest first *)
+  mutable transitions : (int * string) list;  (* newest first, bounded *)
   mutable log : string list;  (* newest first *)
 }
 
@@ -170,6 +170,10 @@ let read_only_locked t =
   | Some b -> Breaker.state b = Breaker.Open
   | None -> false
 
+(* Breaker transitions kept, newest first: the journals' bound, so a
+   flapping breaker cannot grow the history [stats] copies. *)
+let transition_limit = 64
+
 (* Install the breaker's successor; a transition is journaled when its
    kind changed (kinds are constant constructors, so [<>] compiles to an
    integer compare).  An unchanged breaker (a closed admit returns its
@@ -185,7 +189,8 @@ let set_breaker_locked t ~now:tick b' =
       in
       if changed then begin
         let s = Breaker.kind_to_string after in
-        t.transitions <- (tick, s) :: t.transitions;
+        t.transitions <-
+          List.filteri (fun i _ -> i < transition_limit) ((tick, s) :: t.transitions);
         if t.cfg.log_decisions then log_locked t "t=%d breaker %s" tick s
       end
 
@@ -331,21 +336,18 @@ let expired_unrun t ~tick req =
   Mutex.unlock t.mu;
   out
 
-(* Execute one attempt.  Traced, the attempt span records the backend
-   operation it runs and is registered as the lane's current context,
-   so [Trace_mem] attributes failed C&S into it.  The event and the
-   closure only exist on the traced path — the off path must not
-   allocate. *)
+(* Execute one attempt.  Traced, the attempt span first records the
+   backend operation it runs; a failed C&S during the call lands in it
+   as the innermost request span open on the lane.  The event only
+   exists on the traced path — the off path must not allocate. *)
 let run_attempt t aspan ~tick req =
-  if Span.active aspan then begin
+  if Span.active aspan then
     Span.event aspan ~now:tick
       (match req with
       | Insert (k, _) -> Span.Op (Lf_obs.Obs_event.Insert, k)
       | Delete k -> Span.Op (Lf_obs.Obs_event.Delete, k)
       | Find k -> Span.Op (Lf_obs.Obs_event.Find, k));
-    Span.with_current aspan (fun () -> exec_once t req)
-  end
-  else exec_once t req
+  exec_once t req
 
 (* The retry loop.  Each attempt re-checks the deadline first, so an
    admitted operation never starts executing past its deadline (the

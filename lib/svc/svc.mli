@@ -111,9 +111,9 @@ val call :
     request's trace context: when active, the pipeline opens one child
     span per decision (deadline, shed, breaker, degrade), one per
     attempt and retry wait.  Each attempt span carries an
-    {!Lf_obs.Span.Op} event naming the backend operation and key, and is
-    registered as the executing lane's span, so failed C&S reported
-    through [Trace_mem] land in it. *)
+    {!Lf_obs.Span.Op} event naming the backend operation and key; a
+    failed C&S reported through [Trace_mem] during the backend call
+    lands in it, as the innermost request span open on the lane. *)
 
 val call_many :
   t ->
@@ -143,7 +143,8 @@ type stats = {
   mode : string;  (** ["read-only"] while read-only, else ["normal"] *)
   shed_estimate : int option;
   transitions : (int * string) list;
-      (** breaker state changes, (tick, new state), oldest first *)
+      (** the 64 most recent breaker state changes, (tick, new state),
+          oldest first *)
 }
 
 val stats : t -> stats

@@ -565,6 +565,50 @@ let breaker_lifecycle read_only =
 
 let test_breaker_through_svc () = List.iter breaker_lifecycle [ true; false ]
 
+(* A flapping breaker keeps only its 64 most recent transitions: 200
+   open -> half-open -> closed cycles on a manual clock make 600 state
+   changes, and [stats] returns the last 64, ending with the latest. *)
+let test_breaker_history_bounded () =
+  let clock, advance = Clock.manual () in
+  let failing = ref false in
+  let boom () = if !failing then failwith "boom" else true in
+  let cfg =
+    Svc.config ~clock
+      ~retryable:(fun _ -> false)
+      ~breaker:
+        (Some
+           (Breaker.config ~window:1_000_000 ~min_calls:1 ~failure_pct:50
+              ~open_for:10 ~probes:1 ()))
+      ()
+  in
+  let svc =
+    Svc.create cfg
+      {
+        Svc.insert = (fun _ _ -> boom ());
+        delete = (fun _ -> boom ());
+        find = (fun _ -> true);
+      }
+  in
+  let cycles = 200 in
+  for i = 1 to cycles do
+    failing := true;
+    advance 1;
+    ignore (Svc.call svc (Svc.Insert (i, i)));
+    failing := false;
+    advance 20;
+    ignore (Svc.call svc (Svc.Insert (i, i)))
+  done;
+  let st = Svc.stats svc in
+  let all =
+    List.concat (List.init cycles (fun _ -> [ "open"; "half-open"; "closed" ]))
+  in
+  Alcotest.(check (list string))
+    "the 64 most recent transitions, oldest first"
+    (List.filteri (fun i _ -> i >= List.length all - 64) all)
+    (List.map snd st.transitions);
+  Alcotest.(check (option int)) "ends with the latest" (Some (Clock.now clock))
+    (Option.map fst (List.nth_opt st.transitions 63))
+
 (* --- Batch paths report per-key outcomes, never one collapsed error --- *)
 
 let hashtbl_ops () =
@@ -913,6 +957,8 @@ let () =
         [
           Alcotest.test_case "breaker lifecycle through the pipeline" `Quick
             test_breaker_through_svc;
+          Alcotest.test_case "flapping breaker keeps 64 transitions" `Quick
+            test_breaker_history_bounded;
           Alcotest.test_case "partial failure: per-key outcomes" `Quick
             test_call_many_partial_failure;
         ] );

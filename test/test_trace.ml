@@ -3,10 +3,12 @@
    across domains, byte-identical dumps across two deterministic
    executions (the replay half of EXP-24), flight dumps into missing and
    unusable directories, exemplar and SLO burn math, Chrome-trace output
-   validity, the Off level's zero-allocation contract, pipeline decision
-   spans through Svc, C&S-failure attribution through the [Trace_mem]
-   seam, hedge/drain tracing through the Router, trees that follow the
-   recorder's level, and the journal's seq/tick stamping. *)
+   validity, the Off level's zero-allocation contract, the one store
+   ([Recorder.reset] clears every trace; a tree spans domains), pipeline
+   decision spans through Svc, C&S-failure attribution through the
+   [Trace_mem] seam (per lane, simulated lanes sharing a domain
+   included), hedge/drain tracing through the Router, trees that follow
+   the recorder's level, and the journal's seq/tick stamping. *)
 
 module Span = Lf_obs.Span
 module Recorder = Lf_obs.Recorder
@@ -21,7 +23,7 @@ module Router = Lf_shard.Router
 module Health = Lf_shard.Health
 
 let with_level level f =
-  Span.reset ();
+  Recorder.reset ();
   Recorder.set_level level;
   Fun.protect ~finally:(fun () -> Recorder.set_level Recorder.Off) f
 
@@ -96,6 +98,67 @@ let test_ids_unique_across_domains () =
   Alcotest.(check int) "no id collisions" (List.length ids)
     (List.length (List.sort_uniq Int.compare ids))
 
+(* A tree is a view over every domain's ring: a child opened and closed
+   on a spawned domain joins the root its parent domain opened. *)
+let test_tree_across_domains () =
+  with_spans @@ fun () ->
+  let root = Span.root ~name:"request" ~now:1 in
+  let remote =
+    Domain.spawn (fun () ->
+        let c = Span.begin_ root ~name:"remote" ~now:2 in
+        Span.event c ~now:3 (Span.Note "far");
+        Span.end_ c ~now:4 ~ok:true;
+        Span.trace_id c)
+  in
+  Alcotest.(check int) "the child joins the root's trace" (Span.trace_id root)
+    (Domain.join remote);
+  Span.end_ root ~now:5 ~ok:true;
+  match Span.trees () with
+  | [ tr ] -> (
+      (match Span.well_formed tr with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check (list string)) "root, then the remote child"
+        [ "request"; "remote" ]
+        (List.map (fun s -> s.Span.s_name) (Span.tree_spans tr));
+      match Span.tree_spans tr with
+      | [ r; c ] ->
+          Alcotest.(check bool) "ids from two domains" true
+            (r.Span.s_id lsr 40 <> c.Span.s_id lsr 40);
+          Alcotest.(check bool) "the remote event kept" true
+            (Span.span_events c = [ (3, Span.Note "far") ])
+      | _ -> assert false)
+  | l -> Alcotest.failf "expected one tree, got %d" (List.length l)
+
+(* One store, one reset: after a traced call, [Recorder.reset] alone
+   leaves no tree and no exemplar behind. *)
+let test_recorder_reset_clears_traces () =
+  with_spans @@ fun () ->
+  let clock, advance = Clock.manual () in
+  let svc =
+    Svc.create (Svc.config ~clock ())
+      {
+        Svc.insert = (fun _ _ -> true);
+        delete = (fun _ -> true);
+        find = (fun _ -> true);
+      }
+  in
+  let ctx = Span.root ~name:"request" ~now:(Clock.now clock) in
+  ignore (Svc.call svc ~ctx (Svc.Insert (1, 1)));
+  advance 2;
+  Span.end_ ctx ~now:(Clock.now clock) ~ok:true;
+  Alcotest.(check int) "one tree before the reset" 1
+    (List.length (Span.trees ()));
+  Alcotest.(check int) "one exemplar before the reset" 1
+    (List.length (Recorder.exemplars ()));
+  Recorder.reset ();
+  Alcotest.(check int) "no tree after the reset" 0
+    (List.length (Span.trees ()));
+  Alcotest.(check int) "no exemplar after the reset" 0
+    (List.length (Recorder.exemplars ()));
+  Alcotest.(check (pair int int)) "no latency after the reset" (0, 0)
+    (Recorder.latency_totals ())
+
 (* --- Deterministic replay: byte-identical dumps ----------------------- *)
 
 (* One scripted run through a real Svc pipeline under a manual clock.
@@ -103,7 +166,7 @@ let test_ids_unique_across_domains () =
    refills — is a function of the seed and the script, so two
    executions must serialize identically, byte for byte. *)
 let traced_run () =
-  Span.reset ();
+  Recorder.reset ();
   Recorder.set_level Recorder.Tracing;
   let clock, advance = Clock.manual () in
   let fails = ref 2 in
@@ -209,31 +272,35 @@ let test_exemplars () =
   let t3 = mk 3 in
   let t5 = mk 5 in
   let t100 = mk 100 in
-  let exs = Span.exemplars () in
+  let exs = Recorder.exemplars () in
   Alcotest.(check (list int)) "non-empty buckets, ascending bounds"
     [ 0; 1; 3; 7; 127 ]
-    (List.map (fun e -> e.Span.ex_le) exs);
-  let find le = List.find (fun e -> e.Span.ex_le = le) exs in
-  Alcotest.(check int) "le=3 counts latencies 2 and 3" 2 (find 3).Span.ex_count;
+    (List.map (fun (e : Recorder.exemplar) -> e.ex_le) exs);
+  let find le = List.find (fun (e : Recorder.exemplar) -> e.ex_le = le) exs in
+  Alcotest.(check int) "le=3 counts latencies 2 and 3" 2 (find 3).ex_count;
   Alcotest.(check int) "le=3 exemplar is the worst (latency 3)" t3
-    (find 3).Span.ex_trace;
-  Alcotest.(check int) "worst latency recorded" 3 (find 3).Span.ex_latency;
-  Alcotest.(check int) "completion tick recorded" 103 (find 3).Span.ex_tick;
+    (find 3).ex_trace;
+  Alcotest.(check int) "worst latency recorded" 3 (find 3).ex_latency;
+  Alcotest.(check int) "completion tick recorded" 103 (find 3).ex_tick;
   List.iter
     (fun (le, tr) ->
       Alcotest.(check int)
         (Printf.sprintf "le=%d exemplar trace" le)
         tr
-        (find le).Span.ex_trace)
+        (find le).ex_trace)
     [ (0, t0); (1, t1); (7, t5); (127, t100) ];
-  let sum, count = Span.latency_totals () in
+  let sum, count = Recorder.latency_totals () in
   Alcotest.(check int) "latency sum" 111 sum;
   Alcotest.(check int) "latency count" 6 count;
   (* A later, slower request in the same bucket replaces the exemplar. *)
   let t3b = mk 3 in
   Alcotest.(check int) "worst-recent replacement" t3b
-    (let e = List.find (fun e -> e.Span.ex_le = 3) (Span.exemplars ()) in
-     e.Span.ex_trace);
+    (let e =
+       List.find
+         (fun (e : Recorder.exemplar) -> e.ex_le = 3)
+         (Recorder.exemplars ())
+     in
+     e.ex_trace);
   (* The Prometheus snapshot renders them as valid OpenMetrics. *)
   let snap = Lf_obs.Prom.snapshot () in
   Alcotest.(check bool) "snapshot has the latency histogram" true
@@ -325,8 +392,7 @@ let test_off_zero_alloc () =
     let c = Span.begin_ r ~name:"child" ~now:i in
     if Span.active c then Span.event c ~now:i (Span.Note "x");
     Span.end_ c ~now:i ~ok:true;
-    Span.end_ r ~now:i ~ok:true;
-    Span.note_cas_fail Lf_kernel.Mem_event.Marking
+    Span.end_ r ~now:i ~ok:true
   done;
   let dw = Gc.minor_words () -. w0 in
   if dw > 64.0 then
@@ -407,49 +473,110 @@ end
 module Traced_list =
   Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (Lf_obs.Trace_mem.Make (Flaky_mem))
 
+module FP = Lf_kernel.Fault_point
+module ME = Lf_kernel.Mem_event
+module Sim = Lf_dsim.Sim
+module Sim_fault_mem = Lf_fault.Fault_mem.Make (Lf_dsim.Sim_mem)
+
+module Sim_traced_list =
+  Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (Lf_obs.Trace_mem.Make (Sim_fault_mem))
+
+(* The one attempt span, over every well-formed tree, whose [op] event
+   names [op]; nothing may nest under it. *)
+let attempt_of op =
+  let attempts =
+    List.concat_map
+      (fun tr ->
+        (match Span.well_formed tr with Ok () -> () | Error e -> Alcotest.fail e);
+        let spans = Span.tree_spans tr in
+        List.filter
+          (fun s ->
+            s.Span.s_name = "attempt"
+            && List.exists
+                 (fun (_, e) -> match e with Span.Op (o, _) -> o = op | _ -> false)
+                 (Span.span_events s))
+          spans
+        |> List.map (fun a ->
+               Alcotest.(check bool) "no span nested under the attempt" false
+                 (List.exists (fun s -> s.Span.s_parent = a.Span.s_id) spans);
+               a))
+      (Span.trees ())
+  in
+  match attempts with
+  | [ s ] -> s
+  | l -> Alcotest.failf "expected one attempt, got %d" (List.length l)
+
+let events s = List.map snd (Span.span_events s)
+
+(* A failed C&S lands in the attempt span of the lane that suffered it.
+   Two inputs: one call on atomics whose first C&S fails; and two
+   simulated processes sharing one domain, each lane with its own
+   targeted failure, whose traced calls the simulator interleaves. *)
 let test_cas_attribution () =
+  (with_spans @@ fun () ->
+   let clock, _ = Clock.manual () in
+   let l = Traced_list.create () in
+   let ops =
+     {
+       Svc.insert = Traced_list.insert l;
+       delete = Traced_list.delete l;
+       find = (fun k -> Option.is_some (Traced_list.find l k));
+     }
+   in
+   let svc = Svc.create (Svc.config ~clock ()) ops in
+   let root = Span.root ~name:"request" ~now:(Clock.now clock) in
+   Flaky_mem.fail_next := true;
+   let out = Svc.call svc ~ctx:root (Svc.Insert (7, 70)) in
+   Span.end_ root ~now:(Clock.now clock) ~ok:true;
+   Alcotest.(check bool) "insert served" true (out = Svc.Served true);
+   Alcotest.(check bool) "the injected C&S failure fired" false !Flaky_mem.fail_next;
+   Alcotest.(check bool) "the attempt carries the failure" true
+     (events (attempt_of Lf_obs.Obs_event.Insert)
+     = [ Span.Op (Lf_obs.Obs_event.Insert, 7); Span.Cas_fail ME.Insertion ]));
   with_spans @@ fun () ->
-  let clock, _ = Clock.manual () in
-  let l = Traced_list.create () in
-  let ops =
-    {
-      Svc.insert = Traced_list.insert l;
-      delete = Traced_list.delete l;
-      find = (fun k -> Option.is_some (Traced_list.find l k));
-    }
+  let l = Sim_traced_list.create () in
+  (* Lane 0 links 10 after 5 while lane 1 unlinks 30 after 20: no C&S
+     of one can fail because of the other. *)
+  Sim.quiet (fun () ->
+      List.iter (fun k -> ignore (Sim_traced_list.insert l k k)) [ 5; 20; 30 ]);
+  let clock = Clock.sim () in
+  let svc =
+    Svc.create (Svc.config ~clock ())
+      {
+        Svc.insert = Sim_traced_list.insert l;
+        delete = Sim_traced_list.delete l;
+        find = (fun k -> Option.is_some (Sim_traced_list.find l k));
+      }
   in
-  let svc = Svc.create (Svc.config ~clock ()) ops in
-  let root = Span.root ~name:"request" ~now:(Clock.now clock) in
-  Flaky_mem.fail_next := true;
-  let out = Svc.call svc ~ctx:root (Svc.Insert (7, 70)) in
-  Span.end_ root ~now:(Clock.now clock) ~ok:true;
-  Alcotest.(check bool) "insert served" true (out = Svc.Served true);
-  Alcotest.(check bool) "the injected C&S failure fired" false !Flaky_mem.fail_next;
-  Alcotest.(check int) "one C&S failure attributed" 1
-    (Span.counts ()).Span.cas_attributed;
-  let tr =
-    match Span.find_trace (Span.trace_id root) with
-    | Some tr -> tr
-    | None -> Alcotest.fail "tree not retained"
+  let fail_first kind lane =
+    { Lf_fault.Fault.point = FP.Cas kind; action = Fail_cas; mode = At 1; lane = Some lane }
   in
-  (match Span.well_formed tr with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail e);
-  let spans = Span.tree_spans tr in
-  let attempt =
-    match List.filter (fun s -> s.Span.s_name = "attempt") spans with
-    | [ s ] -> s
-    | l -> Alcotest.failf "expected one attempt span, got %d" (List.length l)
+  Sim_fault_mem.install
+    (Lf_fault.Fault.make_plan ~seed:1
+       [ fail_first ME.Insertion 0; fail_first ME.Flagging 1 ]);
+  let traced req _pid =
+    let ctx = Span.root ~name:"request" ~now:(Clock.now clock) in
+    let out = Svc.call svc ~ctx req in
+    Span.end_ ctx ~now:(Clock.now clock) ~ok:(out = Svc.Served true)
   in
-  (match Span.span_events attempt with
-  | [
-   (_, Span.Op (Lf_obs.Obs_event.Insert, 7));
-   (_, Span.Cas_fail Lf_kernel.Mem_event.Insertion);
-  ] ->
-      ()
-  | evs -> Alcotest.failf "unexpected attempt events (%d)" (List.length evs));
-  Alcotest.(check bool) "no span nested under the attempt" false
-    (List.exists (fun s -> s.Span.s_parent = attempt.Span.s_id) spans)
+  let injected =
+    Fun.protect ~finally:Sim_fault_mem.uninstall (fun () ->
+        ignore
+          (Sim.run ~policy:Sim.Round_robin
+             [| traced (Svc.Insert (10, 10)); traced (Svc.Delete 30) |]);
+        Sim_fault_mem.injected ())
+  in
+  Alcotest.(check (list int)) "one injected failure per lane" [ 0; 1 ]
+    (List.sort Int.compare
+       (List.map (fun (i : Lf_fault.Fault.injected) -> i.i_lane) injected));
+  let ins = attempt_of Lf_obs.Obs_event.Insert in
+  let del = attempt_of Lf_obs.Obs_event.Delete in
+  Alcotest.(check bool) "the simulator interleaved the two attempts" true
+    (ins.Span.s_begin < del.Span.s_end && del.Span.s_begin < ins.Span.s_end);
+  Alcotest.(check bool) "lane 0's attempt carries its insertion failure" true
+    (events ins = [ Span.Op (Lf_obs.Obs_event.Insert, 10); Span.Cas_fail ME.Insertion ]);
+  Alcotest.(check bool) "lane 1's attempt carries its flagging failure" true
+    (events del = [ Span.Op (Lf_obs.Obs_event.Delete, 30); Span.Cas_fail ME.Flagging ])
 
 (* --- Router: hedge spans, drain accounting, journal stamps ------------ *)
 
@@ -686,7 +813,7 @@ let test_rebalance_drain_and_journal () =
 
 (* One switch: a rebalance opens its root span at every level, but a
    tree exists only while the recorder is at Tracing — below it nothing
-   reaches the flight rings or the [lf_latency] exemplars. *)
+   reaches the recorder's rings or the [lf_latency] exemplars. *)
 let test_trees_follow_recorder_level () =
   let rebalance_trees level =
     with_level level @@ fun () ->
@@ -705,7 +832,7 @@ let test_trees_follow_recorder_level () =
         ~key_range:(k + 1)
     in
     Alcotest.(check int) "the key moved" 1 moved;
-    (Span.trees (), Span.exemplars ())
+    (Span.trees (), Recorder.exemplars ())
   in
   with_level Recorder.Histograms (fun () ->
       Alcotest.(check bool) "root is nil below Tracing" false
@@ -739,6 +866,10 @@ let () =
           test_nesting_well_formed;
           Alcotest.test_case "ids unique across domains" `Quick
             test_ids_unique_across_domains;
+          Alcotest.test_case "a tree spans domains" `Quick
+            test_tree_across_domains;
+          Alcotest.test_case "Recorder.reset clears trees and exemplars"
+            `Quick test_recorder_reset_clears_traces;
           Alcotest.test_case "off level allocates nothing" `Quick
             test_off_zero_alloc;
         ] );

@@ -209,11 +209,6 @@ let waivers =
       rule_raw_dls,
       "per-domain recording state: the recorder is the observer, not a \
        structure; DLS is what keeps its hot path free of synchronization" );
-    ( "lib/obs/span.ml",
-      rule_raw_dls,
-      "per-domain span state (id counters, flight ring, current-span \
-       table): the tracer is the observer, not a structure; DLS keeps \
-       span begin/end synchronization-free on the request hot path" );
     ( "bench/exp19.ml",
       rule_raw_atomic,
       "start barrier for benchmark domains; harness synchronization" );
