@@ -6,6 +6,7 @@ module type S = sig
 
   val compare : t -> t -> int
   val pp : Format.formatter -> t -> unit
+  val any : t
 end
 
 module Int : S with type t = int = struct
@@ -13,6 +14,7 @@ module Int : S with type t = int = struct
 
   let compare = Int.compare
   let pp = Format.pp_print_int
+  let any = 0
 end
 
 module String : S with type t = string = struct
@@ -20,6 +22,7 @@ module String : S with type t = string = struct
 
   let compare = String.compare
   let pp fmt s = Format.fprintf fmt "%S" s
+  let any = ""
 end
 
 type 'a bounded = Neg_inf | Mid of 'a | Pos_inf

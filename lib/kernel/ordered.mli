@@ -6,6 +6,14 @@ module type S = sig
 
   val compare : t -> t -> int
   val pp : Format.formatter -> t -> unit
+
+  val any : t
+  (** Some value of the type, used where a key must be stored but is never
+      compared.  [Fr_skiplist] keeps keys unboxed, so its sentinels carry
+      [any] as their key, and so does every succ descriptor whose right
+      node is the tail; it tells sentinels from regular nodes without
+      looking at keys.  Any value will do, including one that is also a
+      live key: [Int] uses [0] and [String] [""]. *)
 end
 
 module Int : S with type t = int

@@ -12,7 +12,7 @@ let golden = 0x9E3779B97F4A7C15L
 
 let create seed = { state = Int64.of_int seed }
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
@@ -27,6 +27,11 @@ let split t =
 
 (* A non-negative 62-bit integer. *)
 let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+
+(* [bits (create seed)] without the stream: [mix] is inlined, so every
+   [int64] stays local and unboxed, and a call allocates nothing. *)
+let hash seed =
+  Int64.(to_int (shift_right_logical (mix (add (of_int seed) golden)) 2))
 
 (* Uniform in [0, n).  Rejection sampling keeps it unbiased. *)
 let int t n =

@@ -18,6 +18,10 @@ val next_int64 : t -> int64
 val bits : t -> int
 (** A uniformly random non-negative 62-bit integer. *)
 
+val hash : int -> int
+(** [hash seed = bits (create seed)], computed without building a stream:
+    it allocates nothing. *)
+
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]; rejection-sampled, so unbiased.
     @raise Invalid_argument if [n <= 0]. *)

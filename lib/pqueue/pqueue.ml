@@ -48,16 +48,17 @@ end
    Keys become (priority, stamp) ordered lexicographically, so FIFO among
    equal priorities. *)
 module Stamped (M : Lf_kernel.Mem.S) = struct
-  module PK = struct
+  module Key = struct
     type t = int * int
 
     let compare (p1, s1) (p2, s2) =
       match Int.compare p1 p2 with 0 -> Int.compare s1 s2 | c -> c
 
     let pp fmt (p, s) = Format.fprintf fmt "%d#%d" p s
+    let any = (0, 0)
   end
 
-  module Q = Make (PK) (M)
+  module Q = Make (Key) (M)
 
   type 'a t = { q : 'a Q.t; stamp : int Atomic.t }
 

@@ -34,6 +34,10 @@ end
     sequence number, making keys unique and giving FIFO order among equal
     priorities. *)
 module Stamped (M : Lf_kernel.Mem.S) : sig
+  module Key : Lf_kernel.Ordered.S with type t = int * int
+  (** [(priority, stamp)], ordered lexicographically; [any] is [(0, 0)],
+      the key of the first element pushed with priority 0. *)
+
   type 'a t
 
   val create : ?max_level:int -> unit -> 'a t

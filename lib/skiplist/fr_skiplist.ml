@@ -17,14 +17,20 @@
    the remaining levels top-down via a search.
 
    Layout.  A node is an inline record, so [right], [down], [tower_root]
-   and backlinks point straight at it and no C&S site allocates a box.  A
-   succ descriptor also carries [right_key], a copy of its [right] node's
-   key, taken whenever the descriptor is built.  Keys are immutable, so the
-   copy is exact, and a search step that stops or descends decides from the
-   descriptor it already holds, without loading the next node ("Skiplists
-   with Foresight").  C&S still compares whole descriptors physically:
-   [right_key] never decides a C&S, and it is not a deviation from the
-   paper.
+   and backlinks point straight at it and no C&S site allocates a box.
+   Keys are stored unboxed; the sentinels carry [K.any], and no code
+   compares a sentinel's key (the tail is known by identity, and only
+   sentinels have neither an element nor a tower root).  A succ
+   descriptor also carries copies of its [right] node's key and [succ]
+   cell ([right_key], [right_succ]), and a node carries its [down] node's
+   cell ([down_succ]).  A node's key and cells never change, so the copies
+   are exact, and a search step reaches the next descriptor through cells and
+   descriptors only ("Skiplists with Foresight"): it stops or descends on
+   [right_key], moves right through [right_succ] and descends through
+   [down_succ], without loading the next node.  The walk carries its
+   level, as FINDSTART_SL returns it, so a node stores none.  C&S still
+   compares whole descriptors physically; the copies never decide a C&S,
+   and they are not a deviation from the paper.
 
    Deviations from the paper, recorded in DESIGN.md:
    - the head tower is preallocated up to [max_level] instead of growing
@@ -48,20 +54,29 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   type 'a node =
     | Null
     | Node of {
-        key : K.t Lf_kernel.Ordered.bounded;
-            (* one box shared by every node of a tower *)
+        key : K.t; (* [K.any] at sentinels *)
         elt : 'a option; (* Some only at root nodes of real towers *)
-        level : int; (* 1-based; sentinels carry their own level *)
         down : 'a node; (* Null at level 1 *)
+        down_succ : 'a succ M.aref;
+            (* [down]'s succ cell; the node's own at level 1 and the tail *)
         tower_root : 'a node; (* Null for roots and sentinels (self / none) *)
         succ : 'a succ M.aref;
         backlink : 'a node M.aref;
       }
 
-  (* [right_key] is physically [right]'s key ([Pos_inf] past the tail). *)
+  (* [right_key] is physically [right]'s key ([K.any] for the tail), and
+     [right_succ] holds [right]'s succ cell.  The tail's own descriptor has
+     no right node, yet the field needs a cell, and [M.aref] is abstract,
+     so no placeholder cell can be made without an [M.make], which would
+     renumber the simulator's cells.  A lazy cell gives one without a box:
+     every other descriptor stores [Lazy.from_val cell], which returns the
+     cell itself (a cell is a block that is neither lazy nor a float), so
+     forcing it is a tag test; the tail's stores [lazy (null ())], which
+     no walk forces, because none moves right onto the tail. *)
   and 'a succ = {
     right : 'a node;
-    right_key : K.t Lf_kernel.Ordered.bounded;
+    right_key : K.t;
+    right_succ : 'a succ M.aref Lazy.t;
     mark : bool;
     flag : bool;
   }
@@ -79,82 +94,146 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      a [right] before the tail, a [down] above level 1 or a set backlink. *)
   let null () = invalid_arg "Fr_skiplist: dereferenced a null link"
   let key_of = function Node n -> n.key | Null -> null ()
-  let level_of = function Node n -> n.level | Null -> null ()
   let down_of = function Node n -> n.down | Null -> null ()
+  let down_succ_of = function Node n -> n.down_succ | Null -> null ()
   let succ_of = function Node n -> n.succ | Null -> null ()
   let backlink_of = function Node n -> n.backlink | Null -> null ()
+
+  (* [n] is a regular node holding key [k].  Sentinels carry [K.any], which
+     may also be a live key, so they must never match: only sentinels have
+     neither an element nor a tower root. *)
+  let holds n k =
+    match n with
+    | Node { key; elt; tower_root; _ } ->
+        (elt != None || tower_root != Null) && K.compare key k = 0
+    | Null -> false
+
+  (* A node's key with the paper's sentinel values, for checked-memory
+     reports: a sentinel (no element, no tower root) is the tail or a
+     head. *)
+  let bounded_key tail : _ node -> K.t Lf_kernel.Ordered.bounded = function
+    | Node { elt = None; tower_root = Null; _ } as n ->
+        if n == tail then Pos_inf else Neg_inf
+    | Node n -> Mid n.key
+    | Null -> null ()
+
+  (* A node's level is one more than the length of its [down] chain. *)
+  let rec level_of = function
+    | Node { down = Node _ as d; _ } -> 1 + level_of d
+    | Node _ | Null -> 1
 
   (* Declare a node's cells to a checked memory (Lf_check.Check_mem); a
      no-op elsewhere, and guarded by [M.stamp <> 0] so unchecked memories
      do not even pay for rendering the owner key.  Every level runs the
      Section 3 protocol independently, so each node is annotated exactly
-     like a list node; the level is folded into the owner name to keep
-     reports and per-level chain snapshots readable. *)
-  let succ_view_of owner (s : _ succ) : Lf_kernel.Protocol.succ_view =
+     like a list node; the level (0 for the tail) is folded into the owner
+     name to keep reports and per-level chain snapshots readable. *)
+  let succ_view_of tail owner (s : _ succ) : Lf_kernel.Protocol.succ_view =
     {
       right_id =
         (match s.right with
         | Null -> Lf_kernel.Protocol.null_id
         | Node r -> M.stamp r.succ);
       right_gt_owner =
-        (match s.right with Null -> true | Node r -> BK.lt owner r.key);
+        (match s.right with
+        | Null -> true
+        | r -> BK.lt owner (bounded_key tail r));
       mark = s.mark;
       flag = s.flag;
     }
 
-  let link_view_of owner (l : _ node) : Lf_kernel.Protocol.link_view =
+  let link_view_of tail owner (l : _ node) : Lf_kernel.Protocol.link_view =
     match l with
     | Null ->
         { target_id = Lf_kernel.Protocol.null_id; left_of_owner = true }
-    | Node b -> { target_id = M.stamp b.succ; left_of_owner = BK.lt b.key owner }
+    | Node b ->
+        {
+          target_id = M.stamp b.succ;
+          left_of_owner = BK.lt (bounded_key tail l) owner;
+        }
 
-  let annotate_node ?(head = false) ?(sentinel = false) = function
-    | Node n when M.stamp n.succ <> 0 ->
-        let owner = Format.asprintf "L%d:%a" n.level BK.pp n.key in
+  let annotate_node tail = function
+    | Node n as node when M.stamp n.succ <> 0 ->
+        let key = bounded_key tail node in
+        let level = if node == tail then 0 else level_of node in
+        let owner = Format.asprintf "L%d:%a" level BK.pp key in
+        let head, sentinel =
+          match key with
+          | Neg_inf -> (true, true)
+          | Pos_inf -> (false, true)
+          | Mid _ -> (false, false)
+        in
         M.annotate n.succ
           (Lf_kernel.Protocol.Succ
-             { owner; head; sentinel; view = succ_view_of n.key });
+             { owner; head; sentinel; view = succ_view_of tail key });
         M.annotate n.backlink
-          (Lf_kernel.Protocol.Backlink { owner; view = link_view_of n.key })
+          (Lf_kernel.Protocol.Backlink
+             { owner; view = link_view_of tail key })
     | Node _ | Null -> ()
 
   let rng = Lf_kernel.Splitmix.domain_local 0x5ee
 
+  (* Every node's [backlink] cell is made before its [succ] cell: the
+     simulator numbers cells as they are made, and the pinned simulator
+     and model-check reports (bench/results) were recorded in that
+     order. *)
   let create_with ?(max_level = 24) ?(help_superfluous = true) () =
     if max_level < 1 then
       invalid_arg
         (Printf.sprintf "Fr_skiplist.create_with: max_level %d < 1" max_level);
+    let backlink = M.make Null in
+    let succ =
+      M.make
+        {
+          right = Null;
+          right_key = K.any;
+          right_succ = lazy (null ());
+          mark = false;
+          flag = false;
+        }
+    in
     let tail =
       Node
         {
-          key = Pos_inf;
+          key = K.any;
           elt = None;
-          level = 0;
           down = Null;
+          down_succ = succ;
           tower_root = Null;
-          succ =
-            M.make
-              { right = Null; right_key = Pos_inf; mark = false; flag = false };
-          backlink = M.make Null;
+          succ;
+          backlink;
         }
     in
     let heads = Array.make max_level tail in
-    annotate_node ~sentinel:true tail;
+    annotate_node tail tail;
     for l = 1 to max_level do
+      let backlink = M.make Null in
+      let succ =
+        M.make
+          {
+            right = tail;
+            right_key = K.any;
+            right_succ = Lazy.from_val (succ_of tail);
+            mark = false;
+            flag = false;
+          }
+      in
+      let down, down_succ =
+        if l = 1 then (Null, succ)
+        else (heads.(l - 2), succ_of heads.(l - 2))
+      in
       heads.(l - 1) <-
         Node
           {
-            key = Neg_inf;
+            key = K.any;
             elt = None;
-            level = l;
-            down = (if l = 1 then Null else heads.(l - 2));
+            down;
+            down_succ;
             tower_root = Null;
-            succ =
-              M.make
-                { right = tail; right_key = Pos_inf; mark = false; flag = false };
-            backlink = M.make Null;
+            succ;
+            backlink;
           };
-      annotate_node ~head:true ~sentinel:true heads.(l - 1)
+      annotate_node tail heads.(l - 1)
     done;
     { max_level; heads; tail; help_superfluous }
 
@@ -183,6 +262,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
            {
              right = ds.right;
              right_key = ds.right_key;
+             right_succ = ds.right_succ;
              mark = false;
              flag = false;
            })
@@ -213,39 +293,43 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     else p
 
   (* SEARCHRIGHT's walk, with SEARCHTOLEVEL_SL's descent folded in.  It
-     traverses the level of [curr] ([curr.level]: a walk moves only along
-     one level's succ fields and backlinks), [cs] being the descriptor last
+     traverses level [l], the level of [curr] (a walk moves only along one
+     level's succ fields and backlinks), [cs] being the descriptor last
      read from [curr], helping physical deletions of marked nodes and - in
      the default mode - deleting superfluous towers on the way.  The stop
-     test reads [cs.right_key], so a step that stops or descends never
-     loads [cs.right].  Where SEARCHRIGHT would return above level [v], it
-     steps down and walks on; at level [v] it returns the window (n1, n2)
-     with n1.key <= k < n2.key (inclusive) or n1.key < k <= n2.key
-     (exclusive), adjacent at some instant.  Its shared accesses are those
-     of one SEARCHRIGHT per level, in the same order. *)
-  let rec walk t inclusive k v curr cs =
+     test reads [cs.right_key], a right move reads [cs.right_succ] and a
+     descent [curr]'s [down_succ], so no step loads the node it moves to.
+     Where SEARCHRIGHT would return above level [v], it steps down and
+     walks on; at level [v] it returns the window (n1, n2) with n1.key <= k
+     < n2.key (inclusive) or n1.key < k <= n2.key (exclusive), adjacent at
+     some instant.  Its shared accesses are those of one SEARCHRIGHT per
+     level, in the same order. *)
+  let rec walk t inclusive k v l curr cs =
     if
-      not (if inclusive then BK.le cs.right_key k else BK.lt cs.right_key k)
+      cs.right == t.tail
+      ||
+      let c = K.compare cs.right_key k in
+      if inclusive then c > 0 else c >= 0
     then begin
-      if level_of curr > v then
-        let d = down_of curr in
-        walk t inclusive k v d (M.get (succ_of d))
+      if l > v then
+        walk t inclusive k v (l - 1) (down_of curr)
+          (M.get (down_succ_of curr))
       else (curr, cs.right)
     end
     else
       let next = cs.right in
-      let nsucc = M.get (succ_of next) in
+      let nsucc = M.get (Lazy.force cs.right_succ) in
       if nsucc.mark then begin
         let cs = M.get (succ_of curr) in
         if (not cs.mark) || cs.right != next then begin
           if cs.right == next then help_marked curr next;
           M.event Ev.Next_update;
-          walk t inclusive k v curr (M.get (succ_of curr))
+          walk t inclusive k v l curr (M.get (succ_of curr))
         end
         else begin
           (* curr and next both marked and adjacent: step through. *)
           M.event Ev.Curr_update;
-          walk t inclusive k v next (M.get (succ_of next))
+          walk t inclusive k v l next (M.get (succ_of next))
         end
       end
       else if t.help_superfluous && is_superfluous next then begin
@@ -255,20 +339,21 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         | Some prev, _we_flagged ->
             help_flagged t prev next;
             M.event Ev.Next_update;
-            walk t inclusive k v prev (M.get (succ_of prev))
+            walk t inclusive k v l prev (M.get (succ_of prev))
         | None, _ ->
             M.event Ev.Next_update;
-            walk t inclusive k v curr (M.get (succ_of curr))
+            walk t inclusive k v l curr (M.get (succ_of curr))
       end
       else begin
         M.event Ev.Curr_update;
-        walk t inclusive k v next (M.get (succ_of next))
+        walk t inclusive k v l next (M.get (Lazy.force cs.right_succ))
       end
 
   (* SEARCHRIGHT: the walk confined to the level of [curr] (curr.key <= k
-     or curr is a head). *)
+     or curr is a head).  Equal target and current levels: it never
+     descends. *)
   and search_right t ~inclusive k curr =
-    walk t inclusive k (level_of curr) curr (M.get (succ_of curr))
+    walk t inclusive k 0 0 curr (M.get (succ_of curr))
 
   (* TRYFLAGNODE: flag the in-level predecessor of [target], relocating via
      backlinks and a level-local search when interference hits.  Returns
@@ -313,20 +398,20 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       find_start t v (l + 1)
     else l
 
-  (* SEARCHTOLEVEL_SL: one walk from FINDSTART_SL's head down to level [v];
-     returns the (n1, n2) window at level v. *)
+  (* SEARCHTOLEVEL_SL: one walk from FINDSTART_SL's head, at the level it
+     returns, down to level [v]; returns the (n1, n2) window at level v. *)
   let search_to_level t ~inclusive k v =
     let v = min v t.max_level in
-    let start = head_at t (find_start t v 1) in
-    walk t inclusive k v start (M.get (succ_of start))
+    let l = find_start t v 1 in
+    let start = head_at t l in
+    walk t inclusive k v l start (M.get (succ_of start))
 
   let hint_stats (_ : 'a t) : Lf_kernel.Hint.stats option = None
 
   (* SEARCH_SL. *)
   let find t k =
-    let kb = Lf_kernel.Ordered.Mid k in
-    match search_to_level t ~inclusive:true kb 1 with
-    | Node curr, _ when BK.equal curr.key kb -> curr.elt
+    match search_to_level t ~inclusive:true k 1 with
+    | Node { key; elt = Some _ as elt; _ }, _ when K.compare key k = 0 -> elt
     | _ -> None
 
   let mem t k = Option.is_some (find t k)
@@ -348,30 +433,31 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     else if ps.mark || ps.right != next then
       insert_recover t key elt down tower_root prev
     else begin
-      (* [ps.right] is [next], so [ps.right_key] is its key. *)
-      let nn =
-        Node
+      (* [ps.right] is [next], so [ps.right_key] and [ps.right_succ] are
+         its key and cell. *)
+      let backlink = M.make Null in
+      let succ =
+        M.make
           {
-            key;
-            elt;
-            level = level_of prev;
-            down;
-            tower_root;
-            succ =
-              M.make
-                {
-                  right = next;
-                  right_key = ps.right_key;
-                  mark = false;
-                  flag = false;
-                };
-            backlink = M.make Null;
+            right = next;
+            right_key = ps.right_key;
+            right_succ = ps.right_succ;
+            mark = false;
+            flag = false;
           }
       in
-      annotate_node nn;
+      let down_succ = match down with Node d -> d.succ | Null -> succ in
+      let nn = Node { key; elt; down; down_succ; tower_root; succ; backlink } in
+      annotate_node t.tail nn;
       if
         M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
-          { right = nn; right_key = key; mark = false; flag = false }
+          {
+            right = nn;
+            right_key = key;
+            right_succ = Lazy.from_val succ;
+            mark = false;
+            flag = false;
+          }
       then (prev, `Inserted nn)
       else insert_recover t key elt down tower_root prev
     end
@@ -386,7 +472,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   and insert_relocate t key elt down tower_root prev =
     let prev, next = search_right t ~inclusive:true key prev in
-    if BK.equal (key_of prev) key then (prev, `Duplicate)
+    if holds prev key then (prev, `Duplicate)
     else insert_attempt t key elt down tower_root prev next
 
   let flip () = Lf_kernel.Splitmix.bool (rng ())
@@ -397,49 +483,47 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   (* Build [root]'s tower bottom-up from [level], [last] being the node
      below; stop once the root gets marked.  Each upper level is located
      by a fresh search from the top. *)
-  let rec ascend t kb root height level last =
+  let rec ascend t k root height level last =
     if level <= height && not (M.get (succ_of root)).mark then begin
-      let prev, next = search_to_level t ~inclusive:true kb level in
-      if BK.equal (key_of prev) kb then begin
+      let prev, next = search_to_level t ~inclusive:true k level in
+      if holds prev k then begin
         (* A same-key node from an old superfluous tower blocks this
            level; the search that found it is also removing it (or our
            own root got marked) - retry. *)
         M.event Ev.Retry;
         if not (M.get (succ_of root)).mark then
-          ascend t kb root height level last
+          ascend t k root height level last
       end
       else
         match
-          insert_node t ~key:kb ~elt:None ~down:last ~tower_root:root prev
-            next
+          insert_node t ~key:k ~elt:None ~down:last ~tower_root:root prev next
         with
         | _, `Duplicate ->
             M.event Ev.Retry;
             if not (M.get (succ_of root)).mark then
-              ascend t kb root height level last
+              ascend t k root height level last
         | prev', `Inserted nn ->
             if (M.get (succ_of root)).mark then
               (* The tower became superfluous while we were building it:
                  undo the node we just added. *)
               ignore (delete_node t prev' nn)
-            else ascend t kb root height (level + 1) nn
+            else ascend t k root height (level + 1) nn
     end
 
   (* INSERT_SL with an explicit tower height (used by tests and by the
      deterministic experiments; [insert] draws the height by coin flips). *)
   let insert_with_height t ~height k e =
     let height = max 1 (min height t.max_level) in
-    let kb = Lf_kernel.Ordered.Mid k in
-    let prev, next = search_to_level t ~inclusive:true kb 1 in
-    if BK.equal (key_of prev) kb then false
+    let prev, next = search_to_level t ~inclusive:true k 1 in
+    if holds prev k then false
     else begin
       match
-        insert_node t ~key:kb ~elt:(Some e) ~down:Null ~tower_root:Null prev
+        insert_node t ~key:k ~elt:(Some e) ~down:Null ~tower_root:Null prev
           next
       with
       | _, `Duplicate -> false
       | _, `Inserted root ->
-          ascend t kb root height 2 root;
+          ascend t k root height 2 root;
           true
     end
 
@@ -448,14 +532,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   (* DELETE_SL: delete the root (linearization: its marking), then let a
      search clean the upper levels of the now-superfluous tower. *)
   let delete t k =
-    let kb = Lf_kernel.Ordered.Mid k in
-    let prev, del = search_to_level t ~inclusive:false kb 1 in
-    if not (BK.equal (key_of del) kb) then false
+    let prev, del = search_to_level t ~inclusive:false k 1 in
+    if not (holds del k) then false
     else begin
       match delete_node t prev del with
       | `Deleted_by_us ->
           if t.help_superfluous && t.max_level >= 2 then
-            ignore (search_to_level t ~inclusive:true kb 2);
+            ignore (search_to_level t ~inclusive:true k 2);
           true
       | `Deleted_by_other | `Gone -> false
     end
@@ -468,7 +551,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   (* The binding a regular root node holds; [None] at sentinels. *)
   let binding = function
-    | Node { key = Mid k; elt = Some e; _ } -> Some (k, e)
+    | Node { key; elt = Some e; _ } -> Some (key, e)
     | Node _ | Null -> None
 
   (* Lotan-Shavit style delete-min on the root level: claim the leftmost
@@ -488,17 +571,15 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     end
 
   (* Successor query in O(log n) expected: the smallest regular binding
-     with key >= [kb]. *)
-  let rec find_ge_bounded t kb =
-    let n1, n2 = search_to_level t ~inclusive:false kb 1 in
+     with key >= [k]. *)
+  let rec find_ge t k =
+    let n1, n2 = search_to_level t ~inclusive:false k 1 in
     if n2 == t.tail then None
     else if (M.get (succ_of n2)).mark then begin
       help_marked n1 n2;
-      find_ge_bounded t kb
+      find_ge t k
     end
     else binding n2
-
-  let find_ge t k = find_ge_bounded t (Lf_kernel.Ordered.Mid k)
 
   let rec min_binding t =
     let head = head_at t 1 in
@@ -516,7 +597,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let rec rightmost_descend t curr =
     let curr = rightmost t curr in
-    if level_of curr > 1 then rightmost_descend t (down_of curr) else curr
+    match down_of curr with Null -> curr | d -> rightmost_descend t d
 
   (* Largest regular binding, located by walking right at each level before
      descending: O(log n) expected.  If the rightmost bottom node is marked
@@ -525,28 +606,27 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let start = head_at t (find_start t 1 1) in
     binding (backtrack (rightmost t (rightmost_descend t start)))
 
-  let rec fold_level_from t hib f acc n =
+  let rec fold_level_from t hi f acc n =
     match n with
     | Null -> acc
     | Node r ->
-        if n == t.tail || BK.lt hib r.key then acc
+        if n == t.tail || K.compare hi r.key < 0 then acc
         else
           let s = M.get r.succ in
           let acc =
-            match (r.key, r.elt) with
-            | Mid k, Some e when not s.mark -> f acc k e
+            match r.elt with
+            | Some e when not s.mark -> f acc r.key e
             | _ -> acc
           in
-          fold_level_from t hib f acc s.right
+          fold_level_from t hi f acc s.right
 
   (* Fold over regular bindings with lo <= key <= hi, in key order; weakly
      consistent under concurrency (like any lock-free iterator). *)
   let fold_range t ~lo ~hi f acc =
     if K.compare lo hi > 0 then acc
     else begin
-      let hib = Lf_kernel.Ordered.Mid hi in
-      let _, start = search_to_level t ~inclusive:false (Mid lo) 1 in
-      fold_level_from t hib f acc start
+      let _, start = search_to_level t ~inclusive:false lo 1 in
+      fold_level_from t hi f acc start
     end
 
   (* --- Quiescent snapshots and validation. --- *)
@@ -556,8 +636,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       | Null -> acc
       | Node n -> (
           let s = M.get n.succ in
-          match (n.key, n.elt) with
-          | Mid k, Some e when not s.mark -> go (f acc k e) s.right
+          match n.elt with
+          | Some e when not s.mark -> go (f acc n.key e) s.right
           | _ -> go acc s.right)
     in
     go acc (M.get (succ_of (head_at t 1))).right
@@ -583,11 +663,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let rec go acc = function
       | Null -> List.rev acc
       | n when n == t.tail -> List.rev acc
-      | Node n ->
-          let acc =
-            match n.key with Lf_kernel.Ordered.Mid k -> k :: acc | _ -> acc
-          in
-          go acc (M.get n.succ).right
+      | Node n -> go (n.key :: acc) (M.get n.succ).right
     in
     go [] (M.get (succ_of (head_at t l))).right
 
@@ -603,7 +679,21 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let check_invariants t =
     let fail fmt = Format.kasprintf failwith fmt in
+    let check_down_succ l = function
+      | Node { down = Node d; down_succ; _ } ->
+          if down_succ != d.succ then
+            fail "fr-skiplist: down_succ is not the down node's cell (level %d)"
+              l
+      | Node { down = Null; down_succ; succ; _ } ->
+          if down_succ != succ then
+            fail "fr-skiplist: down_succ is not the node's own cell (level %d)"
+              l
+      | Null -> ()
+    in
+    check_down_succ 0 t.tail;
     for l = 1 to t.max_level do
+      let head = head_at t l in
+      check_down_succ l head;
       (* [ps] is the descriptor of [prev], the node last visited. *)
       let rec go prev ps =
         match ps.right with
@@ -612,22 +702,25 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
             if ps.right_key != n.key then
               fail "fr-skiplist: right_key is not the right node's key (level %d)"
                 l;
+            if Lazy.force ps.right_succ != n.succ then
+              fail
+                "fr-skiplist: right_succ is not the right node's cell (level %d)"
+                l;
             if next != t.tail then begin
-              if not (BK.lt (key_of prev) n.key) then
+              if prev != head && K.compare (key_of prev) n.key >= 0 then
                 fail "fr-skiplist: level %d keys unsorted" l;
               let s = M.get n.succ in
               if t.help_superfluous && s.mark then
                 fail "fr-skiplist: marked node at quiescence (level %d)" l;
               if s.flag then
                 fail "fr-skiplist: flagged node at quiescence (level %d)" l;
-              if not (Int.equal n.level l) then
-                fail "fr-skiplist: node level tag mismatch at level %d" l;
               (match n.down with
               | Node d when l > 1 ->
-                  if not (BK.equal d.key n.key) then
+                  if K.compare d.key n.key <> 0 then
                     fail "fr-skiplist: down pointer key mismatch"
               | Null when l = 1 -> ()
               | _ -> fail "fr-skiplist: down pointer shape at level %d" l);
+              check_down_succ l next;
               (if t.help_superfluous then
                  match n.tower_root with
                  | Null -> if l <> 1 then fail "fr-skiplist: upper node w/o root"
@@ -637,7 +730,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
               go next s
             end
       in
-      let head = head_at t l in
       go head (M.get (succ_of head))
     done
 end

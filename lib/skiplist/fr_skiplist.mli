@@ -14,11 +14,14 @@
     just-added node.  Deletion deletes the root first (linearization: its
     marking) and leaves the remaining levels to a cleanup search.
 
-    Nodes are inline records, so links point straight at them.  Each succ
-    descriptor [{right; right_key; mark; flag}] carries a copy of its right
-    node's immutable key, so a search step that stops or descends never
-    loads the next node.  C&S compares whole descriptors physically and
-    never looks at [right_key]; the copy is not a deviation from the paper.
+    Nodes are inline records with unboxed keys, so links point straight at
+    them; the sentinels carry [K.any] and are never compared by key.  Each
+    succ descriptor [{right; right_key; right_succ; mark; flag}] carries
+    copies of its right node's key and [succ] cell, and each node carries
+    its down node's cell, so a search step stops, moves right or descends
+    through cells and descriptors only, without loading the next node.
+    C&S compares whole descriptors physically and never looks at the
+    copies; they are not a deviation from the paper.
 
     Deviations from the paper (recorded in DESIGN.md): the head tower is
     preallocated up to [max_level] instead of growing through [up]
@@ -118,8 +121,10 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   val check_invariants : 'a t -> unit
   (** Quiescent validation of every level (sortedness, no marked/flagged
       nodes, down-pointer key consistency, every descriptor's [right_key]
-      physically its right node's key, no surviving superfluous nodes in
-      helping mode).  Raises [Failure] on violation. *)
+      and [right_succ] physically its right node's key and [succ] cell,
+      every node's down-node cell physically its down node's [succ] cell,
+      no surviving superfluous nodes in helping mode).  Raises [Failure]
+      on violation. *)
 end
 
 module Atomic_int : module type of Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)

@@ -202,3 +202,98 @@ let assert_linearizable h =
   | Lf_lin.Checker.Linearizable -> ()
   | Lf_lin.Checker.Not_linearizable ->
       Alcotest.failf "history not linearizable:@\n%a" Lf_lin.History.pp h
+
+(* --- Placeholder keys of the skip list ---
+
+   [Fr_skiplist] stores keys unboxed, and its sentinels carry
+   [Ordered.S.any] as their key.  [any] is also a valid key, so a tower of
+   every height on it must behave like any other key's, alone and among
+   [others]: a sentinel test that looks at keys, or forgets the heads or
+   the tail, fails here. *)
+module type SKIPLIST = sig
+  type key
+  type 'a t
+
+  val create_with : ?max_level:int -> ?help_superfluous:bool -> unit -> 'a t
+  val insert_with_height : 'a t -> height:int -> key -> 'a -> bool
+  val find : 'a t -> key -> 'a option
+  val mem : 'a t -> key -> bool
+  val delete : 'a t -> key -> bool
+  val find_ge : 'a t -> key -> (key * 'a) option
+  val min_binding : 'a t -> (key * 'a) option
+  val max_binding : 'a t -> (key * 'a) option
+
+  val fold_range :
+    'a t -> lo:key -> hi:key -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
+
+  val level_counts : 'a t -> int array
+  val check_invariants : 'a t -> unit
+end
+
+let placeholder_keys (type k) (module D : SKIPLIST with type key = k)
+    ~(any : k) ~(others : k list) () =
+  let max_level = 6 in
+  let last l = List.nth l (List.length l - 1) in
+  for height = 1 to max_level do
+    List.iter
+      (fun neighbours ->
+        let fail what =
+          Alcotest.failf "height %d, %d other keys: %s" height
+            (List.length neighbours) what
+        in
+        let expect what ok = if not ok then fail what in
+        let t = D.create_with ~max_level () in
+        let populations what per_level =
+          Array.iteri
+            (fun i c ->
+              let want = if i < height then per_level else 0 in
+              if c <> want then
+                fail
+                  (Printf.sprintf "%s: level %d holds %d nodes, not %d" what
+                     (i + 1) c want))
+            (D.level_counts t)
+        in
+        let absent () = D.find t any = None && not (D.mem t any) in
+        expect "absent before insert" (absent ());
+        expect "delete of an absent key" (not (D.delete t any));
+        expect "find_ge on an empty list" (D.find_ge t any = None);
+        List.iteri
+          (fun i k ->
+            expect "insert another key"
+              (D.insert_with_height t ~height k (i + 1)))
+          neighbours;
+        expect "insert" (D.insert_with_height t ~height any 0);
+        expect "duplicate rejected"
+          (not (D.insert_with_height t ~height any 9));
+        D.check_invariants t;
+        populations "after insert" (List.length neighbours + 1);
+        let all =
+          List.sort compare
+            ((any, 0) :: List.mapi (fun i k -> (k, i + 1)) neighbours)
+        in
+        let lo = fst (List.hd all) and hi = fst (last all) in
+        let range lo hi =
+          List.rev (D.fold_range t ~lo ~hi (fun acc k v -> (k, v) :: acc) [])
+        in
+        expect "find" (D.find t any = Some 0 && D.mem t any);
+        expect "find_ge" (D.find_ge t any = Some (any, 0));
+        expect "find_ge from the smallest key"
+          (D.find_ge t lo = Some (List.hd all));
+        expect "min_binding" (D.min_binding t = Some (List.hd all));
+        expect "max_binding" (D.max_binding t = Some (last all));
+        expect "fold_range over every key" (range lo hi = all);
+        expect "fold_range over the key alone" (range any any = [ (any, 0) ]);
+        expect "delete" (D.delete t any);
+        expect "absent after delete" (absent ());
+        expect "second delete" (not (D.delete t any));
+        D.check_invariants t;
+        populations "after delete" (List.length neighbours);
+        expect "find_ge after delete"
+          (D.find_ge t any
+          = List.find_opt (fun (k, _) -> compare k any > 0) all);
+        expect "range after delete" (range any any = []);
+        expect "reinsert" (D.insert_with_height t ~height any 7);
+        expect "find after reinsert" (D.find t any = Some 7);
+        D.check_invariants t)
+      [ []; others ]
+  done

@@ -43,6 +43,18 @@ let test_splitmix_bounds =
       done;
       !ok)
 
+(* [hash] is the first output of a stream seeded with its argument, over
+   the whole int range. *)
+let test_splitmix_hash =
+  Support.qcheck ~count:2000 "hash s = bits (create s)" QCheck2.Gen.int
+    (fun s -> SM.hash s = SM.bits (SM.create s))
+
+let test_splitmix_hash_edges () =
+  List.iter
+    (fun s ->
+      Alcotest.(check int) (string_of_int s) (SM.bits (SM.create s)) (SM.hash s))
+    [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ]
+
 let test_splitmix_uniformity () =
   let rng = SM.create 2024 in
   let buckets = Array.make 10 0 in
@@ -291,6 +303,8 @@ let () =
           Alcotest.test_case "split independent" `Quick
             test_splitmix_split_independent;
           test_splitmix_bounds;
+          test_splitmix_hash;
+          Alcotest.test_case "hash edges" `Quick test_splitmix_hash_edges;
           Alcotest.test_case "uniformity" `Quick test_splitmix_uniformity;
           Alcotest.test_case "float range" `Quick test_splitmix_float_range;
         ] );

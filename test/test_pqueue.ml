@@ -90,6 +90,24 @@ let test_heap_growth_and_order () =
     | None -> Alcotest.fail "premature empty"
   done
 
+(* The stamped queue's key [(0, 0)] is its [Ordered.S.any], the key the
+   skip list's sentinels carry: the first element pushed with priority 0
+   has it.  A skip list on that key type must treat it as any other key at
+   every tower height, and so must the queue. *)
+module PKS = Lf_skiplist.Fr_skiplist.Make (SPQ.Key) (Lf_kernel.Atomic_mem)
+
+let test_placeholder_key_skiplist =
+  Support.placeholder_keys (module PKS) ~any:(0, 0)
+    ~others:[ (-1, 5); (0, 1); (1, 0) ]
+
+let test_placeholder_key_queue () =
+  Alcotest.(check bool) "Key.any" true (SPQ.Key.any = (0, 0));
+  let q = SPQ.create () in
+  SPQ.push q 0 "first";
+  Alcotest.(check (option (pair int string)))
+    "pop the (0, 0) element" (Some (0, "first")) (SPQ.pop_min q);
+  Alcotest.(check bool) "empty" true (SPQ.is_empty q && SPQ.pop_min q = None)
+
 (* Exhaustive bounded-schedule check of pop_min claims: two processes pop
    from a 4-element queue under every schedule with <= 2 preemptions; every
    element must be claimed exactly once and pops never fabricate
@@ -189,6 +207,13 @@ let () =
             test_heap_baseline_agrees;
           Alcotest.test_case "heap growth and order" `Quick
             test_heap_growth_and_order;
+        ] );
+      ( "placeholder key",
+        [
+          Alcotest.test_case "skip list on (0, 0) at every height" `Quick
+            test_placeholder_key_skiplist;
+          Alcotest.test_case "queue pops (0, 0)" `Quick
+            test_placeholder_key_queue;
         ] );
       ( "concurrent",
         [

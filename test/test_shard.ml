@@ -277,10 +277,26 @@ let test_inflight_unmarked () =
   | exception Failure _ -> ());
   Alcotest.(check int) "after call raised" 0 (Router.in_flight raising)
 
-(* The router's own words per key: an int-keyed in-flight table, no
-   closures, no lists per line.  The backend answers from preallocated
-   values, so what is measured is the router and the default pipeline
-   (plus 2 words for each request). *)
+(* Routing a key hashes it with [Splitmix.hash], which builds no stream,
+   so it allocates nothing. *)
+let test_slot_of_alloc () =
+  let ring = Hash_ring.create ~seed:1 ~shards:4 () in
+  let n = 10_000 in
+  let words =
+    Support.words_during (fun () ->
+        for k = 1 to n do
+          ignore (Sys.opaque_identity (Hash_ring.slot_of ring k))
+        done)
+    /. float_of_int n
+  in
+  if words > 1. then
+    Alcotest.failf "Hash_ring.slot_of allocates %.1f words per call (bar: 1)"
+      words
+
+(* The router's own words per key: an int-keyed in-flight table, a ring
+   hash that allocates nothing, no closures, no lists per line.  The
+   backend answers from preallocated values, so what is measured is the
+   router and the default pipeline (plus 2 words for each request). *)
 let test_router_alloc () =
   let clock, _ = Clock.manual () in
   let ring = Hash_ring.create ~seed:1 ~shards:4 () in
@@ -300,8 +316,8 @@ let test_router_alloc () =
         done)
     /. float_of_int n
   in
-  if call > 24. then
-    Alcotest.failf "Router.call allocates %.1f words (bar: 24)" call;
+  if call > 8. then
+    Alcotest.failf "Router.call allocates %.1f words (bar: 8)" call;
   let lines =
     Array.init 1_000 (fun i -> List.init 16 (fun j -> Svc.Find ((16 * i) + j)))
   in
@@ -312,8 +328,8 @@ let test_router_alloc () =
           lines)
     /. float_of_int (16 * Array.length lines)
   in
-  if per_key > 32. then
-    Alcotest.failf "Router.call_many allocates %.1f words per key (bar: 32)"
+  if per_key > 14. then
+    Alcotest.failf "Router.call_many allocates %.1f words per key (bar: 14)"
       per_key
 
 (* --- Hedged/failover reads ------------------------------------------- *)
@@ -1264,7 +1280,12 @@ let () =
   Alcotest.run "shard"
     [
       ( "ring",
-        [ test_ring_deterministic; test_ring_reassign ] );
+        [
+          test_ring_deterministic;
+          test_ring_reassign;
+          Alcotest.test_case "slot_of allocation budget" `Quick
+            test_slot_of_alloc;
+        ] );
       ( "routing",
         [
           test_routing_hits_owner;

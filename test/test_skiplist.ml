@@ -1,7 +1,8 @@
 (* Tests for the skip lists: Pugh's sequential oracle, the lock-free
-   Fomitchev-Ruppert skip list (tower structure, interrupted insertions,
-   superfluous-node helping, delete_min, allocation budgets), the locked
-   baseline, and the height distribution of Section 4's last paragraph. *)
+   Fomitchev-Ruppert skip list (cell copies, tower structure, interrupted
+   insertions, superfluous-node helping, delete_min, placeholder keys,
+   allocation budgets), the locked baseline, and the height distribution
+   of Section 4's last paragraph. *)
 
 module SL = Lf_skiplist.Fr_skiplist.Atomic_int
 module SLS = Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
@@ -617,6 +618,41 @@ let test_ablation_no_helping_correct () =
   Sim.quiet (fun () ->
       Alcotest.(check int) "conservation" !net (SLS.length t))
 
+(* --- Cell copies ---
+
+   Every descriptor holds its right node's [succ] cell and every node its
+   down node's, and [check_invariants] checks both copies physically.
+   Checking after every operation catches a wrong copy before a walk
+   follows it: a walk that follows a wrong cell need not come back. *)
+let test_cells_after_every_op () =
+  let t = SL.create_with ~max_level:4 () in
+  let step what f =
+    f ();
+    try SL.check_invariants t
+    with Failure msg -> Alcotest.failf "after %s: %s" what msg
+  in
+  let insert (k, height) =
+    step (Printf.sprintf "insert %d" k) (fun () ->
+        ignore (SL.insert_with_height t ~height k k))
+  and delete k =
+    step (Printf.sprintf "delete %d" k) (fun () -> ignore (SL.delete t k))
+  in
+  List.iter insert [ (5, 3); (2, 1); (8, 4); (6, 2); (3, 2) ];
+  List.iter delete [ 6; 2; 8 ];
+  List.iter insert [ (6, 4); (1, 2) ];
+  Alcotest.(check (list int)) "keys" [ 1; 3; 5; 6 ]
+    (List.map fst (SL.to_list t))
+
+(* --- Placeholder keys --- *)
+
+module SS = Lf_skiplist.Fr_skiplist.Atomic_string
+
+let test_placeholder_int =
+  Support.placeholder_keys (module SL) ~any:0 ~others:[ -1; 1; min_int; 7 ]
+
+let test_placeholder_string =
+  Support.placeholder_keys (module SS) ~any:"" ~others:[ "a"; "\000"; "zz" ]
+
 (* --- Allocation budgets --- *)
 
 (* Minor words per operation on a half-full skip list over keys [0, n):
@@ -643,7 +679,7 @@ let check_budget name ~bar op =
     Alcotest.failf "%s allocates %.1f words/op at 4,096 keys (bar: %.0f)" name
       words bar
 
-let test_find_alloc () = check_budget "find" ~bar:8. SL.find
+let test_find_alloc () = check_budget "find" ~bar:4. SL.find
 
 let test_insert_alloc () =
   check_budget "insert" ~bar:40. (fun t k -> SL.insert t k k)
@@ -702,6 +738,11 @@ let test_domain_stress () =
 let () =
   Alcotest.run "skiplist"
     [
+      ( "cells",
+        [
+          Alcotest.test_case "copies hold after every operation" `Quick
+            test_cells_after_every_op;
+        ] );
       ("oracle", oracle_tests);
       ("reinsert", [ Support.oracle_test ~key_range:6 ~len:200 (module SL) ]);
       ("retention", Support.retention_tests (module SL));
@@ -762,6 +803,13 @@ let () =
             test_delete_min_sequential;
           Alcotest.test_case "unique claims" `Quick
             test_delete_min_unique_claims_sim;
+        ] );
+      ( "placeholder keys",
+        [
+          Alcotest.test_case "int key 0 at every height" `Quick
+            test_placeholder_int;
+          Alcotest.test_case "string key \"\" at every height" `Quick
+            test_placeholder_string;
         ] );
       ( "allocation",
         [
