@@ -23,6 +23,17 @@
    paper bases on a failed C&S's return value instead re-read the cell and
    re-validate (every such branch is self-validating, see DESIGN.md).
 
+   Layout, as in [Fr_skiplist].  A node is an inline record, so [right],
+   backlinks and hint anchors point straight at it.  Keys are stored
+   unboxed; the sentinels carry [K.any], and no code compares a sentinel's
+   key: the tail is known by identity, and only sentinels have no element.
+   A succ descriptor also carries a copy of its [right] node's key
+   ([right_key]; [K.any] when [right] is the tail).  A node's key never
+   changes, so the copy is exact, and SEARCHFROM decides whether to step
+   on [right_key] without loading the next node ("Skiplists with
+   Foresight").  C&S still compares whole descriptors physically; the copy
+   never decides a C&S, and it is not a deviation from the paper.
+
    [create ~use_flags:false] builds the EXP-8 ablation variant: two-step
    Harris-style deletion that still sets backlinks but never flags the
    predecessor, exhibiting the rightward-growing backlink chains the flag bit
@@ -35,25 +46,29 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   type key = K.t
 
-  type 'a node = {
-    key : K.t Lf_kernel.Ordered.bounded;
-    elt : 'a option; (* [None] only for the head and tail sentinels *)
-    succ : 'a succ M.aref;
-    backlink : 'a link M.aref;
-    anchor : 'a anchor;
-  }
+  (* [Null] is the tail's [right], an unset backlink and an empty anchor;
+     nothing else. *)
+  type 'a node =
+    | Null
+    | Node of {
+        key : K.t; (* [K.any] at the sentinels *)
+        elt : 'a option; (* [None] only at the head and tail sentinels *)
+        succ : 'a succ M.aref;
+        backlink : 'a node M.aref;
+        anchor : 'a anchor;
+      }
 
-  and 'a succ = { right : 'a link; mark : bool; flag : bool }
-  and 'a link = Null | Node of 'a node
+  (* [right_key] is physically [right]'s key ([K.any] for the tail). *)
+  and 'a succ = { right : 'a node; right_key : K.t; mark : bool; flag : bool }
 
   (* What a hint slot holds: a box that points at its node until the
      node is marked, when the winner of the marking C&S empties it.  A
      slot that outlives the node then pins two words, not the chain of
      nodes deleted after it that the node's frozen [right] and backlink
      reach.  A plain field, not a [Mem.S] cell: it is never a scheduling
-     point, and a racing reader sees [Node n] or [Null], both safe
+     point, and a racing reader sees the node or [Null], both safe
      because the candidate is validated. *)
-  and 'a anchor = { mutable live : 'a link }
+  and 'a anchor = { mutable live : 'a node }
 
   (* Seeded protocol bugs for the sanitizer and watchdog tests: the first
      four corrupt one step of the deletion protocol in a way that runs
@@ -80,82 +95,115 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let name = "fr-list"
 
+  (* Field access.  Only the tail has a [Null] successor, and no routine
+     below dereferences the successor of the tail (searches stop strictly
+     before it and it is never deleted), nor an unset backlink. *)
+  let null () = invalid_arg "Fr_list: dereferenced a null link"
+  let key_of = function Node n -> n.key | Null -> null ()
+  let succ_of = function Node n -> n.succ | Null -> null ()
+  let backlink_of = function Node n -> n.backlink | Null -> null ()
+  let anchor_of = function Node n -> n.anchor | Null -> null ()
+
+  (* [n] is a regular node holding key [k].  Sentinels carry [K.any],
+     which may also be a live key, so they must never match: only
+     sentinels have no element. *)
+  let holds n k =
+    match n with
+    | Node { key; elt = Some _; _ } -> K.compare key k = 0
+    | Node _ | Null -> false
+
+  (* The binding a regular node holds; [None] at the sentinels. *)
+  let binding = function
+    | Node { key; elt = Some e; _ } -> Some (key, e)
+    | Node _ | Null -> None
+
+  (* A node's key with the paper's sentinel values, for checked-memory
+     reports and [Debug]: a node without an element is the tail or the
+     head. *)
+  let bounded_key tail : _ node -> K.t Lf_kernel.Ordered.bounded = function
+    | Node { elt = None; _ } as n -> if n == tail then Pos_inf else Neg_inf
+    | Node n -> Mid n.key
+    | Null -> null ()
+
   (* Declare a node's cells to a checked memory.  The decoders close over
-     the node so they can render its key and compare against neighbours
-     with the functor's own order; neighbour cells are named by [M.stamp],
-     a pure field read on checked memories.  Guarded by [M.stamp <> 0] so
+     the node's key so they can compare against neighbours with the
+     functor's own order; neighbour cells are named by [M.stamp], a pure
+     field read on checked memories.  Guarded by [M.stamp <> 0] so
      unchecked memories (where annotation is a no-op anyway) do not even
      pay for rendering the owner key on the insert path. *)
-  let succ_view_of n (s : _ succ) : Lf_kernel.Protocol.succ_view =
+  let succ_view_of tail owner (s : _ succ) : Lf_kernel.Protocol.succ_view =
     {
       right_id =
         (match s.right with
         | Null -> Lf_kernel.Protocol.null_id
         | Node r -> M.stamp r.succ);
       right_gt_owner =
-        (match s.right with Null -> true | Node r -> BK.lt n.key r.key);
+        (match s.right with
+        | Null -> true
+        | r -> BK.lt owner (bounded_key tail r));
       mark = s.mark;
       flag = s.flag;
     }
 
-  let link_view_of n (l : _ link) : Lf_kernel.Protocol.link_view =
+  let link_view_of tail owner (l : _ node) : Lf_kernel.Protocol.link_view =
     match l with
     | Null ->
         { target_id = Lf_kernel.Protocol.null_id; left_of_owner = true }
-    | Node b -> { target_id = M.stamp b.succ; left_of_owner = BK.lt b.key n.key }
+    | Node b ->
+        {
+          target_id = M.stamp b.succ;
+          left_of_owner = BK.lt (bounded_key tail l) owner;
+        }
 
-  let annotate_node ?(head = false) ?(sentinel = false) n =
-    if M.stamp n.succ <> 0 then begin
-      let owner = Format.asprintf "%a" BK.pp n.key in
-      M.annotate n.succ
-        (Lf_kernel.Protocol.Succ
-           { owner; head; sentinel; view = succ_view_of n });
-      M.annotate n.backlink
-        (Lf_kernel.Protocol.Backlink { owner; view = link_view_of n })
-    end
+  let annotate_node ?(head = false) ?(sentinel = false) tail = function
+    | Node n as node when M.stamp n.succ <> 0 ->
+        let key = bounded_key tail node in
+        let owner = Format.asprintf "%a" BK.pp key in
+        M.annotate n.succ
+          (Lf_kernel.Protocol.Succ
+             { owner; head; sentinel; view = succ_view_of tail key });
+        M.annotate n.backlink
+          (Lf_kernel.Protocol.Backlink
+             { owner; view = link_view_of tail key })
+    | Node _ | Null -> ()
 
+  (* Every node's [backlink] cell is made before its [succ] cell: the
+     simulator numbers cells as they are made, and the pinned simulator
+     and model-check reports (bench/results) were recorded in that
+     order. *)
   let create_with ?mutation ?(use_hints = true) ~use_flags () =
+    let backlink = M.make Null in
+    let succ =
+      M.make { right = Null; right_key = K.any; mark = false; flag = false }
+    in
     let tail =
-      {
-        key = Pos_inf;
-        elt = None;
-        succ = M.make { right = Null; mark = false; flag = false };
-        backlink = M.make Null;
-        anchor = { live = Null };
-      }
+      Node { key = K.any; elt = None; succ; backlink; anchor = { live = Null } }
+    in
+    let backlink = M.make Null in
+    let succ =
+      M.make { right = tail; right_key = K.any; mark = false; flag = false }
     in
     let head =
-      {
-        key = Neg_inf;
-        elt = None;
-        succ = M.make { right = Node tail; mark = false; flag = false };
-        backlink = M.make Null;
-        anchor = { live = Null };
-      }
+      Node { key = K.any; elt = None; succ; backlink; anchor = { live = Null } }
     in
     (* The flagless ablation deliberately breaks the protocol; it stays
        unannotated so it can run under a checked memory too. *)
     if use_flags then begin
-      annotate_node ~sentinel:true tail;
-      annotate_node ~head:true ~sentinel:true head
+      annotate_node ~sentinel:true tail tail;
+      annotate_node ~head:true ~sentinel:true tail head
     end;
     let hints = if use_hints then Some (H.create ()) else None in
     { head; tail; use_flags; mutation; hints }
 
   let create () = create_with ~use_flags:true ()
 
-  (* Only the tail sentinel has a [Null] successor, and no routine below ever
-     dereferences the successor of the tail (searches stop strictly before
-     +inf and +inf is never deleted), so this cannot raise. *)
-  let as_node = function
-    | Node n -> n
-    | Null -> invalid_arg "Fr_list: dereferenced successor of tail"
-
-  let same_node l n = match l with Node m -> m == n | Null -> false
-
   (* The [No_help] mutant refuses the altruistic help at sites that find
      another operation's flag; honest code always helps. *)
   let no_help t = match t.mutation with Some No_help -> true | _ -> false
+
+  (* Every operation loop below is a top-level function with explicit
+     arguments: without flambda a local recursive function is a closure
+     allocated on each call. *)
 
   (* HELPMARKED (Fig. 3): [del] is marked, so [del.succ] is frozen; attempt
      the physical deletion C&S on [prev].succ: (del,0,1) -> (del.right,0,0).
@@ -163,82 +211,122 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      If the current descriptor is not of that shape the paper's C&S would
      simply fail, so we skip the attempt. *)
   let help_marked t prev del =
-    let next = (M.get del.succ).right in
-    let expect = M.get prev.succ in
+    let ds = M.get (succ_of del) in
+    let expect = M.get (succ_of prev) in
     if
-      same_node expect.right del
+      expect.right == del
       && (not expect.mark)
       && Bool.equal expect.flag t.use_flags
     then
       ignore
-        (M.cas prev.succ ~kind:Ev.Physical_delete ~expect
-           { right = next; mark = false; flag = false })
+        (M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect
+           {
+             right = ds.right;
+             right_key = ds.right_key;
+             mark = false;
+             flag = false;
+           })
 
   (* HELPFLAGGED / TRYMARK (Fig. 4).  [prev] is flagged with successor [del]:
      set the backlink, mark [del] (helping any deletion of [del]'s own
      successor that blocks the marking), then physically delete it. *)
   let rec help_flagged t prev del =
-    M.set del.backlink (Node prev);
-    if not (M.get del.succ).mark then try_mark t del;
+    M.set (backlink_of del) prev;
+    if not (M.get (succ_of del)).mark then try_mark t del;
     help_marked t prev del
 
   and try_mark t del =
     (* Repeat until [del] is marked.  A flagged successor field means the
        deletion of [del]'s successor is in progress: help it finish first
        (the flag blocks our marking C&S). *)
-    let s = M.get del.succ in
+    let s = M.get (succ_of del) in
     if s.mark then ()
     else if s.flag then
       if no_help t then try_mark t del
       else begin
         M.event Ev.Help;
-        help_flagged t del (as_node s.right);
+        help_flagged t del s.right;
         try_mark t del
       end
-    else if M.cas del.succ ~kind:Ev.Marking ~expect:s { s with mark = true }
-    then del.anchor.live <- Null
+    else if
+      M.cas (succ_of del) ~kind:Ev.Marking ~expect:s { s with mark = true }
+    then (anchor_of del).live <- Null
     else try_mark t del
 
-  (* SEARCHFROM (Fig. 3).  Starting from [start] (whose key must be <= k),
-     returns two nodes (n1, n2) such that at some instant during the search
-     n1.right = n2 and n1.key <= k < n2.key.  With [inclusive:false] this is
-     the paper's SearchFrom(k - eps, .): n1.key < k <= n2.key.  Marked nodes
-     encountered along the way are physically deleted (helping). *)
-  let search_from t ~inclusive k start =
-    let goes_past key = if inclusive then BK.le key k else BK.lt key k in
-    let curr = ref start in
-    let next = ref (as_node (M.get start.succ).right) in
-    while goes_past !next.key do
-      (* Lines 3-6: loop while [next] is marked unless both [curr] and
-         [next] are marked and adjacent (in which case [curr] was marked
-         first and we may travel through both). *)
-      let continue_inner () =
-        (M.get !next.succ).mark
+  (* SEARCHFROM (Fig. 3).  Starting from [curr] (whose key must be <= k),
+     [cs] being the descriptor last read from it, returns two nodes (n1, n2)
+     such that at some instant during the search n1.right = n2 and n1.key
+     <= k < n2.key.  With [inclusive:false] this is the paper's
+     SearchFrom(k - eps, .): n1.key < k <= n2.key.  Marked nodes
+     encountered along the way are physically deleted (helping).
+
+     [goes_past] is the test of lines 2 and 7, [next.key <= k], made on
+     [cs.right_key], so no step loads [next] to decide.  [search_from]
+     carries lines 2-9 and [skip_marked] the loop of lines 3-6.  When
+     that loop does not run, [next] is unchanged and line 7 would repeat
+     line 2's test, so it is skipped: an unobstructed step makes one key
+     comparison. *)
+  let goes_past t inclusive k cs =
+    cs.right != t.tail
+    &&
+    let c = K.compare cs.right_key k in
+    if inclusive then c <= 0 else c < 0
+
+  (* Line 3's test: [next] is marked, unless both [curr] and [next] are
+     marked and adjacent (in which case [curr] was marked first and we may
+     travel through both). *)
+  let skips curr next =
+    (M.get (succ_of next)).mark
+    &&
+    let cs = M.get (succ_of curr) in
+    (not cs.mark) || cs.right != next
+
+  (* Lines 4-6, repeated while line 3's test holds; returns the descriptor
+     from which the last line 6 read [next]. *)
+  let rec skip_marked t curr next =
+    if (M.get (succ_of curr)).right == next then help_marked t curr next;
+    let cs = M.get (succ_of curr) in
+    M.event Ev.Next_update;
+    if skips curr cs.right then skip_marked t curr cs.right else cs
+
+  (* Lines 8-9 are written out at both of their sites, and line 3's
+     first test inline: without flambda a call per step is measurable
+     (single-domain 256-key mix on a 2-vCPU Xeon VM, 1,353 -> 1,107
+     ns/op, better in 8/8 rounds). *)
+  let rec search_from t inclusive k curr cs =
+    if goes_past t inclusive k cs then begin
+      let next = cs.right in
+      if
+        (M.get (succ_of next)).mark
         &&
-        let cs = M.get !curr.succ in
-        (not cs.mark) || not (same_node cs.right !next)
-      in
-      while continue_inner () do
-        let cs = M.get !curr.succ in
-        if same_node cs.right !next then help_marked t !curr !next;
-        next := as_node (M.get !curr.succ).right;
-        M.event Ev.Next_update
-      done;
-      if goes_past !next.key then begin
-        curr := !next;
-        M.event Ev.Curr_update;
-        next := as_node (M.get !curr.succ).right
+        let cs = M.get (succ_of curr) in
+        (not cs.mark) || cs.right != next
+      then begin
+        let cs = skip_marked t curr next in
+        if goes_past t inclusive k cs then begin
+          let next = cs.right in
+          M.event Ev.Curr_update;
+          search_from t inclusive k next (M.get (succ_of next))
+        end
+        else (curr, cs.right)
       end
-    done;
-    (!curr, !next)
+      else begin
+        M.event Ev.Curr_update;
+        search_from t inclusive k next (M.get (succ_of next))
+      end
+    end
+    else (curr, cs.right)
+
+  let search t inclusive k start =
+    search_from t inclusive k start (M.get (succ_of start))
 
   (* Chain-of-backlinks traversal (TRYFLAG line 9-10, INSERT line 17-18):
      walk left until an unmarked node.  Backlink chains are key-decreasing
      and bottom out at the head sentinel, so this terminates. *)
   let rec backtrack p =
-    if (M.get p.succ).mark then begin
+    if (M.get (succ_of p)).mark then begin
       M.event Ev.Backlink_step;
-      backtrack (as_node (M.get p.backlink))
+      backtrack (M.get (backlink_of p))
     end
     else p
 
@@ -257,22 +345,24 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      to be total against) falls back to the head. *)
 
   let rec unmark_left t n =
-    if (M.get n.succ).mark then begin
+    if (M.get (succ_of n)).mark then begin
       M.event Ev.Backlink_step;
-      match M.get n.backlink with Null -> t.head | Node p -> unmark_left t p
+      match M.get (backlink_of n) with Null -> t.head | p -> unmark_left t p
     end
     else n
 
-  (* A validated start node for a search with target [kb], or [None] if the
+  (* A validated start node for a search with target [k], or [None] if the
      candidate (after backlink recovery) is unusable and the search must
-     begin at the head. *)
-  let valid_start t ~inclusive kb cand =
+     begin at the head.  Candidates are regular nodes (hint anchors and
+     batch carries never hold the tail), so [s]'s key is a real key. *)
+  let valid_start t ~inclusive k cand =
     let s = unmark_left t cand in
     if s == t.head then None
-    else if (if inclusive then BK.le s.key kb else BK.lt s.key kb) then Some s
-    else None
+    else
+      let c = K.compare (key_of s) k in
+      if (if inclusive then c <= 0 else c < 0) then Some s else None
 
-  let start_for t ~inclusive kb =
+  let start_for t ~inclusive k =
     match t.hints with
     | None -> t.head
     | Some h -> (
@@ -283,8 +373,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         | Some a -> (
             let start =
               match a.live with
-              | Node cand -> valid_start t ~inclusive kb cand
               | Null -> None
+              | cand -> valid_start t ~inclusive k cand
             in
             match start with
             | Some s ->
@@ -303,7 +393,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      honest code paths undisturbed. *)
   let publish t n =
     match (t.hints, t.mutation) with
-    | Some h, None when n != t.head -> H.store h n.anchor
+    | Some h, None when n != t.head -> H.store h (anchor_of n)
     | _ -> ()
 
   let hint_stats t = Option.map H.totals t.hints
@@ -312,108 +402,104 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      [(Some prev, true)]  - we placed the flag,
      [(Some prev, false)] - a concurrent deletion already placed it,
      [(None, false)]      - [target] is no longer in the list. *)
-  let try_flag t prev target =
-    let rec loop prev =
-      let ps = M.get prev.succ in
-      if same_node ps.right target && (not ps.mark) && ps.flag then
+  let rec try_flag t prev target =
+    let ps = M.get (succ_of prev) in
+    if ps.right == target && (not ps.mark) && ps.flag then (Some prev, false)
+    else if
+      ps.right == target && (not ps.mark) && (not ps.flag)
+      && M.cas (succ_of prev) ~kind:Ev.Flagging ~expect:ps
+           { ps with flag = true }
+    then (Some prev, true)
+    else begin
+      (* The flagging C&S failed (or was doomed): re-examine the cell to
+         find out why, exactly as the paper branches on the C&S result. *)
+      let ps' = M.get (succ_of prev) in
+      if ps'.right == target && (not ps'.mark) && ps'.flag then
         (Some prev, false)
-      else if
-        same_node ps.right target && (not ps.mark) && (not ps.flag)
-        && M.cas prev.succ ~kind:Ev.Flagging ~expect:ps { ps with flag = true }
-      then (Some prev, true)
       else begin
-        (* The flagging C&S failed (or was doomed): re-examine the cell to
-           find out why, exactly as the paper branches on the C&S result. *)
-        let ps' = M.get prev.succ in
-        if same_node ps'.right target && (not ps'.mark) && ps'.flag then
-          (Some prev, false)
-        else begin
-          let prev = backtrack prev in
-          let prev, del = search_from t ~inclusive:false target.key prev in
-          if del != target then (None, false) else loop prev
-        end
+        let prev = backtrack prev in
+        let prev, del = search t false (key_of target) prev in
+        if del != target then (None, false) else try_flag t prev target
       end
-    in
-    loop prev
+    end
 
   (* SEARCH (Fig. 3).  Each [*_from] entry point takes a validated start
      node and returns the operation's result together with a "carry": the
      node the operation ended next to, which the caller publishes as the
      domain's next hint (or threads to the next element of a batch). *)
-  let find_from t kb start =
-    let curr, _ = search_from t ~inclusive:true kb start in
-    ((if BK.equal curr.key kb then curr.elt else None), curr)
+  let find_from t k start =
+    let curr, _ = search t true k start in
+    match curr with
+    | Node { elt; _ } when holds curr k -> (elt, curr)
+    | _ -> (None, curr)
 
   let find t k =
-    let kb = Lf_kernel.Ordered.Mid k in
-    let r, carry = find_from t kb (start_for t ~inclusive:true kb) in
+    let r, carry = find_from t k (start_for t ~inclusive:true k) in
     publish t carry;
     r
 
   let mem t k = Option.is_some (find t k)
 
-  (* INSERT (Fig. 5). *)
-  let insert_from t kb elt start =
-    let rec attempt prev next =
-      let ps = M.get prev.succ in
-      if ps.flag then
-        if no_help t then attempt prev next
-        else begin
-          (* Predecessor is flagged: help the pending deletion complete. *)
-          M.event Ev.Help;
-          help_flagged t prev (as_node ps.right);
-          relocate prev
-        end
-      else if ps.mark || not (same_node ps.right next) then
-        (* Stale view: the C&S would fail; recover as after a failure. *)
-        recover prev
+  (* INSERT (Fig. 5): [insert_attempt] is lines 3-13 (help a flagged
+     predecessor, else C&S the new node in), [insert_recover] lines 14-18
+     after a failed C&S, and [insert_relocate] the search of line 2/19,
+     the entry point from a validated start node. *)
+  let rec insert_attempt t k elt prev next =
+    let ps = M.get (succ_of prev) in
+    if ps.flag then
+      if no_help t then insert_attempt t k elt prev next
       else begin
-        let anchor = { live = Null } in
-        let nn =
-          {
-            key = kb;
-            elt = Some elt;
-            succ = M.make { right = Node next; mark = false; flag = false };
-            backlink = M.make Null;
-            anchor;
-          }
-        in
-        let link = Node nn in
-        anchor.live <- link;
-        if t.use_flags then annotate_node nn;
-        if
-          M.cas prev.succ ~kind:Ev.Insertion ~expect:ps
-            { right = link; mark = false; flag = false }
-        then (true, nn)
-        else recover prev
-      end
-    and recover prev =
-      (* Lines 14-18: if the failure was due to flagging, help; if due to
-         marking, traverse backlinks to an unmarked node. *)
-      let ps = M.get prev.succ in
-      if ps.flag && not (no_help t) then begin
+        (* Predecessor is flagged: help the pending deletion complete. *)
         M.event Ev.Help;
-        help_flagged t prev (as_node ps.right)
-      end;
-      relocate (backtrack prev)
-    and relocate prev =
-      let prev, next = search_from t ~inclusive:true kb prev in
-      if BK.equal prev.key kb then (false, prev) else attempt prev next
-    in
-    relocate start
+        help_flagged t prev ps.right;
+        insert_relocate t k elt prev
+      end
+    else if ps.mark || ps.right != next then
+      (* Stale view: the C&S would fail; recover as after a failure. *)
+      insert_recover t k elt prev
+    else begin
+      (* [ps.right] is [next], so [ps.right_key] is its key. *)
+      let backlink = M.make Null in
+      let succ =
+        M.make
+          { right = next; right_key = ps.right_key; mark = false; flag = false }
+      in
+      let anchor = { live = Null } in
+      let nn = Node { key = k; elt = Some elt; succ; backlink; anchor } in
+      anchor.live <- nn;
+      if t.use_flags then annotate_node t.tail nn;
+      if
+        M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
+          { right = nn; right_key = k; mark = false; flag = false }
+      then (true, nn)
+      else insert_recover t k elt prev
+    end
+
+  and insert_recover t k elt prev =
+    (* Lines 14-18: if the failure was due to flagging, help; if due to
+       marking, traverse backlinks to an unmarked node. *)
+    let ps = M.get (succ_of prev) in
+    if ps.flag && not (no_help t) then begin
+      M.event Ev.Help;
+      help_flagged t prev ps.right
+    end;
+    insert_relocate t k elt (backtrack prev)
+
+  and insert_relocate t k elt prev =
+    let prev, next = search t true k prev in
+    if holds prev k then (false, prev) else insert_attempt t k elt prev next
 
   let insert t k elt =
-    let kb = Lf_kernel.Ordered.Mid k in
-    let ok, carry = insert_from t kb elt (start_for t ~inclusive:true kb) in
+    let ok, carry = insert_relocate t k elt (start_for t ~inclusive:true k) in
     publish t carry;
     ok
 
   (* DELETE (Fig. 4), three-step protocol.  The carry is the predecessor
-     (key strictly below [kb]), usable by both inclusive and exclusive
+     (key strictly below [k]), usable by both inclusive and exclusive
      follow-up searches. *)
-  let delete_flagged_from t kb start =
-    let prev, del = search_from t ~inclusive:false kb start in
-    if not (BK.equal del.key kb) then (false, prev)
+  let delete_flagged_from t k start =
+    let prev, del = search t false k start in
+    if not (holds del k) then (false, prev)
     else begin
       let prev_opt, result = try_flag t prev del in
       (match prev_opt with
@@ -425,10 +511,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       (result, prev)
     end
 
-  let delete_flagged t kb =
-    let ok, carry =
-      delete_flagged_from t kb (start_for t ~inclusive:false kb)
-    in
+  let delete_flagged t k =
+    let ok, carry = delete_flagged_from t k (start_for t ~inclusive:false k) in
     publish t carry;
     ok
 
@@ -436,90 +520,98 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      sets backlinks.  Because the predecessor is not pinned, a backlink can
      end up pointing at a node that is itself already marked, which lets
      chains of backlinks grow rightward - the pathology flags prevent. *)
-  let delete_flagless t kb =
-    let rec mark_it prev del =
-      M.set del.backlink (Node prev);
-      let s = M.get del.succ in
-      if s.mark then false
-      else if M.cas del.succ ~kind:Ev.Marking ~expect:s { s with mark = true }
-      then begin
-        del.anchor.live <- Null;
-        true
-      end
-      else mark_it prev del
-    in
-    let prev, del = search_from t ~inclusive:false kb t.head in
-    if not (BK.equal del.key kb) then false
+  let rec mark_flagless prev del =
+    M.set (backlink_of del) prev;
+    let s = M.get (succ_of del) in
+    if s.mark then false
+    else if
+      M.cas (succ_of del) ~kind:Ev.Marking ~expect:s { s with mark = true }
+    then begin
+      (anchor_of del).live <- Null;
+      true
+    end
+    else mark_flagless prev del
+
+  let delete_flagless t k =
+    let prev, del = search t false k t.head in
+    if not (holds del k) then false
     else begin
-      let won = mark_it prev del in
+      let won = mark_flagless prev del in
       (* One direct unlink attempt; if [prev] is stale (e.g. itself marked)
          it does nothing, so fall back to a cleanup search exactly as
          Harris's delete does. *)
-      let next = (M.get del.succ).right in
-      let expect = M.get prev.succ in
+      let ds = M.get (succ_of del) in
+      let expect = M.get (succ_of prev) in
       let unlinked =
-        same_node expect.right del && (not expect.mark) && (not expect.flag)
-        && M.cas prev.succ ~kind:Ev.Physical_delete ~expect
-             { right = next; mark = false; flag = false }
+        expect.right == del && (not expect.mark) && (not expect.flag)
+        && M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect
+             {
+               right = ds.right;
+               right_key = ds.right_key;
+               mark = false;
+               flag = false;
+             }
       in
       (* Inclusive so the search traverses (and thus physically deletes) the
-         marked node with key [kb] itself. *)
-      if not unlinked then ignore (search_from t ~inclusive:true kb t.head);
+         marked node with key [k] itself. *)
+      if not unlinked then ignore (search t true k t.head);
       won
     end
 
   (* Seeded-bug deletions (see [mutation] above).  Single-process use in
      sanitizer tests; each returns what an honest delete would. *)
-  let delete_mutant t m kb =
-    let prev, del = search_from t ~inclusive:false kb t.head in
-    if not (BK.equal del.key kb) then false
+  let delete_mutant t m k =
+    let prev, del = search t false k t.head in
+    if not (holds del k) then false
     else
       match m with
       | Skip_flag ->
           (* Mark without flagging the predecessor: INV 3. *)
-          M.set del.backlink (Node prev);
+          M.set (backlink_of del) prev;
           try_mark t del;
           true
       | Double_mark ->
           (* Run the honest three-step deletion, then C&S the frozen marked
              descriptor once more: INV 2 (marked is terminal). *)
-          let won = delete_flagged t kb in
-          let s = M.get del.succ in
+          let won = delete_flagged t k in
+          let s = M.get (succ_of del) in
           if s.mark then
             ignore
-              (M.cas del.succ ~kind:Ev.Marking ~expect:s { s with mark = true });
+              (M.cas (succ_of del) ~kind:Ev.Marking ~expect:s
+                 { s with mark = true });
           won
       | Unlink_unflagged ->
           (* Physically delete [del] without flagging or marking anything:
              INV 3 (unlink from an unflagged predecessor). *)
-          let ps = M.get prev.succ in
-          if same_node ps.right del && (not ps.mark) && not ps.flag then
+          let ps = M.get (succ_of prev) in
+          if ps.right == del && (not ps.mark) && not ps.flag then begin
+            let ds = M.get (succ_of del) in
             ignore
-              (M.cas prev.succ ~kind:Ev.Physical_delete ~expect:ps
+              (M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect:ps
                  {
-                   right = (M.get del.succ).right;
+                   right = ds.right;
+                   right_key = ds.right_key;
                    mark = false;
                    flag = false;
-                 });
+                 })
+          end;
           true
-      | Backlink_right -> (
+      | Backlink_right ->
           (* Point the victim's backlink at its *successor*: INV 4. *)
-          match (M.get del.succ).right with
-          | Node nxt ->
-              M.set del.backlink (Node nxt);
-              true
-          | Null -> true)
+          (match (M.get (succ_of del)).right with
+          | Null -> ()
+          | nxt -> M.set (backlink_of del) nxt);
+          true
       | No_help ->
           (* Not a one-shot corruption: [No_help] gates the altruistic help
              sites instead, and [delete] never routes it here. *)
           assert false
 
   let delete t k =
-    let kb = Lf_kernel.Ordered.Mid k in
     match t.mutation with
     | Some No_help | None ->
-        if t.use_flags then delete_flagged t kb else delete_flagless t kb
-    | Some m -> delete_mutant t m kb
+        if t.use_flags then delete_flagged t k else delete_flagless t k
+    | Some m -> delete_mutant t m k
 
   (* ------------------------------------------------------------------ *)
   (* Batched operations (the Traeff-Poeter "pragmatic" pattern): process
@@ -541,13 +633,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let carry = ref t.head in
     Array.iter
       (fun i ->
-        let kb = Lf_kernel.Ordered.Mid (key_of arr.(i)) in
+        let k = key_of arr.(i) in
         let start =
-          match valid_start t ~inclusive kb !carry with
+          match valid_start t ~inclusive k !carry with
           | Some s -> s
           | None -> t.head
         in
-        let ok, c = f kb arr.(i) start in
+        let ok, c = f k arr.(i) start in
         results.(i) <- ok;
         carry := c)
       order;
@@ -556,13 +648,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let insert_batch t kvs =
     run_batch t ~inclusive:true ~key_of:fst
-      ~f:(fun kb (_, e) start -> insert_from t kb e start)
+      ~f:(fun k (_, e) start -> insert_relocate t k e start)
       kvs
 
   let mem_batch t ks =
     run_batch t ~inclusive:true ~key_of:Fun.id
-      ~f:(fun kb _ start ->
-        let r, c = find_from t kb start in
+      ~f:(fun k _ start ->
+        let r, c = find_from t k start in
         (Option.is_some r, c))
       ks
 
@@ -574,47 +666,50 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         List.map (delete t) ks
     | None, true ->
         run_batch t ~inclusive:false ~key_of:Fun.id
-          ~f:(fun kb _ start -> delete_flagged_from t kb start)
+          ~f:(fun k _ start -> delete_flagged_from t k start)
           ks
 
   (* Successor query: the smallest regular binding with key >= [k].  If the
      candidate is marked (logically deleted), help its physical deletion and
      retry, so the returned node was regular while adjacent to its
      predecessor. *)
-  let find_ge t k =
-    let kb = Lf_kernel.Ordered.Mid k in
-    let rec go prev =
-      let n1, n2 = search_from t ~inclusive:false kb prev in
-      if n2 == t.tail then None
-      else if (M.get n2.succ).mark then begin
-        help_marked t n1 n2;
-        go n1
-      end
-      else
-        match (n2.key, n2.elt) with
-        | Mid key, Some e -> Some (key, e)
-        | _ -> None
-    in
-    go t.head
+  let rec find_ge_from t k prev =
+    let n1, n2 = search t false k prev in
+    if n2 == t.tail then None
+    else if (M.get (succ_of n2)).mark then begin
+      help_marked t n1 n2;
+      find_ge_from t k n1
+    end
+    else binding n2
 
-  let min_binding t =
-    (* Smallest key: successor of -inf.  Walk from the head, helping past
-       marked nodes. *)
-    let rec go () =
-      match (M.get t.head.succ).right with
-      | Null -> None
-      | Node n ->
-          if n == t.tail then None
-          else if (M.get n.succ).mark then begin
-            help_marked t t.head n;
-            go ()
-          end
-          else (
-            match (n.key, n.elt) with
-            | Mid k, Some e -> Some (k, e)
-            | _ -> None)
-    in
-    go ()
+  let find_ge t k = find_ge_from t k t.head
+
+  (* Smallest key: successor of -inf.  Walk from the head, helping past
+     marked nodes. *)
+  let rec min_binding t =
+    match (M.get (succ_of t.head)).right with
+    | Null -> None
+    | n ->
+        if n == t.tail then None
+        else if (M.get (succ_of n)).mark then begin
+          help_marked t t.head n;
+          min_binding t
+        end
+        else binding n
+
+  let rec fold_range_from t hi f acc n =
+    match n with
+    | Null -> acc
+    | Node r ->
+        if n == t.tail || K.compare hi r.key < 0 then acc
+        else
+          let s = M.get r.succ in
+          let acc =
+            match r.elt with
+            | Some e when not s.mark -> f acc r.key e
+            | _ -> acc
+          in
+          fold_range_from t hi f acc s.right
 
   (* Fold over the regular bindings with lo <= key <= hi, in key order.
      Weakly consistent under concurrency: reflects inserts/deletes that
@@ -622,65 +717,59 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let fold_range t ~lo ~hi f acc =
     if K.compare lo hi > 0 then acc
     else begin
-      let hib = Lf_kernel.Ordered.Mid hi in
-      let _, start = search_from t ~inclusive:false (Mid lo) t.head in
-      let rec go acc n =
-        if n == t.tail || BK.lt hib n.key then acc
-        else
-          let s = M.get n.succ in
-          let acc =
-            match (n.key, n.elt) with
-            | Mid k, Some e when not s.mark -> f acc k e
-            | _ -> acc
-          in
-          match s.right with Null -> acc | Node m -> go acc m
-      in
-      go acc start
+      let _, start = search t false lo t.head in
+      fold_range_from t hi f acc start
     end
 
   (* Quiescent snapshot: regular (unmarked) nodes in key order. *)
   let fold t f acc =
-    let rec go acc l =
-      match l with
+    let rec go acc = function
       | Null -> acc
       | Node n -> (
           let s = M.get n.succ in
-          match (n.key, n.elt) with
-          | Mid k, Some e when not s.mark -> go (f acc k e) s.right
+          match n.elt with
+          | Some e when not s.mark -> go (f acc n.key e) s.right
           | _ -> go acc s.right)
     in
-    go acc (M.get t.head.succ).right
+    go acc (M.get (succ_of t.head)).right
 
   let to_list t = List.rev (fold t (fun acc k e -> (k, e) :: acc) [])
   let iter t f = fold t (fun () k e -> f k e) ()
   let length t = fold t (fun acc _ _ -> acc + 1) 0
 
   (* Structural validation at quiescence: strictly sorted keys (INV 1), no
-     marked or flagged node still physically linked, proper sentinels. *)
+     marked or flagged node still physically linked, proper sentinels, and
+     every linked descriptor's [right_key] physically its right node's
+     key. *)
   let check_invariants t =
     let fail fmt = Format.kasprintf failwith fmt in
-    let rec go prev_key l =
-      match l with
+    let bk = bounded_key t.tail in
+    (* [ps] is the descriptor of [prev], the node last visited. *)
+    let rec go prev ps =
+      match ps.right with
       | Null -> fail "fr-list: tail sentinel not reached"
-      | Node n ->
-          if not (BK.lt prev_key n.key) then
+      | Node n as next ->
+          if ps.right_key != n.key then
+            fail "fr-list: right_key is not the right node's key (after %a)"
+              BK.pp (bk prev);
+          if not (BK.lt (bk prev) (bk next)) then
             fail "fr-list: keys not strictly sorted (%a then %a)" BK.pp
-              prev_key BK.pp n.key;
+              (bk prev) BK.pp (bk next);
           let s = M.get n.succ in
-          if n == t.tail then begin
-            if s.right <> Null then fail "fr-list: tail has a successor"
+          if next == t.tail then begin
+            if s.right != Null then fail "fr-list: tail has a successor"
           end
           else begin
             if s.mark then
               fail "fr-list: marked node with key %a linked at quiescence"
-                BK.pp n.key;
+                K.pp n.key;
             if s.flag then
-              fail "fr-list: flagged node with key %a at quiescence" BK.pp
+              fail "fr-list: flagged node with key %a at quiescence" K.pp
                 n.key;
-            go n.key s.right
+            go next s
           end
     in
-    go t.head.key (M.get t.head.succ).right
+    go t.head (M.get (succ_of t.head))
 
   (* Introspection for tests and the simulator's invariant checker.  Walking
      the physical chain is only meaningful when no step can interleave, i.e.
@@ -695,24 +784,25 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     }
 
     let physical_chain t =
+      let bk = bounded_key t.tail in
       let cell_of n =
-        let s = M.get n.succ in
+        let s = M.get (succ_of n) in
         {
-          key = n.key;
+          key = bk n;
           marked = s.mark;
           flagged = s.flag;
           is_sentinel = n == t.head || n == t.tail;
           backlink_key =
-            (match M.get n.backlink with
+            (match M.get (backlink_of n) with
             | Null -> None
-            | Node b -> Some b.key);
+            | b -> Some (bk b));
         }
       in
       let rec go acc n =
         let acc = cell_of n :: acc in
-        match (M.get n.succ).right with
+        match (M.get (succ_of n)).right with
         | Null -> List.rev acc
-        | Node m -> go acc m
+        | m -> go acc m
       in
       go [] t.head
 
@@ -720,16 +810,17 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
        with a description of the first violation found. *)
     let check_now t =
       let ( let* ) r f = match r with Error _ as e -> e | Ok () -> f () in
+      let bk = bounded_key t.tail in
       let rec walk m_node =
-        let m_succ = M.get m_node.succ in
+        let m_succ = M.get (succ_of m_node) in
         match m_succ.right with
         | Null ->
             if m_node == t.tail then Ok ()
             else Error "chain ends before the tail sentinel"
-        | Node n ->
-            let n_succ = M.get n.succ in
+        | n ->
+            let n_succ = M.get (succ_of n) in
             let* () =
-              if BK.lt m_node.key n.key then Ok ()
+              if BK.lt (bk m_node) (bk n) then Ok ()
               else Error "INV1: keys not strictly sorted"
             in
             let* () =
@@ -746,10 +837,12 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
                 if not m_succ.flag then
                   Error "INV3: predecessor of logically deleted node unflagged"
                 else
-                  match M.get n.backlink with
-                  | Node b when b == m_node -> Ok ()
-                  | Node _ -> Error "INV4: backlink not pointing at predecessor"
-                  | Null -> Error "INV4: backlink unset on logically deleted node"
+                  match M.get (backlink_of n) with
+                  | b when b == m_node -> Ok ()
+                  | Node _ ->
+                      Error "INV4: backlink not pointing at predecessor"
+                  | Null ->
+                      Error "INV4: backlink unset on logically deleted node"
               else Ok ()
             in
             let* () =
@@ -758,8 +851,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
               if t.use_flags && n_succ.mark && not m_succ.mark then
                 match n_succ.right with
                 | Null -> Ok ()
-                | Node r ->
-                    if (M.get r.succ).mark then
+                | r ->
+                    if (M.get (succ_of r)).mark then
                       Error "INV3: successor of logically deleted node marked"
                     else Ok ()
               else Ok ()

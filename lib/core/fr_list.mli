@@ -133,7 +133,9 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
 
   val check_invariants : 'a t -> unit
   (** Quiescent structural validation: strict sorting (INV 1), no marked or
-      flagged node still linked.  Raises [Failure] on violation. *)
+      flagged node still linked, and every linked descriptor's copy of its
+      right node's key physically that key.  Raises [Failure] on
+      violation. *)
 
   (** {1 Introspection}
 

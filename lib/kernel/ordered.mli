@@ -9,10 +9,10 @@ module type S = sig
 
   val any : t
   (** Some value of the type, used where a key must be stored but is never
-      compared.  [Fr_skiplist] keeps keys unboxed, so its sentinels carry
-      [any] as their key, and so does every succ descriptor whose right
-      node is the tail; it tells sentinels from regular nodes without
-      looking at keys.  Any value will do, including one that is also a
+      compared.  [Fr_list] and [Fr_skiplist] keep keys unboxed, so their
+      sentinels carry [any] as their key, and so does every succ
+      descriptor whose right node is the tail; each tells sentinels from
+      regular nodes without looking at keys.  Any value will do, including one that is also a
       live key: [Int] uses [0] and [String] [""]. *)
 end
 

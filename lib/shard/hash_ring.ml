@@ -5,7 +5,16 @@
    Both hashes are the first output of a SplitMix stream seeded with the
    salted value ([Splitmix.hash], which allocates nothing), salted
    differently so key positions are not correlated with point
-   positions. *)
+   positions.  A position is the stream's top 62 bits, so it lies in
+   [0, max_int].
+
+   Lookup does not search the points.  The ring keeps a table indexed by
+   a position's top [bits] bits, whose bucket [b] holds the index of the
+   first point at or above the bucket's lowest position; a lookup loads
+   that index and scans forward past the points of its own bucket below
+   the key, which the table's size (at least two buckets per point)
+   keeps to a fraction of a step on average.  [reassign] keeps the
+   points, so rings derived from one another share the table. *)
 
 type t = {
   seed : int;
@@ -13,6 +22,8 @@ type t = {
   vnodes : int;
   points : int array;  (* ring positions, sorted ascending *)
   owners : int array;  (* owners.(i) = slot owning points.(i) *)
+  shift : int;  (* a position's bucket is [position lsr shift] *)
+  first : int array;  (* bucket -> index of its first point at or above it *)
   assignment : int array;  (* slot -> shard *)
 }
 
@@ -32,28 +43,47 @@ let create ?(vnodes = 64) ~seed ~shards () =
         (hash ~salt:point_salt ~seed ((slot * 1_000_003) + v), slot))
   in
   Array.sort compare pts;
+  let points = Array.map fst pts in
+  let bits = ref 1 in
+  while 1 lsl !bits < 2 * n do
+    incr bits
+  done;
+  let shift = 62 - !bits in
+  let first = Array.make (1 lsl !bits) n in
+  let j = ref 0 in
+  for b = 0 to Array.length first - 1 do
+    while !j < n && points.(!j) lsr shift < b do
+      incr j
+    done;
+    first.(b) <- !j
+  done;
   {
     seed;
     slots = shards;
     vnodes;
-    points = Array.map fst pts;
+    points;
     owners = Array.map snd pts;
+    shift;
+    first;
     assignment = Array.init shards (fun i -> i);
   }
 
 let shards t = t.slots
 let seed t = t.seed
 
-let slot_of t k =
-  let h = hash ~salt:key_salt ~seed:t.seed k in
+let position t k = hash ~salt:key_salt ~seed:t.seed k
+
+(* The slot owning the first point at or above position [h], else (past
+   the last point) the slot owning points.(0). *)
+let slot_at t h =
   let n = Array.length t.points in
-  (* First point with position >= h, else wrap to points.(0). *)
-  let lo = ref 0 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if t.points.(mid) < h then lo := mid + 1 else hi := mid
+  let j = ref t.first.(h lsr t.shift) in
+  while !j < n && t.points.(!j) < h do
+    incr j
   done;
-  t.owners.(if !lo = n then 0 else !lo)
+  t.owners.(if !j = n then 0 else !j)
+
+let slot_of t k = slot_at t (position t k)
 
 let owner t slot =
   if slot < 0 || slot >= t.slots then invalid_arg "Hash_ring.owner: bad slot";
@@ -70,3 +100,18 @@ let reassign t ~slot ~to_ =
   let assignment = Array.copy t.assignment in
   assignment.(slot) <- to_;
   { t with assignment }
+
+module Debug = struct
+  let position = position
+  let points t = Array.copy t.points
+  let slot_at = slot_at
+
+  let slot_at_search t h =
+    let n = Array.length t.points in
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.points.(mid) < h then lo := mid + 1 else hi := mid
+    done;
+    t.owners.(if !lo = n then 0 else !lo)
+end

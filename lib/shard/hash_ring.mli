@@ -40,3 +40,24 @@ val assignment : t -> int array
 val reassign : t -> slot:int -> to_:int -> t
 (** A new ring with one slot handed to another shard; the argument ring
     is unchanged.  @raise Invalid_argument on out-of-range indices. *)
+
+(** {1 Introspection}
+
+    A key's slot is the slot of its ring {e position}, found through a
+    table indexed by the position's top bits; these expose both halves
+    so tests can pin the table against a binary search. *)
+module Debug : sig
+  val position : t -> int -> int
+  (** A key's position on the ring, in [[0, max_int]]. *)
+
+  val points : t -> int array
+  (** A copy of the ring's points, sorted ascending. *)
+
+  val slot_at : t -> int -> int
+  (** The slot owning a position in [[0, max_int]], through the table:
+      [slot_of t k = slot_at t (position t k)]. *)
+
+  val slot_at_search : t -> int -> int
+  (** The same by binary search over the points: the slot owning the
+      first point at or above the position, else the first point's. *)
+end

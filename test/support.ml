@@ -3,6 +3,59 @@
 let qcheck ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+(* --- Time limits ---
+
+   A defect that makes a structure's walk loop forever would hang the
+   suite, and with it the whole test run.  [time_limited] arms an alarm
+   around every case: when it rings, the OCaml handler raises [Failure]
+   naming the case at the next poll point of whichever domain runs it, so
+   the case fails and the suite moves on.  A case that still runs
+   [grace_s] later cannot be stopped that way (a qcheck case catches the
+   exception and shrinks its input, looping again; or the exception
+   landed in a domain nobody joins), so the process writes a line naming
+   the case to the console and exits with code 124. *)
+let time_limit_s = 30
+let grace_s = 5
+
+(* The console's stderr: alcotest sends what a case prints to a file. *)
+let console = Unix.dup Unix.stderr
+
+let with_time_limit name f x =
+  let seconds = time_limit_s in
+  let rang = ref false in
+  let on_alarm _ =
+    if !rang then begin
+      let line =
+        Printf.sprintf "%s: still running %d s past its %d s time limit\n"
+          name grace_s seconds
+      in
+      ignore (Unix.write_substring console line 0 (String.length line));
+      exit 124
+    end
+    else begin
+      rang := true;
+      ignore (Unix.alarm grace_s);
+      failwith (Printf.sprintf "%s: over its %d s time limit" name seconds)
+    end
+  in
+  let previous = Sys.signal Sys.sigalrm (Sys.Signal_handle on_alarm) in
+  ignore (Unix.alarm seconds);
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Unix.alarm 0);
+      Sys.set_signal Sys.sigalrm previous)
+    (fun () -> f x)
+
+let time_limited groups =
+  List.map
+    (fun (group, cases) ->
+      ( group,
+        List.map
+          (fun (name, speed, f) ->
+            (name, speed, with_time_limit (group ^ " " ^ name) f))
+          cases ))
+    groups
+
 (* Words allocated while [f] runs: minor words plus words allocated
    directly in the major heap (major words that were not promoted from
    the minor heap).  Large blocks skip the minor heap, so
@@ -297,3 +350,66 @@ let placeholder_keys (type k) (module D : SKIPLIST with type key = k)
         D.check_invariants t)
       [ []; others ]
   done
+
+(* --- Placeholder keys of the list ---
+
+   [Fr_list], and the hash table whose buckets are [Fr_list]s, store keys
+   unboxed as well, and their sentinels carry [Ordered.S.any].  A live
+   [any] must behave like any other key, alone and among [others],
+   through the single operations and the three batches: a sentinel test
+   that looks at keys fails here. *)
+module type BATCHED = Lf_kernel.Dict_intf.BATCHED
+
+let batched_placeholder_keys (type k) (module D : BATCHED with type key = k)
+    ~(any : k) ~(others : k list) () =
+  List.iter
+    (fun neighbours ->
+      let fail what =
+        Alcotest.failf "%s, %d other keys: %s" D.name (List.length neighbours)
+          what
+      in
+      let expect what ok = if not ok then fail what in
+      let check what t =
+        try D.check_invariants t
+        with Failure msg -> fail (Printf.sprintf "%s: %s" what msg)
+      in
+      let t = D.create () in
+      let absent () = D.find t any = None && not (D.mem t any) in
+      let keys = any :: neighbours in
+      let all v =
+        List.sort compare
+          ((any, v) :: List.mapi (fun i k -> (k, i + 1)) neighbours)
+      in
+      expect "absent before insert" (absent ());
+      expect "delete of an absent key" (not (D.delete t any));
+      expect "mem_batch of an absent key" (D.mem_batch t [ any ] = [ false ]);
+      expect "delete_batch of an absent key"
+        (D.delete_batch t [ any ] = [ false ]);
+      List.iteri
+        (fun i k -> expect "insert another key" (D.insert t k (i + 1)))
+        neighbours;
+      expect "insert" (D.insert t any 0);
+      expect "duplicate rejected" (not (D.insert t any 9));
+      check "after insert" t;
+      expect "find" (D.find t any = Some 0 && D.mem t any);
+      expect "to_list" (D.to_list t = all 0);
+      expect "delete" (D.delete t any);
+      expect "absent after delete" (absent ());
+      expect "second delete" (not (D.delete t any));
+      check "after delete" t;
+      expect "insert_batch"
+        (D.insert_batch t
+           ((any, 7) :: (any, 8) :: List.map (fun k -> (k, 9)) neighbours)
+        = true :: false :: List.map (fun _ -> false) neighbours);
+      check "after insert_batch" t;
+      expect "find after insert_batch" (D.find t any = Some 7);
+      expect "to_list after insert_batch" (D.to_list t = all 7);
+      expect "mem_batch" (D.mem_batch t keys = List.map (fun _ -> true) keys);
+      expect "delete_batch"
+        (D.delete_batch t (keys @ [ any ])
+        = List.map (fun _ -> true) keys @ [ false ]);
+      check "after delete_batch" t;
+      expect "empty after delete_batch" (D.to_list t = [] && absent ());
+      expect "mem_batch after delete_batch"
+        (D.mem_batch t keys = List.map (fun _ -> false) keys))
+    [ []; others ]

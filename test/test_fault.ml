@@ -286,9 +286,20 @@ let test_helping_passes_same_scenario () =
 module CoarseI = Lf_baselines.Coarse_list.Int
 module LazyI = Lf_baselines.Lazy_list.Int
 
+(* The victim stalls for [stall_s].  A lock it holds blocks the other
+   domains for about as long (the two lock-based contrasts read 199-205
+   ms on a 2-vCPU Xeon VM), while a lock-free survivor's worst operation
+   is host scheduling and stop-the-world minor collections, although an
+   operation takes 1-2 us: 0.6-5.2 ms there over 10 runs, with three
+   workers and the monitor on two vCPUs, and more on a loaded host.  A
+   budget of half the stall keeps a wide margin on both sides; a fixed
+   30 ms one sat within host noise of the lock-free case. *)
+let stall_s = 0.2
+
 let run_chaos_with ~name ~insert ~delete ~find ~victims ~mix =
-  Lf_workload.Runner.run_chaos ~victims ~budget_s:0.03 ~window_s:0.12 ~name
-    ~insert ~delete ~find ~domains:3 ~key_range:16 ~mix ~seed:5 ()
+  Lf_workload.Runner.run_chaos ~victims ~budget_s:(stall_s /. 2.)
+    ~window_s:0.12 ~name ~insert ~delete ~find ~domains:3 ~key_range:16 ~mix
+    ~seed:5 ()
 
 let test_coarse_lock_holder_starves () =
   let t = CoarseI.create () in
@@ -298,7 +309,7 @@ let test_coarse_lock_holder_starves () =
       ~delete:(fun k -> CoarseI.delete t k)
       ~find:(fun k -> CoarseI.mem t k)
       ~victims:
-        [ (0, fun () -> CoarseI.with_lock_held t (fun () -> Unix.sleepf 0.2)) ]
+        [ (0, fun () -> CoarseI.with_lock_held t (fun () -> Unix.sleepf stall_s)) ]
       ~mix:{ insert_pct = 30; delete_pct = 30 }
   in
   Alcotest.(check bool) "watchdog tripped on held global lock" true
@@ -312,7 +323,7 @@ let test_lazy_head_lock_starves () =
       ~delete:(fun k -> LazyI.delete t k)
       ~find:(fun k -> LazyI.mem t k)
       ~victims:
-        [ (0, fun () -> LazyI.with_head_locked t (fun () -> Unix.sleepf 0.2)) ]
+        [ (0, fun () -> LazyI.with_head_locked t (fun () -> Unix.sleepf stall_s)) ]
       ~mix:{ insert_pct = 45; delete_pct = 45 }
   in
   Alcotest.(check bool) "watchdog tripped on held head lock" true
@@ -327,7 +338,7 @@ let test_fr_stalled_domain_is_harmless () =
       ~insert:(fun k -> AFL.insert t k k)
       ~delete:(fun k -> AFL.delete t k)
       ~find:(fun k -> AFL.mem t k)
-      ~victims:[ (0, fun () -> Unix.sleepf 0.2) ]
+      ~victims:[ (0, fun () -> Unix.sleepf stall_s) ]
       ~mix:{ insert_pct = 30; delete_pct = 30 }
   in
   Alcotest.(check bool) "no starvation: stalled domain holds nothing" false

@@ -442,49 +442,201 @@ let stress_conservation (module D : Support.INT_DICT) ~domains ~ops () =
 let test_domain_stress () =
   stress_conservation (module FR) ~domains:4 ~ops:20_000 ()
 
+(* --- Layout: right keys, placeholder keys, allocation --- *)
+
+(* Every linked descriptor carries a copy of its right node's key, and
+   [check_invariants] checks the copy physically: after each operation of
+   a script that inserts in front of, behind and between nodes and
+   deletes first, middle and last nodes, so that every C&S site that
+   builds a descriptor (INSERT, TRYFLAG, TRYMARK, HELPMARKED) runs. *)
+let test_right_keys_after_every_op () =
+  let t = FR.create () in
+  let step what f =
+    f ();
+    try FR.check_invariants t
+    with Failure msg -> Alcotest.failf "after %s: %s" what msg
+  in
+  let insert k =
+    step (Printf.sprintf "insert %d" k) (fun () -> ignore (FR.insert t k k))
+  and delete k =
+    step (Printf.sprintf "delete %d" k) (fun () -> ignore (FR.delete t k))
+  in
+  List.iter insert [ 5; 2; 8; 6; 3; 9; 1 ];
+  List.iter delete [ 6; 1; 9; 2 ];
+  List.iter insert [ 6; 1; 9 ];
+  List.iter delete [ 5; 3 ];
+  Alcotest.(check (list int)) "keys" [ 1; 6; 8; 9 ] (List.map fst (FR.to_list t))
+
+module FS = Lf_list.Fr_list.Atomic_string
+
+module type ORDERED_LIST = sig
+  include Support.BATCHED
+
+  val find_ge : 'a t -> key -> (key * 'a) option
+  val min_binding : 'a t -> (key * 'a) option
+
+  val fold_range :
+    'a t -> lo:key -> hi:key -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
+end
+
+(* [K.any] as a live key: the single operations and batches through
+   [Support.batched_placeholder_keys], then the order-aware operations,
+   alone and among [others]. *)
+let placeholder_keys (type k) (module D : ORDERED_LIST with type key = k)
+    ~(any : k) ~(others : k list) () =
+  Support.batched_placeholder_keys (module D) ~any ~others ();
+  List.iter
+    (fun neighbours ->
+      let expect what ok =
+        if not ok then
+          Alcotest.failf "%d other keys: %s" (List.length neighbours) what
+      in
+      let t = D.create () in
+      expect "find_ge on an empty list" (D.find_ge t any = None);
+      expect "min_binding on an empty list" (D.min_binding t = None);
+      List.iteri
+        (fun i k -> expect "insert another key" (D.insert t k (i + 1)))
+        neighbours;
+      expect "insert" (D.insert t any 0);
+      let all =
+        List.sort compare
+          ((any, 0) :: List.mapi (fun i k -> (k, i + 1)) neighbours)
+      in
+      let lo = fst (List.hd all)
+      and hi = fst (List.nth all (List.length all - 1)) in
+      let range lo hi =
+        List.rev (D.fold_range t ~lo ~hi (fun acc k v -> (k, v) :: acc) [])
+      in
+      expect "find_ge" (D.find_ge t any = Some (any, 0));
+      expect "find_ge from the smallest key"
+        (D.find_ge t lo = Some (List.hd all));
+      expect "min_binding" (D.min_binding t = Some (List.hd all));
+      expect "fold_range over every key" (range lo hi = all);
+      expect "fold_range over the key alone" (range any any = [ (any, 0) ]);
+      expect "delete" (D.delete t any);
+      let rest = List.filter (fun (k, _) -> k <> any) all in
+      expect "find_ge after delete"
+        (D.find_ge t any = List.find_opt (fun (k, _) -> compare k any > 0) all);
+      expect "min_binding after delete"
+        (D.min_binding t = match rest with [] -> None | b :: _ -> Some b);
+      expect "fold_range after delete" (range lo hi = rest);
+      expect "fold_range over the key alone after delete" (range any any = []);
+      D.check_invariants t)
+    [ []; others ]
+
+let test_placeholder_int =
+  placeholder_keys (module FR) ~any:0 ~others:[ -1; 1; min_int; 7; max_int ]
+
+let test_placeholder_string =
+  placeholder_keys (module FS) ~any:"" ~others:[ "a"; "\000"; "zz" ]
+
+(* Minor words per operation on a half-full list over keys [0, n): [ops]
+   calls of [op] on uniform random keys, on a list holding the even keys.
+   A step loads no key box and allocates nothing, and a node is one
+   inline record that links and backlinks point at directly. *)
+let words_per_op ~n ~ops op =
+  let t = FR.create () in
+  for k = 0 to (n / 2) - 1 do
+    ignore (FR.insert t (2 * k) k)
+  done;
+  let rng = Lf_kernel.Splitmix.create n in
+  let keys = Array.init ops (fun _ -> Lf_kernel.Splitmix.int rng n) in
+  let words =
+    Support.words_during (fun () ->
+        Array.iter (fun k -> ignore (Sys.opaque_identity (op t k))) keys)
+  in
+  words /. float_of_int ops
+
+let check_budget name ~bar op =
+  let words = words_per_op ~n:4096 ~ops:10_000 op in
+  if words > bar then
+    Alcotest.failf "%s allocates %.1f words/op at 4,096 keys (bar: %.0f)" name
+      words bar
+
+let test_find_alloc () = check_budget "find" ~bar:11. FR.find
+
+let test_insert_alloc () =
+  check_budget "insert" ~bar:17. (fun t k -> FR.insert t k k)
+
+let test_delete_alloc () = check_budget "delete" ~bar:16. FR.delete
+
+(* Words reachable per key in a list of 16,384 keys: the inline node (6),
+   its [Some] element (2), anchor (2), two cells (2 + 2) and descriptor
+   (5) make 19. *)
+let test_footprint () =
+  let n = 16_384 in
+  let words t = Obj.reachable_words (Obj.repr t) in
+  let empty = words (FR.create ()) in
+  let t = FR.create () in
+  for k = 0 to n - 1 do
+    ignore (FR.insert t (2 * k) k)
+  done;
+  let per_key = float_of_int (words t - empty) /. float_of_int n in
+  if per_key > 19.5 then
+    Alcotest.failf "%.1f words reachable per key at 16,384 keys (bar: 19.5)"
+      per_key
+
 let () =
   Alcotest.run "fr_list"
-    [
-      ( "sequential",
-        [
-          oracle;
-          oracle_flagless;
-          Alcotest.test_case "edges" `Quick test_edges;
-          Alcotest.test_case "mem and length" `Quick test_mem_and_length;
-          Alcotest.test_case "find_ge and min" `Quick test_find_ge_and_min;
-          Alcotest.test_case "fold_range" `Quick test_fold_range;
-          Alcotest.test_case "fold_range concurrent" `Quick
-            test_fold_range_concurrent;
-          range_prop;
-        ] );
-      ("reinsert", [ oracle_reinsert ]);
-      ( "retention",
-        Support.retention_tests (module FR)
-        @ Support.churn_retention_tests (module FR)
-        @ Support.churn_retention_tests (module Flagless)
-        @ [ Support.dropped_retention_test (module FR) ~count:2_000 ~keys:32 ]
-      );
-      ( "invariants",
-        [
-          Alcotest.test_case "random schedules" `Quick
-            test_invariants_random_schedules;
-          invariants_prop;
-        ] );
-      ( "protocol",
-        [
-          Alcotest.test_case "three-step deletion (Fig. 2)" `Quick
-            test_three_step_deletion_trace;
-          Alcotest.test_case "insert recovers via backlink" `Quick
-            test_insert_recovers_via_backlink;
-          Alcotest.test_case "helping completes deletion" `Quick
-            test_helping_completes_deletion;
-        ] );
-      ( "linearizability",
-        [
-          Alcotest.test_case "sim histories" `Quick
-            test_linearizable_sim_histories;
-          Alcotest.test_case "domain histories" `Quick
-            test_linearizable_domain_histories;
-        ] );
-      ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);
-    ]
+    (Support.time_limited
+       [
+         ( "sequential",
+           [
+             oracle;
+             oracle_flagless;
+             Alcotest.test_case "edges" `Quick test_edges;
+             Alcotest.test_case "mem and length" `Quick test_mem_and_length;
+             Alcotest.test_case "find_ge and min" `Quick test_find_ge_and_min;
+             Alcotest.test_case "fold_range" `Quick test_fold_range;
+             Alcotest.test_case "fold_range concurrent" `Quick
+               test_fold_range_concurrent;
+             range_prop;
+           ] );
+         ("reinsert", [ oracle_reinsert ]);
+         ( "retention",
+           Support.retention_tests (module FR)
+           @ Support.churn_retention_tests (module FR)
+           @ Support.churn_retention_tests (module Flagless)
+           @ [ Support.dropped_retention_test (module FR) ~count:2_000 ~keys:32 ]
+         );
+         ( "invariants",
+           [
+             Alcotest.test_case "random schedules" `Quick
+               test_invariants_random_schedules;
+             invariants_prop;
+           ] );
+         ( "protocol",
+           [
+             Alcotest.test_case "three-step deletion (Fig. 2)" `Quick
+               test_three_step_deletion_trace;
+             Alcotest.test_case "insert recovers via backlink" `Quick
+               test_insert_recovers_via_backlink;
+             Alcotest.test_case "helping completes deletion" `Quick
+               test_helping_completes_deletion;
+           ] );
+         ( "linearizability",
+           [
+             Alcotest.test_case "sim histories" `Quick
+               test_linearizable_sim_histories;
+             Alcotest.test_case "domain histories" `Quick
+               test_linearizable_domain_histories;
+           ] );
+         ( "layout",
+           [
+             Alcotest.test_case "right keys hold after every operation" `Quick
+               test_right_keys_after_every_op;
+           ] );
+         ( "placeholder keys",
+           [
+             Alcotest.test_case "int key 0" `Quick test_placeholder_int;
+             Alcotest.test_case "string key \"\"" `Quick test_placeholder_string;
+           ] );
+         ( "allocation",
+           [
+             Alcotest.test_case "find budget" `Quick test_find_alloc;
+             Alcotest.test_case "insert budget" `Quick test_insert_alloc;
+             Alcotest.test_case "delete budget" `Quick test_delete_alloc;
+             Alcotest.test_case "footprint per key" `Quick test_footprint;
+           ] );
+         ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);
+       ])

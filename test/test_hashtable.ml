@@ -79,23 +79,59 @@ let test_domain_stress () =
   H.check_invariants t;
   Alcotest.(check int) "conservation" (Atomic.get net) (H.length t)
 
+(* --- Placeholder keys ---
+
+   The buckets are [Fr_list]s, whose sentinels carry [Ordered.S.any]:
+   key [0] and [""] must behave like any other key, in a table of 64
+   buckets and in one of a single bucket, where the other keys share its
+   list. *)
+module HStr = Lf_hashtable.Atomic_string
+
+module One_bucket (D : sig
+  include Support.BATCHED
+
+  val create_with : ?buckets:int -> ?use_hints:bool -> unit -> 'a t
+end) =
+struct
+  include D
+
+  let create () = D.create_with ~buckets:1 ()
+end
+
+let test_placeholder_int () =
+  let others = [ -1; 1; min_int; 7; max_int ] in
+  Support.batched_placeholder_keys (module H) ~any:0 ~others ();
+  Support.batched_placeholder_keys (module One_bucket (H)) ~any:0 ~others ()
+
+let test_placeholder_string () =
+  let others = [ "a"; "\000"; "zz" ] in
+  Support.batched_placeholder_keys (module HStr) ~any:"" ~others ();
+  Support.batched_placeholder_keys (module One_bucket (HStr)) ~any:"" ~others ()
+
 let () =
   Alcotest.run "hashtable"
-    [
-      ( "semantics",
-        [
-          oracle;
-          Alcotest.test_case "bucket validation" `Quick
-            test_bucket_count_validation;
-          Alcotest.test_case "spread and order" `Quick test_spread_and_order;
-          Alcotest.test_case "string keys" `Quick test_string_keys;
-        ] );
-      ( "concurrency",
-        [
-          Alcotest.test_case "sim linearizable" `Quick test_sim_linearizable;
-          Alcotest.test_case "domain stress" `Slow test_domain_stress;
-        ] );
-      ( "retention",
-        Support.churn_retention_tests (module H)
-        @ [ Support.dropped_retention_test (module H) ~count:200 ~keys:256 ] );
-    ]
+    (Support.time_limited
+       [
+         ( "semantics",
+           [
+             oracle;
+             Alcotest.test_case "bucket validation" `Quick
+               test_bucket_count_validation;
+             Alcotest.test_case "spread and order" `Quick test_spread_and_order;
+             Alcotest.test_case "string keys" `Quick test_string_keys;
+           ] );
+         ( "placeholder keys",
+           [
+             Alcotest.test_case "int key 0" `Quick test_placeholder_int;
+             Alcotest.test_case "string key \"\"" `Quick
+               test_placeholder_string;
+           ] );
+         ( "concurrency",
+           [
+             Alcotest.test_case "sim linearizable" `Quick test_sim_linearizable;
+             Alcotest.test_case "domain stress" `Slow test_domain_stress;
+           ] );
+         ( "retention",
+           Support.churn_retention_tests (module H)
+           @ [ Support.dropped_retention_test (module H) ~count:200 ~keys:256 ] );
+       ])

@@ -194,32 +194,33 @@ let test_producer_consumer_domains () =
 
 let () =
   Alcotest.run "pqueue"
-    [
-      ( "sequential",
-        [
-          Alcotest.test_case "order" `Quick test_sequential_order;
-          Alcotest.test_case "dup priority" `Quick
-            test_duplicate_priority_rejected_unstamped;
-          Alcotest.test_case "stamped fifo" `Quick test_stamped_fifo;
-          Alcotest.test_case "stamped interleaved" `Quick
-            test_stamped_interleaved;
-          Alcotest.test_case "heap baseline agrees" `Quick
-            test_heap_baseline_agrees;
-          Alcotest.test_case "heap growth and order" `Quick
-            test_heap_growth_and_order;
-        ] );
-      ( "placeholder key",
-        [
-          Alcotest.test_case "skip list on (0, 0) at every height" `Quick
-            test_placeholder_key_skiplist;
-          Alcotest.test_case "queue pops (0, 0)" `Quick
-            test_placeholder_key_queue;
-        ] );
-      ( "concurrent",
-        [
-          Alcotest.test_case "pop claims exhaustive" `Slow
-            test_pop_claims_exhaustive;
-          Alcotest.test_case "producer/consumer" `Slow
-            test_producer_consumer_domains;
-        ] );
-    ]
+    (Support.time_limited
+       [
+         ( "sequential",
+           [
+             Alcotest.test_case "order" `Quick test_sequential_order;
+             Alcotest.test_case "dup priority" `Quick
+               test_duplicate_priority_rejected_unstamped;
+             Alcotest.test_case "stamped fifo" `Quick test_stamped_fifo;
+             Alcotest.test_case "stamped interleaved" `Quick
+               test_stamped_interleaved;
+             Alcotest.test_case "heap baseline agrees" `Quick
+               test_heap_baseline_agrees;
+             Alcotest.test_case "heap growth and order" `Quick
+               test_heap_growth_and_order;
+           ] );
+         ( "placeholder key",
+           [
+             Alcotest.test_case "skip list on (0, 0) at every height" `Quick
+               test_placeholder_key_skiplist;
+             Alcotest.test_case "queue pops (0, 0)" `Quick
+               test_placeholder_key_queue;
+           ] );
+         ( "concurrent",
+           [
+             Alcotest.test_case "pop claims exhaustive" `Slow
+               test_pop_claims_exhaustive;
+             Alcotest.test_case "producer/consumer" `Slow
+               test_producer_consumer_domains;
+           ] );
+       ])

@@ -59,6 +59,52 @@ let test_ring_reassign =
          |> List.mapi (fun i o -> i = slot || o = i)
          |> List.for_all Fun.id)
 
+(* [slot_of] looks a position up in a table indexed by its top bits;
+   it must agree with a binary search over the points for 1, 4 and 16
+   shards: at keys from the whole int range, the extremes and their
+   neighbours included, and at positions on, just below and just above
+   every point, at the starts of the buckets holding points (for the
+   table sizes of all three rings) and at the ends of [0, max_int]. *)
+let ring_shards = [ 1; 4; 16 ]
+let edge_keys = [ min_int; min_int + 1; -1; 0; 1; max_int - 1; max_int ]
+
+let test_ring_table_keys =
+  Support.qcheck ~count:200 "ring: table lookup = binary search at keys"
+    QCheck2.Gen.(pair (0 -- 1000) (list_size (return 64) int))
+    (fun (seed, keys) ->
+      List.for_all
+        (fun shards ->
+          let r = Hash_ring.create ~seed ~shards () in
+          List.for_all
+            (fun k ->
+              Hash_ring.slot_of r k
+              = Hash_ring.Debug.slot_at_search r (Hash_ring.Debug.position r k))
+            (edge_keys @ keys))
+        ring_shards)
+
+let test_ring_table_positions =
+  Support.qcheck ~count:30 "ring: table lookup = binary search at positions"
+    QCheck2.Gen.(pair (0 -- 1000) (list_size (return 64) (0 -- max_int)))
+    (fun (seed, positions) ->
+      List.for_all
+        (fun shards ->
+          let r = Hash_ring.create ~seed ~shards () in
+          let near p =
+            [ p - 1; p; p + 1 ]
+            @ List.concat_map
+                (fun s -> [ (p lsr s) lsl s; ((p lsr s) lsl s) - 1 ])
+                [ 50; 51; 52; 53; 54; 55; 56 ]
+          in
+          List.for_all
+            (fun h ->
+              h < 0
+              || Hash_ring.Debug.slot_at r h
+                 = Hash_ring.Debug.slot_at_search r h)
+            ([ 0; 1; max_int - 1; max_int ]
+            @ List.concat_map near (Array.to_list (Hash_ring.Debug.points r))
+            @ positions))
+        ring_shards)
+
 (* --- Table-backed shards for router tests ---------------------------- *)
 
 type tb = {
@@ -1283,6 +1329,8 @@ let () =
         [
           test_ring_deterministic;
           test_ring_reassign;
+          test_ring_table_keys;
+          test_ring_table_positions;
           Alcotest.test_case "slot_of allocation budget" `Quick
             test_slot_of_alloc;
         ] );

@@ -737,87 +737,88 @@ let test_domain_stress () =
 
 let () =
   Alcotest.run "skiplist"
-    [
-      ( "cells",
-        [
-          Alcotest.test_case "copies hold after every operation" `Quick
-            test_cells_after_every_op;
-        ] );
-      ("oracle", oracle_tests);
-      ("reinsert", [ Support.oracle_test ~key_range:6 ~len:200 (module SL) ]);
-      ("retention", Support.retention_tests (module SL));
-      ( "range ops",
-        [ Alcotest.test_case "basics" `Quick test_range_ops; range_prop ] );
-      ( "towers",
-        [
-          Alcotest.test_case "explicit height" `Quick
-            test_insert_with_height_builds_tower;
-          Alcotest.test_case "delete removes tower" `Quick
-            test_delete_removes_whole_tower;
-          Alcotest.test_case "height clamped" `Quick test_height_clamped;
-          Alcotest.test_case "max_level < 1 rejected" `Quick
-            test_max_level_rejected;
-        ] );
-      ( "height distribution",
-        [
-          Alcotest.test_case "fr geometric" `Quick
-            test_height_distribution_geometric;
-          Alcotest.test_case "pugh geometric" `Quick
-            test_pugh_height_distribution;
-        ] );
-      ( "protocol",
-        [
-          Alcotest.test_case "interrupted insertion" `Quick
-            test_interrupted_insertion;
-          Alcotest.test_case "search cleans superfluous" `Quick
-            test_search_cleans_superfluous;
-        ] );
-      ( "simulator",
-        [
-          Alcotest.test_case "conservation" `Quick test_sim_conservation;
-          Alcotest.test_case "linearizable" `Quick test_sim_linearizable;
-          Alcotest.test_case "ablation correct" `Quick
-            test_ablation_no_helping_correct;
-        ] );
-      ( "fraser baseline",
-        [
-          Alcotest.test_case "sim conservation" `Quick
-            test_fraser_sim_conservation;
-          Alcotest.test_case "sim linearizable" `Quick
-            test_fraser_sim_linearizable;
-          Alcotest.test_case "exhaustive schedules" `Slow
-            test_fraser_exhaustive_schedules;
-        ] );
-      ( "st baseline",
-        [
-          Alcotest.test_case "sim conservation" `Quick test_st_sim_conservation;
-          Alcotest.test_case "sim linearizable" `Quick test_st_sim_linearizable;
-          Alcotest.test_case "exhaustive schedules" `Slow
-            test_st_exhaustive_schedules;
-          Alcotest.test_case "backlink recovery" `Quick
-            test_st_backlink_recovery_fires;
-        ] );
-      ( "delete_min",
-        [
-          Alcotest.test_case "sequential order" `Quick
-            test_delete_min_sequential;
-          Alcotest.test_case "unique claims" `Quick
-            test_delete_min_unique_claims_sim;
-        ] );
-      ( "placeholder keys",
-        [
-          Alcotest.test_case "int key 0 at every height" `Quick
-            test_placeholder_int;
-          Alcotest.test_case "string key \"\" at every height" `Quick
-            test_placeholder_string;
-        ] );
-      ( "allocation",
-        [
-          Alcotest.test_case "find budget" `Quick test_find_alloc;
-          Alcotest.test_case "insert budget" `Quick test_insert_alloc;
-          Alcotest.test_case "delete budget" `Quick test_delete_alloc;
-          Alcotest.test_case "find flat in size" `Quick test_find_alloc_flat;
-          Alcotest.test_case "footprint per key" `Quick test_footprint;
-        ] );
-      ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);
-    ]
+    (Support.time_limited
+       [
+         ( "cells",
+           [
+             Alcotest.test_case "copies hold after every operation" `Quick
+               test_cells_after_every_op;
+           ] );
+         ("oracle", oracle_tests);
+         ("reinsert", [ Support.oracle_test ~key_range:6 ~len:200 (module SL) ]);
+         ("retention", Support.retention_tests (module SL));
+         ( "range ops",
+           [ Alcotest.test_case "basics" `Quick test_range_ops; range_prop ] );
+         ( "towers",
+           [
+             Alcotest.test_case "explicit height" `Quick
+               test_insert_with_height_builds_tower;
+             Alcotest.test_case "delete removes tower" `Quick
+               test_delete_removes_whole_tower;
+             Alcotest.test_case "height clamped" `Quick test_height_clamped;
+             Alcotest.test_case "max_level < 1 rejected" `Quick
+               test_max_level_rejected;
+           ] );
+         ( "height distribution",
+           [
+             Alcotest.test_case "fr geometric" `Quick
+               test_height_distribution_geometric;
+             Alcotest.test_case "pugh geometric" `Quick
+               test_pugh_height_distribution;
+           ] );
+         ( "protocol",
+           [
+             Alcotest.test_case "interrupted insertion" `Quick
+               test_interrupted_insertion;
+             Alcotest.test_case "search cleans superfluous" `Quick
+               test_search_cleans_superfluous;
+           ] );
+         ( "simulator",
+           [
+             Alcotest.test_case "conservation" `Quick test_sim_conservation;
+             Alcotest.test_case "linearizable" `Quick test_sim_linearizable;
+             Alcotest.test_case "ablation correct" `Quick
+               test_ablation_no_helping_correct;
+           ] );
+         ( "fraser baseline",
+           [
+             Alcotest.test_case "sim conservation" `Quick
+               test_fraser_sim_conservation;
+             Alcotest.test_case "sim linearizable" `Quick
+               test_fraser_sim_linearizable;
+             Alcotest.test_case "exhaustive schedules" `Slow
+               test_fraser_exhaustive_schedules;
+           ] );
+         ( "st baseline",
+           [
+             Alcotest.test_case "sim conservation" `Quick test_st_sim_conservation;
+             Alcotest.test_case "sim linearizable" `Quick test_st_sim_linearizable;
+             Alcotest.test_case "exhaustive schedules" `Slow
+               test_st_exhaustive_schedules;
+             Alcotest.test_case "backlink recovery" `Quick
+               test_st_backlink_recovery_fires;
+           ] );
+         ( "delete_min",
+           [
+             Alcotest.test_case "sequential order" `Quick
+               test_delete_min_sequential;
+             Alcotest.test_case "unique claims" `Quick
+               test_delete_min_unique_claims_sim;
+           ] );
+         ( "placeholder keys",
+           [
+             Alcotest.test_case "int key 0 at every height" `Quick
+               test_placeholder_int;
+             Alcotest.test_case "string key \"\" at every height" `Quick
+               test_placeholder_string;
+           ] );
+         ( "allocation",
+           [
+             Alcotest.test_case "find budget" `Quick test_find_alloc;
+             Alcotest.test_case "insert budget" `Quick test_insert_alloc;
+             Alcotest.test_case "delete budget" `Quick test_delete_alloc;
+             Alcotest.test_case "find flat in size" `Quick test_find_alloc_flat;
+             Alcotest.test_case "footprint per key" `Quick test_footprint;
+           ] );
+         ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);
+       ])
