@@ -9,6 +9,22 @@
    per operation on average; EXP-2 reproduces that execution against this
    implementation. *)
 
+module type S = sig
+  include Lf_kernel.Dict_intf.S
+
+  val fold : 'a t -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
+
+  module Debug : sig
+    type cell = {
+      key : key Lf_kernel.Ordered.bounded;
+      marked : bool;
+      is_sentinel : bool;
+    }
+
+    val physical_chain : 'a t -> cell list
+  end
+end
+
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   module BK = Lf_kernel.Ordered.Bounded (K)
   module Ev = Lf_kernel.Mem_event
@@ -207,4 +223,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   end
 end
 
-module Atomic_int = Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+(* [Make]'s text above with [K] and [M] bound to the int order and real
+   atomics, generated by this directory's dune rule (tools/specialize). *)
+module Atomic_int = Harris_list_atomic_int

@@ -6,15 +6,15 @@
     where that restart costs Omega(n-bar * c-bar) per operation on average —
     EXP-2 reproduces them against this implementation. *)
 
-module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
-  include Lf_kernel.Dict_intf.S with type key = K.t
+module type S = sig
+  include Lf_kernel.Dict_intf.S
 
   val fold : 'a t -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
 
   (** Quiescent / simulator-only introspection (Figure 1 traces). *)
   module Debug : sig
     type cell = {
-      key : K.t Lf_kernel.Ordered.bounded;
+      key : key Lf_kernel.Ordered.bounded;
       marked : bool;
       is_sentinel : bool;
     }
@@ -23,5 +23,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   end
 end
 
-module Atomic_int :
-  module type of Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) :
+  S with type key = K.t
+
+(** [Make]'s own text with [K] and [M] bound to [Lf_kernel.Ordered.Int] and
+    [Lf_kernel.Atomic_mem], generated at build time (tools/specialize), as
+    the paper's structures ship theirs: comparisons against them compare
+    algorithms, not compilation. *)
+module Atomic_int : S with type key = int

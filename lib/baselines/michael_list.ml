@@ -6,6 +6,12 @@
    traversal structure).  Like Harris's list, any interference makes the
    traversal restart from the head. *)
 
+module type S = sig
+  include Lf_kernel.Dict_intf.S
+
+  val fold : 'a t -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
+end
+
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   module BK = Lf_kernel.Ordered.Bounded (K)
   module Ev = Lf_kernel.Mem_event
@@ -163,4 +169,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     go t.head.key (M.get t.head.succ).right
 end
 
-module Atomic_int = Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+(* [Make]'s text above with [K] and [M] bound to the int order and real
+   atomics, generated by this directory's dune rule (tools/specialize). *)
+module Atomic_int = Michael_list_atomic_int

@@ -22,6 +22,12 @@
    chain - executions exist with average cost Omega(m_E) even when the list
    size and contention stay O(1).  EXP-3 constructs one. *)
 
+module type S = sig
+  include Lf_kernel.Dict_intf.S
+
+  val fold : 'a t -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
+end
+
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   module BK = Lf_kernel.Ordered.Bounded (K)
   module Ev = Lf_kernel.Mem_event
@@ -269,4 +275,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     go t.first.key (M.get t.first.next) false
 end
 
-module Atomic_int = Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+(* [Make]'s text above with [K] and [M] bound to the int order and real
+   atomics, generated by this directory's dune rule (tools/specialize). *)
+module Atomic_int = Valois_list_atomic_int

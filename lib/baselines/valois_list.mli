@@ -7,11 +7,17 @@
     deletion's cleanup walks the whole chain — is reproduced by EXP-3
     (average cost Omega(m) while list size and contention stay O(1)). *)
 
-module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
-  include Lf_kernel.Dict_intf.S with type key = K.t
+module type S = sig
+  include Lf_kernel.Dict_intf.S
 
   val fold : 'a t -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
 end
 
-module Atomic_int :
-  module type of Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) :
+  S with type key = K.t
+
+(** [Make]'s own text with [K] and [M] bound to [Lf_kernel.Ordered.Int] and
+    [Lf_kernel.Atomic_mem], generated at build time (tools/specialize), as
+    the paper's structures ship theirs: comparisons against them compare
+    algorithms, not compilation. *)
+module Atomic_int : S with type key = int

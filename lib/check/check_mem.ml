@@ -82,13 +82,12 @@ module Make (M : Lf_kernel.Mem.S) = struct
       Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
     end
 
-  let pid_source =
-    ref (fun () ->
-        match Lf_dsim.Sim.running_pid () with
-        | Some p -> p
-        | None -> (Domain.self () :> int))
-
-  let set_pid_source f = pid_source := f
+  (* The process an access belongs to: the simulator's running process,
+     else the domain. *)
+  let pid () =
+    match Lf_dsim.Sim.running_pid () with
+    | Some p -> p
+    | None -> (Domain.self () :> int)
 
   let reset () =
     with_lock (fun () ->
@@ -399,7 +398,7 @@ module Make (M : Lf_kernel.Mem.S) = struct
     match r.decode with
     | Plain -> M.cas r.inner ~kind ~expect v'
     | Link_d _ ->
-        let pid = !pid_source () in
+        let pid = pid () in
         with_lock (fun () ->
             let ok = M.cas r.inner ~kind ~expect v' in
             let b = Hashtbl.find links r.id in
@@ -416,7 +415,7 @@ module Make (M : Lf_kernel.Mem.S) = struct
             record_event ev;
             raise (violation "protocol: C&S on a backlink" ev))
     | Succ_d dec ->
-        let pid = !pid_source () in
+        let pid = pid () in
         with_lock (fun () ->
             let ok = M.cas r.inner ~kind ~expect v' in
             let c = Hashtbl.find cells r.id in
@@ -442,7 +441,7 @@ module Make (M : Lf_kernel.Mem.S) = struct
     match r.decode with
     | Plain -> M.set r.inner v
     | Succ_d dec ->
-        let pid = !pid_source () in
+        let pid = pid () in
         with_lock (fun () ->
             M.set r.inner v;
             let c = Hashtbl.find cells r.id in
@@ -461,7 +460,7 @@ module Make (M : Lf_kernel.Mem.S) = struct
             raise
               (violation "protocol: unconditional store to a succ field" ev))
     | Link_d dec ->
-        let pid = !pid_source () in
+        let pid = pid () in
         with_lock (fun () ->
             M.set r.inner v;
             let b = Hashtbl.find links r.id in

@@ -22,10 +22,6 @@ module Make (M : Lf_kernel.Mem.S) : sig
       structures sharing this instantiation (e.g. consecutive test cases)
       to keep reports and snapshots focused. *)
 
-  val set_pid_source : (unit -> int) -> unit
-  (** Override how accesses are attributed to processes.  The default asks
-      {!Lf_dsim.Sim.running_pid} and falls back to the domain id. *)
-
   val snapshot : unit -> string list
   (** Render every annotated chain (one string per head cell) as the
       checker currently understands it. *)

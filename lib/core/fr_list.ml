@@ -39,6 +39,8 @@
    predecessor, exhibiting the rightward-growing backlink chains the flag bit
    exists to prevent. *)
 
+module type S = Fr_list_intf.S
+
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   module BK = Lf_kernel.Ordered.Bounded (K)
   module Ev = Lf_kernel.Mem_event
@@ -864,7 +866,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   end
 end
 
-(* Convenience instantiations over real atomics. *)
-module Atomic_int = Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+(* [Make]'s text above with [K] and [M] bound to the int order and real
+   atomics, generated by this directory's dune rule (tools/specialize). *)
+module Atomic_int = Fr_list_atomic_int
 module Atomic_string = Make (Lf_kernel.Ordered.String) (Lf_kernel.Atomic_mem)
 module Counting_int = Make (Lf_kernel.Ordered.Int) (Lf_kernel.Counting_mem)

@@ -71,19 +71,6 @@ type crash_outcome = {
       (** forced-choice prefix reproducing each failure, plus its message *)
 }
 
-val run_one_crash :
-  max_steps:int ->
-  (unit ->
-  (Sim.pid -> unit) array * (crashed:Sim.pid list -> (unit, string) result)) ->
-  choice array ->
-  (Sim.pid list * choice * Sim.pid) list
-  * Sim.pid list
-  * (unit, string) result
-(** One replay under a forced choice prefix (crashes apply only from the
-    prefix; the default rule past it never crashes).  Returns the decision
-    trace [(runnable, choice, previously running)], the crashed pids in
-    crash order, and the oracle's verdict. *)
-
 val run_crash :
   ?max_preemptions:int ->
   ?max_crashes:int ->

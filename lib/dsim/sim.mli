@@ -52,7 +52,6 @@ type result = {
 
 (** {1 State inspection (for custom policies, tests and benches)} *)
 
-val num_procs : state -> int
 val is_finished : state -> pid -> bool
 
 val pending_kind : state -> pid -> Sim_effect.step_kind option

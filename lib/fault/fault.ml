@@ -72,7 +72,6 @@ type exec = {
   plan : plan;
   lanes : (int, lane_state) Hashtbl.t;
   mutable trace_rev : injected list;
-  mutable n_injected : int;
   lock : Mutex.t;
 }
 
@@ -81,11 +80,8 @@ let start plan =
     plan;
     lanes = Hashtbl.create 8;
     trace_rev = [];
-    n_injected = 0;
     lock = Mutex.create ();
   }
-
-let plan_of_exec e = e.plan
 
 let lane_state e lane =
   match Hashtbl.find_opt e.lanes lane with
@@ -146,7 +142,6 @@ let on_access e ~lane access =
             }
           in
           e.trace_rev <- inj :: e.trace_rev;
-          e.n_injected <- e.n_injected + 1;
           fired := r.action :: !fired
         end
       end)
@@ -165,12 +160,6 @@ let trace e =
   let t = List.rev e.trace_rev in
   Mutex.unlock e.lock;
   t
-
-let injected_count e =
-  Mutex.lock e.lock;
-  let n = e.n_injected in
-  Mutex.unlock e.lock;
-  n
 
 (* ------------------------------------------------------------------ *)
 (* Strings                                                             *)

@@ -75,7 +75,6 @@ type exec
     sections are effect-free, so this is also safe under the simulator). *)
 
 val start : plan -> exec
-val plan_of_exec : exec -> plan
 
 val on_access : exec -> lane:int -> Lf_kernel.Fault_point.access -> action list
 (** Decide which rules fire on this access, record them in the trace, and
@@ -88,8 +87,6 @@ val note_cas_result : exec -> lane:int -> Lf_kernel.Mem_event.cas_kind -> bool -
 
 val trace : exec -> injected list
 (** Injected faults so far, oldest first. *)
-
-val injected_count : exec -> int
 
 (** {1 Strings}
 

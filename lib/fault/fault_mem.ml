@@ -25,7 +25,6 @@ module Make (M : Lf_kernel.Mem.S) = struct
 
   let exec : Fault.exec option ref = ref None
   let install plan = exec := Some (Fault.start plan)
-  let install_exec e = exec := Some e
   let uninstall () = exec := None
   let current () = !exec
 

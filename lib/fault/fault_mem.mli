@@ -21,10 +21,6 @@ module Make (M : Lf_kernel.Mem.S) : sig
   (** Start executing a fresh {!Fault.exec} of this plan.  Replaces any
       installed one. *)
 
-  val install_exec : Fault.exec -> unit
-  (** Install an already-started execution (to share one trace across
-      several wrapped memories, or to resume). *)
-
   val uninstall : unit -> unit
 
   val current : unit -> Fault.exec option

@@ -1,12 +1,14 @@
-(* Production memory: plain [Atomic.t] cells, events erased. *)
+(* Production memory: plain [Atomic.t] cells, events erased.  [make], [get]
+   and [event] are the Stdlib primitives themselves, so a unit that names
+   this module compiles them inline (see the interface). *)
 
 type 'a aref = 'a Atomic.t
 
-let make = Atomic.make
-let get = Atomic.get
+external make : 'a -> 'a aref = "%makemutable"
+external get : 'a aref -> 'a = "%atomic_load"
 let cas r ~kind:_ ~expect v = Atomic.compare_and_set r expect v
 let set = Atomic.set
-let event (_ : Mem_event.t) = ()
+external event : Mem_event.t -> unit = "%ignore"
 
 let pause_rng = Splitmix.domain_local 0x9a75e
 

@@ -2,7 +2,9 @@
 
    All concurrent structures in this repository are functors over [Mem.S] so
    that the exact same algorithm code can be
-   - instantiated with {!Atomic_mem} for production / wall-clock benchmarks,
+   - instantiated with {!Atomic_mem} for production / wall-clock benchmarks
+     (the shipped [Atomic_int] units bind it by name instead: the same
+     functor text, copied at build time by tools/specialize),
    - instantiated with {!Counting_mem} for cheap step counting on real runs,
    - instantiated with the simulator's memory ([Lf_dsim.Sim_mem]) where every
      shared access is a deterministic scheduling point.

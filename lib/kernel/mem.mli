@@ -5,7 +5,14 @@
     ({!Atomic_mem}), with per-domain cost counters ({!Counting_mem}), or
     inside the deterministic simulator ([Lf_dsim.Sim_mem]) where each shared
     access is a scheduling point.  This is the repository's load-bearing
-    design decision: the code that is measured is the code that ships. *)
+    design decision: the code that is measured is the code that ships.
+
+    The shipped [Atomic_int] instances are that same code with [M] bound to
+    {!Atomic_mem} by name rather than by application: a build rule copies
+    each structure's functor body into a unit of its own
+    (tools/specialize), where {!Atomic_mem}'s primitive [make], [get] and
+    [event] compile inline.  Through a functor argument they are calls,
+    because the compiler has no flambda and dev builds are [-opaque]. *)
 
 module type S = sig
   type 'a aref

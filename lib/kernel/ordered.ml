@@ -9,10 +9,10 @@ module type S = sig
   val any : t
 end
 
-module Int : S with type t = int = struct
+module Int = struct
   type t = int
 
-  let compare = Int.compare
+  external compare : int -> int -> int = "%compare"
   let pp = Format.pp_print_int
   let any = 0
 end

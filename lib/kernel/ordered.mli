@@ -16,7 +16,17 @@ module type S = sig
       live key: [Int] uses [0] and [String] [""]. *)
 end
 
-module Int : S with type t = int
+(** [compare] is the [%compare] primitive at [int], so a caller that names
+    this module directly (the shipped [Atomic_int] instances) compiles it to
+    an inline comparison instead of a call, even under [-opaque]. *)
+module Int : sig
+  type t = int
+
+  external compare : int -> int -> int = "%compare"
+  val pp : Format.formatter -> t -> unit
+  val any : t
+end
+
 module String : S with type t = string
 
 (** A key extended with the sentinels: [Neg_inf < Mid k < Pos_inf]. *)

@@ -12,9 +12,6 @@ val create : int -> t
 val split : t -> t
 (** A statistically independent child stream (advances the parent). *)
 
-val next_int64 : t -> int64
-(** The next raw 64-bit output. *)
-
 val bits : t -> int
 (** A uniformly random non-negative 62-bit integer. *)
 

@@ -146,7 +146,6 @@ let attach_replicas t reps = t.replicas <- Some reps
 let replicas t = t.replicas
 
 let ring t = t.ring
-let shard_count t = Array.length t.shards
 let clock t = t.clock
 
 let owner_locked t k =
@@ -561,7 +560,6 @@ let promote t ~slot ~key_range =
           moved)
 
 let stats t = Array.map (fun sh -> Svc.stats sh.svc) t.shards
-let shard_svc t i = t.shards.(i).svc
 
 let hedged t =
   Mutex.lock t.mu;

@@ -60,7 +60,6 @@ val attach_replicas : t -> Replica.t -> unit
 val replicas : t -> Replica.t option
 
 val ring : t -> Hash_ring.t
-val shard_count : t -> int
 
 val clock : t -> Lf_svc.Clock.t
 (** Shard 0's pipeline clock — the tick base for spans, journal lines
@@ -141,8 +140,6 @@ val promote : t -> slot:int -> key_range:int -> int
 
 val stats : t -> Svc.stats array
 (** Per-shard pipeline stats, index = shard id. *)
-
-val shard_svc : t -> int -> Svc.t
 
 val hedged : t -> int array
 (** Per-shard count of reads served (or attempted) via the failover

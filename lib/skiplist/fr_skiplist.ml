@@ -43,6 +43,8 @@
      only safe when keys are never reinserted (see EXP-9), which is why it
      is not the default. *)
 
+module type S = Fr_skiplist_intf.S
+
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   module BK = Lf_kernel.Ordered.Bounded (K)
   module Ev = Lf_kernel.Mem_event
@@ -318,7 +320,9 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     end
     else
       let next = cs.right in
-      let nsucc = M.get (Lazy.force cs.right_succ) in
+      (* Forced once: each force is a C call ([caml_obj_tag]). *)
+      let ncell = Lazy.force cs.right_succ in
+      let nsucc = M.get ncell in
       if nsucc.mark then begin
         let cs = M.get (succ_of curr) in
         if (not cs.mark) || cs.right != next then begin
@@ -346,7 +350,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       end
       else begin
         M.event Ev.Curr_update;
-        walk t inclusive k v l next (M.get (Lazy.force cs.right_succ))
+        walk t inclusive k v l next (M.get ncell)
       end
 
   (* SEARCHRIGHT: the walk confined to the level of [curr] (curr.key <= k
@@ -734,5 +738,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     done
 end
 
-module Atomic_int = Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+(* [Make]'s text above with [K] and [M] bound to the int order and real
+   atomics, generated by this directory's dune rule (tools/specialize). *)
+module Atomic_int = Fr_skiplist_atomic_int
 module Atomic_string = Make (Lf_kernel.Ordered.String) (Lf_kernel.Atomic_mem)

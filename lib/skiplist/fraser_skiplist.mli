@@ -8,13 +8,19 @@
     (EXP-13).  Note that marked nodes may survive at quiescence if no
     search happens to pass them again; snapshots skip them. *)
 
-module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
-  include Lf_kernel.Dict_intf.S with type key = K.t
+module type S = sig
+  include Lf_kernel.Dict_intf.S
 
   val create_with : ?max_level:int -> unit -> 'a t
   val insert_with_height : 'a t -> height:int -> key -> 'a -> bool
   val fold : 'a t -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
 end
 
-module Atomic_int :
-  module type of Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) :
+  S with type key = K.t
+
+(** [Make]'s own text with [K] and [M] bound to [Lf_kernel.Ordered.Int] and
+    [Lf_kernel.Atomic_mem], generated at build time (tools/specialize), as
+    the paper's structures ship theirs: comparisons against them compare
+    algorithms, not compilation. *)
+module Atomic_int : S with type key = int

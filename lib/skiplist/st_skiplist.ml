@@ -15,6 +15,14 @@
    measures all three recovery classes (always / sometimes / never) under
    the tail-interference adversary. *)
 
+module type S = sig
+  include Lf_kernel.Dict_intf.S
+
+  val create_with : ?max_level:int -> unit -> 'a t
+  val insert_with_height : 'a t -> height:int -> key -> 'a -> bool
+  val fold : 'a t -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
+end
+
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   module BK = Lf_kernel.Ordered.Bounded (K)
   module Ev = Lf_kernel.Mem_event
@@ -310,4 +318,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     done
 end
 
-module Atomic_int = Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+(* [Make]'s text above with [K] and [M] bound to the int order and real
+   atomics, generated by this directory's dune rule (tools/specialize). *)
+module Atomic_int = St_skiplist_atomic_int

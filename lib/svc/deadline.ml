@@ -12,13 +12,9 @@ let after c ~ticks =
   if ticks = max_int then none
   else at (Clock.now c + ticks)
 
-let after_ms c ~ms = after c ~ticks:(Clock.ms c ms)
-
 let is_none d = d = max_int
 let expired ~now d = d <> max_int && now > d
 let remaining ~now d = if d = max_int then max_int else d - now
-
-let tighten a b = min a b
 
 let pp ppf d =
   if d = max_int then Format.pp_print_string ppf "none"

@@ -16,15 +16,10 @@ val after : Clock.t -> ticks:int -> t
 (** [after c ~ticks] expires [ticks] from now ([none] if
     [ticks = max_int]). *)
 
-val after_ms : Clock.t -> ms:int -> t
-
 val is_none : t -> bool
 val expired : now:int -> t -> bool
 
 val remaining : now:int -> t -> int
 (** Ticks left (negative if expired; [max_int] if {!none}). *)
-
-val tighten : t -> t -> t
-(** The earlier of the two — deadline propagation never loosens. *)
 
 val pp : Format.formatter -> t -> unit

@@ -1,7 +1,7 @@
 (* Shared helpers for the test suite. *)
 
-let qcheck ?(count = 200) name gen prop =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+let qcheck ?(count = 200) ?print name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ?print ~name gen prop)
 
 (* --- Time limits ---
 
@@ -133,6 +133,55 @@ let oracle_test ?count ?(key_range = 16) ?(len = 120) (module D : INT_DICT) =
       in
       D.check_invariants t;
       D.to_list t = expected && D.length t = List.length expected)
+
+(* --- Shipped instances against their functor ---
+
+   A structure's shipped [Atomic_int] is generated from its own [Make] body
+   (tools/specialize), not applied.  [same_as_functor] runs one
+   single-domain stream of operations on it and on
+   [Make (Ordered.Int) (Atomic_mem)], and fails unless the two runs return
+   the same.  An operation is a selector below [ops], a key and a batch of
+   keys.  Keys come from a pool of a few drawn over the whole int range, so
+   operations meet each other's keys, plus [0] (the sentinels' key,
+   [Ordered.Int.any]), [min_int] and [max_int]. *)
+
+type result =
+  | Bool of bool
+  | Elt of int option
+  | Binding of (int * int) option
+  | Bools of bool list
+  | Bindings of (int * int) list
+
+let stream_gen ~ops =
+  QCheck2.Gen.(
+    let* pool = list_repeat 5 int in
+    let pool = Array.of_list (0 :: min_int :: max_int :: pool) in
+    let key = map (Array.get pool) (int_bound (Array.length pool - 1)) in
+    list_size (int_bound 150)
+      (triple (int_bound (ops - 1)) key (list_size (int_bound 6) key)))
+
+let same_as_functor ~ops name shipped reference =
+  qcheck ~count:100
+    ~print:QCheck2.Print.(list (triple int int (list int)))
+    (name ^ " Atomic_int runs as Make (Ordered.Int) (Atomic_mem)")
+    (stream_gen ~ops)
+    (fun script -> shipped script = reference script)
+
+(* Selectors 0-3 on any dictionary: every result, then the contents. *)
+let dict_stream (module D : INT_DICT) script =
+  let t = D.create () in
+  let results =
+    List.mapi
+      (fun v (op, k, _) ->
+        match op with
+        | 0 -> Bool (D.insert t k v)
+        | 1 -> Bool (D.delete t k)
+        | 2 -> Elt (D.find t k)
+        | _ -> Bool (D.mem t k))
+      script
+  in
+  D.check_invariants t;
+  (results, D.to_list t)
 
 (* Fisher-Yates, in place. *)
 let shuffle rng keys =

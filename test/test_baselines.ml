@@ -164,10 +164,27 @@ let domain_stress (module D : Support.INT_DICT) () =
   D.check_invariants t;
   Alcotest.(check int) (D.name ^ " conservation") (Atomic.get net) (D.length t)
 
+(* The shipped instances against their functors. *)
+let shipped_props =
+  let module K = Lf_kernel.Ordered.Int in
+  let module A = Lf_kernel.Atomic_mem in
+  [
+    Support.same_as_functor ~ops:4 "harris-list"
+      (Support.dict_stream (module Lf_baselines.Harris_list.Atomic_int))
+      (Support.dict_stream (module Lf_baselines.Harris_list.Make (K) (A)));
+    Support.same_as_functor ~ops:4 "michael-list"
+      (Support.dict_stream (module Lf_baselines.Michael_list.Atomic_int))
+      (Support.dict_stream (module Lf_baselines.Michael_list.Make (K) (A)));
+    Support.same_as_functor ~ops:4 "valois-list"
+      (Support.dict_stream (module Lf_baselines.Valois_list.Atomic_int))
+      (Support.dict_stream (module Lf_baselines.Valois_list.Make (K) (A)));
+  ]
+
 let () =
   Alcotest.run "baselines"
     [
       ("oracle", oracle_tests);
+      ("shipped instances", shipped_props);
       ( "sim conservation",
         [
           Alcotest.test_case "harris" `Quick test_harris_sim;

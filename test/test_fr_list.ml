@@ -576,6 +576,37 @@ let test_footprint () =
     Alcotest.failf "%.1f words reachable per key at 16,384 keys (bar: 19.5)"
       per_key
 
+(* --- The shipped instance --- *)
+
+module Ref = Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+
+let stream (module L : Lf_list.Fr_list.S with type key = int) script =
+  let t = L.create () in
+  let results =
+    List.mapi
+      (fun v (op, k, ks) : Support.result ->
+        match op with
+        | 0 -> Bool (L.insert t k v)
+        | 1 -> Bool (L.delete t k)
+        | 2 -> Elt (L.find t k)
+        | 3 -> Bool (L.mem t k)
+        | 4 -> Binding (L.find_ge t k)
+        | 5 ->
+            let hi = match ks with h :: _ -> h | [] -> k in
+            Bindings (L.fold_range t ~lo:k ~hi (fun acc k v -> (k, v) :: acc) [])
+        | 6 -> Binding (L.min_binding t)
+        | 7 -> Bools (L.insert_batch t (List.map (fun k -> (k, v)) ks))
+        | 8 -> Bools (L.delete_batch t ks)
+        | _ -> Bools (L.mem_batch t ks))
+      script
+  in
+  L.check_invariants t;
+  (results, L.to_list t, L.hint_stats t)
+
+let shipped_prop =
+  Support.same_as_functor ~ops:10 "fr-list" (stream (module FR))
+    (stream (module Ref))
+
 let () =
   Alcotest.run "fr_list"
     (Support.time_limited
@@ -638,5 +669,6 @@ let () =
              Alcotest.test_case "delete budget" `Quick test_delete_alloc;
              Alcotest.test_case "footprint per key" `Quick test_footprint;
            ] );
+         ("shipped instance", [ shipped_prop ]);
          ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);
        ])

@@ -735,6 +735,48 @@ let test_domain_stress () =
   D.check_invariants t;
   Alcotest.(check int) "conservation" (Atomic.get net) (D.length t)
 
+(* --- The shipped instances --- *)
+
+module Ref =
+  Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_kernel.Atomic_mem)
+
+let stream (module L : Lf_skiplist.Fr_skiplist.S with type key = int) script =
+  let t = L.create () in
+  let results =
+    List.mapi
+      (fun v (op, k, ks) : Support.result ->
+        match op with
+        | 0 -> Bool (L.insert t k v)
+        | 1 -> Bool (L.delete t k)
+        | 2 -> Elt (L.find t k)
+        | 3 -> Bool (L.mem t k)
+        | 4 -> Binding (L.find_ge t k)
+        | 5 ->
+            let hi = match ks with h :: _ -> h | [] -> k in
+            Bindings (L.fold_range t ~lo:k ~hi (fun acc k v -> (k, v) :: acc) [])
+        | 6 -> Binding (L.min_binding t)
+        | 7 -> Binding (L.max_binding t)
+        | 8 -> Binding (L.delete_min t)
+        | _ -> Bool (L.insert_with_height t ~height:(1 + (v mod 6)) k v))
+      script
+  in
+  L.check_invariants t;
+  (results, L.to_list t)
+
+let shipped_props =
+  let module K = Lf_kernel.Ordered.Int in
+  let module A = Lf_kernel.Atomic_mem in
+  [
+    Support.same_as_functor ~ops:10 "fr-skiplist" (stream (module SL))
+      (stream (module Ref));
+    Support.same_as_functor ~ops:4 "fraser-skiplist"
+      (Support.dict_stream (module Lf_skiplist.Fraser_skiplist.Atomic_int))
+      (Support.dict_stream (module Lf_skiplist.Fraser_skiplist.Make (K) (A)));
+    Support.same_as_functor ~ops:4 "st-skiplist"
+      (Support.dict_stream (module Lf_skiplist.St_skiplist.Atomic_int))
+      (Support.dict_stream (module Lf_skiplist.St_skiplist.Make (K) (A)));
+  ]
+
 let () =
   Alcotest.run "skiplist"
     (Support.time_limited
@@ -745,6 +787,7 @@ let () =
                test_cells_after_every_op;
            ] );
          ("oracle", oracle_tests);
+         ("shipped instances", shipped_props);
          ("reinsert", [ Support.oracle_test ~key_range:6 ~len:200 (module SL) ]);
          ("retention", Support.retention_tests (module SL));
          ( "range ops",
