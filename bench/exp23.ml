@@ -30,8 +30,9 @@
    contrast: one stalled shard drags every keyspace down.
 
    Part C (rebalance under load): 3 shards; a third of the way into an
-   open-loop window, slot 0's whole keyspace is handed to shard 1 while
-   workers keep issuing routed operations.  Afterwards the conservation
+   open-loop window, slot 0 is handed to shard 1 while workers keep
+   issuing routed operations (the rebalance walks the keys the source
+   list holds with its successor query, [find_ge]).  Afterwards the conservation
    oracle sweeps the key range: every present key lives in exactly one
    shard's backend, and that shard is the router's current owner —
    nothing duplicated, nothing stranded, nothing silently dropped.
@@ -406,14 +407,17 @@ let part_c ~clock =
     }
   in
   let router =
-    Router.create ~ring ~svc_config:(fun _ -> Svc.config ~clock ()) backend
+    Router.create ~ring
+      ~next_key:(fun i k -> Option.map fst (AI.find_ge lists.(i) k))
+      ~svc_config:(fun _ -> Svc.config ~clock ())
+      backend
   in
   let w = c_window () in
   let moved = ref (-1) in
   let mover =
     Domain.spawn (fun () ->
         Unix.sleepf (w /. 3.);
-        moved := Router.rebalance router ~slot:0 ~to_:1 ~key_range:c_key_range)
+        moved := Router.rebalance router ~slot:0 ~to_:1)
   in
   let serve ~arrival_ns:_ ~queue_depth op =
     verdict_of (Router.call router ~queue_depth (req_of_op op))

@@ -45,7 +45,13 @@
      below the supervised one (the lost keyspace never returns);
    - staleness oracle, every run: the count of [Served_stale] outcomes
      observed by callers equals the router's replica-read counter —
-     zero replica answers laundered into fresh [Served]. *)
+     zero replica answers laundered into fresh [Served];
+   - data check, both supervised runs: every prefilled key that no
+     request wrote is present on its owner after the window, and on no
+     other live shard — the heal moved every key of the slot.  The
+     kill run's replica is seeded with the victim slot's prefill, as a
+     replica attached at boot would be, so its promotion carries the
+     slot's data. *)
 
 open Lf_workload
 module K = Lf_kernel.Ordered.Int
@@ -85,6 +91,7 @@ let req_of_op = function
    makes every backend call throw, like a dead process. *)
 type faulty = {
   f_backend : Router.backend;
+  f_next_key : int -> int option;  (* the list's successor query *)
   f_install : Fault.plan -> unit;
   f_uninstall : unit -> unit;
   f_killed : bool ref;
@@ -107,6 +114,7 @@ let mk_faulty ~ring i =
         find = (fun k -> guard (); L.find t k);
         batched = None;
       };
+    f_next_key = (fun k -> guard (); Option.map fst (L.find_ge t k));
     f_install = FM.install;
     f_uninstall = (fun () -> FM.uninstall ());
     f_killed = killed;
@@ -133,6 +141,11 @@ type out = {
   o_aborts : int;
   o_buckets : int array;
   o_fault_bucket : int;
+  o_moved : int;  (* keys moved by completed heals *)
+  o_untouched : int;  (* prefilled keys no request wrote *)
+  o_present : int;  (* of which on their owner and on no other live shard *)
+  o_dup : int;  (* of which on more than one live shard *)
+  o_misplaced : int;  (* of which on one live shard that is not the owner *)
 }
 
 let run_one ~clock ~fault ~supervised =
@@ -161,32 +174,27 @@ let run_one ~clock ~fault ~supervised =
      the raw backend IS the fault, and a hedge would re-pay the stall
      the breaker just contained. *)
   let router =
-    Router.create ~hedge_reads:(fault = Kill) ~ring ~svc_config (fun i ->
-        f.(i).f_backend)
+    Router.create ~hedge_reads:(fault = Kill)
+      ~next_key:(fun i k -> f.(i).f_next_key k)
+      ~ring ~svc_config
+      (fun i -> f.(i).f_backend)
   in
   (* The kill fault is only survivable with a replica of the victim's
-     slot; the supervised run replicates it on the next shard over.
-     Containment-only runs get no replica — that is the contrast. *)
-  let reps =
-    if supervised && fault = Kill then begin
-      let r = Replica.create () in
-      let h = Hashtbl.create 1024 in
-      Replica.add_slot r ~slot:victim_slot
-        ~on:((victim + 1) mod shards)
-        ~store:
-          {
-            Replica.r_insert = (fun k v -> Hashtbl.replace h k v; true);
-            r_delete =
-              (fun k ->
-                if Hashtbl.mem h k then (Hashtbl.remove h k; true) else false);
-            r_find = (fun k -> Hashtbl.find_opt h k);
-          };
-      Router.attach_replicas router r;
-      Some r
-    end
-    else None
-  in
-  ignore reps;
+     slot; the supervised run replicates it on the next shard over,
+     seeded with the slot's prefill — what a replica attached at boot
+     would hold.  Containment-only runs get no replica — that is the
+     contrast. *)
+  if supervised && fault = Kill then begin
+    let r = Replica.create () in
+    Replica.add_slot r ~slot:victim_slot ~on:((victim + 1) mod shards);
+    for k = 0 to key_range - 1 do
+      if k land 1 = 0 && Hash_ring.slot_of ring k = victim_slot then
+        Replica.record r ~slot:victim_slot ~now:(Clock.now clock)
+          (Replica.Put (k, k))
+    done;
+    ignore (Replica.apply r);
+    Router.attach_replicas router r
+  end;
   let sup =
     if supervised then
       Some
@@ -202,7 +210,7 @@ let run_one ~clock ~fault ~supervised =
            (Supervisor.config ~poll_every:(ms 15) ~sick_after:2
               ~healthy_after:1 ~move_budget:2 ~backoff_base:(ms 50)
               ~backoff_max:(ms 400) ~shed_sick_pct:100 ~apply_budget:8192
-              ~clock ~key_range ())
+              ~clock ())
            ~shards)
     else None
   in
@@ -212,6 +220,7 @@ let run_one ~clock ~fault ~supervised =
   let nb = int_of_float (w *. 1000.) / bms in
   let buckets = Array.init (nb + 4) (fun _ -> Atomic.make 0) in
   let stale_served = Atomic.make 0 in
+  let written = Array.init key_range (fun _ -> Atomic.make false) in
   let start = Clock.now clock in
   let fault_ns = Atomic.make 0 in
   let stop = Atomic.make false in
@@ -243,6 +252,9 @@ let run_one ~clock ~fault ~supervised =
   in
   let std = ms deadline_std_ms in
   let serve ~arrival_ns ~queue_depth op =
+    (match op with
+    | Opgen.Insert k | Opgen.Delete k -> Atomic.set written.(k) true
+    | Opgen.Find _ -> ());
     let dl = Deadline.at (arrival_ns + std) in
     let good () =
       if Clock.now clock - arrival_ns <= std then begin
@@ -267,6 +279,27 @@ let run_one ~clock ~fault ~supervised =
   Atomic.set stop true;
   Option.iter Domain.join healer;
   (match fault with Stall -> f.(victim).f_uninstall () | Kill -> ());
+  (* The heal lost nothing: every prefilled (even) key that no request
+     wrote is on its owner, and on no other live shard.  Only the
+     supervised runs heal; a containment-only kill strands its slot by
+     design. *)
+  let untouched = ref 0 and present = ref 0 and dup = ref 0
+  and misplaced = ref 0 in
+  if supervised then
+    for k = 0 to key_range - 1 do
+      if k land 1 = 0 && not (Atomic.get written.(k)) then begin
+        incr untouched;
+        let holders =
+          List.filter
+            (fun i -> (not !(f.(i).f_killed)) && f.(i).f_backend.find k <> None)
+            (List.init shards Fun.id)
+        in
+        match holders with
+        | [] -> ()
+        | [ i ] -> if i = Router.route router k then incr present else incr misplaced
+        | _ -> incr dup
+      end
+    done;
   let good = Array.map Atomic.get buckets in
   let fb = (Atomic.get fault_ns - start) / bucket_ns in
   (* Pre-fault baseline: the second half of the pre-fault buckets.  The
@@ -322,6 +355,14 @@ let run_one ~clock ~fault ~supervised =
     o_aborts = Router.aborts router;
     o_buckets = good;
     o_fault_bucket = fb;
+    o_moved =
+      (match sup_stats with
+      | Some s -> s.Supervisor.keys_moved
+      | None -> 0);
+    o_untouched = !untouched;
+    o_present = !present;
+    o_dup = !dup;
+    o_misplaced = !misplaced;
   }
 
 let run () =
@@ -353,6 +394,11 @@ let run () =
               string_of_int o.o_stale_served;
               string_of_int o.o_aborts;
             ];
+          if supervised then
+            Tables.note
+              "  heals moved %d keys; %d of %d untouched prefill keys present, \
+               %d duplicated, %d misplaced"
+              o.o_moved o.o_present o.o_untouched o.o_dup o.o_misplaced;
           Bench_json.emit_part ~exp:"exp25" ~part:"recovery"
             Bench_json.[
               ("fault", S (fault_name fault));
@@ -371,6 +417,11 @@ let run () =
                   else float_of_int o.o_stale_served /. float_of_int o.o_served));
               ("served", I o.o_served);
               ("failed", I o.o_failed);
+              ("keys_moved", I o.o_moved);
+              ("untouched", I o.o_untouched);
+              ("untouched_present", I o.o_present);
+              ("duplicated", I o.o_dup);
+              ("misplaced", I o.o_misplaced);
               ("bucket_ms", I (bucket_ms ()));
               ("fault_bucket", I o.o_fault_bucket);
             ];
@@ -400,7 +451,15 @@ let run () =
             replica answer was laundered into a fresh Served"
            fault
            (if supervised then "supervised" else "containment")
-           o.o_stale_served o.o_stale_router))
+           o.o_stale_served o.o_stale_router);
+      (* So does the data check: a heal moves every key of the slot. *)
+      if supervised then
+        need
+          (o.o_present = o.o_untouched && o.o_dup = 0 && o.o_misplaced = 0)
+          (Printf.sprintf
+             "%s/supervised: %d of %d untouched prefill keys present, %d \
+              duplicated, %d misplaced — the heal lost data"
+             fault o.o_present o.o_untouched o.o_dup o.o_misplaced))
     outs;
   if not !Bench_json.quick then begin
     let o fault supervised = Hashtbl.find outs (fault, supervised) in
@@ -438,7 +497,7 @@ let run () =
         "PASS: the supervisor restores >= 80%% of pre-fault goodput on its";
       Tables.note
         "own, promotion revives the dead shard's keyspace, and every";
-      Tables.note "replica-served read is stale-tagged."
+      Tables.note "replica-served read is stale-tagged; no heal loses a key."
   | fs ->
       List.iter (fun f -> Tables.note "FAIL: %s" f) fs;
       Tables.note "acceptance criteria NOT met (see rows above)");

@@ -722,7 +722,9 @@ let self_heal_flag =
            budgets and exponential backoff keep healing from becoming a \
            migration storm.  HEAL reports supervisor status; heal \
            begin/end drop flight bundles under --trace-requests.  \
-           Requires --shards > 1.")
+           A heal walks the keys the sick shard holds with the \
+           structure's successor query, so it needs fr-list or \
+           fr-skiplist.  Requires --shards > 1.")
 
 let replicas_flag =
   Arg.(
@@ -737,15 +739,47 @@ let replicas_flag =
            (--self-heal) promotes a replica when it evacuates the \
            primary.  Requires --shards > 1.")
 
-let key_range_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "key-range" ] ~docv:"N"
-        ~doc:
-          "Keyspace bound scanned by healing migrations: an evacuation \
-           moves the keys in [0, $(docv)) that hash to the slot (same \
-           contract as Router.rebalance).  Keys outside the bound are \
-           still served and replicated, but not migrated.")
+(* What serve runs: a dictionary, and the successor query a healing
+   migration walks a shard's keys with (--self-heal).  Only the paper's
+   two structures have one: SEARCHFROM answers "the smallest key >= k"
+   as [find_ge]. *)
+module type SERVE_DICT = sig
+  include Lf_workload.Runner.INT_DICT
+
+  val next_key : (int t -> int -> int option) option
+end
+
+module Ordered (D : sig
+  include Lf_workload.Runner.INT_DICT
+
+  val find_ge : 'a t -> int -> (int * 'a) option
+end) =
+struct
+  include D
+
+  let next_key = Some (fun t k -> Option.map fst (D.find_ge t k))
+end
+
+let ordered_impls : (string * (module SERVE_DICT)) list =
+  [
+    ("fr-list", (module Ordered (Lf_list.Fr_list.Atomic_int)));
+    ("fr-skiplist", (module Ordered (Lf_skiplist.Fr_skiplist.Atomic_int)));
+  ]
+
+let resolve_serve name ~self_heal : (module SERVE_DICT) =
+  match List.assoc_opt name ordered_impls with
+  | Some m -> m
+  | None when self_heal ->
+      Printf.eprintf "--self-heal is available for: %s\n"
+        (String.concat ", " (List.map fst ordered_impls));
+      exit 2
+  | None ->
+      let (module D) = resolve name false ~hints:true in
+      (module struct
+        include D
+
+        let next_key = None
+      end)
 
 (* A stale answer is still an answered read: the SLO counts served,
    fresh or lag-tagged — the staleness contract is the wire token's
@@ -760,16 +794,14 @@ let rec count_bad acc = function
 
 let serve_cmd =
   let run impl port deadline_ms retry budget shed breaker shards trace_requests
-      dump_dir self_heal replicas key_range =
+      dump_dir self_heal replicas =
     (* The one observability switch: METRICS reports the recorder's
        operation histograms, and --trace-requests also builds request
        span trees. *)
     Lf_obs.Recorder.set_level
       (if trace_requests then Lf_obs.Recorder.Tracing
        else Lf_obs.Recorder.Histograms);
-    let (module D : Lf_workload.Runner.INT_DICT) =
-      resolve impl false ~hints:true
-    in
+    let (module D : SERVE_DICT) = resolve_serve impl ~self_heal in
     let clock = Lf_svc.Clock.real () in
     let ms = Lf_svc.Clock.ms clock in
     let now () = Lf_svc.Clock.now clock in
@@ -821,12 +853,13 @@ let serve_cmd =
        answering.  The accept loop is sequential, so plain bool
        switches suffice. *)
     let kills = Array.make shards false in
+    let dicts = Array.init shards (fun _ -> D.create ()) in
     (* Recorder spans around each operation, so METRICS (the §9
        Prometheus snapshot) has live operation counters and latency
        quantiles to report.  Written out per operation: a wrapper
        taking the operation as a closure would allocate one per key. *)
     let mk_backend i : Lf_shard.Router.backend =
-      let t = D.create () in
+      let t = dicts.(i) in
       let live () = if kills.(i) then failwith "shard killed" in
       {
         Lf_shard.Router.insert =
@@ -855,27 +888,28 @@ let serve_cmd =
       }
     in
     let ring = Lf_shard.Hash_ring.create ~seed:1 ~shards () in
-    let router =
-      Lf_shard.Router.create ~ring ~svc_config:(fun _ -> cfg) mk_backend
+    (* A killed shard's cursor raises like its backend. *)
+    let next_key =
+      Option.map
+        (fun next i k ->
+          if kills.(i) then failwith "shard killed";
+          next dicts.(i) k)
+        D.next_key
     in
-    (* Replicas: every slot's copy lives one shard over, in a store
-       private to the replica layer (never a shard backend), fed
-       asynchronously from the write journal on the supervisor's
-       tick. *)
+    let router =
+      Lf_shard.Router.create ?next_key ~ring ~svc_config:(fun _ -> cfg)
+        mk_backend
+    in
+    (* Replicas: every slot's copy lives one shard over, in the replica
+       layer (never a shard backend), fed asynchronously from the write
+       journal on the supervisor's tick. *)
     let reps =
       if not replicas then None
       else begin
         let r = Lf_shard.Replica.create () in
         for slot = 0 to shards - 1 do
-          let copy = D.create () in
           Lf_shard.Replica.add_slot r ~slot
             ~on:((Lf_shard.Hash_ring.owner ring slot + 1) mod shards)
-            ~store:
-              {
-                Lf_shard.Replica.r_insert = (fun k v -> D.insert copy k v);
-                r_delete = (fun k -> D.delete copy k);
-                r_find = (fun k -> D.find copy k);
-              }
         done;
         Lf_shard.Router.attach_replicas router r;
         Some r
@@ -889,7 +923,7 @@ let serve_cmd =
              (Lf_shard.Supervisor.config ~clock ~poll_every:(ms 100)
                 ~sick_after:2 ~healthy_after:2 ~move_budget:2
                 ~backoff_base:(ms 200) ~backoff_max:(ms 2000)
-                ~apply_budget:1024 ~key_range ())
+                ~apply_budget:1024 ())
              ~shards)
     in
     let mon = Lf_shard.Health.monitor () in
@@ -1114,8 +1148,7 @@ let serve_cmd =
     Term.(
       const run $ impl_arg $ port_arg $ deadline_ms_arg $ retry_arg
       $ retry_budget_arg $ shed_arg $ breaker_flag $ shards_arg
-      $ trace_requests_flag $ dump_dir_arg $ self_heal_flag $ replicas_flag
-      $ key_range_arg)
+      $ trace_requests_flag $ dump_dir_arg $ self_heal_flag $ replicas_flag)
 
 let call_cmd =
   let lines_arg =

@@ -22,6 +22,5 @@ exception Protocol_violation of t
 (** Raised by {!Check_mem} at the offending access.  Registered with
     [Printexc], so [Printexc.to_string] yields the full report. *)
 
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

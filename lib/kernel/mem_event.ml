@@ -48,5 +48,4 @@ let to_string = function
   | Help -> "help"
   | User s -> "user:" ^ s
 
-let pp_cas_kind fmt k = Format.pp_print_string fmt (cas_kind_to_string k)
 let pp fmt e = Format.pp_print_string fmt (to_string e)

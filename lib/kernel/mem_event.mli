@@ -35,5 +35,4 @@ val cas_kind_to_string : cas_kind -> string
 val cas_kind_of_string : string -> cas_kind option
 
 val to_string : t -> string
-val pp_cas_kind : Format.formatter -> cas_kind -> unit
 val pp : Format.formatter -> t -> unit

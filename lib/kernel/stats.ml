@@ -101,12 +101,6 @@ let of_weighted (pairs : (float * int) array) =
     }
   end
 
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "n=%d mean=%.2f sd=%.2f min=%.2f p50=%.2f p90=%.2f p99=%.2f p999=%.2f \
-     p9999=%.2f max=%.2f"
-    s.count s.mean s.stddev s.min s.p50 s.p90 s.p99 s.p999 s.p9999 s.max
-
 (* Least-squares fit of y = a + b*x; returns (a, b, r2). *)
 let linear_fit (points : (float * float) array) =
   let n = float_of_int (Array.length points) in

@@ -33,8 +33,6 @@ val of_weighted : (float * int) array -> summary
     ignored; an empty input yields [count = 0] and NaNs, like
     {!summarize}. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 val linear_fit : (float * float) array -> float * float * float
 (** Least squares [y = a + b*x]; returns [(a, b, r2)].
     @raise Invalid_argument on fewer than two points. *)

@@ -17,8 +17,6 @@ type entry = {
 
 type t = entry list
 
-val pp_op : Format.formatter -> op -> unit
-val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> t -> unit
 
 (** Multi-domain recorder: an atomic tick counter plus an accumulator;

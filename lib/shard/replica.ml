@@ -1,10 +1,9 @@
 (* Lagged read replicas for designated slots.  One mutex guards every
-   replica's journal and counters — the same synchronization shape as
-   the router: short critical sections around bookkeeping, never a lock
-   held across a store operation... except [apply]/[drain], which copy
-   into the replica's own store.  That store is private to this module
-   (it is never a shard backend), so holding the mutex across the copy
-   serializes appliers without blocking the data plane.
+   replica's journal, copy and counters — the same synchronization shape
+   as the router: short critical sections.  Each slot's copy is an
+   ordered map owned by this module (it is never a shard backend), so
+   holding the mutex across an apply serializes appliers without
+   blocking the data plane.
 
    The staleness contract lives here: a replica read reports how far
    the copy trails the primary as [lag = now - oldest pending entry's
@@ -12,11 +11,7 @@
    that lag explicitly — the router turns it into [Served_stale], never
    a bare [Served]. *)
 
-type store = {
-  r_insert : int -> int -> bool;
-  r_delete : int -> bool;
-  r_find : int -> int option;
-}
+module Int_map = Map.Make (Int)
 
 type op = Put of int * int | Del of int
 
@@ -25,7 +20,7 @@ type entry = { e_tick : int; e_op : op }
 type slot_rep = {
   sr_slot : int;
   sr_on : int;  (* shard hosting the copy: the promotion target *)
-  sr_store : store;
+  mutable sr_copy : int Int_map.t;
   sr_journal : entry Queue.t;
   mutable sr_recorded : int;
   mutable sr_applied : int;
@@ -39,7 +34,7 @@ type t = {
 
 let create () = { mu = Mutex.create (); slots = Hashtbl.create 8; reads = 0 }
 
-let add_slot t ~slot ~on ~store =
+let add_slot t ~slot ~on =
   Mutex.lock t.mu;
   if Hashtbl.mem t.slots slot then begin
     Mutex.unlock t.mu;
@@ -49,7 +44,7 @@ let add_slot t ~slot ~on ~store =
     {
       sr_slot = slot;
       sr_on = on;
-      sr_store = store;
+      sr_copy = Int_map.empty;
       sr_journal = Queue.create ();
       sr_recorded = 0;
       sr_applied = 0;
@@ -73,13 +68,16 @@ let record t ~slot ~now op =
       sr.sr_recorded <- sr.sr_recorded + 1);
   Mutex.unlock t.mu
 
-(* Applying an entry re-runs the write against the copy; both ops are
-   idempotent, so a crash between apply and the counter bump costs
-   nothing on replay. *)
+(* Applying an entry re-runs the write against the copy the way the
+   dictionaries' INSERT and DELETE run it: a present key keeps its
+   value.  Both are idempotent, so a crash between apply and the counter
+   bump costs nothing on replay. *)
 let apply_entry sr e =
-  (match e.e_op with
-  | Put (k, v) -> ignore (sr.sr_store.r_insert k v)
-  | Del k -> ignore (sr.sr_store.r_delete k));
+  (sr.sr_copy <-
+     match e.e_op with
+     | Put (k, v) ->
+         Int_map.update k (function None -> Some v | kept -> kept) sr.sr_copy
+     | Del k -> Int_map.remove k sr.sr_copy);
   sr.sr_applied <- sr.sr_applied + 1
 
 let apply ?(budget = max_int) t =
@@ -122,24 +120,35 @@ let read t ~slot ~key ~now =
   | Some sr ->
       t.reads <- t.reads + 1;
       let lag = lag_locked sr ~now in
-      (* The store read runs under the mutex so it cannot race an
+      (* The copy is read under the mutex so it cannot race an
          applier past the lag we just computed: the value served is at
          most [lag] ticks behind the primary's journal. *)
-      let v = sr.sr_store.r_find key in
+      let v = Int_map.find_opt key sr.sr_copy in
       Mutex.unlock t.mu;
       Some (v, lag)
 
-(* A control-plane read of the copy (promotion), not a failover serve:
-   it bypasses the read counter and reports no lag. *)
+(* Control-plane reads of the copy (promotion), not failover serves:
+   they bypass the read counter and report no lag. *)
 let peek t ~slot ~key =
   Mutex.lock t.mu;
   let v =
     match Hashtbl.find_opt t.slots slot with
     | None -> None
-    | Some sr -> sr.sr_store.r_find key
+    | Some sr -> Int_map.find_opt key sr.sr_copy
   in
   Mutex.unlock t.mu;
   v
+
+let next_key t ~slot k =
+  Mutex.lock t.mu;
+  let next =
+    match Hashtbl.find_opt t.slots slot with
+    | None -> None
+    | Some sr ->
+        Option.map fst (Int_map.find_first_opt (fun j -> j >= k) sr.sr_copy)
+  in
+  Mutex.unlock t.mu;
+  next
 
 let remove_slot t ~slot =
   Mutex.lock t.mu;

@@ -6,27 +6,22 @@
     The data flow: every successful write to a replicated slot is
     {!record}ed (a journal entry stamped with the write's tick); an
     applier — the supervisor's tick, or any caller of {!apply} — drains
-    entries into the replica's private store; {!read} answers from that
-    store together with the copy's current lag (ticks behind the oldest
+    entries into the replica's copy of the slot; {!read} answers from
+    that copy together with its current lag (ticks behind the oldest
     unapplied entry, [0] when drained).  Callers must surface the lag:
     the router maps every replica read to [Svc.Served_stale], never a
     bare [Served], even at lag [0] — a failover read is stale by
     contract because the journal is asynchronous.
 
-    Replica stores are private to this module: they are {e not} shard
-    backends, so the conservation invariant (each key lives on exactly
-    one shard) is untouched until {!Router.promote} copies a replica
-    into a real backend and {!remove_slot} retires it.
+    Each copy is an ordered map owned by this module: it is {e not} a
+    shard backend, so the conservation invariant (each key lives on
+    exactly one shard) is untouched until {!Router.promote} copies a
+    replica into a real backend and {!remove_slot} retires it.  Being
+    ordered, it answers the successor query ({!next_key}) a promotion
+    walks once the primary is dead.
 
-    Synchronization: one mutex over all journals, counters and store
-    applies — the stores are only ever touched under it. *)
-
-type store = {
-  r_insert : int -> int -> bool;
-  r_delete : int -> bool;
-  r_find : int -> int option;
-}
-(** The replica's private copy, as closures — any [DICT] works. *)
+    Synchronization: one mutex over all journals, copies and counters —
+    a copy is only ever touched under it. *)
 
 type op = Put of int * int | Del of int
 
@@ -34,9 +29,11 @@ type t
 
 val create : unit -> t
 
-val add_slot : t -> slot:int -> on:int -> store:store -> unit
-(** Start replicating [slot] with its copy hosted on shard [on] (the
-    promotion target).  @raise Invalid_argument if already replicated. *)
+val add_slot : t -> slot:int -> on:int -> unit
+(** Start replicating [slot] into an empty copy hosted on shard [on]
+    (the promotion target).  A slot that already holds keys is seeded
+    by {!record}ing them and {!apply}ing.
+    @raise Invalid_argument if already replicated. *)
 
 val host : t -> slot:int -> int option
 (** The shard hosting [slot]'s copy, if the slot is replicated. *)
@@ -49,7 +46,9 @@ val record : t -> slot:int -> now:int -> op -> unit
 
 val apply : ?budget:int -> t -> int
 (** Drain up to [budget] journal entries (default: all) into the
-    replica stores, oldest first per slot.  Returns entries applied.
+    copies, oldest first per slot.  A [Put] applies the way the
+    dictionaries' insert does: a key already in the copy keeps its
+    value.  Returns entries applied.
     This is the async half of the replication: call it from a paced
     tick, never inline with the write. *)
 
@@ -69,6 +68,12 @@ val peek : t -> slot:int -> key:int -> int option
 (** Control-plane read of the copy for promotion — does not count as a
     failover read and carries no staleness tag; callers must have
     {!drain}ed first if they need the copy current. *)
+
+val next_key : t -> slot:int -> int -> int option
+(** [next_key t ~slot k] is the smallest key [>= k] in [slot]'s copy
+    ([None] past the last one, or when the slot is unreplicated) — the
+    successor query {!Router.promote} walks once the primary is dead.
+    A control-plane read like {!peek}. *)
 
 val remove_slot : t -> slot:int -> unit
 (** Stop replicating [slot] (after promotion made the copy

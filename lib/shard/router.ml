@@ -9,12 +9,17 @@
 
    Per-key linearizability across a handoff hangs on one invariant:
    at every instant each key has exactly one owner (assignment, or the
-   watermark split while a migration runs), and a key is only copied
-   while (a) the router mutex is held — no operation can acquire an
-   owner for it — and (b) its in-flight count is zero — no operation
-   that already acquired an owner is still running.  So the copy is
-   atomic with respect to that key's operations, and the ownership flip
-   happens inside the same critical section that performed the copy. *)
+   watermark split while a migration runs), and the watermark passes a
+   key only while (a) the router mutex is held — no operation can
+   acquire an owner for it — and (b) its in-flight count is zero — no
+   operation that already acquired an owner is still running.  A
+   migration walks the keys the source holds, so it also passes absent
+   keys, and an absent key can be in flight too (an insert racing the
+   walk): each step drains the slot's in-flight keys in the range it
+   passes, and copies and advances in the critical section that read
+   the cursor and found that range quiet.  So the copy is atomic with
+   respect to each key's operations, and the ownership flip happens
+   inside the same critical section that performed it. *)
 
 module Svc = Lf_svc.Svc
 module Span = Lf_obs.Span
@@ -93,6 +98,8 @@ end)
 type t = {
   mutable ring : Hash_ring.t;
   shards : shard array;
+  next_key : (int -> int -> int option) option;
+      (* [next_key shard k]: the smallest key >= k the shard holds *)
   names : string array;  (* fan-out span names, precomputed per shard *)
   clock : Lf_svc.Clock.t;  (* shard 0's pipeline clock: span/journal ticks *)
   hedge_reads : bool;
@@ -116,7 +123,7 @@ let ops_of_backend (b : backend) : Svc.ops =
     find = (fun k -> b.find k <> None);
   }
 
-let create ?(hedge_reads = true) ~ring ~svc_config mk_backend =
+let create ?(hedge_reads = true) ?next_key ~ring ~svc_config mk_backend =
   let shards =
     Array.init (Hash_ring.shards ring) (fun i ->
         let backend = mk_backend i in
@@ -126,6 +133,7 @@ let create ?(hedge_reads = true) ~ring ~svc_config mk_backend =
   {
     ring;
     shards;
+    next_key;
     names = Array.init (Array.length shards) (Printf.sprintf "shard%d");
     clock = Svc.clock shards.(0).svc;
     hedge_reads;
@@ -375,24 +383,49 @@ let call_many t ?(ctx = Span.nil) ?deadline ?queue_depth reqs =
           unmark_all t reqs;
           raise e)
 
+(* Some key of [slot] in [[lo, hi]] with an operation in flight. *)
+let inflight_in_locked t ~slot ~lo ~hi =
+  Inflight.fold
+    (fun k _ found ->
+      if found = None && lo <= k && k <= hi && Hash_ring.slot_of t.ring k = slot
+      then Some k
+      else found)
+    t.inflight None
+
+let cursor t label =
+  match t.next_key with
+  | Some f -> f
+  | None ->
+      invalid_arg
+        (Printf.sprintf "Router.%s: no successor query (Router.create ?next_key)"
+           label)
+
 (* The migration engine behind [rebalance] and [promote]: set up (or
-   resume) the watermark record, walk the keyspace with a per-key
-   inflight drain, move each key via [copy_key] (called with the mutex
-   held and the key's inflight count zero; returns whether a key
-   moved), flip ownership at the end.  A copy that keeps failing after
-   bounded retries *aborts* the migration: a terminal journal line is
-   written and the record is kept with [m_aborted] set — the watermark
-   keeps routing correct, so no key is ever owned by a shard that no
-   longer holds it — and a retry with the same slot and target resumes
-   the scan from the watermark (keys below it already moved; the copy
-   is idempotent, so re-running the boundary key is a no-op). *)
-let migrate t ~label ~slot ~to_ ~key_range ~copy_key =
+   resume) the watermark record, then walk the source's keys in
+   ascending order from the watermark.  Each step runs under the mutex:
+   read the next key [k] with [next_key] (the source's cursor), drain
+   every in-flight key of the slot in [[watermark, k]] (re-reading the
+   cursor after a wait, since a drained insert may have added a smaller
+   key), move [k] via [copy_key] if it belongs to the slot (returns
+   whether a key moved) and set the watermark to [k + 1].  A key of
+   another slot still advances the watermark, which routes only the
+   slot's keys, so each critical section holds one cursor read.  When
+   the cursor runs out, or [k] is [max_int] ([k + 1] would wrap), the
+   ownership flip passes every key >= the watermark, so it drains those
+   and flips in the same critical section.  A cursor read or copy that
+   keeps failing after bounded retries *aborts* the migration: a
+   terminal journal line is written and the record is kept with
+   [m_aborted] set — the watermark keeps routing correct, so no key is
+   ever owned by a shard that no longer holds it — and a retry with the
+   same slot and target resumes the walk from the watermark (keys below
+   it already moved; the copy is idempotent, so re-running the boundary
+   key is a no-op). *)
+let migrate t ~label ~slot ~to_ ~next_key ~copy_key =
   let n = Array.length t.shards in
   if slot < 0 || slot >= Hash_ring.shards t.ring then
     invalid_arg (Printf.sprintf "Router.%s: bad slot" label);
   if to_ < 0 || to_ >= n then
     invalid_arg (Printf.sprintf "Router.%s: bad shard" label);
-  if key_range < 0 then invalid_arg (Printf.sprintf "Router.%s: bad key_range" label);
   Mutex.lock t.mu;
   let m =
     match t.migration with
@@ -443,49 +476,63 @@ let migrate t ~label ~slot ~to_ ~key_range ~copy_key =
           Span.end_ rctx ~now:(Lf_svc.Clock.now t.clock) ~ok:!ok)
       @@ fun () ->
       let moved = ref 0 in
-      for k = max 0 m.m_watermark to key_range - 1 do
-        if Hash_ring.slot_of t.ring k = slot then begin
-          Mutex.lock t.mu;
-          if Inflight.mem t.inflight k then begin
-            t.drained_keys <- t.drained_keys + 1;
-            let dspan =
-              Span.begin_ rctx ~name:"drain" ~now:(Lf_svc.Clock.now t.clock)
-            in
-            if Span.active dspan then
-              Span.event dspan
-                ~now:(Lf_svc.Clock.now t.clock)
-                (Span.Drain_wait k);
-            while Inflight.mem t.inflight k do
-              Condition.wait t.drained t.mu
-            done;
-            Span.end_ dspan ~now:(Lf_svc.Clock.now t.clock) ~ok:true
-          end;
-          (* Inflight is zero and the mutex is held: no operation on [k]
-             can start or be running, so copy-then-advance is atomic for
-             this key.  Bounded retries absorb transient backend faults;
-             the copy converges because re-running it is idempotent
-             (insert of a present key is a no-op). *)
-          let rec copy attempts =
-            try if copy_key k then incr moved
-            with e ->
-              if attempts >= 3 then begin
-                m.m_aborted <- true;
-                t.aborts <- t.aborts + 1;
-                note ~now:(Lf_svc.Clock.now t.clock)
-                  "%s slot=%d shard %d -> %d abort moved=%d watermark=%d"
-                  label slot from to_ !moved m.m_watermark;
-                Condition.broadcast t.drained;
-                Mutex.unlock t.mu;
-                raise e
-              end
-              else copy (attempts + 1)
-          in
-          copy 0;
-          m.m_watermark <- k + 1;
-          Mutex.unlock t.mu
-        end
-      done;
+      (* Bounded retries absorb transient backend faults; both calls
+         converge because re-running them is idempotent (insert of a
+         present key is a no-op). *)
+      let rec retrying attempts f =
+        try f ()
+        with e ->
+          if attempts >= 3 then begin
+            m.m_aborted <- true;
+            t.aborts <- t.aborts + 1;
+            note ~now:(Lf_svc.Clock.now t.clock)
+              "%s slot=%d shard %d -> %d abort moved=%d watermark=%d" label
+              slot from to_ !moved m.m_watermark;
+            Condition.broadcast t.drained;
+            Mutex.unlock t.mu;
+            raise e
+          end
+          else retrying (attempts + 1) f
+      in
+      let drain k =
+        t.drained_keys <- t.drained_keys + 1;
+        let dspan =
+          Span.begin_ rctx ~name:"drain" ~now:(Lf_svc.Clock.now t.clock)
+        in
+        if Span.active dspan then
+          Span.event dspan ~now:(Lf_svc.Clock.now t.clock) (Span.Drain_wait k);
+        while Inflight.mem t.inflight k do
+          Condition.wait t.drained t.mu
+        done;
+        Span.end_ dspan ~now:(Lf_svc.Clock.now t.clock) ~ok:true
+      in
+      (* Called and returns with the mutex held. *)
+      let rec walk () =
+        let w = m.m_watermark in
+        let next = retrying 0 (fun () -> next_key w) in
+        let hi = Option.value next ~default:max_int in
+        match inflight_in_locked t ~slot ~lo:w ~hi with
+        | Some k ->
+            drain k;
+            walk ()
+        | None -> (
+            (* No operation on a key of the slot in [[w, hi]] is running
+               or can start: the cursor's answer stands, and
+               copy-then-advance is atomic for the whole range. *)
+            match next with
+            | None -> ()
+            | Some k ->
+                if Hash_ring.slot_of t.ring k = slot then
+                  retrying 0 (fun () -> if copy_key k then incr moved);
+                if k < max_int then begin
+                  m.m_watermark <- k + 1;
+                  Mutex.unlock t.mu;
+                  Mutex.lock t.mu;
+                  walk ()
+                end)
+      in
       Mutex.lock t.mu;
+      walk ();
       t.ring <- Hash_ring.reassign t.ring ~slot ~to_;
       t.migration <- None;
       t.migrated <- t.migrated + !moved;
@@ -497,15 +544,15 @@ let migrate t ~label ~slot ~to_ ~key_range ~copy_key =
       ok := true;
       !moved
 
-let rebalance t ~slot ~to_ ~key_range =
+(* [from] is fixed for the migration's lifetime; reading the owner per
+   key would chase the post-flip assignment. *)
+let source t =
+  match t.migration with Some m -> m.m_from | None -> assert false
+
+let rebalance t ~slot ~to_ =
+  let next_key = cursor t "rebalance" in
   let copy_key k =
-    (* [from] is fixed for the migration's lifetime; reading the owner
-       per key would chase the post-flip assignment. *)
-    let src =
-      match t.migration with
-      | Some m -> t.shards.(m.m_from).backend
-      | None -> assert false
-    in
+    let src = t.shards.(source t).backend in
     let dst = t.shards.(to_).backend in
     match src.find k with
     | None -> false
@@ -514,16 +561,22 @@ let rebalance t ~slot ~to_ ~key_range =
         ignore (src.delete k);
         true
   in
-  migrate t ~label:"rebalance" ~slot ~to_ ~key_range ~copy_key
+  migrate t ~label:"rebalance" ~slot ~to_
+    ~next_key:(fun k -> next_key (source t) k)
+    ~copy_key
 
 (* Promote a slot's replica: make the copy authoritative on its host
-   shard.  Unlike [rebalance], the source of truth is the replica store
-   when the primary is dead — the primary is still consulted first,
-   per key, because an alive-but-sick primary may hold writes newer
-   than the drained journal; only when it throws does the copy answer.
-   The source delete is best-effort (a dead primary cannot honour it;
-   whatever it still holds is unreachable once ownership flips). *)
-let promote t ~slot ~key_range =
+   shard.  Unlike [rebalance], the source of truth is the replica copy
+   when the primary is dead — the primary is still consulted first, for
+   each cursor read and each value, because an alive-but-sick primary
+   may hold writes newer than the drained journal; only when it throws
+   does the copy answer, after applying what the journal gained since
+   the barrier (every acknowledged write to a key that is not in flight
+   is journaled).  The source delete is best-effort (a dead primary
+   cannot honour it; whatever it still holds is unreachable once
+   ownership flips). *)
+let promote t ~slot =
+  let next_key = cursor t "promote" in
   match t.replicas with
   | None -> invalid_arg "Router.promote: no replicas attached"
   | Some reps -> (
@@ -533,26 +586,35 @@ let promote t ~slot ~key_range =
           (* Promotion barrier: the copy reflects every recorded write
              before any of it becomes authoritative. *)
           ignore (Replica.drain reps ~slot);
+          let primary_else_copy primary copy =
+            match primary () with
+            | v -> v
+            | exception _ ->
+                ignore (Replica.drain reps ~slot);
+                copy ()
+          in
           let copy_key k =
-            let src =
-              match t.migration with
-              | Some m -> t.shards.(m.m_from).backend
-              | None -> assert false
-            in
+            let src = t.shards.(source t).backend in
             let dst = t.shards.(to_).backend in
-            let v =
-              match src.find k with
-              | v -> v
-              | exception _ -> Replica.peek reps ~slot ~key:k
-            in
-            match v with
+            match
+              primary_else_copy
+                (fun () -> src.find k)
+                (fun () -> Replica.peek reps ~slot ~key:k)
+            with
             | None -> false
             | Some v ->
                 ignore (dst.insert k v);
                 (try ignore (src.delete k) with _ -> ());
                 true
           in
-          let moved = migrate t ~label:"promote" ~slot ~to_ ~key_range ~copy_key in
+          let moved =
+            migrate t ~label:"promote" ~slot ~to_
+              ~next_key:(fun k ->
+                primary_else_copy
+                  (fun () -> next_key (source t) k)
+                  (fun () -> Replica.next_key reps ~slot k))
+              ~copy_key
+          in
           Replica.remove_slot reps ~slot;
           Mutex.lock t.mu;
           t.promotions <- t.promotions + 1;

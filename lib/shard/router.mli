@@ -16,11 +16,13 @@
       returns per-key outcomes in input order — a shard that sheds or
       trips yields per-key rejections, never one collapsed error and
       never a silently dropped key.
-    - {!rebalance} migrates one slot's keyspace to another shard under
+    - {!rebalance} migrates one slot's keys to another shard under
       load without violating per-key linearizability: a watermark
-      splits routing during the handoff, and each key is copied only
-      while no operation on that key is in flight (per-key inflight
-      accounting under the router mutex).
+      splits routing during the handoff, the walk visits the keys the
+      source actually holds (its successor query), and the watermark
+      passes a range of the slot only while no operation on a key of
+      that range is in flight (per-key inflight accounting under the
+      router mutex).
 
     The router itself holds no dictionary state: shards arrive as
     backend closures, so any [DICT] over any [Mem.S] works, and
@@ -40,6 +42,7 @@ type t
 
 val create :
   ?hedge_reads:bool ->
+  ?next_key:(int -> int -> int option) ->
   ring:Hash_ring.t ->
   svc_config:(int -> Svc.config) ->
   (int -> backend) ->
@@ -47,7 +50,16 @@ val create :
 (** [create ~ring ~svc_config mk_backend] builds one shard per ring
     slot: shard [i] wraps [mk_backend i] in a pipeline configured by
     [svc_config i].  [hedge_reads] (default [true]) enables the
-    failover read path. *)
+    failover read path.
+
+    [next_key shard k] is the smallest key [>= k] that shard [shard]'s
+    backend holds ([None] past its last key).  It runs under the router
+    mutex, concurrently with operations on other keys, and raises the
+    way the shard's backend does when the shard is down.  It is what
+    {!rebalance} and {!promote} walk, and each backend has exactly one
+    correct answer (for the paper's structures, SEARCHFROM's
+    [find_ge]).  A router built without it serves every call but
+    cannot migrate. *)
 
 val attach_replicas : t -> Replica.t -> unit
 (** Wire a replica set into the router: successful writes to
@@ -99,44 +111,52 @@ val in_flight : t -> int
 (** Keys with at least one operation in flight (read-only; 0 whenever
     no {!call} or {!call_many} is running). *)
 
-val rebalance : t -> slot:int -> to_:int -> key_range:int -> int
-(** [rebalance t ~slot ~to_ ~key_range] hands [slot]'s keyspace to
-    shard [to_], migrating every key in [[0, key_range)] that hashes to
-    the slot.  Keys are copied one at a time under the router mutex,
-    each only once its in-flight count drains, and the watermark routes
-    every key to exactly one owner at every instant — operations racing
-    the handoff stay linearizable per key.  Copies run on the caller's
-    lane through the raw backends (control plane: they bypass the
-    pipelines, so a tripped breaker cannot strand keys).  Returns the
-    number of keys moved.  When tracing is on, the migration runs under
+val rebalance : t -> slot:int -> to_:int -> int
+(** [rebalance t ~slot ~to_] hands [slot]'s keys to shard [to_]: it
+    walks the keys the source holds, in ascending order from the
+    watermark, with the source's [next_key].  Each step runs under the
+    router mutex: it drains every in-flight key of the slot between the
+    watermark and the next key, re-reads the cursor, copies that key if
+    it belongs to the slot and sets the watermark past it.  The final
+    ownership flip drains the keys above the watermark the same way.
+    So the watermark routes every key to exactly one owner at every
+    instant and never passes a key with an operation in flight —
+    operations racing the handoff stay linearizable per key, and every
+    key present on the source moves, [min_int] and [max_int] included.
+    A heal takes one step per key the source holds.  Copies run on the
+    caller's lane through the raw backends (control plane: they bypass
+    the pipelines, so a tripped breaker cannot strand keys).  Returns
+    the number of keys moved.  When tracing is on, the migration runs under
     its own [rebalance] root span with a [drain] child span (carrying
-    the key) for every key that had to wait for in-flight operations.
+    the key) for every in-flight key it had to wait for.
 
-    A copy that keeps failing (four attempts) {e aborts} the migration:
-    the exception propagates, a terminal [abort] line lands in the
-    journal (so stuck is distinguishable from done), and the watermark
-    record is {e kept} — keys below it already live on [to_] and stay
-    routed there.  Calling [rebalance] (or [promote]) again with the
-    same [slot] and target resumes the scan from the watermark; a
-    different slot or target while the aborted record stands is an
-    error.
-    @raise Invalid_argument if a migration is already running (and not
-    resumable by these arguments), or on out-of-range arguments. *)
+    A cursor read or copy that keeps failing (four attempts) {e aborts}
+    the migration: the exception propagates, a terminal [abort] line
+    lands in the journal (so stuck is distinguishable from done), and
+    the watermark record is {e kept} — keys below it already live on
+    [to_] and stay routed there.  Calling [rebalance] (or [promote])
+    again with the same [slot] and target resumes the walk from the
+    watermark; a different slot or target while the aborted record
+    stands is an error.
+    @raise Invalid_argument without [next_key] (see {!create}), if a
+    migration is already running (and not resumable by these
+    arguments), or on out-of-range arguments. *)
 
-val promote : t -> slot:int -> key_range:int -> int
-(** [promote t ~slot ~key_range] makes [slot]'s replica authoritative
-    on its host shard: drains the replica's apply journal (the
-    promotion barrier), then migrates the slot to the host with the
-    same watermark/drain machinery as {!rebalance} — except the value
-    copied comes from the primary when it still answers (an
-    alive-but-sick primary is fresher than any replica) and from the
-    replica copy when the primary throws, and the source delete is
+val promote : t -> slot:int -> int
+(** [promote t ~slot] makes [slot]'s replica authoritative on its host
+    shard: drains the replica's apply journal (the promotion barrier),
+    then migrates the slot to the host with the same walk as
+    {!rebalance} — except that the cursor and the values come from the
+    primary while it answers (an alive-but-sick primary is fresher than
+    any replica) and from the replica's copy ({!Replica.next_key},
+    {!Replica.peek}) once it throws, and the source delete is
     best-effort (a dead primary cannot honour it).  On completion the
     slot's replica is retired.  Returns keys moved.  This is how the
     supervisor evacuates a {e dead} shard, which [rebalance] alone
-    cannot (its copy would need the corpse to answer reads).
-    @raise Invalid_argument without replicas, if the slot is not
-    replicated, or if a non-resumable migration is running. *)
+    cannot (its walk would need the corpse to answer).
+    @raise Invalid_argument without [next_key], without replicas, if
+    the slot is not replicated, or if a non-resumable migration is
+    running. *)
 
 val stats : t -> Svc.stats array
 (** Per-shard pipeline stats, index = shard id. *)

@@ -46,16 +46,14 @@ type config = {
          poll exceeds this percentage — a shard can be drowning in
          sheds with its breaker still closed *)
   apply_budget : int;  (* replica journal entries applied per tick *)
-  key_range : int;  (* keyspace bound scanned by migrations *)
 }
 
 let config ?(poll_every = 1) ?(sick_after = 3) ?(healthy_after = 2)
     ?(move_budget = 1) ?(backoff_base = 4) ?(backoff_max = 64)
-    ?(shed_sick_pct = 50) ?(apply_budget = 256) ~clock ~key_range () =
+    ?(shed_sick_pct = 50) ?(apply_budget = 256) ~clock () =
   if poll_every < 1 then invalid_arg "Supervisor.config: poll_every < 1";
   if sick_after < 1 then invalid_arg "Supervisor.config: sick_after < 1";
   if move_budget < 1 then invalid_arg "Supervisor.config: move_budget < 1";
-  if key_range < 0 then invalid_arg "Supervisor.config: key_range < 0";
   {
     clock;
     poll_every;
@@ -66,7 +64,6 @@ let config ?(poll_every = 1) ?(sick_after = 3) ?(healthy_after = 2)
     backoff_max;
     shed_sick_pct;
     apply_budget;
-    key_range;
   }
 
 type shard_state = {
@@ -300,13 +297,9 @@ let execute t router (a : action) =
   let ok, moved =
     match a.a_via with
     | Promote -> (
-        try (true, Router.promote router ~slot:a.a_slot ~key_range:t.cfg.key_range)
-        with _ -> (false, 0))
+        try (true, Router.promote router ~slot:a.a_slot) with _ -> (false, 0))
     | Copy -> (
-        try
-          ( true,
-            Router.rebalance router ~slot:a.a_slot ~to_:a.a_to
-              ~key_range:t.cfg.key_range )
+        try (true, Router.rebalance router ~slot:a.a_slot ~to_:a.a_to)
         with _ -> (false, 0))
   in
   let now = Clock.now t.cfg.clock in

@@ -53,14 +53,15 @@ val config :
   ?shed_sick_pct:int ->
   ?apply_budget:int ->
   clock:Lf_svc.Clock.t ->
-  key_range:int ->
   unit ->
   config
 (** Defaults: poll every tick, sick after 3 polls, targets healthy
     after 2, one move per poll, backoff 4 doubling to 64 ticks, a poll
     also counts sick above 50% rejected, 256 replica journal entries
-    applied per tick.  [key_range] bounds the keyspace scanned by
-    migrations (same contract as {!Router.rebalance}).
+    applied per tick.  There is no key bound: a heal walks the keys the
+    source shard holds ({!Router.rebalance}), so the router it drives
+    must have been created with [~next_key] (a heal without one fails
+    and backs off like any failed migration).
     @raise Invalid_argument on non-positive pacing parameters. *)
 
 type t
@@ -91,7 +92,8 @@ val report : t -> now:int -> action -> ok:bool -> moved:int -> unit
     exponentially. *)
 
 val execute : t -> Router.t -> action -> bool
-(** Actuate one action ([promote]/[rebalance]), catching migration
+(** Actuate one action ({!Router.promote}/{!Router.rebalance}, which
+    move every key of the slot the source holds), catching migration
     failures into a [report ~ok:false], queueing begin/end events.
     Returns whether the migration completed. *)
 

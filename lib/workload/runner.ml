@@ -378,19 +378,6 @@ type open_loop_report = {
   o_by_class : class_counts array;
 }
 
-let pp_open_loop_report ppf r =
-  Format.fprintf ppf
-    "@[<v>open-loop: offered %d in %.3fs, handled %d@,\
-    \  served %d (%d ok, %.0f/s goodput), rejected %d, failed %d, leftover %d@,\
-    \  latency p50 %.2fms p99 %.2fms max %.2fms@]"
-    r.o_offered r.o_elapsed_s r.o_handled r.o_served r.o_served_ok r.o_goodput
-    r.o_rejected r.o_failed r.o_leftover
-    (if Lf_obs.Hist.count r.o_latency = 0 then 0.
-     else Lf_obs.Hist.percentile r.o_latency 0.5 /. 1e6)
-    (if Lf_obs.Hist.count r.o_latency = 0 then 0.
-     else Lf_obs.Hist.percentile r.o_latency 0.99 /. 1e6)
-    (float_of_int (Lf_obs.Hist.max_value r.o_latency) /. 1e6)
-
 let run_open_loop ?(workers = 2) ?keygen ?(classes = 0) ?class_of ~rate
     ~window_s ~key_range ~(mix : Opgen.mix) ~seed ~serve () :
     open_loop_report =

@@ -177,8 +177,6 @@ type open_loop_report = {
       (** index = class id; [[||]] unless [classes] was given *)
 }
 
-val pp_open_loop_report : Format.formatter -> open_loop_report -> unit
-
 val run_open_loop :
   ?workers:int ->
   ?keygen:Keygen.t ->

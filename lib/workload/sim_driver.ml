@@ -114,30 +114,6 @@ type sim_chaos_report = {
   sc_injected : int;  (* faults injected, from the caller's sampler *)
 }
 
-let pp_sim_chaos_report ppf r =
-  Format.fprintf ppf "@[<v>sim-chaos: %d procs, %d steps@," r.sc_procs
-    r.sc_steps;
-  Format.fprintf ppf "  ops/proc: %a@,"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-       Format.pp_print_int)
-    (Array.to_list r.sc_completed);
-  if r.sc_crashed <> [] then
-    Format.fprintf ppf "  crashed pids: %a@,"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf " ")
-         Format.pp_print_int)
-      r.sc_crashed;
-  List.iter
-    (fun (pid, steps) ->
-      Format.fprintf ppf
-        "  STARVED pid %d: %d steps in one operation > %d budget@," pid steps
-        r.sc_step_budget)
-    r.sc_starved;
-  Format.fprintf ppf "  watchdog %s; helps %d; injected faults %d@]"
-    (if r.sc_watchdog_tripped then "TRIPPED" else "quiet")
-    r.sc_helps r.sc_injected
-
 (* The watchdog counts each process's shared-memory steps within its
    current operation; a process exceeding [step_budget] is parked with
    [Sim.crash] and reported, so a non-lock-free structure (e.g. the

@@ -69,8 +69,6 @@ type sim_chaos_report = {
   sc_injected : int;  (** injected-fault delta from the caller's sampler *)
 }
 
-val pp_sim_chaos_report : Format.formatter -> sim_chaos_report -> unit
-
 val run_chaos_sim :
   ?policy:Lf_dsim.Sim.policy ->
   ?initial_size:int ->

@@ -80,6 +80,16 @@ let words_during f =
 
 (* A scripted sequence of dictionary operations, the common random input of
    the oracle tests: (op tag, key) pairs over a small key space. *)
+(* The smallest key >= [k] in a table: the successor query that
+   table-backed shards give [Router.create ~next_key]. *)
+let next_in_table h k =
+  Hashtbl.fold
+    (fun j _ best ->
+      match best with
+      | Some b when b <= j -> best
+      | _ -> if j >= k then Some j else best)
+    h None
+
 let ops_gen ~key_range ~len =
   QCheck2.Gen.(
     list_size (int_bound len)

@@ -139,16 +139,22 @@ let table_backend () =
   in
   (tb, b)
 
+(* A table's successor query fails with its shard, like its reads. *)
+let table_next_key tbs i k =
+  if !(tbs.(i).killed) then failwith "backend down";
+  Support.next_in_table tbs.(i).h k
+
 let plain_router ?hedge_reads ~shards ~seed () =
   let clock, _ = Clock.manual () in
   let ring = Hash_ring.create ~seed ~shards () in
-  let tbs = Array.init shards (fun _ -> table_backend ()) in
+  let pairs = Array.init shards (fun _ -> table_backend ()) in
+  let tbs = Array.map fst pairs in
   let router =
-    Router.create ?hedge_reads ~ring
+    Router.create ?hedge_reads ~ring ~next_key:(table_next_key tbs)
       ~svc_config:(fun _ -> Svc.config ~clock ~retryable:(fun _ -> false) ())
-      (fun i -> snd tbs.(i))
+      (fun i -> snd pairs.(i))
   in
-  (router, ring, Array.map fst tbs)
+  (router, ring, tbs)
 
 let test_routing_hits_owner =
   Support.qcheck ~count:100 "router: every call lands on the owning shard only"
@@ -471,18 +477,27 @@ let test_hedge_off_and_dead_backend () =
 
 (* --- Rebalance: conservation oracle ---------------------------------- *)
 
-let key_range_c = 64
+(* Keys from the whole int range: its two ends, the neighbours of 0, and
+   eleven random ints.  Scripts name a key by its index in the pool. *)
+let pool_size = 16
+
+let pool_gen =
+  QCheck2.Gen.(
+    map
+      (fun ks -> Array.of_list ([ min_int; -1; 0; 1; max_int ] @ ks))
+      (list_size (return (pool_size - 5)) int))
 
 let test_rebalance_conservation =
   Support.qcheck ~count:150 "rebalance: every key owned by exactly one shard"
     QCheck2.Gen.(
-      quad (0 -- 1000) (0 -- 2) (0 -- 2)
-        (list_size (0 -- 80) (pair (int_bound 2) (int_bound (key_range_c - 1)))))
-    (fun (seed, slot, to_, script) ->
+      quad (pair (0 -- 1000) pool_gen) (0 -- 2) (0 -- 2)
+        (list_size (0 -- 80) (pair (int_bound 2) (int_bound (pool_size - 1)))))
+    (fun ((seed, pool), slot, to_, script) ->
       let router, ring, tbs = plain_router ~shards:3 ~seed () in
       (* Random mutations through the router. *)
       List.iter
-        (fun (tag, k) ->
+        (fun (tag, i) ->
+          let k = pool.(i) in
           ignore
             (Router.call router
                (match tag with
@@ -490,15 +505,16 @@ let test_rebalance_conservation =
                | 1 -> Svc.Delete k
                | _ -> Svc.Find k)))
         script;
+      let keys = List.sort_uniq Int.compare (Array.to_list pool) in
       let present_in_slot =
         List.length
           (List.filter
              (fun k ->
                Hash_ring.slot_of ring k = slot
                && Hashtbl.mem tbs.(Hash_ring.owner ring slot).h k)
-             (List.init key_range_c Fun.id))
+             keys)
       in
-      let moved = Router.rebalance router ~slot ~to_ ~key_range:key_range_c in
+      let moved = Router.rebalance router ~slot ~to_ in
       let expected_moved = if Hash_ring.owner ring slot = to_ then 0 else present_in_slot in
       (* Conservation: each key present in at most one backend, and that
          backend is the router's current owner. *)
@@ -512,7 +528,7 @@ let test_rebalance_conservation =
             | [] -> true
             | [ i ] -> i = Router.route router k
             | _ -> false)
-          (List.init key_range_c Fun.id)
+          keys
       in
       moved = expected_moved && conserved
       && Router.migrated_keys router = moved)
@@ -614,16 +630,22 @@ let test_chaos_shard_targeted_stall () =
    dictionary, so each key's projected history must linearize against
    its prefill state — across the copy and the ownership flip. *)
 let test_linearizable_across_rebalance () =
-  let key_range = 6 and shards = 2 in
+  let shards = 2 in
   let clock = Clock.real () in
   let ring = Hash_ring.create ~seed:21 ~shards () in
   let lists = Array.init shards (fun _ -> Lf_list.Fr_list.Atomic_int.create ()) in
   let module AI = Lf_list.Fr_list.Atomic_int in
-  (* Even keys start present, on their owning shard. *)
-  for k = 0 to key_range - 1 do
-    if k land 1 = 0 then
-      ignore (AI.insert lists.(Hash_ring.shard_of ring k) k k)
-  done;
+  (* Keys from the whole int range; the even-indexed ones start present,
+     on their owning shard. *)
+  let pool =
+    let rng = Lf_kernel.Splitmix.create 5 in
+    Array.append [| min_int; -1; 0; 1; max_int |]
+      (Array.init 3 (fun _ -> Lf_kernel.Splitmix.bits rng lsl 1))
+  in
+  Array.iteri
+    (fun i k ->
+      if i land 1 = 0 then ignore (AI.insert lists.(Hash_ring.shard_of ring k) k k))
+    pool;
   let backend i =
     let t = lists.(i) in
     {
@@ -634,7 +656,10 @@ let test_linearizable_across_rebalance () =
     }
   in
   let router =
-    Router.create ~ring ~svc_config:(fun _ -> Svc.config ~clock ()) backend
+    Router.create ~ring
+      ~next_key:(fun i k -> Option.map fst (AI.find_ge lists.(i) k))
+      ~svc_config:(fun _ -> Svc.config ~clock ())
+      backend
   in
   let rec_ = History.Recorder.create () in
   let worker pid =
@@ -642,7 +667,7 @@ let test_linearizable_across_rebalance () =
         let rng = Lf_kernel.Splitmix.create (100 + pid) in
         let entries = ref [] in
         for _ = 1 to 40 do
-          let k = Lf_kernel.Splitmix.int rng key_range in
+          let k = pool.(Lf_kernel.Splitmix.int rng (Array.length pool)) in
           let op, req =
             match Lf_kernel.Splitmix.int rng 3 with
             | 0 -> (History.Insert k, Svc.Insert (k, k))
@@ -665,7 +690,7 @@ let test_linearizable_across_rebalance () =
   let d0 = worker 0 and d1 = worker 1 in
   (* Hand slot 0 over while the workers run. *)
   Unix.sleepf 0.002;
-  let moved = Router.rebalance router ~slot:0 ~to_:1 ~key_range in
+  let moved = Router.rebalance router ~slot:0 ~to_:1 in
   Domain.join d0;
   Domain.join d1;
   Alcotest.(check bool) "rebalance ran" true (moved >= 0);
@@ -674,42 +699,43 @@ let test_linearizable_across_rebalance () =
   let key_of_op = function
     | History.Find k | History.Insert k | History.Delete k -> k
   in
-  for k = 0 to key_range - 1 do
-    let proj = List.filter (fun (e : History.entry) -> key_of_op e.op = k) hist in
-    let init =
-      if k land 1 = 0 then Lf_lin.Checker.IntSet.singleton k
-      else Lf_lin.Checker.IntSet.empty
-    in
-    if not (Lf_workload.Runner.linearizable_with_pending ~init proj []) then
-      Alcotest.failf "key %d: projected history not linearizable:@\n%a" k
-        History.pp proj
-  done;
+  Array.iteri
+    (fun i k ->
+      let proj =
+        List.filter (fun (e : History.entry) -> key_of_op e.op = k) hist
+      in
+      let init =
+        if i land 1 = 0 then Lf_lin.Checker.IntSet.singleton k
+        else Lf_lin.Checker.IntSet.empty
+      in
+      if not (Lf_workload.Runner.linearizable_with_pending ~init proj []) then
+        Alcotest.failf "key %d: projected history not linearizable:@\n%a" k
+          History.pp proj)
+    pool;
   (* And the handoff conserved the keyspace. *)
-  for k = 0 to key_range - 1 do
-    let where =
-      List.filter (fun i -> AI.mem lists.(i) k) (List.init shards Fun.id)
-    in
-    match where with
-    | [] -> ()
-    | [ i ] ->
-        Alcotest.(check int)
-          (Printf.sprintf "key %d at its owner" k)
-          (Router.route router k) i
-    | _ -> Alcotest.failf "key %d present on several shards" k
-  done
+  Array.iter
+    (fun k ->
+      let where =
+        List.filter (fun i -> AI.mem lists.(i) k) (List.init shards Fun.id)
+      in
+      match where with
+      | [] -> ()
+      | [ i ] ->
+          Alcotest.(check int)
+            (Printf.sprintf "key %d at its owner" k)
+            (Router.route router k) i
+      | _ -> Alcotest.failf "key %d present on several shards" k)
+    pool
 
 (* --- Abort journal + resume: stuck is distinguishable from done ------- *)
 
 let test_abort_and_resume () =
-  let key_range = 64 in
   let router, ring, tbs = plain_router ~shards:3 ~seed:5 () in
   let slot = 0 in
   let from = Hash_ring.owner ring slot in
   let to_ = (from + 1) mod 3 and other = (from + 2) mod 3 in
   let keys =
-    List.filter
-      (fun k -> Hash_ring.slot_of ring k = slot)
-      (List.init key_range Fun.id)
+    List.filter (fun k -> Hash_ring.slot_of ring k = slot) (List.init 64 Fun.id)
   in
   Alcotest.(check bool) "slot has keys to move" true (List.length keys >= 2);
   List.iter
@@ -722,7 +748,7 @@ let test_abort_and_resume () =
   (* Destination writes dead: the first key's copy exhausts its bounded
      retries and the migration aborts. *)
   tbs.(to_).w_killed := true;
-  (match Router.rebalance router ~slot ~to_ ~key_range with
+  (match Router.rebalance router ~slot ~to_ with
   | moved -> Alcotest.failf "abort expected, migration completed (%d)" moved
   | exception Failure _ -> ());
   Alcotest.(check int) "abort counted" 1 (Router.aborts router);
@@ -752,16 +778,16 @@ let test_abort_and_resume () =
     keys;
   (* Only the same slot+target resumes; anything else is refused while
      the aborted record stands. *)
-  (match Router.rebalance router ~slot ~to_:other ~key_range with
+  (match Router.rebalance router ~slot ~to_:other with
   | _ -> Alcotest.fail "different target must not resume"
   | exception Invalid_argument _ -> ());
-  (match Router.rebalance router ~slot:1 ~to_ ~key_range with
+  (match Router.rebalance router ~slot:1 ~to_ with
   | _ -> Alcotest.fail "different slot must not resume"
   | exception Invalid_argument _ -> ());
   (* Heal the destination; the retry resumes from the watermark and
      completes. *)
   tbs.(to_).w_killed := false;
-  let moved = Router.rebalance router ~slot ~to_ ~key_range in
+  let moved = Router.rebalance router ~slot ~to_ in
   Alcotest.(check int) "resume moved every key" (List.length keys) moved;
   Alcotest.(check bool) "migration record cleared" true
     (Router.migration_status router = None);
@@ -813,22 +839,10 @@ let test_monitor_no_double_fire () =
 
 (* --- Replica: journal, budgeted apply, lag --------------------------- *)
 
-let tbl_store () =
-  let h = Hashtbl.create 16 in
-  ( h,
-    {
-      Replica.r_insert = (fun k v -> Hashtbl.replace h k v; true);
-      r_delete =
-        (fun k ->
-          if Hashtbl.mem h k then (Hashtbl.remove h k; true) else false);
-      r_find = (fun k -> Hashtbl.find_opt h k);
-    } )
-
 let test_replica_journal_and_lag () =
   let reps = Replica.create () in
-  let _h, store = tbl_store () in
-  Replica.add_slot reps ~slot:2 ~on:1 ~store;
-  (match Replica.add_slot reps ~slot:2 ~on:0 ~store with
+  Replica.add_slot reps ~slot:2 ~on:1;
+  (match Replica.add_slot reps ~slot:2 ~on:0 with
   | () -> Alcotest.fail "duplicate slot accepted"
   | exception Invalid_argument _ -> ());
   Alcotest.(check (option int)) "host" (Some 1) (Replica.host reps ~slot:2);
@@ -873,6 +887,21 @@ let test_replica_journal_and_lag () =
       Alcotest.(check int) "applied" 2 st.Replica.s_applied;
       Alcotest.(check int) "nothing pending" 0 st.Replica.s_pending
   | _ -> Alcotest.fail "stats after drain");
+  (* A Put applies the way the dictionaries' insert does: a present key
+     keeps its value. *)
+  Replica.record reps ~slot:2 ~now:21 (Replica.Put (5, 51));
+  Replica.record reps ~slot:2 ~now:21 (Replica.Put (min_int, 1));
+  Replica.record reps ~slot:2 ~now:21 (Replica.Put (max_int, 2));
+  ignore (Replica.drain reps ~slot:2);
+  Alcotest.(check (option int)) "present key keeps its value" (Some 50)
+    (Replica.peek reps ~slot:2 ~key:5);
+  (* The copy is ordered: its successor query covers the whole range. *)
+  Alcotest.(check (list (option int))) "next_key"
+    [ Some min_int; Some 5; Some 5; Some max_int; Some max_int; None ]
+    (List.map
+       (fun k -> Replica.next_key reps ~slot:2 k)
+       [ min_int; min_int + 1; 5; 6; max_int ]
+    @ [ Replica.next_key reps ~slot:7 0 ]);
   Replica.remove_slot reps ~slot:2;
   Alcotest.(check bool) "retired" false (Replica.replicated reps ~slot:2)
 
@@ -887,8 +916,7 @@ let test_replica_failover_stale_tagged () =
   let k = shard_key ring 0 in
   let slot = Hash_ring.slot_of ring k in
   let reps = Replica.create () in
-  let _h, store = tbl_store () in
-  Replica.add_slot reps ~slot ~on:1 ~store;
+  Replica.add_slot reps ~slot ~on:1;
   Router.attach_replicas router reps;
   Alcotest.check outcome "write served" (Svc.Served true)
     (Router.call router (Svc.Insert (k, 41)));
@@ -939,7 +967,7 @@ let test_supervisor_hysteresis_and_backoff () =
   let clock, _ = Clock.manual () in
   let cfg =
     Supervisor.config ~poll_every:1 ~sick_after:3 ~healthy_after:2
-      ~backoff_base:4 ~backoff_max:8 ~clock ~key_range:16 ()
+      ~backoff_base:4 ~backoff_max:8 ~clock ()
   in
   let sup = Supervisor.create cfg ~shards:2 in
   let tick ~now ~sick =
@@ -1000,8 +1028,7 @@ let test_supervisor_hysteresis_and_backoff () =
 let test_supervisor_shed_sick_and_fast_burn () =
   let clock, _ = Clock.manual () in
   let cfg =
-    Supervisor.config ~poll_every:1 ~sick_after:4 ~healthy_after:1 ~clock
-      ~key_range:8 ()
+    Supervisor.config ~poll_every:1 ~sick_after:4 ~healthy_after:1 ~clock ()
   in
   let sup = Supervisor.create cfg ~shards:2 in
   let tick ~now ~fast_burn h =
@@ -1030,8 +1057,7 @@ let test_supervisor_shed_sick_and_fast_burn () =
 let test_supervisor_resume_priority_and_promote_target () =
   let clock, _ = Clock.manual () in
   let cfg =
-    Supervisor.config ~poll_every:1 ~sick_after:1 ~healthy_after:1 ~clock
-      ~key_range:8 ()
+    Supervisor.config ~poll_every:1 ~sick_after:1 ~healthy_after:1 ~clock ()
   in
   let sup = Supervisor.create cfg ~shards:3 in
   let health = mk_health ~sick:[ 0 ] [ 0; 1; 2 ] in
@@ -1065,7 +1091,7 @@ let test_supervisor_resume_priority_and_promote_target () =
 
 let test_supervisor_promotes_off_dead_shard () =
   let clock, advance = Clock.manual () in
-  let shards = 2 and key_range = 32 in
+  let shards = 2 in
   let ring = Hash_ring.create ~seed:3 ~shards () in
   let pairs = Array.init shards (fun _ -> table_backend ()) in
   let tbs = Array.map fst pairs in
@@ -1079,15 +1105,15 @@ let test_supervisor_promotes_off_dead_shard () =
       ~read_only_when_open:false
       ()
   in
-  let router = Router.create ~ring ~svc_config:cfg (fun i -> snd pairs.(i)) in
+  let router =
+    Router.create ~ring ~next_key:(table_next_key tbs) ~svc_config:cfg
+      (fun i -> snd pairs.(i))
+  in
   let reps = Replica.create () in
-  let copy, store = tbl_store () in
-  Replica.add_slot reps ~slot:0 ~on:1 ~store;
+  Replica.add_slot reps ~slot:0 ~on:1;
   Router.attach_replicas router reps;
   let keys =
-    List.filter
-      (fun k -> Hash_ring.slot_of ring k = 0)
-      (List.init key_range Fun.id)
+    List.filter (fun k -> Hash_ring.slot_of ring k = 0) (List.init 32 Fun.id)
   in
   List.iter
     (fun k ->
@@ -1098,8 +1124,7 @@ let test_supervisor_promotes_off_dead_shard () =
     keys;
   let sup =
     Supervisor.create
-      (Supervisor.config ~poll_every:1 ~sick_after:2 ~healthy_after:1 ~clock
-         ~key_range ())
+      (Supervisor.config ~poll_every:1 ~sick_after:2 ~healthy_after:1 ~clock ())
       ~shards
   in
   (* A healthy poll: the replica journal applies on the supervisor's
@@ -1108,7 +1133,7 @@ let test_supervisor_promotes_off_dead_shard () =
   Alcotest.(check int) "healthy tick heals nothing" 0
     (Supervisor.run_tick sup router);
   Alcotest.(check (option int)) "replica copy caught up" (Some (List.hd keys + 100))
-    (Hashtbl.find_opt copy (List.hd keys));
+    (Replica.peek reps ~slot:0 ~key:(List.hd keys));
   (* Shard 0 dies outright (reads AND writes throw) — rebalance alone
      could never evacuate it; only the replica can. *)
   tbs.(0).killed := true;
@@ -1226,7 +1251,13 @@ let test_hedged_read_vs_handoff =
           ~shed:(Some (Lf_svc.Shed.config ~max_queue:8 ()))
           ()
       in
-      let router = Router.create ~ring ~svc_config:cfg backend in
+      let next_key i k =
+        Mutex.lock mu;
+        let r = Support.next_in_table hs.(i) k in
+        Mutex.unlock mu;
+        r
+      in
+      let router = Router.create ~ring ~next_key ~svc_config:cfg backend in
       let slot = Hash_ring.slot_of ring key in
       let to_ = 1 - Hash_ring.owner ring slot in
       let stop = Atomic.make false in
@@ -1253,7 +1284,7 @@ let test_hedged_read_vs_handoff =
             (id, !ok))
       in
       Unix.sleepf 0.001;
-      let moved = Router.rebalance router ~slot ~to_ ~key_range:8 in
+      let moved = Router.rebalance router ~slot ~to_ in
       let reader_id, reads_served = Domain.join reader in
       Atomic.set stop true;
       Domain.join writer;
@@ -1276,6 +1307,321 @@ let test_hedged_read_vs_handoff =
       in
       moved >= 0 && reads_served && monotone && hedged > 0
       && observed <> [])
+
+(* --- The walk's own obligation: drain before passing a range --------- *)
+
+(* The walk jumps over absent keys, so an insert of an absent key of the
+   slot can be in flight between the watermark and the next key the
+   source holds.  The watermark must not pass that key while the insert
+   runs: the rebalance waits for it, re-reads the cursor, and moves the
+   key to the new owner. *)
+let test_rebalance_drains_absent_key () =
+  let clock, _ = Clock.manual () in
+  let ring = Hash_ring.create ~seed:5 ~shards:2 () in
+  let slot = 0 in
+  let from = Hash_ring.owner ring slot in
+  let to_ = 1 - from in
+  let a = slot_key ~from:(-1000) ring slot in
+  let b = slot_key ~from:(a + 1) ring slot in
+  let latch = Atomic.make true and parked = Atomic.make false in
+  let pairs = Array.init 2 (fun _ -> table_backend ()) in
+  let tbs = Array.map fst pairs in
+  let backend i =
+    let (b : Router.backend) = snd pairs.(i) in
+    if i <> from then b
+    else
+      {
+        b with
+        Router.insert =
+          (fun k v ->
+            if k = a then begin
+              Atomic.set parked true;
+              while Atomic.get latch do
+                Domain.cpu_relax ()
+              done
+            end;
+            b.insert k v);
+      }
+  in
+  let router =
+    Router.create ~hedge_reads:false ~ring ~next_key:(table_next_key tbs)
+      ~svc_config:(fun _ -> Svc.config ~clock ())
+      backend
+  in
+  Alcotest.check outcome "present key" (Svc.Served true)
+    (Router.call router (Svc.Insert (b, 2)));
+  let inserter =
+    Domain.spawn (fun () -> Router.call router (Svc.Insert (a, 1)))
+  in
+  while not (Atomic.get parked) do
+    Domain.cpu_relax ()
+  done;
+  let mover = Domain.spawn (fun () -> Router.rebalance router ~slot ~to_) in
+  let rec waited budget =
+    budget > 0
+    && (Router.drained_keys router > 0
+       || (Unix.sleepf 0.002;
+           waited (budget - 1)))
+  in
+  let waited = waited 2500 in
+  Atomic.set latch false;
+  let inserted = Domain.join inserter in
+  let moved = Domain.join mover in
+  Alcotest.(check bool) "the rebalance waited for the in-flight insert" true
+    waited;
+  Alcotest.check outcome "insert served" (Svc.Served true) inserted;
+  Alcotest.(check int) "both keys moved" 2 moved;
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option int))
+        (Printf.sprintf "key %d on the new owner" k)
+        (Some v) (Hashtbl.find_opt tbs.(to_).h k);
+      Alcotest.(check bool)
+        (Printf.sprintf "key %d gone from the source" k)
+        false
+        (Hashtbl.mem tbs.(from).h k))
+    [ (a, 1); (b, 2) ]
+
+(* --- The ends of the int range ----------------------------------------- *)
+
+(* Ring seed 1 puts [max_int] in slot 0 of 3. *)
+let range_ends = [ min_int; min_int + 1; -5; -1; 0; 1; 4096; max_int - 1; max_int ]
+
+let in_slot ring slot = List.filter (fun k -> Hash_ring.slot_of ring k = slot) range_ends
+
+let check_read_back router tbs ~live keys =
+  List.iter
+    (fun k ->
+      Alcotest.check outcome
+        (Printf.sprintf "key %d read back" k)
+        (Svc.Served true)
+        (Router.call router (Svc.Find k));
+      Alcotest.(check (list int))
+        (Printf.sprintf "key %d on its owner only" k)
+        [ Router.route router k ]
+        (List.filter
+           (fun i -> live i && Hashtbl.mem tbs.(i).h k)
+           (List.init (Array.length tbs) Fun.id)))
+    keys
+
+(* Each walk starts at [min_int] and ends at [max_int] without computing
+   [max_int + 1]: slot 0's walk copies [max_int]; slot 1's walks a shard
+   that also holds slot 0, so it skips [max_int]; slot 2's walks a shard
+   holding all three slots. *)
+let test_range_ends_rebalance () =
+  (* A router built without a successor query cannot migrate at all. *)
+  let bare, _, _ = hedging_router ~hedge_reads:true in
+  let reps = Replica.create () in
+  Replica.add_slot reps ~slot:0 ~on:1;
+  Router.attach_replicas bare reps;
+  (match Router.rebalance bare ~slot:0 ~to_:1 with
+  | _ -> Alcotest.fail "rebalance without a cursor"
+  | exception Invalid_argument _ -> ());
+  (match Router.promote bare ~slot:0 with
+  | _ -> Alcotest.fail "promote without a cursor"
+  | exception Invalid_argument _ -> ());
+  let router, ring, tbs = plain_router ~shards:3 ~seed:1 () in
+  Alcotest.(check int) "max_int in slot 0" 0 (Hash_ring.slot_of ring max_int);
+  List.iter
+    (fun k -> ignore (Router.call router (Svc.Insert (k, k))))
+    range_ends;
+  List.iter
+    (fun (slot, to_) ->
+      Alcotest.(check int)
+        (Printf.sprintf "slot %d: every key moved" slot)
+        (List.length (in_slot ring slot))
+        (Router.rebalance router ~slot ~to_);
+      check_read_back router tbs ~live:(fun _ -> true) range_ends)
+    [ (0, 1); (1, 2); (2, 0) ]
+
+(* The same ends through a promotion, off a live primary (its cursor)
+   and off a dead one (the replica's). *)
+let test_range_ends_promote () =
+  List.iter
+    (fun (edge, dead) ->
+      let router, ring, tbs = plain_router ~shards:3 ~seed:1 () in
+      let reps = Replica.create () in
+      for slot = 0 to 2 do
+        Replica.add_slot reps ~slot ~on:((slot + 1) mod 3)
+      done;
+      Router.attach_replicas router reps;
+      List.iter
+        (fun k -> ignore (Router.call router (Svc.Insert (k, k))))
+        range_ends;
+      let slot = Hash_ring.slot_of ring edge in
+      if dead then tbs.(slot).killed := true;
+      Alcotest.(check int)
+        (Printf.sprintf "slot %d (dead=%b): every key moved" slot dead)
+        (List.length (in_slot ring slot))
+        (Router.promote router ~slot);
+      check_read_back router tbs
+        ~live:(fun i -> not (dead && i = slot))
+        (in_slot ring slot))
+    [ (min_int, false); (min_int, true); (max_int, false); (max_int, true) ]
+
+(* --- The north star: no acknowledged write is lost across a heal ------ *)
+
+(* Scripts of puts, deletes and reads through the router, budgeted
+   replica applies, promotes and rebalances, and one kill of shard 0:
+   at once, or after a few more of its backend calls, so that it can die
+   partway through a walk.  Every slot is replicated off shard 0 and
+   every migration targets its slot's replica host, so nothing lands on
+   the corpse and an aborted walk off it resumes as a promotion.  Every
+   served answer must agree with the acknowledged writes; afterwards,
+   once whatever is left on shard 0 is promoted, every acknowledged
+   write that no later one superseded reads back from its owner, and
+   each key is on exactly one live shard. *)
+type step =
+  | Put of int * int  (** pool index, value *)
+  | Del of int
+  | Get of int
+  | Apply of int  (** budget *)
+  | Promote of int  (** slot *)
+  | Rebalance of int  (** slot, to its replica host *)
+
+let replica_host slot = if slot = 1 then 2 else 1
+
+let step_gen =
+  let key = QCheck2.Gen.int_bound (pool_size - 1) in
+  QCheck2.Gen.(
+    frequency
+      [
+        (6, map2 (fun i v -> Put (i, v)) key small_nat);
+        (3, map (fun i -> Del i) key);
+        (3, map (fun i -> Get i) key);
+        (2, map (fun b -> Apply b) (1 -- 4));
+        (1, map (fun s -> Promote s) (0 -- 2));
+        (1, map (fun s -> Rebalance s) (0 -- 2));
+      ])
+
+let step_to_string = function
+  | Put (i, v) -> Printf.sprintf "put #%d %d" i v
+  | Del i -> Printf.sprintf "del #%d" i
+  | Get i -> Printf.sprintf "get #%d" i
+  | Apply b -> Printf.sprintf "apply %d" b
+  | Promote s -> Printf.sprintf "promote %d" s
+  | Rebalance s -> Printf.sprintf "rebalance %d" s
+
+let test_no_acknowledged_write_lost =
+  Support.qcheck ~count:500
+    ~print:(fun ((_, pool), (steps, kill_at, fuse)) ->
+      Printf.sprintf "pool [%s]; kill before step %d after %d calls; %s"
+        (String.concat "; " (Array.to_list (Array.map string_of_int pool)))
+        kill_at fuse
+        (String.concat "; " (List.map step_to_string steps)))
+    "heal: no acknowledged write is lost, each key on one live shard"
+    QCheck2.Gen.(
+      pair
+        (pair (0 -- 1000) pool_gen)
+        (list_size (0 -- 60) step_gen >>= fun steps ->
+         map2
+           (fun kill_at fuse -> (steps, kill_at, fuse))
+           (0 -- List.length steps) (0 -- 6)))
+    (fun ((seed, pool), (steps, kill_at, fuse)) ->
+      let clock, _ = Clock.manual () in
+      let ring = Hash_ring.create ~seed ~shards:3 () in
+      let pairs = Array.init 3 (fun _ -> table_backend ()) in
+      let tbs = Array.map fst pairs in
+      (* Shard 0's backend calls and cursor reads left before it dies;
+         -1 until the fuse is lit. *)
+      let calls_left = ref (-1) in
+      let burn i =
+        if i = 0 then
+          if !calls_left = 0 then tbs.(0).killed := true
+          else if !calls_left > 0 then decr calls_left
+      in
+      let backend i =
+        let (b : Router.backend) = snd pairs.(i) in
+        {
+          b with
+          Router.insert =
+            (fun k v ->
+              burn i;
+              b.insert k v);
+          delete =
+            (fun k ->
+              burn i;
+              b.delete k);
+          find =
+            (fun k ->
+              burn i;
+              b.find k);
+        }
+      in
+      let router =
+        Router.create ~ring
+          ~next_key:(fun i k ->
+            burn i;
+            table_next_key tbs i k)
+          ~svc_config:(fun _ ->
+            Svc.config ~clock ~retryable:(fun _ -> false) ())
+          backend
+      in
+      let reps = Replica.create () in
+      for slot = 0 to 2 do
+        Replica.add_slot reps ~slot ~on:(replica_host slot)
+      done;
+      Router.attach_replicas router reps;
+      let model = Hashtbl.create 16 and ok = ref true in
+      let expect cond = if not cond then ok := false in
+      List.iteri
+        (fun n step ->
+          if n = kill_at then calls_left := fuse;
+          match step with
+          | Put (i, v) -> (
+              let k = pool.(i) in
+              match Router.call router (Svc.Insert (k, v)) with
+              | Svc.Served true ->
+                  expect (not (Hashtbl.mem model k));
+                  Hashtbl.replace model k v
+              | Svc.Served false -> expect (Hashtbl.mem model k)
+              | _ -> ())
+          | Del i -> (
+              let k = pool.(i) in
+              match Router.call router (Svc.Delete k) with
+              | Svc.Served true ->
+                  expect (Hashtbl.mem model k);
+                  Hashtbl.remove model k
+              | Svc.Served false -> expect (not (Hashtbl.mem model k))
+              | _ -> ())
+          | Get i -> (
+              let k = pool.(i) in
+              match Router.call router (Svc.Find k) with
+              | Svc.Served found -> expect (found = Hashtbl.mem model k)
+              | _ -> ())
+          | Apply budget -> ignore (Replica.apply ~budget reps)
+          | Promote slot -> (
+              try ignore (Router.promote router ~slot) with _ -> ())
+          | Rebalance slot -> (
+              try
+                ignore
+                  (Router.rebalance router ~slot ~to_:(replica_host slot))
+              with _ -> ()))
+        steps;
+      (* The heal: promote whatever shard 0 still owns, if it died (a
+         fuse still burning goes out).  Slot 0 is the only slot it can
+         own, and it keeps its replica until a promotion completes. *)
+      calls_left := -1;
+      let dead = !(tbs.(0).killed) in
+      if dead && Replica.replicated reps ~slot:0 then
+        ignore (Router.promote router ~slot:0);
+      let live i = not (dead && i = 0) in
+      !ok
+      && Array.for_all
+           (fun k ->
+             let holders =
+               List.filter
+                 (fun i -> live i && Hashtbl.mem tbs.(i).h k)
+                 [ 0; 1; 2 ]
+             in
+             match Hashtbl.find_opt model k with
+             | None -> holders = []
+             | Some v ->
+                 let owner = Router.route router k in
+                 holders = [ owner ]
+                 && Hashtbl.find_opt tbs.(owner).h k = Some v
+                 && Router.call router (Svc.Find k) = Svc.Served true)
+           pool)
 
 let test_health_and_metrics () =
   let clock, _ = Clock.manual () in
@@ -1360,6 +1706,13 @@ let () =
           Alcotest.test_case "abort journaled, watermark kept, resume" `Quick
             test_abort_and_resume;
           test_hedged_read_vs_handoff;
+          Alcotest.test_case "the walk drains an absent key's insert" `Quick
+            test_rebalance_drains_absent_key;
+          Alcotest.test_case "min_int and max_int survive rebalances" `Quick
+            test_range_ends_rebalance;
+          Alcotest.test_case "min_int and max_int survive promotions" `Quick
+            test_range_ends_promote;
+          test_no_acknowledged_write_lost;
         ] );
       ( "chaos",
         [

@@ -729,6 +729,7 @@ let test_rebalance_drain_and_journal () =
   in
   let router =
     Router.create ~hedge_reads:false ~ring
+      ~next_key:(fun i -> Support.next_in_table tbs.(i))
       ~svc_config:(fun _ -> Svc.config ~clock ())
       backend
   in
@@ -742,8 +743,7 @@ let test_rebalance_drain_and_journal () =
   Mutex.unlock gate;
   let mover =
     Domain.spawn (fun () ->
-        Router.rebalance router ~slot:(Hash_ring.slot_of ring k) ~to_
-          ~key_range:(k + 1))
+        Router.rebalance router ~slot:(Hash_ring.slot_of ring k) ~to_)
   in
   (* The mover reaches [k], finds it in flight, counts it and parks on
      the drain condition; only then release the reader. *)
@@ -822,6 +822,7 @@ let test_trees_follow_recorder_level () =
     let tbs = Array.init 2 (fun _ -> table_backend ()) in
     let router =
       Router.create ~hedge_reads:false ~ring
+        ~next_key:(fun i -> Support.next_in_table (fst tbs.(i)).h)
         ~svc_config:(fun _ -> Svc.config ~clock ())
         (fun i -> snd tbs.(i))
     in
@@ -829,7 +830,6 @@ let test_trees_follow_recorder_level () =
     ignore (Router.call router (Svc.Insert (k, 9)));
     let moved =
       Router.rebalance router ~slot:(Hash_ring.slot_of ring k) ~to_:1
-        ~key_range:(k + 1)
     in
     Alcotest.(check int) "the key moved" 1 moved;
     (Span.trees (), Recorder.exemplars ())
