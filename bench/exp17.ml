@@ -13,13 +13,12 @@
    regression <= 5%.
 
    Part B (wall-clock, Atomic_mem): throughput of the list with hints
-   on/off.  Single-core machine: numbers measure overhead/locality, not
-   parallel speedup.
+   on/off.  Numbers measure overhead/locality, not parallel speedup.
 
-   Part C (wall-clock): batched entry points (insert_batch/delete_batch/
-   mem_batch) vs one-at-a-time, on the list, skip list and hash table.
-   The list's batches are key-sorted and carry the predecessor element to
-   element; the skip list's run one operation per element. *)
+   Part C (wall-clock): the list's batched entry points (insert_batch/
+   delete_batch/mem_batch) vs one-at-a-time.  Only the list is measured:
+   its batches are key-sorted and carry the predecessor element to
+   element, the one batch that pays (EXPERIMENTS.md, EXP-17 Part C). *)
 
 open Lf_workload
 
@@ -258,48 +257,42 @@ let part_c () =
   let widths = [ 16; 10; 6; 4; 10 ] in
   Tables.row widths [ "impl"; "batch"; "range"; "dom"; "kops/s" ];
   let ops = if !Bench_json.quick then 2_000 else 20_000 in
+  let module D = Lf_list.Fr_list.Atomic_int in
   List.iter
-    (fun (module D : Runner.INT_DICT_BATCHED) ->
+    (fun domains ->
       List.iter
-        (fun domains ->
-          List.iter
-            (fun batch ->
-              let r =
-                if batch = 1 then
-                  Runner.run_throughput
-                    (module D)
-                    ~domains ~ops_per_domain:ops ~key_range:1024
-                    ~mix:Opgen.write_heavy ~seed:45 ()
-                else
-                  Runner.run_throughput_batched
-                    (module D)
-                    ~domains ~ops_per_domain:ops ~batch ~key_range:1024
-                    ~mix:Opgen.write_heavy ~seed:45 ()
-              in
-              Tables.row widths
-                [
-                  r.impl;
-                  (if batch = 1 then "unbatched" else string_of_int batch);
-                  "1024";
-                  string_of_int domains;
-                  Printf.sprintf "%.0f" (r.ops_per_s /. 1000.);
-                ];
-              Bench_json.emit_part ~exp:"exp17" ~part:"batch"
-                Bench_json.
-                  [
-                    ("impl", S r.impl);
-                    ("batch", I batch);
-                    ("domains", I domains);
-                    ("kops_per_s", F (r.ops_per_s /. 1000.));
-                  ])
-            [ 1; 16; 64 ])
-        [ 1; 2 ];
-      print_newline ())
-    [
-      (module Lf_list.Fr_list.Atomic_int : Runner.INT_DICT_BATCHED);
-      (module Lf_skiplist.Fr_skiplist.Atomic_int);
-      (module Lf_hashtable.Atomic_int);
-    ]
+        (fun batch ->
+          let r =
+            if batch = 1 then
+              Runner.run_throughput
+                (module D)
+                ~domains ~ops_per_domain:ops ~key_range:1024
+                ~mix:Opgen.write_heavy ~seed:45 ()
+            else
+              Runner.run_throughput_batched
+                (module D)
+                ~domains ~ops_per_domain:ops ~batch ~key_range:1024
+                ~mix:Opgen.write_heavy ~seed:45 ()
+          in
+          Tables.row widths
+            [
+              r.impl;
+              (if batch = 1 then "unbatched" else string_of_int batch);
+              "1024";
+              string_of_int domains;
+              Printf.sprintf "%.0f" (r.ops_per_s /. 1000.);
+            ];
+          Bench_json.emit_part ~exp:"exp17" ~part:"batch"
+            Bench_json.
+              [
+                ("impl", S r.impl);
+                ("batch", I batch);
+                ("domains", I domains);
+                ("kops_per_s", F (r.ops_per_s /. 1000.));
+              ])
+        [ 1; 16; 64 ])
+    [ 1; 2 ];
+  print_newline ()
 
 let run () =
   Tables.section

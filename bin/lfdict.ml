@@ -22,7 +22,7 @@
      dune exec bin/lfdict.exe -- metrics -i fr-skiplist -d 4
      dune exec bin/lfdict.exe -- throughput -i fr-skiplist -d 4 -n 100000
      dune exec bin/lfdict.exe -- throughput -i fr-list --hints off
-     dune exec bin/lfdict.exe -- throughput -i lf-hashtable --batch 64
+     dune exec bin/lfdict.exe -- throughput -i fr-list --batch 64
      dune exec bin/lfdict.exe -- check -i fr-list -s 50
      dune exec bin/lfdict.exe -- chaos -i fr-list \
        --faults "seed=7;crash:after-flag-cas:at=1:lane=0" *)
@@ -66,22 +66,6 @@ let nohints_impls : (string * (module Lf_workload.Runner.INT_DICT)) list =
     ("fr-list", (module Fr_list_nohints));
     ("lf-hashtable", (module Lf_hashtable_nohints));
   ]
-
-(* --batch n routes the op stream through the batched entry points
-   (insert_batch / delete_batch / mem_batch), n operations per chunk. *)
-let batched_impls ~hints :
-    (string * (module Lf_workload.Runner.INT_DICT_BATCHED)) list =
-  if hints then
-    [
-      ("fr-list", (module Lf_list.Fr_list.Atomic_int));
-      ("fr-skiplist", (module Lf_skiplist.Fr_skiplist.Atomic_int));
-      ("lf-hashtable", (module Lf_hashtable.Atomic_int));
-    ]
-  else
-    [
-      ("fr-list", (module Fr_list_nohints));
-      ("lf-hashtable", (module Lf_hashtable_nohints));
-    ]
 
 (* The FR structures instantiated over the protocol sanitizer: every C&S and
    store is validated against the deletion state machine (INV 1-5); a
@@ -172,8 +156,10 @@ let batch_arg =
     value & opt int 0
     & info [ "batch" ] ~docv:"N"
         ~doc:
-          "Issue operations through the batched entry points, $(docv) per \
-           chunk (0 = one at a time; fr-list, fr-skiplist, lf-hashtable).")
+          "Issue operations through fr-list's batched entry points, \
+           $(docv) per key-sorted chunk (0 = one at a time).  Only the \
+           list's batches carry a predecessor from key to key (EXP-17 \
+           Part C).")
 
 let throughput_cmd =
   let run impl checked hints batch domains ops range (ins, del) seed =
@@ -190,14 +176,12 @@ let throughput_cmd =
         if checked then (
           prerr_endline "--batch is not supported together with --checked";
           exit 2);
+        if impl <> "fr-list" then (
+          prerr_endline "--batch is available for: fr-list";
+          exit 2);
         let (module D : Lf_workload.Runner.INT_DICT_BATCHED) =
-          match List.assoc_opt impl (batched_impls ~hints) with
-          | Some m -> m
-          | None ->
-              Printf.eprintf "--batch%s is available for: %s\n"
-                (if hints then "" else " --hints off")
-                (String.concat ", " (List.map fst (batched_impls ~hints)));
-              exit 2
+          if hints then (module Lf_list.Fr_list.Atomic_int)
+          else (module Fr_list_nohints)
         in
         Lf_workload.Runner.run_throughput_batched
           (module D)

@@ -100,6 +100,5 @@ val trace : exec -> injected list
 
 val action_name : action -> string
 val injected_to_string : injected -> string
-val rule_to_string : rule -> string
 val plan_to_string : plan -> string
 val plan_of_string : string -> (plan, string) result

@@ -41,32 +41,6 @@ module Make (K : HASHABLE) (M : Lf_kernel.Mem.S) = struct
   let insert t k e = Bucket.insert (bucket t k) k e
   let delete t k = Bucket.delete (bucket t k) k
 
-  (* Batched operations: elements are partitioned per bucket and delegated
-     to the bucket lists' batched operations, so predecessor carrying still
-     applies within each bucket; results come back in input order. *)
-  let run_batch t ~key_of ~f elems =
-    let arr = Array.of_list elems in
-    let n = Array.length arr in
-    let groups = Array.make (Array.length t.buckets) [] in
-    for i = n - 1 downto 0 do
-      let b = K.hash (key_of arr.(i)) land t.mask in
-      groups.(b) <- i :: groups.(b)
-    done;
-    let results = Array.make n false in
-    Array.iteri
-      (fun b idxs ->
-        match idxs with
-        | [] -> ()
-        | _ ->
-            let rs = f t.buckets.(b) (List.map (fun i -> arr.(i)) idxs) in
-            List.iter2 (fun i r -> results.(i) <- r) idxs rs)
-      groups;
-    Array.to_list results
-
-  let insert_batch t kvs = run_batch t ~key_of:fst ~f:Bucket.insert_batch kvs
-  let delete_batch t ks = run_batch t ~key_of:Fun.id ~f:Bucket.delete_batch ks
-  let mem_batch t ks = run_batch t ~key_of:Fun.id ~f:Bucket.mem_batch ks
-
   let to_list t =
     Array.to_list t.buckets
     |> List.concat_map Bucket.to_list

@@ -13,15 +13,13 @@ module type HASHABLE = sig
 end
 
 module Make (K : HASHABLE) (M : Lf_kernel.Mem.S) : sig
-  include Lf_kernel.Dict_intf.BATCHED with type key = K.t
+  include Lf_kernel.Dict_intf.S with type key = K.t
 
   val create_with :
     ?buckets:int -> ?use_hints:bool -> unit -> 'a t
   (** [buckets] must be a power of two (default 64).  [use_hints] (default
       [true]) is forwarded to every bucket list (see
-      [Fr_list.create_with]).  Batched operations partition the
-      batch per bucket and delegate to the bucket lists' batches, so the
-      Träff–Pöter predecessor carrying applies within each bucket.
+      [Fr_list.create_with]).
       @raise Invalid_argument if [buckets] is not a power of two. *)
 
   val iter : 'a t -> (key -> 'a -> unit) -> unit

@@ -45,7 +45,10 @@ module type MAKER = functor (K : Ordered.S) (M : Mem.S) ->
     processed in key order, each element carrying its predecessor to the
     next (the Träff–Pöter "pragmatic" pattern).  Results come back in the
     caller's original order; every element remains an independent
-    linearizable operation that takes effect inside the batch call. *)
+    linearizable operation that takes effect inside the batch call.
+    [Fr_list] is the one implementation: its SEARCHFROM may start at any
+    validated unmarked node, so the carry saves a traversal per element
+    (EXP-17 Part C). *)
 module type BATCHED = sig
   include S
 

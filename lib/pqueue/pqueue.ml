@@ -22,21 +22,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let push t prio v = SL.insert t prio v
   let pop_min t = SL.delete_min t
 
-  (* Batched push: one insert per element; results in input order.
-     [pop_min_batch] pops up to [n] elements, smallest first; each pop
-     claims its element exactly once, as in the unbatched case. *)
-  let push_batch t pvs = SL.insert_batch t pvs
-
-  let pop_min_batch t n =
-    let rec go acc n =
-      if n <= 0 then List.rev acc
-      else
-        match SL.delete_min t with
-        | None -> List.rev acc
-        | Some kv -> go (kv :: acc) (n - 1)
-    in
-    go [] n
-
   let peek_min t =
     match SL.to_list t with [] -> None | (k, v) :: _ -> Some (k, v)
 
@@ -75,17 +60,6 @@ module Stamped (M : Lf_kernel.Mem.S) = struct
     match Q.pop_min t.q with
     | None -> None
     | Some ((prio, _), v) -> Some (prio, v)
-
-  let push_batch t pvs =
-    let stamped =
-      List.map
-        (fun (prio, v) -> ((prio, Atomic.fetch_and_add t.stamp 1), v))
-        pvs
-    in
-    List.iter (fun ok -> assert ok) (Q.push_batch t.q stamped)
-
-  let pop_min_batch t n =
-    List.map (fun ((prio, _), v) -> (prio, v)) (Q.pop_min_batch t.q n)
 
   let is_empty t = Q.is_empty t.q
   let length t = Q.length t.q

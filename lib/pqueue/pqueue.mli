@@ -19,13 +19,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) : sig
   val pop_min : 'a t -> (K.t * 'a) option
   val peek_min : 'a t -> (K.t * 'a) option
 
-  val push_batch : 'a t -> (K.t * 'a) list -> bool list
-  (** Batched push, one insert per element; results in input order. *)
-
-  val pop_min_batch : 'a t -> int -> (K.t * 'a) list
-  (** Pop up to [n] elements, smallest first; each element is claimed by
-      exactly one caller, as in the unbatched {!pop_min}. *)
-
   val is_empty : 'a t -> bool
   val length : 'a t -> int
 end
@@ -44,11 +37,6 @@ module Stamped (M : Lf_kernel.Mem.S) : sig
 
   val push : 'a t -> int -> 'a -> unit
   val pop_min : 'a t -> (int * 'a) option
-
-  val push_batch : 'a t -> (int * 'a) list -> unit
-  (** Stamp then batch-insert; stamps are unique so no push can fail. *)
-
-  val pop_min_batch : 'a t -> int -> (int * 'a) list
 
   val is_empty : 'a t -> bool
   val length : 'a t -> int

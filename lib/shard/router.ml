@@ -574,7 +574,9 @@ let rebalance t ~slot ~to_ =
    the barrier (every acknowledged write to a key that is not in flight
    is journaled).  The source delete is best-effort (a dead primary
    cannot honour it; whatever it still holds is unreachable once
-   ownership flips). *)
+   ownership flips).  An aborted migration of the slot keeps its
+   target: its keys below the watermark already live there, and the
+   copy can finish the walk a dead source cannot. *)
 let promote t ~slot =
   let next_key = cursor t "promote" in
   match t.replicas with
@@ -582,7 +584,14 @@ let promote t ~slot =
   | Some reps -> (
       match Replica.host reps ~slot with
       | None -> invalid_arg "Router.promote: slot not replicated"
-      | Some to_ ->
+      | Some host ->
+          Mutex.lock t.mu;
+          let to_ =
+            match t.migration with
+            | Some m when m.m_aborted && m.m_slot = slot -> m.m_to
+            | Some _ | None -> host
+          in
+          Mutex.unlock t.mu;
           (* Promotion barrier: the copy reflects every recorded write
              before any of it becomes authoritative. *)
           ignore (Replica.drain reps ~slot);

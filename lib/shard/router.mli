@@ -134,10 +134,10 @@ val rebalance : t -> slot:int -> to_:int -> int
     the migration: the exception propagates, a terminal [abort] line
     lands in the journal (so stuck is distinguishable from done), and
     the watermark record is {e kept} — keys below it already live on
-    [to_] and stay routed there.  Calling [rebalance] (or [promote])
-    again with the same [slot] and target resumes the walk from the
-    watermark; a different slot or target while the aborted record
-    stands is an error.
+    [to_] and stay routed there.  Calling [rebalance] again with the
+    same [slot] and target, or {!promote} with the same [slot], resumes
+    the walk from the watermark; a different slot or target while the
+    aborted record stands is an error.
     @raise Invalid_argument without [next_key] (see {!create}), if a
     migration is already running (and not resumable by these
     arguments), or on out-of-range arguments. *)
@@ -150,12 +150,16 @@ val promote : t -> slot:int -> int
     primary while it answers (an alive-but-sick primary is fresher than
     any replica) and from the replica's copy ({!Replica.next_key},
     {!Replica.peek}) once it throws, and the source delete is
-    best-effort (a dead primary cannot honour it).  On completion the
-    slot's replica is retired.  Returns keys moved.  This is how the
-    supervisor evacuates a {e dead} shard, which [rebalance] alone
-    cannot (its walk would need the corpse to answer).
+    best-effort (a dead primary cannot honour it).  An aborted
+    migration of [slot] is taken over: the walk resumes from its
+    watermark to that record's target, whatever shard hosts the
+    replica.  On completion the slot's replica is retired.  Returns
+    keys moved.  This is how the supervisor evacuates a {e dead} shard,
+    or finishes a rebalance whose source died mid-walk, which
+    [rebalance] alone cannot (its walk would need the corpse to
+    answer).
     @raise Invalid_argument without [next_key], without replicas, if
-    the slot is not replicated, or if a non-resumable migration is
+    the slot is not replicated, or if a migration of another slot is
     running. *)
 
 val stats : t -> Svc.stats array

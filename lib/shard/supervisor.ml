@@ -182,7 +182,9 @@ let observe_locked t ~now (health : Health.shard_health list) =
    replicated.  [pending_abort] is a migration the router left aborted
    mid-drain — resuming it has absolute priority (its watermark holds
    routing hostage until it finishes), still gated by the source
-   shard's backoff. *)
+   shard's backoff.  A replicated slot resumes by promotion, whatever
+   shard hosts the copy: the source may be dead, and the promotion
+   finishes the walk to the record's target from the copy. *)
 let plan_locked t ~now ~assignment ~replica_host ~pending_abort ~fast_burn =
   let sick_after =
     (* An SLO fast burn halves the hysteresis: the budget is burning
@@ -196,11 +198,7 @@ let plan_locked t ~now ~assignment ~replica_host ~pending_abort ~fast_burn =
   Array.iter (fun s -> if s >= 0 && s < n then load.(s) <- load.(s) + 1) assignment;
   match pending_abort with
   | Some (slot, from, to_) when now >= t.state.(from).next_try ->
-      let via =
-        match replica_host slot with
-        | Some h when h = to_ -> Promote
-        | _ -> Copy
-      in
+      let via = if replica_host slot = None then Copy else Promote in
       [ { a_slot = slot; a_from = from; a_to = to_; a_via = via } ]
   | Some _ -> []  (* an aborted migration is backing off: nothing else
                      can start while its record holds the watermark *)

@@ -82,7 +82,9 @@ val tick :
     poll is not yet due ([poll_every]), when nothing is sick, when
     every sick shard is backing off, or when no eligible target
     exists.  [pending_abort = Some (slot, from, to_)] is the router's
-    aborted-migration record; resuming it preempts all other planning.
+    aborted-migration record; resuming it preempts all other planning,
+    by {!Router.promote} when the slot is replicated (whichever shard
+    hosts the copy), else by {!Router.rebalance}.
     Replayable: the decision is a pure function of the inputs and the
     accumulated counter state. *)
 

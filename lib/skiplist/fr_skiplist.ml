@@ -547,12 +547,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       | `Deleted_by_other | `Gone -> false
     end
 
-  (* Batched operations: one independent operation per element, in input
-     order. *)
-  let insert_batch t kvs = List.map (fun (k, e) -> insert t k e) kvs
-  let delete_batch t ks = List.map (delete t) ks
-  let mem_batch t ks = List.map (mem t) ks
-
   (* The binding a regular root node holds; [None] at sentinels. *)
   let binding = function
     | Node { key; elt = Some e; _ } -> Some (key, e)

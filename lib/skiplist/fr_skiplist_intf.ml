@@ -46,16 +46,6 @@ module type S = sig
       a racing smaller insert may be missed; each element is claimed by
       exactly one caller. *)
 
-  (** {1 Batched operations}
-
-      One {!insert}, {!delete} or {!mem} per element, in input order; each
-      element is an independent linearizable operation that takes effect
-      inside the batch call. *)
-
-  val insert_batch : 'a t -> (key * 'a) list -> bool list
-  val delete_batch : 'a t -> key list -> bool list
-  val mem_batch : 'a t -> key list -> bool list
-
   val hint_stats : 'a t -> Lf_kernel.Hint.stats option
   (** Always [None]: every search descends from the top, so there is no
       hint cache to report.  Kept for callers written against the

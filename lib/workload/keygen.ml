@@ -11,7 +11,6 @@ type t =
          win just because the hot keys sit next to the head. *)
   | Zipf of { range : int; theta : float }
   | Ascending of int ref (* each draw returns the next integer *)
-  | Choice of int array (* uniform over a fixed key set *)
   | Cycle of { keys : int array; next : int ref }
       (* the fixed key set in order, wrapping — an ascending stream
          confined to chosen keys (e.g. one shard's keyspace) *)
@@ -25,10 +24,6 @@ let hotspot ?(base = 0) ~range ~hot ~hot_pct () =
     invalid_arg "Keygen.hotspot: hot window outside the key range";
   Hotspot { range; hot; hot_pct; base }
 let ascending () = Ascending (ref 0)
-
-let of_array keys =
-  if Array.length keys = 0 then invalid_arg "Keygen.of_array: empty key set";
-  Choice (Array.copy keys)
 
 let cycle keys =
   if Array.length keys = 0 then invalid_arg "Keygen.cycle: empty key set";
@@ -69,7 +64,6 @@ let zipf ~range ~theta =
 
 let rec draw t rng =
   match t with
-  | Choice a -> a.(Lf_kernel.Splitmix.int rng (Array.length a))
   | Cycle { keys; next } ->
       let v = keys.(!next mod Array.length keys) in
       incr next;

@@ -20,11 +20,6 @@ val zipf : range:int -> theta:float -> t
 val ascending : unit -> t
 (** 0, 1, 2, ... (end-of-list contention workloads). *)
 
-val of_array : int array -> t
-(** Uniform over a fixed key set (copied).  EXP-23 precomputes the keys
-    one shard owns and aims a hotspot at exactly that shard.
-    @raise Invalid_argument if the array is empty. *)
-
 val cycle : int array -> t
 (** The fixed key set (copied) in array order, wrapping — an ascending
     stream confined to chosen keys.  EXP-23's hotspot walks fresh keys

@@ -98,21 +98,16 @@ let run_throughput ?keygen (module D : INT_DICT) ~domains ~ops_per_domain
    time; each chunk is partitioned by kind and issued through the batched
    entry points, which sort by key and carry predecessors element to
    element. *)
-let run_throughput_batched ?keygen (module D : INT_DICT_BATCHED) ~domains
+let run_throughput_batched (module D : INT_DICT_BATCHED) ~domains
     ~ops_per_domain ~batch ~key_range ~(mix : Opgen.mix) ~seed () :
     throughput =
   if batch <= 0 then invalid_arg "run_throughput_batched: batch must be > 0";
-  let keygen_for =
-    match keygen with
-    | Some f -> f
-    | None -> fun _did -> Keygen.uniform key_range
-  in
   let t = D.create () in
   prefill ~key_range ~fill:50 ~seed:((seed * 7) + 1) (fun k -> D.insert t k k);
   let enter = barrier domains in
   let work did =
     let rng = Lf_kernel.Splitmix.create (seed + (1000 * did)) in
-    let keygen = keygen_for did in
+    let keygen = Keygen.uniform key_range in
     enter ();
     let remaining = ref ops_per_domain in
     while !remaining > 0 do

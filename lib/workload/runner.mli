@@ -37,7 +37,6 @@ val run_throughput :
     must get its own generator, since generators are not thread-safe. *)
 
 val run_throughput_batched :
-  ?keygen:(int -> Keygen.t) ->
   (module INT_DICT_BATCHED) ->
   domains:int ->
   ops_per_domain:int ->
@@ -47,8 +46,9 @@ val run_throughput_batched :
   seed:int ->
   unit ->
   throughput
-(** As {!run_throughput}, but the op stream is issued [batch] operations at
-    a time through the batched entry points (chunks partitioned by kind).
+(** As {!run_throughput} with uniform keys, but the op stream is issued
+    [batch] operations at a time through the batched entry points (chunks
+    partitioned by kind).
     @raise Invalid_argument if [batch <= 0]. *)
 
 val run_recorded :

@@ -410,16 +410,16 @@ let placeholder_keys (type k) (module D : SKIPLIST with type key = k)
       [ []; others ]
   done
 
-(* --- Placeholder keys of the list ---
+(* --- Placeholder keys of the list and the hash table ---
 
    [Fr_list], and the hash table whose buckets are [Fr_list]s, store keys
    unboxed as well, and their sentinels carry [Ordered.S.any].  A live
    [any] must behave like any other key, alone and among [others],
-   through the single operations and the three batches: a sentinel test
-   that looks at keys fails here. *)
-module type BATCHED = Lf_kernel.Dict_intf.BATCHED
+   through the single operations: a sentinel test that looks at keys
+   fails here.  The list's batches are checked in test_fr_list. *)
+module type DICT = Lf_kernel.Dict_intf.S
 
-let batched_placeholder_keys (type k) (module D : BATCHED with type key = k)
+let dict_placeholder_keys (type k) (module D : DICT with type key = k)
     ~(any : k) ~(others : k list) () =
   List.iter
     (fun neighbours ->
@@ -434,16 +434,12 @@ let batched_placeholder_keys (type k) (module D : BATCHED with type key = k)
       in
       let t = D.create () in
       let absent () = D.find t any = None && not (D.mem t any) in
-      let keys = any :: neighbours in
-      let all v =
+      let all =
         List.sort compare
-          ((any, v) :: List.mapi (fun i k -> (k, i + 1)) neighbours)
+          ((any, 0) :: List.mapi (fun i k -> (k, i + 1)) neighbours)
       in
       expect "absent before insert" (absent ());
       expect "delete of an absent key" (not (D.delete t any));
-      expect "mem_batch of an absent key" (D.mem_batch t [ any ] = [ false ]);
-      expect "delete_batch of an absent key"
-        (D.delete_batch t [ any ] = [ false ]);
       List.iteri
         (fun i k -> expect "insert another key" (D.insert t k (i + 1)))
         neighbours;
@@ -451,24 +447,9 @@ let batched_placeholder_keys (type k) (module D : BATCHED with type key = k)
       expect "duplicate rejected" (not (D.insert t any 9));
       check "after insert" t;
       expect "find" (D.find t any = Some 0 && D.mem t any);
-      expect "to_list" (D.to_list t = all 0);
+      expect "to_list" (D.to_list t = all);
       expect "delete" (D.delete t any);
       expect "absent after delete" (absent ());
       expect "second delete" (not (D.delete t any));
-      check "after delete" t;
-      expect "insert_batch"
-        (D.insert_batch t
-           ((any, 7) :: (any, 8) :: List.map (fun k -> (k, 9)) neighbours)
-        = true :: false :: List.map (fun _ -> false) neighbours);
-      check "after insert_batch" t;
-      expect "find after insert_batch" (D.find t any = Some 7);
-      expect "to_list after insert_batch" (D.to_list t = all 7);
-      expect "mem_batch" (D.mem_batch t keys = List.map (fun _ -> true) keys);
-      expect "delete_batch"
-        (D.delete_batch t (keys @ [ any ])
-        = List.map (fun _ -> true) keys @ [ false ]);
-      check "after delete_batch" t;
-      expect "empty after delete_batch" (D.to_list t = [] && absent ());
-      expect "mem_batch after delete_batch"
-        (D.mem_batch t keys = List.map (fun _ -> false) keys))
+      check "after delete" t)
     [ []; others ]

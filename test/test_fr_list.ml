@@ -470,7 +470,7 @@ let test_right_keys_after_every_op () =
 module FS = Lf_list.Fr_list.Atomic_string
 
 module type ORDERED_LIST = sig
-  include Support.BATCHED
+  include Lf_kernel.Dict_intf.BATCHED
 
   val find_ge : 'a t -> key -> (key * 'a) option
   val min_binding : 'a t -> (key * 'a) option
@@ -479,12 +479,12 @@ module type ORDERED_LIST = sig
     'a t -> lo:key -> hi:key -> ('b -> key -> 'a -> 'b) -> 'b -> 'b
 end
 
-(* [K.any] as a live key: the single operations and batches through
-   [Support.batched_placeholder_keys], then the order-aware operations,
-   alone and among [others]. *)
+(* [K.any] as a live key: the single operations through
+   [Support.dict_placeholder_keys], then the order-aware operations and
+   the batches, alone and among [others]. *)
 let placeholder_keys (type k) (module D : ORDERED_LIST with type key = k)
     ~(any : k) ~(others : k list) () =
-  Support.batched_placeholder_keys (module D) ~any ~others ();
+  Support.dict_placeholder_keys (module D) ~any ~others ();
   List.iter
     (fun neighbours ->
       let expect what ok =
@@ -494,6 +494,9 @@ let placeholder_keys (type k) (module D : ORDERED_LIST with type key = k)
       let t = D.create () in
       expect "find_ge on an empty list" (D.find_ge t any = None);
       expect "min_binding on an empty list" (D.min_binding t = None);
+      expect "mem_batch of an absent key" (D.mem_batch t [ any ] = [ false ]);
+      expect "delete_batch of an absent key"
+        (D.delete_batch t [ any ] = [ false ]);
       List.iteri
         (fun i k -> expect "insert another key" (D.insert t k (i + 1)))
         neighbours;
@@ -521,7 +524,25 @@ let placeholder_keys (type k) (module D : ORDERED_LIST with type key = k)
         (D.min_binding t = match rest with [] -> None | b :: _ -> Some b);
       expect "fold_range after delete" (range lo hi = rest);
       expect "fold_range over the key alone after delete" (range any any = []);
-      D.check_invariants t)
+      D.check_invariants t;
+      let keys = any :: neighbours in
+      expect "insert_batch"
+        (D.insert_batch t
+           ((any, 7) :: (any, 8) :: List.map (fun k -> (k, 9)) neighbours)
+        = true :: false :: List.map (fun _ -> false) neighbours);
+      D.check_invariants t;
+      expect "find after insert_batch" (D.find t any = Some 7);
+      expect "to_list after insert_batch"
+        (D.to_list t = List.sort compare ((any, 7) :: rest));
+      expect "mem_batch" (D.mem_batch t keys = List.map (fun _ -> true) keys);
+      expect "delete_batch"
+        (D.delete_batch t (keys @ [ any ])
+        = List.map (fun _ -> true) keys @ [ false ]);
+      D.check_invariants t;
+      expect "empty after delete_batch"
+        (D.to_list t = [] && D.find t any = None && not (D.mem t any));
+      expect "mem_batch after delete_batch"
+        (D.mem_batch t keys = List.map (fun _ -> false) keys))
     [ []; others ]
 
 let test_placeholder_int =

@@ -88,7 +88,7 @@ let test_domain_stress () =
 module HStr = Lf_hashtable.Atomic_string
 
 module One_bucket (D : sig
-  include Support.BATCHED
+  include Support.DICT
 
   val create_with : ?buckets:int -> ?use_hints:bool -> unit -> 'a t
 end) =
@@ -100,13 +100,13 @@ end
 
 let test_placeholder_int () =
   let others = [ -1; 1; min_int; 7; max_int ] in
-  Support.batched_placeholder_keys (module H) ~any:0 ~others ();
-  Support.batched_placeholder_keys (module One_bucket (H)) ~any:0 ~others ()
+  Support.dict_placeholder_keys (module H) ~any:0 ~others ();
+  Support.dict_placeholder_keys (module One_bucket (H)) ~any:0 ~others ()
 
 let test_placeholder_string () =
   let others = [ "a"; "\000"; "zz" ] in
-  Support.batched_placeholder_keys (module HStr) ~any:"" ~others ();
-  Support.batched_placeholder_keys (module One_bucket (HStr)) ~any:"" ~others ()
+  Support.dict_placeholder_keys (module HStr) ~any:"" ~others ();
+  Support.dict_placeholder_keys (module One_bucket (HStr)) ~any:"" ~others ()
 
 let () =
   Alcotest.run "hashtable"

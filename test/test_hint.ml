@@ -208,10 +208,10 @@ let explore_list_staleness () =
     (!stale > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Batched operations agree with the sequential oracle.  List and hash- *)
-(* table batches apply same-kind operations in key order with a stable  *)
-(* sort, skip-list batches in input order, so duplicate keys keep input *)
-(* order and sequential input-order results are the exact expectation.  *)
+(* Batched operations agree with the sequential oracle.  The list's   *)
+(* batches apply same-kind operations in key order with a stable      *)
+(* sort, so duplicate keys keep input order and sequential            *)
+(* input-order results are the exact expectation.                     *)
 
 let batch_oracle_test (module D : Lf_workload.Runner.INT_DICT_BATCHED) =
   Support.qcheck ~count:100
@@ -277,36 +277,30 @@ let hints_agreement_test name ~mk_on ~mk_off =
           | _ -> find_on k = find_off k)
         script)
 
+(* The list's batches in its other two configurations: with the
+   predecessor caches off (what [lfdict throughput --batch B --hints off]
+   runs), and on the flagless ablation, whose [delete_batch] falls back
+   to one deletion per element while insert and mem batches still carry
+   their predecessor across flagless marks. *)
+module List_nohints = struct
+  include Lf_list.Fr_list.Atomic_int
+
+  let name = "fr-list(-hints)"
+  let create () = create_with ~use_hints:false ~use_flags:true ()
+end
+
+module List_flagless = struct
+  include Lf_list.Fr_list.Atomic_int
+
+  let name = "fr-list(noflag)"
+  let create () = create_with ~use_flags:false ()
+end
+
 let list_ops create () =
   let t : int Lf_list.Fr_list.Atomic_int.t = create () in
   ( (fun k -> Lf_list.Fr_list.Atomic_int.insert t k k),
     (fun k -> Lf_list.Fr_list.Atomic_int.delete t k),
     fun k -> Lf_list.Fr_list.Atomic_int.mem t k )
-
-(* ------------------------------------------------------------------ *)
-(* Priority-queue batches.                                             *)
-
-let test_pqueue_batches () =
-  let module Q = Lf_pqueue.Pqueue.Atomic_int in
-  let q = Q.create () in
-  let results = Q.push_batch q [ (3, "c"); (1, "a"); (2, "b"); (3, "dup") ] in
-  Alcotest.(check (list bool))
-    "push results in input order"
-    [ true; true; true; false ]
-    results;
-  Alcotest.(check (list (pair int string)))
-    "pop_min_batch ascending"
-    [ (1, "a"); (2, "b") ]
-    (Q.pop_min_batch q 2);
-  Alcotest.(check (list (pair int string)))
-    "drains and stops" [ (3, "c") ] (Q.pop_min_batch q 5);
-  let module SQ = Lf_pqueue.Pqueue.Stamped_atomic in
-  let sq = SQ.create () in
-  SQ.push_batch sq [ (2, "x"); (1, "y"); (2, "z") ];
-  Alcotest.(check (list (pair int string)))
-    "stamped: FIFO among equal priorities"
-    [ (1, "y"); (2, "x"); (2, "z") ]
-    (SQ.pop_min_batch sq 3)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-domain batch stress: conservation, linearizability of the      *)
@@ -376,14 +370,14 @@ let test_stress_list () =
     (module Lf_list.Fr_list.Atomic_int)
     ~domains:3 ~batches:5 ~batch:4 ~key_range:8 ~seed:7 ()
 
-let test_stress_skiplist () =
+let test_stress_list_nohints () =
   stress_batches
-    (module Lf_skiplist.Fr_skiplist.Atomic_int)
+    (module List_nohints)
     ~domains:3 ~batches:5 ~batch:4 ~key_range:8 ~seed:8 ()
 
-let test_stress_hashtable () =
+let test_stress_list_flagless () =
   stress_batches
-    (module Lf_hashtable.Atomic_int)
+    (module List_flagless)
     ~domains:3 ~batches:5 ~batch:4 ~key_range:8 ~seed:9 ()
 
 (* The same stress through the protocol sanitizer: every C&S of every batch
@@ -396,21 +390,10 @@ module Checked_list = struct
   let name = "fr-list[checked]"
 end
 
-module Checked_skiplist = struct
-  include Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (Checked_mem)
-
-  let name = "fr-skiplist[checked]"
-end
-
 let test_stress_list_checked () =
   stress_batches
     (module Checked_list)
     ~domains:2 ~batches:4 ~batch:4 ~key_range:6 ~seed:10 ()
-
-let test_stress_skiplist_checked () =
-  stress_batches
-    (module Checked_skiplist)
-    ~domains:2 ~batches:4 ~batch:4 ~key_range:6 ~seed:11 ()
 
 let () =
   Alcotest.run "hint"
@@ -439,9 +422,8 @@ let () =
       ( "batches",
         [
           batch_oracle_test (module Lf_list.Fr_list.Atomic_int);
-          batch_oracle_test (module Lf_skiplist.Fr_skiplist.Atomic_int);
-          batch_oracle_test (module Lf_hashtable.Atomic_int);
-          Alcotest.test_case "pqueue batches" `Quick test_pqueue_batches;
+          batch_oracle_test (module List_nohints);
+          batch_oracle_test (module List_flagless);
         ] );
       ( "hints transparency",
         [
@@ -456,13 +438,11 @@ let () =
       ( "multi-domain stress",
         [
           Alcotest.test_case "list batches linearizable" `Slow test_stress_list;
-          Alcotest.test_case "skiplist batches linearizable" `Slow
-            test_stress_skiplist;
-          Alcotest.test_case "hashtable batches linearizable" `Slow
-            test_stress_hashtable;
+          Alcotest.test_case "list batches linearizable, hints off" `Slow
+            test_stress_list_nohints;
+          Alcotest.test_case "flagless list batches linearizable" `Slow
+            test_stress_list_flagless;
           Alcotest.test_case "list batches under Check_mem" `Slow
             test_stress_list_checked;
-          Alcotest.test_case "skiplist batches under Check_mem" `Slow
-            test_stress_skiplist_checked;
         ] );
     ]

@@ -1062,8 +1062,9 @@ let test_supervisor_resume_priority_and_promote_target () =
   let sup = Supervisor.create cfg ~shards:3 in
   let health = mk_health ~sick:[ 0 ] [ 0; 1; 2 ] in
   (* The router's aborted migration is resumed before anything else is
-     planned; via=Promote exactly when the slot's replica lives on the
-     stranded target. *)
+     planned; via=Promote exactly when the slot is replicated, wherever
+     the replica lives (the promotion finishes the walk to the record's
+     target). *)
   (match
      Supervisor.tick sup ~now:1 ~health ~assignment:[| 0; 1; 2 |]
        ~replica_host:(fun s -> if s = 0 then Some 2 else None)
@@ -1073,6 +1074,13 @@ let test_supervisor_resume_priority_and_promote_target () =
   | _ -> Alcotest.fail "resume onto the replica host must promote");
   (match
      Supervisor.tick sup ~now:2 ~health ~assignment:[| 0; 1; 2 |]
+       ~replica_host:(fun s -> if s = 0 then Some 1 else None)
+       ~pending_abort:(Some (0, 0, 2)) ~fast_burn:false
+   with
+  | [ { Supervisor.a_slot = 0; a_from = 0; a_to = 2; a_via = Promote } ] -> ()
+  | _ -> Alcotest.fail "resume of a replicated slot elsewhere must promote");
+  (match
+     Supervisor.tick sup ~now:3 ~health ~assignment:[| 0; 1; 2 |]
        ~replica_host:(fun _ -> None)
        ~pending_abort:(Some (0, 0, 1)) ~fast_burn:false
    with
@@ -1080,7 +1088,7 @@ let test_supervisor_resume_priority_and_promote_target () =
   | _ -> Alcotest.fail "resume without a replica copies");
   (* Fresh planning prefers promotion when the replica host is healthy. *)
   (match
-     Supervisor.tick sup ~now:3 ~health ~assignment:[| 0; 1; 2 |]
+     Supervisor.tick sup ~now:4 ~health ~assignment:[| 0; 1; 2 |]
        ~replica_host:(fun s -> if s = 0 then Some 1 else None)
        ~pending_abort:None ~fast_burn:false
    with
@@ -1459,6 +1467,115 @@ let test_range_ends_promote () =
         (in_slot ring slot))
     [ (min_int, false); (min_int, true); (max_int, false); (max_int, true) ]
 
+(* --- A promotion finishes a rebalance its dead source aborted -------- *)
+
+(* Slot 0 is replicated on [host] and rebalanced to the third shard; the
+   source dies after its third cursor read, so the walk aborts with keys
+   on both sides of the watermark.  [promote] must take the record over
+   and finish the walk to the rebalance's target from the copy. *)
+let test_promote_finishes_aborted_rebalance () =
+  let clock, _ = Clock.manual () in
+  let ring = Hash_ring.create ~seed:5 ~shards:3 () in
+  let pairs = Array.init 3 (fun _ -> table_backend ()) in
+  let tbs = Array.map fst pairs in
+  let from = Hash_ring.owner ring 0 in
+  let host = (from + 1) mod 3 and to_ = (from + 2) mod 3 in
+  (* The source's cursor reads left before it dies; -1 while unlimited. *)
+  let reads_left = ref (-1) in
+  let router =
+    Router.create ~ring
+      ~next_key:(fun i k ->
+        if i = from then
+          if !reads_left = 0 then tbs.(from).killed := true
+          else if !reads_left > 0 then decr reads_left;
+        table_next_key tbs i k)
+      ~svc_config:(fun _ -> Svc.config ~clock ~retryable:(fun _ -> false) ())
+      (fun i -> snd pairs.(i))
+  in
+  let reps = Replica.create () in
+  Replica.add_slot reps ~slot:0 ~on:host;
+  Router.attach_replicas router reps;
+  let keys =
+    List.filter (fun k -> Hash_ring.slot_of ring k = 0) (List.init 64 Fun.id)
+  in
+  Alcotest.(check bool) "slot has keys past the abort" true
+    (List.length keys > 3);
+  List.iter (fun k -> ignore (Router.call router (Svc.Insert (k, k)))) keys;
+  reads_left := 3;
+  (match Router.rebalance router ~slot:0 ~to_ with
+  | moved -> Alcotest.failf "abort expected, rebalance completed (%d)" moved
+  | exception Failure _ -> ());
+  (match Router.migration_status router with
+  | Some { Router.ms_aborted = true; ms_to; _ } ->
+      Alcotest.(check int) "aborted toward the third shard" to_ ms_to
+  | _ -> Alcotest.fail "the aborted record must stand");
+  Alcotest.(check int) "promote moves the keys the walk had left"
+    (List.length keys - 3)
+    (Router.promote router ~slot:0);
+  Alcotest.(check bool) "no migration left" true
+    (Router.migration_status router = None);
+  check_read_back router tbs ~live:(fun i -> i <> from) keys
+
+(* While slot 0's aborted rebalance stands, a promotion of another
+   replicated slot is refused and leaves the record as it was; once
+   slot 0's promotion finishes the walk, the other slot promotes too. *)
+let test_promote_waits_for_another_slots_abort () =
+  let clock, _ = Clock.manual () in
+  let ring = Hash_ring.create ~seed:5 ~shards:3 () in
+  let pairs = Array.init 3 (fun _ -> table_backend ()) in
+  let tbs = Array.map fst pairs in
+  let from = Hash_ring.owner ring 0 in
+  let host = (from + 1) mod 3 and to_ = (from + 2) mod 3 in
+  let other_host = (Hash_ring.owner ring 1 + 1) mod 3 in
+  let reads_left = ref (-1) in
+  let router =
+    Router.create ~ring
+      ~next_key:(fun i k ->
+        if i = from then
+          if !reads_left = 0 then tbs.(from).killed := true
+          else if !reads_left > 0 then decr reads_left;
+        table_next_key tbs i k)
+      ~svc_config:(fun _ -> Svc.config ~clock ~retryable:(fun _ -> false) ())
+      (fun i -> snd pairs.(i))
+  in
+  let reps = Replica.create () in
+  Replica.add_slot reps ~slot:0 ~on:host;
+  Replica.add_slot reps ~slot:1 ~on:other_host;
+  Router.attach_replicas router reps;
+  let keys slot =
+    List.filter (fun k -> Hash_ring.slot_of ring k = slot) (List.init 64 Fun.id)
+  in
+  Alcotest.(check bool) "slot 0 has keys past the abort" true
+    (List.length (keys 0) > 3);
+  Alcotest.(check bool) "slot 1 has keys" true (keys 1 <> []);
+  List.iter
+    (fun k -> ignore (Router.call router (Svc.Insert (k, k))))
+    (keys 0 @ keys 1);
+  reads_left := 3;
+  (match Router.rebalance router ~slot:0 ~to_ with
+  | moved -> Alcotest.failf "abort expected, rebalance completed (%d)" moved
+  | exception Failure _ -> ());
+  (match Router.promote router ~slot:1 with
+  | moved -> Alcotest.failf "promote of slot 1 ran (%d)" moved
+  | exception Invalid_argument _ -> ());
+  (match Router.migration_status router with
+  | Some { Router.ms_slot = 0; ms_aborted = true; ms_to; _ } ->
+      Alcotest.(check int) "the record still aims at the third shard" to_ ms_to
+  | _ -> Alcotest.fail "slot 0's aborted record must stand");
+  Alcotest.(check int) "slot 0's promotion finishes the walk"
+    (List.length (keys 0) - 3)
+    (Router.promote router ~slot:0);
+  Alcotest.(check int) "slot 1 promotes afterwards"
+    (List.length (keys 1))
+    (Router.promote router ~slot:1);
+  List.iter
+    (fun k ->
+      Alcotest.(check int)
+        (Printf.sprintf "key %d of slot 1 routes to its replica host" k)
+        other_host (Router.route router k))
+    (keys 1);
+  check_read_back router tbs ~live:(fun i -> i <> from) (keys 0 @ keys 1)
+
 (* --- The north star: no acknowledged write is lost across a heal ------ *)
 
 (* Scripts of puts, deletes and reads through the router, budgeted
@@ -1712,6 +1829,10 @@ let () =
             test_range_ends_rebalance;
           Alcotest.test_case "min_int and max_int survive promotions" `Quick
             test_range_ends_promote;
+          Alcotest.test_case "promote finishes an aborted rebalance" `Quick
+            test_promote_finishes_aborted_rebalance;
+          Alcotest.test_case "promote waits for another slot's abort" `Quick
+            test_promote_waits_for_another_slots_abort;
           test_no_acknowledged_write_lost;
         ] );
       ( "chaos",

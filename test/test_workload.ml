@@ -15,6 +15,55 @@ let test_throughput_smoke () =
   Alcotest.(check bool) "positive rate" true (r.ops_per_s > 0.0);
   Alcotest.(check string) "impl name" "fr-list" r.impl
 
+(* The batched runner issues every operation of the stream through the
+   list's batched entry points, in chunks of at most [batch]: an
+   [ops_per_domain] that is not a multiple of [batch] leaves a short last
+   chunk, not a lost or an extra one. *)
+module Counted_batches = struct
+  include Lf_list.Fr_list.Atomic_int
+
+  let issued = Atomic.make 0
+  let widest = Atomic.make 0
+
+  let count l =
+    let n = List.length l in
+    ignore (Atomic.fetch_and_add issued n);
+    let rec widen () =
+      let w = Atomic.get widest in
+      if n > w && not (Atomic.compare_and_set widest w n) then widen ()
+    in
+    widen ()
+
+  let insert_batch t kvs = count kvs; insert_batch t kvs
+  let delete_batch t ks = count ks; delete_batch t ks
+  let mem_batch t ks = count ks; mem_batch t ks
+end
+
+let test_batched_throughput () =
+  let r =
+    Lf_workload.Runner.run_throughput_batched
+      (module Counted_batches)
+      ~domains:2 ~ops_per_domain:1_000 ~batch:16 ~key_range:128
+      ~mix:Lf_workload.Opgen.mixed ~seed:3 ()
+  in
+  Alcotest.(check int) "total ops" 2_000 r.total_ops;
+  Alcotest.(check int) "every op issued in a batch" 2_000
+    (Atomic.get Counted_batches.issued);
+  Alcotest.(check bool) "no batch wider than 16" true
+    (Atomic.get Counted_batches.widest <= 16);
+  Alcotest.(check bool) "batches hold several ops" true
+    (Atomic.get Counted_batches.widest > 1);
+  Alcotest.(check string) "impl name" "fr-list" r.impl
+
+let test_batched_rejects_empty_batch () =
+  Alcotest.check_raises "batch 0"
+    (Invalid_argument "run_throughput_batched: batch must be > 0") (fun () ->
+      ignore
+        (Lf_workload.Runner.run_throughput_batched
+           (module Lf_list.Fr_list.Atomic_int)
+           ~domains:1 ~ops_per_domain:10 ~batch:0 ~key_range:8
+           ~mix:Lf_workload.Opgen.mixed ~seed:1 ()))
+
 let test_recorded_shape () =
   let h =
     Lf_workload.Runner.run_recorded
@@ -83,6 +132,10 @@ let () =
       ( "runner",
         [
           Alcotest.test_case "throughput smoke" `Quick test_throughput_smoke;
+          Alcotest.test_case "batched throughput" `Quick
+            test_batched_throughput;
+          Alcotest.test_case "batched rejects batch 0" `Quick
+            test_batched_rejects_empty_batch;
           Alcotest.test_case "recorded shape" `Quick test_recorded_shape;
         ] );
       ( "sim driver",
