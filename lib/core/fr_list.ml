@@ -24,15 +24,18 @@
    re-validate (every such branch is self-validating, see DESIGN.md).
 
    Layout, as in [Fr_skiplist].  A node is an inline record, so [right],
-   backlinks and hint anchors point straight at it.  Keys are stored
-   unboxed; the sentinels carry [K.any], and no code compares a sentinel's
-   key: the tail is known by identity, and only sentinels have no element.
-   A succ descriptor also carries a copy of its [right] node's key
-   ([right_key]; [K.any] when [right] is the tail).  A node's key never
-   changes, so the copy is exact, and SEARCHFROM decides whether to step
-   on [right_key] without loading the next node ("Skiplists with
-   Foresight").  C&S still compares whole descriptors physically; the copy
-   never decides a C&S, and it is not a deviation from the paper.
+   backlinks and hint anchors point straight at it.  The head and the tail
+   are [Sentinel]s, which hold only their two cells, so a regular [Node]
+   stores its key and element unboxed and no code compares a sentinel's
+   key: the tail is known by identity.  A succ descriptor also carries
+   copies of its [right] node's key and [succ] cell ([right_key],
+   [right_succ]; [K.any] and the tail's cell when [right] is the tail).  A
+   node's key and cells never change, so the copies are exact, and a
+   SEARCHFROM step decides on [right_key] and reads the next descriptor
+   through [right_succ], without loading the next node ("Skiplists with
+   Foresight").  C&S still compares whole descriptors physically; the
+   copies never decide a C&S, and they are not a deviation from the
+   paper.
 
    [create ~use_flags:false] builds the EXP-8 ablation variant: two-step
    Harris-style deletion that still sets backlinks but never flags the
@@ -44,24 +47,36 @@ module type S = Fr_list_intf.S
 module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   module BK = Lf_kernel.Ordered.Bounded (K)
   module Ev = Lf_kernel.Mem_event
-  module H = Lf_kernel.Hint.Make (M)
+  module Hint = Lf_kernel.Hint
 
   type key = K.t
 
   (* [Null] is the tail's [right], an unset backlink and an empty anchor;
-     nothing else. *)
+     nothing else.  The head and the tail are the only [Sentinel]s. *)
   type 'a node =
     | Null
+    | Sentinel of { succ : 'a succ M.aref; backlink : 'a node M.aref }
     | Node of {
-        key : K.t; (* [K.any] at the sentinels *)
-        elt : 'a option; (* [None] only at the head and tail sentinels *)
+        key : K.t;
+        elt : 'a;
         succ : 'a succ M.aref;
         backlink : 'a node M.aref;
         anchor : 'a anchor;
       }
 
-  (* [right_key] is physically [right]'s key ([K.any] for the tail). *)
-  and 'a succ = { right : 'a node; right_key : K.t; mark : bool; flag : bool }
+  (* [right_key] is physically [right]'s key ([K.any] for the tail), and
+     [right_succ] holds [right]'s succ cell, in [Fr_skiplist]'s idiom: a
+     [Lazy.from_val] of the cell, which is the cell itself, so forcing it
+     is a tag test.  The tail's own descriptor has no right node and
+     holds [lazy (null ())], which no step forces, because none moves
+     onto the tail. *)
+  and 'a succ = {
+    right : 'a node;
+    right_key : K.t;
+    right_succ : 'a succ M.aref Lazy.t;
+    mark : bool;
+    flag : bool;
+  }
 
   (* What a hint slot holds: a box that points at its node until the
      node is marked, when the winner of the marking C&S empties it.  A
@@ -91,39 +106,46 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     tail : 'a node;
     use_flags : bool;
     mutation : mutation option;
-    hints : 'a anchor H.t option;
+    hints : 'a anchor Hint.t option;
         (* per-domain predecessor cache; [None] = ablation (hints off) *)
+    empty : 'a anchor; (* what a hint slot holds when it caches nothing *)
   }
 
   let name = "fr-list"
 
   (* Field access.  Only the tail has a [Null] successor, and no routine
      below dereferences the successor of the tail (searches stop strictly
-     before it and it is never deleted), nor an unset backlink. *)
+     before it and it is never deleted), an unset backlink, or a
+     sentinel's key or anchor (it has neither). *)
   let null () = invalid_arg "Fr_list: dereferenced a null link"
-  let key_of = function Node n -> n.key | Null -> null ()
-  let succ_of = function Node n -> n.succ | Null -> null ()
-  let backlink_of = function Node n -> n.backlink | Null -> null ()
-  let anchor_of = function Node n -> n.anchor | Null -> null ()
+  let key_of = function Node n -> n.key | Sentinel _ | Null -> null ()
 
-  (* [n] is a regular node holding key [k].  Sentinels carry [K.any],
-     which may also be a live key, so they must never match: only
-     sentinels have no element. *)
+  let[@inline] succ_of = function
+    | Node n -> n.succ
+    | Sentinel n -> n.succ
+    | Null -> null ()
+
+  let[@inline] backlink_of = function
+    | Node n -> n.backlink
+    | Sentinel n -> n.backlink
+    | Null -> null ()
+
+  let anchor_of = function Node n -> n.anchor | Sentinel _ | Null -> null ()
+
+  (* [n] is a regular node holding key [k].  A sentinel never matches, so
+     [K.any] may be a live key. *)
   let holds n k =
-    match n with
-    | Node { key; elt = Some _; _ } -> K.compare key k = 0
-    | Node _ | Null -> false
+    match n with Node n -> K.compare n.key k = 0 | Sentinel _ | Null -> false
 
   (* The binding a regular node holds; [None] at the sentinels. *)
   let binding = function
-    | Node { key; elt = Some e; _ } -> Some (key, e)
-    | Node _ | Null -> None
+    | Node n -> Some (n.key, n.elt)
+    | Sentinel _ | Null -> None
 
   (* A node's key with the paper's sentinel values, for checked-memory
-     reports and [Debug]: a node without an element is the tail or the
-     head. *)
+     reports and [Debug]. *)
   let bounded_key tail : _ node -> K.t Lf_kernel.Ordered.bounded = function
-    | Node { elt = None; _ } as n -> if n == tail then Pos_inf else Neg_inf
+    | Sentinel _ as n -> if n == tail then Pos_inf else Neg_inf
     | Node n -> Mid n.key
     | Null -> null ()
 
@@ -138,7 +160,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       right_id =
         (match s.right with
         | Null -> Lf_kernel.Protocol.null_id
-        | Node r -> M.stamp r.succ);
+        | r -> M.stamp (succ_of r));
       right_gt_owner =
         (match s.right with
         | Null -> true
@@ -151,23 +173,22 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     match l with
     | Null ->
         { target_id = Lf_kernel.Protocol.null_id; left_of_owner = true }
-    | Node b ->
+    | b ->
         {
-          target_id = M.stamp b.succ;
+          target_id = M.stamp (succ_of b);
           left_of_owner = BK.lt (bounded_key tail l) owner;
         }
 
-  let annotate_node ?(head = false) ?(sentinel = false) tail = function
-    | Node n as node when M.stamp n.succ <> 0 ->
-        let key = bounded_key tail node in
-        let owner = Format.asprintf "%a" BK.pp key in
-        M.annotate n.succ
-          (Lf_kernel.Protocol.Succ
-             { owner; head; sentinel; view = succ_view_of tail key });
-        M.annotate n.backlink
-          (Lf_kernel.Protocol.Backlink
-             { owner; view = link_view_of tail key })
-    | Node _ | Null -> ()
+  let annotate_node ?(head = false) ?(sentinel = false) tail node =
+    if M.stamp (succ_of node) <> 0 then begin
+      let key = bounded_key tail node in
+      let owner = Format.asprintf "%a" BK.pp key in
+      M.annotate (succ_of node)
+        (Lf_kernel.Protocol.Succ
+           { owner; head; sentinel; view = succ_view_of tail key });
+      M.annotate (backlink_of node)
+        (Lf_kernel.Protocol.Backlink { owner; view = link_view_of tail key })
+    end
 
   (* Every node's [backlink] cell is made before its [succ] cell: the
      simulator numbers cells as they are made, and the pinned simulator
@@ -176,26 +197,37 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let create_with ?mutation ?(use_hints = true) ~use_flags () =
     let backlink = M.make Null in
     let succ =
-      M.make { right = Null; right_key = K.any; mark = false; flag = false }
+      M.make
+        {
+          right = Null;
+          right_key = K.any;
+          right_succ = lazy (null ());
+          mark = false;
+          flag = false;
+        }
     in
-    let tail =
-      Node { key = K.any; elt = None; succ; backlink; anchor = { live = Null } }
-    in
+    let tail = Sentinel { succ; backlink } in
     let backlink = M.make Null in
     let succ =
-      M.make { right = tail; right_key = K.any; mark = false; flag = false }
+      M.make
+        {
+          right = tail;
+          right_key = K.any;
+          right_succ = Lazy.from_val (succ_of tail);
+          mark = false;
+          flag = false;
+        }
     in
-    let head =
-      Node { key = K.any; elt = None; succ; backlink; anchor = { live = Null } }
-    in
+    let head = Sentinel { succ; backlink } in
     (* The flagless ablation deliberately breaks the protocol; it stays
        unannotated so it can run under a checked memory too. *)
     if use_flags then begin
       annotate_node ~sentinel:true tail tail;
       annotate_node ~head:true ~sentinel:true tail head
     end;
-    let hints = if use_hints then Some (H.create ()) else None in
-    { head; tail; use_flags; mutation; hints }
+    let empty = { live = Null } in
+    let hints = if use_hints then Some (Hint.create ~empty) else None in
+    { head; tail; use_flags; mutation; hints; empty }
 
   let create () = create_with ~use_flags:true ()
 
@@ -225,6 +257,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
            {
              right = ds.right;
              right_key = ds.right_key;
+             right_succ = ds.right_succ;
              mark = false;
              flag = false;
            })
@@ -263,25 +296,27 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      encountered along the way are physically deleted (helping).
 
      [goes_past] is the test of lines 2 and 7, [next.key <= k], made on
-     [cs.right_key], so no step loads [next] to decide.  [search_from]
-     carries lines 2-9 and [skip_marked] the loop of lines 3-6.  When
-     that loop does not run, [next] is unchanged and line 7 would repeat
-     line 2's test, so it is skipped: an unobstructed step makes one key
-     comparison. *)
-  let goes_past t inclusive k cs =
+     [cs.right_key], and a step reads [next]'s descriptor through
+     [cs.right_succ], so an unobstructed step never loads [next].
+     [search_from] carries lines 2-9 and [skip_marked] the loop of lines
+     3-6.  When that loop does not run, [next] is unchanged and line 7
+     would repeat line 2's test, so it is skipped: an unobstructed step
+     makes one key comparison. *)
+  let[@inline] goes_past t inclusive k cs =
     cs.right != t.tail
     &&
     let c = K.compare cs.right_key k in
     if inclusive then c <= 0 else c < 0
 
-  (* Line 3's test: [next] is marked, unless both [curr] and [next] are
-     marked and adjacent (in which case [curr] was marked first and we may
-     travel through both). *)
-  let skips curr next =
-    (M.get (succ_of next)).mark
+  (* Line 3's test on [cs], the descriptor last read from [curr]:
+     [cs.right] is marked, unless both [curr] and it are marked and
+     adjacent (in which case [curr] was marked first and we may travel
+     through both). *)
+  let skips curr cs =
+    (M.get (Lazy.force cs.right_succ)).mark
     &&
-    let cs = M.get (succ_of curr) in
-    (not cs.mark) || cs.right != next
+    let s = M.get (succ_of curr) in
+    (not s.mark) || s.right != cs.right
 
   (* Lines 4-6, repeated while line 3's test holds; returns the descriptor
      from which the last line 6 read [next]. *)
@@ -289,7 +324,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     if (M.get (succ_of curr)).right == next then help_marked t curr next;
     let cs = M.get (succ_of curr) in
     M.event Ev.Next_update;
-    if skips curr cs.right then skip_marked t curr cs.right else cs
+    if skips curr cs then skip_marked t curr cs.right else cs
 
   (* Lines 8-9 are written out at both of their sites, and line 3's
      first test inline: without flambda a call per step is measurable
@@ -298,8 +333,10 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let rec search_from t inclusive k curr cs =
     if goes_past t inclusive k cs then begin
       let next = cs.right in
+      (* Forced once: each force is a C call ([caml_obj_tag]). *)
+      let ncell = Lazy.force cs.right_succ in
       if
-        (M.get (succ_of next)).mark
+        (M.get ncell).mark
         &&
         let cs = M.get (succ_of curr) in
         (not cs.mark) || cs.right != next
@@ -308,13 +345,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         if goes_past t inclusive k cs then begin
           let next = cs.right in
           M.event Ev.Curr_update;
-          search_from t inclusive k next (M.get (succ_of next))
+          search_from t inclusive k next (M.get (Lazy.force cs.right_succ))
         end
         else (curr, cs.right)
       end
       else begin
         M.event Ev.Curr_update;
-        search_from t inclusive k next (M.get (succ_of next))
+        search_from t inclusive k next (M.get ncell)
       end
     end
     else (curr, cs.right)
@@ -353,52 +390,65 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     end
     else n
 
-  (* A validated start node for a search with target [k], or [None] if the
-     candidate (after backlink recovery) is unusable and the search must
-     begin at the head.  Candidates are regular nodes (hint anchors and
-     batch carries never hold the tail), so [s]'s key is a real key. *)
+  (* A validated start node for a search with target [k], or the head if
+     the candidate (after backlink recovery) is unusable.  Candidates are
+     regular nodes (hint anchors and batch carries never hold the tail). *)
   let valid_start t ~inclusive k cand =
-    let s = unmark_left t cand in
-    if s == t.head then None
-    else
-      let c = K.compare (key_of s) k in
-      if (if inclusive then c <= 0 else c < 0) then Some s else None
+    match unmark_left t cand with
+    | Node n as s when
+        let c = K.compare n.key k in
+        if inclusive then c <= 0 else c < 0 ->
+        s
+    | _ -> t.head
 
-  let start_for t ~inclusive k =
-    match t.hints with
-    | None -> t.head
-    | Some h -> (
-        match H.load h with
-        | None ->
-            H.note_miss h;
-            t.head
-        | Some a -> (
-            let start =
-              match a.live with
-              | Null -> None
-              | cand -> valid_start t ~inclusive k cand
-            in
-            match start with
-            | Some s ->
-                H.note_hit h;
-                s
-            | None ->
-                H.note_stale h;
-                (* A stale list hint is a dead or too-far node; drop it so
-                   the next operation does not re-walk its backlinks. *)
-                H.clear h;
-                t.head))
+  (* An operation looks up its domain's slot [s] once, starts from
+     [start_for t s], and ends with [publish t s].  Both work on the
+     slot's fields alone, so a hinted operation makes no call into
+     [Hint] after the lookup and boxes nothing; they count and emit the
+     [hint:*] events themselves.  A slot holding [t.empty] caches
+     nothing. *)
+  let start_for t (s : _ Hint.slot) ~inclusive k =
+    let a = s.value in
+    if a == t.empty then begin
+      s.stats.misses <- s.stats.misses + 1;
+      M.event Hint.ev_miss;
+      t.head
+    end
+    else
+      let start =
+        match a.live with
+        | Null -> t.head
+        | cand -> valid_start t ~inclusive k cand
+      in
+      if start != t.head then begin
+        s.stats.hits <- s.stats.hits + 1;
+        M.event Hint.ev_hit;
+        start
+      end
+      else begin
+        s.stats.stale <- s.stats.stale + 1;
+        M.event Hint.ev_stale;
+        (* A stale list hint is a dead or too-far node; drop it so the
+           next operation does not re-walk its backlinks. *)
+        s.value <- t.empty;
+        t.head
+      end
 
   (* Publish the predecessor an operation ends on as the domain's next
-     hint.  Mutant structures never publish: their seeded protocol bugs can
-     corrupt backlinks, and the sanitizer tests that use them want the
-     honest code paths undisturbed. *)
-  let publish t n =
-    match (t.hints, t.mutation) with
-    | Some h, None when n != t.head -> H.store h (anchor_of n)
+     hint (the head is never published).  Mutant structures never publish:
+     their seeded protocol bugs can corrupt backlinks, and the sanitizer
+     tests that use them want the honest code paths undisturbed. *)
+  let publish t (s : _ Hint.slot) n =
+    match (t.mutation, n) with
+    | None, Node { anchor; _ } ->
+        (* Repeats are common (quiet stretches, same-region traffic); the
+           test skips their write barrier. *)
+        if s.value != anchor then s.value <- anchor;
+        s.stats.stores <- s.stats.stores + 1;
+        M.event Hint.ev_store
     | _ -> ()
 
-  let hint_stats t = Option.map H.totals t.hints
+  let hint_stats t = Option.map Hint.totals t.hints
 
   (* TRYFLAG (Fig. 5): flag the predecessor of [target].  Returns
      [(Some prev, true)]  - we placed the flag,
@@ -432,13 +482,17 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let find_from t k start =
     let curr, _ = search t true k start in
     match curr with
-    | Node { elt; _ } when holds curr k -> (elt, curr)
+    | Node n when K.compare n.key k = 0 -> (Some n.elt, curr)
     | _ -> (None, curr)
 
   let find t k =
-    let r, carry = find_from t k (start_for t ~inclusive:true k) in
-    publish t carry;
-    r
+    match t.hints with
+    | None -> fst (find_from t k t.head)
+    | Some h ->
+        let s = Hint.slot h in
+        let r, carry = find_from t k (start_for t s ~inclusive:true k) in
+        publish t s carry;
+        r
 
   let mem t k = Option.is_some (find t k)
 
@@ -460,19 +514,32 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       (* Stale view: the C&S would fail; recover as after a failure. *)
       insert_recover t k elt prev
     else begin
-      (* [ps.right] is [next], so [ps.right_key] is its key. *)
+      (* [ps.right] is [next], so [ps.right_key] and [ps.right_succ] are
+         its key and cell. *)
       let backlink = M.make Null in
       let succ =
         M.make
-          { right = next; right_key = ps.right_key; mark = false; flag = false }
+          {
+            right = next;
+            right_key = ps.right_key;
+            right_succ = ps.right_succ;
+            mark = false;
+            flag = false;
+          }
       in
       let anchor = { live = Null } in
-      let nn = Node { key = k; elt = Some elt; succ; backlink; anchor } in
+      let nn = Node { key = k; elt; succ; backlink; anchor } in
       anchor.live <- nn;
       if t.use_flags then annotate_node t.tail nn;
       if
         M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
-          { right = nn; right_key = k; mark = false; flag = false }
+          {
+            right = nn;
+            right_key = k;
+            right_succ = Lazy.from_val succ;
+            mark = false;
+            flag = false;
+          }
       then (true, nn)
       else insert_recover t k elt prev
     end
@@ -492,9 +559,15 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     if holds prev k then (false, prev) else insert_attempt t k elt prev next
 
   let insert t k elt =
-    let ok, carry = insert_relocate t k elt (start_for t ~inclusive:true k) in
-    publish t carry;
-    ok
+    match t.hints with
+    | None -> fst (insert_relocate t k elt t.head)
+    | Some h ->
+        let s = Hint.slot h in
+        let ok, carry =
+          insert_relocate t k elt (start_for t s ~inclusive:true k)
+        in
+        publish t s carry;
+        ok
 
   (* DELETE (Fig. 4), three-step protocol.  The carry is the predecessor
      (key strictly below [k]), usable by both inclusive and exclusive
@@ -514,9 +587,15 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     end
 
   let delete_flagged t k =
-    let ok, carry = delete_flagged_from t k (start_for t ~inclusive:false k) in
-    publish t carry;
-    ok
+    match t.hints with
+    | None -> fst (delete_flagged_from t k t.head)
+    | Some h ->
+        let s = Hint.slot h in
+        let ok, carry =
+          delete_flagged_from t k (start_for t s ~inclusive:false k)
+        in
+        publish t s carry;
+        ok
 
   (* Flagless ablation (EXP-8): Harris-style two-step deletion that still
      sets backlinks.  Because the predecessor is not pinned, a backlink can
@@ -550,6 +629,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
              {
                right = ds.right;
                right_key = ds.right_key;
+               right_succ = ds.right_succ;
                mark = false;
                flag = false;
              }
@@ -593,6 +673,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
                  {
                    right = ds.right;
                    right_key = ds.right_key;
+                   right_succ = ds.right_succ;
                    mark = false;
                    flag = false;
                  })
@@ -636,16 +717,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     Array.iter
       (fun i ->
         let k = key_of arr.(i) in
-        let start =
-          match valid_start t ~inclusive k !carry with
-          | Some s -> s
-          | None -> t.head
-        in
-        let ok, c = f k arr.(i) start in
+        let ok, c = f k arr.(i) (valid_start t ~inclusive k !carry) in
         results.(i) <- ok;
         carry := c)
       order;
-    publish t !carry;
+    (match t.hints with Some h -> publish t (Hint.slot h) !carry | None -> ());
     Array.to_list results
 
   let insert_batch t kvs =
@@ -699,19 +775,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         end
         else binding n
 
-  let rec fold_range_from t hi f acc n =
-    match n with
-    | Null -> acc
-    | Node r ->
-        if n == t.tail || K.compare hi r.key < 0 then acc
-        else
-          let s = M.get r.succ in
-          let acc =
-            match r.elt with
-            | Some e when not s.mark -> f acc r.key e
-            | _ -> acc
-          in
-          fold_range_from t hi f acc s.right
+  let rec fold_range_from hi f acc = function
+    | Node r when K.compare hi r.key >= 0 ->
+        let s = M.get r.succ in
+        fold_range_from hi f (if s.mark then acc else f acc r.key r.elt) s.right
+    | Node _ | Sentinel _ | Null -> acc
 
   (* Fold over the regular bindings with lo <= key <= hi, in key order.
      Weakly consistent under concurrency: reflects inserts/deletes that
@@ -720,18 +788,17 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     if K.compare lo hi > 0 then acc
     else begin
       let _, start = search t false lo t.head in
-      fold_range_from t hi f acc start
+      fold_range_from hi f acc start
     end
 
   (* Quiescent snapshot: regular (unmarked) nodes in key order. *)
   let fold t f acc =
     let rec go acc = function
       | Null -> acc
-      | Node n -> (
+      | Node n ->
           let s = M.get n.succ in
-          match n.elt with
-          | Some e when not s.mark -> go (f acc n.key e) s.right
-          | _ -> go acc s.right)
+          go (if s.mark then acc else f acc n.key n.elt) s.right
+      | Sentinel n -> go acc (M.get n.succ).right
     in
     go acc (M.get (succ_of t.head)).right
 
@@ -740,36 +807,46 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let length t = fold t (fun acc _ _ -> acc + 1) 0
 
   (* Structural validation at quiescence: strictly sorted keys (INV 1), no
-     marked or flagged node still physically linked, proper sentinels, and
-     every linked descriptor's [right_key] physically its right node's
-     key. *)
+     marked or flagged node still physically linked, the head and the tail
+     the only sentinels, and every linked descriptor's [right_key] and
+     [right_succ] physically its right node's key and cell. *)
   let check_invariants t =
     let fail fmt = Format.kasprintf failwith fmt in
     let bk = bounded_key t.tail in
+    (match (t.head, t.tail) with
+    | Sentinel _, Sentinel _ -> ()
+    | _ -> fail "fr-list: the head or the tail is not a sentinel");
     (* [ps] is the descriptor of [prev], the node last visited. *)
     let rec go prev ps =
       match ps.right with
       | Null -> fail "fr-list: tail sentinel not reached"
+      | Sentinel n as next ->
+          if next != t.tail then
+            fail "fr-list: a sentinel other than the tail is linked (after %a)"
+              BK.pp (bk prev);
+          if ps.right_key != K.any then
+            fail "fr-list: right_key is not K.any before the tail";
+          if Lazy.force ps.right_succ != n.succ then
+            fail "fr-list: right_succ is not the tail's cell";
+          if (M.get n.succ).right != Null then
+            fail "fr-list: tail has a successor"
       | Node n as next ->
           if ps.right_key != n.key then
             fail "fr-list: right_key is not the right node's key (after %a)"
+              BK.pp (bk prev);
+          if Lazy.force ps.right_succ != n.succ then
+            fail "fr-list: right_succ is not the right node's cell (after %a)"
               BK.pp (bk prev);
           if not (BK.lt (bk prev) (bk next)) then
             fail "fr-list: keys not strictly sorted (%a then %a)" BK.pp
               (bk prev) BK.pp (bk next);
           let s = M.get n.succ in
-          if next == t.tail then begin
-            if s.right != Null then fail "fr-list: tail has a successor"
-          end
-          else begin
-            if s.mark then
-              fail "fr-list: marked node with key %a linked at quiescence"
-                K.pp n.key;
-            if s.flag then
-              fail "fr-list: flagged node with key %a at quiescence" K.pp
-                n.key;
-            go next s
-          end
+          if s.mark then
+            fail "fr-list: marked node with key %a linked at quiescence" K.pp
+              n.key;
+          if s.flag then
+            fail "fr-list: flagged node with key %a at quiescence" K.pp n.key;
+          go next s
     in
     go t.head (M.get (succ_of t.head))
 
@@ -841,7 +918,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
                 else
                   match M.get (backlink_of n) with
                   | b when b == m_node -> Ok ()
-                  | Node _ ->
+                  | Node _ | Sentinel _ ->
                       Error "INV4: backlink not pointing at predecessor"
                   | Null ->
                       Error "INV4: backlink unset on logically deleted node"

@@ -1,6 +1,13 @@
 (* The signature of [Fr_list.Make]'s result, shared by the functor and the
    shipped instances (see fr_list.mli).  It lives in a unit of its own so
-   that fr_list.ml and fr_list.mli both name it without a second copy. *)
+   that fr_list.ml and fr_list.mli both name it without a second copy.
+
+   The layout stays abstract.  A regular node is one inline record
+   holding its key and element unboxed; the head and the tail are the
+   only two sentinels, which hold no key or element; and every succ
+   descriptor carries copies of its right node's key and succ cell, so
+   [check_invariants] checks the copies and the sentinels, and [Debug]
+   renders a sentinel's key as -inf/+inf. *)
 
 module type S = sig
   type key
@@ -49,12 +56,15 @@ module type S = sig
       the [use_flags:true] variants (mutated or not).
 
       [use_hints] (default [true]) enables the per-domain predecessor
-      cache: each operation starts its search from the last node the
-      calling domain ended on, validated per Section 3.2 (unmarked, key
-      below the target; unusable ones fall back to the head).  A hint
-      whose node was marked is dropped, so an idle domain's cache never
-      keeps a deleted node reachable.  Backlink recovery remains for the
-      window between the mark and the drop, and for batch carries.
+      cache: each operation looks up the calling domain's slot once and
+      starts its search from the last node that domain ended on,
+      validated per Section 3.2 (unmarked, key below the target; unusable
+      ones fall back to the head).  Validation and publication allocate
+      nothing, so a hinted operation allocates what an unhinted one
+      does.  A hint whose node was marked is dropped, so an idle domain's
+      cache never keeps a deleted node reachable.  Backlink recovery
+      remains for the window between the mark and the drop, and for
+      batch carries.
       [~use_hints:false] is the EXP-17 ablation.
 
       [create () = create_with ~use_flags:true ()]. *)
@@ -113,8 +123,9 @@ module type S = sig
 
   val check_invariants : 'a t -> unit
   (** Quiescent structural validation: strict sorting (INV 1), no marked or
-      flagged node still linked, and every linked descriptor's copy of its
-      right node's key physically that key.  Raises [Failure] on
+      flagged node still linked, the head and the tail the only sentinels,
+      and every linked descriptor's copies of its right node's key and
+      succ cell physically that key and cell.  Raises [Failure] on
       violation. *)
 
   (** {1 Introspection}

@@ -7,9 +7,6 @@
 
 include Mem.S with type 'a aref = 'a Atomic.t
 
-val local : unit -> Counters.t
-(** The calling domain's counters. *)
-
 val grand_total : unit -> Counters.t
 (** Sum over every domain that ever touched a structure.  Only meaningful at
     quiescence. *)

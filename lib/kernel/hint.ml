@@ -19,19 +19,27 @@
    only by the domain that holds its index, so the hot path needs no
    synchronization beyond the array load.
 
-   A slot keeps whatever the structure hands it alive, so a structure
-   whose nodes die must cache something that lets go of a dead node:
-   [Fr_list] caches a node's anchor, a box that marking empties.  Under a
-   simulated memory all processes share the one real domain's slot, which
-   is still safe (validation) and still deterministic (the slot belongs to
-   the structure, which Explore recreates per schedule). *)
+   The cache is only the slots.  An operation looks its slot up once and
+   then reads, validates, counts and publishes through the slot's fields
+   itself, so the hot path makes no call into this module and boxes
+   nothing: a slot holds the structure's own [empty] value when it caches
+   nothing.  A slot keeps whatever the structure hands it alive, so a
+   structure whose nodes die must cache something that lets go of a dead
+   node: [Fr_list] caches a node's anchor, a box that marking empties.
+   Under a simulated memory all processes share the one real domain's
+   slot, which is still safe (validation) and still deterministic (the
+   slot belongs to the structure, which Explore recreates per
+   schedule). *)
 
 type stats = {
-  mutable hits : int;  (** hint validated and used as the search start *)
-  mutable stale : int;  (** hint present but failed validation *)
-  mutable misses : int;  (** no hint cached in this domain yet *)
-  mutable stores : int;  (** publications of a fresh predecessor *)
+  mutable hits : int;
+  mutable stale : int;
+  mutable misses : int;
+  mutable stores : int;
 }
+
+type 'a slot = { mutable value : 'a; stats : stats }
+type 'a t = { empty : 'a; slots : 'a slot option array Atomic.t }
 
 let mk_stats () = { hits = 0; stale = 0; misses = 0; stores = 0 }
 
@@ -40,6 +48,12 @@ let add_stats ~into s =
   into.stale <- into.stale + s.stale;
   into.misses <- into.misses + s.misses;
   into.stores <- into.stores + s.stores
+
+(* Preallocated so the hot path never builds a string. *)
+let ev_store = Mem_event.User "hint:store"
+let ev_hit = Mem_event.User "hint:hit"
+let ev_stale = Mem_event.User "hint:stale"
+let ev_miss = Mem_event.User "hint:miss"
 
 (* Domain indices: a lock-free free list of returned indices, and a
    counter for fresh ones when the list is empty.  The list's cells are
@@ -63,71 +77,29 @@ let index_key =
       Domain.at_exit (fun () -> give_back i);
       i)
 
-module Make (M : Mem.S) = struct
-  type 'a slot = { mutable value : 'a option; stats : stats }
-  type 'a t = 'a slot option array Atomic.t
+let create ~empty = { empty; slots = Atomic.make [||] }
 
-  let create () = Atomic.make [||]
+(* First use in this domain: copy the array with the domain's slot
+   added, and retry if another domain installed its own meanwhile. *)
+let rec install t i =
+  let old = Atomic.get t.slots in
+  let a = Array.make (max (Array.length old) (i + 1)) None in
+  Array.blit old 0 a 0 (Array.length old);
+  let s = { value = t.empty; stats = mk_stats () } in
+  a.(i) <- Some s;
+  if Atomic.compare_and_set t.slots old a then s else install t i
 
-  (* First use in this domain: copy the array with the domain's slot
-     added, and retry if another domain installed its own meanwhile. *)
-  let rec install t i =
-    let old = Atomic.get t in
-    let a = Array.make (max (Array.length old) (i + 1)) None in
-    Array.blit old 0 a 0 (Array.length old);
-    let s = { value = None; stats = mk_stats () } in
-    a.(i) <- Some s;
-    if Atomic.compare_and_set t old a then s else install t i
+let slot t =
+  let i = Domain.DLS.get index_key in
+  let a = Atomic.get t.slots in
+  match if i < Array.length a then a.(i) else None with
+  | Some s -> s
+  | None -> install t i
 
-  let slot t =
-    let i = Domain.DLS.get index_key in
-    let a = Atomic.get t in
-    match if i < Array.length a then a.(i) else None with
-    | Some s -> s
-    | None -> install t i
-
-  let load t = (slot t).value
-
-  (* Preallocated so the hot path never builds a string. *)
-  let ev_store = Mem_event.User "hint:store"
-  let ev_hit = Mem_event.User "hint:hit"
-  let ev_stale = Mem_event.User "hint:stale"
-  let ev_miss = Mem_event.User "hint:miss"
-
-  let store t v =
-    let s = slot t in
-    (* Re-box only when the value actually changed: every operation
-       publishes its end predecessor, and on quiet stretches (or tight
-       same-region traffic) that is the same node over and over — boxing a
-       fresh [Some] each time put a per-op allocation on the hot path. *)
-    (match s.value with
-    | Some old when old == v -> ()
-    | _ -> s.value <- Some v);
-    s.stats.stores <- s.stats.stores + 1;
-    M.event ev_store
-
-  let clear t = (slot t).value <- None
-
-  let note_hit t =
-    let s = slot t in
-    s.stats.hits <- s.stats.hits + 1;
-    M.event ev_hit
-
-  let note_stale t =
-    let s = slot t in
-    s.stats.stale <- s.stats.stale + 1;
-    M.event ev_stale
-
-  let note_miss t =
-    let s = slot t in
-    s.stats.misses <- s.stats.misses + 1;
-    M.event ev_miss
-
-  (* Quiescent use only, like [Counting_mem.grand_total]. *)
-  let totals t =
-    let total = mk_stats () in
-    Array.iter
-      (function Some s -> add_stats ~into:total s.stats | None -> ())
-      (Atomic.get t);
-    total
-end
+(* Quiescent use only, like [Counting_mem.grand_total]. *)
+let totals t =
+  let total = mk_stats () in
+  Array.iter
+    (function Some s -> add_stats ~into:total s.stats | None -> ())
+    (Atomic.get t.slots);
+  total

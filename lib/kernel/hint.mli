@@ -5,8 +5,10 @@
     nodes through backlinks — so the structures may begin a search at a
     cached predecessor instead of the head whenever the cache survives
     validation.  This module is only the cache: one slot per domain, owned
-    by the structure instance, plus hit/stale/miss accounting.  Validation
-    is the structure's job.
+    by the structure instance.  Validation, accounting and publication are
+    the structure's job, done through the fields of the slot an operation
+    looks up once, so the hot path makes no call into this module and
+    boxes nothing.
 
     The slots live in an array inside the cache, indexed by a small
     per-domain index that a domain hands back when it exits, so a dropped
@@ -14,12 +16,13 @@
     [Fr_list] stores a node's anchor, a box that marking the node empties,
     so no slot keeps a deleted node reachable.
 
-    Generic over {!Mem.S} purely for observability: cache traffic is
-    emitted as [Mem_event.User] annotations ([hint:hit], [hint:stale],
-    [hint:miss], [hint:store]), which are never scheduling points, so the
+    Cache traffic is observable as [Mem_event.User] annotations
+    ({!ev_hit}, {!ev_stale}, {!ev_miss}, {!ev_store}), which the structure
+    emits through its own memory; they are never scheduling points, so the
     cache behaves identically on real atomics and in the simulator. *)
 
-(** Per-domain counters, summed over domains by {!Make.totals}. *)
+(** Hint-cache counters: one domain's in its {!slot}, every domain's
+    summed by {!totals}. *)
 type stats = {
   mutable hits : int;  (** hint validated and used as the search start *)
   mutable stale : int;  (** hint present but failed validation *)
@@ -27,34 +30,36 @@ type stats = {
   mutable stores : int;  (** publications of a fresh predecessor *)
 }
 
-module Make (M : Mem.S) : sig
-  type 'a t
-  (** A cache of ['a] values (typically a box that points at a node), one
-      slot per domain.  Belongs to exactly one structure instance. *)
+(** One domain's slot.  Only the domain that looked it up reads or writes
+    it. *)
+type 'a slot = {
+  mutable value : 'a;
+      (** the cached value; the cache's [empty] when nothing is cached *)
+  stats : stats;  (** this domain's counters *)
+}
 
-  val create : unit -> 'a t
+type 'a t
+(** A cache of ['a] values (typically a box that points at a node), one
+    slot per domain.  Belongs to exactly one structure instance. *)
 
-  val load : 'a t -> 'a option
-  (** The calling domain's cached value, if any.  Pure read; pair with
-      {!note_hit} / {!note_stale} after validating. *)
+val create : empty:'a -> 'a t
+(** A cache whose slots start out holding [empty], which the structure
+    tells apart by physical equality: a slot holding it caches nothing. *)
 
-  val store : 'a t -> 'a -> unit
-  (** Publish a fresh predecessor in the calling domain's slot. *)
+val slot : 'a t -> 'a slot
+(** The calling domain's slot, made on the domain's first use. *)
 
-  val clear : 'a t -> unit
-  (** Drop the calling domain's cached value. *)
+val totals : 'a t -> stats
+(** Sum of every domain's counters.  Quiescent use only. *)
 
-  val note_hit : 'a t -> unit
-  (** Record that a loaded hint passed validation. *)
+val ev_hit : Mem_event.t
+(** [hint:hit]: a cached value passed validation. *)
 
-  val note_stale : 'a t -> unit
-  (** Record that a loaded hint failed validation.  Does not drop the
-      value: a caller for whom staleness means a dead node drops it
-      itself with {!clear}. *)
+val ev_stale : Mem_event.t
+(** [hint:stale]: a cached value failed validation. *)
 
-  val note_miss : 'a t -> unit
-  (** Record that no hint was cached. *)
+val ev_miss : Mem_event.t
+(** [hint:miss]: nothing was cached. *)
 
-  val totals : 'a t -> stats
-  (** Sum of every domain's counters.  Quiescent use only. *)
-end
+val ev_store : Mem_event.t
+(** [hint:store]: a predecessor was published. *)

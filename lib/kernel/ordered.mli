@@ -9,10 +9,11 @@ module type S = sig
 
   val any : t
   (** Some value of the type, used where a key must be stored but is never
-      compared.  [Fr_list] and [Fr_skiplist] keep keys unboxed, so their
-      sentinels carry [any] as their key, and so does every succ
-      descriptor whose right node is the tail; each tells sentinels from
-      regular nodes without looking at keys.  Any value will do, including one that is also a
+      compared.  [Fr_list] and [Fr_skiplist] keep keys unboxed, so every
+      succ descriptor whose right node is the tail carries [any] as its
+      copy of the right node's key, and [Fr_skiplist]'s sentinels carry it
+      as their key; each tells sentinels from regular nodes without
+      looking at keys.  Any value will do, including one that is also a
       live key: [Int] uses [0] and [String] [""]. *)
 end
 

@@ -73,8 +73,6 @@ val certify_all :
 
 (** {1 Mutant-kill gate} *)
 
-val mutations : string list
-
 type kill = {
   k_mutation : string;
   k_survived : (string * int) list;

@@ -14,8 +14,6 @@ type snap = {
   promoted_words : float;  (** words that survived into the major heap *)
 }
 
-val zero : snap
-
 val totals : unit -> snap
 (** Process-lifetime totals; every field is monotone (these back the
     [lf_gc_*_total] Prometheus counters). *)

@@ -83,7 +83,6 @@ val tallies : unit -> Lf_kernel.Counters.t
 val ops_counts : unit -> (Obs_event.op * int) list
 val latency : Obs_event.op -> Hist.t
 val latencies : unit -> (Obs_event.op * Hist.t) list
-val profile : unit -> Profile.t
 val profile_report : ?top:int -> unit -> Profile.report
 
 val events : unit -> Obs_event.t list

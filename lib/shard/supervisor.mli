@@ -38,7 +38,7 @@ type event =
       e_ok : bool;
       e_moved : int;
     }
-      (** Queued by {!execute}/{!run_tick}, drained by {!events} — the
+      (** Queued by {!run_tick}, drained by {!events} — the
           serve loop turns these into flight-recorder dumps. *)
 
 type config
@@ -93,16 +93,13 @@ val report : t -> now:int -> action -> ok:bool -> moved:int -> unit
     immediately (keep draining it next poll); failure backs it off
     exponentially. *)
 
-val execute : t -> Router.t -> action -> bool
-(** Actuate one action ({!Router.promote}/{!Router.rebalance}, which
-    move every key of the slot the source holds), catching migration
-    failures into a [report ~ok:false], queueing begin/end events.
-    Returns whether the migration completed. *)
-
 val run_tick : ?fast_burn:bool -> t -> Router.t -> int
 (** One full supervisor turn: apply a bounded slice of the replica
-    journal, poll {!Health.of_router}, {!tick}, {!execute} each planned
-    action.  Returns the number of migrations that completed.  Safe to
+    journal, poll {!Health.of_router}, {!tick}, and actuate each planned
+    action ({!Router.promote}/{!Router.rebalance}, which move every key of
+    the slot the source holds), catching migration failures into a
+    [report ~ok:false] and queueing begin/end events.  Returns the number
+    of migrations that completed.  Safe to
     call from the serve loop on every request — [poll_every] gates the
     actual work. *)
 

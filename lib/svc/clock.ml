@@ -4,7 +4,6 @@
 type t = { read : unit -> int; tpm : int }
 
 let now c = c.read ()
-let ticks_per_ms c = c.tpm
 let ms c n = n * c.tpm
 
 let real () =

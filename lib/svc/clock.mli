@@ -10,21 +10,19 @@
     clean under the [no-timing-in-structures] lint (the clock lives
     {e above} the memory seam; see DESIGN.md §10).
 
-    Ticks are dimensionless non-negative integers; {!ticks_per_ms}
-    converts operator-facing millisecond configuration (e.g. [lfdict
-    serve --deadline-ms]) into whatever unit the installed clock
-    advances in. *)
+    Ticks are dimensionless non-negative integers; {!ms} converts
+    operator-facing millisecond configuration (e.g. [lfdict serve
+    --deadline-ms]) into whatever unit the installed clock advances
+    in. *)
 
 type t
 
 val now : t -> int
 (** Current tick.  Monotone for the clocks below. *)
 
-val ticks_per_ms : t -> int
-(** How many ticks one millisecond of configuration is worth. *)
-
 val ms : t -> int -> int
-(** [ms c n] is [n] milliseconds in ticks ([n * ticks_per_ms c]). *)
+(** [ms c n] is [n] milliseconds in ticks: [n] times the clock's ticks
+    per millisecond. *)
 
 val real : unit -> t
 (** Wall clock in nanoseconds ([ticks_per_ms = 1_000_000]). *)

@@ -413,7 +413,8 @@ let placeholder_keys (type k) (module D : SKIPLIST with type key = k)
 (* --- Placeholder keys of the list and the hash table ---
 
    [Fr_list], and the hash table whose buckets are [Fr_list]s, store keys
-   unboxed as well, and their sentinels carry [Ordered.S.any].  A live
+   unboxed as well, and their descriptors that point at the tail carry
+   [Ordered.S.any].  A live
    [any] must behave like any other key, alone and among [others],
    through the single operations: a sentinel test that looks at keys
    fails here.  The list's batches are checked in test_fr_list. *)

@@ -444,11 +444,11 @@ let test_domain_stress () =
 
 (* --- Layout: right keys, placeholder keys, allocation --- *)
 
-(* Every linked descriptor carries a copy of its right node's key, and
-   [check_invariants] checks the copy physically: after each operation of
-   a script that inserts in front of, behind and between nodes and
-   deletes first, middle and last nodes, so that every C&S site that
-   builds a descriptor (INSERT, TRYFLAG, TRYMARK, HELPMARKED) runs. *)
+(* Every linked descriptor carries copies of its right node's key and
+   cell, and [check_invariants] checks them physically: after each
+   operation of a script that inserts in front of, behind and between
+   nodes and deletes first, middle and last nodes, so that every C&S site
+   that builds a descriptor (INSERT, TRYFLAG, TRYMARK, HELPMARKED) runs. *)
 let test_right_keys_after_every_op () =
   let t = FR.create () in
   let step what f =
@@ -581,9 +581,39 @@ let test_insert_alloc () =
 
 let test_delete_alloc () = check_budget "delete" ~bar:16. FR.delete
 
+(* The hint path boxes nothing: with hints on, a duplicate insert and an
+   absent delete allocate exactly the words they allocate with
+   [~use_hints:false] (their search's window and their result pair).  The
+   domain's first operation on a structure makes its hint slot, so one
+   runs before the count. *)
+let test_hint_path_alloc () =
+  let per_op create op =
+    let t = create () in
+    for k = 0 to 255 do
+      ignore (FR.insert t (2 * k) k)
+    done;
+    let rng = Lf_kernel.Splitmix.create 256 in
+    let keys = Array.init 10_000 (fun _ -> Lf_kernel.Splitmix.int rng 256) in
+    ignore (op t 0);
+    Support.words_during (fun () ->
+        Array.iter (fun k -> ignore (Sys.opaque_identity (op t k))) keys)
+    /. 10_000.
+  in
+  let hinted () = FR.create ()
+  and plain () = FR.create_with ~use_hints:false ~use_flags:true () in
+  List.iter
+    (fun (name, op) ->
+      let on = per_op hinted op and off = per_op plain op in
+      if on <> off then
+        Alcotest.failf "%s: %.2f words/op with hints, %.2f without" name on
+          off)
+    [
+      ("duplicate insert", fun t k -> FR.insert t (2 * k) k);
+      ("absent delete", fun t k -> FR.delete t ((2 * k) + 1));
+    ]
+
 (* Words reachable per key in a list of 16,384 keys: the inline node (6),
-   its [Some] element (2), anchor (2), two cells (2 + 2) and descriptor
-   (5) make 19. *)
+   its anchor (2), two cells (2 + 2) and descriptor (6) make 18. *)
 let test_footprint () =
   let n = 16_384 in
   let words t = Obj.reachable_words (Obj.repr t) in
@@ -593,8 +623,8 @@ let test_footprint () =
     ignore (FR.insert t (2 * k) k)
   done;
   let per_key = float_of_int (words t - empty) /. float_of_int n in
-  if per_key > 19.5 then
-    Alcotest.failf "%.1f words reachable per key at 16,384 keys (bar: 19.5)"
+  if per_key > 18.5 then
+    Alcotest.failf "%.1f words reachable per key at 16,384 keys (bar: 18.5)"
       per_key
 
 (* --- The shipped instance --- *)
@@ -689,6 +719,8 @@ let () =
              Alcotest.test_case "insert budget" `Quick test_insert_alloc;
              Alcotest.test_case "delete budget" `Quick test_delete_alloc;
              Alcotest.test_case "footprint per key" `Quick test_footprint;
+             Alcotest.test_case "hints allocate nothing" `Quick
+               test_hint_path_alloc;
            ] );
          ("shipped instance", [ shipped_prop ]);
          ("stress", [ Alcotest.test_case "domains" `Slow test_domain_stress ]);

@@ -81,10 +81,10 @@ let test_domain_stress () =
 
 (* --- Placeholder keys ---
 
-   The buckets are [Fr_list]s, whose sentinels carry [Ordered.S.any]:
-   key [0] and [""] must behave like any other key, in a table of 64
-   buckets and in one of a single bucket, where the other keys share its
-   list. *)
+   The buckets are [Fr_list]s, whose descriptors that point at the tail
+   carry [Ordered.S.any]: key [0] and [""] must behave like any other
+   key, in a table of 64 buckets and in one of a single bucket, where the
+   other keys share its list. *)
 module HStr = Lf_hashtable.Atomic_string
 
 module One_bucket (D : sig

@@ -16,53 +16,70 @@
      checker) and under Check_mem. *)
 
 module Sim = Lf_dsim.Sim
-module Hint = Lf_kernel.Hint.Make (Lf_kernel.Atomic_mem)
+module Hint = Lf_kernel.Hint
 
 (* ------------------------------------------------------------------ *)
 (* Unit: the cache itself.                                             *)
 
+(* A slot caches nothing while it holds the cache's [empty]; these
+   helpers read and write it the way a structure does. *)
+let empty = -1
+let load (s : int Hint.slot) = if s.value == empty then None else Some s.value
+
+let store (s : int Hint.slot) v =
+  s.value <- v;
+  s.stats.stores <- s.stats.stores + 1
+
+let clear (s : int Hint.slot) = s.value <- empty
+let note_hit (s : int Hint.slot) = s.stats.hits <- s.stats.hits + 1
+let note_stale (s : int Hint.slot) = s.stats.stale <- s.stats.stale + 1
+let note_miss (s : int Hint.slot) = s.stats.misses <- s.stats.misses + 1
+
 let test_slot_roundtrip () =
-  let h : int Hint.t = Hint.create () in
-  Alcotest.(check (option int)) "initially empty" None (Hint.load h);
-  Hint.store h 42;
-  Alcotest.(check (option int)) "stored" (Some 42) (Hint.load h);
-  Hint.store h 7;
-  Alcotest.(check (option int)) "overwritten" (Some 7) (Hint.load h);
-  Hint.clear h;
-  Alcotest.(check (option int)) "cleared" None (Hint.load h);
+  let h = Hint.create ~empty in
+  Alcotest.(check (option int)) "initially empty" None (load (Hint.slot h));
+  store (Hint.slot h) 42;
+  Alcotest.(check (option int)) "stored" (Some 42) (load (Hint.slot h));
+  store (Hint.slot h) 7;
+  Alcotest.(check (option int)) "overwritten" (Some 7) (load (Hint.slot h));
+  clear (Hint.slot h);
+  Alcotest.(check (option int)) "cleared" None (load (Hint.slot h));
   let s = Hint.totals h in
-  Alcotest.(check int) "stores counted" 2 s.Lf_kernel.Hint.stores
+  Alcotest.(check int) "stores counted" 2 s.Hint.stores
 
 let test_instances_independent () =
-  let a : int Hint.t = Hint.create () and b : int Hint.t = Hint.create () in
-  Hint.store a 1;
-  Alcotest.(check (option int)) "b untouched" None (Hint.load b);
-  Hint.note_hit a;
-  Hint.note_stale b;
-  Hint.note_miss b;
+  let a = Hint.create ~empty and b = Hint.create ~empty in
+  store (Hint.slot a) 1;
+  Alcotest.(check (option int)) "b untouched" None (load (Hint.slot b));
+  note_hit (Hint.slot a);
+  note_stale (Hint.slot b);
+  note_miss (Hint.slot b);
   let sa = Hint.totals a and sb = Hint.totals b in
-  Alcotest.(check int) "a hits" 1 sa.Lf_kernel.Hint.hits;
+  Alcotest.(check int) "a hits" 1 sa.Hint.hits;
   Alcotest.(check int) "a stale" 0 sa.stale;
-  Alcotest.(check int) "b stale" 1 sb.Lf_kernel.Hint.stale;
+  Alcotest.(check int) "b stale" 1 sb.Hint.stale;
   Alcotest.(check int) "b misses" 1 sb.misses
 
 let test_domains_isolated_and_summed () =
-  let h : int Hint.t = Hint.create () in
-  Hint.store h 1;
-  Hint.note_hit h;
+  let h = Hint.create ~empty in
+  store (Hint.slot h) 1;
+  note_hit (Hint.slot h);
   let child_saw_empty =
     Domain.join
       (Domain.spawn (fun () ->
-           let empty = Hint.load h = None in
-           Hint.store h 2;
-           Hint.note_hit h;
-           Hint.note_stale h;
-           empty))
+           let s = Hint.slot h in
+           let saw_empty = load s = None in
+           store s 2;
+           note_hit s;
+           note_stale s;
+           saw_empty))
   in
   Alcotest.(check bool) "fresh domain starts empty" true child_saw_empty;
-  Alcotest.(check (option int)) "parent slot survives" (Some 1) (Hint.load h);
+  Alcotest.(check (option int))
+    "parent slot survives" (Some 1)
+    (load (Hint.slot h));
   let s = Hint.totals h in
-  Alcotest.(check int) "summed hits" 2 s.Lf_kernel.Hint.hits;
+  Alcotest.(check int) "summed hits" 2 s.Hint.hits;
   Alcotest.(check int) "summed stale" 1 s.stale;
   Alcotest.(check int) "summed stores" 2 s.stores
 
@@ -70,9 +87,9 @@ let test_domains_isolated_and_summed () =
    it over, so a cache holds a slot per domain alive at once, not one per
    domain ever spawned. *)
 let test_exited_domains_hand_back_slots () =
-  let h : int Hint.t = Hint.create () in
+  let h = Hint.create ~empty in
   for i = 1 to 64 do
-    Domain.join (Domain.spawn (fun () -> Hint.store h i))
+    Domain.join (Domain.spawn (fun () -> store (Hint.slot h) i))
   done;
   let words = Obj.reachable_words (Obj.repr h) in
   if words > 100 then
