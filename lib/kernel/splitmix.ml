@@ -33,10 +33,20 @@ let bits t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
 let hash seed =
   Int64.(to_int (shift_right_logical (mix (add (of_int seed) golden)) 2))
 
-(* Uniform in [0, n).  Rejection sampling keeps it unbiased. *)
+(* [bits] redrawn until below [n]: unbiased, and at most two draws
+   expected when [n] is more than half the range of [bits]. *)
+let rec below t n =
+  let r = bits t in
+  if r < n then r else below t n
+
+(* Uniform in [0, n).  Rejection sampling keeps it unbiased.  Above
+   [max_int lsr 1] the acceptance bound of [go] is negative and would
+   reject every draw, so a bound that is not a power of two redraws
+   instead. *)
 let int t n =
   if n <= 0 then invalid_arg "Splitmix.int";
-  if n land (n - 1) = 0 then bits t land (n - 1)
+  if n > max_int lsr 1 && n land (n - 1) <> 0 then below t n
+  else if n land (n - 1) = 0 then bits t land (n - 1)
   else
     let rec go () =
       let r = bits t in

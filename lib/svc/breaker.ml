@@ -1,8 +1,9 @@
 (* Closed / open / half-open circuit breaker over a two-bucket rotating
-   stats window.  Immutable values: [admit]/[observe] return successors.
-   A bucket is two counters, so a closed-state observation allocates a
-   few small records and nothing else: it runs once per key call on the
-   serve path, so anything larger becomes per-request garbage. *)
+   stats window.  One mutable record per breaker, updated in place by
+   [admit]/[observe] under the caller's lock: they run once per key call
+   on the serve path, so a successor value per call would be per-request
+   garbage.  A bucket is two counters and the state is a constant
+   constructor plus two ints, so no path allocates. *)
 
 type config = {
   window : int;
@@ -29,85 +30,108 @@ let kind_to_string = function
   | Open -> "open"
   | Half_open -> "half-open"
 
-type bucket = { calls : int; failures : int }
-
-let empty_bucket = { calls = 0; failures = 0 }
-
-type st =
-  | S_closed
-  | S_open of int  (* reject until this tick *)
-  | S_half of int  (* consecutive probe successes so far *)
-
-type t = { cfg : config; st : st; cur : bucket; prev : bucket; start : int }
+type t = {
+  cfg : config;
+  mutable kind : kind;
+  mutable until : int;  (* Open: reject until this tick *)
+  mutable successes : int;  (* Half_open: consecutive probe successes *)
+  (* The window: [cur] covers [start, start + window), [prev] the
+     bucket before it. *)
+  mutable cur_calls : int;
+  mutable cur_failures : int;
+  mutable prev_calls : int;
+  mutable prev_failures : int;
+  mutable start : int;
+}
 
 let create cfg ~now =
-  { cfg; st = S_closed; cur = empty_bucket; prev = empty_bucket; start = now }
+  {
+    cfg;
+    kind = Closed;
+    until = 0;
+    successes = 0;
+    cur_calls = 0;
+    cur_failures = 0;
+    prev_calls = 0;
+    prev_failures = 0;
+    start = now;
+  }
 
-let state t =
-  match t.st with S_closed -> Closed | S_open _ -> Open | S_half _ -> Half_open
+let state t = t.kind
+
+let clear_window t ~start =
+  t.cur_calls <- 0;
+  t.cur_failures <- 0;
+  t.prev_calls <- 0;
+  t.prev_failures <- 0;
+  t.start <- start
 
 (* Slide the two-bucket window forward to cover [now]. *)
 let rotate t ~now =
   let w = t.cfg.window in
   let elapsed = now - t.start in
-  if elapsed < w then t
-  else if elapsed < 2 * w then
-    { t with prev = t.cur; cur = empty_bucket; start = t.start + w }
-  else
+  if elapsed >= 2 * w then
     (* Both buckets have aged out; realign the boundary to the grid. *)
-    {
-      t with
-      prev = empty_bucket;
-      cur = empty_bucket;
-      start = now - (elapsed mod w);
-    }
+    clear_window t ~start:(now - (elapsed mod w))
+  else if elapsed >= w then begin
+    t.prev_calls <- t.cur_calls;
+    t.prev_failures <- t.cur_failures;
+    t.cur_calls <- 0;
+    t.cur_failures <- 0;
+    t.start <- t.start + w
+  end
 
-let live_calls t = t.cur.calls + t.prev.calls
-let live_failures t = t.cur.failures + t.prev.failures
+(* What the window would hold at [now] once rotated, without rotating
+   it: [prev] drops out after one window, [cur] after two. *)
+let live t ~now ~cur ~prev =
+  let elapsed = now - t.start in
+  if elapsed < t.cfg.window then cur + prev
+  else if elapsed < 2 * t.cfg.window then cur
+  else 0
 
-let window_calls t ~now = live_calls (rotate t ~now)
-let window_failures t ~now = live_failures (rotate t ~now)
+let window_calls t ~now = live t ~now ~cur:t.cur_calls ~prev:t.prev_calls
+
+let window_failures t ~now =
+  live t ~now ~cur:t.cur_failures ~prev:t.prev_failures
 
 let admit t ~now =
-  match t.st with
-  | S_closed -> (t, `Admit)
-  | S_open until ->
-      if now >= until then ({ t with st = S_half 0 }, `Probe) else (t, `Reject)
-  | S_half _ -> (t, `Probe)
+  match t.kind with
+  | Closed -> `Admit
+  | Open ->
+      if now >= t.until then begin
+        t.kind <- Half_open;
+        t.successes <- 0;
+        `Probe
+      end
+      else `Reject
+  | Half_open -> `Probe
 
-let trip t ~now = { t with st = S_open (now + t.cfg.open_for) }
+let trip t ~now =
+  t.kind <- Open;
+  t.until <- now + t.cfg.open_for
 
 let observe t ~now ~ok ~latency =
   let failed = (not ok) || latency > t.cfg.latency_threshold in
-  match t.st with
-  | S_half n ->
+  match t.kind with
+  | Half_open ->
       if failed then trip t ~now
-      else if n + 1 >= t.cfg.probes then
+      else if t.successes + 1 >= t.cfg.probes then begin
         (* Recovered: close with a clean window so stale storm counts
            cannot re-trip the breaker on its first post-recovery call. *)
-        {
-          t with
-          st = S_closed;
-          cur = empty_bucket;
-          prev = empty_bucket;
-          start = now;
-        }
-      else { t with st = S_half (n + 1) }
-  | S_open _ ->
+        t.kind <- Closed;
+        clear_window t ~start:now
+      end
+      else t.successes <- t.successes + 1
+  | Open ->
       (* A straggler admitted before the trip; it already counted toward
          the window that opened the breaker, so ignore it. *)
-      t
-  | S_closed ->
-      let t = rotate t ~now in
-      let cur =
-        {
-          calls = t.cur.calls + 1;
-          failures = (t.cur.failures + if failed then 1 else 0);
-        }
-      in
-      let t = { t with cur } in
+      ()
+  | Closed ->
+      rotate t ~now;
+      t.cur_calls <- t.cur_calls + 1;
+      if failed then t.cur_failures <- t.cur_failures + 1;
+      let calls = t.cur_calls + t.prev_calls in
       if
-        live_calls t >= t.cfg.min_calls
-        && live_failures t * 100 >= t.cfg.failure_pct * live_calls t
+        calls >= t.cfg.min_calls
+        && (t.cur_failures + t.prev_failures) * 100 >= t.cfg.failure_pct * calls
       then trip t ~now
-      else t

@@ -15,8 +15,10 @@
     [probes] consecutive probe successes close the breaker and reset the
     window, one probe failure re-opens it.
 
-    Pure: a {!t} is an immutable value; {!admit} and {!observe} return
-    the successor state.  Ticks come from the caller's {!Clock.t}. *)
+    A {!t} is one mutable record that {!admit} and {!observe} update in
+    place, allocating nothing; the caller serializes them ({!Svc} holds
+    its breaker under the mutex that already orders its decisions), and
+    ticks come from the caller's {!Clock.t}. *)
 
 type config = {
   window : int;  (** width of one stats bucket, ticks; > 0 *)
@@ -50,14 +52,16 @@ val create : config -> now:int -> t
 val state : t -> kind
 val kind_to_string : kind -> string
 
-val admit : t -> now:int -> t * [ `Admit | `Probe | `Reject ]
+val admit : t -> now:int -> [ `Admit | `Probe | `Reject ]
 (** Closed: [`Admit].  Open: [`Reject] until [open_for] has elapsed,
-    then transition to half-open and [`Probe].  Half-open: [`Probe]
+    then turn half-open in place and [`Probe].  Half-open: [`Probe]
     (the caller decides how many probes to have in flight; each
     {!observe} settles one). *)
 
-val observe : t -> now:int -> ok:bool -> latency:int -> t
-(** Record a completed call admitted by this breaker. *)
+val observe : t -> now:int -> ok:bool -> latency:int -> unit
+(** Record a completed call admitted by this breaker; may trip, re-open
+    or close it in place. *)
 
 val window_calls : t -> now:int -> int
 val window_failures : t -> now:int -> int
+(** The window's counts as of [now]: a view that leaves [t] as it is. *)

@@ -3,8 +3,8 @@
     Every policy decision in [lib/svc] — deadline checks, retry-budget
     refills, breaker window rotation and open-timeouts — reads time
     through a {!t} injected at construction, never from the system
-    directly.  That is what keeps the policy state machines pure
-    functions of (clock reads, RNG draws): under {!sim} the tick is the
+    directly.  That is what keeps every policy decision a function of
+    (clock reads, RNG draws): under {!sim} the tick is the
     deterministic scheduler step counter, so the same seed replays the
     same admit/reject/retry sequence, and the structures underneath stay
     clean under the [no-timing-in-structures] lint (the clock lives

@@ -12,10 +12,6 @@ val none : t
 val at : int -> t
 (** An absolute expiry tick.  @raise Invalid_argument if negative. *)
 
-val after : Clock.t -> ticks:int -> t
-(** [after c ~ticks] expires [ticks] from now ([none] if
-    [ticks = max_int]). *)
-
 val is_none : t -> bool
 val expired : now:int -> t -> bool
 

@@ -1,5 +1,6 @@
 (* Retry policy (per-call backoff curve) and retry budget (per-client
-   token bucket).  Pure over ticks and RNG draws. *)
+   token bucket, updated in place by [take]).  Both act on ticks and RNG
+   draws only. *)
 
 type policy = { max_attempts : int; base_delay : int; max_delay : int }
 
@@ -37,35 +38,38 @@ module Budget = struct
 
   type t = {
     cfg : config;
-    tokens : int;
-    last_refill : int;  (* tick of the most recent credited refill *)
-    spent : int;
+    mutable tokens : int;
+    mutable last_refill : int;  (* tick of the most recent credited refill *)
+    mutable spent : int;
   }
 
   let create cfg ~now = { cfg; tokens = cfg.capacity; last_refill = now; spent = 0 }
 
+  (* Whole refill periods elapsed by [now], credited only while the
+     bucket is below capacity. *)
+  let earned b ~now =
+    if b.cfg.refill_every = 0 || b.tokens >= b.cfg.capacity then 0
+    else
+      let elapsed = now - b.last_refill in
+      if elapsed < b.cfg.refill_every then 0 else elapsed / b.cfg.refill_every
+
+  let tokens b ~now = min b.cfg.capacity (b.tokens + earned b ~now)
+
   (* Credit whole elapsed refill periods; the bucket never exceeds
      capacity and [last_refill] advances only by credited periods, so no
      fractional refill time is lost or double-counted. *)
-  let refill b ~now =
-    if b.cfg.refill_every = 0 || b.tokens >= b.cfg.capacity then b
-    else
-      let elapsed = now - b.last_refill in
-      if elapsed < b.cfg.refill_every then b
-      else
-        let earned = elapsed / b.cfg.refill_every in
-        {
-          b with
-          tokens = min b.cfg.capacity (b.tokens + earned);
-          last_refill = b.last_refill + (earned * b.cfg.refill_every);
-        }
-
-  let tokens b ~now = (refill b ~now).tokens
-
   let take b ~now =
-    let b = refill b ~now in
-    if b.tokens > 0 then ({ b with tokens = b.tokens - 1; spent = b.spent + 1 }, true)
-    else (b, false)
+    let e = earned b ~now in
+    if e > 0 then begin
+      b.tokens <- min b.cfg.capacity (b.tokens + e);
+      b.last_refill <- b.last_refill + (e * b.cfg.refill_every)
+    end;
+    if b.tokens > 0 then begin
+      b.tokens <- b.tokens - 1;
+      b.spent <- b.spent + 1;
+      true
+    end
+    else false
 
   let spent b = b.spent
 end

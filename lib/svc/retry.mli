@@ -13,10 +13,11 @@
       service's failures breed retries that breed more overload
       (EXP-20 part C measures exactly this with budgets off vs on).
 
-    Both are pure state machines over ticks and RNG draws: no clock or
-    sleep inside — the caller reads its {!Clock.t} and performs the
-    waiting.  The [no-unbounded-retry] lint enforces that every retry
-    loop in [lib/svc] consults a budget. *)
+    Both act on ticks and RNG draws only: no clock or sleep inside — the
+    caller reads its {!Clock.t} and performs the waiting.  A budget is
+    one mutable bucket that {!Budget.take} updates in place under the
+    caller's lock ({!Svc}'s mutex).  The [no-unbounded-retry] lint
+    enforces that every retry loop in [lib/svc] consults a budget. *)
 
 type policy = {
   max_attempts : int;  (** total tries including the first; >= 1 *)
@@ -57,11 +58,12 @@ module Budget : sig
 
   val create : config -> now:int -> t
   val tokens : t -> now:int -> int
-  (** Tokens available after refilling up to [now]. *)
+  (** Tokens available after refilling up to [now]: a view that leaves
+      [t] as it is. *)
 
-  val take : t -> now:int -> t * bool
-  (** Spend one token; [false] (state unchanged apart from refill) if
-      the bucket is empty. *)
+  val take : t -> now:int -> bool
+  (** Refill up to [now] and spend one token in place; [false] (nothing
+      changed apart from the refill) if the bucket is empty. *)
 
   val spent : t -> int
   (** Total tokens ever taken — equals retries issued under it. *)

@@ -1,5 +1,5 @@
 (* Deadline- and queue-aware admission control over an EWMA service-time
-   estimate. *)
+   estimate, held in one mutable field that [observe] updates in place. *)
 
 type config = { max_queue : int; est_init : int; workers : int }
 
@@ -9,7 +9,7 @@ let config ?(max_queue = 128) ?(est_init = 1000) ?(workers = 1) () =
   if workers < 1 then invalid_arg "Shed.config: workers < 1";
   { max_queue; est_init; workers }
 
-type t = { cfg : config; est : int }
+type t = { cfg : config; mutable est : int }
 
 let create cfg = { cfg; est = cfg.est_init }
 let estimate t = t.est
@@ -18,7 +18,7 @@ let estimate t = t.est
    cannot talk the estimate down to "everything is feasible". *)
 let observe t ~latency =
   let latency = max 0 latency in
-  { t with est = max 1 (((7 * t.est) + latency) / 8) }
+  t.est <- max 1 (((7 * t.est) + latency) / 8)
 
 let admit t ~now ~deadline ~queue_depth =
   if queue_depth > t.cfg.max_queue then `Reject_queue

@@ -10,8 +10,9 @@
     an answer nobody is waiting for — so doomed work is refused while
     refusal is still cheap.
 
-    Pure state machine: {!observe} folds completed-call latencies into
-    the estimate, ticks come from the caller's clock. *)
+    A {!t} is one mutable estimate: {!observe} folds completed-call
+    latencies into it in place, allocating nothing, under the caller's
+    lock ({!Svc}'s mutex); ticks come from the caller's clock. *)
 
 type config = {
   max_queue : int;  (** admit while queue_depth <= this; >= 0 *)
@@ -29,7 +30,7 @@ val create : config -> t
 val estimate : t -> int
 (** Current EWMA service-time estimate, ticks. *)
 
-val observe : t -> latency:int -> t
+val observe : t -> latency:int -> unit
 (** Fold one completed call's latency into the estimate (alpha = 1/8). *)
 
 val admit :

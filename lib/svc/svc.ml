@@ -1,8 +1,9 @@
-(* The service pipeline.  Policy state machines (Breaker / Shed /
-   Retry.Budget) are immutable values; this module holds the current
-   states behind one mutex and runs the admission/execution protocol
-   around the wrapped dictionary closures.  Executions happen outside
-   the mutex — only decisions are serialized.
+(* The service pipeline.  The policy states (Breaker / Shed /
+   Retry.Budget) are mutable records created once with the service and
+   updated in place under its one mutex, so a served call allocates
+   nothing in the pipeline.  This module runs the admission/execution
+   protocol around the wrapped dictionary closures.  Executions happen
+   outside the mutex — only decisions are serialized.
 
    A served call takes the mutex twice: once to admit (and count the
    call in flight), once to record the outcome (and take it out of
@@ -10,7 +11,7 @@
    first attempt, or an exception from an injected closure — decrements
    the in-flight count exactly once.  The hot path locks and unlocks
    explicitly, with no [Fun.protect]: its critical sections run only
-   non-raising counter updates and pure policy steps. *)
+   non-raising counter updates and in-place policy steps. *)
 
 module Span = Lf_obs.Span
 
@@ -94,9 +95,9 @@ type t = {
   primary : ops;
   mu : Mutex.t;
   rng : Lf_kernel.Splitmix.t;  (* jitter stream; guarded by [mu] *)
-  mutable breaker_st : Breaker.t option;
-  mutable shed_st : Shed.t option;
-  mutable budget_st : Retry.Budget.t;
+  breaker_st : Breaker.t option;  (* updated in place under [mu] *)
+  shed_st : Shed.t option;  (* likewise *)
+  budget_st : Retry.Budget.t;  (* likewise *)
   mutable inflight : int;
   (* counters (guarded by [mu]) *)
   mutable n_calls : int;
@@ -174,43 +175,40 @@ let read_only_locked t =
    flapping breaker cannot grow the history [stats] copies. *)
 let transition_limit = 64
 
-(* Install the breaker's successor; a transition is journaled when its
-   kind changed (kinds are constant constructors, so [<>] compiles to an
-   integer compare).  An unchanged breaker (a closed admit returns its
-   argument) is not boxed again. *)
-let set_breaker_locked t ~now:tick b' =
-  match t.breaker_st with
-  | Some b when b == b' -> ()
-  | before ->
-      t.breaker_st <- Some b';
-      let after = Breaker.state b' in
-      let changed =
-        match before with Some b -> Breaker.state b <> after | None -> true
-      in
-      if changed then begin
-        let s = Breaker.kind_to_string after in
-        t.transitions <-
-          List.filteri (fun i _ -> i < transition_limit) ((tick, s) :: t.transitions);
-        if t.cfg.log_decisions then log_locked t "t=%d breaker %s" tick s
-      end
+(* Journal a transition when the breaker's kind differs from [before],
+   its kind ahead of the step just taken (kinds are constant
+   constructors, so [<>] compiles to an integer compare). *)
+let journal_locked t ~now:tick ~before b =
+  let after = Breaker.state b in
+  if after <> before then begin
+    let s = Breaker.kind_to_string after in
+    t.transitions <-
+      List.filteri (fun i _ -> i < transition_limit) ((tick, s) :: t.transitions);
+    if t.cfg.log_decisions then log_locked t "t=%d breaker %s" tick s
+  end
 
 (* Feed a completed execution into breaker and shed (under [mu]). *)
 let observe_locked t ~now:tick ~ok ~latency =
   (match t.breaker_st with
   | None -> ()
-  | Some b -> set_breaker_locked t ~now:tick (Breaker.observe b ~now:tick ~ok ~latency));
+  | Some b ->
+      let before = Breaker.state b in
+      Breaker.observe b ~now:tick ~ok ~latency;
+      journal_locked t ~now:tick ~before b);
   match t.shed_st with
   | None -> ()
-  | Some s -> if ok then t.shed_st <- Some (Shed.observe s ~latency)
+  | Some s -> if ok then Shed.observe s ~latency
 
 (* How an admitted request will execute. *)
 type route =
   | Via_primary
   | Via_degraded_read  (* breaker open, read-only mode: single attempt *)
 
-let default_deadline t =
+(* [config.deadline] from the admission tick: the call's first clock
+   read serves both. *)
+let default_deadline t ~now:tick =
   if t.cfg.deadline = max_int then Deadline.none
-  else Deadline.after t.cfg.clock ~ticks:t.cfg.deadline
+  else Deadline.at (tick + t.cfg.deadline)
 
 (* One zero-width child span per pipeline decision, its verdict carried
    as a typed event (DESIGN.md §14).  Callers guard with [Span.active]
@@ -254,8 +252,9 @@ let admission_locked t ~ctx ~now:tick ~dl ~queue_depth req =
         match t.breaker_st with
         | None -> `Execute Via_primary
         | Some b -> (
-            let b', verdict = Breaker.admit b ~now:tick in
-            set_breaker_locked t ~now:tick b';
+            let before = Breaker.state b in
+            let verdict = Breaker.admit b ~now:tick in
+            journal_locked t ~now:tick ~before b;
             match verdict with
             | `Admit ->
                 if traced then
@@ -295,8 +294,7 @@ let exec_once t req =
 
 (* Spend one budget token for a retry; [false] = denied.  Under [mu]. *)
 let budget_take_locked t ~now:tick =
-  let b, granted = Retry.Budget.take t.budget_st ~now:tick in
-  t.budget_st <- b;
+  let granted = Retry.Budget.take t.budget_st ~now:tick in
   if not granted then t.n_budget_denied <- t.n_budget_denied + 1;
   granted
 
@@ -416,7 +414,9 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
    decrement is the call's only one. *)
 let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
   let tick = now t in
-  let dl = match deadline with Some d -> d | None -> default_deadline t in
+  let dl =
+    match deadline with Some d -> d | None -> default_deadline t ~now:tick
+  in
   Mutex.lock t.mu;
   match admission_locked t ~ctx ~now:tick ~dl ~queue_depth req with
   | `Reject r ->

@@ -9,13 +9,15 @@
     ({!Retry}).  Every refusal is an explicit {!outcome}; nothing is
     silently dropped.
 
-    All policy decisions are pure state machines over the injected
-    {!Clock.t} and a SplitMix stream seeded from [config.seed]; the
-    pipeline serializes policy transitions under one mutex, so on real
-    domains the service is safe to share, and under the simulator
-    (where every lane shares a domain and ticks are scheduler steps)
-    the whole admit/reject/retry sequence is a pure function of the
-    seed — the EXP-20 determinism test replays it. *)
+    Every policy decision is a function of the injected {!Clock.t}'s
+    reads and a SplitMix stream seeded from [config.seed].  The policy
+    states ({!Breaker.t}, {!Shed.t}, {!Retry.Budget.t}) are created with
+    the service and updated in place under its one mutex, which
+    serializes every decision: on real domains the service is safe to
+    share, a served call allocates nothing in the pipeline, and under
+    the simulator (where every lane shares a domain and ticks are
+    scheduler steps) the whole admit/reject/retry sequence is a pure
+    function of the seed — the EXP-20 determinism test replays it. *)
 
 type req = Insert of int * int | Delete of int | Find of int
 
@@ -105,12 +107,13 @@ val call :
   req ->
   outcome
 (** One request through the pipeline.  [deadline] defaults to
-    [config.deadline] from now; [queue_depth] (for the shed stage)
-    defaults to the service's in-flight count — transports with a real
-    queue pass its length.  [ctx] (default {!Lf_obs.Span.nil}) is the
-    request's trace context: when active, the pipeline opens one child
-    span per decision (deadline, shed, breaker, degrade), one per
-    attempt and retry wait.  Each attempt span carries an
+    [config.deadline] after the admission tick, the call's first clock
+    read (every attempt reads the clock afresh); [queue_depth] (for the
+    shed stage) defaults to the service's in-flight count — transports
+    with a real queue pass its length.  [ctx] (default
+    {!Lf_obs.Span.nil}) is the request's trace context: when active, the
+    pipeline opens one child span per decision (deadline, shed, breaker,
+    degrade), one per attempt and retry wait.  Each attempt span carries an
     {!Lf_obs.Span.Op} event naming the backend operation and key; a
     failed C&S reported through [Trace_mem] during the backend call
     lands in it, as the innermost request span open on the lane. *)

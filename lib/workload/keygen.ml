@@ -9,7 +9,15 @@ type t =
          [0, range).  A nonzero [base] parks the hot window away from the
          front of the key space, so hint-guided searches (EXP-17) cannot
          win just because the hot keys sit next to the head. *)
-  | Zipf of { range : int; theta : float }
+  | Zipf of {
+      range : int;
+      theta : float;
+      zetan : float;
+      alpha : float;
+      eta : float;
+    }
+      (* [zetan], [alpha] and [eta] are the CDF-inversion constants,
+         computed once by [zipf] *)
   | Ascending of int ref (* each draw returns the next integer *)
   | Cycle of { keys : int array; next : int ref }
       (* the fixed key set in order, wrapping — an ascending stream
@@ -34,33 +42,21 @@ let mixture ~pct a b =
   Mixture { pct; a; b }
 
 (* Zipf via the standard CDF-inversion approximation (Gray et al.); theta in
-   (0, 1), higher = more skewed. *)
-type zipf_state = { zetan : float; alpha : float; eta : float; range : int }
-
-let zipf_table : (int * int, zipf_state) Hashtbl.t = Hashtbl.create 8
-
-let zipf_state ~range ~theta =
-  let key = (range, int_of_float (theta *. 1000.)) in
-  match Hashtbl.find_opt zipf_table key with
-  | Some s -> s
-  | None ->
-      let zetan = ref 0.0 in
-      for i = 1 to range do
-        zetan := !zetan +. (1.0 /. Float.pow (float_of_int i) theta)
-      done;
-      let zeta2 = (1.0 /. 1.0) +. (1.0 /. Float.pow 2.0 theta) in
-      let alpha = 1.0 /. (1.0 -. theta) in
-      let eta =
-        (1.0 -. Float.pow (2.0 /. float_of_int range) (1.0 -. theta))
-        /. (1.0 -. (zeta2 /. !zetan))
-      in
-      let s = { zetan = !zetan; alpha; eta; range } in
-      Hashtbl.replace zipf_table key s;
-      s
-
+   (0, 1), higher = more skewed.  The generator carries its constants, so a
+   draw looks nothing up and generators built on different domains share
+   nothing. *)
 let zipf ~range ~theta =
-  ignore (zipf_state ~range ~theta);
-  Zipf { range; theta }
+  let zetan = ref 0.0 in
+  for i = 1 to range do
+    zetan := !zetan +. (1.0 /. Float.pow (float_of_int i) theta)
+  done;
+  let zeta2 = (1.0 /. 1.0) +. (1.0 /. Float.pow 2.0 theta) in
+  let alpha = 1.0 /. (1.0 -. theta) in
+  let eta =
+    (1.0 -. Float.pow (2.0 /. float_of_int range) (1.0 -. theta))
+    /. (1.0 -. (zeta2 /. !zetan))
+  in
+  Zipf { range; theta; zetan = !zetan; alpha; eta }
 
 let rec draw t rng =
   match t with
@@ -75,18 +71,16 @@ let rec draw t rng =
       if Lf_kernel.Splitmix.int rng 100 < hot_pct then
         base + Lf_kernel.Splitmix.int rng hot
       else Lf_kernel.Splitmix.int rng range
-  | Zipf { range; theta } ->
-      let s = zipf_state ~range ~theta in
+  | Zipf { range; theta; zetan; alpha; eta } ->
       let u = Lf_kernel.Splitmix.float rng in
-      let uz = u *. s.zetan in
+      let uz = u *. zetan in
       if uz < 1.0 then 0
       else if uz < 1.0 +. Float.pow 0.5 theta then 1
       else
         let v =
-          float_of_int s.range
-          *. Float.pow ((s.eta *. u) -. s.eta +. 1.0) s.alpha
+          float_of_int range *. Float.pow ((eta *. u) -. eta +. 1.0) alpha
         in
-        min (s.range - 1) (int_of_float v)
+        min (range - 1) (int_of_float v)
   | Ascending r ->
       let v = !r in
       incr r;

@@ -14,8 +14,8 @@ val hotspot : ?base:int -> range:int -> hot:int -> hot_pct:int -> unit -> t
 
 val zipf : range:int -> theta:float -> t
 (** Zipf-like skew via the standard CDF-inversion approximation; [theta] in
-    (0, 1), higher = more skewed.  The normalization table is precomputed on
-    first use per (range, theta). *)
+    (0, 1), higher = more skewed.  The normalization constant (a sum of
+    [range] terms) is computed here, once per generator. *)
 
 val ascending : unit -> t
 (** 0, 1, 2, ... (end-of-list contention workloads). *)

@@ -69,6 +69,44 @@ let test_splitmix_uniformity () =
         Alcotest.failf "bucket %d count %d too far from %d" i c (n / 10))
     buckets
 
+(* Seed 1's first draws under bounds up to [max_int lsr 1], power of two
+   or not, as every earlier version drew them: workloads and simulations
+   replay from these streams. *)
+let test_splitmix_pinned () =
+  let first n =
+    let r = SM.create 1 in
+    List.init 8 (fun _ -> SM.int r n)
+  in
+  Alcotest.(check (list int)) "int 256" [ 48; 25; 87; 66; 110; 160; 41; 93 ]
+    (first 256);
+  Alcotest.(check (list int)) "int 100" [ 58; 90; 30; 84; 96; 54; 34; 61 ]
+    (first 100);
+  Alcotest.(check (list int)) "int 1_000_000"
+    [ 445058; 742190; 89130; 844184; 347696; 790954; 649934; 225361 ]
+    (first 1_000_000);
+  Alcotest.(check (list int)) "int (max_int lsr 1)"
+    [ 2049245188455445058; 2048809309281742190; 1316676407973089130;
+      1863776790465844184; 2098030787133347696; 2010535538889790954;
+      770312924007649934; 304187700502225361 ]
+    (first (max_int lsr 1))
+
+(* A bound above [max_int lsr 1] that is not a power of two once made
+   [int] reject every draw and never return.  Each bound here returns in
+   range, and about half its draws land in the upper half. *)
+let test_splitmix_huge_bounds () =
+  List.iter
+    (fun n ->
+      let r = SM.create 1 in
+      let high = ref 0 in
+      for _ = 1 to 1000 do
+        let v = SM.int r n in
+        if v < 0 || v >= n then Alcotest.failf "int %d drew %d" n v;
+        if v >= n / 2 then incr high
+      done;
+      if abs (!high - 500) > 100 then
+        Alcotest.failf "int %d: %d of 1000 draws in the upper half" n !high)
+    [ max_int - 2; max_int; (max_int lsr 1) + 2; 1 lsl 61 ]
+
 let test_splitmix_float_range () =
   let rng = SM.create 5 in
   for _ = 1 to 10_000 do
@@ -265,6 +303,18 @@ let test_keygen_zipf_skew () =
   (* Zipf(0.9) puts far more than 1% of mass on the first 10 of 1000 keys. *)
   Alcotest.(check bool) "zipf skew" true (!low > n / 10)
 
+(* Seed 42's first 64 draws of the serve-point distribution. *)
+let test_keygen_zipf_pinned () =
+  let rng = SM.create 42 in
+  let g = Lf_workload.Keygen.zipf ~range:4096 ~theta:0.9 in
+  Alcotest.(check (list int)) "first 64 draws"
+    [ 755; 3; 13; 27; 0; 1793; 7; 1141; 25; 301; 6; 107; 128; 135; 431; 6;
+      1; 109; 1; 515; 3157; 0; 260; 304; 1; 13; 757; 1028; 2870; 535; 1060;
+      1493; 376; 1004; 349; 38; 0; 12; 868; 1; 147; 3; 13; 954; 442; 21; 1;
+      2; 119; 3400; 34; 5; 3; 21; 0; 1323; 496; 182; 1875; 0; 11; 3306;
+      281; 0 ]
+    (List.init 64 (fun _ -> Lf_workload.Keygen.draw g rng))
+
 let test_keygen_ascending () =
   let rng = SM.create 1 in
   let g = Lf_workload.Keygen.ascending () in
@@ -307,6 +357,10 @@ let () =
           Alcotest.test_case "hash edges" `Quick test_splitmix_hash_edges;
           Alcotest.test_case "uniformity" `Quick test_splitmix_uniformity;
           Alcotest.test_case "float range" `Quick test_splitmix_float_range;
+          Alcotest.test_case "pinned streams" `Quick test_splitmix_pinned;
+          Alcotest.test_case "bounds above max_int lsr 1" `Quick
+            (Support.with_time_limit "splitmix huge bounds"
+               test_splitmix_huge_bounds);
         ] );
       ( "stats",
         [
@@ -337,6 +391,7 @@ let () =
           Alcotest.test_case "uniform range" `Quick test_keygen_uniform_range;
           Alcotest.test_case "hotspot bias" `Quick test_keygen_hotspot_bias;
           Alcotest.test_case "zipf skew" `Quick test_keygen_zipf_skew;
+          Alcotest.test_case "zipf pinned draws" `Quick test_keygen_zipf_pinned;
           Alcotest.test_case "ascending" `Quick test_keygen_ascending;
           Alcotest.test_case "op mix ratios" `Quick test_opgen_ratios;
         ] );

@@ -21,7 +21,7 @@ let outcome =
     (fun ppf o -> Format.pp_print_string ppf (Svc.outcome_to_string o))
     ( = )
 
-(* --- Breaker transitions (pure state machine) ------------------------ *)
+(* --- Breaker transitions (in-place state machine) -------------------- *)
 
 (* The full cycle under hand-driven ticks: [min_calls] failures trip it
    open; admissions are rejected until [open_for] has elapsed, then the
@@ -36,38 +36,30 @@ let test_breaker_cycle =
         Breaker.config ~window:1_000_000 ~min_calls ~failure_pct:50
           ~open_for:10 ~probes ()
       in
-      let b = ref (Breaker.create cfg ~now:0) in
-      let ok = ref (Breaker.state !b = Breaker.Closed) in
+      let b = Breaker.create cfg ~now:0 in
+      let ok = ref (Breaker.state b = Breaker.Closed) in
       let expect what cond = if not cond then (ok := false; ignore what) in
       for _ = 1 to min_calls do
-        b := Breaker.observe !b ~now:1 ~ok:false ~latency:1
+        Breaker.observe b ~now:1 ~ok:false ~latency:1
       done;
-      expect "tripped" (Breaker.state !b = Breaker.Open);
+      expect "tripped" (Breaker.state b = Breaker.Open);
       (* Still open: rejected at the door. *)
-      let b1, v1 = Breaker.admit !b ~now:2 in
-      b := b1;
-      expect "rejects while open" (v1 = `Reject);
+      expect "rejects while open" (Breaker.admit b ~now:2 = `Reject);
       (* Cool-down elapsed: the next admission is a probe. *)
-      let b2, v2 = Breaker.admit !b ~now:100 in
-      b := b2;
-      expect "probes after open_for" (v2 = `Probe);
-      expect "half-open" (Breaker.state !b = Breaker.Half_open);
+      expect "probes after open_for" (Breaker.admit b ~now:100 = `Probe);
+      expect "half-open" (Breaker.state b = Breaker.Half_open);
       if fail_probe then begin
-        b := Breaker.observe !b ~now:101 ~ok:false ~latency:1;
-        expect "probe failure re-opens" (Breaker.state !b = Breaker.Open);
-        let _, v = Breaker.admit !b ~now:102 in
-        expect "re-open rejects" (v = `Reject)
+        Breaker.observe b ~now:101 ~ok:false ~latency:1;
+        expect "probe failure re-opens" (Breaker.state b = Breaker.Open);
+        expect "re-open rejects" (Breaker.admit b ~now:102 = `Reject)
       end
       else begin
         for i = 1 to probes do
-          let b', v = Breaker.admit !b ~now:(100 + i) in
-          b := b';
-          expect "probe admission" (v = `Probe);
-          b := Breaker.observe !b ~now:(100 + i) ~ok:true ~latency:1
+          expect "probe admission" (Breaker.admit b ~now:(100 + i) = `Probe);
+          Breaker.observe b ~now:(100 + i) ~ok:true ~latency:1
         done;
-        expect "closed after probes" (Breaker.state !b = Breaker.Closed);
-        let _, v = Breaker.admit !b ~now:200 in
-        expect "closed admits" (v = `Admit)
+        expect "closed after probes" (Breaker.state b = Breaker.Closed);
+        expect "closed admits" (Breaker.admit b ~now:200 = `Admit)
       end;
       !ok)
 
@@ -77,13 +69,13 @@ let test_breaker_latency_trips () =
     Breaker.config ~window:1000 ~min_calls:3 ~failure_pct:50
       ~latency_threshold:10 ~open_for:50 ~probes:1 ()
   in
-  let b = ref (Breaker.create cfg ~now:0) in
+  let b = Breaker.create cfg ~now:0 in
   for i = 1 to 3 do
-    b := Breaker.observe !b ~now:i ~ok:true ~latency:50
+    Breaker.observe b ~now:i ~ok:true ~latency:50
   done;
   Alcotest.(check string)
     "slow successes open the breaker" "open"
-    (Breaker.kind_to_string (Breaker.state !b))
+    (Breaker.kind_to_string (Breaker.state b))
 
 (* Window rotation and realignment against a plain reference: the model
    keeps every closed-state observation since the last reset as a
@@ -114,7 +106,7 @@ let test_breaker_window_model =
         Breaker.config ~window ~min_calls ~failure_pct
           ~latency_threshold:threshold ~open_for ~probes ()
       in
-      let b = ref (Breaker.create cfg ~now:0) in
+      let b = Breaker.create cfg ~now:0 in
       let m = ref M_closed and origin = ref 0 and obs = ref [] in
       let live now =
         let cur = (now - !origin) / window in
@@ -130,13 +122,12 @@ let test_breaker_window_model =
         (fun (dt, ok, latency) ->
           now := !now + dt;
           let now = !now in
-          let b', verdict = Breaker.admit !b ~now in
-          b := b';
+          let verdict = Breaker.admit b ~now in
           (match !m with
           | M_open until when now >= until -> m := M_half 0
           | _ -> ());
           if verdict <> `Reject then begin
-            b := Breaker.observe !b ~now ~ok ~latency;
+            Breaker.observe b ~now ~ok ~latency;
             let failed = (not ok) || latency > threshold in
             match !m with
             | M_open _ -> ()
@@ -158,31 +149,31 @@ let test_breaker_window_model =
           end;
           let w = live now in
           if
-            Breaker.state !b <> kind !m
-            || Breaker.window_calls !b ~now <> List.length w
-            || Breaker.window_failures !b ~now
+            Breaker.state b <> kind !m
+            || Breaker.window_calls b ~now <> List.length w
+            || Breaker.window_failures b ~now
                <> List.length (List.filter snd w)
           then agree := false)
         script;
       !agree)
 
-(* A closed-state observation is two counters and a record: it must not
-   copy anything proportional to the window's history. *)
+(* A closed-state observation bumps two counters in place, rotating the
+   window every 100 ticks: it allocates nothing. *)
 let test_breaker_observe_alloc () =
   let n = 10_000 in
   let cfg = Breaker.config ~window:100 ~min_calls:10 ~failure_pct:50 () in
-  let b = ref (Breaker.create cfg ~now:0) in
+  let b = Breaker.create cfg ~now:0 in
   let words =
     Support.words_during (fun () ->
         for i = 1 to n do
-          b := Breaker.observe !b ~now:i ~ok:true ~latency:(i land 63)
+          Breaker.observe b ~now:i ~ok:true ~latency:(i land 63)
         done)
   in
   Alcotest.(check string) "still closed" "closed"
-    (Breaker.kind_to_string (Breaker.state !b));
+    (Breaker.kind_to_string (Breaker.state b));
   let per_call = words /. float_of_int n in
-  if per_call > 16. then
-    Alcotest.failf "Breaker.observe allocates %.1f words/call (bar: 16)"
+  if per_call > 0. then
+    Alcotest.failf "Breaker.observe allocates %.1f words/call (bar: 0)"
       per_call
 
 let always_true =
@@ -214,8 +205,9 @@ let test_svc_call_alloc () =
     Alcotest.failf "policy-free Svc.call allocates %.1f words/call (bar: 8)"
       per_call
 
-(* The serve policy set (deadline, retry, budget, shed, breaker): what
-   is left is the pure state machines' successor values, ~19 words. *)
+(* The serve policy set (deadline, retry, budget, shed, breaker) updates
+   its states in place, so it meets the policy-free bar: what remains is
+   the request (2 words). *)
 let test_svc_policy_call_alloc () =
   let clock, advance = Clock.manual ~ticks_per_ms:1000 () in
   let ms = Clock.ms clock in
@@ -232,8 +224,8 @@ let test_svc_policy_call_alloc () =
   in
   let svc, per_call = call_words cfg advance in
   Alcotest.(check int) "every call served" 10_000 (Svc.stats svc).served;
-  if per_call > 32. then
-    Alcotest.failf "serve-policy Svc.call allocates %.1f words/call (bar: 32)"
+  if per_call > 8. then
+    Alcotest.failf "serve-policy Svc.call allocates %.1f words/call (bar: 8)"
       per_call
 
 (* --- In-flight accounting: one decrement on every exit ----------------- *)
@@ -335,34 +327,30 @@ let test_budget_conservation_pure =
     QCheck2.Gen.(pair (0 -- 20) (0 -- 60))
     (fun (capacity, takes) ->
       let b =
-        ref
-          (Retry.Budget.create
-             (Retry.Budget.config ~capacity ~refill_every:0 ())
-             ~now:0)
+        Retry.Budget.create
+          (Retry.Budget.config ~capacity ~refill_every:0 ())
+          ~now:0
       in
       let granted = ref 0 in
       for _ = 1 to takes do
-        let b', ok = Retry.Budget.take !b ~now:0 in
-        b := b';
-        if ok then incr granted
+        if Retry.Budget.take b ~now:0 then incr granted
       done;
-      !granted = min takes capacity && Retry.Budget.spent !b = !granted)
+      !granted = min takes capacity && Retry.Budget.spent b = !granted)
 
 let test_budget_refill () =
   let cfg = Retry.Budget.config ~capacity:2 ~refill_every:10 () in
-  let b = ref (Retry.Budget.create cfg ~now:0) in
-  let take now =
-    let b', ok = Retry.Budget.take !b ~now in
-    b := b';
-    ok
-  in
+  let b = Retry.Budget.create cfg ~now:0 in
+  let take now = Retry.Budget.take b ~now in
   Alcotest.(check bool) "first" true (take 0);
   Alcotest.(check bool) "second" true (take 0);
   Alcotest.(check bool) "drained" false (take 0);
   Alcotest.(check bool) "refilled after a period" true (take 10);
-  Alcotest.(check int) "spent counts only grants" 3 (Retry.Budget.spent !b);
+  Alcotest.(check int) "spent counts only grants" 3 (Retry.Budget.spent b);
   Alcotest.(check bool) "capped at capacity" true
-    (Retry.Budget.tokens !b ~now:1_000_000 <= 2)
+    (Retry.Budget.tokens b ~now:1_000_000 <= 2);
+  (* [tokens] credits nothing: half a period after the last refill the
+     bucket is still empty. *)
+  Alcotest.(check bool) "tokens is a view" false (take 15)
 
 (* Conservation through the pipeline: with always-failing ops, every
    admitted call burns 1 + (granted retries) executions, so the ops
@@ -918,6 +906,131 @@ let test_decision_determinism =
     QCheck2.Gen.(0 -- 10_000)
     (fun seed -> run_decisions seed = run_decisions seed)
 
+(* One hand-driven script through every policy: shed rejections (queue,
+   doomed, expired), retries that drain the budget, a breaker trip,
+   read-only serving while open, a failed probe that re-opens, two probes
+   that close, budget-denied retries and a refill.  Its decision log and
+   transition journal are pinned, so a change to how the policies keep
+   their state cannot change a decision. *)
+let golden_run () =
+  let clock, advance = Clock.manual () in
+  let failing = ref false in
+  let base, _ = hashtbl_ops () in
+  let down () = if !failing then failwith "down" in
+  let ops =
+    {
+      Svc.insert = (fun k v -> down (); base.Svc.insert k v);
+      delete = (fun k -> down (); base.Svc.delete k);
+      find = (fun k -> down (); base.Svc.find k);
+    }
+  in
+  let cfg =
+    Svc.config ~clock ~seed:11 ~deadline:40
+      ~retry:(Some (Retry.policy ~max_attempts:3 ~base_delay:4 ~max_delay:16 ()))
+      ~budget:(Retry.Budget.config ~capacity:2 ~refill_every:60 ())
+      ~breaker:
+        (Some
+           (Breaker.config ~window:100 ~min_calls:4 ~failure_pct:50
+              ~open_for:30 ~probes:2 ()))
+      ~shed:(Some (Shed.config ~max_queue:3 ~est_init:5 ()))
+      ~backoff:advance ~log_decisions:true ()
+  in
+  let svc = Svc.create cfg ops in
+  let call ?deadline ?queue_depth req =
+    advance 1;
+    ignore (Svc.call svc ?deadline ?queue_depth req)
+  in
+  let from_now d = Deadline.at (Clock.now clock + 1 + d) in
+  call (Svc.Insert (1, 10));
+  call (Svc.Insert (1, 11));
+  call (Svc.Find 1);
+  call (Svc.Delete 2);
+  call ~queue_depth:4 (Svc.Find 1);
+  call ~deadline:(from_now 0) ~queue_depth:2 (Svc.Find 1);
+  call ~deadline:(from_now (-2)) (Svc.Find 1);
+  failing := true;
+  call (Svc.Insert (3, 30));
+  call (Svc.Delete 1);
+  call (Svc.Insert (4, 40));
+  failing := false;
+  call (Svc.Find 1);
+  advance 30;
+  failing := true;
+  call (Svc.Find 1);
+  call (Svc.Insert (5, 50));
+  advance 30;
+  failing := false;
+  call (Svc.Insert (5, 50));
+  call (Svc.Find 5);
+  call (Svc.Find 5);
+  failing := true;
+  call (Svc.Delete 5);
+  advance 60;
+  call (Svc.Delete 5);
+  call ~deadline:(from_now 3) (Svc.Find 5);
+  failing := false;
+  call (Svc.Find 5);
+  svc
+
+let golden_log =
+  [
+    "t=1 admit ins 1";
+    "t=1 served ins 1 -> true";
+    "t=2 admit ins 1";
+    "t=2 served ins 1 -> false";
+    "t=3 admit find 1";
+    "t=3 served find 1 -> true";
+    "t=4 admit del 2";
+    "t=4 served del 2 -> false";
+    "t=5 reject queue-full find 1";
+    "t=6 reject doomed find 1";
+    "t=7 reject expired find 1";
+    "t=8 admit ins 3";
+    "t=8 retry ins 3 attempt=2 delay=3";
+    "t=11 retry ins 3 attempt=3 delay=3";
+    "t=14 failed ins 3: Failure(\"down\") (attempt 3)";
+    "t=15 admit del 1";
+    "t=15 breaker open";
+    "t=15 failed del 1: Failure(\"down\") (retry budget exhausted after attempt 1)";
+    "t=16 reject write-degraded ins 4";
+    "t=17 admit find 1 (read-only)";
+    "t=17 served find 1 -> true";
+    "t=48 breaker half-open";
+    "t=48 admit find 1";
+    "t=48 breaker open";
+    "t=48 failed find 1: Failure(\"down\") (retry budget exhausted after attempt 1)";
+    "t=49 reject write-degraded ins 5";
+    "t=80 breaker half-open";
+    "t=80 admit ins 5";
+    "t=80 served ins 5 -> true";
+    "t=81 admit find 5";
+    "t=81 breaker closed";
+    "t=81 served find 5 -> true";
+    "t=82 admit find 5";
+    "t=82 served find 5 -> true";
+    "t=83 admit del 5";
+    "t=83 retry del 5 attempt=2 delay=2";
+    "t=85 failed del 5: Failure(\"down\") (retry budget exhausted after attempt 2)";
+    "t=146 admit del 5";
+    "t=146 breaker open";
+    "t=146 retry del 5 attempt=2 delay=4";
+    "t=150 failed del 5: Failure(\"down\") (retry budget exhausted after attempt 2)";
+    "t=151 admit find 5 (read-only)";
+    "t=151 failed find 5: Failure(\"down\") (attempt 1)";
+    "t=152 admit find 5 (read-only)";
+    "t=152 served find 5 -> true";
+  ]
+
+let test_golden_decisions () =
+  let svc = golden_run () in
+  Alcotest.(check (list string)) "decision log" golden_log
+    (Svc.decision_log svc);
+  Alcotest.(check (list (pair int string)))
+    "transitions"
+    [ (15, "open"); (48, "half-open"); (48, "open"); (80, "half-open");
+      (81, "closed"); (146, "open") ]
+    (Svc.stats svc).transitions
+
 let () =
   Alcotest.run "svc"
     [
@@ -980,5 +1093,8 @@ let () =
             test_chaos_through_svc;
         ] );
       ( "determinism",
-        [ test_decision_determinism ] );
+        [
+          test_decision_determinism;
+          Alcotest.test_case "golden decision log" `Quick test_golden_decisions;
+        ] );
     ]
