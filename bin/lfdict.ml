@@ -983,7 +983,9 @@ let serve_cmd =
     in
     (* One root span per wire request; ended ok iff every outcome was
        served, which is also what the SLO counts as good.  A line's
-       outcomes reach the SLO in one observation at one clock read. *)
+       outcomes reach the SLO in one observation at one clock read.  The
+       router's optional [?ctx] is passed only while the span is live,
+       so an untraced line boxes no [Some ctx]. *)
     let request_ctx name =
       if trace_requests then Lf_obs.Span.root ~name ~now:(now ())
       else Lf_obs.Span.nil
@@ -1020,14 +1022,22 @@ let serve_cmd =
                    output_char oc '\n'
                | Ok (Lf_svc.Wire.Op req) ->
                    let ctx = request_ctx "request" in
-                   let out = Lf_shard.Router.call router ~ctx req in
+                   let out =
+                     if Lf_obs.Span.active ctx then
+                       Lf_shard.Router.call router ~ctx req
+                     else Lf_shard.Router.call router req
+                   in
                    let bad = if good out then 0 else 1 in
                    finish ctx ~good:(1 - bad) ~bad;
                    output_string oc (Lf_svc.Wire.format_outcome out);
                    output_char oc '\n'
                | Ok (Lf_svc.Wire.Multi reqs) ->
                    let ctx = request_ctx "multi" in
-                   let outs = Lf_shard.Router.call_many router ~ctx reqs in
+                   let outs =
+                     if Lf_obs.Span.active ctx then
+                       Lf_shard.Router.call_many router ~ctx reqs
+                     else Lf_shard.Router.call_many router reqs
+                   in
                    let bad = count_bad 0 outs in
                    finish ctx ~good:(List.length outs - bad) ~bad;
                    output_string oc (Lf_svc.Wire.format_multi outs);

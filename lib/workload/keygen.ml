@@ -11,13 +11,13 @@ type t =
          win just because the hot keys sit next to the head. *)
   | Zipf of {
       range : int;
-      theta : float;
       zetan : float;
       alpha : float;
       eta : float;
+      half_pow : float;
     }
-      (* [zetan], [alpha] and [eta] are the CDF-inversion constants,
-         computed once by [zipf] *)
+      (* [zetan], [alpha], [eta] and [half_pow] (0.5 ** theta) are the
+         CDF-inversion constants, computed once by [zipf] *)
   | Ascending of int ref (* each draw returns the next integer *)
   | Cycle of { keys : int array; next : int ref }
       (* the fixed key set in order, wrapping — an ascending stream
@@ -56,7 +56,7 @@ let zipf ~range ~theta =
     (1.0 -. Float.pow (2.0 /. float_of_int range) (1.0 -. theta))
     /. (1.0 -. (zeta2 /. !zetan))
   in
-  Zipf { range; theta; zetan = !zetan; alpha; eta }
+  Zipf { range; zetan = !zetan; alpha; eta; half_pow = Float.pow 0.5 theta }
 
 let rec draw t rng =
   match t with
@@ -71,11 +71,12 @@ let rec draw t rng =
       if Lf_kernel.Splitmix.int rng 100 < hot_pct then
         base + Lf_kernel.Splitmix.int rng hot
       else Lf_kernel.Splitmix.int rng range
-  | Zipf { range; theta; zetan; alpha; eta } ->
-      let u = Lf_kernel.Splitmix.float rng in
+  | Zipf { range; zetan; alpha; eta; half_pow } ->
+      (* [Splitmix.float]'s value from the same draw, without boxing it *)
+      let u = float_of_int (Lf_kernel.Splitmix.bits rng lsr 9) *. 0x1p-53 in
       let uz = u *. zetan in
       if uz < 1.0 then 0
-      else if uz < 1.0 +. Float.pow 0.5 theta then 1
+      else if uz < 1.0 +. half_pow then 1
       else
         let v =
           float_of_int range *. Float.pow ((eta *. u) -. eta +. 1.0) alpha

@@ -7,7 +7,7 @@ type op = Insert of int | Delete of int | Find of int
 (* Payload-free op kind: constant constructors, so the throughput
    runners' per-op hot path draws the key separately and dispatches on the
    kind instead of boxing an [op].  The draw itself is a [Splitmix.int]
-   with bound 100, which allocates 17 words on average. *)
+   with bound 100, which allocates nothing. *)
 type kind = Insert_k | Delete_k | Find_k
 
 type mix = { insert_pct : int; delete_pct : int }

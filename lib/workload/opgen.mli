@@ -17,7 +17,7 @@ val pp_mix : Format.formatter -> mix -> unit
 
 type kind = Insert_k | Delete_k | Find_k
 (** Payload-free op kind (constant constructors, so no [op] is boxed;
-    the draw is one [Splitmix.int rng 100], 17 words on average).  Hot
+    the draw is one [Splitmix.int rng 100], which allocates nothing).  Hot
     loops draw the key themselves and dispatch on the kind; drawing the
     key first and then [draw_kind] consumes the RNG stream exactly as
     {!draw} does. *)

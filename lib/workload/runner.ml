@@ -60,10 +60,8 @@ let run_throughput ?keygen (module D : INT_DICT) ~domains ~ops_per_domain
     enter ();
     (* Key-then-kind draw: [Opgen.kind] has constant constructors, so
        dispatching on it boxes no [Opgen.op] (one per draw showed up as
-       minor-heap churn in EXP-22's GC attribution).  The draws still
-       allocate: [Splitmix.int] takes 6 words with a power-of-two bound
-       and 17 on average otherwise, so an operation over a power-of-two
-       key range draws 23 words (6 for the key, 17 for the kind). *)
+       minor-heap churn in EXP-22's GC attribution), and neither draw
+       allocates, so the words an operation costs are the structure's. *)
     for _ = 1 to ops_per_domain do
       let k = Keygen.draw keygen rng in
       match Opgen.draw_kind mix rng with

@@ -107,6 +107,46 @@ let test_splitmix_huge_bounds () =
         Alcotest.failf "int %d: %d of 1000 draws in the upper half" n !high)
     [ max_int - 2; max_int; (max_int lsr 1) + 2; 1 lsl 61 ]
 
+(* The generator's state is unboxed, so a draw allocates nothing but a
+   [float]'s result.  Bounds cover a power of two, the rejection loop's
+   small and large bounds, and the redraw above [max_int lsr 1]. *)
+let check_draw_words name ~bar f =
+  let draws = 100_000 in
+  let w =
+    Support.words_during (fun () ->
+        for _ = 1 to draws do
+          ignore (Sys.opaque_identity (f ()))
+        done)
+    /. float_of_int draws
+  in
+  if w > bar +. 0.001 then
+    Alcotest.failf "%s allocates %.3f words per draw (bar: %.0f)" name w bar
+
+let test_splitmix_no_alloc () =
+  let r = SM.create 1 in
+  check_draw_words "bits" ~bar:0. (fun () -> SM.bits r);
+  check_draw_words "bool" ~bar:0. (fun () -> SM.bool r);
+  check_draw_words "hash" ~bar:0. (fun () -> SM.hash 12345);
+  List.iter
+    (fun n ->
+      check_draw_words (Printf.sprintf "int %d" n) ~bar:0. (fun () -> SM.int r n))
+    [ 256; 100; 1_000_000; (max_int lsr 1) + 3 ];
+  check_draw_words "float" ~bar:2. (fun () -> SM.float r)
+
+let test_keygen_no_alloc () =
+  let module K = Lf_workload.Keygen in
+  let r = SM.create 1 in
+  let hot = K.hotspot ~base:1024 ~range:4096 ~hot:64 ~hot_pct:90 () in
+  List.iter
+    (fun (name, g) ->
+      check_draw_words ("Keygen.draw " ^ name) ~bar:0. (fun () -> K.draw g r))
+    [
+      ("uniform", K.uniform 4096);
+      ("hotspot", hot);
+      ("zipf", K.zipf ~range:4096 ~theta:0.9);
+      ("mixture", K.mixture ~pct:30 hot (K.uniform 1000));
+    ]
+
 let test_splitmix_float_range () =
   let rng = SM.create 5 in
   for _ = 1 to 10_000 do
@@ -361,6 +401,8 @@ let () =
           Alcotest.test_case "bounds above max_int lsr 1" `Quick
             (Support.with_time_limit "splitmix huge bounds"
                test_splitmix_huge_bounds);
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_splitmix_no_alloc;
         ] );
       ( "stats",
         [
@@ -392,6 +434,8 @@ let () =
           Alcotest.test_case "hotspot bias" `Quick test_keygen_hotspot_bias;
           Alcotest.test_case "zipf skew" `Quick test_keygen_zipf_skew;
           Alcotest.test_case "zipf pinned draws" `Quick test_keygen_zipf_pinned;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_keygen_no_alloc;
           Alcotest.test_case "ascending" `Quick test_keygen_ascending;
           Alcotest.test_case "op mix ratios" `Quick test_opgen_ratios;
         ] );

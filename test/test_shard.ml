@@ -628,8 +628,20 @@ let test_chaos_shard_targeted_stall () =
    completed history entry; rejections never executed; without faults
    nothing is pending.  Linearizability decomposes per key for a
    dictionary, so each key's projected history must linearize against
-   its prefill state — across the copy and the ownership flip. *)
-let test_linearizable_across_rebalance () =
+   its prefill state — across the copy and the ownership flip.
+
+   The rebalance starts once each worker has served one operation, and
+   the workers keep going until it returns.  Its start and end are ticks
+   of the same recorder, so the run returns whether a served operation
+   overlapped the handoff. *)
+
+(* Operations per worker at most: the checker takes 62 entries per key,
+   and two workers' 100 each over 8 keys stay far below that.  The
+   fillers make the walk take 6–20 ms on a 2-vCPU VM, one core or two. *)
+let max_ops = 100
+let fillers = 4000
+
+let handoff_overlapped () =
   let shards = 2 in
   let clock = Clock.real () in
   let ring = Hash_ring.create ~seed:21 ~shards () in
@@ -646,6 +658,18 @@ let test_linearizable_across_rebalance () =
     (fun i k ->
       if i land 1 = 0 then ignore (AI.insert lists.(Hash_ring.shard_of ring k) k k))
     pool;
+  (* Filler keys of slot 0, across the int range: the walk moves them
+     among the pool's keys and outlasts a scheduler time slice, so a
+     worker gets to run while it is under way even on one core. *)
+  let frng = Lf_kernel.Splitmix.create 6 in
+  let placed = ref 0 in
+  while !placed < fillers do
+    let k = Lf_kernel.Splitmix.bits frng - (max_int / 2) in
+    if Hash_ring.slot_of ring k = 0 && not (Array.mem k pool) then begin
+      ignore (AI.insert lists.(Hash_ring.shard_of ring k) k k);
+      incr placed
+    end
+  done;
   let backend i =
     let t = lists.(i) in
     {
@@ -662,11 +686,13 @@ let test_linearizable_across_rebalance () =
       backend
   in
   let rec_ = History.Recorder.create () in
+  let started = Atomic.make 0 in
+  let handing_over = Atomic.make false and handed_over = Atomic.make false in
   let worker pid =
     Domain.spawn (fun () ->
         let rng = Lf_kernel.Splitmix.create (100 + pid) in
         let entries = ref [] in
-        for _ = 1 to 40 do
+        let step () =
           let k = pool.(Lf_kernel.Splitmix.int rng (Array.length pool)) in
           let op, req =
             match Lf_kernel.Splitmix.int rng 3 with
@@ -684,13 +710,32 @@ let test_linearizable_across_rebalance () =
           | Svc.Rejected _ -> () (* never executed: no history entry *)
           | Svc.Failed m -> Alcotest.failf "unexpected Failed: %s" m);
           Domain.cpu_relax ()
+        in
+        (* Counted even if it fails, so the main domain never waits on a
+           dead worker. *)
+        Fun.protect ~finally:(fun () -> Atomic.incr started) step;
+        (* Three busy domains share the cores, so the main one may be
+           descheduled for longer than a worker's whole run: hold until
+           the handoff starts. *)
+        while not (Atomic.get handing_over) do
+          Domain.cpu_relax ()
+        done;
+        let n = ref 1 in
+        while !n < max_ops && not (Atomic.get handed_over) do
+          step ();
+          incr n
         done;
         History.Recorder.add rec_ !entries)
   in
   let d0 = worker 0 and d1 = worker 1 in
-  (* Hand slot 0 over while the workers run. *)
-  Unix.sleepf 0.002;
+  while Atomic.get started < 2 do
+    Domain.cpu_relax ()
+  done;
+  let first = History.Recorder.tick rec_ in
+  Atomic.set handing_over true;
   let moved = Router.rebalance router ~slot:0 ~to_:1 in
+  let last = History.Recorder.tick rec_ in
+  Atomic.set handed_over true;
   Domain.join d0;
   Domain.join d1;
   Alcotest.(check bool) "rebalance ran" true (moved >= 0);
@@ -725,7 +770,19 @@ let test_linearizable_across_rebalance () =
             (Printf.sprintf "key %d at its owner" k)
             (Router.route router k) i
       | _ -> Alcotest.failf "key %d present on several shards" k)
-    pool
+    pool;
+  List.exists (fun (e : History.entry) -> e.inv < last && e.ret > first) hist
+
+(* A run whose operations all missed the handoff proves nothing about
+   it, so a scheduling gap earns a fresh run, up to 20. *)
+let test_linearizable_across_rebalance () =
+  let rec attempt i =
+    if not (handoff_overlapped ()) then
+      if i < 20 then attempt (i + 1)
+      else
+        Alcotest.fail "no served operation overlapped the handoff in 20 runs"
+  in
+  attempt 1
 
 (* --- Abort journal + resume: stuck is distinguishable from done ------- *)
 

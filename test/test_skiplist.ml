@@ -682,7 +682,14 @@ let check_budget name ~bar op =
 let test_find_alloc () = check_budget "find" ~bar:4. SL.find
 
 let test_insert_alloc () =
-  check_budget "insert" ~bar:40. (fun t k -> SL.insert t k k)
+  check_budget "insert" ~bar:20. (fun t k -> SL.insert t k k)
+
+(* An insert of a present key (the list holds the even keys) draws its
+   tower height before its search finds the key.  The coin flips
+   allocate nothing, so it costs what a search does. *)
+let test_duplicate_insert_alloc () =
+  check_budget "duplicate insert" ~bar:4. (fun t k ->
+      SL.insert t (k land lnot 1) k)
 
 let test_delete_alloc () = check_budget "delete" ~bar:16. SL.delete
 
@@ -859,6 +866,8 @@ let () =
            [
              Alcotest.test_case "find budget" `Quick test_find_alloc;
              Alcotest.test_case "insert budget" `Quick test_insert_alloc;
+             Alcotest.test_case "duplicate insert allocates only its search"
+               `Quick test_duplicate_insert_alloc;
              Alcotest.test_case "delete budget" `Quick test_delete_alloc;
              Alcotest.test_case "find flat in size" `Quick test_find_alloc_flat;
              Alcotest.test_case "footprint per key" `Quick test_footprint;
