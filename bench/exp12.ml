@@ -6,7 +6,7 @@
    numbers compare overhead, not scaling. *)
 
 let run_queue name push pop ~domains ~ops =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Lf_obs.Clock.(now Real) in
   let work did =
     let rng = Lf_kernel.Splitmix.create (did * 71) in
     for i = 1 to ops do
@@ -17,7 +17,7 @@ let run_queue name push pop ~domains ~ops =
   let ds = List.init (domains - 1) (fun i -> Domain.spawn (fun () -> work (i + 1))) in
   work 0;
   List.iter Domain.join ds;
-  let dt = Unix.gettimeofday () -. t0 in
+  let dt = float_of_int (Lf_obs.Clock.(now Real) - t0) /. 1e9 in
   (name, float_of_int (domains * ops) /. dt /. 1000.)
 
 let run () =

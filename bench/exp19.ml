@@ -88,13 +88,13 @@ let pqueue_elapsed ~domains ~ops ~seed =
     done;
     Lf_kernel.Lane.clear ()
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Lf_obs.Clock.(now Real) in
   let ds =
     List.init (domains - 1) (fun i -> Domain.spawn (fun () -> work (i + 1)))
   in
   work 0;
   List.iter Domain.join ds;
-  Unix.gettimeofday () -. t0
+  float_of_int (Lf_obs.Clock.(now Real) - t0) /. 1e9
 
 type target = {
   t_name : string;

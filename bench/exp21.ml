@@ -60,9 +60,9 @@ let compare_structure structure =
   in
   let mk = Certify.mk ~structure sc in
   let timed f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Lf_obs.Clock.(now Real) in
     let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+    (r, float_of_int (Lf_obs.Clock.(now Real) - t0) /. 1e9)
   in
   let dpor, dpor_s =
     timed (fun () -> Dpor.run ~max_schedules:chess_cap ~max_steps mk)

@@ -77,7 +77,7 @@ let run_level ~clock level =
   let traced = level = Recorder.Tracing in
   let now () = if traced then Clock.now clock else 0 in
   let w0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now clock in
   for i = 0 to n - 1 do
     let k = i * 7919 land (a_key_range - 1) in
     let req =
@@ -91,7 +91,7 @@ let run_level ~clock level =
     Span.end_ ctx ~now:(now ())
       ~ok:(match out with Svc.Served _ -> true | _ -> false)
   done;
-  let secs = Unix.gettimeofday () -. t0 in
+  let secs = float_of_int (Clock.now clock - t0) /. 1e9 in
   let words = Gc.minor_words () -. w0 in
   Recorder.set_level Recorder.Off;
   (float_of_int n /. secs, words /. float_of_int n)

@@ -71,7 +71,7 @@ let () =
     | _ :: _ as names -> names
     | [] -> List.map (fun (n, _, _) -> n) experiments
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Lf_obs.Clock.(now Real) in
   List.iter
     (fun name ->
       match List.find_opt (fun (n, _, _) -> n = name) experiments with
@@ -85,4 +85,4 @@ let () =
     requested;
   Bench_json.flush_all ();
   Printf.printf "\nAll requested experiments completed in %.1fs.\n"
-    (Unix.gettimeofday () -. t0)
+    (float_of_int (Lf_obs.Clock.(now Real) - t0) /. 1e9)

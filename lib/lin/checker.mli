@@ -16,6 +16,6 @@ type verdict = Linearizable | Not_linearizable
 
 val check : ?init:IntSet.t -> History.t -> verdict
 (** Decide linearizability against the dictionary specification starting
-    from [init] (default empty).
-    @raise Invalid_argument on histories longer than 62 entries (the
-    linearized set is a bitmask; record short bursts). *)
+    from [init] (default empty).  Any length is accepted; the search
+    grows with how many operations overlap, so record short concurrent
+    bursts. *)

@@ -74,7 +74,7 @@ end)
 (* The one row printer: both this module's recorder view and [Flight]'s
    request trees write their rows through it. *)
 
-type arg = Int of int | Bool of bool | Str of string | Num of float
+type arg = Int of int | Bool of bool | Str of string
 type rows = { buf : Buffer.t; mutable first : bool }
 
 let rows () =
@@ -99,8 +99,7 @@ let row r ?cat ?ts ~ph ~pid ~tid ?(args = []) name =
       match v with
       | Int n -> Printf.bprintf b "%d" n
       | Bool x -> Printf.bprintf b "%b" x
-      | Str x -> Printf.bprintf b "\"%s\"" (escape x)
-      | Num x -> Printf.bprintf b "%.0f" x)
+      | Str x -> Printf.bprintf b "\"%s\"" (escape x))
     args;
   Buffer.add_string b (if args = [] then "}" else "}}")
 
@@ -112,7 +111,7 @@ let contents r =
 (* The recorder's events.  Request spans are left to [Flight], which
    renders them as trees. *)
 
-let to_string ?(time_div = 1) ?gc (events : Obs_event.t list) =
+let to_string ?(time_div = 1) (events : Obs_event.t list) =
   let events =
     List.filter
       (fun (e : Obs_event.t) ->
@@ -140,20 +139,6 @@ let to_string ?(time_div = 1) ?gc (events : Obs_event.t list) =
       row r ~ph:'M' ~pid:d ~tid:l
         ~args:[ ("name", Str (Printf.sprintf "lane-%d" l)) ] "thread_name")
     !lanes;
-  (* GC attribution as a counter track (ph "C"): collections and words for
-     the window the trace covers, rendered by Perfetto as a counter lane. *)
-  Option.iter
-    (fun (g : Gc_attr.snap) ->
-      row r ~cat:"gc" ~ts:0 ~ph:'C' ~pid:0 ~tid:0
-        ~args:
-          [
-            ("minor_collections", Int g.minor_collections);
-            ("major_collections", Int g.major_collections);
-            ("minor_words", Num g.minor_words);
-            ("promoted_words", Num g.promoted_words);
-          ]
-        "gc")
-    gc;
   Array.iteri
     (fun i (e : Obs_event.t) ->
       let row = row r ~ts:(e.ts / max 1 time_div) ~pid:e.dom ~tid:e.lane in

@@ -5,17 +5,15 @@
     overwrites, so emitted spans always pair.  With the simulator clock
     and [time_div = 1] the output is a pure function of the seed. *)
 
-val to_string : ?time_div:int -> ?gc:Gc_attr.snap -> Obs_event.t list -> string
+val to_string : ?time_div:int -> Obs_event.t list -> string
 (** [time_div] divides recorder timestamps into the file's time unit:
     1 (default) under the simulator, 1000 for ns -> us on real memory.
-    [gc], when given, is emitted as a "C" (counter) row carrying the GC
-    attribution for the window the trace covers.  Request-span events
-    are skipped: [Flight] renders them as trees. *)
+    Request-span events are skipped: [Flight] renders them as trees. *)
 
 (** {1 The row printer} — shared with [Flight] *)
 
-type arg = Int of int | Bool of bool | Str of string | Num of float
-(** An ["args"] value; [Str] is escaped, [Num] printed without decimals. *)
+type arg = Int of int | Bool of bool | Str of string
+(** An ["args"] value; [Str] is escaped. *)
 
 type rows
 

@@ -50,17 +50,11 @@ let set_level l = lvl := rank l
 let level () =
   match !lvl with 0 -> Off | 1 -> Counters | 2 -> Histograms | _ -> Tracing
 
-type clock = Real | Sim_steps | Manual of (unit -> int)
+type clock = Clock.t = Real | Sim_steps | Manual of (unit -> int)
 
-let real_now () = int_of_float (Unix.gettimeofday () *. 1e9)
-let now_fn = ref real_now
-
-let set_clock = function
-  | Real -> now_fn := real_now
-  | Sim_steps -> now_fn := Lf_dsim.Sim.virtual_now
-  | Manual f -> now_fn := f
-
-let now () = !now_fn ()
+let clock = ref Real
+let set_clock c = clock := c
+let now () = Clock.now !clock
 
 let default_ring_capacity = 65536
 let ring_capacity = ref default_ring_capacity

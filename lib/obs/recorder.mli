@@ -28,13 +28,11 @@ val set_level : level -> unit
 val level : unit -> level
 val level_to_string : level -> string
 
-type clock =
-  | Real  (** wall clock, nanoseconds *)
-  | Sim_steps  (** {!Lf_dsim.Sim.virtual_now}: deterministic virtual time *)
-  | Manual of (unit -> int)
+(** The recorder stamps events and times spans on the one {!Clock};
+    [Real] by default. *)
+type clock = Clock.t = Real | Sim_steps | Manual of (unit -> int)
 
 val set_clock : clock -> unit
-val now : unit -> int
 
 val set_ring_capacity : int -> unit
 (** Capacity of per-domain event rings created afterwards (default 65536);

@@ -24,11 +24,12 @@
     [Recorder.Tracing]; below it {!root} returns {!nil}, and every other
     entry point, handed {!nil}, returns at once — no domain-local
     lookup, no allocation (test_trace's "off level allocates nothing"
-    checks it; exp24 part A prices it).  Ticks come from whatever clock
-    the caller reads — the [Clock] seam in the service layer, the
-    recorder clock for C&S failures — so under the simulator or a
-    manual clock a run's span dump is byte-identical across
-    executions.  Closing a root also feeds [Recorder.exemplars]. *)
+    checks it; exp24 part A prices it).  Ticks come from the one
+    {!Clock}: request spans carry the caller's ticks (the service
+    layer's clock), and C&S failures the recorder's.  Under a
+    [Sim_steps] or [Manual] clock a run's span dump is byte-identical
+    across executions.  Closing a root also feeds
+    [Recorder.exemplars]. *)
 
 (** Typed span events, re-exported from {!Obs_event.span_event}. *)
 type event = Obs_event.span_event =

@@ -18,7 +18,12 @@ type throughput = {
   ops_per_s : float;
 }
 
-let now () = Unix.gettimeofday ()
+(* Every stamp below, [run_open_loop]'s [arrival_ns] included, is a tick
+   of the one real clock, so a [serve] closure can compare it with its own
+   [Clock.real] reads. *)
+let clock = Lf_obs.Clock.real ()
+let now () = Lf_obs.Clock.now clock
+let seconds ns = float_of_int ns /. 1e9
 
 (* Spin-barrier so all domains start the measured section together. *)
 let barrier n =
@@ -84,7 +89,7 @@ let run_throughput ?keygen (module D : INT_DICT) ~domains ~ops_per_domain
   let ds = List.init (domains - 1) (fun i -> Domain.spawn (fun () -> work (i + 1))) in
   work 0;
   List.iter Domain.join ds;
-  let elapsed = now () -. t0 in
+  let elapsed = seconds (now () - t0) in
   D.check_invariants t;
   let total = domains * ops_per_domain in
   {
@@ -132,7 +137,7 @@ let run_throughput_batched (module D : INT_DICT_BATCHED) ~domains
   in
   work 0;
   List.iter Domain.join ds;
-  let elapsed = now () -. t0 in
+  let elapsed = seconds (now () - t0) in
   D.check_invariants t;
   let total = domains * ops_per_domain in
   {
@@ -145,7 +150,7 @@ let run_throughput_batched (module D : INT_DICT_BATCHED) ~domains
 
 (* Short recorded burst: each domain performs [ops_per_domain] operations on
    a small key range while timestamping them; the merged history goes to the
-   linearizability checker.  Keep domains * ops_per_domain <= 62. *)
+   linearizability checker. *)
 let run_recorded (module D : INT_DICT) ~domains ~ops_per_domain ~key_range
     ~(mix : Opgen.mix) ~seed () : Lf_lin.History.t =
   let t = D.create () in
@@ -240,13 +245,11 @@ let run_chaos ?(victims = []) ?(budget_s = 0.05) ?(window_s = 0.2)
   let base = sample () in
   let stop = Atomic.make false in
   let completed = Array.init domains (fun _ -> Atomic.make 0) in
-  (* Per-lane heartbeat: invocation time of the op in flight, in integer
-     microseconds since [t_origin]; -1 = no op in flight.  Lane states:
-     0 = running, 1 = done, 2 = crashed by an injected fault. *)
+  (* Per-lane heartbeat: invocation tick of the op in flight; -1 = no op
+     in flight.  Lane states: 0 = running, 1 = done, 2 = crashed by an
+     injected fault. *)
   let op_start = Array.init domains (fun _ -> Atomic.make (-1)) in
   let state = Array.init domains (fun _ -> Atomic.make 0) in
-  let t_origin = now () in
-  let us t = int_of_float ((t -. t_origin) *. 1e6) in
   let enter = barrier (domains + 1) in
   let work did =
     Lf_kernel.Lane.set did;
@@ -259,7 +262,7 @@ let run_chaos ?(victims = []) ?(budget_s = 0.05) ?(window_s = 0.2)
         try
           while not (Atomic.get stop) do
             let op = Opgen.draw mix keygen rng in
-            Atomic.set op_start.(did) (us (now ()));
+            Atomic.set op_start.(did) (now ());
             (match op with
             | Opgen.Insert k -> ignore (insert k)
             | Delete k -> ignore (delete k)
@@ -283,7 +286,7 @@ let run_chaos ?(victims = []) ?(budget_s = 0.05) ?(window_s = 0.2)
   let all_settled () = Array.for_all (fun s -> Atomic.get s <> 0) state in
   while not (!closed && all_settled ()) do
     let tn = now () in
-    if (not !closed) && tn -. t0 >= window_s then begin
+    if (not !closed) && seconds (tn - t0) >= window_s then begin
       Array.iteri (fun i c -> ops_at_close.(i) <- Atomic.get c) completed;
       close_t := tn;
       closed := true;
@@ -292,7 +295,7 @@ let run_chaos ?(victims = []) ?(budget_s = 0.05) ?(window_s = 0.2)
     for i = 0 to domains - 1 do
       let s = Atomic.get op_start.(i) in
       if s >= 0 then begin
-        let lat = tn -. t_origin -. (float_of_int s /. 1e6) in
+        let lat = seconds (tn - s) in
         if lat > worst.(i) then worst.(i) <- lat
       end
     done;
@@ -327,7 +330,7 @@ let run_chaos ?(victims = []) ?(budget_s = 0.05) ?(window_s = 0.2)
       survivor_ops := !survivor_ops + ops_at_close.(i)
     end
   done;
-  let elapsed = !close_t -. t0 in
+  let elapsed = seconds (!close_t - t0) in
   {
     c_impl = name;
     c_domains = domains;
@@ -412,7 +415,6 @@ let run_open_loop ?(workers = 2) ?keygen ?(classes = 0) ?class_of ~rate
         else c
     | _ -> -1
   in
-  let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9) in
   let pop () =
     Mutex.lock mu;
     (* Stop takes precedence over draining: at window close the workers
@@ -452,7 +454,7 @@ let run_open_loop ?(workers = 2) ?keygen ?(classes = 0) ?class_of ~rate
                 served_ok.(did) <- served_ok.(did) + 1;
                 bump c_served_ok
               end;
-              Lf_obs.Hist.add hists.(did) (now_ns () - arrival_ns)
+              Lf_obs.Hist.add hists.(did) (now () - arrival_ns)
           | `Rejected ->
               rejected.(did) <- rejected.(did) + 1;
               bump c_rejected
@@ -469,27 +471,25 @@ let run_open_loop ?(workers = 2) ?keygen ?(classes = 0) ?class_of ~rate
     match keygen with Some kg -> kg | None -> Keygen.uniform key_range
   in
   let t0 = now () in
-  let t_end = t0 +. window_s in
-  let interval = 1. /. float_of_int rate in
+  let t_end = t0 + int_of_float (window_s *. 1e9) in
   let offered = ref 0 in
-  (* [next] is the schedule; when the generator wakes up late it enqueues
-     the whole backlog at once, so the arrival count depends only on the
-     rate — never on how fast completions drain. *)
-  let next = ref t0 in
+  (* Arrival [k] is due at [due k]; when the generator wakes up late it
+     enqueues the whole backlog at once, so the arrival count depends only
+     on the rate — never on how fast completions drain. *)
+  let due k = t0 + (k * 1_000_000_000 / rate) in
   let tn = ref (now ()) in
   while !tn < t_end do
-    if !tn >= !next then begin
+    if !tn >= due !offered then begin
       Mutex.lock mu;
-      while !next <= !tn && !next < t_end do
+      while due !offered <= !tn && due !offered < t_end do
         let op = Opgen.draw mix keygen rng in
-        Queue.push (now_ns (), op) q;
-        incr offered;
-        next := !next +. interval
+        Queue.push (now (), op) q;
+        incr offered
       done;
       Mutex.unlock mu;
       Condition.broadcast cv
     end
-    else Unix.sleepf (min (!next -. !tn) 0.001);
+    else Unix.sleepf (seconds (min (due !offered - !tn) 1_000_000));
     tn := now ()
   done;
   let close_t = now () in
@@ -503,7 +503,7 @@ let run_open_loop ?(workers = 2) ?keygen ?(classes = 0) ?class_of ~rate
   let latency = Lf_obs.Hist.create () in
   Array.iter (fun h -> Lf_obs.Hist.merge_into ~into:latency h) hists;
   let sum a = Array.fold_left ( + ) 0 a in
-  let elapsed = close_t -. t0 in
+  let elapsed = seconds (close_t - t0) in
   {
     o_offered = !offered;
     o_handled = sum handled;

@@ -60,8 +60,9 @@ val run_recorded :
   seed:int ->
   unit ->
   Lf_lin.History.t
-(** Short recorded burst for the linearizability checker.  Keep
-    [domains * ops_per_domain <= 62]. *)
+(** Short recorded burst for the linearizability checker.  Keep it
+    short: the checker's search grows exponentially with how many
+    operations overlap. *)
 
 (** {1 Chaos runs (EXP-18)}
 
@@ -223,8 +224,8 @@ val run_chaos_recorded :
   Lf_lin.History.t * Lf_lin.History.t
 (** Recorded burst under a fault plan: [(completed, pending)].  A lane hit
     by an injected crash stops there; its interrupted operation is returned
-    in [pending] with [ret = max_int].  Keep the total below the checker's
-    62-entry limit. *)
+    in [pending] with [ret = max_int].  Keep it short, as for
+    {!run_recorded}. *)
 
 val linearizable_with_pending :
   ?init:Lf_lin.Checker.IntSet.t ->

@@ -101,11 +101,40 @@ let test_init_state () =
   Alcotest.check lin "with init" Checker.Linearizable
     (Checker.check ~init:(Checker.IntSet.singleton 5) h)
 
-let test_history_too_long_rejected () =
-  let h = List.init 63 (fun i -> e 0 (Insert i) true (2 * i) ((2 * i) + 1)) in
-  Alcotest.check_raises "63 entries"
-    (Invalid_argument "Checker.check: history longer than 62 entries")
-    (fun () -> ignore (check h))
+(* No length cap: a 200-entry sequential history over 8 keys linearizes,
+   and flipping the result of its last find does not. *)
+let test_long_history () =
+  let n = 200 in
+  let present = Array.make 8 false in
+  let h =
+    List.init n (fun i ->
+        let k = i * 5 mod 8 in
+        let op, ok =
+          match i mod 3 with
+          | 0 -> (History.Insert k, not present.(k))
+          | 1 -> (History.Find k, present.(k))
+          | _ -> (History.Delete k, present.(k))
+        in
+        (match op with
+        | Insert _ -> present.(k) <- true
+        | Delete _ -> present.(k) <- false
+        | Find _ -> ());
+        e 0 op ok (2 * i) ((2 * i) + 1))
+  in
+  Alcotest.check lin "200 entries" Checker.Linearizable (check h);
+  let last_find =
+    List.fold_left
+      (fun acc (x : History.entry) ->
+        match x.op with Find _ -> Some x.inv | _ -> acc)
+      None h
+  in
+  let flipped =
+    List.map
+      (fun (x : History.entry) ->
+        if Some x.inv = last_find then { x with ok = not x.ok } else x)
+      h
+  in
+  Alcotest.check lin "one find flipped" Checker.Not_linearizable (check flipped)
 
 (* Property: any correctly-applied sequential history is linearizable, and
    flipping the result of one find in it is not. *)
@@ -134,22 +163,20 @@ let sequential_prop =
             | _ -> e 0 (Find k) (Hashtbl.mem state k) inv ret)
           script
       in
-      if List.length entries > 62 then true
-      else
-        let ok = check entries = Checker.Linearizable in
-        (* Flip the last find, if any: must become non-linearizable. *)
-        let rec flip_last acc = function
-          | [] -> None
-          | ({ History.op = Find _; _ } as x) :: tl ->
-              Some (List.rev_append tl ({ x with ok = not x.ok } :: acc))
-          | x :: tl -> flip_last (x :: acc) tl
-        in
-        let flipped_rejected =
-          match flip_last [] (List.rev entries) with
-          | None -> true
-          | Some h' -> check h' = Checker.Not_linearizable
-        in
-        ok && flipped_rejected)
+      let ok = check entries = Checker.Linearizable in
+      (* Flip the last find, if any: must become non-linearizable. *)
+      let rec flip_last acc = function
+        | [] -> None
+        | ({ History.op = Find _; _ } as x) :: tl ->
+            Some (List.rev_append tl ({ x with ok = not x.ok } :: acc))
+        | x :: tl -> flip_last (x :: acc) tl
+      in
+      let flipped_rejected =
+        match flip_last [] (List.rev entries) with
+        | None -> true
+        | Some h' -> check h' = Checker.Not_linearizable
+      in
+      ok && flipped_rejected)
 
 let () =
   Alcotest.run "lin"
@@ -172,8 +199,7 @@ let () =
           Alcotest.test_case "concurrent soup" `Quick
             test_concurrent_soup_valid;
           Alcotest.test_case "init state" `Quick test_init_state;
-          Alcotest.test_case "length limit" `Quick
-            test_history_too_long_rejected;
+          Alcotest.test_case "200-entry history" `Quick test_long_history;
           sequential_prop;
         ] );
     ]

@@ -164,6 +164,32 @@ let test_profile_report () =
         Alcotest.fail "sentinel key ranked")
     r.r_hot_keys
 
+(* --- The one clock --- *)
+
+(* The real clock resolves back-to-back reads: of 1,000 consecutive reads
+   at least 900 are distinct, none is smaller than the one before, and a
+   read allocates nothing.  A microsecond wall clock repeats most of its
+   back-to-back reads. *)
+let test_real_clock_resolution () =
+  let c = Lf_obs.Clock.real () in
+  let n = 1000 in
+  let reads = Array.make n 0 in
+  let words =
+    Support.words_during (fun () ->
+        for i = 0 to n - 1 do
+          reads.(i) <- Lf_obs.Clock.now c
+        done)
+  in
+  let distinct = ref 1 in
+  for i = 1 to n - 1 do
+    if reads.(i) < reads.(i - 1) then
+      Alcotest.failf "read %d went back: %d after %d" i reads.(i) reads.(i - 1);
+    if reads.(i) <> reads.(i - 1) then incr distinct
+  done;
+  if !distinct < 900 then
+    Alcotest.failf "%d distinct values in %d reads (bar: 900)" !distinct n;
+  Alcotest.(check (float 0.)) "minor words per read" 0. (words /. float_of_int n)
+
 (* --- Recorder level gating --- *)
 
 let with_recorder ~level ~clock f =
@@ -408,35 +434,20 @@ let test_prometheus_grammar () =
 
 let test_gc_attr_monotone () =
   let a = Lf_obs.Gc_attr.totals () in
-  let junk = Array.init 4096 (fun i -> Some i) in
-  ignore (Sys.opaque_identity junk);
-  let b = Lf_obs.Gc_attr.totals () in
-  let d = Lf_obs.Gc_attr.diff ~before:a b in
-  Alcotest.(check bool)
-    "minor words grew by at least the array" true
-    (d.Lf_obs.Gc_attr.minor_words >= 4096.);
-  Alcotest.(check bool)
-    "counters monotone" true
-    (d.Lf_obs.Gc_attr.minor_collections >= 0
-    && d.Lf_obs.Gc_attr.major_collections >= 0
-    && d.Lf_obs.Gc_attr.promoted_words >= 0.)
-
-let test_gc_attr_window () =
-  Lf_obs.Gc_attr.reset_window ();
   (* Boxed elements: each [Some i] is a small minor-heap block (the array
      itself, >256 words, goes straight to the major heap and would be
      invisible to [minor_words]). *)
   let junk = Array.init 4096 (fun i -> Some i) in
   ignore (Sys.opaque_identity junk);
-  let w1 = Lf_obs.Gc_attr.window () in
-  let w2 = Lf_obs.Gc_attr.window () in
+  let b = Lf_obs.Gc_attr.totals () in
   Alcotest.(check bool)
-    "first window sees the allocation" true
-    (w1.Lf_obs.Gc_attr.minor_words >= 4096.);
+    "minor words grew by at least the array" true
+    (b.minor_words -. a.minor_words >= 4096.);
   Alcotest.(check bool)
-    "second window starts fresh" true
-    (w2.Lf_obs.Gc_attr.minor_words >= 0.
-    && w2.Lf_obs.Gc_attr.minor_words < 4096.)
+    "counters monotone" true
+    (b.minor_collections >= a.minor_collections
+    && b.major_collections >= a.major_collections
+    && b.promoted_words >= a.promoted_words)
 
 let test_prometheus_gc_counters () =
   with_recorder ~level:Recorder.Counters ~clock:Recorder.Real (fun () ->
@@ -453,15 +464,6 @@ let test_prometheus_gc_counters () =
           "lf_gc_minor_words_total";
           "lf_gc_promoted_words_total";
         ])
-
-let test_chrome_trace_gc_counter () =
-  let json =
-    Lf_obs.Chrome_trace.to_string ~gc:(Lf_obs.Gc_attr.totals ()) []
-  in
-  (match Lf_obs.Chrome_trace.check json with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "trace with gc row rejected: %s" e);
-  Alcotest.(check bool) "has gc counter row" true (contains json "\"cat\":\"gc\"")
 
 let test_prometheus_validator_rejects () =
   List.iter
@@ -495,6 +497,11 @@ let () =
         ] );
       ( "profile",
         [ Alcotest.test_case "report ranking" `Quick test_profile_report ] );
+      ( "clock",
+        [
+          Alcotest.test_case "real clock resolves back-to-back reads" `Quick
+            test_real_clock_resolution;
+        ] );
       ( "recorder",
         [
           Alcotest.test_case "off records nothing" `Quick
@@ -525,10 +532,7 @@ let () =
       ( "gc attribution",
         [
           Alcotest.test_case "totals monotone" `Quick test_gc_attr_monotone;
-          Alcotest.test_case "window deltas" `Quick test_gc_attr_window;
           Alcotest.test_case "prometheus gc counters" `Quick
             test_prometheus_gc_counters;
-          Alcotest.test_case "chrome gc counter row" `Quick
-            test_chrome_trace_gc_counter;
         ] );
     ]

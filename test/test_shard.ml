@@ -635,9 +635,8 @@ let test_chaos_shard_targeted_stall () =
    of the same recorder, so the run returns whether a served operation
    overlapped the handoff. *)
 
-(* Operations per worker at most: the checker takes 62 entries per key,
-   and two workers' 100 each over 8 keys stay far below that.  The
-   fillers make the walk take 6–20 ms on a 2-vCPU VM, one core or two. *)
+(* Operations per worker at most.  The fillers make the walk take
+   6–20 ms on a 2-vCPU VM, one core or two. *)
 let max_ops = 100
 let fillers = 4000
 

@@ -209,7 +209,7 @@ let test_svc_call_alloc () =
    its states in place, so it meets the policy-free bar: what remains is
    the request (2 words). *)
 let test_svc_policy_call_alloc () =
-  let clock, advance = Clock.manual ~ticks_per_ms:1000 () in
+  let clock, advance = Clock.manual () in
   let ms = Clock.ms clock in
   let cfg =
     Svc.config ~clock ~deadline:(ms 100)

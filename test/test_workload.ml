@@ -78,6 +78,36 @@ let test_recorded_shape () =
     h;
   Support.assert_linearizable h
 
+(* The open-loop runner stamps arrivals on the one real clock: [serve],
+   reading [Clock.real] itself, never sees an arrival from its future or
+   from before the run began, and the report accounts for every arrival
+   exactly once.  Inserts are served, deletes rejected, finds failed. *)
+let test_open_loop () =
+  let clock = Lf_obs.Clock.real () in
+  let stale = Atomic.make 0 in
+  let start = Lf_obs.Clock.now clock in
+  let serve ~arrival_ns ~queue_depth:_ (op : Lf_workload.Opgen.op) =
+    let now = Lf_obs.Clock.now clock in
+    if arrival_ns > now || arrival_ns < start then Atomic.incr stale;
+    match op with
+    | Insert _ -> `Served true
+    | Delete _ -> `Rejected
+    | Find _ -> `Failed
+  in
+  let r =
+    Lf_workload.Runner.run_open_loop ~rate:10_000 ~window_s:0.1 ~key_range:64
+      ~mix:Lf_workload.Opgen.mixed ~seed:7 ~serve ()
+  in
+  Alcotest.(check int) "arrivals stamped inside the run, on the one clock" 0
+    (Atomic.get stale);
+  Alcotest.(check bool) "some arrivals handled" true (r.o_handled > 0);
+  Alcotest.(check int) "offered = handled + leftover" r.o_offered
+    (r.o_handled + r.o_leftover);
+  Alcotest.(check int) "handled = served + rejected + failed" r.o_handled
+    (r.o_served + r.o_rejected + r.o_failed);
+  Alcotest.(check int) "every served arrival timed" r.o_served
+    (Lf_obs.Hist.count r.o_latency)
+
 let sim_ops t =
   Lf_workload.Sim_driver.
     {
@@ -137,6 +167,7 @@ let () =
           Alcotest.test_case "batched rejects batch 0" `Quick
             test_batched_rejects_empty_batch;
           Alcotest.test_case "recorded shape" `Quick test_recorded_shape;
+          Alcotest.test_case "open loop" `Quick test_open_loop;
         ] );
       ( "sim driver",
         [

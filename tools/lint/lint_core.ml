@@ -34,7 +34,8 @@
 
    - [no-timing-in-structures]: same discipline for observability.  A
      structure that reads a clock ([Unix.gettimeofday]/[time]/[times],
-     [Sys.time], [Mtime], [Ptime]) or reaches into the recorder ([Lf_obs])
+     [Sys.time], [Mtime], [Ptime], [Monotonic_clock]) or reaches into the
+     recorder or the one clock ([Lf_obs])
      has baked measurement into the algorithm: it perturbs the simulator's
      determinism and ties the structure to one observer.  Structure code is
      observed from outside, through [Lf_obs.Trace_mem] stacked at the
@@ -355,7 +356,7 @@ let lid_is_timing lid =
       true
   | _ -> (
       match root_of_lid lid with
-      | "Mtime" | "Ptime" | "Lf_obs" -> true
+      | "Mtime" | "Ptime" | "Monotonic_clock" | "Lf_obs" -> true
       | _ -> false)
 
 let timing_msg =
