@@ -5,8 +5,10 @@
    instantiated over Trace_mem (Atomic_mem), at each recorder level.
    The bar: counters-level recording stays within a few percent of off —
    the seam's one-word level check plus DLS tally bumps — while full
-   tracing pays for timestamping and ring writes.  Elapsed times take the
-   best of [reps] runs (the usual anti-noise choice for overhead ratios).
+   tracing pays for timestamping and ring writes.  Each repetition runs
+   the four levels back to back, and a level's overhead is the median,
+   over five repetitions, of its time over the same repetition's Off
+   time: the levels share each repetition's host noise.
 
    Part B reads the latency histograms the Part A histograms-level runs
    filled: per-op p50/p90/p99/p99.9 in nanoseconds.
@@ -114,44 +116,56 @@ let latency_snapshots :
     (string * (Obs_event.op * Lf_obs.Hist.t) list) list ref =
   ref []
 
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
+(* Each repetition runs every level back to back, Off first, so a level
+   is compared with the Off run beside it, not with one minutes apart;
+   a level's overhead is the median of its per-repetition ratios. *)
 let run_overhead () =
   Tables.subsection "A. recorder overhead (wall clock, 2 domains)";
   let domains = 2 in
   let ops = if !Bench_json.quick then 5_000 else 60_000 in
-  let reps = if !Bench_json.quick then 2 else 3 in
+  let reps = 5 in
   let widths = [ 14; 12; 10; 10; 10 ] in
-  Tables.row widths [ "structure"; "level"; "best_s"; "Mops/s"; "overhead" ];
+  Tables.row widths [ "structure"; "level"; "median_s"; "Mops/s"; "overhead" ];
   let list_counters_overhead = ref 0.0 in
   List.iter
     (fun tgt ->
-      let base = ref 0.0 in
-      List.iter
-        (fun (level, level_name) ->
-          Recorder.set_level Recorder.Off;
-          Recorder.reset ();
-          Recorder.set_clock Recorder.Real;
-          let best = ref infinity in
-          for rep = 1 to reps do
-            Recorder.reset ();
-            Recorder.set_level level;
-            let e = tgt.t_elapsed ~domains ~ops ~seed:(41 + rep) in
+      let elapsed = Array.make_matrix (List.length levels) reps 0.0 in
+      for rep = 0 to reps - 1 do
+        List.iteri
+          (fun l (level, _) ->
             Recorder.set_level Recorder.Off;
-            if e < !best then best := e
-          done;
-          if level = Recorder.Histograms then
-            latency_snapshots :=
-              (tgt.t_name, Recorder.latencies ()) :: !latency_snapshots;
-          if level = Recorder.Off then base := !best;
-          let overhead = (!best /. !base) -. 1.0 in
+            Recorder.reset ();
+            Recorder.set_clock Recorder.Real;
+            Recorder.set_level level;
+            elapsed.(l).(rep) <- tgt.t_elapsed ~domains ~ops ~seed:(42 + rep);
+            Recorder.set_level Recorder.Off;
+            if level = Recorder.Histograms && rep = reps - 1 then
+              latency_snapshots :=
+                (tgt.t_name, Recorder.latencies ()) :: !latency_snapshots)
+          levels
+      done;
+      List.iteri
+        (fun l (level, level_name) ->
+          let med = median (Array.to_list elapsed.(l)) in
+          let overhead =
+            median
+              (List.init reps (fun r -> elapsed.(l).(r) /. elapsed.(0).(r)))
+            -. 1.0
+          in
           if tgt.t_name = "fr-list" && level = Recorder.Counters then
             list_counters_overhead := overhead;
           Tables.row widths
             [
               tgt.t_name;
               level_name;
-              Printf.sprintf "%.4f" !best;
-              Printf.sprintf "%.2f"
-                (float_of_int (domains * ops) /. !best /. 1e6);
+              Printf.sprintf "%.4f" med;
+              Printf.sprintf "%.2f" (float_of_int (domains * ops) /. med /. 1e6);
               Printf.sprintf "%+.1f%%" (100. *. overhead);
             ];
           Bench_json.emit_part ~exp:"exp19" ~part:"overhead"
@@ -161,14 +175,20 @@ let run_overhead () =
                 ("level", S level_name);
                 ("domains", I domains);
                 ("ops", I (domains * ops));
-                ("best_s", F !best);
+                ("reps", I reps);
+                ("median_s", F med);
                 ("overhead_pct", F (100. *. overhead));
               ])
         levels)
     targets;
   Tables.note
-    "PASS criterion: counters-level overhead small (<= 10%% on the list); \
-     tracing pays for timestamps + ring writes.";
+    "Overhead: the median over %d repetitions of each level's time over \
+     the Off run of the same repetition.  Bar (a note, not a gate): \
+     counters-level overhead <= 10%% on the list -- %s here (%+.1f%%); \
+     tracing pays for timestamps + ring writes."
+    reps
+    (if !list_counters_overhead <= 0.10 then "met" else "NOT met")
+    (100. *. !list_counters_overhead);
   !list_counters_overhead
 
 (* ------------------------------------------------------------------ *)

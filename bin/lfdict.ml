@@ -617,8 +617,11 @@ let model_cmd =
    QUIT/SHUTDOWN — see Lf_svc.Wire); every --shards, 1 included, takes
    the same path (wire, Router, Svc, backend), so deadlines, retry
    budgets, shedding and the breaker are all live behind the socket.
-   Sequential accept loop: this is the demo front for EXP-20 and the CI
-   smoke, not a production server. *)
+   Each connection reads into one reused buffer (Lf_svc.Reader), parses
+   in place into one reused batch, and writes replies straight to its
+   channel, flushed when no complete line is left.  Sequential accept
+   loop: this is the demo front for EXP-20 and the CI smoke, not a
+   production server. *)
 
 let port_arg =
   Arg.(
@@ -772,9 +775,9 @@ let good = function
   | Lf_svc.Svc.Served _ | Lf_svc.Svc.Served_stale _ -> true
   | Lf_svc.Svc.Rejected _ | Lf_svc.Svc.Failed _ -> false
 
-let rec count_bad acc = function
-  | [] -> acc
-  | o :: rest -> count_bad (if good o then acc else acc + 1) rest
+let rec count_bad (b : Lf_svc.Svc.batch) i acc =
+  if i = b.len then acc
+  else count_bad b (i + 1) (if good b.outcomes.(i) then acc else acc + 1)
 
 let serve_cmd =
   let run impl port deadline_ms retry budget shed breaker shards trace_requests
@@ -1001,52 +1004,65 @@ let serve_cmd =
     Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
     Unix.listen sock 8;
     Printf.printf "lfdict serve: %s on 127.0.0.1:%d\n%!" D.name port;
+    (* One request batch, reused by every line: a line is parsed into it
+       in place and its outcomes are written back into it, so serving a
+       line allocates nothing outside the structure. *)
+    let b = Lf_svc.Svc.batch Lf_svc.Wire.max_batch in
+    let error oc msg =
+      output_string oc (Lf_svc.Wire.format_error msg);
+      output_char oc '\n'
+    in
     let shutdown = ref false in
     while not !shutdown do
       let fd, _ = Unix.accept sock in
       (* A pipelining client must not wait for its delayed ACK before
          each reply after the first. *)
       Unix.setsockopt fd Unix.TCP_NODELAY true;
-      let ic = Unix.in_channel_of_descr fd in
+      let reader = Lf_svc.Reader.create (Unix.read fd) in
       let oc = Unix.out_channel_of_descr fd in
       let quit = ref false in
       (try
          while not (!quit || !shutdown) do
-           match input_line ic with
-           | exception End_of_file -> quit := true
-           | line ->
+           (* Replies wait in the channel until no complete line is left,
+              and always go out before the next read can block: a
+              pipelined batch costs one write. *)
+           if not (Lf_svc.Reader.has_line reader) then flush oc;
+           match Lf_svc.Reader.next reader with
+           | Lf_svc.Reader.Eof -> quit := true
+           | Lf_svc.Reader.Too_long ->
                sup_tick ();
-               (match Lf_svc.Wire.parse line with
-               | Error e ->
-                   output_string oc (Lf_svc.Wire.format_error e);
-                   output_char oc '\n'
-               | Ok (Lf_svc.Wire.Op req) ->
+               error oc "line too long"
+           | Lf_svc.Reader.Line -> (
+               sup_tick ();
+               match
+                 Lf_svc.Wire.parse_into b
+                   (Lf_svc.Reader.line reader)
+                   (Lf_svc.Reader.first reader)
+                   (Lf_svc.Reader.last reader)
+               with
+               | Error e -> error oc e
+               | Ok Lf_svc.Wire.V_op ->
                    let ctx = request_ctx "request" in
+                   let op = b.ops.(0) and k = b.keys.(0) and v = b.vals.(0) in
                    let out =
                      if Lf_obs.Span.active ctx then
-                       Lf_shard.Router.call router ~ctx req
-                     else Lf_shard.Router.call router req
+                       Lf_shard.Router.call_op router ~ctx op k v
+                     else Lf_shard.Router.call_op router op k v
                    in
                    let bad = if good out then 0 else 1 in
                    finish ctx ~good:(1 - bad) ~bad;
-                   output_string oc (Lf_svc.Wire.format_outcome out);
-                   output_char oc '\n'
-               | Ok (Lf_svc.Wire.Multi reqs) ->
+                   Lf_svc.Wire.write_outcome oc out
+               | Ok Lf_svc.Wire.V_multi ->
                    let ctx = request_ctx "multi" in
-                   let outs =
-                     if Lf_obs.Span.active ctx then
-                       Lf_shard.Router.call_many router ~ctx reqs
-                     else Lf_shard.Router.call_many router reqs
-                   in
-                   let bad = count_bad 0 outs in
-                   finish ctx ~good:(List.length outs - bad) ~bad;
-                   output_string oc (Lf_svc.Wire.format_multi outs);
-                   output_char oc '\n'
-               | Ok (Lf_svc.Wire.Kill s) ->
-                   if s < 0 || s >= shards then begin
-                     output_string oc (Lf_svc.Wire.format_error "bad shard");
-                     output_char oc '\n'
-                   end
+                   if Lf_obs.Span.active ctx then
+                     Lf_shard.Router.call_batch router ~ctx b
+                   else Lf_shard.Router.call_batch router b;
+                   let bad = count_bad b 0 0 in
+                   finish ctx ~good:(b.len - bad) ~bad;
+                   Lf_svc.Wire.write_multi oc b
+               | Ok Lf_svc.Wire.V_kill ->
+                   let s = b.keys.(0) in
+                   if s < 0 || s >= shards then error oc "bad shard"
                    else begin
                      kills.(s) <- true;
                      (* The kill's own bundle names this shard; pre-marking
@@ -1057,70 +1073,62 @@ let serve_cmd =
                      output_string oc "OK true\n";
                      dump "shard-kill" [ ("shard", string_of_int s) ]
                    end
-               | Ok Lf_svc.Wire.Health ->
+               | Ok Lf_svc.Wire.V_health ->
                    output_string oc (Lf_shard.Health.line router);
                    output_char oc '\n'
-               | Ok Lf_svc.Wire.Metrics ->
+               | Ok Lf_svc.Wire.V_metrics ->
                    output_string oc
                      (Lf_obs.Prom.snapshot ()
                      ^ Lf_obs.Prom.render_metrics
                          (Lf_shard.Health.metrics router));
                    output_string oc "END\n"
-               | Ok Lf_svc.Wire.Slo ->
+               | Ok Lf_svc.Wire.V_slo ->
                    output_string oc (Lf_obs.Slo.line slo ~now:(now ()));
                    output_char oc '\n'
-               | Ok Lf_svc.Wire.Replicas ->
-                   output_string oc
-                     (match reps with
-                     | None ->
-                         Lf_svc.Wire.format_error
-                           "no replicas (serve with --replicas)"
-                     | Some r ->
-                         let rs = Lf_shard.Replica.stats r ~now:(now ()) in
-                         Printf.sprintf "REPLICAS n=%d%s" (List.length rs)
-                           (String.concat ""
-                              (List.map
-                                 (fun (s : Lf_shard.Replica.slot_stats) ->
-                                   Printf.sprintf
-                                     " slot=%d on=%d lag=%d pending=%d \
-                                      applied=%d"
-                                     s.Lf_shard.Replica.s_slot
-                                     s.Lf_shard.Replica.s_on
-                                     s.Lf_shard.Replica.s_lag
-                                     s.Lf_shard.Replica.s_pending
-                                     s.Lf_shard.Replica.s_applied)
-                                 rs)));
-                   output_char oc '\n'
-               | Ok Lf_svc.Wire.Heal ->
-                   output_string oc
-                     (match sup with
-                     | None ->
-                         Lf_svc.Wire.format_error
-                           "no supervisor (serve with --self-heal)"
-                     | Some sup -> Lf_shard.Supervisor.line sup);
-                   output_char oc '\n'
-               | Ok Lf_svc.Wire.Flightdump ->
-                   (if not trace_requests then
-                      output_string oc
-                        (Lf_svc.Wire.format_error
-                           "tracing off (serve with --trace-requests)")
-                    else
-                      output_string oc
-                        (match
-                           Lf_obs.Flight.dump ~dir:dump_dir ~reason:"manual" ()
-                         with
-                        | Ok (path, _) -> "OK " ^ path
-                        | Error msg ->
-                            Lf_svc.Wire.format_error
-                              ("flight dump failed: " ^ msg)));
-                   output_char oc '\n'
-               | Ok Lf_svc.Wire.Quit -> quit := true
-               | Ok Lf_svc.Wire.Shutdown ->
+               | Ok Lf_svc.Wire.V_replicas -> (
+                   match reps with
+                   | None -> error oc "no replicas (serve with --replicas)"
+                   | Some r ->
+                       let rs = Lf_shard.Replica.stats r ~now:(now ()) in
+                       output_string oc
+                         (Printf.sprintf "REPLICAS n=%d%s" (List.length rs)
+                            (String.concat ""
+                               (List.map
+                                  (fun (s : Lf_shard.Replica.slot_stats) ->
+                                    Printf.sprintf
+                                      " slot=%d on=%d lag=%d pending=%d \
+                                       applied=%d"
+                                      s.Lf_shard.Replica.s_slot
+                                      s.Lf_shard.Replica.s_on
+                                      s.Lf_shard.Replica.s_lag
+                                      s.Lf_shard.Replica.s_pending
+                                      s.Lf_shard.Replica.s_applied)
+                                  rs)));
+                       output_char oc '\n')
+               | Ok Lf_svc.Wire.V_heal -> (
+                   match sup with
+                   | None -> error oc "no supervisor (serve with --self-heal)"
+                   | Some sup ->
+                       output_string oc (Lf_shard.Supervisor.line sup);
+                       output_char oc '\n')
+               | Ok Lf_svc.Wire.V_flightdump -> (
+                   if not trace_requests then
+                     error oc "tracing off (serve with --trace-requests)"
+                   else
+                     match
+                       Lf_obs.Flight.dump ~dir:dump_dir ~reason:"manual" ()
+                     with
+                     | Ok (path, _) ->
+                         output_string oc ("OK " ^ path);
+                         output_char oc '\n'
+                     | Error msg -> error oc ("flight dump failed: " ^ msg))
+               | Ok Lf_svc.Wire.V_quit -> quit := true
+               | Ok Lf_svc.Wire.V_shutdown ->
                    output_string oc "OK true\n";
-                   shutdown := true);
-               flush oc
-         done
-       with Sys_error _ -> ());
+                   shutdown := true)
+         done;
+         flush oc
+       with Sys_error _ | Unix.Unix_error _ -> ());
       (try Unix.close fd with Unix.Unix_error _ -> ())
     done;
     Unix.close sock

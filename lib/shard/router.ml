@@ -3,7 +3,7 @@
    small counters; dictionary operations themselves run OUTSIDE the
    mutex, through each shard's own Svc pipeline, so the router adds two
    short critical sections per call (route-and-mark, unmark), never a
-   lock around the work.  [call_many] takes the same two for a whole
+   lock around the work.  [call_batch] takes the same two for a whole
    line: it routes and marks every key under one, and unmarks them all
    under the other.
 
@@ -83,18 +83,6 @@ let note ~now fmt =
 
 let journal () = List.rev !journal_log
 
-(* Per-key in-flight counts, keyed by int with a cheap mix: no
-   polymorphic hashing on the request path. *)
-module Inflight = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  let hash k =
-    let h = k * 0x2545F4914F6CDD1D in
-    h lxor (h lsr 29)
-end)
-
 type t = {
   mutable ring : Hash_ring.t;
   shards : shard array;
@@ -105,7 +93,7 @@ type t = {
   hedge_reads : bool;
   mu : Mutex.t;
   drained : Condition.t;  (* signalled when a key's inflight count drains *)
-  inflight : int Inflight.t;
+  inflight : Inflight.t;  (* per-key in-flight counts *)
   mutable migration : migration option;
   mutable migrated : int;
   mutable rebalanced : int;
@@ -171,17 +159,10 @@ let route t k =
 (* Acquire an owner for [k] and mark it in flight, atomically w.r.t.
    any migration. *)
 let mark_locked t k =
-  let n =
-    if Inflight.mem t.inflight k then Inflight.find t.inflight k else 0
-  in
-  Inflight.replace t.inflight k (n + 1);
+  Inflight.incr t.inflight k;
   owner_locked t k
 
-let unmark_locked t k =
-  if Inflight.mem t.inflight k then
-    let n = Inflight.find t.inflight k in
-    if n <= 1 then Inflight.remove t.inflight k
-    else Inflight.replace t.inflight k (n - 1)
+let unmark_locked t k = Inflight.decr t.inflight k
 
 (* A migration waiting on a key's drain is woken by every unmark. *)
 let wake_drain_locked t =
@@ -207,8 +188,7 @@ let in_flight t =
   Mutex.unlock t.mu;
   n
 
-let key_of = function Svc.Insert (k, _) -> k | Svc.Delete k -> k | Svc.Find k -> k
-let is_read = function Svc.Find _ -> true | Svc.Insert _ | Svc.Delete _ -> false
+let is_read (op : Lf_obs.Obs_event.op) = op = Find
 
 (* Rejections worth failing over: the shard refused service (tripped
    breaker, full queue, infeasible deadline estimate), not the request
@@ -263,12 +243,12 @@ let hedge t ~ctx sh k original =
   | None -> finish (Svc.Served false) ~won:true "served"
   | exception _ -> replica_fallback ()
 
-let maybe_hedge t ~ctx sh req outcome =
-  if not (t.hedge_reads && is_read req) then outcome
+let maybe_hedge t ~ctx sh op k outcome =
+  if not (t.hedge_reads && is_read op) then outcome
   else
     match outcome with
-    | Svc.Rejected r when hedgeable r -> hedge t ~ctx sh (key_of req) outcome
-    | Svc.Failed _ -> hedge t ~ctx sh (key_of req) outcome
+    | Svc.Rejected r when hedgeable r -> hedge t ~ctx sh k outcome
+    | Svc.Failed _ -> hedge t ~ctx sh k outcome
     | o -> o
 
 let outcome_ok = function
@@ -279,47 +259,38 @@ let outcome_ok = function
    [Served] write is recorded: a rejected or failed write took no
    effect the replica should mirror (crash-semantics writes may have —
    the same uncertainty the primary itself carries). *)
-let record_write t req out =
-  match t.replicas with
-  | None -> ()
-  | Some reps -> (
-      match (req, out) with
-      | Svc.Insert (k, v), Svc.Served _ ->
-          Replica.record reps
-            ~slot:(Hash_ring.slot_of t.ring k)
-            ~now:(Lf_svc.Clock.now t.clock)
-            (Replica.Put (k, v))
-      | Svc.Delete k, Svc.Served _ ->
-          Replica.record reps
-            ~slot:(Hash_ring.slot_of t.ring k)
-            ~now:(Lf_svc.Clock.now t.clock)
-            (Replica.Del k)
-      | _ -> ())
+let record_write t (op : Lf_obs.Obs_event.op) k v out =
+  match (t.replicas, out, op) with
+  | Some reps, Svc.Served _, (Insert | Delete) ->
+      Replica.record reps
+        ~slot:(Hash_ring.slot_of t.ring k)
+        ~now:(Lf_svc.Clock.now t.clock)
+        (if op = Insert then Replica.Put (k, v) else Replica.Del k)
+  | _ -> ()
 
 (* The pipeline call with the fan-out span as its context.  The
    optional argument is boxed only while the span is live. *)
-let svc_call sh fspan ~deadline ~queue_depth req =
+let svc_call sh fspan ~deadline ~queue_depth op k v =
   if Span.active fspan then
-    Svc.call sh.svc ~ctx:fspan ?deadline ?queue_depth req
-  else Svc.call sh.svc ?deadline ?queue_depth req
+    Svc.call_op sh.svc ~ctx:fspan ?deadline ?queue_depth op k v
+  else Svc.call_op sh.svc ?deadline ?queue_depth op k v
 
 (* One fan-out span per shard touched, the shard's pipeline spans
    nested inside it. *)
-let call_owned t ctx s ~deadline ~queue_depth req =
+let call_owned t ctx s ~deadline ~queue_depth op k v =
   let sh = t.shards.(s) in
   let fspan = Span.begin_ ctx ~name:t.names.(s) ~now:(now_of t ctx) in
   let out =
-    maybe_hedge t ~ctx:fspan sh req
-      (svc_call sh fspan ~deadline ~queue_depth req)
+    maybe_hedge t ~ctx:fspan sh op k
+      (svc_call sh fspan ~deadline ~queue_depth op k v)
   in
-  record_write t req out;
+  record_write t op k v out;
   Span.end_ fspan ~now:(now_of t fspan) ~ok:(outcome_ok out);
   out
 
-let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
-  let k = key_of req in
+let call_op t ?(ctx = Span.nil) ?deadline ?queue_depth op k v =
   let s = begin_op t k in
-  match call_owned t ctx s ~deadline ~queue_depth req with
+  match call_owned t ctx s ~deadline ~queue_depth op k v with
   | out ->
       end_op t k;
       out
@@ -327,61 +298,65 @@ let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
       end_op t k;
       raise e
 
+let call t ?ctx ?deadline ?queue_depth (req : Svc.req) =
+  match req with
+  | Insert (k, v) -> call_op t ?ctx ?deadline ?queue_depth Insert k v
+  | Delete k -> call_op t ?ctx ?deadline ?queue_depth Delete k 0
+  | Find k -> call_op t ?ctx ?deadline ?queue_depth Find k 0
+
 (* Shard [s]'s share of a line, in input order: every pipeline call
    first, then each outcome's hedge and journal entry. *)
-let fan_out_shard t ctx s ~deadline ~queue_depth reqs owners out =
+let fan_out_shard t ctx s ~deadline ~queue_depth (b : Svc.batch) =
   let sh = t.shards.(s) in
   let fspan = Span.begin_ ctx ~name:t.names.(s) ~now:(now_of t ctx) in
-  for i = 0 to Array.length reqs - 1 do
-    if owners.(i) = s then
-      out.(i) <- svc_call sh fspan ~deadline ~queue_depth reqs.(i)
+  for i = 0 to b.len - 1 do
+    if b.shards.(i) = s then
+      b.outcomes.(i) <-
+        svc_call sh fspan ~deadline ~queue_depth b.ops.(i) b.keys.(i) b.vals.(i)
   done;
-  for i = 0 to Array.length reqs - 1 do
-    if owners.(i) = s then begin
-      let o = maybe_hedge t ~ctx:fspan sh reqs.(i) out.(i) in
-      record_write t reqs.(i) o;
-      out.(i) <- o
+  for i = 0 to b.len - 1 do
+    if b.shards.(i) = s then begin
+      let o = maybe_hedge t ~ctx:fspan sh b.ops.(i) b.keys.(i) b.outcomes.(i) in
+      record_write t b.ops.(i) b.keys.(i) b.vals.(i) o;
+      b.outcomes.(i) <- o
     end
   done;
   Span.end_ fspan ~now:(now_of t fspan) ~ok:true
 
-let rec owns owners s i =
-  i < Array.length owners && (owners.(i) = s || owns owners s (i + 1))
+let rec owns (b : Svc.batch) s i =
+  i < b.len && (b.shards.(i) = s || owns b s (i + 1))
 
-let fan_out t ctx ~deadline ~queue_depth reqs owners out =
+let fan_out t ctx ~deadline ~queue_depth b =
   for s = 0 to Array.length t.shards - 1 do
-    if owns owners s 0 then
-      fan_out_shard t ctx s ~deadline ~queue_depth reqs owners out
+    if owns b s 0 then fan_out_shard t ctx s ~deadline ~queue_depth b
   done
 
-let unmark_all t reqs =
+let unmark_all t (b : Svc.batch) =
   Mutex.lock t.mu;
-  for i = 0 to Array.length reqs - 1 do
-    unmark_locked t (key_of reqs.(i))
+  for i = 0 to b.len - 1 do
+    unmark_locked t b.keys.(i)
   done;
   wake_drain_locked t;
   Mutex.unlock t.mu
 
-let call_many t ?(ctx = Span.nil) ?deadline ?queue_depth reqs =
-  match reqs with
-  | [] -> []
-  | _ -> (
-      let reqs = Array.of_list reqs in
-      let n = Array.length reqs in
-      let owners = Array.make n 0 in
-      Mutex.lock t.mu;
-      for i = 0 to n - 1 do
-        owners.(i) <- mark_locked t (key_of reqs.(i))
-      done;
-      Mutex.unlock t.mu;
-      let out = Array.make n (Svc.Rejected Svc.Expired) in
-      match fan_out t ctx ~deadline ~queue_depth reqs owners out with
-      | () ->
-          unmark_all t reqs;
-          Array.to_list out
-      | exception e ->
-          unmark_all t reqs;
-          raise e)
+let call_batch t ?(ctx = Span.nil) ?deadline ?queue_depth (b : Svc.batch) =
+  if b.len > 0 then begin
+    Mutex.lock t.mu;
+    for i = 0 to b.len - 1 do
+      b.shards.(i) <- mark_locked t b.keys.(i)
+    done;
+    Mutex.unlock t.mu;
+    match fan_out t ctx ~deadline ~queue_depth b with
+    | () -> unmark_all t b
+    | exception e ->
+        unmark_all t b;
+        raise e
+  end
+
+let call_many t ?ctx ?deadline ?queue_depth reqs =
+  let b = Svc.batch_of_reqs reqs in
+  call_batch t ?ctx ?deadline ?queue_depth b;
+  Array.to_list b.outcomes
 
 (* Some key of [slot] in [[lo, hi]] with an operation in flight. *)
 let inflight_in_locked t ~slot ~lo ~hi =

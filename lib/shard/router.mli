@@ -2,8 +2,8 @@
     own [lib/svc] breaker/shed/degrade pipeline, so one hot, stalled or
     faulted shard degrades only its own keyspace.
 
-    - {!call} routes a request by key and runs it through that shard's
-      pipeline; everything else is untouched (blast-radius containment,
+    - {!call_op} routes a request by key and runs it through that
+      shard's pipeline; everything else is untouched (blast-radius containment,
       EXP-23).
     - Hedged/failover reads: when a {e read} comes back rejected by a
       tripped shard (breaker open, queue full, doomed) or fails in
@@ -12,8 +12,8 @@
       the underlying structures' searches are non-blocking and
       side-effect-free — the paper's wait-free search is the failover
       path.  Writes are never hedged.
-    - {!call_many} scatter-gathers a multi-key batch across shards and
-      returns per-key outcomes in input order — a shard that sheds or
+    - {!call_batch} scatter-gathers a multi-key batch across shards and
+      writes per-key outcomes in input order — a shard that sheds or
       trips yields per-key rejections, never one collapsed error and
       never a silently dropped key.
     - {!rebalance} migrates one slot's keys to another shard under
@@ -81,6 +81,37 @@ val route : t -> int -> int
 (** The shard a key's operations go to right now — assignment plus the
     migration watermark while a rebalance is running. *)
 
+val call_op :
+  t ->
+  ?ctx:Lf_obs.Span.ctx ->
+  ?deadline:Lf_svc.Deadline.t ->
+  ?queue_depth:int ->
+  Lf_obs.Obs_event.op ->
+  int ->
+  int ->
+  Svc.outcome
+(** [call_op t op key value]: route by key, run through that shard's
+    pipeline ({!Svc.call_op}), hedging rejected or failed reads when
+    enabled.  [ctx] (default {!Lf_obs.Span.nil}) is the request's trace
+    context: when active, the router opens one fan-out span per shard
+    touched ([shard<i>]) with the pipeline's decision spans nested
+    inside, plus a [hedge] span (with its outcome event) when the
+    failover path runs.  A served call allocates nothing in the router
+    or the pipeline. *)
+
+val call_batch :
+  t ->
+  ?ctx:Lf_obs.Span.ctx ->
+  ?deadline:Lf_svc.Deadline.t ->
+  ?queue_depth:int ->
+  Svc.batch ->
+  unit
+(** Scatter-gather over the batch's [len] entries: route and mark every
+    key under one router lock, run each shard's keys through its
+    pipeline in input order, write each entry's outcome to its slot of
+    [outcomes] (input order), and unmark every key under one lock.  A
+    served batch allocates nothing in the router or the pipelines. *)
+
 val call :
   t ->
   ?ctx:Lf_obs.Span.ctx ->
@@ -88,12 +119,7 @@ val call :
   ?queue_depth:int ->
   Svc.req ->
   Svc.outcome
-(** Route by key, run through that shard's pipeline, hedging rejected
-    or failed reads when enabled.  [ctx] (default {!Lf_obs.Span.nil})
-    is the request's trace context: when active, the router opens one
-    fan-out span per shard touched ([shard<i>]) with the pipeline's
-    decision spans nested inside, plus a [hedge] span (with its
-    outcome event) when the failover path runs. *)
+(** {!call_op} on a boxed request: a wrapper for callers that hold one. *)
 
 val call_many :
   t ->
@@ -102,14 +128,13 @@ val call_many :
   ?queue_depth:int ->
   Svc.req list ->
   Svc.outcome list
-(** Scatter-gather: route and mark every key under one router lock,
-    run each shard's keys through its pipeline in input order, gather
-    per-key outcomes back into input order, and unmark every key under
-    one lock.  The result has exactly one outcome per request. *)
+(** {!call_batch} on a list of boxed requests, through a batch built
+    for the call: a wrapper for callers that hold a list.  The result
+    has exactly one outcome per request, in input order. *)
 
 val in_flight : t -> int
 (** Keys with at least one operation in flight (read-only; 0 whenever
-    no {!call} or {!call_many} is running). *)
+    no call is running). *)
 
 val rebalance : t -> slot:int -> to_:int -> int
 (** [rebalance t ~slot ~to_] hands [slot]'s keys to shard [to_]: it

@@ -14,15 +14,19 @@
    non-raising counter updates and in-place policy steps. *)
 
 module Span = Lf_obs.Span
+module Ev = Lf_obs.Obs_event
 
 type req = Insert of int * int | Delete of int | Find of int
 
-let req_to_string = function
-  | Insert (k, _) -> Printf.sprintf "ins %d" k
-  | Delete k -> Printf.sprintf "del %d" k
-  | Find k -> Printf.sprintf "find %d" k
+(* The request path carries a request unboxed, as its kind, key and
+   value; the decision log names it [ins k], [del k] or [find k]. *)
+let req_to_string (op : Ev.op) k =
+  match op with
+  | Insert -> Printf.sprintf "ins %d" k
+  | Delete -> Printf.sprintf "del %d" k
+  | Find | Other -> Printf.sprintf "find %d" k
 
-let is_write = function Insert _ | Delete _ -> true | Find _ -> false
+let is_write (op : Ev.op) = match op with Insert | Delete -> true | Find | Other -> false
 
 type reject_reason =
   | Expired
@@ -51,6 +55,49 @@ let outcome_to_string = function
   | Served_stale (b, lag) -> Printf.sprintf "served-stale %b lag=%d" b lag
   | Rejected r -> "rejected " ^ reason_to_string r
   | Failed m -> "failed " ^ m
+
+type batch = {
+  ops : Ev.op array;
+  keys : int array;
+  vals : int array;
+  shards : int array;
+  outcomes : outcome array;
+  mutable len : int;
+}
+
+let batch n =
+  {
+    ops = Array.make n Ev.Find;
+    keys = Array.make n 0;
+    vals = Array.make n 0;
+    shards = Array.make n 0;
+    outcomes = Array.make n (Failed "");
+    len = 0;
+  }
+
+let set b i = function
+  | Insert (k, v) ->
+      b.ops.(i) <- Ev.Insert;
+      b.keys.(i) <- k;
+      b.vals.(i) <- v
+  | Delete k ->
+      b.ops.(i) <- Ev.Delete;
+      b.keys.(i) <- k
+  | Find k ->
+      b.ops.(i) <- Ev.Find;
+      b.keys.(i) <- k
+
+let batch_of_reqs reqs =
+  let b = batch (List.length reqs) in
+  List.iteri (set b) reqs;
+  b.len <- List.length reqs;
+  b
+
+let batch_req b i =
+  match b.ops.(i) with
+  | Ev.Insert -> Insert (b.keys.(i), b.vals.(i))
+  | Ev.Delete -> Delete b.keys.(i)
+  | Ev.Find | Ev.Other -> Find b.keys.(i)
 
 type ops = {
   insert : int -> int -> bool;
@@ -222,7 +269,7 @@ let decide ctx ~tick name ok ev =
    the execution route or the rejection.  Runs under [mu].  Span
    completion never takes other locks, so tracing under [mu] cannot
    invert a lock order. *)
-let admission_locked t ~ctx ~now:tick ~dl ~queue_depth req =
+let admission_locked t ~ctx ~now:tick ~dl ~queue_depth op =
   t.n_calls <- t.n_calls + 1;
   let traced = Span.active ctx in
   if Deadline.expired ~now:tick dl then begin
@@ -270,7 +317,7 @@ let admission_locked t ~ctx ~now:tick ~dl ~queue_depth req =
                     (Span.Breaker_verdict "reject");
                 if not (read_only_locked t) then `Reject Breaker_open
                 else
-                  let read = not (is_write req) in
+                  let read = not (is_write op) in
                   if traced then
                     decide ctx ~tick "degrade" read
                       (Span.Degrade_mode "read-only");
@@ -278,19 +325,19 @@ let admission_locked t ~ctx ~now:tick ~dl ~queue_depth req =
                   else `Reject Write_degraded)))
   end
 
-let reject_locked t ~now:tick r req =
+let reject_locked t ~now:tick r op k =
   let i = reason_index r in
   t.n_rejected.(i) <- t.n_rejected.(i) + 1;
   if t.cfg.log_decisions then
     log_locked t "t=%d reject %s %s" tick (reason_to_string r)
-      (req_to_string req);
+      (req_to_string op k);
   rejected_outcomes.(i)
 
-let exec_once t req =
-  match req with
-  | Insert (k, v) -> t.primary.insert k v
-  | Delete k -> t.primary.delete k
-  | Find k -> t.primary.find k
+let exec_once t (op : Ev.op) k v =
+  match op with
+  | Insert -> t.primary.insert k v
+  | Delete -> t.primary.delete k
+  | Find | Other -> t.primary.find k
 
 (* Spend one budget token for a retry; [false] = denied.  Under [mu]. *)
 let budget_take_locked t ~now:tick =
@@ -300,7 +347,7 @@ let budget_take_locked t ~now:tick =
 
 (* The three ends of an admitted call each take it out of flight in
    their own critical section. *)
-let served t ~route ~ok ~latency ~tick req =
+let served t ~route ~ok ~latency ~tick op k =
   Mutex.lock t.mu;
   t.inflight <- t.inflight - 1;
   t.n_served <- t.n_served + 1;
@@ -313,24 +360,24 @@ let served t ~route ~ok ~latency ~tick req =
      the breaker and the shed estimator observe. *)
   observe_locked t ~now:tick ~ok:true ~latency;
   if t.cfg.log_decisions then
-    log_locked t "t=%d served %s -> %b" tick (req_to_string req) ok;
+    log_locked t "t=%d served %s -> %b" tick (req_to_string op k) ok;
   Mutex.unlock t.mu;
   if ok then served_true else served_false
 
-let failed t ~tick req msg =
+let failed t ~tick op k msg =
   Mutex.lock t.mu;
   t.inflight <- t.inflight - 1;
   t.n_failed <- t.n_failed + 1;
   if t.cfg.log_decisions then
-    log_locked t "t=%d failed %s: %s" tick (req_to_string req) msg;
+    log_locked t "t=%d failed %s: %s" tick (req_to_string op k) msg;
   Mutex.unlock t.mu;
   Failed msg
 
 (* An admitted call that never executed: a pure rejection. *)
-let expired_unrun t ~tick req =
+let expired_unrun t ~tick op k =
   Mutex.lock t.mu;
   t.inflight <- t.inflight - 1;
-  let out = reject_locked t ~now:tick Expired req in
+  let out = reject_locked t ~now:tick Expired op k in
   Mutex.unlock t.mu;
   out
 
@@ -338,36 +385,31 @@ let expired_unrun t ~tick req =
    backend operation it runs; a failed C&S during the call lands in it
    as the innermost request span open on the lane.  The event only
    exists on the traced path — the off path must not allocate. *)
-let run_attempt t aspan ~tick req =
-  if Span.active aspan then
-    Span.event aspan ~now:tick
-      (match req with
-      | Insert (k, _) -> Span.Op (Lf_obs.Obs_event.Insert, k)
-      | Delete k -> Span.Op (Lf_obs.Obs_event.Delete, k)
-      | Find k -> Span.Op (Lf_obs.Obs_event.Find, k));
-  exec_once t req
+let run_attempt t aspan ~tick op k v =
+  if Span.active aspan then Span.event aspan ~now:tick (Span.Op (op, k));
+  exec_once t op k v
 
 (* The retry loop.  Each attempt re-checks the deadline first, so an
    admitted operation never starts executing past its deadline (the
    shedding invariant test_svc asserts); each retry must win a token
    from the budget before it may run. *)
-let rec attempt_loop t ctx route req ~dl ~attempt =
+let rec attempt_loop t ctx route op k v ~dl ~attempt =
   let t0 = now t in
   if Deadline.expired ~now:t0 dl then begin
     if Span.active ctx then
       decide ctx ~tick:t0 "deadline" false (Span.Deadline_check true);
-    if attempt = 1 then expired_unrun t ~tick:t0 req
+    if attempt = 1 then expired_unrun t ~tick:t0 op k
     else
-      failed t ~tick:t0 req
+      failed t ~tick:t0 op k
         (Printf.sprintf "deadline after %d attempts" (attempt - 1))
   end
   else
     let aspan = Span.begin_ ctx ~name:"attempt" ~now:t0 in
-    match run_attempt t aspan ~tick:t0 req with
+    match run_attempt t aspan ~tick:t0 op k v with
     | ok ->
         let t1 = now t in
         Span.end_ aspan ~now:t1 ~ok:true;
-        served t ~route ~ok ~latency:(t1 - t0) ~tick:t1 req
+        served t ~route ~ok ~latency:(t1 - t0) ~tick:t1 op k
     | exception e ->
         let t1 = now t in
         Span.end_ aspan ~now:t1 ~ok:false;
@@ -380,7 +422,7 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
           | Some p -> attempt < p.max_attempts
         in
         if single_shot || (not (t.cfg.retryable e)) || not policy_allows then
-          failed t ~tick:t1 req
+          failed t ~tick:t1 op k
             (Printf.sprintf "%s (attempt %d)" msg attempt)
         else if
           (* The budget gate: a retry happens iff a token was taken. *)
@@ -391,18 +433,18 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
           if t.cfg.log_decisions then
             with_mu t (fun () ->
                 log_locked t "t=%d retry %s attempt=%d delay=%d" t1
-                  (req_to_string req) (attempt + 1) d);
+                  (req_to_string op k) (attempt + 1) d);
           if Span.active ctx then
             Span.event ctx ~now:t1
               (Span.Retry_wait { attempt = attempt + 1; delay = d });
           let wspan = Span.begin_ ctx ~name:"retry-wait" ~now:t1 in
           t.cfg.backoff d;
           Span.end_ wspan ~now:(now t) ~ok:true;
-          attempt_loop t ctx route req ~dl ~attempt:(attempt + 1)
+          attempt_loop t ctx route op k v ~dl ~attempt:(attempt + 1)
         end
         else begin
           if Span.active ctx then Span.event ctx ~now:t1 Span.Budget_denied;
-          failed t ~tick:t1 req
+          failed t ~tick:t1 op k
             (Printf.sprintf "%s (retry budget exhausted after attempt %d)" msg
                attempt)
         end
@@ -412,32 +454,39 @@ let rec attempt_loop t ctx route req ~dl ~attempt =
    loop can only come from an injected closure ([retryable], [backoff])
    outside every critical section that decrements, so the handler's
    decrement is the call's only one. *)
-let call t ?(ctx = Span.nil) ?deadline ?queue_depth req =
+let call_op t ?(ctx = Span.nil) ?deadline ?queue_depth (op : Ev.op) k v =
+  if op = Other then invalid_arg "Svc.call_op: Other is not a request";
   let tick = now t in
   let dl =
     match deadline with Some d -> d | None -> default_deadline t ~now:tick
   in
   Mutex.lock t.mu;
-  match admission_locked t ~ctx ~now:tick ~dl ~queue_depth req with
+  match admission_locked t ~ctx ~now:tick ~dl ~queue_depth op with
   | `Reject r ->
-      let out = reject_locked t ~now:tick r req in
+      let out = reject_locked t ~now:tick r op k in
       Mutex.unlock t.mu;
       out
   | `Execute route -> (
       t.inflight <- t.inflight + 1;
       if t.cfg.log_decisions then
-        log_locked t "t=%d admit %s%s" tick (req_to_string req)
+        log_locked t "t=%d admit %s%s" tick (req_to_string op k)
           (match route with
           | Via_primary -> ""
           | Via_degraded_read -> " (read-only)");
       Mutex.unlock t.mu;
-      match attempt_loop t ctx route req ~dl ~attempt:1 with
+      match attempt_loop t ctx route op k v ~dl ~attempt:1 with
       | out -> out
       | exception e ->
           Mutex.lock t.mu;
           t.inflight <- t.inflight - 1;
           Mutex.unlock t.mu;
           raise e)
+
+let call t ?ctx ?deadline ?queue_depth req =
+  match req with
+  | Insert (k, v) -> call_op t ?ctx ?deadline ?queue_depth Ev.Insert k v
+  | Delete k -> call_op t ?ctx ?deadline ?queue_depth Ev.Delete k 0
+  | Find k -> call_op t ?ctx ?deadline ?queue_depth Ev.Find k 0
 
 let call_many t ?ctx ?deadline ?queue_depth reqs =
   List.map (fun r -> call t ?ctx ?deadline ?queue_depth r) reqs

@@ -1,7 +1,7 @@
 (** The service pipeline: any dictionary (as closures), wrapped behind
     composable robustness policies.
 
-    A {!call} runs the admission pipeline in order — deadline check
+    A {!call_op} runs the admission pipeline in order — deadline check
     (dead-on-arrival work is refused before it costs anything), load
     shedding ({!Shed}), circuit breaking ({!Breaker}), read-only while
     the breaker is open (unless [config.read_only_when_open] is off) —
@@ -45,6 +45,29 @@ type outcome =
           like PR 3's pending operations) *)
 
 val outcome_to_string : outcome -> string
+
+(** A reusable batch of requests and their outcomes, one per connection:
+    entry [i < len] runs [ops.(i)] on [keys.(i)] ([vals.(i)] is an
+    insert's value), and [Lf_shard.Router.call_batch] writes its outcome
+    to [outcomes.(i)] and the shard it ran on to [shards.(i)].  Filling
+    and running a batch allocates nothing. *)
+type batch = {
+  ops : Lf_obs.Obs_event.op array;
+  keys : int array;
+  vals : int array;
+  shards : int array;
+  outcomes : outcome array;
+  mutable len : int;
+}
+
+val batch : int -> batch
+(** An empty batch with room for [n] entries. *)
+
+val batch_of_reqs : req list -> batch
+(** A full batch of exactly these requests, in order. *)
+
+val batch_req : batch -> int -> req
+(** Entry [i] as a boxed request. *)
 
 type ops = {
   insert : int -> int -> bool;
@@ -99,16 +122,21 @@ type t
 
 val create : config -> ops -> t
 
-val call :
+val call_op :
   t ->
   ?ctx:Lf_obs.Span.ctx ->
   ?deadline:Deadline.t ->
   ?queue_depth:int ->
-  req ->
+  Lf_obs.Obs_event.op ->
+  int ->
+  int ->
   outcome
-(** One request through the pipeline.  [deadline] defaults to
-    [config.deadline] after the admission tick, the call's first clock
-    read (every attempt reads the clock afresh); [queue_depth] (for the
+(** [call_op t op key value] runs one request through the pipeline:
+    [Insert] of [key] with [value], or [Delete] or [Find] of [key]
+    ([value] ignored).  Untraced and with the decision log off, a call
+    that is served or rejected allocates nothing.  [deadline] defaults
+    to [config.deadline] after the admission tick, the call's first
+    clock read (every attempt reads the clock afresh); [queue_depth] (for the
     shed stage) defaults to the service's in-flight count — transports
     with a real queue pass its length.  [ctx] (default
     {!Lf_obs.Span.nil}) is the request's trace context: when active, the
@@ -116,7 +144,17 @@ val call :
     degrade), one per attempt and retry wait.  Each attempt span carries an
     {!Lf_obs.Span.Op} event naming the backend operation and key; a
     failed C&S reported through [Trace_mem] during the backend call
-    lands in it, as the innermost request span open on the lane. *)
+    lands in it, as the innermost request span open on the lane.
+    @raise Invalid_argument on [Other], which names no request. *)
+
+val call :
+  t ->
+  ?ctx:Lf_obs.Span.ctx ->
+  ?deadline:Deadline.t ->
+  ?queue_depth:int ->
+  req ->
+  outcome
+(** {!call_op} on a boxed request: a wrapper for callers that hold one. *)
 
 val call_many :
   t ->

@@ -11,11 +11,25 @@ type command =
   | Quit
   | Shutdown
 
+type verb =
+  | V_op
+  | V_multi
+  | V_kill
+  | V_health
+  | V_metrics
+  | V_slo
+  | V_replicas
+  | V_heal
+  | V_flightdump
+  | V_quit
+  | V_shutdown
+
 let max_batch = 64
 
-(* The parser scans token positions in the line and copies nothing but
-   the error text.  Every helper is top-level: without flambda a local
-   function that captures a variable is a closure allocated per call. *)
+(* The parser scans token positions in the line and writes the batch in
+   place: it copies nothing but the error text.  Every helper is
+   top-level: without flambda a local function that captures a variable
+   is a closure allocated per call. *)
 
 exception Bad of string
 
@@ -69,14 +83,6 @@ let rec fresh_key keys k key =
   else if keys.(k - 1) = key then bad "duplicate key %d" key
   else fresh_key keys (k - 1) key
 
-(* A batch's requests, built back to front from its parsed keys. *)
-let rec finds keys k acc =
-  if k < 0 then acc else finds keys (k - 1) (Svc.Find keys.(k) :: acc)
-
-let rec inserts keys vals k acc =
-  if k < 0 then acc
-  else inserts keys vals (k - 1) (Svc.Insert (keys.(k), vals.(k)) :: acc)
-
 (* Batch validation, shared by MGET and MSET: non-empty, bounded, no
    duplicate keys (a duplicate in one batch has no well-defined per-key
    outcome — the scatter-gather reports one outcome per key). *)
@@ -84,79 +90,127 @@ let check_batch n =
   if n = 0 then bad "empty batch"
   else if n > max_batch then bad "batch too large (max %d)" max_batch
 
-let mget s i n count =
-  check_batch count;
-  let keys = Array.make count 0 in
-  let pos = ref i in
-  for k = 0 to count - 1 do
-    let a = skip_spaces s !pos n in
-    let b = token_end s a n in
-    let key = int_at "key" s a b in
-    fresh_key keys k key;
-    keys.(k) <- key;
-    pos := b
-  done;
-  Multi (finds keys (count - 1) [])
+let set (b : Svc.batch) k op key v =
+  b.ops.(k) <- op;
+  b.keys.(k) <- key;
+  b.vals.(k) <- v
 
-let mset s i n args =
-  if args = 0 then bad "empty batch";
-  if args mod 2 <> 0 then bad "MSET wants key value pairs";
-  let count = args / 2 in
-  check_batch count;
-  let keys = Array.make count 0 and vals = Array.make count 0 in
-  let pos = ref i in
-  for k = 0 to count - 1 do
-    let a = skip_spaces s !pos n in
-    let b = token_end s a n in
-    let c = skip_spaces s b n in
+let rec mget b s i n k count =
+  if k < count then begin
+    let a = skip_spaces s i n in
+    let j = token_end s a n in
+    let key = int_at "key" s a j in
+    fresh_key b.Svc.keys k key;
+    set b k Lf_obs.Obs_event.Find key 0;
+    mget b s j n (k + 1) count
+  end
+
+let rec mset b s i n k count =
+  if k < count then begin
+    let a = skip_spaces s i n in
+    let j = token_end s a n in
+    let c = skip_spaces s j n in
     let d = token_end s c n in
-    let key = int_at "key" s a b in
+    let key = int_at "key" s a j in
     let v = int_at "value" s c d in
-    fresh_key keys k key;
-    keys.(k) <- key;
-    vals.(k) <- v;
-    pos := d
-  done;
-  Multi (inserts keys vals (count - 1) [])
+    fresh_key b.Svc.keys k key;
+    set b k Lf_obs.Obs_event.Insert key v;
+    mset b s d n (k + 1) count
+  end
 
 (* The one integer argument of a verb, after position [i]. *)
 let arg1 what s i n =
   let a = skip_spaces s i n in
   int_at what s a (token_end s a n)
 
-let command s n =
-  let i = skip_spaces s 0 n in
+(* A single-key request into entry 0. *)
+let point (b : Svc.batch) op key v =
+  set b 0 op key v;
+  b.len <- 1
+
+(* Every [Ok] below is a constant: a parsed line allocates nothing. *)
+let command (b : Svc.batch) s i n =
+  b.len <- 0;
+  let i = skip_spaces s i n in
   if i = n then bad "empty line"
   else
     let j = token_end s i n in
     let args = count_tokens s j n 0 in
-    if verb_is s i j "GET" && args = 1 then Op (Svc.Find (arg1 "key" s j n))
-    else if verb_is s i j "MGET" then mget s j n args
-    else if verb_is s i j "MSET" then mset s j n args
+    if verb_is s i j "GET" && args = 1 then begin
+      point b Find (arg1 "key" s j n) 0;
+      Ok V_op
+    end
+    else if verb_is s i j "MGET" then begin
+      check_batch args;
+      mget b s j n 0 args;
+      b.len <- args;
+      Ok V_multi
+    end
+    else if verb_is s i j "MSET" then begin
+      if args = 0 then bad "empty batch";
+      if args mod 2 <> 0 then bad "MSET wants key value pairs";
+      check_batch (args / 2);
+      mset b s j n 0 (args / 2);
+      b.len <- args / 2;
+      Ok V_multi
+    end
     else if verb_is s i j "PUT" && args = 2 then begin
       let a = skip_spaces s j n in
-      let b = token_end s a n in
-      let k = int_at "key" s a b in
-      Op (Svc.Insert (k, arg1 "value" s b n))
+      let e = token_end s a n in
+      let k = int_at "key" s a e in
+      point b Insert k (arg1 "value" s e n);
+      Ok V_op
     end
-    else if verb_is s i j "DEL" && args = 1 then
-      Op (Svc.Delete (arg1 "key" s j n))
-    else if verb_is s i j "KILL" && args = 1 then Kill (arg1 "shard" s j n)
-    else if args = 0 && verb_is s i j "HEALTH" then Health
-    else if args = 0 && verb_is s i j "METRICS" then Metrics
-    else if args = 0 && verb_is s i j "SLO" then Slo
-    else if args = 0 && verb_is s i j "REPLICAS" then Replicas
-    else if args = 0 && verb_is s i j "HEAL" then Heal
-    else if args = 0 && verb_is s i j "FLIGHTDUMP" then Flightdump
-    else if args = 0 && verb_is s i j "QUIT" then Quit
-    else if args = 0 && verb_is s i j "SHUTDOWN" then Shutdown
+    else if verb_is s i j "DEL" && args = 1 then begin
+      point b Delete (arg1 "key" s j n) 0;
+      Ok V_op
+    end
+    else if verb_is s i j "KILL" && args = 1 then begin
+      b.keys.(0) <- arg1 "shard" s j n;
+      Ok V_kill
+    end
+    else if args = 0 && verb_is s i j "HEALTH" then Ok V_health
+    else if args = 0 && verb_is s i j "METRICS" then Ok V_metrics
+    else if args = 0 && verb_is s i j "SLO" then Ok V_slo
+    else if args = 0 && verb_is s i j "REPLICAS" then Ok V_replicas
+    else if args = 0 && verb_is s i j "HEAL" then Ok V_heal
+    else if args = 0 && verb_is s i j "FLIGHTDUMP" then Ok V_flightdump
+    else if args = 0 && verb_is s i j "QUIT" then Ok V_quit
+    else if args = 0 && verb_is s i j "SHUTDOWN" then Ok V_shutdown
     else
       bad "bad command %S" (String.uppercase_ascii (String.sub s i (j - i)))
 
+let parse_into b s i j =
+  let j = if j > i && s.[j - 1] = '\r' then j - 1 else j in
+  match command b s i j with v -> v | exception Bad m -> Error m
+
+let rec reqs_of (b : Svc.batch) k acc =
+  if k < 0 then acc else reqs_of b (k - 1) (Svc.batch_req b k :: acc)
+
+(* [parse]'s batch: one, shared under a lock held only while a line is
+   parsed and boxed, so the wrapper allocates just what it returns. *)
+let shared = Svc.batch max_batch
+let shared_mu = Mutex.create ()
+
+let command_of b = function
+  | Error m -> Error m
+  | Ok V_op -> Ok (Op (Svc.batch_req b 0))
+  | Ok V_multi -> Ok (Multi (reqs_of b (b.Svc.len - 1) []))
+  | Ok V_kill -> Ok (Kill b.keys.(0))
+  | Ok V_health -> Ok Health
+  | Ok V_metrics -> Ok Metrics
+  | Ok V_slo -> Ok Slo
+  | Ok V_replicas -> Ok Replicas
+  | Ok V_heal -> Ok Heal
+  | Ok V_flightdump -> Ok Flightdump
+  | Ok V_quit -> Ok Quit
+  | Ok V_shutdown -> Ok Shutdown
+
 let parse line =
-  let n = String.length line in
-  let n = if n > 0 && line.[n - 1] = '\r' then n - 1 else n in
-  match command line n with c -> Ok c | exception Bad m -> Error m
+  Mutex.lock shared_mu;
+  let c = command_of shared (parse_into shared line 0 (String.length line)) in
+  Mutex.unlock shared_mu;
+  c
 
 let format_outcome = function
   | Svc.Served true -> "OK true"
@@ -164,6 +218,15 @@ let format_outcome = function
   | Svc.Served_stale (b, lag) -> Printf.sprintf "STALE %b lag=%d" b lag
   | Svc.Rejected r -> "REJECTED " ^ Svc.reason_to_string r
   | Svc.Failed m -> "FAILED " ^ String.map (function '\n' -> ' ' | c -> c) m
+
+let write_outcome oc = function
+  | Svc.Rejected r ->
+      output_string oc "REJECTED ";
+      output_string oc (Svc.reason_to_string r);
+      output_char oc '\n'
+  | o ->
+      output_string oc (format_outcome o);
+      output_char oc '\n'
 
 (* One token per key, in request order: the wire answer to a batch can
    never collapse per-key outcomes into one error.  A replica-served
@@ -177,7 +240,21 @@ let outcome_token = function
   | Svc.Rejected r -> Svc.reason_to_string r
   | Svc.Failed _ -> "failed"
 
-(* [MULTI <n>] then [" <tok>"] per outcome, written into one buffer of
+(* [MULTI <n>] for every batch size the parser accepts, built once. *)
+let headers = Array.init (max_batch + 1) (Printf.sprintf "MULTI %d")
+
+let header n =
+  if n <= max_batch then headers.(n) else Printf.sprintf "MULTI %d" n
+
+let write_multi oc (b : Svc.batch) =
+  output_string oc (header b.len);
+  for i = 0 to b.len - 1 do
+    output_char oc ' ';
+    output_string oc (outcome_token b.outcomes.(i))
+  done;
+  output_char oc '\n'
+
+(* The header, then [" <tok>"] per outcome, written into one buffer of
    the exact length. *)
 let rec tokens_length acc = function
   | [] -> acc
@@ -195,12 +272,11 @@ let rec blit_tokens b pos = function
 let format_multi = function
   | [] -> "MULTI 0 "
   | outcomes ->
-      let count = string_of_int (List.length outcomes) in
-      let head = 6 + String.length count in
-      let b = Bytes.create (head + tokens_length 0 outcomes) in
-      Bytes.blit_string "MULTI " 0 b 0 6;
-      Bytes.blit_string count 0 b 6 (String.length count);
-      blit_tokens b head outcomes;
+      let head = header (List.length outcomes) in
+      let n = String.length head in
+      let b = Bytes.create (n + tokens_length 0 outcomes) in
+      Bytes.blit_string head 0 b 0 n;
+      blit_tokens b n outcomes;
       Bytes.unsafe_to_string b
 
 let format_error msg = "ERR " ^ msg

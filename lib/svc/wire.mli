@@ -1,6 +1,10 @@
-(** The [lfdict serve] line protocol, as pure parse/format functions so
-    the TCP front in [bin/lfdict.ml] stays a dumb read/write loop and
-    the protocol itself is unit-testable without sockets.
+(** The [lfdict serve] line protocol, as parse/format functions so the
+    TCP front in [bin/lfdict.ml] stays a dumb read/write loop and the
+    protocol itself is unit-testable without sockets.  The server parses
+    each line in place into a reused {!Svc.batch} ({!parse_into}) and
+    writes replies straight to its channel ({!write_outcome},
+    {!write_multi}); {!parse}, {!format_outcome} and {!format_multi} are
+    wrappers over the same code for callers that hold strings.
 
     One request per line, ASCII, space-separated:
 
@@ -64,13 +68,50 @@ type command =
 val max_batch : int
 (** Largest accepted multi-key batch (64). *)
 
+(** What a parsed line asks for; the requests themselves are in the
+    batch {!parse_into} filled. *)
+type verb =
+  | V_op  (** GET/PUT/DEL: the batch's one entry *)
+  | V_multi  (** MGET/MSET: the batch's [len] entries *)
+  | V_kill  (** KILL: the shard number is [keys.(0)]; [len] is 0 *)
+  | V_health
+  | V_metrics
+  | V_slo
+  | V_replicas
+  | V_heal
+  | V_flightdump
+  | V_quit
+  | V_shutdown
+
+val parse_into : Svc.batch -> string -> int -> int -> (verb, string) result
+(** [parse_into b s i j] parses the line [s.[i..j-1]] (no newline; a
+    trailing [\r] is ignored) in place into [b], which must have room
+    for {!max_batch} entries, and returns its verb.  [s] may be a view
+    of a reused buffer ([Bytes.unsafe_to_string]): nothing of it is kept.
+    A line that parses allocates nothing: every [Ok] is a constant.  An
+    [Error] carries the message {!parse} gives. *)
+
 val parse : string -> (command, string) result
-(** Case-insensitive on the verb; trailing [\r] (telnet) is ignored. *)
+(** {!parse_into} on a whole line, boxed into a {!command}: a wrapper
+    for callers that hold a string.  It parses into one batch shared
+    under a lock, so it allocates only the command it returns.
+    Case-insensitive on the verb; trailing [\r] (telnet) is ignored. *)
+
+val write_outcome : out_channel -> Svc.outcome -> unit
+(** The reply line to one operation, newline included.  A served or
+    rejected outcome writes constant strings and allocates nothing. *)
+
+val write_multi : out_channel -> Svc.batch -> unit
+(** The reply line to a batch, newline included: [MULTI <n>] and one
+    token per entry of [outcomes], input order.  Headers and served or
+    rejected tokens are constants, so it allocates nothing. *)
 
 val format_outcome : Svc.outcome -> string
+(** {!write_outcome}'s line, without its newline, as a string. *)
 
 val format_multi : Svc.outcome list -> string
-(** [MULTI <n> <tok>...] — one token per outcome, input order. *)
+(** {!write_multi}'s line, without its newline, as one string: the same
+    header and tokens. *)
 
 val format_error : string -> string
 (** The [ERR ...] line for unparseable input. *)

@@ -475,7 +475,10 @@ let run_open_loop ?(workers = 2) ?keygen ?(classes = 0) ?class_of ~rate
   let offered = ref 0 in
   (* Arrival [k] is due at [due k]; when the generator wakes up late it
      enqueues the whole backlog at once, so the arrival count depends only
-     on the rate — never on how fast completions drain. *)
+     on the rate — never on how fast completions drain.  Each arrival is
+     stamped when it was due, not when it was enqueued, so a late
+     generator's lateness counts in the latency it reports (no
+     coordinated omission). *)
   let due k = t0 + (k * 1_000_000_000 / rate) in
   let tn = ref (now ()) in
   while !tn < t_end do
@@ -483,7 +486,7 @@ let run_open_loop ?(workers = 2) ?keygen ?(classes = 0) ?class_of ~rate
       Mutex.lock mu;
       while due !offered <= !tn && due !offered < t_end do
         let op = Opgen.draw mix keygen rng in
-        Queue.push (now (), op) q;
+        Queue.push (due !offered, op) q;
         incr offered
       done;
       Mutex.unlock mu;

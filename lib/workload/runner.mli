@@ -195,7 +195,8 @@ val run_open_loop :
     unbounded queue drained by [workers] (default 2) domains; admission
     control belongs to [serve] (which sees the queue depth it was popped
     ahead of, and the arrival timestamp in [Clock.real] ticks, i.e.
-    nanoseconds).  The generator never blocks on completions: when it
+    nanoseconds: the tick the arrival was due at, [rate] apart, however
+    late the generator enqueued it).  The generator never blocks on completions: when it
     falls behind it enqueues the whole backlog at once, preserving the
     open-loop arrival count.  Workers stop at window close; the
     remaining queue is reported as [o_leftover].  Latency is measured

@@ -384,6 +384,206 @@ let test_router_alloc () =
     Alcotest.failf "Router.call_many allocates %.1f words per key (bar: 14)"
       per_key
 
+(* What [lfdict serve --deadline-ms 100 --retry 3 --retry-budget 64
+   --shed 256 --breaker] configures per shard. *)
+let serve_policies clock =
+  let ms = Clock.ms clock in
+  Svc.config ~clock ~deadline:(ms 100)
+    ~retry:(Some (Lf_svc.Retry.policy ~max_attempts:3 ~base_delay:(ms 1) ()))
+    ~budget:(Lf_svc.Retry.Budget.config ~capacity:64 ~refill_every:(ms 100) ())
+    ~shed:(Some (Lf_svc.Shed.config ~max_queue:256 ~est_init:(ms 1) ()))
+    ~breaker:
+      (Some
+         (Breaker.config ~window:(ms 1000) ~latency_threshold:(ms 100)
+            ~open_for:(ms 1000) ()))
+    ()
+
+(* The unboxed entry points allocate nothing in the router or the
+   pipelines: a served [call_op], and a served 16-key [call_batch] per
+   key, over allocation-free backends under the serve policies. *)
+let test_router_unboxed_alloc () =
+  let clock, advance = Clock.manual () in
+  let ring = Hash_ring.create ~seed:1 ~shards:4 () in
+  let found = Some 1 in
+  let backend _ =
+    { Router.insert = (fun _ _ -> true); delete = (fun _ -> true);
+      find = (fun _ -> found); batched = None }
+  in
+  let router =
+    Router.create ~ring ~svc_config:(fun _ -> serve_policies clock) backend
+  in
+  let n = 10_000 in
+  let call =
+    Support.words_during (fun () ->
+        for k = 1 to n do
+          advance 1;
+          ignore
+            (Sys.opaque_identity
+               (Router.call_op router Lf_obs.Obs_event.Find k 0))
+        done)
+    /. float_of_int n
+  in
+  if call > 0. then
+    Alcotest.failf "Router.call_op allocates %.1f words (bar: 0)" call;
+  let b = Svc.batch Lf_svc.Wire.max_batch in
+  let lines = 1_000 in
+  let per_key =
+    Support.words_during (fun () ->
+        for i = 0 to lines - 1 do
+          advance 1;
+          for j = 0 to 15 do
+            b.ops.(j) <- (if j land 1 = 0 then Lf_obs.Obs_event.Find else Insert);
+            b.keys.(j) <- (16 * i) + j;
+            b.vals.(j) <- j
+          done;
+          b.len <- 16;
+          Router.call_batch router b
+        done)
+    /. float_of_int (16 * lines)
+  in
+  if per_key > 0. then
+    Alcotest.failf "Router.call_batch allocates %.1f words per key (bar: 0)"
+      per_key;
+  let served =
+    Array.fold_left (fun a (st : Svc.stats) -> a + st.served) 0
+      (Router.stats router)
+  in
+  Alcotest.(check int) "every key served" (n + (16 * lines)) served;
+  Alcotest.(check int) "nothing left in flight" 0 (Router.in_flight router)
+
+(* [call_batch] over one reused batch and [call_many] over the same
+   lines give the same outcomes, the same pipeline stats and the same
+   router counters, and leave nothing in flight: lines of up to 20
+   requests (repeated keys included), with one shard killed for some of
+   them so that reads fail and hedge. *)
+let test_call_batch_matches_call_many =
+  Support.qcheck ~count:60 "router: call_batch = call_many"
+    QCheck2.Gen.(
+      pair (0 -- 1000)
+        (list_size (1 -- 30)
+           (pair (opt (0 -- 2))
+              (list_size (1 -- 20) (triple (0 -- 2) (0 -- 30) (0 -- 99))))))
+    (fun (seed, lines) ->
+      let many, _, tbs_m = plain_router ~shards:3 ~seed () in
+      let batched, _, tbs_b = plain_router ~shards:3 ~seed () in
+      let b = Svc.batch Lf_svc.Wire.max_batch in
+      let req (op, k, v) =
+        match op with 0 -> Svc.Insert (k, v) | 1 -> Svc.Delete k | _ -> Svc.Find k
+      in
+      let same_line (killed, ops) =
+        Array.iteri (fun i tb -> tb.killed := killed = Some i) tbs_m;
+        Array.iteri (fun i tb -> tb.killed := killed = Some i) tbs_b;
+        let expected = Router.call_many many (List.map req ops) in
+        List.iteri
+          (fun i (op, k, v) ->
+            b.ops.(i) <-
+              (match op with
+              | 0 -> Lf_obs.Obs_event.Insert
+              | 1 -> Delete
+              | _ -> Find);
+            b.keys.(i) <- k;
+            b.vals.(i) <- v)
+          ops;
+        b.len <- List.length ops;
+        Router.call_batch batched b;
+        expected = List.init b.len (fun i -> b.outcomes.(i))
+      in
+      List.for_all same_line lines
+      && Router.stats many = Router.stats batched
+      && Router.hedge_stats many = Router.hedge_stats batched
+      && Router.stale_reads many = Router.stale_reads batched
+      && Router.in_flight many = 0
+      && Router.in_flight batched = 0)
+
+(* --- The in-flight table --------------------------------------------- *)
+
+module Inflight = Lf_shard.Inflight
+
+(* [n] distinct keys from [from] up that share a home slot in [t]. *)
+let colliding t ~from n =
+  let h = Inflight.home t from in
+  let rec go k acc =
+    if List.length acc = n then List.rev acc
+    else go (k + 1) (if Inflight.home t k = h then k :: acc else acc)
+  in
+  go from []
+
+let test_inflight_table () =
+  let t = Inflight.create 4 in
+  Alcotest.(check int) "capacity" 8 (Inflight.capacity t);
+  let ks = colliding t ~from:1 3 in
+  List.iter (Inflight.incr t) ks;
+  Inflight.incr t (List.nth ks 1);
+  Alcotest.(check (list int)) "colliding keys keep their counts" [ 1; 2; 1 ]
+    (List.map (Inflight.count t) ks);
+  (* Remove the chain's head, then its middle: the rest stay reachable. *)
+  Inflight.decr t (List.hd ks);
+  Alcotest.(check (list int)) "removal at the head of a probe chain"
+    [ 0; 2; 1 ] (List.map (Inflight.count t) ks);
+  Inflight.incr t (List.hd ks);
+  Inflight.decr t (List.nth ks 1);
+  Inflight.decr t (List.nth ks 1);
+  Alcotest.(check (list int)) "removal inside a probe chain" [ 1; 0; 1 ]
+    (List.map (Inflight.count t) ks);
+  Alcotest.(check int) "length" 2 (Inflight.length t);
+  Inflight.decr t 123_456_789;
+  Alcotest.(check int) "decr of an absent key changes nothing" 2
+    (Inflight.length t);
+  List.iter (Inflight.decr t) ks;
+  Alcotest.(check int) "empty again" 0 (Inflight.length t);
+  (* The ends of the int range and 0 are ordinary keys. *)
+  List.iter (Inflight.incr t) [ min_int; max_int; 0; max_int ];
+  Alcotest.(check (list int)) "min_int, max_int, 0" [ 1; 2; 1 ]
+    (List.map (Inflight.count t) [ min_int; max_int; 0 ]);
+  Alcotest.(check bool) "mem" true
+    (Inflight.mem t min_int && Inflight.mem t max_int && not (Inflight.mem t 1));
+  (* Growth keeps every count and the table at most half full. *)
+  let keys = List.init 1000 (fun i -> (i * 7919) - 500_000) in
+  List.iter (Inflight.incr t) keys;
+  Alcotest.(check int) "length after growth" 1003 (Inflight.length t);
+  let cap = Inflight.capacity t in
+  Alcotest.(check bool) "power of two, at most half full" true
+    (cap land (cap - 1) = 0 && 2 * Inflight.length t <= cap);
+  Alcotest.(check bool) "every count kept" true
+    (List.for_all (fun k -> Inflight.count t k = 1) keys
+    && Inflight.count t max_int = 2);
+  Alcotest.(check int) "fold sees every key and count" 1004
+    (Inflight.fold (fun _ c acc -> acc + c) t 0);
+  List.iter (Inflight.decr t) keys;
+  Alcotest.(check (list (pair int int))) "fold after removals"
+    [ (min_int, 1); (0, 1); (max_int, 2) ]
+    (List.sort compare (Inflight.fold (fun k c acc -> (k, c) :: acc) t []))
+
+(* Random marks and unmarks over a small pool (the range ends and keys
+   that share home slots included) agree with a [Hashtbl] model. *)
+let test_inflight_model =
+  Support.qcheck ~count:300 "in-flight table matches a Hashtbl model"
+    QCheck2.Gen.(list_size (0 -- 400) (pair bool (0 -- 11)))
+    (fun script ->
+      let t = Inflight.create 2 in
+      let pool =
+        Array.of_list
+          ([ min_int; max_int; 0; -1 ] @ colliding t ~from:0 4
+          @ colliding t ~from:1000 4)
+      in
+      let model = Hashtbl.create 16 in
+      let count k = Option.value (Hashtbl.find_opt model k) ~default:0 in
+      List.for_all
+        (fun (up, i) ->
+          let k = pool.(i) in
+          if up then begin
+            Inflight.incr t k;
+            Hashtbl.replace model k (count k + 1)
+          end
+          else begin
+            Inflight.decr t k;
+            if count k > 1 then Hashtbl.replace model k (count k - 1)
+            else Hashtbl.remove model k
+          end;
+          Array.for_all (fun k -> Inflight.count t k = count k) pool
+          && Inflight.length t = Hashtbl.length model)
+        script)
+
 (* --- Hedged/failover reads ------------------------------------------- *)
 
 (* A shard whose writes die trips its breaker; with full fast-fail
@@ -1863,6 +2063,15 @@ let () =
             test_inflight_unmarked;
           Alcotest.test_case "call and call_many allocation budget" `Quick
             test_router_alloc;
+          Alcotest.test_case "call_op and call_batch allocate nothing" `Quick
+            test_router_unboxed_alloc;
+          test_call_batch_matches_call_many;
+        ] );
+      ( "in-flight table",
+        [
+          Alcotest.test_case "collisions, chains, growth, range ends" `Quick
+            test_inflight_table;
+          test_inflight_model;
         ] );
       ( "hedging",
         [

@@ -205,27 +205,49 @@ let test_svc_call_alloc () =
     Alcotest.failf "policy-free Svc.call allocates %.1f words/call (bar: 8)"
       per_call
 
+(* What [lfdict serve --deadline-ms 100 --retry 3 --retry-budget 64
+   --shed 256 --breaker] configures. *)
+let serve_policies clock =
+  let ms = Clock.ms clock in
+  Svc.config ~clock ~deadline:(ms 100)
+    ~retry:(Some (Retry.policy ~max_attempts:3 ~base_delay:(ms 1) ()))
+    ~budget:(Retry.Budget.config ~capacity:64 ~refill_every:(ms 100) ())
+    ~shed:(Some (Shed.config ~max_queue:256 ~est_init:(ms 1) ()))
+    ~breaker:
+      (Some
+         (Breaker.config ~window:(ms 1000) ~latency_threshold:(ms 100)
+            ~open_for:(ms 1000) ()))
+    ()
+
 (* The serve policy set (deadline, retry, budget, shed, breaker) updates
    its states in place, so it meets the policy-free bar: what remains is
-   the request (2 words). *)
+   the caller's request box (2 words). *)
 let test_svc_policy_call_alloc () =
   let clock, advance = Clock.manual () in
-  let ms = Clock.ms clock in
-  let cfg =
-    Svc.config ~clock ~deadline:(ms 100)
-      ~retry:(Some (Retry.policy ~max_attempts:3 ~base_delay:(ms 1) ()))
-      ~budget:(Retry.Budget.config ~capacity:64 ~refill_every:(ms 100) ())
-      ~shed:(Some (Shed.config ~max_queue:256 ~est_init:(ms 1) ()))
-      ~breaker:
-        (Some
-           (Breaker.config ~window:(ms 1000) ~latency_threshold:(ms 100)
-              ~open_for:(ms 1000) ()))
-      ()
-  in
-  let svc, per_call = call_words cfg advance in
+  let svc, per_call = call_words (serve_policies clock) advance in
   Alcotest.(check int) "every call served" 10_000 (Svc.stats svc).served;
-  if per_call > 8. then
-    Alcotest.failf "serve-policy Svc.call allocates %.1f words/call (bar: 8)"
+  if per_call > 2. then
+    Alcotest.failf "serve-policy Svc.call allocates %.1f words/call (bar: 2)"
+      per_call
+
+(* [Svc.call_op] takes the request unboxed: under the serve policies a
+   served call allocates nothing at all. *)
+let test_svc_call_op_alloc () =
+  let clock, advance = Clock.manual () in
+  let svc = Svc.create (serve_policies clock) always_true in
+  let n = 10_000 in
+  let words =
+    Support.words_during (fun () ->
+        for i = 1 to n do
+          advance 1;
+          ignore
+            (Sys.opaque_identity (Svc.call_op svc Lf_obs.Obs_event.Find i 0))
+        done)
+  in
+  Alcotest.(check int) "every call served" n (Svc.stats svc).served;
+  let per_call = words /. float_of_int n in
+  if per_call > 0. then
+    Alcotest.failf "serve-policy Svc.call_op allocates %.1f words/call (bar: 0)"
       per_call
 
 (* --- In-flight accounting: one decrement on every exit ----------------- *)
@@ -766,6 +788,270 @@ let test_wire_alloc () =
     Alcotest.failf
       "Wire.format_multi of 16 tokens allocates %.1f words (bar: 16)" format
 
+(* The server's path: a line parsed in place into a reused batch, and a
+   16-token reply written straight to a channel, allocate nothing. *)
+let test_wire_in_place_alloc () =
+  let n = 10_000 in
+  let per f =
+    Support.words_during (fun () -> for _ = 1 to n do f () done)
+    /. float_of_int n
+  in
+  let b = Svc.batch Wire.max_batch in
+  let keys = List.init 16 (fun i -> string_of_int (100_000 + (i * 7919))) in
+  let lines =
+    [
+      "GET 123456"; "PUT -123456 4611686018427387903"; "del 99";
+      String.concat " " ("MGET" :: keys);
+      String.concat " " ("MSET" :: List.concat_map (fun k -> [ k; "-7" ]) keys);
+    ]
+  in
+  List.iter
+    (fun l ->
+      let len = String.length l in
+      (match Wire.parse_into b l 0 len with
+      | Ok _ -> ()
+      | Error e -> Alcotest.failf "parse_into %S: %s" l e);
+      let w = per (fun () -> ignore (Sys.opaque_identity (Wire.parse_into b l 0 len))) in
+      if w > 0. then
+        Alcotest.failf "Wire.parse_into %S allocates %.1f words (bar: 0)" l w)
+    lines;
+  Alcotest.(check int) "the MSET's keys" 16 b.len;
+  for i = 0 to 15 do
+    b.outcomes.(i) <-
+      (if i mod 4 = 3 then Svc.Rejected Svc.Queue_full else Svc.Served (i land 1 = 0))
+  done;
+  let oc = open_out Filename.null in
+  let w = per (fun () -> Wire.write_multi oc b) in
+  let one = per (fun () -> Wire.write_outcome oc b.outcomes.(3)) in
+  close_out oc;
+  if w > 0. then
+    Alcotest.failf "Wire.write_multi of 16 tokens allocates %.1f words (bar: 0)" w;
+  if one > 0. then
+    Alcotest.failf "Wire.write_outcome of a rejection allocates %.1f words (bar: 0)" one
+
+(* [parse_into] reads only its slice of a larger buffer, overwrites a
+   reused batch completely, and agrees with [parse] on every line: the
+   same verb and arguments, or the same error text.  Lines mix every
+   verb in both cases, numbers at and past the int range, bad digits,
+   duplicate keys, batches past [max_batch], runs of spaces, a trailing
+   [\r] and garbage. *)
+let test_parse_into_agrees =
+  let open QCheck2.Gen in
+  let number =
+    oneof
+      [
+        map string_of_int (-50 -- 50);
+        map string_of_int int;
+        oneofl
+          [ string_of_int min_int; string_of_int max_int; "4611686018427387904";
+            "-4611686018427387905"; "99999999999999999999"; "-0"; "007";
+            "0x10"; "1_6"; "+16"; "-"; "1-"; "12a"; "" ];
+      ]
+  in
+  let verb =
+    oneofl
+      [ "GET"; "get"; "PUT"; "Put"; "DEL"; "MGET"; "mget"; "MSET"; "KILL";
+        "HEALTH"; "METRICS"; "SLO"; "REPLICAS"; "HEAL"; "FLIGHTDUMP"; "QUIT";
+        "SHUTDOWN"; "shutdown"; "NOPE"; "G\x00T"; "" ]
+  in
+  let args = oneof [ list_size (0 -- 4) number; list_size (60 -- 140) number;
+                     map (fun k -> List.init 70 (fun _ -> k)) number ] in
+  let spaces = map (fun n -> String.make n ' ') (1 -- 3) in
+  let garbage = string_size ~gen:printable (0 -- 12) in
+  let line =
+    let* v = verb and* a = args and* sp = list_size (return 150) spaces
+    and* lead = oneofl [ ""; " "; "  " ] and* cr = oneofl [ ""; "\r" ]
+    and* junk = oneof [ return None; map Option.some garbage ] in
+    let toks = v :: a in
+    let sep i = List.nth sp (i mod 150) in
+    let body =
+      String.concat ""
+        (List.mapi (fun i t -> if i = 0 then t else sep i ^ t) toks)
+    in
+    return (match junk with Some g -> g | None -> lead ^ body ^ cr)
+  in
+  let b = Svc.batch Wire.max_batch in
+  Support.qcheck ~count:2000 "parse_into agrees with parse"
+    ~print:(fun (pre, l, post) -> Printf.sprintf "%S ^ %S ^ %S" pre l post)
+    (triple garbage line garbage)
+    (fun (pre, l, post) ->
+      let s = pre ^ l ^ post in
+      let i = String.length pre in
+      let got = Wire.parse_into b s i (i + String.length l) in
+      let entries () = List.init b.len (Svc.batch_req b) in
+      match (got, Wire.parse l) with
+      | Error m, Error m' -> m = m'
+      | Ok Wire.V_op, Ok (Wire.Op r) -> b.len = 1 && entries () = [ r ]
+      | Ok Wire.V_multi, Ok (Wire.Multi rs) -> entries () = rs
+      | Ok Wire.V_kill, Ok (Wire.Kill k) -> b.keys.(0) = k
+      | Ok Wire.V_health, Ok Wire.Health
+      | Ok Wire.V_metrics, Ok Wire.Metrics
+      | Ok Wire.V_slo, Ok Wire.Slo
+      | Ok Wire.V_replicas, Ok Wire.Replicas
+      | Ok Wire.V_heal, Ok Wire.Heal
+      | Ok Wire.V_flightdump, Ok Wire.Flightdump
+      | Ok Wire.V_quit, Ok Wire.Quit
+      | Ok Wire.V_shutdown, Ok Wire.Shutdown ->
+          true
+      | _ -> false)
+
+(* --- The line reader --------------------------------------------------- *)
+
+module Reader = Lf_svc.Reader
+
+(* A read function handing out [chunks] one per call (split further when
+   the reader asks for less), then end of input; [calls] counts reads. *)
+let scripted chunks =
+  let rest = ref chunks and calls = ref 0 in
+  let read buf off len =
+    incr calls;
+    match !rest with
+    | [] -> 0
+    | c :: tl ->
+        let n = min len (String.length c) in
+        Bytes.blit_string c 0 buf off n;
+        rest :=
+          if n < String.length c then String.sub c n (String.length c - n) :: tl
+          else tl;
+        n
+  in
+  (read, calls)
+
+type got = L of string | Long | End
+
+(* A copy of the last line handed out. *)
+let line_of r =
+  String.sub (Reader.line r) (Reader.first r) (Reader.last r - Reader.first r)
+
+let drain r =
+  let rec go acc =
+    match Reader.next r with
+    | Reader.Line -> go (L (line_of r) :: acc)
+    | Reader.Too_long -> go (Long :: acc)
+    | Reader.Eof -> List.rev (End :: acc)
+  in
+  go []
+
+let got =
+  Alcotest.testable
+    (fun ppf -> function
+      | L s -> Format.fprintf ppf "L %S" s
+      | Long -> Format.pp_print_string ppf "Long"
+      | End -> Format.pp_print_string ppf "End")
+    ( = )
+
+let reader_case ?capacity chunks =
+  let read, _ = scripted chunks in
+  drain (Reader.create ?capacity read)
+
+let test_reader_edges () =
+  Alcotest.(check (list got)) "a line split across reads"
+    [ L "GET 1"; L "PUT 2 3"; End ]
+    (reader_case [ "GE"; "T 1\nPU"; "T"; " 2 3\n" ]);
+  Alcotest.(check (list got)) "an unterminated last line, as input_line"
+    [ L "GET 1"; L "GET 2"; End ]
+    (reader_case [ "GET 1\nGET"; " 2" ]);
+  Alcotest.(check (list got)) "no empty last line" [ L "GET 1"; End ]
+    (reader_case [ "GET 1\n" ]);
+  Alcotest.(check (list got)) "empty lines are lines" [ L ""; L "x"; End ]
+    (reader_case [ "\nx\n" ]);
+  Alcotest.(check (list got)) "\\r\\n keeps its \\r for the parser"
+    [ L "GET 1\r"; L "DEL 2\r"; End ]
+    (reader_case [ "GET 1\r\nDEL 2\r\n" ]);
+  Alcotest.(check (list got)) "an over-long line, once, then the next line"
+    [ L "GET 1"; Long; L "GET 2"; End ]
+    (reader_case ~capacity:16
+       [ "GET 1\n"; String.make 40 'x'; String.make 20 'y' ^ "\nGET 2\n" ]);
+  Alcotest.(check (list got)) "a line of capacity - 1 bytes fits"
+    [ L (String.make 15 'z'); Long; End ]
+    (reader_case ~capacity:16 [ String.make 15 'z' ^ "\n"; String.make 16 'w' ]);
+  Alcotest.(check (list got)) "partial lines move to the front"
+    [ L "0123456789"; L "abcdefghij"; L "k"; End ]
+    (reader_case ~capacity:16 [ "0123456789\nabcde"; "fghij\nk" ]);
+  (* A \r\n line through the parser: the request, not an error. *)
+  let read, _ = scripted [ "get 7\r\n" ] in
+  let r = Reader.create read in
+  let b = Svc.batch Wire.max_batch in
+  (match Reader.next r with
+  | Reader.Line -> (
+      match Wire.parse_into b (Reader.line r) (Reader.first r) (Reader.last r) with
+      | Ok Wire.V_op ->
+          Alcotest.(check bool) "GET 7" true (Svc.batch_req b 0 = Svc.Find 7)
+      | _ -> Alcotest.fail "\\r\\n line did not parse as one request")
+  | _ -> Alcotest.fail "no line")
+
+(* Any input, cut into any chunks, reads back as splitting it at its
+   newlines would: a line of at most [capacity - 1] bytes is handed
+   out, a longer one is reported once, and a non-empty unterminated
+   tail is a last line. *)
+let test_reader_model =
+  let open QCheck2.Gen in
+  Support.qcheck ~count:1000 "reader = splitting at newlines, any chunking"
+    ~print:(fun (cap, s, cuts) ->
+      Printf.sprintf "capacity %d, %S, chunks %s" cap s
+        (String.concat "," (List.map string_of_int cuts)))
+    (triple (1 -- 20)
+       (string_size ~gen:(oneofl [ 'a'; 'b'; ' '; '\r'; '\n'; '\n' ]) (0 -- 120))
+       (list_size (1 -- 40) (1 -- 30)))
+    (fun (capacity, s, cuts) ->
+      let rec chunks s cuts =
+        if s = "" then []
+        else
+          let n, rest = match cuts with [] -> (String.length s, []) | c :: r -> (c, r) in
+          let n = min n (String.length s) in
+          String.sub s 0 n :: chunks (String.sub s n (String.length s - n)) rest
+      in
+      let expected =
+        let parts = String.split_on_char '\n' s in
+        let complete = List.filteri (fun i _ -> i < List.length parts - 1) parts in
+        let tail = List.nth parts (List.length parts - 1) in
+        let one l = if String.length l < capacity then L l else Long in
+        List.map one complete @ (if tail = "" then [] else [ one tail ]) @ [ End ]
+      in
+      reader_case ~capacity (chunks s cuts) = expected)
+
+(* Sixteen pipelined lines in one segment are served from one read, and
+   [has_line] says so until the last: the server flushes once. *)
+let test_reader_pipelined () =
+  let lines = List.init 16 (fun i -> Printf.sprintf "GET %d" i) in
+  let read, calls = scripted [ String.concat "" (List.map (fun l -> l ^ "\n") lines) ] in
+  let r = Reader.create read in
+  let flushes = ref 0 in
+  let rec go acc =
+    if not (Reader.has_line r) then incr flushes;
+    match Reader.next r with
+    | Reader.Line ->
+        go (line_of r :: acc)
+    | Reader.Too_long -> Alcotest.fail "too long"
+    | Reader.Eof -> List.rev acc
+  in
+  Alcotest.(check (list string)) "every line, in order" lines (go []);
+  Alcotest.(check int) "one read for the data, one for its end" 2 !calls;
+  Alcotest.(check int) "flushed before the first read and after the 16th" 2 !flushes
+
+(* Handing out a line allocates nothing: the reader copies nothing and
+   the line is a view of its buffer. *)
+let test_reader_alloc () =
+  let src = String.concat "" (List.init 2000 (fun i -> Printf.sprintf "GET %d\n" i)) in
+  let pos = ref 0 in
+  let read buf off len =
+    let n = min len (min 97 (String.length src - !pos)) in
+    Bytes.blit_string src !pos buf off n;
+    pos := !pos + n;
+    n
+  in
+  let r = Reader.create ~capacity:256 read in
+  let lines = ref 0 in
+  let words =
+    Support.words_during (fun () ->
+        while Reader.next r = Reader.Line do
+          incr lines
+        done)
+  in
+  Alcotest.(check int) "every line" 2000 !lines;
+  if words > 0. then
+    Alcotest.failf "Reader.next allocates %.1f words over 2000 lines (bar: 0)" words
+
 (* The staleness contract on the wire: a replica-served read is always
    an explicit STALE line (single op) or stale:* token (batch) carrying
    its lag — never formatted as a fresh answer. *)
@@ -1046,6 +1332,8 @@ let () =
             test_svc_call_alloc;
           Alcotest.test_case "serve-policy Svc.call allocation budget" `Quick
             test_svc_policy_call_alloc;
+          Alcotest.test_case "serve-policy Svc.call_op allocates nothing"
+            `Quick test_svc_call_op_alloc;
         ] );
       ( "in-flight",
         [
@@ -1086,6 +1374,19 @@ let () =
             test_wire_decimal_grammar;
           Alcotest.test_case "parse and format allocation budget" `Quick
             test_wire_alloc;
+          Alcotest.test_case "in-place parse and replies allocate nothing"
+            `Quick test_wire_in_place_alloc;
+          test_parse_into_agrees;
+        ] );
+      ( "reader",
+        [
+          Alcotest.test_case "split, unterminated, \\r\\n, over-long lines"
+            `Quick test_reader_edges;
+          test_reader_model;
+          Alcotest.test_case "16 pipelined lines, one read" `Quick
+            test_reader_pipelined;
+          Alcotest.test_case "a line allocates nothing" `Quick
+            test_reader_alloc;
         ] );
       ( "chaos",
         [

@@ -108,6 +108,31 @@ let test_open_loop () =
   Alcotest.(check int) "every served arrival timed" r.o_served
     (Lf_obs.Hist.count r.o_latency)
 
+(* Arrivals are stamped when they were due, not when the generator got
+   round to enqueueing them: at 10,000/s every stamp lies a whole number
+   of 100 µs periods after the first, however late the generator woke. *)
+let test_open_loop_due_stamps () =
+  let mu = Mutex.create () and stamps = ref [] in
+  let serve ~arrival_ns ~queue_depth:_ _ =
+    Mutex.lock mu;
+    stamps := arrival_ns :: !stamps;
+    Mutex.unlock mu;
+    `Served true
+  in
+  let r =
+    Lf_workload.Runner.run_open_loop ~rate:10_000 ~window_s:0.05 ~key_range:64
+      ~mix:Lf_workload.Opgen.mixed ~seed:11 ~serve ()
+  in
+  Alcotest.(check int) "every handled arrival seen" r.o_handled
+    (List.length !stamps);
+  let first = List.fold_left min max_int !stamps in
+  List.iter
+    (fun a ->
+      if (a - first) mod 100_000 <> 0 then
+        Alcotest.failf "arrival %d is %d ns after the first, not a whole period"
+          a (a - first))
+    !stamps
+
 let sim_ops t =
   Lf_workload.Sim_driver.
     {
@@ -168,6 +193,8 @@ let () =
             test_batched_rejects_empty_batch;
           Alcotest.test_case "recorded shape" `Quick test_recorded_shape;
           Alcotest.test_case "open loop" `Quick test_open_loop;
+          Alcotest.test_case "open-loop arrivals stamped when due" `Quick
+            test_open_loop_due_stamps;
         ] );
       ( "sim driver",
         [
