@@ -116,12 +116,6 @@ let latency_snapshots :
     (string * (Obs_event.op * Lf_obs.Hist.t) list) list ref =
   ref []
 
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-
 (* Each repetition runs every level back to back, Off first, so a level
    is compared with the Off run beside it, not with one minutes apart;
    a level's overhead is the median of its per-repetition ratios. *)
@@ -152,9 +146,9 @@ let run_overhead () =
       done;
       List.iteri
         (fun l (level, level_name) ->
-          let med = median (Array.to_list elapsed.(l)) in
+          let med = Tables.median (Array.to_list elapsed.(l)) in
           let overhead =
-            median
+            Tables.median
               (List.init reps (fun r -> elapsed.(l).(r) /. elapsed.(0).(r)))
             -. 1.0
           in

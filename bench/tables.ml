@@ -21,3 +21,9 @@ let row widths cells =
   print_endline line
 
 let note fmt = Printf.printf ("   " ^^ fmt ^^ "\n")
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort Float.compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.

@@ -37,6 +37,21 @@
    copies never decide a C&S, and they are not a deviation from the
    paper.
 
+   Figure 3's SEARCHFROM returns its window (n1, n2); here a search
+   hands it on instead, as two arguments of its caller's next step, which
+   a constant tag of type [next] names, so a search allocates nothing
+   (without flambda a returned pair is a heap block).  The search and the
+   step make the shared accesses the paper's caller makes on the returned
+   pair, in the same order.  The tags and the paper's steps:
+     [Window]  SEARCHFROM's own return, the pair, for cold callers;
+     [Pred]    SEARCH (Fig. 3): n1, which holds k if k is present;
+     [Insert]  INSERT (Fig. 5) after the search of line 2 or 19;
+     [Delete]  DELETE (Fig. 4) after its search: TRYFLAG on n2;
+     [Reflag]  TRYFLAG's search of line 11: TRYFLAG again from n1;
+     [Succ]    the successor query [find_ge].
+   TRYFLAG finishes the deletion itself (HELPFLAGGED) and returns only
+   whether it placed the flag, and INSERT returns only its result.
+
    [create ~use_flags:false] builds the EXP-8 ablation variant: two-step
    Harris-style deletion that still sets backlinks but never flags the
    predecessor, exhibiting the rightward-growing backlink chains the flag bit
@@ -109,6 +124,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     hints : 'a anchor Hint.t option;
         (* per-domain predecessor cache; [None] = ablation (hints off) *)
     empty : 'a anchor; (* what a hint slot holds when it caches nothing *)
+    off : 'a anchor Hint.slot;
+        (* the slot an operation gets when hints are off; never written *)
   }
 
   let name = "fr-list"
@@ -227,7 +244,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     end;
     let empty = { live = Null } in
     let hints = if use_hints then Some (Hint.create ~empty) else None in
-    { head; tail; use_flags; mutation; hints; empty }
+    let off =
+      {
+        Hint.value = empty;
+        stats = { hits = 0; stale = 0; misses = 0; stores = 0 };
+      }
+    in
+    { head; tail; use_flags; mutation; hints; empty; off }
 
   let create () = create_with ~use_flags:true ()
 
@@ -289,7 +312,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     else try_mark t del
 
   (* SEARCHFROM (Fig. 3).  Starting from [curr] (whose key must be <= k),
-     [cs] being the descriptor last read from it, returns two nodes (n1, n2)
+     [cs] being the descriptor last read from it, finds two nodes (n1, n2)
      such that at some instant during the search n1.right = n2 and n1.key
      <= k < n2.key.  With [inclusive:false] this is the paper's
      SearchFrom(k - eps, .): n1.key < k <= n2.key.  Marked nodes
@@ -325,39 +348,6 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let cs = M.get (succ_of curr) in
     M.event Ev.Next_update;
     if skips curr cs then skip_marked t curr cs.right else cs
-
-  (* Lines 8-9 are written out at both of their sites, and line 3's
-     first test inline: without flambda a call per step is measurable
-     (single-domain 256-key mix on a 2-vCPU Xeon VM, 1,353 -> 1,107
-     ns/op, better in 8/8 rounds). *)
-  let rec search_from t inclusive k curr cs =
-    if goes_past t inclusive k cs then begin
-      let next = cs.right in
-      (* Forced once: each force is a C call ([caml_obj_tag]). *)
-      let ncell = Lazy.force cs.right_succ in
-      if
-        (M.get ncell).mark
-        &&
-        let cs = M.get (succ_of curr) in
-        (not cs.mark) || cs.right != next
-      then begin
-        let cs = skip_marked t curr next in
-        if goes_past t inclusive k cs then begin
-          let next = cs.right in
-          M.event Ev.Curr_update;
-          search_from t inclusive k next (M.get (Lazy.force cs.right_succ))
-        end
-        else (curr, cs.right)
-      end
-      else begin
-        M.event Ev.Curr_update;
-        search_from t inclusive k next (M.get ncell)
-      end
-    end
-    else (curr, cs.right)
-
-  let search t inclusive k start =
-    search_from t inclusive k start (M.get (succ_of start))
 
   (* Chain-of-backlinks traversal (TRYFLAG line 9-10, INSERT line 17-18):
      walk left until an unmarked node.  Backlink chains are key-decreasing
@@ -401,15 +391,18 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         s
     | _ -> t.head
 
-  (* An operation looks up its domain's slot [s] once, starts from
-     [start_for t s], and ends with [publish t s].  Both work on the
-     slot's fields alone, so a hinted operation makes no call into
-     [Hint] after the lookup and boxes nothing; they count and emit the
-     [hint:*] events themselves.  A slot holding [t.empty] caches
-     nothing. *)
+  (* An operation looks up its slot [s] once ([slot]: the domain's, or
+     [t.off] when hints are off), starts from [start_for t s], and its
+     step ends with [carry t s].  Both work on the slot's fields alone, so
+     a hinted operation makes no call into [Hint] after the lookup and
+     boxes nothing; they count and emit the [hint:*] events themselves.
+     A slot holding [t.empty] caches nothing. *)
+  let slot t = match t.hints with Some h -> Hint.slot h | None -> t.off
+
   let start_for t (s : _ Hint.slot) ~inclusive k =
     let a = s.value in
-    if a == t.empty then begin
+    if s == t.off then t.head
+    else if a == t.empty then begin
       s.stats.misses <- s.stats.misses + 1;
       M.event Hint.ev_miss;
       t.head
@@ -448,71 +441,196 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         M.event Hint.ev_store
     | _ -> ()
 
+  (* Where a step leaves [n], the node its operation ended next to: the
+     domain's slot publishes it as the next hint; [t.off] is never
+     written; and a batch's own slot, which shares [t.off]'s counters,
+     keeps the node itself in the batch's own anchor, silently, as the
+     start candidate of the batch's next element. *)
+  let carry t (s : _ Hint.slot) n =
+    if s.stats != t.off.stats then publish t s n
+    else if s != t.off then s.value.live <- n
+
   let hint_stats t = Option.map Hint.totals t.hints
 
-  (* TRYFLAG (Fig. 5): flag the predecessor of [target].  Returns
-     [(Some prev, true)]  - we placed the flag,
-     [(Some prev, false)] - a concurrent deletion already placed it,
-     [(None, false)]      - [target] is no longer in the list. *)
-  let rec try_flag t prev target =
+  (* The end of TRYFLAG once [prev]'s flag is in place: finish the
+     deletion (HELPFLAGGED, where DELETE ran it) and report whether we
+     placed the flag.  A flag a concurrent deletion placed is finished
+     altruistically, which the [No_help] mutant refuses. *)
+  let flagged t prev target ours =
+    if ours || not (no_help t) then help_flagged t prev target;
+    ours
+
+  (* ------------------------------------------------------------------ *)
+  (* The operations.  A search does not return its window (n1, n2): it
+     ends by calling [found], which runs the step its caller named by a
+     [next] tag, with n1 and n2 as two arguments, so a search allocates
+     nothing (without flambda a returned pair is a heap block).  The
+     shared accesses are those of the search and its caller's next step,
+     in the same order.  Each step gets the operation's slot [s] and ends
+     with [carry], so the hint is published where the operation used to
+     publish it: after its last shared access.
+
+     The tags (see the header for the paper's steps), with what the step
+     gets besides the window and what it returns:
+     - [Window]: the pair (n1, n2), for the flagless and mutant deletes
+       and [fold_range];
+     - [Pred]: n1;
+     - [Insert], with the element: DUPLICATE_KEY ([false]), or lines
+       3-13 ([insert_attempt]);
+     - [Delete]: NO_SUCH_KEY ([false]), or whether TRYFLAG on n2 placed
+       the flag;
+     - [Reflag], with the target: [false] if it is gone, else TRYFLAG's
+       result from n1;
+     - [Succ]: the binding of n2, helping and retrying past a marked n2. *)
+  type (_, _, _) next =
+    | Window : ('a, unit, 'a node * 'a node) next
+    | Pred : ('a, unit, 'a node) next
+    | Insert : ('a, 'a, bool) next
+    | Delete : ('a, unit, bool) next
+    | Reflag : ('a, 'a node, bool) next
+    | Succ : ('a, unit, (K.t * 'a) option) next
+
+  (* Lines 8-9 are written out at both of their sites, and line 3's
+     first test inline: without flambda a call per step is measurable
+     (single-domain 256-key mix on a 2-vCPU Xeon VM, 1,353 -> 1,107
+     ns/op, better in 8/8 rounds). *)
+  let rec search_from :
+      type a x r.
+      a t ->
+      (a, x, r) next ->
+      x ->
+      a anchor Hint.slot ->
+      bool ->
+      K.t ->
+      a node ->
+      a succ ->
+      r =
+   fun t nx x s inclusive k curr cs ->
+    if goes_past t inclusive k cs then begin
+      let next = cs.right in
+      (* Forced once: each force is a C call ([caml_obj_tag]). *)
+      let ncell = Lazy.force cs.right_succ in
+      if
+        (M.get ncell).mark
+        &&
+        let cs = M.get (succ_of curr) in
+        (not cs.mark) || cs.right != next
+      then begin
+        let cs = skip_marked t curr next in
+        if goes_past t inclusive k cs then begin
+          let next = cs.right in
+          M.event Ev.Curr_update;
+          search_from t nx x s inclusive k next
+            (M.get (Lazy.force cs.right_succ))
+        end
+        else found t nx x s k curr cs.right
+      end
+      else begin
+        M.event Ev.Curr_update;
+        search_from t nx x s inclusive k next (M.get ncell)
+      end
+    end
+    else found t nx x s k curr cs.right
+
+  and search :
+      type a x r.
+      a t ->
+      (a, x, r) next ->
+      x ->
+      a anchor Hint.slot ->
+      bool ->
+      K.t ->
+      a node ->
+      r =
+   fun t nx x s inclusive k start ->
+    search_from t nx x s inclusive k start (M.get (succ_of start))
+
+  (* The step [nx] names, on the window (n1, n2) of a search for [k]. *)
+  and found :
+      type a x r.
+      a t ->
+      (a, x, r) next ->
+      x ->
+      a anchor Hint.slot ->
+      K.t ->
+      a node ->
+      a node ->
+      r =
+   fun t nx x s k n1 n2 ->
+    match nx with
+    | Window -> (n1, n2)
+    | Pred ->
+        carry t s n1;
+        n1
+    | Insert ->
+        if holds n1 k then begin
+          carry t s n1;
+          false
+        end
+        else insert_attempt t s k x n1 n2
+    | Delete ->
+        (* The carry is n1, the predecessor (key strictly below [k]),
+           usable by both inclusive and exclusive follow-up searches. *)
+        let ok = holds n2 k && try_flag t n1 n2 in
+        carry t s n1;
+        ok
+    | Reflag -> n2 == x && try_flag t n1 x
+    | Succ ->
+        (* If the candidate is marked (logically deleted), help its
+           physical deletion and retry, so the returned node was regular
+           while adjacent to its predecessor. *)
+        if n2 == t.tail then None
+        else if (M.get (succ_of n2)).mark then begin
+          help_marked t n1 n2;
+          find_ge_from t k n1
+        end
+        else binding n2
+
+  (* TRYFLAG (Fig. 5): flag the predecessor of [target], then finish the
+     deletion ([flagged]).  Returns whether we placed the flag: [false]
+     also when a concurrent deletion placed it, or when [target] is no
+     longer in the list. *)
+  and try_flag : 'a. 'a t -> 'a node -> 'a node -> bool =
+   fun t prev target ->
     let ps = M.get (succ_of prev) in
-    if ps.right == target && (not ps.mark) && ps.flag then (Some prev, false)
+    if ps.right == target && (not ps.mark) && ps.flag then
+      flagged t prev target false
     else if
       ps.right == target && (not ps.mark) && (not ps.flag)
       && M.cas (succ_of prev) ~kind:Ev.Flagging ~expect:ps
            { ps with flag = true }
-    then (Some prev, true)
+    then flagged t prev target true
     else begin
       (* The flagging C&S failed (or was doomed): re-examine the cell to
          find out why, exactly as the paper branches on the C&S result. *)
       let ps' = M.get (succ_of prev) in
       if ps'.right == target && (not ps'.mark) && ps'.flag then
-        (Some prev, false)
-      else begin
+        flagged t prev target false
+      else
         let prev = backtrack prev in
-        let prev, del = search t false (key_of target) prev in
-        if del != target then (None, false) else try_flag t prev target
-      end
+        search t Reflag target t.off false (key_of target) prev
     end
 
-  (* SEARCH (Fig. 3).  Each [*_from] entry point takes a validated start
-     node and returns the operation's result together with a "carry": the
-     node the operation ended next to, which the caller publishes as the
-     domain's next hint (or threads to the next element of a batch). *)
-  let find_from t k start =
-    let curr, _ = search t true k start in
-    match curr with
-    | Node n when K.compare n.key k = 0 -> (Some n.elt, curr)
-    | _ -> (None, curr)
-
-  let find t k =
-    match t.hints with
-    | None -> fst (find_from t k t.head)
-    | Some h ->
-        let s = Hint.slot h in
-        let r, carry = find_from t k (start_for t s ~inclusive:true k) in
-        publish t s carry;
-        r
-
-  let mem t k = Option.is_some (find t k)
-
   (* INSERT (Fig. 5): [insert_attempt] is lines 3-13 (help a flagged
-     predecessor, else C&S the new node in), [insert_recover] lines 14-18
-     after a failed C&S, and [insert_relocate] the search of line 2/19,
-     the entry point from a validated start node. *)
-  let rec insert_attempt t k elt prev next =
+     predecessor, else C&S the new node in) and [insert_recover] lines
+     14-18 after a failed C&S; both end in the search of line 19, whose
+     [Insert] step comes back here. *)
+  and insert_attempt :
+      'a. 'a t -> 'a anchor Hint.slot -> K.t -> 'a -> 'a node -> 'a node -> bool
+      =
+   fun t s k elt prev next ->
     let ps = M.get (succ_of prev) in
     if ps.flag then
-      if no_help t then insert_attempt t k elt prev next
+      if no_help t then insert_attempt t s k elt prev next
       else begin
         (* Predecessor is flagged: help the pending deletion complete. *)
         M.event Ev.Help;
         help_flagged t prev ps.right;
-        insert_relocate t k elt prev
+        search t Insert elt s true k prev
       end
     else if ps.mark || ps.right != next then
       (* Stale view: the C&S would fail; recover as after a failure. *)
-      insert_recover t k elt prev
+      insert_recover t s k elt prev
     else begin
       (* [ps.right] is [next], so [ps.right_key] and [ps.right_succ] are
          its key and cell. *)
@@ -540,11 +658,16 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
             mark = false;
             flag = false;
           }
-      then (true, nn)
-      else insert_recover t k elt prev
+      then begin
+        carry t s nn;
+        true
+      end
+      else insert_recover t s k elt prev
     end
 
-  and insert_recover t k elt prev =
+  and insert_recover :
+      'a. 'a t -> 'a anchor Hint.slot -> K.t -> 'a -> 'a node -> bool =
+   fun t s k elt prev ->
     (* Lines 14-18: if the failure was due to flagging, help; if due to
        marking, traverse backlinks to an unmarked node. *)
     let ps = M.get (succ_of prev) in
@@ -552,50 +675,35 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       M.event Ev.Help;
       help_flagged t prev ps.right
     end;
-    insert_relocate t k elt (backtrack prev)
+    let prev = backtrack prev in
+    search t Insert elt s true k prev
 
-  and insert_relocate t k elt prev =
-    let prev, next = search t true k prev in
-    if holds prev k then (false, prev) else insert_attempt t k elt prev next
+  (* Successor query: the smallest regular binding with key >= [k]. *)
+  and find_ge_from : 'a. 'a t -> K.t -> 'a node -> (K.t * 'a) option =
+   fun t k prev -> search t Succ () t.off false k prev
+
+  (* SEARCH, INSERT and DELETE from the operation's slot: the domain's
+     hint, validated, is the start, and the step publishes the node the
+     operation ended next to. *)
+  let pred t k =
+    let s = slot t in
+    search t Pred () s true k (start_for t s ~inclusive:true k)
+
+  let find t k =
+    match pred t k with
+    | Node n when K.compare n.key k = 0 -> Some n.elt
+    | _ -> None
+
+  let mem t k = holds (pred t k) k
 
   let insert t k elt =
-    match t.hints with
-    | None -> fst (insert_relocate t k elt t.head)
-    | Some h ->
-        let s = Hint.slot h in
-        let ok, carry =
-          insert_relocate t k elt (start_for t s ~inclusive:true k)
-        in
-        publish t s carry;
-        ok
+    let s = slot t in
+    search t Insert elt s true k (start_for t s ~inclusive:true k)
 
-  (* DELETE (Fig. 4), three-step protocol.  The carry is the predecessor
-     (key strictly below [k]), usable by both inclusive and exclusive
-     follow-up searches. *)
-  let delete_flagged_from t k start =
-    let prev, del = search t false k start in
-    if not (holds del k) then (false, prev)
-    else begin
-      let prev_opt, result = try_flag t prev del in
-      (match prev_opt with
-      | Some prev ->
-          (* [result = false] means the flag is a concurrent deleter's:
-             finishing it is altruistic help, which the mutant refuses. *)
-          if result || not (no_help t) then help_flagged t prev del
-      | None -> ());
-      (result, prev)
-    end
-
+  (* DELETE (Fig. 4), three-step protocol. *)
   let delete_flagged t k =
-    match t.hints with
-    | None -> fst (delete_flagged_from t k t.head)
-    | Some h ->
-        let s = Hint.slot h in
-        let ok, carry =
-          delete_flagged_from t k (start_for t s ~inclusive:false k)
-        in
-        publish t s carry;
-        ok
+    let s = slot t in
+    search t Delete () s false k (start_for t s ~inclusive:false k)
 
   (* Flagless ablation (EXP-8): Harris-style two-step deletion that still
      sets backlinks.  Because the predecessor is not pinned, a backlink can
@@ -614,7 +722,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     else mark_flagless prev del
 
   let delete_flagless t k =
-    let prev, del = search t false k t.head in
+    let prev, del = search t Window () t.off false k t.head in
     if not (holds del k) then false
     else begin
       let won = mark_flagless prev del in
@@ -636,14 +744,14 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       in
       (* Inclusive so the search traverses (and thus physically deletes) the
          marked node with key [k] itself. *)
-      if not unlinked then ignore (search t true k t.head);
+      if not unlinked then ignore (search t Pred () t.off true k t.head);
       won
     end
 
   (* Seeded-bug deletions (see [mutation] above).  Single-process use in
      sanitizer tests; each returns what an honest delete would. *)
   let delete_mutant t m k =
-    let prev, del = search t false k t.head in
+    let prev, del = search t Window () t.off false k t.head in
     if not (holds del k) then false
     else
       match m with
@@ -699,10 +807,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Batched operations (the Traeff-Poeter "pragmatic" pattern): process
      the batch in key order, carrying each element's end-of-operation
-     predecessor as the next element's search start.  The carry is
-     re-validated exactly like a hint (a concurrent deletion may mark it
-     between elements), so batches are safe under full concurrency;
-     results come back in the caller's original order. *)
+     predecessor as the next element's search start.  The carry rides on
+     a slot of the batch's own, which the steps fill through [carry] like
+     a hint slot, but with the node itself in the batch's own anchor and
+     without counting or announcing it.  It is re-validated exactly like a
+     hint (a concurrent deletion may mark it between elements, and then it
+     recovers through backlinks), so batches are safe under full
+     concurrency; results come back in the caller's original order. *)
   let run_batch t ~inclusive ~key_of ~f elems =
     let arr = Array.of_list elems in
     let n = Array.length arr in
@@ -713,52 +824,37 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         if c <> 0 then c else Int.compare i j)
       order;
     let results = Array.make n false in
-    let carry = ref t.head in
+    let s = { Hint.value = { live = t.head }; stats = t.off.stats } in
     Array.iter
       (fun i ->
         let k = key_of arr.(i) in
-        let ok, c = f k arr.(i) (valid_start t ~inclusive k !carry) in
-        results.(i) <- ok;
-        carry := c)
+        results.(i) <- f k arr.(i) s (valid_start t ~inclusive k s.value.live))
       order;
-    (match t.hints with Some h -> publish t (Hint.slot h) !carry | None -> ());
+    (match t.hints with
+    | Some h -> publish t (Hint.slot h) s.value.live
+    | None -> ());
     Array.to_list results
 
   let insert_batch t kvs =
     run_batch t ~inclusive:true ~key_of:fst
-      ~f:(fun k (_, e) start -> insert_relocate t k e start)
+      ~f:(fun k (_, e) s start -> search t Insert e s true k start)
       kvs
 
   let mem_batch t ks =
     run_batch t ~inclusive:true ~key_of:Fun.id
-      ~f:(fun k _ start ->
-        let r, c = find_from t k start in
-        (Option.is_some r, c))
+      ~f:(fun k _ s start -> holds (search t Pred () s true k start) k)
       ks
 
   let delete_batch t ks =
     match (t.mutation, t.use_flags) with
     | Some _, _ | None, false ->
-        (* Ablation / mutant deletions have no [_from] variant; fall back
-           to the per-element path. *)
+        (* Ablation / mutant deletions do not start from a carry; fall
+           back to the per-element path. *)
         List.map (delete t) ks
     | None, true ->
         run_batch t ~inclusive:false ~key_of:Fun.id
-          ~f:(fun k _ start -> delete_flagged_from t k start)
+          ~f:(fun k _ s start -> search t Delete () s false k start)
           ks
-
-  (* Successor query: the smallest regular binding with key >= [k].  If the
-     candidate is marked (logically deleted), help its physical deletion and
-     retry, so the returned node was regular while adjacent to its
-     predecessor. *)
-  let rec find_ge_from t k prev =
-    let n1, n2 = search t false k prev in
-    if n2 == t.tail then None
-    else if (M.get (succ_of n2)).mark then begin
-      help_marked t n1 n2;
-      find_ge_from t k n1
-    end
-    else binding n2
 
   let find_ge t k = find_ge_from t k t.head
 
@@ -787,7 +883,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let fold_range t ~lo ~hi f acc =
     if K.compare lo hi > 0 then acc
     else begin
-      let _, start = search t false lo t.head in
+      let _, start = search t Window () t.off false lo t.head in
       fold_range_from hi f acc start
     end
 

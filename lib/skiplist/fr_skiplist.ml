@@ -32,6 +32,24 @@
    compares whole descriptors physically; the copies never decide a C&S,
    and they are not a deviation from the paper.
 
+   SEARCHRIGHT and SEARCHTOLEVEL_SL return their window (n1, n2); here a
+   search hands it on instead, as two arguments of its caller's next
+   step, which a constant tag of type [next] names, so a search allocates
+   nothing (without flambda a returned pair is a heap block).  The search
+   and the step make the shared accesses the paper's caller makes on the
+   returned pair, in the same order.  The tags and the paper's steps:
+     [Window]  SEARCHRIGHT's own return, the pair, for [fold_range];
+     [Pred]    SEARCH_SL's n1 (and DELETE_SL's cleanup search);
+     [Root]    INSERT_SL's INSERTNODE of the root;
+     [Level]   INSERT_SL's INSERTNODE on an upper level;
+     [Delete]  DELETE_SL: DELETENODE on n2;
+     [Reflag]  TRYFLAGNODE's search for DELETENODE;
+     [Unlink]  TRYFLAGNODE's search for a search's superfluous-node
+               deletion (Section 4);
+     [Succ]    the successor query [find_ge].
+   TRYFLAGNODE finishes the deletion itself (HELPFLAGGED), and INSERTNODE
+   returns the node it linked; neither returns a pair or a variant.
+
    Deviations from the paper, recorded in DESIGN.md:
    - the head tower is preallocated up to [max_level] instead of growing
      through [up] pointers; FINDSTART_SL walks the preallocated array with
@@ -294,6 +312,58 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     end
     else p
 
+  let level_nonempty t l = (M.get (succ_of (head_at t l))).right != t.tail
+
+  (* FINDSTART_SL: the highest level that has content (or [v] if higher),
+     scanning up from level [l]. *)
+  let rec find_start t v l =
+    if l < t.max_level && (l < v || level_nonempty t (l + 1)) then
+      find_start t v (l + 1)
+    else l
+
+  (* The root of the tower a node below a new upper node belongs to: the
+     node itself at level 1, else its [tower_root]. *)
+  let root_of = function
+    | Node { tower_root = Null; _ } as n -> n
+    | Node { tower_root; _ } -> tower_root
+    | Null -> null ()
+
+  (* The binding a regular root node holds; [None] at sentinels. *)
+  let binding = function
+    | Node { key; elt = Some e; _ } -> Some (key, e)
+    | Node _ | Null -> None
+
+  (* --- Searches and the steps that follow them. ---
+
+     A search does not return its window (n1, n2): it ends by calling
+     [found], which runs the step its caller named by a [next] tag, with
+     n1 and n2 as two arguments, so a search allocates nothing (without
+     flambda a returned pair is a heap block).  The shared accesses are
+     those of the search and its caller's next step, in the same order.
+
+     The tags (see the header for the paper's steps), with what the step
+     gets besides the window and what it returns:
+     - [Window]: the pair (n1, n2);
+     - [Pred]: n1, which holds k if k is present;
+     - [Root], with the element: the root, or [Null] on DUPLICATE_KEY;
+     - [Level], with the node below: the new node, the node below again
+       to retry the level, or [Null] once the root got marked (the new
+       node is then removed);
+     - [Delete]: NO_SUCH_KEY ([false]), or DELETENODE on n2 and then the
+       cleanup search;
+     - [Reflag] and [Unlink], with the target: [Null] if it is gone,
+       else TRYFLAGNODE's result from n1 (see [try_flag_node]);
+     - [Succ]: the binding of n2, helping and retrying past a marked n2. *)
+  type (_, _, _) next =
+    | Window : ('a, unit, 'a node * 'a node) next
+    | Pred : ('a, unit, 'a node) next
+    | Root : ('a, 'a, 'a node) next
+    | Level : ('a, 'a node, 'a node) next
+    | Delete : ('a, unit, bool) next
+    | Reflag : ('a, 'a node, 'a node) next
+    | Unlink : ('a, 'a node, 'a node) next
+    | Succ : ('a, unit, (K.t * 'a) option) next
+
   (* SEARCHRIGHT's walk, with SEARCHTOLEVEL_SL's descent folded in.  It
      traverses level [l], the level of [curr] (a walk moves only along one
      level's succ fields and backlinks), [cs] being the descriptor last
@@ -302,11 +372,23 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      test reads [cs.right_key], a right move reads [cs.right_succ] and a
      descent [curr]'s [down_succ], so no step loads the node it moves to.
      Where SEARCHRIGHT would return above level [v], it steps down and
-     walks on; at level [v] it returns the window (n1, n2) with n1.key <= k
+     walks on; at level [v] it hands the window (n1, n2), with n1.key <= k
      < n2.key (inclusive) or n1.key < k <= n2.key (exclusive), adjacent at
-     some instant.  Its shared accesses are those of one SEARCHRIGHT per
-     level, in the same order. *)
-  let rec walk t inclusive k v l curr cs =
+     some instant, to the step [nx].  Its shared accesses are those of one
+     SEARCHRIGHT per level, in the same order. *)
+  let rec walk :
+      type a x r.
+      a t ->
+      (a, x, r) next ->
+      x ->
+      bool ->
+      K.t ->
+      int ->
+      int ->
+      a node ->
+      a succ ->
+      r =
+   fun t nx x inclusive k v l curr cs ->
     if
       cs.right == t.tail
       ||
@@ -314,9 +396,9 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       if inclusive then c > 0 else c >= 0
     then begin
       if l > v then
-        walk t inclusive k v (l - 1) (down_of curr)
+        walk t nx x inclusive k v (l - 1) (down_of curr)
           (M.get (down_succ_of curr))
-      else (curr, cs.right)
+      else found t nx x k v curr cs.right
     end
     else
       let next = cs.right in
@@ -328,114 +410,147 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         if (not cs.mark) || cs.right != next then begin
           if cs.right == next then help_marked curr next;
           M.event Ev.Next_update;
-          walk t inclusive k v l curr (M.get (succ_of curr))
+          walk t nx x inclusive k v l curr (M.get (succ_of curr))
         end
         else begin
           (* curr and next both marked and adjacent: step through. *)
           M.event Ev.Curr_update;
-          walk t inclusive k v l next (M.get (succ_of next))
+          walk t nx x inclusive k v l next (M.get (succ_of next))
         end
       end
       else if t.help_superfluous && is_superfluous next then begin
         (* Delete the superfluous node from this level (Section 4:
-           searches perform all three deletion steps if necessary). *)
-        match try_flag_node t curr next with
-        | Some prev, _we_flagged ->
-            help_flagged t prev next;
-            M.event Ev.Next_update;
-            walk t inclusive k v l prev (M.get (succ_of prev))
-        | None, _ ->
-            M.event Ev.Next_update;
-            walk t inclusive k v l curr (M.get (succ_of curr))
+           searches perform all three deletion steps if necessary) and go
+           on from its predecessor, or from [curr] if it left the level
+           meanwhile. *)
+        let prev = try_flag_node t Unlink curr next in
+        let curr = if prev == Null then curr else prev in
+        M.event Ev.Next_update;
+        walk t nx x inclusive k v l curr (M.get (succ_of curr))
       end
       else begin
         M.event Ev.Curr_update;
-        walk t inclusive k v l next (M.get ncell)
+        walk t nx x inclusive k v l next (M.get ncell)
       end
 
   (* SEARCHRIGHT: the walk confined to the level of [curr] (curr.key <= k
-     or curr is a head).  Equal target and current levels: it never
-     descends. *)
-  and search_right t ~inclusive k curr =
-    walk t inclusive k 0 0 curr (M.get (succ_of curr))
+     or curr is a head); [v] is that level, or 0 where no step needs it.
+     Equal target and current levels: it never descends. *)
+  and search_right :
+      type a x r.
+      a t -> (a, x, r) next -> x -> inclusive:bool -> K.t -> int -> a node -> r
+      =
+   fun t nx x ~inclusive k v curr ->
+    walk t nx x inclusive k v v curr (M.get (succ_of curr))
 
-  (* TRYFLAGNODE: flag the in-level predecessor of [target], relocating via
-     backlinks and a level-local search when interference hits.  Returns
-     [Some prev, true] if we placed the flag, [Some prev, false] if a
-     concurrent deletion had placed it, [None, false] if [target] left the
-     level. *)
-  and try_flag_node t prev target =
+  (* SEARCHTOLEVEL_SL: one walk from FINDSTART_SL's head, at the level it
+     returns, down to level [v]; the step gets the window at level v. *)
+  and search_to_level :
+      type a x r. a t -> (a, x, r) next -> x -> inclusive:bool -> K.t -> int -> r
+      =
+   fun t nx x ~inclusive k v ->
+    let v = min v t.max_level in
+    let l = find_start t v 1 in
+    let start = head_at t l in
+    walk t nx x inclusive k v l start (M.get (succ_of start))
+
+  (* The step [nx] names, on the window (n1, n2) at level [v] of a search
+     for [k]. *)
+  and found :
+      type a x r. a t -> (a, x, r) next -> x -> K.t -> int -> a node -> a node -> r
+      =
+   fun t nx x k v n1 n2 ->
+    match nx with
+    | Window -> (n1, n2)
+    | Pred -> n1
+    | Root ->
+        if holds n1 k then Null
+        else insert_attempt t nx x (Some x) Null k v n1 n2
+    | Level ->
+        (* A same-key node from an old superfluous tower blocks this level;
+           the search that found it is also removing it (or our own root
+           got marked): retry. *)
+        if holds n1 k then x else insert_attempt t nx x None x k v n1 n2
+    | Delete ->
+        if holds n2 k && delete_node t n1 n2 then begin
+          (* The root is marked (linearization): let a search clean the
+             upper levels of the now-superfluous tower. *)
+          clean_up t k;
+          true
+        end
+        else false
+    | Reflag -> if n2 != x then Null else try_flag_node t nx n1 x
+    | Unlink -> if n2 != x then Null else try_flag_node t nx n1 x
+    | Succ ->
+        if n2 == t.tail then None
+        else if (M.get (succ_of n2)).mark then begin
+          help_marked n1 n2;
+          find_ge t k
+        end
+        else binding n2
+
+  (* TRYFLAGNODE: flag the in-level predecessor of [target], relocating
+     via backlinks and a level-local search ([nx]'s) when interference
+     hits, then finish the deletion (HELPFLAGGED, where its callers ran
+     it).  Returns the predecessor the flag is on for the walk ([Unlink])
+     whoever placed it, and for DELETENODE ([Reflag]) only if we placed
+     it; [Null] otherwise, and if [target] left the level. *)
+  and try_flag_node : 'a. 'a t -> ('a, 'a node, 'a node) next -> 'a node -> 'a node -> 'a node =
+   fun t nx prev target ->
     let ps = M.get (succ_of prev) in
-    if ps.right == target && (not ps.mark) && ps.flag then (Some prev, false)
+    if ps.right == target && (not ps.mark) && ps.flag then
+      flagged t nx prev target false
     else if
       ps.right == target && (not ps.mark) && (not ps.flag)
       && M.cas (succ_of prev) ~kind:Ev.Flagging ~expect:ps
            { ps with flag = true }
-    then (Some prev, true)
+    then flagged t nx prev target true
     else begin
       let ps' = M.get (succ_of prev) in
       if ps'.right == target && (not ps'.mark) && ps'.flag then
-        (Some prev, false)
-      else begin
+        flagged t nx prev target false
+      else
         let prev = backtrack prev in
-        let prev, del =
-          search_right t ~inclusive:false (key_of target) prev
-        in
-        if del != target then (None, false) else try_flag_node t prev target
-      end
+        search_right t nx target ~inclusive:false (key_of target) 0 prev
     end
 
-  (* DELETENODE: the three-step deletion given a position hint. *)
-  let delete_node t prev del =
-    match try_flag_node t prev del with
-    | Some prev, we_flagged ->
-        help_flagged t prev del;
-        if we_flagged then `Deleted_by_us else `Deleted_by_other
-    | None, _ -> `Gone
+  (* DELETENODE: the three-step deletion given a position hint; whether
+     we placed the flag. *)
+  and delete_node : 'a. 'a t -> 'a node -> 'a node -> bool =
+   fun t prev del -> try_flag_node t Reflag prev del != Null
 
-  let level_nonempty t l = (M.get (succ_of (head_at t l))).right != t.tail
+  and flagged : 'a. 'a t -> ('a, 'a node, 'a node) next -> 'a node -> 'a node -> bool -> 'a node =
+   fun t nx prev target ours ->
+    help_flagged t prev target;
+    if ours || nx == Unlink then prev else Null
 
-  (* FINDSTART_SL: the highest level that has content (or [v] if higher),
-     scanning up from level [l]. *)
-  let rec find_start t v l =
-    if l < t.max_level && (l < v || level_nonempty t (l + 1)) then
-      find_start t v (l + 1)
-    else l
-
-  (* SEARCHTOLEVEL_SL: one walk from FINDSTART_SL's head, at the level it
-     returns, down to level [v]; returns the (n1, n2) window at level v. *)
-  let search_to_level t ~inclusive k v =
-    let v = min v t.max_level in
-    let l = find_start t v 1 in
-    let start = head_at t l in
-    walk t inclusive k v l start (M.get (succ_of start))
-
-  let hint_stats (_ : 'a t) : Lf_kernel.Hint.stats option = None
-
-  (* SEARCH_SL. *)
-  let find t k =
-    match search_to_level t ~inclusive:true k 1 with
-    | Node { key; elt = Some _ as elt; _ }, _ when K.compare key k = 0 -> elt
-    | _ -> None
-
-  let mem t k = Option.is_some (find t k)
-
-  (* INSERTNODE: insert a fresh node with [key] between [prev] and [next] on
-     prev's level, with the linked-list INSERT loop's recovery.  Returns the
-     inserted node or [`Duplicate] when a node with the same key is found at
-     this level. *)
-  let rec insert_node t ~key ~elt ~down ~tower_root prev next =
-    insert_attempt t key elt down tower_root prev next
-
-  and insert_attempt t key elt down tower_root prev next =
+  (* INSERTNODE: link a fresh node with [key] = [k], [elt] and [down]
+     between [prev] and [next] on level [v], with the linked-list INSERT
+     loop's recovery; the search of each relocation comes back through
+     [nx]'s step, which tells a duplicate.  An upper node's [tower_root]
+     is its down node's root; once it is linked, a marked root means the
+     tower became superfluous while we were building it, and the node just
+     added is deleted again. *)
+  and insert_attempt :
+      'a 'x.
+      'a t ->
+      ('a, 'x, 'a node) next ->
+      'x ->
+      'a option ->
+      'a node ->
+      K.t ->
+      int ->
+      'a node ->
+      'a node ->
+      'a node =
+   fun t nx x elt down k v prev next ->
     let ps = M.get (succ_of prev) in
     if ps.flag then begin
       M.event Ev.Help;
       help_flagged t prev ps.right;
-      insert_relocate t key elt down tower_root prev
+      search_right t nx x ~inclusive:true k v prev
     end
-    else if ps.mark || ps.right != next then
-      insert_recover t key elt down tower_root prev
+    else if ps.mark || ps.right != next then insert_recover t nx x k v prev
     else begin
       (* [ps.right] is [next], so [ps.right_key] and [ps.right_succ] are
          its key and cell. *)
@@ -451,33 +566,59 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           }
       in
       let down_succ = match down with Node d -> d.succ | Null -> succ in
-      let nn = Node { key; elt; down; down_succ; tower_root; succ; backlink } in
+      let tower_root = match down with Node _ -> root_of down | Null -> Null in
+      let nn =
+        Node { key = k; elt; down; down_succ; tower_root; succ; backlink }
+      in
       annotate_node t.tail nn;
       if
         M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
           {
             right = nn;
-            right_key = key;
+            right_key = k;
             right_succ = Lazy.from_val succ;
             mark = false;
             flag = false;
           }
-      then (prev, `Inserted nn)
-      else insert_recover t key elt down tower_root prev
+      then
+        match tower_root with
+        | Node r when (M.get r.succ).mark ->
+            ignore (delete_node t prev nn);
+            Null
+        | _ -> nn
+      else insert_recover t nx x k v prev
     end
 
-  and insert_recover t key elt down tower_root prev =
+  and insert_recover :
+      'a 'x. 'a t -> ('a, 'x, 'a node) next -> 'x -> K.t -> int -> 'a node -> 'a node =
+   fun t nx x k v prev ->
     let ps = M.get (succ_of prev) in
     if ps.flag then begin
       M.event Ev.Help;
       help_flagged t prev ps.right
     end;
-    insert_relocate t key elt down tower_root (backtrack prev)
+    let prev = backtrack prev in
+    search_right t nx x ~inclusive:true k v prev
 
-  and insert_relocate t key elt down tower_root prev =
-    let prev, next = search_right t ~inclusive:true key prev in
-    if holds prev key then (prev, `Duplicate)
-    else insert_attempt t key elt down tower_root prev next
+  and clean_up : 'a. 'a t -> K.t -> unit =
+   fun t k ->
+    if t.help_superfluous && t.max_level >= 2 then
+      ignore (search_to_level t Pred () ~inclusive:true k 2)
+
+  (* Successor query in O(log n) expected: the smallest regular binding
+     with key >= [k]. *)
+  and find_ge : 'a. 'a t -> K.t -> (K.t * 'a) option =
+   fun t k -> search_to_level t Succ () ~inclusive:false k 1
+
+  let hint_stats (_ : 'a t) : Lf_kernel.Hint.stats option = None
+
+  (* SEARCH_SL. *)
+  let find t k =
+    match search_to_level t Pred () ~inclusive:true k 1 with
+    | Node { key; elt = Some _ as elt; _ } when K.compare key k = 0 -> elt
+    | _ -> None
+
+  let mem t k = Option.is_some (find t k)
 
   let flip () = Lf_kernel.Splitmix.bool (rng ())
 
@@ -489,68 +630,30 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      by a fresh search from the top. *)
   let rec ascend t k root height level last =
     if level <= height && not (M.get (succ_of root)).mark then begin
-      let prev, next = search_to_level t ~inclusive:true k level in
-      if holds prev k then begin
-        (* A same-key node from an old superfluous tower blocks this
-           level; the search that found it is also removing it (or our
-           own root got marked) - retry. *)
+      let nn = search_to_level t Level last ~inclusive:true k level in
+      if nn == last then begin
         M.event Ev.Retry;
         if not (M.get (succ_of root)).mark then
           ascend t k root height level last
       end
-      else
-        match
-          insert_node t ~key:k ~elt:None ~down:last ~tower_root:root prev next
-        with
-        | _, `Duplicate ->
-            M.event Ev.Retry;
-            if not (M.get (succ_of root)).mark then
-              ascend t k root height level last
-        | prev', `Inserted nn ->
-            if (M.get (succ_of root)).mark then
-              (* The tower became superfluous while we were building it:
-                 undo the node we just added. *)
-              ignore (delete_node t prev' nn)
-            else ascend t k root height (level + 1) nn
+      else if nn != Null then ascend t k root height (level + 1) nn
     end
 
   (* INSERT_SL with an explicit tower height (used by tests and by the
      deterministic experiments; [insert] draws the height by coin flips). *)
   let insert_with_height t ~height k e =
     let height = max 1 (min height t.max_level) in
-    let prev, next = search_to_level t ~inclusive:true k 1 in
-    if holds prev k then false
-    else begin
-      match
-        insert_node t ~key:k ~elt:(Some e) ~down:Null ~tower_root:Null prev
-          next
-      with
-      | _, `Duplicate -> false
-      | _, `Inserted root ->
-          ascend t k root height 2 root;
-          true
-    end
+    match search_to_level t Root e ~inclusive:true k 1 with
+    | Null -> false
+    | root ->
+        ascend t k root height 2 root;
+        true
 
   let insert t k e = insert_with_height t ~height:(random_height t 1) k e
 
   (* DELETE_SL: delete the root (linearization: its marking), then let a
      search clean the upper levels of the now-superfluous tower. *)
-  let delete t k =
-    let prev, del = search_to_level t ~inclusive:false k 1 in
-    if not (holds del k) then false
-    else begin
-      match delete_node t prev del with
-      | `Deleted_by_us ->
-          if t.help_superfluous && t.max_level >= 2 then
-            ignore (search_to_level t ~inclusive:true k 2);
-          true
-      | `Deleted_by_other | `Gone -> false
-    end
-
-  (* The binding a regular root node holds; [None] at sentinels. *)
-  let binding = function
-    | Node { key; elt = Some e; _ } -> Some (key, e)
-    | Node _ | Null -> None
+  let delete t k = search_to_level t Delete () ~inclusive:false k 1
 
   (* Lotan-Shavit style delete-min on the root level: claim the leftmost
      regular root via the three-step deletion.  Quiescently consistent (a
@@ -559,25 +662,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let head = head_at t 1 in
     let first = (M.get (succ_of head)).right in
     if first == t.tail then None
-    else begin
-      match delete_node t head first with
-      | `Deleted_by_us ->
-          if t.help_superfluous && t.max_level >= 2 then
-            ignore (search_to_level t ~inclusive:true (key_of first) 2);
-          binding first
-      | `Deleted_by_other | `Gone -> delete_min t
+    else if delete_node t head first then begin
+      clean_up t (key_of first);
+      binding first
     end
-
-  (* Successor query in O(log n) expected: the smallest regular binding
-     with key >= [k]. *)
-  let rec find_ge t k =
-    let n1, n2 = search_to_level t ~inclusive:false k 1 in
-    if n2 == t.tail then None
-    else if (M.get (succ_of n2)).mark then begin
-      help_marked n1 n2;
-      find_ge t k
-    end
-    else binding n2
+    else delete_min t
 
   let rec min_binding t =
     let head = head_at t 1 in
@@ -623,7 +712,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let fold_range t ~lo ~hi f acc =
     if K.compare lo hi > 0 then acc
     else begin
-      let _, start = search_to_level t ~inclusive:false lo 1 in
+      let _, start = search_to_level t Window () ~inclusive:false lo 1 in
       fold_level_from t hi f acc start
     end
 

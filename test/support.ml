@@ -202,6 +202,17 @@ let shuffle rng keys =
     keys.(j) <- k
   done
 
+(* Words per call of [op] on the indices [0, n), each once, in a shuffled
+   order: [op] closes over a structure built before the count, so a
+   domain's first operation on it (which makes its hint slot) is not
+   counted.  The closures are made before the count too, so a call that
+   allocates nothing reads exactly 0. *)
+let words_per_call ~n op =
+  let indices = Array.init n Fun.id in
+  shuffle (Lf_kernel.Splitmix.create n) indices;
+  let call i = ignore (Sys.opaque_identity (op i)) in
+  words_during (fun () -> Array.iter call indices) /. float_of_int n
+
 (* Words still reachable from a dictionary after inserting keys [0, n)
    and deleting them all again in [order]: what the emptied structure
    holds on to. *)

@@ -551,65 +551,68 @@ let test_placeholder_int =
 let test_placeholder_string =
   placeholder_keys (module FS) ~any:"" ~others:[ "a"; "\000"; "zz" ]
 
-(* Minor words per operation on a half-full list over keys [0, n): [ops]
-   calls of [op] on uniform random keys, on a list holding the even keys.
-   A step loads no key box and allocates nothing, and a node is one
-   inline record that links and backlinks point at directly. *)
-let words_per_op ~n ~ops op =
-  let t = FR.create () in
-  for k = 0 to (n / 2) - 1 do
-    ignore (FR.insert t (2 * k) k)
-  done;
-  let rng = Lf_kernel.Splitmix.create n in
-  let keys = Array.init ops (fun _ -> Lf_kernel.Splitmix.int rng n) in
-  let words =
-    Support.words_during (fun () ->
-        Array.iter (fun k -> ignore (Sys.opaque_identity (op t k))) keys)
+(* Per-call allocation bars on the shipped instance, hints on and off.  A
+   search hands its window (n1, n2) to its operation's next step instead
+   of returning it, and no step returns a pair, so an operation allocates
+   only its result and what it links: [find]'s [Some] on a hit (2 words);
+   a new key's two cells, descriptor, node and anchor and the linking
+   C&S's descriptor (24); a deletion's flagging, marking and unlinking
+   descriptors (18).  The list holds the even keys of [0, 2n), and every
+   call of one kind takes a different index [i]. *)
+let per_call_words ~hints op =
+  let n = 1024 in
+  let t =
+    if hints then FR.create () else FR.create_with ~use_hints:false ~use_flags:true ()
   in
-  words /. float_of_int ops
+  for i = 0 to n - 1 do
+    ignore (FR.insert t (2 * i) i)
+  done;
+  Support.words_per_call ~n (op t)
 
-let check_budget name ~bar op =
-  let words = words_per_op ~n:4096 ~ops:10_000 op in
-  if words > bar then
-    Alcotest.failf "%s allocates %.1f words/op at 4,096 keys (bar: %.0f)" name
-      words bar
+let check_per_call ops =
+  List.iter
+    (fun hints ->
+      List.iter
+        (fun (name, bar, op) ->
+          let words = per_call_words ~hints op in
+          if words > bar then
+            Alcotest.failf "%s with hints %s: %.5f words/call (bar: %.0f)" name
+              (if hints then "on" else "off")
+              words bar)
+        ops)
+    [ true; false ]
 
-let test_find_alloc () = check_budget "find" ~bar:11. FR.find
+let test_find_alloc () =
+  check_per_call
+    [
+      ("find miss", 0., fun t i -> FR.find t ((2 * i) + 1));
+      ("find hit", 2., fun t i -> FR.find t (2 * i));
+    ]
+
+let test_mem_alloc () =
+  check_per_call
+    [
+      ("mem miss", 0., fun t i -> FR.mem t ((2 * i) + 1));
+      ("mem hit", 0., fun t i -> FR.mem t (2 * i));
+    ]
+
+(* The successor query's result is its only block: [Some (key, elt)]. *)
+let test_find_ge_alloc () =
+  check_per_call [ ("find_ge", 5., fun t i -> FR.find_ge t ((2 * i) + 1)) ]
 
 let test_insert_alloc () =
-  check_budget "insert" ~bar:17. (fun t k -> FR.insert t k k)
+  check_per_call [ ("new-key insert", 24., fun t i -> FR.insert t ((2 * i) + 1) i) ]
 
-let test_delete_alloc () = check_budget "delete" ~bar:16. FR.delete
+let test_delete_alloc () =
+  check_per_call [ ("present-key delete", 18., fun t i -> FR.delete t (2 * i)) ]
 
-(* The hint path boxes nothing: with hints on, a duplicate insert and an
-   absent delete allocate exactly the words they allocate with
-   [~use_hints:false] (their search's window and their result pair).  The
-   domain's first operation on a structure makes its hint slot, so one
-   runs before the count. *)
+(* The hint path boxes nothing either: with hints on and off, a duplicate
+   insert and an absent delete allocate nothing at all. *)
 let test_hint_path_alloc () =
-  let per_op create op =
-    let t = create () in
-    for k = 0 to 255 do
-      ignore (FR.insert t (2 * k) k)
-    done;
-    let rng = Lf_kernel.Splitmix.create 256 in
-    let keys = Array.init 10_000 (fun _ -> Lf_kernel.Splitmix.int rng 256) in
-    ignore (op t 0);
-    Support.words_during (fun () ->
-        Array.iter (fun k -> ignore (Sys.opaque_identity (op t k))) keys)
-    /. 10_000.
-  in
-  let hinted () = FR.create ()
-  and plain () = FR.create_with ~use_hints:false ~use_flags:true () in
-  List.iter
-    (fun (name, op) ->
-      let on = per_op hinted op and off = per_op plain op in
-      if on <> off then
-        Alcotest.failf "%s: %.2f words/op with hints, %.2f without" name on
-          off)
+  check_per_call
     [
-      ("duplicate insert", fun t k -> FR.insert t (2 * k) k);
-      ("absent delete", fun t k -> FR.delete t ((2 * k) + 1));
+      ("duplicate insert", 0., fun t i -> FR.insert t (2 * i) i);
+      ("absent delete", 0., fun t i -> FR.delete t ((2 * i) + 1));
     ]
 
 (* Words reachable per key in a list of 16,384 keys: the inline node (6),
@@ -716,6 +719,8 @@ let () =
          ( "allocation",
            [
              Alcotest.test_case "find budget" `Quick test_find_alloc;
+             Alcotest.test_case "mem budget" `Quick test_mem_alloc;
+             Alcotest.test_case "find_ge budget" `Quick test_find_ge_alloc;
              Alcotest.test_case "insert budget" `Quick test_insert_alloc;
              Alcotest.test_case "delete budget" `Quick test_delete_alloc;
              Alcotest.test_case "footprint per key" `Quick test_footprint;

@@ -108,6 +108,33 @@ let test_placeholder_string () =
   Support.dict_placeholder_keys (module HStr) ~any:"" ~others ();
   Support.dict_placeholder_keys (module One_bucket (HStr)) ~any:"" ~others ()
 
+(* The buckets are [Fr_list.Make] through the functor, so they inherit the
+   list's allocation-free searches: a read or a failed update allocates
+   nothing, with the buckets' hints on or off.  The table holds the even
+   keys of [0, 2n), and every call takes a different index [i]. *)
+let test_failed_ops_alloc () =
+  let n = 4096 in
+  List.iter
+    (fun use_hints ->
+      let t = H.create_with ~use_hints () in
+      for i = 0 to n - 1 do
+        ignore (H.insert t (2 * i) i)
+      done;
+      List.iter
+        (fun (name, op) ->
+          let words = Support.words_per_call ~n op in
+          if words > 0. then
+            Alcotest.failf "%s with hints %s: %.4f words/call (bar: 0)" name
+              (if use_hints then "on" else "off")
+              words)
+        [
+          ("find miss", fun i -> ignore (H.find t ((2 * i) + 1)));
+          ("mem", fun i -> ignore (H.mem t i));
+          ("duplicate insert", fun i -> ignore (H.insert t (2 * i) i));
+          ("absent delete", fun i -> ignore (H.delete t ((2 * i) + 1)));
+        ])
+    [ true; false ]
+
 let () =
   Alcotest.run "hashtable"
     (Support.time_limited
@@ -130,6 +157,11 @@ let () =
            [
              Alcotest.test_case "sim linearizable" `Quick test_sim_linearizable;
              Alcotest.test_case "domain stress" `Slow test_domain_stress;
+           ] );
+         ( "allocation",
+           [
+             Alcotest.test_case "reads and failed updates allocate nothing"
+               `Quick test_failed_ops_alloc;
            ] );
          ( "retention",
            Support.churn_retention_tests (module H)

@@ -655,50 +655,69 @@ let test_placeholder_string =
 
 (* --- Allocation budgets --- *)
 
-(* Minor words per operation on a half-full skip list over keys [0, n):
-   [ops] calls of [op] on uniform random keys, each measured on a fresh
-   list holding the even keys.  A search must not allocate per level, so
-   its words per op are small and do not grow with the tower heights a
-   larger list brings. *)
-let words_per_op ~n ~ops op =
+(* Per-call allocation bars on the shipped instance.  A search hands its
+   window (n1, n2) to its operation's next step instead of returning it,
+   and no step returns a pair or a variant, so a read or a failed update
+   allocates nothing ([find] returns the root's own element option), and
+   an update only what it links or C&Ses in: a root costs two cells, a
+   descriptor, the node, its [Some] and the linking C&S's descriptor (26
+   words) and each upper level 24, with one upper level on average; a
+   deletion costs three descriptors per level, with two levels on
+   average.  The skip list holds the even keys of [0, 2n), and every call
+   of one kind takes a different index [i]. *)
+let words_per_call ~n op =
   let t = SL.create () in
-  for k = 0 to (n / 2) - 1 do
-    ignore (SL.insert t (2 * k) k)
+  for i = 0 to n - 1 do
+    ignore (SL.insert t (2 * i) i)
   done;
-  let rng = Lf_kernel.Splitmix.create n in
-  let keys = Array.init ops (fun _ -> Lf_kernel.Splitmix.int rng n) in
-  let words =
-    Support.words_during (fun () ->
-        Array.iter (fun k -> ignore (Sys.opaque_identity (op t k))) keys)
-  in
-  words /. float_of_int ops
+  Support.words_per_call ~n (op t)
 
-let check_budget name ~bar op =
-  let words = words_per_op ~n:4096 ~ops:10_000 op in
+let check_per_call ?(n = 4096) name ~bar op =
+  let words = words_per_call ~n op in
   if words > bar then
-    Alcotest.failf "%s allocates %.1f words/op at 4,096 keys (bar: %.0f)" name
-      words bar
+    Alcotest.failf "%s allocates %.4f words/call at %d keys (bar: %.0f)" name
+      words n bar
 
-let test_find_alloc () = check_budget "find" ~bar:4. SL.find
+let test_find_alloc () =
+  check_per_call "find miss" ~bar:0. (fun t i -> SL.find t ((2 * i) + 1));
+  check_per_call "find hit" ~bar:0. (fun t i -> SL.find t (2 * i))
 
+let test_mem_alloc () =
+  check_per_call "mem miss" ~bar:0. (fun t i -> SL.mem t ((2 * i) + 1));
+  check_per_call "mem hit" ~bar:0. (fun t i -> SL.mem t (2 * i))
+
+(* The successor query's result is its only block: [Some (key, elt)]. *)
+let test_find_ge_alloc () =
+  check_per_call "find_ge" ~bar:5. (fun t i -> SL.find_ge t ((2 * i) + 1))
+
+(* Averaged over 2^15 new keys, whose random tower heights put the mean
+   near 50 words. *)
 let test_insert_alloc () =
-  check_budget "insert" ~bar:20. (fun t k -> SL.insert t k k)
+  check_per_call ~n:32_768 "new-key insert" ~bar:52. (fun t i ->
+      SL.insert t ((2 * i) + 1) i)
 
-(* An insert of a present key (the list holds the even keys) draws its
-   tower height before its search finds the key.  The coin flips
-   allocate nothing, so it costs what a search does. *)
+(* An insert of a present key draws its tower height before its search
+   finds the key.  The coin flips allocate nothing, and neither does the
+   search. *)
 let test_duplicate_insert_alloc () =
-  check_budget "duplicate insert" ~bar:4. (fun t k ->
-      SL.insert t (k land lnot 1) k)
+  check_per_call "duplicate insert" ~bar:0. (fun t i -> SL.insert t (2 * i) i)
 
-let test_delete_alloc () = check_budget "delete" ~bar:16. SL.delete
+(* Averaged over 2^15 present keys, whose towers put the mean near 36
+   words. *)
+let test_delete_alloc () =
+  check_per_call ~n:32_768 "present-key delete" ~bar:38. (fun t i ->
+      SL.delete t (2 * i))
+
+let test_absent_delete_alloc () =
+  check_per_call "absent delete" ~bar:0. (fun t i -> SL.delete t ((2 * i) + 1))
 
 let test_find_alloc_flat () =
-  let small = words_per_op ~n:256 ~ops:10_000 SL.find in
-  let large = words_per_op ~n:16_384 ~ops:10_000 SL.find in
+  let find t i = SL.find t ((2 * i) + 1) in
+  let small = words_per_call ~n:256 find in
+  let large = words_per_call ~n:16_384 find in
   if Float.abs (large -. small) > 1. then
     Alcotest.failf
-      "find allocates %.1f words/op at 256 keys but %.1f at 16,384 keys"
+      "find allocates %.1f words/call at 256 keys but %.1f at 16,384 keys"
       small large
 
 (* Words reachable per key in a list of 16,384 keys: a node is one inline
@@ -865,10 +884,14 @@ let () =
          ( "allocation",
            [
              Alcotest.test_case "find budget" `Quick test_find_alloc;
+             Alcotest.test_case "mem budget" `Quick test_mem_alloc;
+             Alcotest.test_case "find_ge budget" `Quick test_find_ge_alloc;
              Alcotest.test_case "insert budget" `Quick test_insert_alloc;
-             Alcotest.test_case "duplicate insert allocates only its search"
-               `Quick test_duplicate_insert_alloc;
+             Alcotest.test_case "duplicate insert allocates nothing" `Quick
+               test_duplicate_insert_alloc;
              Alcotest.test_case "delete budget" `Quick test_delete_alloc;
+             Alcotest.test_case "absent delete allocates nothing" `Quick
+               test_absent_delete_alloc;
              Alcotest.test_case "find flat in size" `Quick test_find_alloc_flat;
              Alcotest.test_case "footprint per key" `Quick test_footprint;
            ] );
