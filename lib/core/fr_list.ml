@@ -1,7 +1,7 @@
 (* Lock-free sorted singly-linked list of Fomitchev & Ruppert (PODC 2004),
    Figures 3-5.
 
-   Every node carries a [succ] descriptor { right; mark; flag } stored in a
+   Every node carries a [succ] descriptor (right, mark, flag) stored in a
    single C&S-able cell and a [backlink] pointer.  Deleting node B whose
    predecessor is A takes three C&S steps:
 
@@ -27,15 +27,18 @@
    backlinks and hint anchors point straight at it.  The head and the tail
    are [Sentinel]s, which hold only their two cells, so a regular [Node]
    stores its key and element unboxed and no code compares a sentinel's
-   key: the tail is known by identity.  A succ descriptor also carries
-   copies of its [right] node's key and [succ] cell ([right_key],
-   [right_succ]; [K.any] and the tail's cell when [right] is the tail).  A
-   node's key and cells never change, so the copies are exact, and a
-   SEARCHFROM step decides on [right_key] and reads the next descriptor
-   through [right_succ], without loading the next node ("Skiplists with
-   Foresight").  C&S still compares whole descriptors physically; the
-   copies never decide a C&S, and they are not a deviation from the
-   paper.
+   key: the tail is known by identity.  The paper steals two pointer bits
+   for mark and flag; here a descriptor's constructor is those bits:
+   [Clean] is (right,0,0), [Flagged] (right,0,1) and [Marked] (right,1,0),
+   so a descriptor both marked and flagged (INV 5) cannot be built.  A
+   descriptor also carries copies of its [right] node's key and [succ]
+   cell ([right_key], [right_succ]; [K.any] and the tail's cell when
+   [right] is the tail).  A node's key and cells never change, so the
+   copies are exact, and a SEARCHFROM step decides on [right_key] and
+   reads the next descriptor through [right_succ], without loading the
+   next node ("Skiplists with Foresight").  C&S still compares whole
+   descriptors physically; the copies never decide a C&S, and they are
+   not a deviation from the paper.
 
    Figure 3's SEARCHFROM returns its window (n1, n2); here a search
    hands it on instead, as two arguments of its caller's next step, which
@@ -79,19 +82,23 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         anchor : 'a anchor;
       }
 
-  (* [right_key] is physically [right]'s key ([K.any] for the tail), and
-     [right_succ] holds [right]'s succ cell, in [Fr_skiplist]'s idiom: a
-     [Lazy.from_val] of the cell, which is the cell itself, so forcing it
-     is a tag test.  The tail's own descriptor has no right node and
-     holds [lazy (null ())], which no step forces, because none moves
-     onto the tail. *)
-  and 'a succ = {
-    right : 'a node;
-    right_key : K.t;
-    right_succ : 'a succ M.aref Lazy.t;
-    mark : bool;
-    flag : bool;
-  }
+  (* A descriptor's constructor is its state (see the header).
+     [right_key] is physically [right]'s key ([K.any] for the tail), and
+     [right_succ] is [right]'s succ cell.  [End] is the tail's own
+     descriptor, which has no right node; no other cell holds it. *)
+  and 'a succ =
+    | End
+    | Clean of { right : 'a node; right_key : K.t; right_succ : 'a succ M.aref }
+    | Flagged of {
+        right : 'a node;
+        right_key : K.t;
+        right_succ : 'a succ M.aref;
+      }
+    | Marked of {
+        right : 'a node;
+        right_key : K.t;
+        right_succ : 'a succ M.aref;
+      }
 
   (* What a hint slot holds: a box that points at its node until the
      node is marked, when the winner of the marking C&S empties it.  A
@@ -149,6 +156,19 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let anchor_of = function Node n -> n.anchor | Sentinel _ | Null -> null ()
 
+  (* A descriptor's right node ([Null] for [End]) and its two bits. *)
+  let right_of = function
+    | Clean { right; _ } | Flagged { right; _ } | Marked { right; _ } -> right
+    | End -> Null
+
+  let[@inline] is_marked = function
+    | Marked _ -> true
+    | End | Clean _ | Flagged _ -> false
+
+  let is_flagged = function
+    | Flagged _ -> true
+    | End | Clean _ | Marked _ -> false
+
   (* [n] is a regular node holding key [k].  A sentinel never matches, so
      [K.any] may be a live key. *)
   let holds n k =
@@ -173,18 +193,21 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      unchecked memories (where annotation is a no-op anyway) do not even
      pay for rendering the owner key on the insert path. *)
   let succ_view_of tail owner (s : _ succ) : Lf_kernel.Protocol.succ_view =
-    {
-      right_id =
-        (match s.right with
-        | Null -> Lf_kernel.Protocol.null_id
-        | r -> M.stamp (succ_of r));
-      right_gt_owner =
-        (match s.right with
-        | Null -> true
-        | r -> BK.lt owner (bounded_key tail r));
-      mark = s.mark;
-      flag = s.flag;
-    }
+    match right_of s with
+    | Null ->
+        {
+          right_id = Lf_kernel.Protocol.null_id;
+          right_gt_owner = true;
+          mark = false;
+          flag = false;
+        }
+    | r ->
+        {
+          right_id = M.stamp (succ_of r);
+          right_gt_owner = BK.lt owner (bounded_key tail r);
+          mark = is_marked s;
+          flag = is_flagged s;
+        }
 
   let link_view_of tail owner (l : _ node) : Lf_kernel.Protocol.link_view =
     match l with
@@ -213,27 +236,12 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      order. *)
   let create_with ?mutation ?(use_hints = true) ~use_flags () =
     let backlink = M.make Null in
-    let succ =
-      M.make
-        {
-          right = Null;
-          right_key = K.any;
-          right_succ = lazy (null ());
-          mark = false;
-          flag = false;
-        }
-    in
+    let succ = M.make End in
     let tail = Sentinel { succ; backlink } in
     let backlink = M.make Null in
     let succ =
       M.make
-        {
-          right = tail;
-          right_key = K.any;
-          right_succ = Lazy.from_val (succ_of tail);
-          mark = false;
-          flag = false;
-        }
+        (Clean { right = tail; right_key = K.any; right_succ = succ_of tail })
     in
     let head = Sentinel { succ; backlink } in
     (* The flagless ablation deliberately breaks the protocol; it stays
@@ -266,50 +274,53 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      the physical deletion C&S on [prev].succ: (del,0,1) -> (del.right,0,0).
      In the flagless ablation the expected descriptor is (del,0,0) instead.
      If the current descriptor is not of that shape the paper's C&S would
-     simply fail, so we skip the attempt. *)
-  let help_marked t prev del =
+     simply fail, so we skip the attempt.  [unlink] returns whether the C&S
+     succeeded. *)
+  let unlink t prev del =
     let ds = M.get (succ_of del) in
     let expect = M.get (succ_of prev) in
-    if
-      expect.right == del
-      && (not expect.mark)
-      && Bool.equal expect.flag t.use_flags
-    then
-      ignore
-        (M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect
-           {
-             right = ds.right;
-             right_key = ds.right_key;
-             right_succ = ds.right_succ;
-             mark = false;
-             flag = false;
-           })
+    match (expect, ds) with
+    | (Clean { right; _ } | Flagged { right; _ }), Marked d
+      when right == del && Bool.equal (is_flagged expect) t.use_flags ->
+        M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect
+          (Clean
+             {
+               right = d.right;
+               right_key = d.right_key;
+               right_succ = d.right_succ;
+             })
+    | _ -> false
+
+  let help_marked t prev del = ignore (unlink t prev del)
 
   (* HELPFLAGGED / TRYMARK (Fig. 4).  [prev] is flagged with successor [del]:
      set the backlink, mark [del] (helping any deletion of [del]'s own
      successor that blocks the marking), then physically delete it. *)
   let rec help_flagged t prev del =
     M.set (backlink_of del) prev;
-    if not (M.get (succ_of del)).mark then try_mark t del;
+    if not (is_marked (M.get (succ_of del))) then try_mark t del;
     help_marked t prev del
 
   and try_mark t del =
     (* Repeat until [del] is marked.  A flagged successor field means the
        deletion of [del]'s successor is in progress: help it finish first
-       (the flag blocks our marking C&S). *)
-    let s = M.get (succ_of del) in
-    if s.mark then ()
-    else if s.flag then
-      if no_help t then try_mark t del
-      else begin
-        M.event Ev.Help;
-        help_flagged t del s.right;
-        try_mark t del
-      end
-    else if
-      M.cas (succ_of del) ~kind:Ev.Marking ~expect:s { s with mark = true }
-    then (anchor_of del).live <- Null
-    else try_mark t del
+       (the flag blocks our marking C&S).  Only the tail, which is never
+       deleted, holds [End]. *)
+    match M.get (succ_of del) with
+    | Marked _ | End -> ()
+    | Flagged { right; _ } ->
+        if no_help t then try_mark t del
+        else begin
+          M.event Ev.Help;
+          help_flagged t del right;
+          try_mark t del
+        end
+    | Clean { right; right_key; right_succ } as s ->
+        if
+          M.cas (succ_of del) ~kind:Ev.Marking ~expect:s
+            (Marked { right; right_key; right_succ })
+        then (anchor_of del).live <- Null
+        else try_mark t del
 
   (* SEARCHFROM (Fig. 3).  Starting from [curr] (whose key must be <= k),
      [cs] being the descriptor last read from it, finds two nodes (n1, n2)
@@ -319,41 +330,50 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      encountered along the way are physically deleted (helping).
 
      [goes_past] is the test of lines 2 and 7, [next.key <= k], made on
-     [cs.right_key], and a step reads [next]'s descriptor through
-     [cs.right_succ], so an unobstructed step never loads [next].
-     [search_from] carries lines 2-9 and [skip_marked] the loop of lines
-     3-6.  When that loop does not run, [next] is unchanged and line 7
-     would repeat line 2's test, so it is skipped: an unobstructed step
-     makes one key comparison. *)
-  let[@inline] goes_past t inclusive k cs =
-    cs.right != t.tail
+     the [right] and [right_key] of [curr]'s descriptor, and a step reads
+     [next]'s descriptor through its [right_succ], so an unobstructed step
+     never loads [next].  [search_from] carries lines 2-9 and
+     [skip_marked] the loop of lines 3-6.  When that loop does not run,
+     [next] is unchanged and line 7 would repeat line 2's test, so it is
+     skipped: an unobstructed step makes one key comparison.  Each step
+     matches its descriptor once, with one or-pattern over the three
+     states; [End] would mean the search stands on the tail, which none
+     does. *)
+  let[@inline] goes_past t inclusive k next next_key =
+    next != t.tail
     &&
-    let c = K.compare cs.right_key k in
+    let c = K.compare next_key k in
     if inclusive then c <= 0 else c < 0
 
-  (* Line 3's test on [cs], the descriptor last read from [curr]:
-     [cs.right] is marked, unless both [curr] and it are marked and
-     adjacent (in which case [curr] was marked first and we may travel
-     through both). *)
-  let skips curr cs =
-    (M.get (Lazy.force cs.right_succ)).mark
+  (* Line 3's test on [next] and its cell [ncell], from the descriptor
+     last read from [curr]: [next] is marked, unless both [curr] and it
+     are marked and adjacent (in which case [curr] was marked first and we
+     may travel through both). *)
+  let skips curr next ncell =
+    is_marked (M.get ncell)
     &&
-    let s = M.get (succ_of curr) in
-    (not s.mark) || s.right != cs.right
+    match M.get (succ_of curr) with
+    | Marked { right; _ } -> right != next
+    | End | Clean _ | Flagged _ -> true
 
   (* Lines 4-6, repeated while line 3's test holds; returns the descriptor
      from which the last line 6 read [next]. *)
   let rec skip_marked t curr next =
-    if (M.get (succ_of curr)).right == next then help_marked t curr next;
+    if right_of (M.get (succ_of curr)) == next then help_marked t curr next;
     let cs = M.get (succ_of curr) in
     M.event Ev.Next_update;
-    if skips curr cs then skip_marked t curr cs.right else cs
+    match cs with
+    | Clean { right; right_succ; _ }
+    | Flagged { right; right_succ; _ }
+    | Marked { right; right_succ; _ } ->
+        if skips curr right right_succ then skip_marked t curr right else cs
+    | End -> null ()
 
   (* Chain-of-backlinks traversal (TRYFLAG line 9-10, INSERT line 17-18):
      walk left until an unmarked node.  Backlink chains are key-decreasing
      and bottom out at the head sentinel, so this terminates. *)
   let rec backtrack p =
-    if (M.get (succ_of p)).mark then begin
+    if is_marked (M.get (succ_of p)) then begin
       M.event Ev.Backlink_step;
       backtrack (M.get (backlink_of p))
     end
@@ -374,7 +394,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      to be total against) falls back to the head. *)
 
   let rec unmark_left t n =
-    if (M.get (succ_of n)).mark then begin
+    if is_marked (M.get (succ_of n)) then begin
       M.event Ev.Backlink_step;
       match M.get (backlink_of n) with Null -> t.head | p -> unmark_left t p
     end
@@ -506,31 +526,35 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       a succ ->
       r =
    fun t nx x s inclusive k curr cs ->
-    if goes_past t inclusive k cs then begin
-      let next = cs.right in
-      (* Forced once: each force is a C call ([caml_obj_tag]). *)
-      let ncell = Lazy.force cs.right_succ in
-      if
-        (M.get ncell).mark
-        &&
-        let cs = M.get (succ_of curr) in
-        (not cs.mark) || cs.right != next
-      then begin
-        let cs = skip_marked t curr next in
-        if goes_past t inclusive k cs then begin
-          let next = cs.right in
-          M.event Ev.Curr_update;
-          search_from t nx x s inclusive k next
-            (M.get (Lazy.force cs.right_succ))
+    match cs with
+    | Clean { right = next; right_key; right_succ = ncell }
+    | Flagged { right = next; right_key; right_succ = ncell }
+    | Marked { right = next; right_key; right_succ = ncell } ->
+        if goes_past t inclusive k next right_key then begin
+          if
+            is_marked (M.get ncell)
+            &&
+            match M.get (succ_of curr) with
+            | Marked { right; _ } -> right != next
+            | End | Clean _ | Flagged _ -> true
+          then
+            match skip_marked t curr next with
+            | Clean { right = next; right_key; right_succ }
+            | Flagged { right = next; right_key; right_succ }
+            | Marked { right = next; right_key; right_succ } ->
+                if goes_past t inclusive k next right_key then begin
+                  M.event Ev.Curr_update;
+                  search_from t nx x s inclusive k next (M.get right_succ)
+                end
+                else found t nx x s k curr next
+            | End -> null ()
+          else begin
+            M.event Ev.Curr_update;
+            search_from t nx x s inclusive k next (M.get ncell)
+          end
         end
-        else found t nx x s k curr cs.right
-      end
-      else begin
-        M.event Ev.Curr_update;
-        search_from t nx x s inclusive k next (M.get ncell)
-      end
-    end
-    else found t nx x s k curr cs.right
+        else found t nx x s k curr next
+    | End -> null ()
 
   and search :
       type a x r.
@@ -580,7 +604,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
            physical deletion and retry, so the returned node was regular
            while adjacent to its predecessor. *)
         if n2 == t.tail then None
-        else if (M.get (succ_of n2)).mark then begin
+        else if is_marked (M.get (succ_of n2)) then begin
           help_marked t n1 n2;
           find_ge_from t k n1
         end
@@ -589,27 +613,26 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   (* TRYFLAG (Fig. 5): flag the predecessor of [target], then finish the
      deletion ([flagged]).  Returns whether we placed the flag: [false]
      also when a concurrent deletion placed it, or when [target] is no
-     longer in the list. *)
+     longer in the list.  The flagging C&S is tried only on a clean
+     descriptor whose right is [target]; on any other it would fail. *)
   and try_flag : 'a. 'a t -> 'a node -> 'a node -> bool =
    fun t prev target ->
-    let ps = M.get (succ_of prev) in
-    if ps.right == target && (not ps.mark) && ps.flag then
-      flagged t prev target false
-    else if
-      ps.right == target && (not ps.mark) && (not ps.flag)
-      && M.cas (succ_of prev) ~kind:Ev.Flagging ~expect:ps
-           { ps with flag = true }
-    then flagged t prev target true
-    else begin
-      (* The flagging C&S failed (or was doomed): re-examine the cell to
-         find out why, exactly as the paper branches on the C&S result. *)
-      let ps' = M.get (succ_of prev) in
-      if ps'.right == target && (not ps'.mark) && ps'.flag then
-        flagged t prev target false
-      else
-        let prev = backtrack prev in
-        search t Reflag target t.off false (key_of target) prev
-    end
+    match M.get (succ_of prev) with
+    | Flagged { right; _ } when right == target -> flagged t prev target false
+    | Clean { right; right_key; right_succ } as ps
+      when right == target
+           && M.cas (succ_of prev) ~kind:Ev.Flagging ~expect:ps
+                (Flagged { right; right_key; right_succ }) ->
+        flagged t prev target true
+    | End | Clean _ | Flagged _ | Marked _ -> (
+        (* The flagging C&S failed (or was doomed): re-examine the cell to
+           find out why, exactly as the paper branches on the C&S result. *)
+        match M.get (succ_of prev) with
+        | Flagged { right; _ } when right == target ->
+            flagged t prev target false
+        | End | Clean _ | Flagged _ | Marked _ ->
+            let prev = backtrack prev in
+            search t Reflag target t.off false (key_of target) prev)
 
   (* INSERT (Fig. 5): [insert_attempt] is lines 3-13 (help a flagged
      predecessor, else C&S the new node in) and [insert_recover] lines
@@ -619,62 +642,45 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       'a. 'a t -> 'a anchor Hint.slot -> K.t -> 'a -> 'a node -> 'a node -> bool
       =
    fun t s k elt prev next ->
-    let ps = M.get (succ_of prev) in
-    if ps.flag then
-      if no_help t then insert_attempt t s k elt prev next
-      else begin
-        (* Predecessor is flagged: help the pending deletion complete. *)
-        M.event Ev.Help;
-        help_flagged t prev ps.right;
-        search t Insert elt s true k prev
-      end
-    else if ps.mark || ps.right != next then
-      (* Stale view: the C&S would fail; recover as after a failure. *)
-      insert_recover t s k elt prev
-    else begin
-      (* [ps.right] is [next], so [ps.right_key] and [ps.right_succ] are
-         its key and cell. *)
-      let backlink = M.make Null in
-      let succ =
-        M.make
-          {
-            right = next;
-            right_key = ps.right_key;
-            right_succ = ps.right_succ;
-            mark = false;
-            flag = false;
-          }
-      in
-      let anchor = { live = Null } in
-      let nn = Node { key = k; elt; succ; backlink; anchor } in
-      anchor.live <- nn;
-      if t.use_flags then annotate_node t.tail nn;
-      if
-        M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
-          {
-            right = nn;
-            right_key = k;
-            right_succ = Lazy.from_val succ;
-            mark = false;
-            flag = false;
-          }
-      then begin
-        carry t s nn;
-        true
-      end
-      else insert_recover t s k elt prev
-    end
+    match M.get (succ_of prev) with
+    | Flagged { right; _ } ->
+        if no_help t then insert_attempt t s k elt prev next
+        else begin
+          (* Predecessor is flagged: help the pending deletion complete. *)
+          M.event Ev.Help;
+          help_flagged t prev right;
+          search t Insert elt s true k prev
+        end
+    | Clean { right; right_key; right_succ } as ps when right == next ->
+        (* [right_key] and [right_succ] are [next]'s key and cell. *)
+        let backlink = M.make Null in
+        let succ = M.make (Clean { right; right_key; right_succ }) in
+        let anchor = { live = Null } in
+        let nn = Node { key = k; elt; succ; backlink; anchor } in
+        anchor.live <- nn;
+        if t.use_flags then annotate_node t.tail nn;
+        if
+          M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
+            (Clean { right = nn; right_key = k; right_succ = succ })
+        then begin
+          carry t s nn;
+          true
+        end
+        else insert_recover t s k elt prev
+    | End | Clean _ | Marked _ ->
+        (* Stale view: the C&S would fail; recover as after a failure. *)
+        insert_recover t s k elt prev
 
   and insert_recover :
       'a. 'a t -> 'a anchor Hint.slot -> K.t -> 'a -> 'a node -> bool =
    fun t s k elt prev ->
     (* Lines 14-18: if the failure was due to flagging, help; if due to
        marking, traverse backlinks to an unmarked node. *)
-    let ps = M.get (succ_of prev) in
-    if ps.flag && not (no_help t) then begin
-      M.event Ev.Help;
-      help_flagged t prev ps.right
-    end;
+    (match M.get (succ_of prev) with
+    | Flagged { right; _ } when not (no_help t) ->
+        M.event Ev.Help;
+        help_flagged t prev right
+    | End | Clean _ | Flagged _ | Marked _ -> ());
     let prev = backtrack prev in
     search t Insert elt s true k prev
 
@@ -711,15 +717,17 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      chains of backlinks grow rightward - the pathology flags prevent. *)
   let rec mark_flagless prev del =
     M.set (backlink_of del) prev;
-    let s = M.get (succ_of del) in
-    if s.mark then false
-    else if
-      M.cas (succ_of del) ~kind:Ev.Marking ~expect:s { s with mark = true }
-    then begin
-      (anchor_of del).live <- Null;
-      true
-    end
-    else mark_flagless prev del
+    match M.get (succ_of del) with
+    | Clean { right; right_key; right_succ } as s ->
+        if
+          M.cas (succ_of del) ~kind:Ev.Marking ~expect:s
+            (Marked { right; right_key; right_succ })
+        then begin
+          (anchor_of del).live <- Null;
+          true
+        end
+        else mark_flagless prev del
+    | End | Flagged _ | Marked _ -> false
 
   let delete_flagless t k =
     let prev, del = search t Window () t.off false k t.head in
@@ -729,19 +737,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       (* One direct unlink attempt; if [prev] is stale (e.g. itself marked)
          it does nothing, so fall back to a cleanup search exactly as
          Harris's delete does. *)
-      let ds = M.get (succ_of del) in
-      let expect = M.get (succ_of prev) in
-      let unlinked =
-        expect.right == del && (not expect.mark) && (not expect.flag)
-        && M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect
-             {
-               right = ds.right;
-               right_key = ds.right_key;
-               right_succ = ds.right_succ;
-               mark = false;
-               flag = false;
-             }
-      in
+      let unlinked = unlink t prev del in
       (* Inclusive so the search traverses (and thus physically deletes) the
          marked node with key [k] itself. *)
       if not unlinked then ignore (search t Pred () t.off true k t.head);
@@ -764,32 +760,31 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           (* Run the honest three-step deletion, then C&S the frozen marked
              descriptor once more: INV 2 (marked is terminal). *)
           let won = delete_flagged t k in
-          let s = M.get (succ_of del) in
-          if s.mark then
-            ignore
-              (M.cas (succ_of del) ~kind:Ev.Marking ~expect:s
-                 { s with mark = true });
+          (match M.get (succ_of del) with
+          | Marked { right; right_key; right_succ } as s ->
+              ignore
+                (M.cas (succ_of del) ~kind:Ev.Marking ~expect:s
+                   (Marked { right; right_key; right_succ }))
+          | End | Clean _ | Flagged _ -> ());
           won
-      | Unlink_unflagged ->
+      | Unlink_unflagged -> (
           (* Physically delete [del] without flagging or marking anything:
              INV 3 (unlink from an unflagged predecessor). *)
-          let ps = M.get (succ_of prev) in
-          if ps.right == del && (not ps.mark) && not ps.flag then begin
-            let ds = M.get (succ_of del) in
-            ignore
-              (M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect:ps
-                 {
-                   right = ds.right;
-                   right_key = ds.right_key;
-                   right_succ = ds.right_succ;
-                   mark = false;
-                   flag = false;
-                 })
-          end;
-          true
+          match M.get (succ_of prev) with
+          | Clean { right; _ } as ps when right == del ->
+              (match M.get (succ_of del) with
+              | Clean { right; right_key; right_succ }
+              | Flagged { right; right_key; right_succ }
+              | Marked { right; right_key; right_succ } ->
+                  ignore
+                    (M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect:ps
+                       (Clean { right; right_key; right_succ }))
+              | End -> null ());
+              true
+          | End | Clean _ | Flagged _ | Marked _ -> true)
       | Backlink_right ->
           (* Point the victim's backlink at its *successor*: INV 4. *)
-          (match (M.get (succ_of del)).right with
+          (match right_of (M.get (succ_of del)) with
           | Null -> ()
           | nxt -> M.set (backlink_of del) nxt);
           true
@@ -861,11 +856,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   (* Smallest key: successor of -inf.  Walk from the head, helping past
      marked nodes. *)
   let rec min_binding t =
-    match (M.get (succ_of t.head)).right with
+    match right_of (M.get (succ_of t.head)) with
     | Null -> None
     | n ->
         if n == t.tail then None
-        else if (M.get (succ_of n)).mark then begin
+        else if is_marked (M.get (succ_of n)) then begin
           help_marked t t.head n;
           min_binding t
         end
@@ -874,7 +869,9 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let rec fold_range_from hi f acc = function
     | Node r when K.compare hi r.key >= 0 ->
         let s = M.get r.succ in
-        fold_range_from hi f (if s.mark then acc else f acc r.key r.elt) s.right
+        fold_range_from hi f
+          (if is_marked s then acc else f acc r.key r.elt)
+          (right_of s)
     | Node _ | Sentinel _ | Null -> acc
 
   (* Fold over the regular bindings with lo <= key <= hi, in key order.
@@ -893,18 +890,19 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       | Null -> acc
       | Node n ->
           let s = M.get n.succ in
-          go (if s.mark then acc else f acc n.key n.elt) s.right
-      | Sentinel n -> go acc (M.get n.succ).right
+          go (if is_marked s then acc else f acc n.key n.elt) (right_of s)
+      | Sentinel n -> go acc (right_of (M.get n.succ))
     in
-    go acc (M.get (succ_of t.head)).right
+    go acc (right_of (M.get (succ_of t.head)))
 
   let to_list t = List.rev (fold t (fun acc k e -> (k, e) :: acc) [])
   let iter t f = fold t (fun () k e -> f k e) ()
   let length t = fold t (fun acc _ _ -> acc + 1) 0
 
   (* Structural validation at quiescence: strictly sorted keys (INV 1), no
-     marked or flagged node still physically linked, the head and the tail
-     the only sentinels, and every linked descriptor's [right_key] and
+     marked or flagged node, the head included, still physically linked,
+     the head and the tail the only sentinels, [End] in the tail's cell
+     and in no other, and every linked descriptor's [right_key] and
      [right_succ] physically its right node's key and cell. *)
   let check_invariants t =
     let fail fmt = Format.kasprintf failwith fmt in
@@ -912,37 +910,40 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     (match (t.head, t.tail) with
     | Sentinel _, Sentinel _ -> ()
     | _ -> fail "fr-list: the head or the tail is not a sentinel");
-    (* [ps] is the descriptor of [prev], the node last visited. *)
+    (* [ps] is the descriptor of [prev], the node last visited, which is
+       the head or a regular node: at quiescence it is [Clean]. *)
     let rec go prev ps =
-      match ps.right with
-      | Null -> fail "fr-list: tail sentinel not reached"
-      | Sentinel n as next ->
-          if next != t.tail then
-            fail "fr-list: a sentinel other than the tail is linked (after %a)"
-              BK.pp (bk prev);
-          if ps.right_key != K.any then
-            fail "fr-list: right_key is not K.any before the tail";
-          if Lazy.force ps.right_succ != n.succ then
-            fail "fr-list: right_succ is not the tail's cell";
-          if (M.get n.succ).right != Null then
-            fail "fr-list: tail has a successor"
-      | Node n as next ->
-          if ps.right_key != n.key then
-            fail "fr-list: right_key is not the right node's key (after %a)"
-              BK.pp (bk prev);
-          if Lazy.force ps.right_succ != n.succ then
-            fail "fr-list: right_succ is not the right node's cell (after %a)"
-              BK.pp (bk prev);
-          if not (BK.lt (bk prev) (bk next)) then
-            fail "fr-list: keys not strictly sorted (%a then %a)" BK.pp
-              (bk prev) BK.pp (bk next);
-          let s = M.get n.succ in
-          if s.mark then
-            fail "fr-list: marked node with key %a linked at quiescence" K.pp
-              n.key;
-          if s.flag then
-            fail "fr-list: flagged node with key %a at quiescence" K.pp n.key;
-          go next s
+      match ps with
+      | End -> fail "fr-list: the cell of %a holds End" BK.pp (bk prev)
+      | Marked _ ->
+          fail "fr-list: marked node %a linked at quiescence" BK.pp (bk prev)
+      | Flagged _ ->
+          fail "fr-list: flagged node %a at quiescence" BK.pp (bk prev)
+      | Clean { right; right_key; right_succ } -> (
+          match right with
+          | Null -> fail "fr-list: tail sentinel not reached"
+          | Sentinel n as next ->
+              if next != t.tail then
+                fail
+                  "fr-list: a sentinel other than the tail is linked (after %a)"
+                  BK.pp (bk prev);
+              if right_key != K.any then
+                fail "fr-list: right_key is not K.any before the tail";
+              if right_succ != n.succ then
+                fail "fr-list: right_succ is not the tail's cell";
+              if M.get n.succ != End then fail "fr-list: tail has a successor"
+          | Node n as next ->
+              if right_key != n.key then
+                fail "fr-list: right_key is not the right node's key (after %a)"
+                  BK.pp (bk prev);
+              if right_succ != n.succ then
+                fail
+                  "fr-list: right_succ is not the right node's cell (after %a)"
+                  BK.pp (bk prev);
+              if not (BK.lt (bk prev) (bk next)) then
+                fail "fr-list: keys not strictly sorted (%a then %a)" BK.pp
+                  (bk prev) BK.pp (bk next);
+              go next (M.get n.succ))
     in
     go t.head (M.get (succ_of t.head))
 
@@ -964,8 +965,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         let s = M.get (succ_of n) in
         {
           key = bk n;
-          marked = s.mark;
-          flagged = s.flag;
+          marked = is_marked s;
+          flagged = is_flagged s;
           is_sentinel = n == t.head || n == t.tail;
           backlink_key =
             (match M.get (backlink_of n) with
@@ -975,20 +976,21 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       in
       let rec go acc n =
         let acc = cell_of n :: acc in
-        match (M.get (succ_of n)).right with
+        match right_of (M.get (succ_of n)) with
         | Null -> List.rev acc
         | m -> go acc m
       in
       go [] t.head
 
-    (* INV 1-5 restricted to the physically linked chain.  Returns [Error]
-       with a description of the first violation found. *)
+    (* INV 1-4 restricted to the physically linked chain; INV 5 holds by
+       construction.  Returns [Error] with a description of the first
+       violation found. *)
     let check_now t =
       let ( let* ) r f = match r with Error _ as e -> e | Ok () -> f () in
       let bk = bounded_key t.tail in
       let rec walk m_node =
         let m_succ = M.get (succ_of m_node) in
-        match m_succ.right with
+        match right_of m_succ with
         | Null ->
             if m_node == t.tail then Ok ()
             else Error "chain ends before the tail sentinel"
@@ -999,17 +1001,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
               else Error "INV1: keys not strictly sorted"
             in
             let* () =
-              if m_succ.mark && m_succ.flag then
-                Error "INV5: node both marked and flagged"
-              else Ok ()
-            in
-            let* () =
               (* INV3/INV4: a logically deleted node (marked, with an
                  unmarked node linked to it) has a flagged predecessor and a
                  backlink pointing at that predecessor.  Only enforced in
                  flag mode; the ablation deliberately violates it. *)
-              if t.use_flags && n_succ.mark && not m_succ.mark then
-                if not m_succ.flag then
+              if t.use_flags && is_marked n_succ && not (is_marked m_succ)
+              then
+                if not (is_flagged m_succ) then
                   Error "INV3: predecessor of logically deleted node unflagged"
                 else
                   match M.get (backlink_of n) with
@@ -1023,11 +1021,12 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
             let* () =
               (* INV3 second half: successor of a logically deleted node is
                  unmarked. *)
-              if t.use_flags && n_succ.mark && not m_succ.mark then
-                match n_succ.right with
+              if t.use_flags && is_marked n_succ && not (is_marked m_succ)
+              then
+                match right_of n_succ with
                 | Null -> Ok ()
                 | r ->
-                    if (M.get (succ_of r)).mark then
+                    if is_marked (M.get (succ_of r)) then
                       Error "INV3: successor of logically deleted node marked"
                     else Ok ()
               else Ok ()

@@ -2,8 +2,10 @@
     Figures 3-5 — the paper's primary contribution.
 
     Every node carries a successor descriptor [(right, mark, flag)] in one
-    C&S-able word and a backlink pointer.  Deleting node B with predecessor
-    A takes three C&S steps:
+    C&S-able word and a backlink pointer.  The paper steals two pointer
+    bits for mark and flag; here they are the descriptor's constructor, so
+    a descriptor both marked and flagged cannot be built.  Deleting node B
+    with predecessor A takes three C&S steps:
 
     + {e flag} A: [A.succ: (B,0,0) -> (B,0,1)] (TRYFLAG) — pins A;
     + {e mark} B: set [B.backlink <- A], then [B.succ: (C,0,0) -> (C,1,0)]

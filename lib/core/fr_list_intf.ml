@@ -4,10 +4,12 @@
 
    The layout stays abstract.  A regular node is one inline record
    holding its key and element unboxed; the head and the tail are the
-   only two sentinels, which hold no key or element; and every succ
-   descriptor carries copies of its right node's key and succ cell, so
-   [check_invariants] checks the copies and the sentinels, and [Debug]
-   renders a sentinel's key as -inf/+inf. *)
+   only two sentinels, which hold no key or element; every succ
+   descriptor's constructor is its mark and flag, and it carries copies
+   of its right node's key and succ cell; and the tail's own descriptor,
+   which has no right node, is a constant that no other cell holds.  So
+   [check_invariants] checks the copies, the sentinels and that constant,
+   and [Debug] renders a sentinel's key as -inf/+inf. *)
 
 module type S = sig
   type key
@@ -123,9 +125,11 @@ module type S = sig
 
   val check_invariants : 'a t -> unit
   (** Quiescent structural validation: strict sorting (INV 1), no marked or
-      flagged node still linked, the head and the tail the only sentinels,
-      and every linked descriptor's copies of its right node's key and
-      succ cell physically that key and cell.  Raises [Failure] on
+      flagged node, the head included, still linked, the head and the tail
+      the only sentinels,
+      the tail's own descriptor in the tail's cell and in no other, and
+      every linked descriptor's copies of its right node's key and succ
+      cell physically that key and cell.  Raises [Failure] on
       violation. *)
 
   (** {1 Introspection}
@@ -146,9 +150,10 @@ module type S = sig
     (** Every node physically reachable from the head, sentinels included. *)
 
     val check_now : 'a t -> (unit, string) result
-    (** INV 1-5 of Section 3.3 restricted to the physically linked chain:
-        sortedness, mark/flag exclusion, flagged predecessor and correct
-        backlink for every logically deleted node.  The flagless ablation is
-        only checked for INV 1 and INV 5. *)
+    (** INV 1-4 of Section 3.3 restricted to the physically linked chain:
+        sortedness, and a flagged predecessor and correct backlink for
+        every logically deleted node.  INV 5 (mark/flag exclusion) holds by
+        construction: no descriptor is both.  The flagless ablation is only
+        checked for INV 1. *)
   end
 end

@@ -2,10 +2,11 @@
 
    Each key is represented by a *tower* of nodes, one node per level; the
    nodes of one level form a singly-linked list maintained with the
-   linked-list algorithms of Section 3 (succ descriptors with mark and flag
-   bits, backlinks).  Every non-root node carries an immutable [down]
-   pointer to the node one level below and a [tower_root] pointer to the
-   root (level-1) node of its tower; a tower whose root is marked is
+   linked-list algorithms of Section 3 (succ descriptors whose constructor
+   is their mark and flag bits, as in [Fr_list], and backlinks).  Every
+   non-root node carries an immutable [down] pointer to the node one level
+   below and a [tower_root] pointer to the root (level-1) node of its
+   tower; a tower whose root is marked is
    *superfluous* and searches physically delete any superfluous node they
    encounter (three-step deletion at that level), so that chains of
    backlinks on the lower levels cannot be retraversed indefinitely.
@@ -84,22 +85,24 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         backlink : 'a node M.aref;
       }
 
-  (* [right_key] is physically [right]'s key ([K.any] for the tail), and
-     [right_succ] holds [right]'s succ cell.  The tail's own descriptor has
-     no right node, yet the field needs a cell, and [M.aref] is abstract,
-     so no placeholder cell can be made without an [M.make], which would
-     renumber the simulator's cells.  A lazy cell gives one without a box:
-     every other descriptor stores [Lazy.from_val cell], which returns the
-     cell itself (a cell is a block that is neither lazy nor a float), so
-     forcing it is a tag test; the tail's stores [lazy (null ())], which
-     no walk forces, because none moves right onto the tail. *)
-  and 'a succ = {
-    right : 'a node;
-    right_key : K.t;
-    right_succ : 'a succ M.aref Lazy.t;
-    mark : bool;
-    flag : bool;
-  }
+  (* A descriptor's constructor is its state, as in [Fr_list]: [Clean]
+     (right,0,0), [Flagged] (right,0,1) or [Marked] (right,1,0).
+     [right_key] is physically [right]'s key ([K.any] for the tail), and
+     [right_succ] is [right]'s succ cell.  [End] is the tail's own
+     descriptor, which has no right node; no other cell holds it. *)
+  and 'a succ =
+    | End
+    | Clean of { right : 'a node; right_key : K.t; right_succ : 'a succ M.aref }
+    | Flagged of {
+        right : 'a node;
+        right_key : K.t;
+        right_succ : 'a succ M.aref;
+      }
+    | Marked of {
+        right : 'a node;
+        right_key : K.t;
+        right_succ : 'a succ M.aref;
+      }
 
   type 'a t = {
     max_level : int;
@@ -118,6 +121,19 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let down_succ_of = function Node n -> n.down_succ | Null -> null ()
   let succ_of = function Node n -> n.succ | Null -> null ()
   let backlink_of = function Node n -> n.backlink | Null -> null ()
+
+  (* A descriptor's right node ([Null] for [End]) and its two bits. *)
+  let right_of = function
+    | Clean { right; _ } | Flagged { right; _ } | Marked { right; _ } -> right
+    | End -> Null
+
+  let[@inline] is_marked = function
+    | Marked _ -> true
+    | End | Clean _ | Flagged _ -> false
+
+  let is_flagged = function
+    | Flagged _ -> true
+    | End | Clean _ | Marked _ -> false
 
   (* [n] is a regular node holding key [k].  Sentinels carry [K.any], which
      may also be a live key, so they must never match: only sentinels have
@@ -149,18 +165,21 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      like a list node; the level (0 for the tail) is folded into the owner
      name to keep reports and per-level chain snapshots readable. *)
   let succ_view_of tail owner (s : _ succ) : Lf_kernel.Protocol.succ_view =
-    {
-      right_id =
-        (match s.right with
-        | Null -> Lf_kernel.Protocol.null_id
-        | Node r -> M.stamp r.succ);
-      right_gt_owner =
-        (match s.right with
-        | Null -> true
-        | r -> BK.lt owner (bounded_key tail r));
-      mark = s.mark;
-      flag = s.flag;
-    }
+    match right_of s with
+    | Null ->
+        {
+          right_id = Lf_kernel.Protocol.null_id;
+          right_gt_owner = true;
+          mark = false;
+          flag = false;
+        }
+    | r ->
+        {
+          right_id = M.stamp (succ_of r);
+          right_gt_owner = BK.lt owner (bounded_key tail r);
+          mark = is_marked s;
+          flag = is_flagged s;
+        }
 
   let link_view_of tail owner (l : _ node) : Lf_kernel.Protocol.link_view =
     match l with
@@ -202,16 +221,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       invalid_arg
         (Printf.sprintf "Fr_skiplist.create_with: max_level %d < 1" max_level);
     let backlink = M.make Null in
-    let succ =
-      M.make
-        {
-          right = Null;
-          right_key = K.any;
-          right_succ = lazy (null ());
-          mark = false;
-          flag = false;
-        }
-    in
+    let succ = M.make End in
     let tail =
       Node
         {
@@ -230,13 +240,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       let backlink = M.make Null in
       let succ =
         M.make
-          {
-            right = tail;
-            right_key = K.any;
-            right_succ = Lazy.from_val (succ_of tail);
-            mark = false;
-            flag = false;
-          }
+          (Clean { right = tail; right_key = K.any; right_succ = succ_of tail })
       in
       let down, down_succ =
         if l = 1 then (Null, succ)
@@ -264,7 +268,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      sentinels answer false here: a marked root is handled by the ordinary
      marked-node logic. *)
   let is_superfluous = function
-    | Node { tower_root = Node r; _ } -> (M.get r.succ).mark
+    | Node { tower_root = Node r; _ } -> is_marked (M.get r.succ)
     | Node _ | Null -> false
 
   (* --- The per-level linked-list machinery (Section 3 reused). ---
@@ -276,43 +280,46 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let help_marked prev del =
     let ds = M.get (succ_of del) in
     let expect = M.get (succ_of prev) in
-    if expect.right == del && (not expect.mark) && expect.flag then
-      ignore
-        (M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect
-           {
-             right = ds.right;
-             right_key = ds.right_key;
-             right_succ = ds.right_succ;
-             mark = false;
-             flag = false;
-           })
+    match (expect, ds) with
+    | Flagged { right; _ }, Marked d when right == del ->
+        ignore
+          (M.cas (succ_of prev) ~kind:Ev.Physical_delete ~expect
+             (Clean
+                {
+                  right = d.right;
+                  right_key = d.right_key;
+                  right_succ = d.right_succ;
+                }))
+    | _ -> ()
 
   let rec help_flagged t prev del =
     M.set (backlink_of del) prev;
-    if not (M.get (succ_of del)).mark then try_mark t del;
+    if not (is_marked (M.get (succ_of del))) then try_mark t del;
     help_marked prev del
 
+  (* Only the tail, which is never deleted, holds [End]. *)
   and try_mark t del =
-    let s = M.get (succ_of del) in
-    if s.mark then ()
-    else if s.flag then begin
-      M.event Ev.Help;
-      help_flagged t del s.right;
-      try_mark t del
-    end
-    else if
-      M.cas (succ_of del) ~kind:Ev.Marking ~expect:s { s with mark = true }
-    then ()
-    else try_mark t del
+    match M.get (succ_of del) with
+    | Marked _ | End -> ()
+    | Flagged { right; _ } ->
+        M.event Ev.Help;
+        help_flagged t del right;
+        try_mark t del
+    | Clean { right; right_key; right_succ } as s ->
+        if
+          not
+            (M.cas (succ_of del) ~kind:Ev.Marking ~expect:s
+               (Marked { right; right_key; right_succ }))
+        then try_mark t del
 
   let rec backtrack p =
-    if (M.get (succ_of p)).mark then begin
+    if is_marked (M.get (succ_of p)) then begin
       M.event Ev.Backlink_step;
       backtrack (M.get (backlink_of p))
     end
     else p
 
-  let level_nonempty t l = (M.get (succ_of (head_at t l))).right != t.tail
+  let level_nonempty t l = right_of (M.get (succ_of (head_at t l))) != t.tail
 
   (* FINDSTART_SL: the highest level that has content (or [v] if higher),
      scanning up from level [l]. *)
@@ -369,13 +376,15 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      level's succ fields and backlinks), [cs] being the descriptor last
      read from [curr], helping physical deletions of marked nodes and - in
      the default mode - deleting superfluous towers on the way.  The stop
-     test reads [cs.right_key], a right move reads [cs.right_succ] and a
+     test reads [cs]'s [right_key], a right move its [right_succ] and a
      descent [curr]'s [down_succ], so no step loads the node it moves to.
      Where SEARCHRIGHT would return above level [v], it steps down and
      walks on; at level [v] it hands the window (n1, n2), with n1.key <= k
      < n2.key (inclusive) or n1.key < k <= n2.key (exclusive), adjacent at
      some instant, to the step [nx].  Its shared accesses are those of one
-     SEARCHRIGHT per level, in the same order. *)
+     SEARCHRIGHT per level, in the same order.  A step matches its
+     descriptor once, with one or-pattern over the three states; [End]
+     would mean the walk stands on the tail, which none does. *)
   let rec walk :
       type a x r.
       a t ->
@@ -389,49 +398,47 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       a succ ->
       r =
    fun t nx x inclusive k v l curr cs ->
-    if
-      cs.right == t.tail
-      ||
-      let c = K.compare cs.right_key k in
-      if inclusive then c > 0 else c >= 0
-    then begin
-      if l > v then
-        walk t nx x inclusive k v (l - 1) (down_of curr)
-          (M.get (down_succ_of curr))
-      else found t nx x k v curr cs.right
-    end
-    else
-      let next = cs.right in
-      (* Forced once: each force is a C call ([caml_obj_tag]). *)
-      let ncell = Lazy.force cs.right_succ in
-      let nsucc = M.get ncell in
-      if nsucc.mark then begin
-        let cs = M.get (succ_of curr) in
-        if (not cs.mark) || cs.right != next then begin
-          if cs.right == next then help_marked curr next;
+    match cs with
+    | Clean { right = next; right_key; right_succ = ncell }
+    | Flagged { right = next; right_key; right_succ = ncell }
+    | Marked { right = next; right_key; right_succ = ncell } ->
+        if
+          next == t.tail
+          ||
+          let c = K.compare right_key k in
+          if inclusive then c > 0 else c >= 0
+        then begin
+          if l > v then
+            walk t nx x inclusive k v (l - 1) (down_of curr)
+              (M.get (down_succ_of curr))
+          else found t nx x k v curr next
+        end
+        else if is_marked (M.get ncell) then begin
+          match M.get (succ_of curr) with
+          | Marked { right; _ } when right == next ->
+              (* curr and next both marked and adjacent: step through. *)
+              M.event Ev.Curr_update;
+              walk t nx x inclusive k v l next (M.get (succ_of next))
+          | cs ->
+              if right_of cs == next then help_marked curr next;
+              M.event Ev.Next_update;
+              walk t nx x inclusive k v l curr (M.get (succ_of curr))
+        end
+        else if t.help_superfluous && is_superfluous next then begin
+          (* Delete the superfluous node from this level (Section 4:
+             searches perform all three deletion steps if necessary) and
+             go on from its predecessor, or from [curr] if it left the
+             level meanwhile. *)
+          let prev = try_flag_node t Unlink curr next in
+          let curr = if prev == Null then curr else prev in
           M.event Ev.Next_update;
           walk t nx x inclusive k v l curr (M.get (succ_of curr))
         end
         else begin
-          (* curr and next both marked and adjacent: step through. *)
           M.event Ev.Curr_update;
-          walk t nx x inclusive k v l next (M.get (succ_of next))
+          walk t nx x inclusive k v l next (M.get ncell)
         end
-      end
-      else if t.help_superfluous && is_superfluous next then begin
-        (* Delete the superfluous node from this level (Section 4:
-           searches perform all three deletion steps if necessary) and go
-           on from its predecessor, or from [curr] if it left the level
-           meanwhile. *)
-        let prev = try_flag_node t Unlink curr next in
-        let curr = if prev == Null then curr else prev in
-        M.event Ev.Next_update;
-        walk t nx x inclusive k v l curr (M.get (succ_of curr))
-      end
-      else begin
-        M.event Ev.Curr_update;
-        walk t nx x inclusive k v l next (M.get ncell)
-      end
+    | End -> null ()
 
   (* SEARCHRIGHT: the walk confined to the level of [curr] (curr.key <= k
      or curr is a head); [v] is that level, or 0 where no step needs it.
@@ -483,7 +490,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     | Unlink -> if n2 != x then Null else try_flag_node t nx n1 x
     | Succ ->
         if n2 == t.tail then None
-        else if (M.get (succ_of n2)).mark then begin
+        else if is_marked (M.get (succ_of n2)) then begin
           help_marked n1 n2;
           find_ge t k
         end
@@ -494,25 +501,26 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      hits, then finish the deletion (HELPFLAGGED, where its callers ran
      it).  Returns the predecessor the flag is on for the walk ([Unlink])
      whoever placed it, and for DELETENODE ([Reflag]) only if we placed
-     it; [Null] otherwise, and if [target] left the level. *)
+     it; [Null] otherwise, and if [target] left the level.  The flagging
+     C&S is tried only on a clean descriptor whose right is [target]; on
+     any other it would fail. *)
   and try_flag_node : 'a. 'a t -> ('a, 'a node, 'a node) next -> 'a node -> 'a node -> 'a node =
    fun t nx prev target ->
-    let ps = M.get (succ_of prev) in
-    if ps.right == target && (not ps.mark) && ps.flag then
-      flagged t nx prev target false
-    else if
-      ps.right == target && (not ps.mark) && (not ps.flag)
-      && M.cas (succ_of prev) ~kind:Ev.Flagging ~expect:ps
-           { ps with flag = true }
-    then flagged t nx prev target true
-    else begin
-      let ps' = M.get (succ_of prev) in
-      if ps'.right == target && (not ps'.mark) && ps'.flag then
+    match M.get (succ_of prev) with
+    | Flagged { right; _ } when right == target ->
         flagged t nx prev target false
-      else
-        let prev = backtrack prev in
-        search_right t nx target ~inclusive:false (key_of target) 0 prev
-    end
+    | Clean { right; right_key; right_succ } as ps
+      when right == target
+           && M.cas (succ_of prev) ~kind:Ev.Flagging ~expect:ps
+                (Flagged { right; right_key; right_succ }) ->
+        flagged t nx prev target true
+    | End | Clean _ | Flagged _ | Marked _ -> (
+        match M.get (succ_of prev) with
+        | Flagged { right; _ } when right == target ->
+            flagged t nx prev target false
+        | End | Clean _ | Flagged _ | Marked _ ->
+            let prev = backtrack prev in
+            search_right t nx target ~inclusive:false (key_of target) 0 prev)
 
   (* DELETENODE: the three-step deletion given a position hint; whether
      we placed the flag. *)
@@ -544,59 +552,43 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       'a node ->
       'a node =
    fun t nx x elt down k v prev next ->
-    let ps = M.get (succ_of prev) in
-    if ps.flag then begin
-      M.event Ev.Help;
-      help_flagged t prev ps.right;
-      search_right t nx x ~inclusive:true k v prev
-    end
-    else if ps.mark || ps.right != next then insert_recover t nx x k v prev
-    else begin
-      (* [ps.right] is [next], so [ps.right_key] and [ps.right_succ] are
-         its key and cell. *)
-      let backlink = M.make Null in
-      let succ =
-        M.make
-          {
-            right = next;
-            right_key = ps.right_key;
-            right_succ = ps.right_succ;
-            mark = false;
-            flag = false;
-          }
-      in
-      let down_succ = match down with Node d -> d.succ | Null -> succ in
-      let tower_root = match down with Node _ -> root_of down | Null -> Null in
-      let nn =
-        Node { key = k; elt; down; down_succ; tower_root; succ; backlink }
-      in
-      annotate_node t.tail nn;
-      if
-        M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
-          {
-            right = nn;
-            right_key = k;
-            right_succ = Lazy.from_val succ;
-            mark = false;
-            flag = false;
-          }
-      then
-        match tower_root with
-        | Node r when (M.get r.succ).mark ->
-            ignore (delete_node t prev nn);
-            Null
-        | _ -> nn
-      else insert_recover t nx x k v prev
-    end
+    match M.get (succ_of prev) with
+    | Flagged { right; _ } ->
+        M.event Ev.Help;
+        help_flagged t prev right;
+        search_right t nx x ~inclusive:true k v prev
+    | Clean { right; right_key; right_succ } as ps when right == next -> (
+        (* [right_key] and [right_succ] are [next]'s key and cell. *)
+        let backlink = M.make Null in
+        let succ = M.make (Clean { right; right_key; right_succ }) in
+        let down_succ = match down with Node d -> d.succ | Null -> succ in
+        let tower_root =
+          match down with Node _ -> root_of down | Null -> Null
+        in
+        let nn =
+          Node { key = k; elt; down; down_succ; tower_root; succ; backlink }
+        in
+        annotate_node t.tail nn;
+        if
+          M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
+            (Clean { right = nn; right_key = k; right_succ = succ })
+        then
+          match tower_root with
+          | Node r when is_marked (M.get r.succ) ->
+              ignore (delete_node t prev nn);
+              Null
+          | _ -> nn
+        else insert_recover t nx x k v prev)
+    | End | Clean _ | Marked _ -> insert_recover t nx x k v prev
 
   and insert_recover :
       'a 'x. 'a t -> ('a, 'x, 'a node) next -> 'x -> K.t -> int -> 'a node -> 'a node =
    fun t nx x k v prev ->
-    let ps = M.get (succ_of prev) in
-    if ps.flag then begin
-      M.event Ev.Help;
-      help_flagged t prev ps.right
-    end;
+    (match M.get (succ_of prev) with
+    | Flagged { right; _ } ->
+        M.event Ev.Help;
+        help_flagged t prev right
+    | End | Clean _ | Marked _ -> ());
     let prev = backtrack prev in
     search_right t nx x ~inclusive:true k v prev
 
@@ -629,11 +621,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      below; stop once the root gets marked.  Each upper level is located
      by a fresh search from the top. *)
   let rec ascend t k root height level last =
-    if level <= height && not (M.get (succ_of root)).mark then begin
+    if level <= height && not (is_marked (M.get (succ_of root))) then begin
       let nn = search_to_level t Level last ~inclusive:true k level in
       if nn == last then begin
         M.event Ev.Retry;
-        if not (M.get (succ_of root)).mark then
+        if not (is_marked (M.get (succ_of root))) then
           ascend t k root height level last
       end
       else if nn != Null then ascend t k root height (level + 1) nn
@@ -660,7 +652,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      concurrent smaller insert may be missed), exact at quiescence. *)
   let rec delete_min t =
     let head = head_at t 1 in
-    let first = (M.get (succ_of head)).right in
+    let first = right_of (M.get (succ_of head)) in
     if first == t.tail then None
     else if delete_node t head first then begin
       clean_up t (key_of first);
@@ -670,16 +662,16 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   let rec min_binding t =
     let head = head_at t 1 in
-    let n = (M.get (succ_of head)).right in
+    let n = right_of (M.get (succ_of head)) in
     if n == t.tail then None
-    else if (M.get (succ_of n)).mark then begin
+    else if is_marked (M.get (succ_of n)) then begin
       help_marked head n;
       min_binding t
     end
     else binding n
 
   let rec rightmost t curr =
-    let n = (M.get (succ_of curr)).right in
+    let n = right_of (M.get (succ_of curr)) in
     if n == t.tail then curr else rightmost t n
 
   let rec rightmost_descend t curr =
@@ -702,10 +694,10 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           let s = M.get r.succ in
           let acc =
             match r.elt with
-            | Some e when not s.mark -> f acc r.key e
+            | Some e when not (is_marked s) -> f acc r.key e
             | _ -> acc
           in
-          fold_level_from t hi f acc s.right
+          fold_level_from t hi f acc (right_of s)
 
   (* Fold over regular bindings with lo <= key <= hi, in key order; weakly
      consistent under concurrency (like any lock-free iterator). *)
@@ -724,10 +716,10 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       | Node n -> (
           let s = M.get n.succ in
           match n.elt with
-          | Some e when not s.mark -> go (f acc n.key e) s.right
-          | _ -> go acc s.right)
+          | Some e when not (is_marked s) -> go (f acc n.key e) (right_of s)
+          | _ -> go acc (right_of s))
     in
-    go acc (M.get (succ_of (head_at t 1))).right
+    go acc (right_of (M.get (succ_of (head_at t 1))))
 
   let to_list t = List.rev (fold t (fun acc k e -> (k, e) :: acc) [])
   let length t = fold t (fun acc _ _ -> acc + 1) 0
@@ -740,9 +732,9 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         let rec go acc = function
           | Null -> acc
           | n when n == t.tail -> acc
-          | Node n -> go (acc + 1) (M.get n.succ).right
+          | Node n -> go (acc + 1) (right_of (M.get n.succ))
         in
-        go 0 (M.get (succ_of (head_at t (i + 1)))).right)
+        go 0 (right_of (M.get (succ_of (head_at t (i + 1))))))
 
   (* Keys of the non-sentinel nodes physically linked on level [l], in
      order, regardless of mark state.  Quiescent/simulator introspection. *)
@@ -750,9 +742,9 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let rec go acc = function
       | Null -> List.rev acc
       | n when n == t.tail -> List.rev acc
-      | Node n -> go (n.key :: acc) (M.get n.succ).right
+      | Node n -> go (n.key :: acc) (right_of (M.get n.succ))
     in
-    go [] (M.get (succ_of (head_at t l))).right
+    go [] (right_of (M.get (succ_of (head_at t l))))
 
   let height_histogram t =
     let counts = level_counts t in
@@ -778,44 +770,58 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
       | Null -> ()
     in
     check_down_succ 0 t.tail;
+    if M.get (succ_of t.tail) != End then
+      fail "fr-skiplist: the tail's cell does not hold End";
     for l = 1 to t.max_level do
       let head = head_at t l in
       check_down_succ l head;
-      (* [ps] is the descriptor of [prev], the node last visited. *)
+      (* [ps] is the descriptor of [prev], the node last visited, which is
+         the level's head or a regular node: at quiescence it is [Clean],
+         or [Marked] on a superfluous node the EXP-9 ablation left
+         linked. *)
       let rec go prev ps =
-        match ps.right with
-        | Null -> fail "fr-skiplist: level %d ends before the tail" l
-        | Node n as next ->
-            if ps.right_key != n.key then
-              fail "fr-skiplist: right_key is not the right node's key (level %d)"
-                l;
-            if Lazy.force ps.right_succ != n.succ then
-              fail
-                "fr-skiplist: right_succ is not the right node's cell (level %d)"
-                l;
-            if next != t.tail then begin
-              if prev != head && K.compare (key_of prev) n.key >= 0 then
-                fail "fr-skiplist: level %d keys unsorted" l;
-              let s = M.get n.succ in
-              if t.help_superfluous && s.mark then
-                fail "fr-skiplist: marked node at quiescence (level %d)" l;
-              if s.flag then
-                fail "fr-skiplist: flagged node at quiescence (level %d)" l;
-              (match n.down with
-              | Node d when l > 1 ->
-                  if K.compare d.key n.key <> 0 then
-                    fail "fr-skiplist: down pointer key mismatch"
-              | Null when l = 1 -> ()
-              | _ -> fail "fr-skiplist: down pointer shape at level %d" l);
-              check_down_succ l next;
-              (if t.help_superfluous then
-                 match n.tower_root with
-                 | Null -> if l <> 1 then fail "fr-skiplist: upper node w/o root"
-                 | Node r ->
-                     if (M.get r.succ).mark then
-                       fail "fr-skiplist: superfluous node survives quiescence");
-              go next s
-            end
+        match ps with
+        | End ->
+            fail "fr-skiplist: a cell other than the tail's holds End (level %d)"
+              l
+        | Flagged _ ->
+            fail "fr-skiplist: flagged node at quiescence (level %d)" l
+        | Marked _ when t.help_superfluous ->
+            fail "fr-skiplist: marked node at quiescence (level %d)" l
+        | Clean { right; right_key; right_succ }
+        | Marked { right; right_key; right_succ } -> (
+            match right with
+            | Null -> fail "fr-skiplist: level %d ends before the tail" l
+            | Node n as next ->
+                if right_key != n.key then
+                  fail
+                    "fr-skiplist: right_key is not the right node's key (level %d)"
+                    l;
+                if right_succ != n.succ then
+                  fail
+                    "fr-skiplist: right_succ is not the right node's cell (level \
+                     %d)"
+                    l;
+                if next != t.tail then begin
+                  if prev != head && K.compare (key_of prev) n.key >= 0 then
+                    fail "fr-skiplist: level %d keys unsorted" l;
+                  (match n.down with
+                  | Node d when l > 1 ->
+                      if K.compare d.key n.key <> 0 then
+                        fail "fr-skiplist: down pointer key mismatch"
+                  | Null when l = 1 -> ()
+                  | _ -> fail "fr-skiplist: down pointer shape at level %d" l);
+                  check_down_succ l next;
+                  (if t.help_superfluous then
+                     match n.tower_root with
+                     | Null ->
+                         if l <> 1 then fail "fr-skiplist: upper node w/o root"
+                     | Node r ->
+                         if is_marked (M.get r.succ) then
+                           fail
+                             "fr-skiplist: superfluous node survives quiescence");
+                  go next (M.get n.succ)
+                end)
       in
       go head (M.get (succ_of head))
     done

@@ -16,8 +16,10 @@
 
     Nodes are inline records with unboxed keys, so links point straight at
     them; the sentinels carry [K.any] and are never compared by key.  Each
-    succ descriptor [{right; right_key; right_succ; mark; flag}] carries
-    copies of its right node's key and [succ] cell, and each node carries
+    succ descriptor's constructor is its mark and flag ([Clean], [Flagged]
+    or [Marked] around [{right; right_key; right_succ}]; the tail's own is
+    the constant [End]), and it carries copies of its right node's key and
+    [succ] cell, and each node carries
     its down node's cell, so a search step stops, moves right or descends
     through cells and descriptors only, without loading the next node.
     C&S compares whole descriptors physically and never looks at the

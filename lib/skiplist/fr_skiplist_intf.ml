@@ -85,8 +85,10 @@ module type S = sig
 
   val check_invariants : 'a t -> unit
   (** Quiescent validation of every level (sortedness, no marked/flagged
-      nodes, down-pointer key consistency, every descriptor's [right_key]
-      and [right_succ] physically its right node's key and [succ] cell,
+      nodes or heads, down-pointer key consistency, the tail's own
+      descriptor in the tail's cell and in no other, every descriptor's
+      [right_key] and [right_succ] physically its right node's key and
+      [succ] cell,
       every node's down-node cell physically its down node's [succ] cell,
       no surviving superfluous nodes in helping mode).  Raises [Failure]
       on violation. *)

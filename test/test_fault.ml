@@ -152,43 +152,52 @@ let test_stall_delays_then_proceeds () =
 
 (* Crash in the TRYFLAG->TRYMARK window: the flag is published, the mark is
    not, and the key is still logically present.  Helpers then complete the
-   orphaned deletion. *)
+   orphaned deletion.  The first key's predecessor, whose flag is orphaned,
+   is the head. *)
 let test_crash_between_flag_and_mark () =
-  let t = SimFL.create () in
-  Sim.quiet (fun () ->
-      List.iter (fun key -> ignore (SimFL.insert t key 0)) [ 10; 20; 30 ]);
-  SimFM.install
-    (Fault.make_plan ~seed:3 [ Fault.crash_at 1 (FP.After_cas_ok ME.Flagging) ]);
-  let crashed = ref false in
-  ignore
-    (Sim.run
-       [|
-         (fun _ ->
-           try ignore (SimFL.delete t 20)
-           with Fault.Crashed _ -> crashed := true);
-       |]);
-  let injected = SimFM.injected () in
-  SimFM.uninstall ();
-  Alcotest.(check bool) "victim crashed" true !crashed;
-  (match injected with
-  | [ i ] -> (
-      match i.Fault.i_action with
-      | Fault.Crash -> ()
-      | a -> Alcotest.failf "expected a crash, got %s" (Fault.action_name a))
-  | l -> Alcotest.failf "expected one injection, got %d" (List.length l));
-  Sim.quiet (fun () ->
-      Alcotest.(check bool) "key still logically present (no mark yet)" true
-        (SimFL.mem t 20);
-      (* Strict quiescent validation must reject the orphaned flag... *)
-      try
-        SimFL.check_invariants t;
-        Alcotest.fail "check_invariants accepted a flagged node at quiescence"
-      with Failure _ -> ());
-  (* ...and any survivor touching the region helps the deletion through. *)
-  ignore (Sim.run [| (fun _ -> ignore (SimFL.delete t 20)) |]);
-  Sim.quiet (fun () ->
-      Alcotest.(check bool) "helped deletion completed" false (SimFL.mem t 20);
-      SimFL.check_invariants t)
+  List.iter
+    (fun victim ->
+      let t = SimFL.create () in
+      Sim.quiet (fun () ->
+          List.iter (fun key -> ignore (SimFL.insert t key 0)) [ 10; 20; 30 ]);
+      SimFM.install
+        (Fault.make_plan ~seed:3
+           [ Fault.crash_at 1 (FP.After_cas_ok ME.Flagging) ]);
+      let crashed = ref false in
+      ignore
+        (Sim.run
+           [|
+             (fun _ ->
+               try ignore (SimFL.delete t victim)
+               with Fault.Crashed _ -> crashed := true);
+           |]);
+      let injected = SimFM.injected () in
+      SimFM.uninstall ();
+      Alcotest.(check bool) "victim crashed" true !crashed;
+      (match injected with
+      | [ i ] -> (
+          match i.Fault.i_action with
+          | Fault.Crash -> ()
+          | a -> Alcotest.failf "expected a crash, got %s" (Fault.action_name a))
+      | l -> Alcotest.failf "expected one injection, got %d" (List.length l));
+      Sim.quiet (fun () ->
+          Alcotest.(check bool) "key still logically present (no mark yet)" true
+            (SimFL.mem t victim);
+          (* Strict quiescent validation must reject the orphaned flag... *)
+          try
+            SimFL.check_invariants t;
+            Alcotest.failf
+              "check_invariants accepted a flagged node at quiescence (victim \
+               %d)"
+              victim
+          with Failure _ -> ());
+      (* ...and any survivor touching the region helps the deletion through. *)
+      ignore (Sim.run [| (fun _ -> ignore (SimFL.delete t victim)) |]);
+      Sim.quiet (fun () ->
+          Alcotest.(check bool) "helped deletion completed" false
+            (SimFL.mem t victim);
+          SimFL.check_invariants t))
+    [ 20; 10 ]
 
 (* --- Crash residue under the protocol sanitizer ---------------------- *)
 

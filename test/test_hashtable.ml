@@ -135,6 +135,31 @@ let test_failed_ops_alloc () =
         ])
     [ true; false ]
 
+(* A successful update allocates what the bucket's list links or C&Ses
+   in, as in test_fr_list: a new key's cells, descriptor, node, anchor and
+   linking descriptor (20 words), and a deletion's flagging, marking and
+   unlinking descriptors (12). *)
+let test_update_alloc () =
+  let n = 4096 in
+  List.iter
+    (fun use_hints ->
+      List.iter
+        (fun (name, bar, op) ->
+          let t = H.create_with ~use_hints () in
+          for i = 0 to n - 1 do
+            ignore (H.insert t (2 * i) i)
+          done;
+          let words = Support.words_per_call ~n (op t) in
+          if words > bar then
+            Alcotest.failf "%s with hints %s: %.4f words/call (bar: %.0f)" name
+              (if use_hints then "on" else "off")
+              words bar)
+        [
+          ("new-key insert", 20., fun t i -> H.insert t ((2 * i) + 1) i);
+          ("present-key delete", 12., fun t i -> H.delete t (2 * i));
+        ])
+    [ true; false ]
+
 let () =
   Alcotest.run "hashtable"
     (Support.time_limited
@@ -162,6 +187,7 @@ let () =
            [
              Alcotest.test_case "reads and failed updates allocate nothing"
                `Quick test_failed_ops_alloc;
+             Alcotest.test_case "update budgets" `Quick test_update_alloc;
            ] );
          ( "retention",
            Support.churn_retention_tests (module H)
