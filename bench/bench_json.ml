@@ -14,16 +14,7 @@ let quick : bool ref = ref false
 
 type v = S of string | F of float | I of int | B of bool
 
-let escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let escape = Lf_obs.Chrome_trace.escape
 
 let value_to_string = function
   | S s -> Printf.sprintf "\"%s\"" (escape s)

@@ -6,10 +6,10 @@
 
 module Sim = Lf_dsim.Sim
 
-type sim_target = {
-  sname : string;
-  mk : unit -> Lf_workload.Sim_driver.ops;
-}
+module Ord = Lf_kernel.Ordered.Int
+module Mem = Lf_dsim.Sim_mem
+
+type sim_target = { sname : string; mk : unit -> Lf_workload.Dict.t }
 
 let sim_targets =
   [
@@ -17,97 +17,57 @@ let sim_targets =
       sname = "fr-list";
       mk =
         (fun () ->
-          let module L = Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem) in
-          let t = L.create () in
-          {
-            insert = (fun k -> L.insert t k k);
-            delete = (fun k -> L.delete t k);
-            find = (fun k -> L.mem t k);
-          });
+          let module L = Lf_list.Fr_list.Make (Ord) (Mem) in
+          let module D = Lf_workload.Dict.Of (L) in
+          D.make (L.create ()));
     };
     {
       sname = "fr-skiplist";
       mk =
         (fun () ->
-          let module L =
-            Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
-          in
-          let t = L.create_with ~max_level:6 () in
-          {
-            insert = (fun k -> L.insert t k k);
-            delete = (fun k -> L.delete t k);
-            find = (fun k -> L.mem t k);
-          });
+          let module L = Lf_skiplist.Fr_skiplist.Make (Ord) (Mem) in
+          let module D = Lf_workload.Dict.Of (L) in
+          D.make (L.create_with ~max_level:6 ()));
     };
     {
       sname = "fraser-skiplist";
       mk =
         (fun () ->
-          let module L =
-            Lf_skiplist.Fraser_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
-          in
-          let t = L.create_with ~max_level:5 () in
-          {
-            insert = (fun k -> L.insert t k k);
-            delete = (fun k -> L.delete t k);
-            find = (fun k -> L.mem t k);
-          });
+          let module L = Lf_skiplist.Fraser_skiplist.Make (Ord) (Mem) in
+          let module D = Lf_workload.Dict.Of (L) in
+          D.make (L.create_with ~max_level:5 ()));
     };
     {
       sname = "st-skiplist";
       mk =
         (fun () ->
-          let module L =
-            Lf_skiplist.St_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
-          in
-          let t = L.create_with ~max_level:5 () in
-          {
-            insert = (fun k -> L.insert t k k);
-            delete = (fun k -> L.delete t k);
-            find = (fun k -> L.mem t k);
-          });
+          let module L = Lf_skiplist.St_skiplist.Make (Ord) (Mem) in
+          let module D = Lf_workload.Dict.Of (L) in
+          D.make (L.create_with ~max_level:5 ()));
     };
     {
       sname = "harris";
       mk =
         (fun () ->
-          let module L =
-            Lf_baselines.Harris_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
-          in
-          let t = L.create () in
-          {
-            insert = (fun k -> L.insert t k k);
-            delete = (fun k -> L.delete t k);
-            find = (fun k -> L.mem t k);
-          });
+          let module L = Lf_baselines.Harris_list.Make (Ord) (Mem) in
+          let module D = Lf_workload.Dict.Of (L) in
+          D.make (L.create ()));
     };
     {
       sname = "michael";
       mk =
         (fun () ->
-          let module L =
-            Lf_baselines.Michael_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
-          in
-          let t = L.create () in
-          {
-            insert = (fun k -> L.insert t k k);
-            delete = (fun k -> L.delete t k);
-            find = (fun k -> L.mem t k);
-          });
+          let module L = Lf_baselines.Michael_list.Make (Ord) (Mem) in
+          let module D = Lf_workload.Dict.Of (L) in
+          D.make (L.create ()));
     };
     {
       sname = "valois";
       mk =
         (fun () ->
-          let module L =
-            Lf_baselines.Valois_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
-          in
-          let t = L.create () in
-          {
-            insert = (fun k -> L.insert t k k);
-            delete = (fun k -> L.delete t k);
-            find = (fun k -> L.mem t k);
-          });
+          let module L = Lf_baselines.Valois_list.Make (Ord) (Mem) in
+          let module D = Lf_workload.Dict.Of (L) in
+          D.make (L.create ()));
     };
   ]
 

@@ -52,14 +52,8 @@ let steps_part () =
   List.iter
     (fun buckets ->
       let t = HS.create_with ~buckets () in
-      let ops =
-        Lf_workload.Sim_driver.
-          {
-            insert = (fun k -> HS.insert t k k);
-            delete = (fun k -> HS.delete t k);
-            find = (fun k -> HS.mem t k);
-          }
-      in
+      let module D = Lf_workload.Dict.Of (HS) in
+      let ops = D.make t in
       let filled =
         Lf_workload.Sim_driver.prefill ~key_range:1024 ~count:512 ~seed:3 ops
       in

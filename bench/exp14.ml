@@ -22,16 +22,13 @@ let mix = Lf_workload.Opgen.{ insert_pct = 25; delete_pct = 25 }
 
 (* Real run: 2 domains over Counting_mem; essential steps from the merged
    per-domain counters. *)
-let real_run ~insert ~delete ~find =
+let real_run d =
   Lf_kernel.Counting_mem.reset_all ();
   let work did () =
     let rng = Lf_kernel.Splitmix.create (100 + did) in
     let keygen = Lf_workload.Keygen.uniform key_range in
     for _ = 1 to per_domain do
-      match Lf_workload.Opgen.draw mix keygen rng with
-      | Lf_workload.Opgen.Insert k -> ignore (insert k)
-      | Lf_workload.Opgen.Delete k -> ignore (delete k)
-      | Lf_workload.Opgen.Find k -> ignore (find k)
+      ignore (Lf_workload.Dict.apply d (Lf_workload.Opgen.draw mix keygen rng))
     done
   in
   let d = Domain.spawn (work 1) in
@@ -41,7 +38,7 @@ let real_run ~insert ~delete ~find =
   float_of_int (Lf_kernel.Counters.essential_steps total)
   /. float_of_int (2 * per_domain)
 
-let sim_run (ops : Lf_workload.Sim_driver.ops) =
+let sim_run (ops : Lf_workload.Dict.t) =
   let res =
     Lf_workload.Sim_driver.run_mixed ~policy:(Sim.Random 100) ~procs:2
       ~ops_per_proc:(per_domain / 10) ~key_range ~mix ~seed:100 ops
@@ -61,50 +58,34 @@ let run () =
   (* FR list *)
   let sim_list =
     let t = FRS.create () in
-    let ops =
-      Lf_workload.Sim_driver.
-        {
-          insert = (fun k -> FRS.insert t k k);
-          delete = (fun k -> FRS.delete t k);
-          find = (fun k -> FRS.mem t k);
-        }
-    in
+    let module D = Lf_workload.Dict.Of (FRS) in
+    let ops = D.make t in
     ignore (Lf_workload.Sim_driver.prefill ~key_range ~count:(key_range / 2) ~seed:1 ops);
     sim_run ops
   in
   let real_list =
-    let t = FRC.create () in
-    Lf_workload.Runner.prefill ~key_range ~fill:50 ~seed:1 (fun k -> FRC.insert t k k);
+    let module D = Lf_workload.Dict.Of (FRC) in
+    let d = D.make (FRC.create ()) in
+    Lf_workload.Runner.prefill ~key_range ~fill:50 ~seed:1 d.insert;
     Lf_kernel.Counting_mem.reset_all ();
-    real_run
-      ~insert:(fun k -> FRC.insert t k k)
-      ~delete:(fun k -> FRC.delete t k)
-      ~find:(fun k -> FRC.mem t k)
+    real_run d
   in
   Tables.row widths
     [ "fr-list"; Printf.sprintf "%.1f" sim_list; Printf.sprintf "%.1f" real_list ];
   (* FR skip list *)
   let sim_sl =
     let t = SLS.create_with ~max_level:12 () in
-    let ops =
-      Lf_workload.Sim_driver.
-        {
-          insert = (fun k -> SLS.insert t k k);
-          delete = (fun k -> SLS.delete t k);
-          find = (fun k -> SLS.mem t k);
-        }
-    in
+    let module D = Lf_workload.Dict.Of (SLS) in
+    let ops = D.make t in
     ignore (Lf_workload.Sim_driver.prefill ~key_range ~count:(key_range / 2) ~seed:1 ops);
     sim_run ops
   in
   let real_sl =
-    let t = SLC.create_with ~max_level:12 () in
-    Lf_workload.Runner.prefill ~key_range ~fill:50 ~seed:1 (fun k -> SLC.insert t k k);
+    let module D = Lf_workload.Dict.Of (SLC) in
+    let d = D.make (SLC.create_with ~max_level:12 ()) in
+    Lf_workload.Runner.prefill ~key_range ~fill:50 ~seed:1 d.insert;
     Lf_kernel.Counting_mem.reset_all ();
-    real_run
-      ~insert:(fun k -> SLC.insert t k k)
-      ~delete:(fun k -> SLC.delete t k)
-      ~find:(fun k -> SLC.mem t k)
+    real_run d
   in
   Tables.row widths
     [ "fr-skiplist"; Printf.sprintf "%.1f" sim_sl; Printf.sprintf "%.1f" real_sl ];

@@ -89,14 +89,8 @@ type sim_run = {
 
 let run_sim ~use_hints c : sim_run =
   let t = SimL.create_with ~use_hints ~use_flags:true () in
-  let ops =
-    Sim_driver.
-      {
-        insert = (fun k -> SimL.insert t k k);
-        delete = (fun k -> SimL.delete t k);
-        find = (fun k -> SimL.mem t k);
-      }
-  in
+  let module D = Dict.Of (SimL) in
+  let ops = D.make t in
   let filled =
     if c.prefill = 0 then 0
     else Sim_driver.prefill ~key_range:c.key_range ~count:c.prefill ~seed:11 ops

@@ -125,48 +125,35 @@ let lockbased_scenarios =
 type subject = {
   su_name : string;
   su_lock_based : bool;
-  (* fresh structure -> (insert, delete, find, hold-the-lock hook) *)
-  su_make :
-    unit ->
-    (int -> bool) * (int -> bool) * (int -> bool) * ((unit -> unit) -> unit);
+  su_make : unit -> Dict.t * ((unit -> unit) -> unit);
+      (* fresh structure, and its hold-the-lock hook *)
 }
 
 let no_hold _ = failwith "not a lock-based structure"
+
+module FL_dict = Dict.Of (FL)
+module FS_dict = Dict.Of (FS)
+module FH_dict = Dict.Of (FH)
+module Lazy_dict = Dict.Of (Lf_baselines.Lazy_list.Int)
+module Coarse_dict = Dict.Of (Lf_baselines.Coarse_list.Int)
+module Locked_dict = Dict.Of (Lf_skiplist.Locked_skiplist.Int)
 
 let subjects =
   [
     {
       su_name = "fr-list";
       su_lock_based = false;
-      su_make =
-        (fun () ->
-          let t = FL.create () in
-          ( (fun k -> FL.insert t k k),
-            (fun k -> FL.delete t k),
-            (fun k -> FL.mem t k),
-            no_hold ));
+      su_make = (fun () -> (FL_dict.make (FL.create ()), no_hold));
     };
     {
       su_name = "fr-skiplist";
       su_lock_based = false;
-      su_make =
-        (fun () ->
-          let t = FS.create () in
-          ( (fun k -> FS.insert t k k),
-            (fun k -> FS.delete t k),
-            (fun k -> FS.mem t k),
-            no_hold ));
+      su_make = (fun () -> (FS_dict.make (FS.create ()), no_hold));
     };
     {
       su_name = "harris-list";
       su_lock_based = false;
-      su_make =
-        (fun () ->
-          let t = FH.create () in
-          ( (fun k -> FH.insert t k k),
-            (fun k -> FH.delete t k),
-            (fun k -> FH.mem t k),
-            no_hold ));
+      su_make = (fun () -> (FH_dict.make (FH.create ()), no_hold));
     };
     {
       su_name = "lazy-list";
@@ -174,10 +161,7 @@ let subjects =
       su_make =
         (fun () ->
           let t = Lf_baselines.Lazy_list.Int.create () in
-          ( (fun k -> Lf_baselines.Lazy_list.Int.insert t k k),
-            (fun k -> Lf_baselines.Lazy_list.Int.delete t k),
-            (fun k -> Lf_baselines.Lazy_list.Int.mem t k),
-            Lf_baselines.Lazy_list.Int.with_head_locked t ));
+          (Lazy_dict.make t, Lf_baselines.Lazy_list.Int.with_head_locked t));
     };
     {
       su_name = "coarse-list";
@@ -185,10 +169,7 @@ let subjects =
       su_make =
         (fun () ->
           let t = Lf_baselines.Coarse_list.Int.create () in
-          ( (fun k -> Lf_baselines.Coarse_list.Int.insert t k k),
-            (fun k -> Lf_baselines.Coarse_list.Int.delete t k),
-            (fun k -> Lf_baselines.Coarse_list.Int.mem t k),
-            Lf_baselines.Coarse_list.Int.with_lock_held t ));
+          (Coarse_dict.make t, Lf_baselines.Coarse_list.Int.with_lock_held t));
     };
     {
       su_name = "locked-skiplist";
@@ -196,15 +177,13 @@ let subjects =
       su_make =
         (fun () ->
           let t = Lf_skiplist.Locked_skiplist.Int.create () in
-          ( (fun k -> Lf_skiplist.Locked_skiplist.Int.insert t k k),
-            (fun k -> Lf_skiplist.Locked_skiplist.Int.delete t k),
-            (fun k -> Lf_skiplist.Locked_skiplist.Int.mem t k),
+          ( Locked_dict.make t,
             Lf_skiplist.Locked_skiplist.Int.with_lock_held t ));
     };
   ]
 
 let run_scenario su sc : Runner.chaos_report =
-  let insert, delete, find, hold = su.su_make () in
+  let d, hold = su.su_make () in
   (match sc.sc_plan with Some p -> FMem.install p | None -> ());
   let victims =
     match sc.sc_victim with
@@ -214,8 +193,7 @@ let run_scenario su sc : Runner.chaos_report =
   let sample = if su.su_lock_based then fun () -> [] else sample_faulted in
   let r =
     Runner.run_chaos ~victims ~budget_s ~window_s:(window_s ()) ~sample
-      ~name:su.su_name ~insert ~delete ~find ~domains ~key_range:256
-      ~mix:Opgen.mixed ~seed:42 ()
+      ~name:su.su_name d ~domains ~key_range:256 ~mix:Opgen.mixed ~seed:42 ()
   in
   FMem.uninstall ();
   r

@@ -234,14 +234,8 @@ let sim_contention ~workload ~seed =
   Recorder.reset ();
   Recorder.set_clock Recorder.Sim_steps;
   let t = SL.create () in
-  let ops =
-    Lf_workload.Sim_driver.
-      {
-        insert = (fun k -> SL.insert t k k);
-        delete = (fun k -> SL.delete t k);
-        find = (fun k -> SL.mem t k);
-      }
-  in
+  let module D = Lf_workload.Dict.Of (SL) in
+  let ops = D.make t in
   let key_range = 1024 in
   let filled =
     Lf_workload.Sim_driver.prefill ~key_range ~count:256 ~seed:(seed + 1) ops

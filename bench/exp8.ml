@@ -136,14 +136,8 @@ let statistical_part () =
           List.iter
             (fun seed ->
               let ops_rec =
-                let ops_c =
-                  Lf_workload.Sim_driver.
-                    {
-                      insert = (fun k -> FRS.insert t k k);
-                      delete = (fun k -> FRS.delete t k);
-                      find = (fun k -> FRS.mem t k);
-                    }
-                in
+                let module D = Lf_workload.Dict.Of (FRS) in
+                let ops_c = D.make t in
                 Lf_workload.Sim_driver.run_mixed ~policy:(Sim.Random seed)
                   ~procs:q ~ops_per_proc:80 ~key_range:8
                   ~mix:{ insert_pct = 45; delete_pct = 45 }

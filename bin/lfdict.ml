@@ -241,23 +241,15 @@ module Faulty_fr_skiplist =
 module Faulty_harris =
   Lf_baselines.Harris_list.Make (Lf_kernel.Ordered.Int) (Faulty_mem)
 
-let chaos_ops impl : (int -> bool) * (int -> bool) * (int -> bool) =
-  match impl with
-  | "fr-list" ->
-      let t = Faulty_fr_list.create () in
-      ( (fun k -> Faulty_fr_list.insert t k k),
-        (fun k -> Faulty_fr_list.delete t k),
-        fun k -> Faulty_fr_list.mem t k )
-  | "fr-skiplist" ->
-      let t = Faulty_fr_skiplist.create () in
-      ( (fun k -> Faulty_fr_skiplist.insert t k k),
-        (fun k -> Faulty_fr_skiplist.delete t k),
-        fun k -> Faulty_fr_skiplist.mem t k )
-  | "harris-list" ->
-      let t = Faulty_harris.create () in
-      ( (fun k -> Faulty_harris.insert t k k),
-        (fun k -> Faulty_harris.delete t k),
-        fun k -> Faulty_harris.mem t k )
+(* A fresh instance, as the record the harnesses take. *)
+let fresh (module D : Lf_workload.Runner.INT_DICT) =
+  let module T = Lf_workload.Dict.Of (D) in
+  T.make (D.create ())
+
+let chaos_dict = function
+  | "fr-list" -> fresh (module Faulty_fr_list)
+  | "fr-skiplist" -> fresh (module Faulty_fr_skiplist)
+  | "harris-list" -> fresh (module Faulty_harris)
   | other ->
       Printf.eprintf "chaos is available for: fr-list, fr-skiplist, \
                       harris-list (got %s)\n" other;
@@ -299,14 +291,13 @@ let chaos_cmd =
             exit 2
     in
     let mix = { Lf_workload.Opgen.insert_pct = ins; delete_pct = del } in
-    let insert, delete, find = chaos_ops impl in
+    let d = chaos_dict impl in
     Faulty_mem.install plan;
     let r =
       Lf_workload.Runner.run_chaos ~budget_s:budget ~window_s:window
         ~sample:(fun () ->
           [ ("injected", List.length (Faulty_mem.injected ())) ])
-        ~name:impl ~insert ~delete ~find ~domains ~key_range:range ~mix ~seed
-        ()
+        ~name:impl d ~domains ~key_range:range ~mix ~seed ()
     in
     let trace = Faulty_mem.injected () in
     Faulty_mem.uninstall ();
@@ -378,29 +369,10 @@ let traced_resolve impl : (module Lf_workload.Runner.INT_DICT) =
         (String.concat ", " (List.map fst traced_impls));
       exit 2
 
-let sim_traced_ops impl : Lf_workload.Sim_driver.ops =
-  match impl with
-  | "fr-list" ->
-      let t = Sim_fr_list.create () in
-      {
-        insert = (fun k -> Sim_fr_list.insert t k k);
-        delete = (fun k -> Sim_fr_list.delete t k);
-        find = (fun k -> Sim_fr_list.mem t k);
-      }
-  | "fr-skiplist" ->
-      let t = Sim_fr_skiplist.create () in
-      {
-        insert = (fun k -> Sim_fr_skiplist.insert t k k);
-        delete = (fun k -> Sim_fr_skiplist.delete t k);
-        find = (fun k -> Sim_fr_skiplist.mem t k);
-      }
-  | "lf-hashtable" ->
-      let t = Sim_hashtable.create () in
-      {
-        insert = (fun k -> Sim_hashtable.insert t k k);
-        delete = (fun k -> Sim_hashtable.delete t k);
-        find = (fun k -> Sim_hashtable.mem t k);
-      }
+let sim_traced_ops = function
+  | "fr-list" -> fresh (module Sim_fr_list)
+  | "fr-skiplist" -> fresh (module Sim_fr_skiplist)
+  | "lf-hashtable" -> fresh (module Sim_hashtable)
   | other ->
       Printf.eprintf "tracing is available for: fr-list, fr-skiplist, \
                       lf-hashtable (got %s)\n" other;

@@ -1,14 +1,18 @@
-(* The dictionary abstract data type every implementation in this repository
-   exposes (the paper's SEARCH / INSERT / DELETE, in OCaml clothing).  The
-   uniform signature is what lets the workload runner, the stress tests and
-   the benchmarks be written once and applied to every algorithm. *)
+(* The dictionary abstract data type every implementation in this
+   repository exposes (the paper's SEARCH / INSERT / DELETE in OCaml
+   clothing).  One signature for all nine implementations is what lets the
+   workload runner, stress tests, linearizability battery and benchmarks be
+   written once.  It lives in a unit with no interface, as fr_list_intf.ml
+   does, so the signatures are written once. *)
 
 module type S = sig
   type key
+
   type 'a t
+  (** A dictionary from [key] to ['a]. *)
 
   val name : string
-  (** Short human-readable identifier used in benchmark tables. *)
+  (** Short identifier used in benchmark tables. *)
 
   val create : unit -> 'a t
 
@@ -19,30 +23,30 @@ module type S = sig
 
   val insert : 'a t -> key -> 'a -> bool
   (** INSERT: [true] on success, [false] if the key was already present
-      (DUPLICATE_KEY). *)
+      (the paper's DUPLICATE_KEY). *)
 
   val delete : 'a t -> key -> bool
   (** DELETE: [true] on success, [false] if absent (NO_SUCH_KEY). *)
 
   val to_list : 'a t -> (key * 'a) list
-  (** Snapshot of the regular nodes in key order.  Only meaningful at
-      quiescence for the concurrent implementations. *)
+  (** Snapshot of the regular (non-deleted) bindings in key order.  Only an
+      exact snapshot at quiescence for the concurrent implementations. *)
 
   val length : 'a t -> int
 
   val check_invariants : 'a t -> unit
-  (** Raises [Failure] if a structural invariant (sortedness, INV 1-5 where
-      applicable) is violated.  Quiescent use only. *)
+  (** Raises [Failure] on any structural-invariant violation (sortedness,
+      INV 1-5 where applicable).  Quiescent use only. *)
 end
 
-module type MAKER = functor (K : Ordered.S) (M : Mem.S) ->
-  S with type key = K.t
-
-(* Dictionaries that additionally support batched operations: the batch is
-   processed in key order, each element carrying its predecessor to the
-   next (the Traeff-Poeter "pragmatic" pattern).  Results are in the
-   caller's original order; every element remains an independent
-   linearizable operation. *)
+(** Dictionaries that additionally support batched operations: the batch is
+    processed in key order, each element carrying its predecessor to the
+    next (the Träff–Pöter "pragmatic" pattern).  Results come back in the
+    caller's original order; every element remains an independent
+    linearizable operation that takes effect inside the batch call.
+    [Fr_list] is the one implementation: its SEARCHFROM may start at any
+    validated unmarked node, so the carry saves a traversal per element
+    (EXP-17 Part C). *)
 module type BATCHED = sig
   include S
 

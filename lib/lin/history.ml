@@ -28,23 +28,3 @@ let pp_entry fmt e =
 
 let pp fmt (h : t) =
   Format.fprintf fmt "@[<v>%a@]" (Format.pp_print_list pp_entry) h
-
-(* A tiny recorder: a monotone counter plus an accumulator, safe for use
-   from several domains (the counter is atomic; each domain accumulates
-   locally and [merge]s after joining). *)
-module Recorder = struct
-  type r = { clock : int Atomic.t; all : entry list Atomic.t }
-
-  let create () = { clock = Atomic.make 0; all = Atomic.make [] }
-  let tick r = Atomic.fetch_and_add r.clock 1
-
-  let add r entries =
-    let rec go () =
-      let old = Atomic.get r.all in
-      if not (Atomic.compare_and_set r.all old (entries @ old)) then go ()
-    in
-    go ()
-
-  let history r : t =
-    List.sort (fun a b -> compare a.inv b.inv) (Atomic.get r.all)
-end

@@ -18,18 +18,3 @@ type entry = {
 type t = entry list
 
 val pp : Format.formatter -> t -> unit
-
-(** Multi-domain recorder: an atomic tick counter plus an accumulator;
-    each domain records locally and merges after joining. *)
-module Recorder : sig
-  type r
-
-  val create : unit -> r
-
-  val tick : r -> int
-  (** The next timestamp. *)
-
-  val add : r -> entry list -> unit
-  val history : r -> t
-  (** All recorded entries, sorted by invocation time. *)
-end

@@ -113,16 +113,9 @@ let mutations =
   [ "skip-flag"; "double-mark"; "unlink-unflagged"; "backlink-right"; "no-help" ]
 
 (* ------------------------------------------------------------------ *)
-(* Dictionary scenario builders (cf. test_explore's dict_scenario). *)
+(* Dictionary scenario builders. *)
 
-type dict_ops = {
-  do_insert : int -> bool;
-  do_delete : int -> bool;
-  do_find : int -> bool;
-  do_check : unit -> unit;  (* raises Failure on invariant violation *)
-}
-
-let fr_list_dict ?mutation () =
+let fr_list_dict ?mutation () : Lf_workload.Dict.t =
   let module CM = Lf_check.Check_mem.Make (Lf_dsim.Sim_mem) in
   let module L = Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (CM) in
   let t =
@@ -140,110 +133,77 @@ let fr_list_dict ?mutation () =
         in
         L.create_with ~mutation:mu ~use_flags:true ()
   in
+  let module T = Lf_workload.Dict.Of (L) in
+  let d = T.make t in
   {
-    do_insert = (fun k -> L.insert t k k);
-    do_delete = (fun k -> L.delete t k);
-    do_find = (fun k -> L.mem t k);
-    do_check =
+    d with
+    check =
       (fun () ->
-        L.check_invariants t;
+        d.check ();
         match L.Debug.check_now t with Ok () -> () | Error m -> failwith m);
   }
 
-let fr_skiplist_dict () =
+let fr_skiplist_dict () : Lf_workload.Dict.t =
   let module CM = Lf_check.Check_mem.Make (Lf_dsim.Sim_mem) in
   let module L = Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (CM) in
+  let module T = Lf_workload.Dict.Of (L) in
   (* Two levels: enough for the full tower protocol (root deletion plus
      upper-level unlink) while keeping the trace space exhaustible - each
      extra level multiplies the racing-access pairs. *)
   let t = L.create_with ~max_level:2 () in
   {
-    do_insert = (fun k -> L.insert_with_height t ~height:((k mod 2) + 1) k k);
-    do_delete = (fun k -> L.delete t k);
-    do_find = (fun k -> L.mem t k);
-    do_check = (fun () -> L.check_invariants t);
+    (T.make t) with
+    insert = (fun k -> L.insert_with_height t ~height:((k mod 2) + 1) k k);
   }
 
 let hashtable_dict () =
   let module CM = Lf_check.Check_mem.Make (Lf_dsim.Sim_mem) in
   let module H = Lf_hashtable.Make (Lf_hashtable.Int_key) (CM) in
+  let module T = Lf_workload.Dict.Of (H) in
   (* Two buckets: adjacent keys collide, so the scripts still conflict. *)
-  let t = H.create_with ~buckets:2 () in
-  {
-    do_insert = (fun k -> H.insert t k k);
-    do_delete = (fun k -> H.delete t k);
-    do_find = (fun k -> H.mem t k);
-    do_check = (fun () -> H.check_invariants t);
-  }
+  T.make (H.create_with ~buckets:2 ())
 
 let harris_dict () =
   let module L =
     Lf_baselines.Harris_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
   in
-  let t = L.create () in
-  {
-    do_insert = (fun k -> L.insert t k k);
-    do_delete = (fun k -> L.delete t k);
-    do_find = (fun k -> L.mem t k);
-    do_check = (fun () -> L.check_invariants t);
-  }
+  let module T = Lf_workload.Dict.Of (L) in
+  T.make (L.create ())
 
 let valois_dict () =
   let module L =
     Lf_baselines.Valois_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
   in
-  let t = L.create () in
-  {
-    do_insert = (fun k -> L.insert t k k);
-    do_delete = (fun k -> L.delete t k);
-    do_find = (fun k -> L.mem t k);
-    do_check = (fun () -> L.check_invariants t);
-  }
+  let module T = Lf_workload.Dict.Of (L) in
+  T.make (L.create ())
+
+let history_op = function
+  | I k -> Lf_lin.History.Insert k
+  | D k -> Lf_lin.History.Delete k
+  | F k -> Lf_lin.History.Find k
 
 (* Dictionary oracle: structural invariants (and, for the checked
    structures, whatever the sanitizer raised mid-run), then Wing & Gold
    linearizability of the recorded history. *)
 let dict_mk mk_dict sc () =
-  let d = mk_dict () in
-  Sim.quiet (fun () -> List.iter (fun k -> ignore (d.do_insert k)) sc.sc_initial);
-  let clock = ref 0 in
-  let entries = ref [] in
-  let tick () =
-    let v = !clock in
-    incr clock;
-    v
-  in
+  let d : Lf_workload.Dict.t = mk_dict () in
+  Sim.quiet (fun () -> List.iter (fun k -> ignore (d.insert k)) sc.sc_initial);
+  let rec_ = Lf_lin.Recorder.create () in
   let body pid =
     List.iter
       (fun o ->
-        let inv = tick () in
-        let hop, ok =
-          match o with
-          | I k -> (Lf_lin.History.Insert k, d.do_insert k)
-          | D k -> (Lf_lin.History.Delete k, d.do_delete k)
-          | F k -> (Lf_lin.History.Find k, d.do_find k)
-        in
-        let ret = tick () in
-        entries := { Lf_lin.History.pid; op = hop; ok; inv; ret } :: !entries)
+        let op = history_op o in
+        Lf_lin.Recorder.record rec_ ~pid op (fun () ->
+            Lf_workload.Dict.apply d op))
       (List.nth sc.sc_scripts pid)
   in
   let check () =
-    match Sim.quiet d.do_check with
+    match Sim.quiet d.check with
     | exception Failure msg -> Error msg
-    | () -> (
-        let h =
-          List.sort
-            (fun a b -> compare a.Lf_lin.History.inv b.Lf_lin.History.inv)
-            !entries
-        in
-        let init =
-          List.fold_left
-            (fun s k -> Lf_lin.Checker.IntSet.add k s)
-            Lf_lin.Checker.IntSet.empty sc.sc_initial
-        in
-        match Lf_lin.Checker.check ~init h with
-        | Lf_lin.Checker.Linearizable -> Ok ()
-        | Lf_lin.Checker.Not_linearizable -> Error "not linearizable")
+    | () ->
+        Lf_lin.Recorder.verdict
+          ~init:(Lf_lin.Checker.IntSet.of_list sc.sc_initial)
+          rec_
   in
   (Array.make (List.length sc.sc_scripts) body, check)
 
@@ -391,16 +351,7 @@ let kill_matrix () =
 (* Rendering.  Everything printed is a pure function of the scenarios, so
    two runs of [lfdict model] are byte-identical (CI diffs them). *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let json_escape = Lf_obs.Chrome_trace.escape
 
 let certificates_ok cts =
   List.for_all

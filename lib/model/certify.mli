@@ -47,6 +47,17 @@ val mk :
     ["unlink-unflagged"], ["backlink-right"], ["no-help"].
     @raise Invalid_argument on unknown structure or mutation. *)
 
+val dict_mk :
+  (unit -> Lf_workload.Dict.t) ->
+  scenario ->
+  unit ->
+  (Lf_dsim.Sim.pid -> unit) array * (unit -> (unit, string) result)
+(** {!mk} over a dictionary of the caller's: each call builds a fresh one,
+    inserts [sc_initial] quietly, and returns one body per script plus the
+    oracle — the dictionary's [check] (which a checked memory's sanitizer
+    may have raised from already), then the Wing & Gold verdict over the
+    recorded history. *)
+
 (** {1 Certification} *)
 
 type certificate = {

@@ -16,21 +16,17 @@ module VaL = Lf_baselines.Valois_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_
 module FrS = Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
 module FzS = Lf_skiplist.Fraser_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
 module StS = Lf_skiplist.St_skiplist.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
+module FrL_dict = Lf_workload.Dict.Of (FrL)
+module HaL_dict = Lf_workload.Dict.Of (HaL)
+module MiL_dict = Lf_workload.Dict.Of (MiL)
+module VaL_dict = Lf_workload.Dict.Of (VaL)
 
 (* ------------------------------------------------------------------ *)
 (* EXP-1: amortized-bound measurement on the FR list.                  *)
 
 (* Returns (total essential steps, sum of n(S)+c(S), #ops). *)
 let exp1_run ~q ~n0 ~seed =
-  let t = FrL.create () in
-  let ops =
-    Lf_workload.Sim_driver.
-      {
-        insert = (fun k -> FrL.insert t k k);
-        delete = (fun k -> FrL.delete t k);
-        find = (fun k -> FrL.mem t k);
-      }
-  in
+  let ops = FrL_dict.make (FrL.create ()) in
   let key_range = max 4 (2 * n0) in
   let filled =
     if n0 = 0 then 0
@@ -47,42 +43,16 @@ let exp1_run ~q ~n0 ~seed =
 (* ------------------------------------------------------------------ *)
 (* EXP-2: the Section 3.1 tail adversary for linked lists.             *)
 
-type list_target = {
-  lname : string;
-  insert : int -> bool;
-  delete : int -> bool;
-}
-
-let fr_list_target () =
-  let t = FrL.create () in
-  {
-    lname = "fr-list";
-    insert = (fun k -> FrL.insert t k k);
-    delete = (fun k -> FrL.delete t k);
-  }
-
-let harris_list_target () =
-  let t = HaL.create () in
-  {
-    lname = "harris";
-    insert = (fun k -> HaL.insert t k k);
-    delete = (fun k -> HaL.delete t k);
-  }
-
-let michael_list_target () =
-  let t = MiL.create () in
-  {
-    lname = "michael";
-    insert = (fun k -> MiL.insert t k k);
-    delete = (fun k -> MiL.delete t k);
-  }
+let fr_list_target () = FrL_dict.make (FrL.create ())
+let harris_list_target () = HaL_dict.make (HaL.create ())
+let michael_list_target () = MiL_dict.make (MiL.create ())
 
 (* Shared engine: prefill keys 1..n, park q-1 inserters at their pending
    insertion C&S at the tail, run the deleter for [rounds] deletions of the
    last node, releasing every inserter exactly once per round.  Returns
    (avg essential per op, inserter recovery steps per round per inserter,
    total ops). *)
-let tail_adversary ~n ~q ~rounds (mk : unit -> list_target) =
+let tail_adversary ~n ~q ~rounds (mk : unit -> Lf_workload.Dict.t) =
   let tgt = mk () in
   ignore
     (Sim.run
@@ -155,27 +125,13 @@ let tail_adversary ~n ~q ~rounds (mk : unit -> list_target) =
 (* ------------------------------------------------------------------ *)
 (* EXP-3: the Valois Omega(m) execution.                               *)
 
-type omega_target = {
-  oinsert : int -> bool;
-  odelete : int -> bool;
-  park_kind : Ev.cas_kind;
-}
+type omega_target = { ops : Lf_workload.Dict.t; park_kind : Ev.cas_kind }
 
 let valois_omega_target () =
-  let t = VaL.create () in
-  {
-    oinsert = (fun k -> VaL.insert t k k);
-    odelete = (fun k -> VaL.delete t k);
-    park_kind = Ev.Physical_delete;
-  }
+  { ops = VaL_dict.make (VaL.create ()); park_kind = Ev.Physical_delete }
 
 let fr_omega_target () =
-  let t = FrL.create () in
-  {
-    oinsert = (fun k -> FrL.insert t k k);
-    odelete = (fun k -> FrL.delete t k);
-    park_kind = Ev.Flagging;
-  }
+  { ops = FrL_dict.make (FrL.create ()); park_kind = Ev.Flagging }
 
 (* Alternating deleters with parked stale cursors plus a producer; returns
    (avg essential steps per delete op, total backlink+aux chain steps). *)
@@ -185,14 +141,14 @@ let omega_schedule ~m (mk : unit -> omega_target) =
     (Sim.run
        [|
          (fun _ ->
-           ignore (tgt.oinsert 1);
-           ignore (tgt.oinsert 2));
+           ignore (tgt.ops.insert 1);
+           ignore (tgt.ops.insert 2));
        |]);
   let deleter first_victim _pid =
     let v = ref first_victim in
     while !v <= m do
       Sim.op_begin ~n:3;
-      ignore (tgt.odelete !v);
+      ignore (tgt.ops.delete !v);
       Sim.op_end ();
       v := !v + 2
     done
@@ -200,7 +156,7 @@ let omega_schedule ~m (mk : unit -> omega_target) =
   let producer _pid =
     for k = 3 to m + 2 do
       Sim.op_begin ~n:3;
-      ignore (tgt.oinsert k);
+      ignore (tgt.ops.insert k);
       Sim.op_end ()
     done
   in

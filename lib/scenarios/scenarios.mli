@@ -15,18 +15,16 @@ val exp1_run : q:int -> n0:int -> seed:int -> int * int * int
 
 (** {1 EXP-2: the Section 3.1 tail adversary (linked lists)} *)
 
-type list_target = {
-  lname : string;
-  insert : int -> bool;
-  delete : int -> bool;
-}
-
-val fr_list_target : unit -> list_target
-val harris_list_target : unit -> list_target
-val michael_list_target : unit -> list_target
+val fr_list_target : unit -> Lf_workload.Dict.t
+val harris_list_target : unit -> Lf_workload.Dict.t
+val michael_list_target : unit -> Lf_workload.Dict.t
 
 val tail_adversary :
-  n:int -> q:int -> rounds:int -> (unit -> list_target) -> float * float * int
+  n:int ->
+  q:int ->
+  rounds:int ->
+  (unit -> Lf_workload.Dict.t) ->
+  float * float * int
 (** Park [q-1] inserters at their pending insertion C&S at the tail of an
     [n]-key list; a deleter removes the last node once per round, releasing
     each inserter exactly once per round.  Returns (avg essential steps per
@@ -35,8 +33,7 @@ val tail_adversary :
 (** {1 EXP-3: the Valois Omega(m) execution} *)
 
 type omega_target = {
-  oinsert : int -> bool;
-  odelete : int -> bool;
+  ops : Lf_workload.Dict.t;
   park_kind : Lf_kernel.Mem_event.cas_kind;
       (** the first C&S of this implementation's deletion, where the
           adversary parks a cursor across its predecessor's deletion *)

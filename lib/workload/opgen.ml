@@ -2,7 +2,7 @@
    The classic mixes from the lock-free list literature are provided as
    constants. *)
 
-type op = Insert of int | Delete of int | Find of int
+type op = Lf_lin.History.op = Find of int | Insert of int | Delete of int
 
 (* Payload-free op kind: constant constructors, so the throughput
    runners' per-op hot path draws the key separately and dispatches on the

@@ -1,6 +1,7 @@
 (** Operation mixes: insert / delete percentages, the rest searches. *)
 
-type op = Insert of int | Delete of int | Find of int
+type op = Lf_lin.History.op = Find of int | Insert of int | Delete of int
+(** The history's operations, so a drawn operation is recorded as is. *)
 
 type mix = { insert_pct : int; delete_pct : int }
 

@@ -2,10 +2,12 @@
    signature: throughput runs (EXP-4/EXP-5) and short recorded bursts whose
    histories feed the linearizability checker (EXP-10).
 
-   The machine this repository is developed on has a single core, so
-   multi-domain throughput numbers measure synchronization overhead and
-   preemption robustness rather than parallel speedup; the scaling-shape
-   claims live in the simulator experiments instead (see DESIGN.md). *)
+   The machine this repository is developed on is a 2-vCPU VM: two domains
+   run in parallel on it (lib-list-contended runs two), and more time-share
+   the two vCPUs, so multi-domain throughput numbers measure
+   synchronization overhead and preemption robustness rather than parallel
+   speedup; the scaling-shape claims live in the simulator experiments
+   instead (see DESIGN.md). *)
 
 module type INT_DICT = Lf_kernel.Dict_intf.S with type key = int
 module type INT_DICT_BATCHED = Lf_kernel.Dict_intf.BATCHED with type key = int
@@ -45,6 +47,34 @@ let prefill ~key_range ~fill ~seed (insert : int -> bool) =
   in
   go 0
 
+(* The scaffold of every throughput run: prefill [d] to 50%, start
+   [domains] domains together, join them, time the run and check [d]'s
+   invariants.  [work did] sets domain [did] up before the barrier and
+   returns its measured loop. *)
+let timed ~name (d : Dict.t) ~domains ~ops_per_domain ~key_range ~seed work :
+    throughput =
+  prefill ~key_range ~fill:50 ~seed:((seed * 7) + 1) d.insert;
+  let enter = barrier domains in
+  let run did =
+    let loop = work did in
+    enter ();
+    loop ()
+  in
+  let t0 = now () in
+  let ds = List.init (domains - 1) (fun i -> Domain.spawn (fun () -> run (i + 1))) in
+  run 0;
+  List.iter Domain.join ds;
+  let elapsed = seconds (now () - t0) in
+  d.check ();
+  let total = domains * ops_per_domain in
+  {
+    impl = name;
+    domains;
+    total_ops = total;
+    elapsed_s = elapsed;
+    ops_per_s = float_of_int total /. elapsed;
+  }
+
 let run_throughput ?keygen (module D : INT_DICT) ~domains ~ops_per_domain
     ~key_range ~(mix : Opgen.mix) ~seed () : throughput =
   let keygen_for =
@@ -53,52 +83,37 @@ let run_throughput ?keygen (module D : INT_DICT) ~domains ~ops_per_domain
     | None -> fun _did -> Keygen.uniform key_range
   in
   let t = D.create () in
-  prefill ~key_range ~fill:50 ~seed:((seed * 7) + 1) (fun k -> D.insert t k k);
-  let enter = barrier domains in
-  let work did =
-    (* Lane id makes worker threads distinguishable in recorded traces
-       (and to fault plans); the span markers cost one word read each
-       while the recorder is off. *)
-    Lf_kernel.Lane.set did;
-    let rng = Lf_kernel.Splitmix.create (seed + (1000 * did)) in
-    let keygen = keygen_for did in
-    enter ();
-    (* Key-then-kind draw: [Opgen.kind] has constant constructors, so
-       dispatching on it boxes no [Opgen.op] (one per draw showed up as
-       minor-heap churn in EXP-22's GC attribution), and neither draw
-       allocates, so the words an operation costs are the structure's. *)
-    for _ = 1 to ops_per_domain do
-      let k = Keygen.draw keygen rng in
-      match Opgen.draw_kind mix rng with
-      | Insert_k ->
-          Lf_obs.Recorder.span_begin ~op:Lf_obs.Obs_event.Insert ~key:k;
-          let ok = D.insert t k k in
-          Lf_obs.Recorder.span_end ~op:Lf_obs.Obs_event.Insert ~ok
-      | Delete_k ->
-          Lf_obs.Recorder.span_begin ~op:Lf_obs.Obs_event.Delete ~key:k;
-          let ok = D.delete t k in
-          Lf_obs.Recorder.span_end ~op:Lf_obs.Obs_event.Delete ~ok
-      | Find_k ->
-          Lf_obs.Recorder.span_begin ~op:Lf_obs.Obs_event.Find ~key:k;
-          let ok = Option.is_some (D.find t k) in
-          Lf_obs.Recorder.span_end ~op:Lf_obs.Obs_event.Find ~ok
-    done;
-    Lf_kernel.Lane.clear ()
-  in
-  let t0 = now () in
-  let ds = List.init (domains - 1) (fun i -> Domain.spawn (fun () -> work (i + 1))) in
-  work 0;
-  List.iter Domain.join ds;
-  let elapsed = seconds (now () - t0) in
-  D.check_invariants t;
-  let total = domains * ops_per_domain in
-  {
-    impl = D.name;
-    domains;
-    total_ops = total;
-    elapsed_s = elapsed;
-    ops_per_s = float_of_int total /. elapsed;
-  }
+  let module T = Dict.Of (D) in
+  timed ~name:D.name (T.make t) ~domains ~ops_per_domain ~key_range ~seed
+    (fun did ->
+      (* Lane id makes worker threads distinguishable in recorded traces
+         (and to fault plans); the span markers cost one word read each
+         while the recorder is off. *)
+      Lf_kernel.Lane.set did;
+      let rng = Lf_kernel.Splitmix.create (seed + (1000 * did)) in
+      let keygen = keygen_for did in
+      fun () ->
+        (* Key-then-kind draw: [Opgen.kind] has constant constructors, so
+           dispatching on it boxes no [Opgen.op] (one per draw showed up as
+           minor-heap churn in EXP-22's GC attribution), and neither draw
+           allocates, so the words an operation costs are the structure's. *)
+        for _ = 1 to ops_per_domain do
+          let k = Keygen.draw keygen rng in
+          match Opgen.draw_kind mix rng with
+          | Insert_k ->
+              Lf_obs.Recorder.span_begin ~op:Lf_obs.Obs_event.Insert ~key:k;
+              let ok = D.insert t k k in
+              Lf_obs.Recorder.span_end ~op:Lf_obs.Obs_event.Insert ~ok
+          | Delete_k ->
+              Lf_obs.Recorder.span_begin ~op:Lf_obs.Obs_event.Delete ~key:k;
+              let ok = D.delete t k in
+              Lf_obs.Recorder.span_end ~op:Lf_obs.Obs_event.Delete ~ok
+          | Find_k ->
+              Lf_obs.Recorder.span_begin ~op:Lf_obs.Obs_event.Find ~key:k;
+              let ok = Option.is_some (D.find t k) in
+              Lf_obs.Recorder.span_end ~op:Lf_obs.Obs_event.Find ~ok
+        done;
+        Lf_kernel.Lane.clear ())
 
 (* Batched variant: the operation stream is consumed [batch] ops at a
    time; each chunk is partitioned by kind and issued through the batched
@@ -109,77 +124,27 @@ let run_throughput_batched (module D : INT_DICT_BATCHED) ~domains
     throughput =
   if batch <= 0 then invalid_arg "run_throughput_batched: batch must be > 0";
   let t = D.create () in
-  prefill ~key_range ~fill:50 ~seed:((seed * 7) + 1) (fun k -> D.insert t k k);
-  let enter = barrier domains in
-  let work did =
-    let rng = Lf_kernel.Splitmix.create (seed + (1000 * did)) in
-    let keygen = Keygen.uniform key_range in
-    enter ();
-    let remaining = ref ops_per_domain in
-    while !remaining > 0 do
-      let b = min batch !remaining in
-      remaining := !remaining - b;
-      let ins = ref [] and del = ref [] and fnd = ref [] in
-      for _ = 1 to b do
-        match Opgen.draw mix keygen rng with
-        | Insert k -> ins := (k, k) :: !ins
-        | Delete k -> del := k :: !del
-        | Find k -> fnd := k :: !fnd
-      done;
-      (match !ins with [] -> () | l -> ignore (D.insert_batch t l));
-      (match !del with [] -> () | l -> ignore (D.delete_batch t l));
-      (match !fnd with [] -> () | l -> ignore (D.mem_batch t l))
-    done
-  in
-  let t0 = now () in
-  let ds =
-    List.init (domains - 1) (fun i -> Domain.spawn (fun () -> work (i + 1)))
-  in
-  work 0;
-  List.iter Domain.join ds;
-  let elapsed = seconds (now () - t0) in
-  D.check_invariants t;
-  let total = domains * ops_per_domain in
-  {
-    impl = D.name;
-    domains;
-    total_ops = total;
-    elapsed_s = elapsed;
-    ops_per_s = float_of_int total /. elapsed;
-  }
-
-(* Short recorded burst: each domain performs [ops_per_domain] operations on
-   a small key range while timestamping them; the merged history goes to the
-   linearizability checker. *)
-let run_recorded (module D : INT_DICT) ~domains ~ops_per_domain ~key_range
-    ~(mix : Opgen.mix) ~seed () : Lf_lin.History.t =
-  let t = D.create () in
-  let rec_ = Lf_lin.History.Recorder.create () in
-  let enter = barrier domains in
-  let work did =
-    let rng = Lf_kernel.Splitmix.create (seed + (1000 * did)) in
-    let keygen = Keygen.uniform key_range in
-    let acc = ref [] in
-    enter ();
-    for _ = 1 to ops_per_domain do
-      let op = Opgen.draw mix keygen rng in
-      let inv = Lf_lin.History.Recorder.tick rec_ in
-      let hop, ok =
-        match op with
-        | Insert k -> (Lf_lin.History.Insert k, D.insert t k k)
-        | Delete k -> (Lf_lin.History.Delete k, D.delete t k)
-        | Find k -> (Lf_lin.History.Find k, Option.is_some (D.find t k))
-      in
-      let ret = Lf_lin.History.Recorder.tick rec_ in
-      acc := { Lf_lin.History.pid = did; op = hop; ok; inv; ret } :: !acc
-    done;
-    Lf_lin.History.Recorder.add rec_ !acc
-  in
-  let ds = List.init (domains - 1) (fun i -> Domain.spawn (fun () -> work (i + 1))) in
-  work 0;
-  List.iter Domain.join ds;
-  D.check_invariants t;
-  Lf_lin.History.Recorder.history rec_
+  let module T = Dict.Of (D) in
+  timed ~name:D.name (T.make t) ~domains ~ops_per_domain ~key_range ~seed
+    (fun did ->
+      let rng = Lf_kernel.Splitmix.create (seed + (1000 * did)) in
+      let keygen = Keygen.uniform key_range in
+      fun () ->
+        let remaining = ref ops_per_domain in
+        while !remaining > 0 do
+          let b = min batch !remaining in
+          remaining := !remaining - b;
+          let ins = ref [] and del = ref [] and fnd = ref [] in
+          for _ = 1 to b do
+            match Opgen.draw mix keygen rng with
+            | Insert k -> ins := (k, k) :: !ins
+            | Delete k -> del := k :: !del
+            | Find k -> fnd := k :: !fnd
+          done;
+          (match !ins with [] -> () | l -> ignore (D.insert_batch t l));
+          (match !del with [] -> () | l -> ignore (D.delete_batch t l));
+          (match !fnd with [] -> () | l -> ignore (D.mem_batch t l))
+        done)
 
 (* ------------------------------------------------------------------ *)
 (* Chaos runs: multi-domain stress under an injected-fault plan.       *)
@@ -234,14 +199,13 @@ let pp_chaos_report ppf r =
    of a lock holder is modeled as a stall much longer than the watchdog
    budget, after which the lock is released and every join completes. *)
 let run_chaos ?(victims = []) ?(budget_s = 0.05) ?(window_s = 0.2)
-    ?(sample = fun () -> []) ~name ~(insert : int -> bool)
-    ~(delete : int -> bool) ~(find : int -> bool) ~domains ~key_range
+    ?(sample = fun () -> []) ~name (d : Dict.t) ~domains ~key_range
     ~(mix : Opgen.mix) ~seed () : chaos_report =
   (* The monitor (this domain) also runs the prefill; park it on lane -1 so
      its accesses never match a worker-lane-targeted fault rule (the lane
      fallback is the domain id, which would collide with worker lane 0). *)
   Lf_kernel.Lane.set (-1);
-  prefill ~key_range ~fill:50 ~seed:((seed * 7) + 1) insert;
+  prefill ~key_range ~fill:50 ~seed:((seed * 7) + 1) d.insert;
   let base = sample () in
   let stop = Atomic.make false in
   let completed = Array.init domains (fun _ -> Atomic.make 0) in
@@ -263,10 +227,7 @@ let run_chaos ?(victims = []) ?(budget_s = 0.05) ?(window_s = 0.2)
           while not (Atomic.get stop) do
             let op = Opgen.draw mix keygen rng in
             Atomic.set op_start.(did) (now ());
-            (match op with
-            | Opgen.Insert k -> ignore (insert k)
-            | Delete k -> ignore (delete k)
-            | Find k -> ignore (find k));
+            ignore (Dict.apply d op);
             Atomic.set op_start.(did) (-1);
             Atomic.incr completed.(did)
           done
@@ -533,63 +494,47 @@ let run_open_loop ?(workers = 2) ?keygen ?(classes = 0) ?class_of ~rate
           });
   }
 
-exception Lane_crashed
-
 (* Recorded chaos burst: completed operations go into the history;
    operations cut short by an injected crash come back in a second list
    with [ret = max_int] (still pending — possibly helped to completion by
    survivors, possibly not).  The lane stops at its crash, like a crashed
    process in the paper's model. *)
-let run_chaos_recorded ~(insert : int -> bool) ~(delete : int -> bool)
-    ~(find : int -> bool) ~domains ~ops_per_domain ~key_range
+let run_chaos_recorded (d : Dict.t) ~domains ~ops_per_domain ~key_range
     ~(mix : Opgen.mix) ~seed () : Lf_lin.History.t * Lf_lin.History.t =
-  let rec_ = Lf_lin.History.Recorder.create () in
-  let pending = Array.make domains [] in
+  let rec_ = Lf_lin.Recorder.create () in
   let enter = barrier domains in
   let work did =
     Lf_kernel.Lane.set did;
     let rng = Lf_kernel.Splitmix.create (seed + (1000 * did)) in
     let keygen = Keygen.uniform key_range in
-    let acc = ref [] in
     enter ();
     (try
        for _ = 1 to ops_per_domain do
          let op = Opgen.draw mix keygen rng in
-         let inv = Lf_lin.History.Recorder.tick rec_ in
-         let hop =
-           match op with
-           | Opgen.Insert k -> Lf_lin.History.Insert k
-           | Delete k -> Lf_lin.History.Delete k
-           | Find k -> Lf_lin.History.Find k
-         in
-         match
-           try
-             `Ret
-               (match op with
-               | Opgen.Insert k -> insert k
-               | Delete k -> delete k
-               | Find k -> find k)
-           with Lf_fault.Fault.Crashed _ -> `Crashed
-         with
-         | `Ret ok ->
-             let ret = Lf_lin.History.Recorder.tick rec_ in
-             acc := { Lf_lin.History.pid = did; op = hop; ok; inv; ret } :: !acc
-         | `Crashed ->
-             (* [ok] is a placeholder; the pending-aware checker tries both
-                outcomes (and absence). *)
-             pending.(did) <-
-               [ { Lf_lin.History.pid = did; op = hop; ok = true; inv; ret = max_int } ];
-             raise Lane_crashed
+         Lf_lin.Recorder.record rec_ ~pid:did op (fun () -> Dict.apply d op)
        done
-     with Lane_crashed -> ());
-    Lf_lin.History.Recorder.add rec_ !acc;
+     with Lf_fault.Fault.Crashed _ -> ());
     Lf_kernel.Lane.clear ()
   in
   let ds = List.init (domains - 1) (fun i -> Domain.spawn (fun () -> work (i + 1))) in
   work 0;
   List.iter Domain.join ds;
-  ( Lf_lin.History.Recorder.history rec_,
-    List.concat (Array.to_list pending) )
+  List.partition
+    (fun (e : Lf_lin.History.entry) -> e.ret <> max_int)
+    (Lf_lin.Recorder.history rec_)
+
+(* Short recorded burst: each domain performs [ops_per_domain] operations on
+   a small key range while timestamping them; the merged history goes to the
+   linearizability checker. *)
+let run_recorded (module D : INT_DICT) ~domains ~ops_per_domain ~key_range
+    ~(mix : Opgen.mix) ~seed () : Lf_lin.History.t =
+  let module T = Dict.Of (D) in
+  let d = T.make (D.create ()) in
+  let history, _ =
+    run_chaos_recorded d ~domains ~ops_per_domain ~key_range ~mix ~seed ()
+  in
+  d.check ();
+  history
 
 (* A history with c crashed (pending) operations linearizes iff SOME
    resolution of the pending ops does: each may have not taken effect at

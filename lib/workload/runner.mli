@@ -2,9 +2,10 @@
     implementation: throughput runs (EXP-4/5/11) and short recorded bursts
     whose histories feed the linearizability checker (EXP-10).
 
-    Single-core caveat: on this development machine domains time-share one
-    CPU, so throughput numbers measure synchronization overhead and
-    robustness to preemption rather than parallel speedup (DESIGN.md). *)
+    Two-vCPU caveat: this development machine runs two domains in
+    parallel and time-shares any more, so throughput numbers measure
+    synchronization overhead and robustness to preemption rather than
+    parallel speedup (DESIGN.md). *)
 
 module type INT_DICT = Lf_kernel.Dict_intf.S with type key = int
 module type INT_DICT_BATCHED = Lf_kernel.Dict_intf.BATCHED with type key = int
@@ -32,7 +33,8 @@ val run_throughput :
   unit ->
   throughput
 (** Prefill to 50%, barrier-start [domains] domains, run the mix, join,
-    validate invariants, report ops/s.  [keygen] maps a domain index to its
+    validate invariants, report ops/s.  Each operation calls the module
+    directly, with no closure in between.  [keygen] maps a domain index to its
     key generator (default: uniform over [\[0, key_range)]); each domain
     must get its own generator, since generators are not thread-safe. *)
 
@@ -60,15 +62,16 @@ val run_recorded :
   seed:int ->
   unit ->
   Lf_lin.History.t
-(** Short recorded burst for the linearizability checker.  Keep it
-    short: the checker's search grows exponentially with how many
-    operations overlap. *)
+(** Short recorded burst for the linearizability checker: a fresh
+    instance through {!run_chaos_recorded} with no fault plan, then its
+    invariants.  Keep it short: the checker's search grows exponentially
+    with how many operations overlap. *)
 
 (** {1 Chaos runs (EXP-18)}
 
     Multi-domain stress under an injected-fault plan (see {!Lf_fault}).
-    The structure under test arrives as closures so callers can stack any
-    memory — typically [Lf_fault.Fault_mem.Make (Atomic_mem)] with a plan
+    The structure under test arrives as a {!Dict.t} so callers can stack
+    any memory — typically [Lf_fault.Fault_mem.Make (Atomic_mem)] with a plan
     installed before the call and uninstalled after the joins. *)
 
 type chaos_report = {
@@ -98,9 +101,7 @@ val run_chaos :
   ?window_s:float ->
   ?sample:(unit -> (string * int) list) ->
   name:string ->
-  insert:(int -> bool) ->
-  delete:(int -> bool) ->
-  find:(int -> bool) ->
+  Dict.t ->
   domains:int ->
   key_range:int ->
   mix:Opgen.mix ->
@@ -213,9 +214,7 @@ val run_open_loop :
     hot loop). *)
 
 val run_chaos_recorded :
-  insert:(int -> bool) ->
-  delete:(int -> bool) ->
-  find:(int -> bool) ->
+  Dict.t ->
   domains:int ->
   ops_per_domain:int ->
   key_range:int ->

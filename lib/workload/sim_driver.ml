@@ -1,23 +1,17 @@
 (* Workload driver for structures living in the simulator's memory.
 
-   The structure under test is passed as a record of closures (already
-   specialized to a [Sim_mem]-instantiated dictionary); each simulated
-   process runs a seeded random mix of operations bracketed by
-   [Sim.op_begin]/[op_end], with the harness maintaining the current size so
-   every operation record carries its n(S).  Used by EXP-1 (amortized-bound
-   validation) and by the randomized correctness tests. *)
-
-type ops = {
-  insert : int -> bool;
-  delete : int -> bool;
-  find : int -> bool;
-}
+   The structure under test is passed as a [Dict.t] (already specialized
+   to a [Sim_mem]-instantiated dictionary); each simulated process runs a
+   seeded random mix of operations bracketed by [Sim.op_begin]/[op_end],
+   with the harness maintaining the current size so every operation record
+   carries its n(S).  Used by EXP-1 (amortized-bound validation) and by the
+   randomized correctness tests. *)
 
 (* Run [procs] processes, each performing [ops_per_proc] operations.
    [initial_size] is the number of keys already in the structure (from a
    prefill), so that n(S) is accounted correctly. *)
 let run_mixed ?(policy = Lf_dsim.Sim.Random 1) ?(initial_size = 0) ?keygen
-    ~procs ~ops_per_proc ~key_range ~(mix : Opgen.mix) ~seed (ops : ops) :
+    ~procs ~ops_per_proc ~key_range ~(mix : Opgen.mix) ~seed (ops : Dict.t) :
     Lf_dsim.Sim.result =
   let keygen_for =
     match keygen with
@@ -53,7 +47,7 @@ let run_mixed ?(policy = Lf_dsim.Sim.Random 1) ?(initial_size = 0) ?keygen
 
 (* Prefill [count] distinct keys drawn from [0, key_range) by a single
    simulated process (round-robin over one process = sequential). *)
-let prefill ~key_range ~count ~seed (ops : ops) : int =
+let prefill ~key_range ~count ~seed (ops : Dict.t) : int =
   let inserted = ref 0 in
   let body _pid =
     let rng = Lf_kernel.Splitmix.create seed in
@@ -68,34 +62,20 @@ let prefill ~key_range ~count ~seed (ops : ops) : int =
    the history of every operation with invocation/return ticks in scheduler
    order. *)
 let run_recorded ?(policy = Lf_dsim.Sim.Random 1) ~procs ~ops_per_proc
-    ~key_range ~(mix : Opgen.mix) ~seed (ops : ops) : Lf_lin.History.t =
-  let clock = ref 0 in
-  let tick () =
-    let v = !clock in
-    incr clock;
-    v
-  in
-  let entries = ref [] in
+    ~key_range ~(mix : Opgen.mix) ~seed (ops : Dict.t) : Lf_lin.History.t =
+  let rec_ = Lf_lin.Recorder.create () in
   let body pid =
     let rng = Lf_kernel.Splitmix.create (seed + (7919 * pid)) in
     let keygen = Keygen.uniform key_range in
     for _ = 1 to ops_per_proc do
       let op = Opgen.draw mix keygen rng in
       Lf_dsim.Sim.op_begin ~n:0;
-      let inv = tick () in
-      let hop, ok =
-        match op with
-        | Opgen.Insert k -> (Lf_lin.History.Insert k, ops.insert k)
-        | Opgen.Delete k -> (Lf_lin.History.Delete k, ops.delete k)
-        | Opgen.Find k -> (Lf_lin.History.Find k, ops.find k)
-      in
-      let ret = tick () in
-      Lf_dsim.Sim.op_end ();
-      entries := { Lf_lin.History.pid; op = hop; ok; inv; ret } :: !entries
+      Lf_lin.Recorder.record rec_ ~pid op (fun () -> Dict.apply ops op);
+      Lf_dsim.Sim.op_end ()
     done
   in
   ignore (Lf_dsim.Sim.run ~policy (Array.make procs body));
-  List.sort (fun a b -> compare a.Lf_lin.History.inv b.Lf_lin.History.inv) !entries
+  Lf_lin.Recorder.history rec_
 
 (* ------------------------------------------------------------------ *)
 (* Chaos in the simulator: deterministic fault plans + step-budget     *)
@@ -125,7 +105,7 @@ type sim_chaos_report = {
    process, whose flags and marks stay behind for the survivors. *)
 let run_chaos_sim ?(policy = Lf_dsim.Sim.Random 1) ?(initial_size = 0)
     ?(step_budget = 5_000) ?max_steps ?(injected = fun () -> 0) ~procs
-    ~ops_per_proc ~key_range ~(mix : Opgen.mix) ~seed (ops : ops) :
+    ~ops_per_proc ~key_range ~(mix : Opgen.mix) ~seed (ops : Dict.t) :
     sim_chaos_report =
   let size = ref initial_size in
   let crashed_flags = Array.make procs false in

@@ -1,16 +1,10 @@
 (** Workload drivers for structures living in the simulator's memory.
 
-    The structure under test is passed as closures already specialized to a
-    [Sim_mem]-instantiated dictionary; each simulated process runs a seeded
+    The structure under test is passed as a {!Dict.t} already specialized
+    to a [Sim_mem]-instantiated dictionary; each simulated process runs a seeded
     random operation mix bracketed by [Sim.op_begin]/[op_end], the harness
     maintaining the current size so every operation record carries its
     n(S).  Feeds EXP-1 and the randomized correctness tests. *)
-
-type ops = {
-  insert : int -> bool;
-  delete : int -> bool;
-  find : int -> bool;
-}
 
 val run_mixed :
   ?policy:Lf_dsim.Sim.policy ->
@@ -21,7 +15,7 @@ val run_mixed :
   key_range:int ->
   mix:Opgen.mix ->
   seed:int ->
-  ops ->
+  Dict.t ->
   Lf_dsim.Sim.result
 (** Run [procs] processes, each performing [ops_per_proc] operations.
     [initial_size] is the number of keys already present (from
@@ -30,7 +24,7 @@ val run_mixed :
     a closure returning one shared [Keygen.ascending ()] for the global
     ascending-key workload. *)
 
-val prefill : key_range:int -> count:int -> seed:int -> ops -> int
+val prefill : key_range:int -> count:int -> seed:int -> Dict.t -> int
 (** Insert [count] distinct keys via a single simulated process; returns
     the number inserted (= [count]). *)
 
@@ -41,7 +35,7 @@ val run_recorded :
   key_range:int ->
   mix:Opgen.mix ->
   seed:int ->
-  ops ->
+  Dict.t ->
   Lf_lin.History.t
 (** As {!run_mixed}, additionally recording every operation with
     scheduler-order invocation/return ticks for the linearizability
@@ -80,7 +74,7 @@ val run_chaos_sim :
   key_range:int ->
   mix:Opgen.mix ->
   seed:int ->
-  ops ->
+  Dict.t ->
   sim_chaos_report
 (** As {!run_mixed}, under a fault plan and a starvation watchdog: a
     process spending more than [step_budget] (default 5000) shared-memory

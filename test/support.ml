@@ -95,41 +95,43 @@ let ops_gen ~key_range ~len =
     list_size (int_bound len)
       (pair (int_bound 2) (int_bound (key_range - 1))))
 
-(* Run a (op, key) script against both an implementation (via closures) and
-   a Hashtbl oracle; fail on the first divergence.  Returns the final oracle
-   contents, sorted. *)
-let run_against_oracle script ~insert ~delete ~find =
+(* Run a (op, key) script against both a dictionary and a Hashtbl oracle;
+   fail on the first divergence.  Returns the final oracle contents,
+   sorted. *)
+let run_against_oracle script (d : Lf_workload.Dict.t) =
   let oracle = Hashtbl.create 64 in
   List.iteri
     (fun i (tag, k) ->
       match tag with
       | 0 ->
           let expected = not (Hashtbl.mem oracle k) in
-          let got = insert k k in
+          let got = d.insert k in
           if got <> expected then
             Alcotest.failf "op %d: insert %d returned %b (oracle %b)" i k got
               expected;
           if got then Hashtbl.replace oracle k k
       | 1 ->
           let expected = Hashtbl.mem oracle k in
-          let got = delete k in
+          let got = d.delete k in
           if got <> expected then
             Alcotest.failf "op %d: delete %d returned %b (oracle %b)" i k got
               expected;
           Hashtbl.remove oracle k
       | _ ->
-          let expected = Hashtbl.find_opt oracle k in
-          let got = find k in
+          let expected = Hashtbl.mem oracle k in
+          let got = d.find k in
           if got <> expected then
             Alcotest.failf "op %d: find %d disagreed with oracle" i k)
     script;
   List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) oracle [])
 
 (* All (op,key) scripts as a qcheck generator-based oracle test for a DICT
-   implementation. *)
+   implementation.  Every key is bound to itself, so the script's finds
+   read the element: [find t k = Some k] iff [k] is present. *)
 module type INT_DICT = Lf_kernel.Dict_intf.S with type key = int
 
 let oracle_test ?count ?(key_range = 16) ?(len = 120) (module D : INT_DICT) =
+  let module T = Lf_workload.Dict.Of (D) in
   qcheck ?count
     (Printf.sprintf "%s agrees with oracle" D.name)
     (ops_gen ~key_range ~len)
@@ -137,9 +139,7 @@ let oracle_test ?count ?(key_range = 16) ?(len = 120) (module D : INT_DICT) =
       let t = D.create () in
       let expected =
         run_against_oracle script
-          ~insert:(fun k v -> D.insert t k v)
-          ~delete:(fun k -> D.delete t k)
-          ~find:(fun k -> D.find t k)
+          { (T.make t) with find = (fun k -> D.find t k = Some k) }
       in
       D.check_invariants t;
       D.to_list t = expected && D.length t = List.length expected)

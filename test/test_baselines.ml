@@ -28,59 +28,53 @@ let oracle_tests =
     Support.oracle_test (module Lf_baselines.Seq_list.Int);
   ]
 
-(* Run a random simulator schedule over closures and validate conservation:
-   net successful inserts minus deletes equals the final length. *)
-let sim_conservation name ~seeds ~create ~insert ~delete ~find ~length ~check =
+(* Run a random simulator schedule over a fresh instance and validate
+   conservation: net successful inserts minus deletes equals the final
+   length. *)
+let sim_conservation name ~seeds (module D : Support.INT_DICT) =
+  let module T = Lf_workload.Dict.Of (D) in
   let test seed =
-    let t = create () in
+    let t = D.create () in
+    let d = T.make t in
     let net = ref 0 in
     let body pid =
       let rng = Lf_kernel.Splitmix.create (seed + (977 * pid)) in
       for _ = 1 to 120 do
         let k = Lf_kernel.Splitmix.int rng 20 in
         match Lf_kernel.Splitmix.int rng 3 with
-        | 0 -> if insert t k then incr net
-        | 1 -> if delete t k then decr net
-        | _ -> ignore (find t k)
+        | 0 -> if d.insert k then incr net
+        | 1 -> if d.delete k then decr net
+        | _ -> ignore (d.find k)
       done
     in
     ignore (Sim.run ~policy:(Sim.Random seed) (Array.make 3 body));
     Sim.quiet (fun () ->
-        check t;
+        d.check ();
         Alcotest.(check int)
           (Printf.sprintf "%s conservation (seed %d)" name seed)
-          !net (length t))
+          !net (D.length t))
   in
   List.iter test seeds
 
 let test_harris_sim () =
-  sim_conservation "harris" ~seeds:[ 1; 2; 3; 4; 5 ] ~create:HarrisS.create
-    ~insert:(fun t k -> HarrisS.insert t k k)
-    ~delete:HarrisS.delete ~find:HarrisS.mem ~length:HarrisS.length
-    ~check:HarrisS.check_invariants
+  sim_conservation "harris" ~seeds:[ 1; 2; 3; 4; 5 ] (module HarrisS)
 
 let test_michael_sim () =
-  sim_conservation "michael" ~seeds:[ 1; 2; 3; 4; 5 ] ~create:MichaelS.create
-    ~insert:(fun t k -> MichaelS.insert t k k)
-    ~delete:MichaelS.delete ~find:MichaelS.mem ~length:MichaelS.length
-    ~check:MichaelS.check_invariants
+  sim_conservation "michael" ~seeds:[ 1; 2; 3; 4; 5 ] (module MichaelS)
 
 let test_valois_sim () =
-  sim_conservation "valois" ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8 ]
-    ~create:ValoisS.create
-    ~insert:(fun t k -> ValoisS.insert t k k)
-    ~delete:ValoisS.delete ~find:ValoisS.mem ~length:ValoisS.length
-    ~check:ValoisS.check_invariants
+  sim_conservation "valois" ~seeds:[ 1; 2; 3; 4; 5; 6; 7; 8 ] (module ValoisS)
 
-let sim_linearizable name ops_of ~seeds =
+let sim_linearizable name ~seeds (module D : Support.INT_DICT) =
+  let module T = Lf_workload.Dict.Of (D) in
   List.iter
     (fun seed ->
-      let ops = ops_of () in
       let h =
         Lf_workload.Sim_driver.run_recorded ~policy:(Sim.Random seed) ~procs:3
           ~ops_per_proc:15 ~key_range:6
           ~mix:{ insert_pct = 40; delete_pct = 40 }
-          ~seed ops
+          ~seed
+          (T.make (D.create ()))
       in
       try Support.assert_linearizable h
       with e ->
@@ -89,40 +83,13 @@ let sim_linearizable name ops_of ~seeds =
     seeds
 
 let test_harris_linearizable () =
-  sim_linearizable "harris"
-    (fun () ->
-      let t = HarrisS.create () in
-      Lf_workload.Sim_driver.
-        {
-          insert = (fun k -> HarrisS.insert t k k);
-          delete = (fun k -> HarrisS.delete t k);
-          find = (fun k -> HarrisS.mem t k);
-        })
-    ~seeds:[ 31; 32; 33; 34 ]
+  sim_linearizable "harris" ~seeds:[ 31; 32; 33; 34 ] (module HarrisS)
 
 let test_michael_linearizable () =
-  sim_linearizable "michael"
-    (fun () ->
-      let t = MichaelS.create () in
-      Lf_workload.Sim_driver.
-        {
-          insert = (fun k -> MichaelS.insert t k k);
-          delete = (fun k -> MichaelS.delete t k);
-          find = (fun k -> MichaelS.mem t k);
-        })
-    ~seeds:[ 41; 42; 43; 44 ]
+  sim_linearizable "michael" ~seeds:[ 41; 42; 43; 44 ] (module MichaelS)
 
 let test_valois_linearizable () =
-  sim_linearizable "valois"
-    (fun () ->
-      let t = ValoisS.create () in
-      Lf_workload.Sim_driver.
-        {
-          insert = (fun k -> ValoisS.insert t k k);
-          delete = (fun k -> ValoisS.delete t k);
-          find = (fun k -> ValoisS.mem t k);
-        })
-    ~seeds:[ 51; 52; 53; 54; 55; 56 ]
+  sim_linearizable "valois" ~seeds:[ 51; 52; 53; 54; 55; 56 ] (module ValoisS)
 
 (* Valois structure: deletions leave auxiliary chains that traversals still
    cross correctly; quiescent collapse keeps the list usable. *)

@@ -143,14 +143,8 @@ let test_checked_sim_random_schedules () =
     (fun seed ->
       CSM.reset ();
       let t = CFRS.create () in
-      let ops =
-        Lf_workload.Sim_driver.
-          {
-            insert = (fun k -> CFRS.insert t k k);
-            delete = (fun k -> CFRS.delete t k);
-            find = (fun k -> CFRS.mem t k);
-          }
-      in
+      let module D = Lf_workload.Dict.Of (CFRS) in
+      let ops = D.make t in
       let h =
         Lf_workload.Sim_driver.run_recorded ~policy:(Sim.Random seed) ~procs:3
           ~ops_per_proc:15 ~key_range:6 ~mix ~seed ops

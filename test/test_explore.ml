@@ -95,104 +95,41 @@ let test_failure_prefix_reproduces () =
 
 (* --- Exhaustive bounded-schedule checking of the structures --- *)
 
-(* Build a scenario: [procs] lists of (op, key) scripts over a structure
-   prefilled with [initial]; the oracle checks invariants and the
-   linearizability of the recorded history. *)
-let dict_scenario ~mk_dict ~initial ~scripts () =
-  let insert, delete, find, check_inv = mk_dict () in
-  Sim.quiet (fun () -> List.iter (fun k -> ignore (insert k)) initial);
-  let clock = ref 0 in
-  let entries = ref [] in
-  let tick () =
-    let v = !clock in
-    incr clock;
-    v
-  in
-  let body pid =
-    List.iter
-      (fun (tag, k) ->
-        let inv = tick () in
-        let hop, ok =
-          match tag with
-          | `I -> (Lf_lin.History.Insert k, insert k)
-          | `D -> (Lf_lin.History.Delete k, delete k)
-          | `F -> (Lf_lin.History.Find k, find k)
-        in
-        let ret = tick () in
-        entries := { Lf_lin.History.pid; op = hop; ok; inv; ret } :: !entries)
-      (List.nth scripts pid)
-  in
-  let check () =
-    match Sim.quiet check_inv with
-    | exception Failure msg -> Error msg
-    | () -> (
-        let h =
-          List.sort
-            (fun a b -> compare a.Lf_lin.History.inv b.Lf_lin.History.inv)
-            !entries
-        in
-        let init =
-          List.fold_left
-            (fun s k -> Lf_lin.Checker.IntSet.add k s)
-            Lf_lin.Checker.IntSet.empty initial
-        in
-        match Lf_lin.Checker.check ~init h with
-        | Lf_lin.Checker.Linearizable -> Ok ()
-        | Lf_lin.Checker.Not_linearizable -> Error "not linearizable")
-  in
-  (Array.make (List.length scripts) body, check)
-
-(* The FR structures explore under the protocol sanitizer: every schedule the
-   explorer enumerates is also validated against INV 1-5 step by step, and a
+(* Scenarios are [Lf_model.Certify]'s: a fresh structure prefilled with
+   [initial], one script per process, and an oracle that checks invariants
+   and the linearizability of the recorded history.  The FR structures
+   explore under the protocol sanitizer: every schedule the explorer
+   enumerates is also validated against INV 1-5 step by step, and a
    violation surfaces as that schedule's failure (with its reproducing
-   prefix).  Each call builds a fresh [Check_mem] instance, so no cross-
-   schedule state leaks.  The baselines (Harris, Valois) keep plain [Sim_mem]:
-   they do not speak the flag/backlink protocol. *)
-let fr_list_dict () =
-  let module CM = Lf_check.Check_mem.Make (Lf_dsim.Sim_mem) in
-  let module L = Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (CM) in
-  let t = L.create () in
-  ( (fun k -> L.insert t k k),
-    (fun k -> L.delete t k),
-    (fun k -> L.mem t k),
-    fun () ->
-      L.check_invariants t;
-      match L.Debug.check_now t with Ok () -> () | Error m -> failwith m )
+   prefix).  The baselines (Harris, Valois) keep plain [Sim_mem]: they do
+   not speak the flag/backlink protocol. *)
+module Certify = Lf_model.Certify
 
-let harris_dict () =
-  let module L =
-    Lf_baselines.Harris_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
-  in
-  let t = L.create () in
-  ( (fun k -> L.insert t k k),
-    (fun k -> L.delete t k),
-    (fun k -> L.mem t k),
-    fun () -> L.check_invariants t )
+let scenario ~initial scripts =
+  { Certify.sc_name = ""; sc_initial = initial; sc_scripts = scripts }
 
-let valois_dict () =
-  let module L =
-    Lf_baselines.Valois_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
-  in
-  let t = L.create () in
-  ( (fun k -> L.insert t k k),
-    (fun k -> L.delete t k),
-    (fun k -> L.mem t k),
-    fun () -> L.check_invariants t )
-
+(* Three levels and scripted heights (k mod 3) + 1, a taller variant than
+   Certify's own skip list. *)
 let skiplist_dict () =
   let module CM = Lf_check.Check_mem.Make (Lf_dsim.Sim_mem) in
   let module L = Lf_skiplist.Fr_skiplist.Make (Lf_kernel.Ordered.Int) (CM) in
+  let module D = Lf_workload.Dict.Of (L) in
   let t = L.create_with ~max_level:3 () in
-  ( (fun k -> L.insert_with_height t ~height:((k mod 3) + 1) k k),
-    (fun k -> L.delete t k),
-    (fun k -> L.mem t k),
-    fun () -> L.check_invariants t )
+  {
+    (D.make t) with
+    insert = (fun k -> L.insert_with_height t ~height:((k mod 3) + 1) k k);
+  }
 
-let exhaustive name mk_dict scripts =
+let fr_list = Certify.mk ~structure:"fr-list"
+let harris = Certify.mk ~structure:"harris-list"
+let valois = Certify.mk ~structure:"valois-list"
+let skiplist = Certify.dict_mk skiplist_dict
+
+let exhaustive name mk scripts =
   Alcotest.test_case name `Slow (fun () ->
       let res =
         Explore.run ~max_preemptions:2 ~max_schedules:40_000
-          (dict_scenario ~mk_dict ~initial:[ 1; 3 ] ~scripts)
+          (mk (scenario ~initial:[ 1; 3 ] scripts))
       in
       (match res.failures with
       | [] -> ()
@@ -208,35 +145,29 @@ let exhaustive name mk_dict scripts =
    short scripts; every bounded schedule of every generated scenario must
    be invariant-clean and linearizable. *)
 let random_scenarios_prop =
-  let tag_of = function 0 -> `I | 1 -> `D | _ -> `F in
+  let op_of (tag, k) : Certify.op =
+    match tag with 0 -> I k | 1 -> D k | _ -> F k
+  in
   Support.qcheck ~count:40 "random scenarios, all 1-preemption schedules"
     QCheck2.Gen.(
       pair
         (list_size (return 2) (pair (int_bound 2) (int_bound 3)))
         (list_size (return 2) (pair (int_bound 2) (int_bound 3))))
     (fun (s0, s1) ->
-      let scripts =
-        [
-          List.map (fun (t, k) -> (tag_of t, k)) s0;
-          List.map (fun (t, k) -> (tag_of t, k)) s1;
-        ]
-      in
+      let scripts = [ List.map op_of s0; List.map op_of s1 ] in
       let res =
         Explore.run ~max_preemptions:1 ~max_schedules:5_000
-          (dict_scenario ~mk_dict:fr_list_dict ~initial:[ 1 ] ~scripts)
+          (fr_list (scenario ~initial:[ 1 ] scripts))
       in
       res.failures = [])
 
-let conflict_scripts =
-  [ [ (`I, 2); (`D, 1) ]; [ (`D, 2); (`I, 1) ] ]
-
-let hotspot_scripts = [ [ (`I, 2); (`D, 2) ]; [ (`D, 2); (`I, 2) ] ]
-
-let mixed_scripts = [ [ (`I, 2); (`F, 3) ]; [ (`D, 3); (`F, 2) ] ]
+let conflict_scripts = Certify.[ [ I 2; D 1 ]; [ D 2; I 1 ] ]
+let hotspot_scripts = Certify.[ [ I 2; D 2 ]; [ D 2; I 2 ] ]
+let mixed_scripts = Certify.[ [ I 2; F 3 ]; [ D 3; F 2 ] ]
 
 (* Three processes, one conflicting op each: a wider interleaving space
    (every pair can preempt every other). *)
-let three_way_scripts = [ [ (`I, 2) ]; [ (`D, 1) ]; [ (`D, 2) ] ]
+let three_way_scripts = Certify.[ [ I 2 ]; [ D 1 ]; [ D 2 ] ]
 
 let () =
   Alcotest.run "explore"
@@ -254,31 +185,31 @@ let () =
         ] );
       ( "fr-list exhaustive",
         [
-          exhaustive "conflict" fr_list_dict conflict_scripts;
-          exhaustive "hotspot" fr_list_dict hotspot_scripts;
-          exhaustive "mixed" fr_list_dict mixed_scripts;
-          exhaustive "three-way" fr_list_dict three_way_scripts;
+          exhaustive "conflict" fr_list conflict_scripts;
+          exhaustive "hotspot" fr_list hotspot_scripts;
+          exhaustive "mixed" fr_list mixed_scripts;
+          exhaustive "three-way" fr_list three_way_scripts;
           random_scenarios_prop;
         ] );
       ( "harris exhaustive",
         [
-          exhaustive "conflict" harris_dict conflict_scripts;
-          exhaustive "hotspot" harris_dict hotspot_scripts;
+          exhaustive "conflict" harris conflict_scripts;
+          exhaustive "hotspot" harris hotspot_scripts;
         ] );
       ( "valois exhaustive",
         [
-          exhaustive "conflict" valois_dict conflict_scripts;
-          exhaustive "hotspot" valois_dict hotspot_scripts;
+          exhaustive "conflict" valois conflict_scripts;
+          exhaustive "hotspot" valois hotspot_scripts;
         ] );
       ( "skiplist exhaustive",
         [
-          exhaustive "conflict" skiplist_dict conflict_scripts;
-          exhaustive "hotspot" skiplist_dict hotspot_scripts;
-          exhaustive "mixed" skiplist_dict mixed_scripts;
-          exhaustive "three-way" skiplist_dict three_way_scripts;
+          exhaustive "conflict" skiplist conflict_scripts;
+          exhaustive "hotspot" skiplist hotspot_scripts;
+          exhaustive "mixed" skiplist mixed_scripts;
+          exhaustive "three-way" skiplist three_way_scripts;
           (* Key 1 is a height-2 tower: both finds race every step of its
              root deletion and of the cleanup search that unlinks level 2. *)
-          exhaustive "tower delete races finds" skiplist_dict
-            [ [ (`F, 1); (`F, 3) ]; [ (`D, 1) ] ];
+          exhaustive "tower delete races finds" skiplist
+            Certify.[ [ F 1; F 3 ]; [ D 1 ] ];
         ] );
     ]

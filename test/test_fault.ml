@@ -11,6 +11,7 @@ module ME = Lf_kernel.Mem_event
 module Sim = Lf_dsim.Sim
 module SimFM = Lf_fault.Fault_mem.Make (Lf_dsim.Sim_mem)
 module SimFL = Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (SimFM)
+module SimFL_dict = Lf_workload.Dict.Of (SimFL)
 
 (* --- Plan determinism ------------------------------------------------ *)
 
@@ -257,12 +258,7 @@ let chaos_sim_once ~mutation ~seed =
       ~injected:(fun () -> List.length (SimFM.injected ()))
       ~procs:3 ~ops_per_proc:30 ~key_range:8
       ~mix:{ insert_pct = 20; delete_pct = 60 }
-      ~seed
-      {
-        insert = (fun k -> SimFL.insert t k k);
-        delete = (fun k -> SimFL.delete t k);
-        find = (fun k -> SimFL.mem t k);
-      }
+      ~seed (SimFL_dict.make t)
   in
   SimFM.uninstall ();
   report
@@ -305,18 +301,15 @@ module LazyI = Lf_baselines.Lazy_list.Int
    30 ms one sat within host noise of the lock-free case. *)
 let stall_s = 0.2
 
-let run_chaos_with ~name ~insert ~delete ~find ~victims ~mix =
+let run_chaos_with ~name d ~victims ~mix =
   Lf_workload.Runner.run_chaos ~victims ~budget_s:(stall_s /. 2.)
-    ~window_s:0.12 ~name ~insert ~delete ~find ~domains:3 ~key_range:16 ~mix
-    ~seed:5 ()
+    ~window_s:0.12 ~name d ~domains:3 ~key_range:16 ~mix ~seed:5 ()
 
 let test_coarse_lock_holder_starves () =
   let t = CoarseI.create () in
+  let module D = Lf_workload.Dict.Of (CoarseI) in
   let r =
-    run_chaos_with ~name:"coarse-list"
-      ~insert:(fun k -> CoarseI.insert t k k)
-      ~delete:(fun k -> CoarseI.delete t k)
-      ~find:(fun k -> CoarseI.mem t k)
+    run_chaos_with ~name:"coarse-list" (D.make t)
       ~victims:
         [ (0, fun () -> CoarseI.with_lock_held t (fun () -> Unix.sleepf stall_s)) ]
       ~mix:{ insert_pct = 30; delete_pct = 30 }
@@ -326,11 +319,9 @@ let test_coarse_lock_holder_starves () =
 
 let test_lazy_head_lock_starves () =
   let t = LazyI.create () in
+  let module D = Lf_workload.Dict.Of (LazyI) in
   let r =
-    run_chaos_with ~name:"lazy-list"
-      ~insert:(fun k -> LazyI.insert t k k)
-      ~delete:(fun k -> LazyI.delete t k)
-      ~find:(fun k -> LazyI.mem t k)
+    run_chaos_with ~name:"lazy-list" (D.make t)
       ~victims:
         [ (0, fun () -> LazyI.with_head_locked t (fun () -> Unix.sleepf stall_s)) ]
       ~mix:{ insert_pct = 45; delete_pct = 45 }
@@ -341,12 +332,9 @@ let test_lazy_head_lock_starves () =
 module AFL = Lf_list.Fr_list.Atomic_int
 
 let test_fr_stalled_domain_is_harmless () =
-  let t = AFL.create () in
+  let module D = Lf_workload.Dict.Of (AFL) in
   let r =
-    run_chaos_with ~name:"fr-list"
-      ~insert:(fun k -> AFL.insert t k k)
-      ~delete:(fun k -> AFL.delete t k)
-      ~find:(fun k -> AFL.mem t k)
+    run_chaos_with ~name:"fr-list" (D.make (AFL.create ()))
       ~victims:[ (0, fun () -> Unix.sleepf stall_s) ]
       ~mix:{ insert_pct = 30; delete_pct = 30 }
   in
@@ -367,16 +355,13 @@ let test_pending_crashed_op_linearizes () =
     if seed > 20 then
       Alcotest.fail "no seed produced an injected crash in 20 attempts"
     else begin
-      let t = AFLf.create () in
+      let module D = Lf_workload.Dict.Of (AFLf) in
+      let d = D.make (AFLf.create ()) in
       AFM.install
         (Fault.make_plan ~seed:7
            [ Fault.crash_at ~lane:0 1 (FP.After_cas_ok ME.Insertion) ]);
       let hist, pending =
-        Lf_workload.Runner.run_chaos_recorded
-          ~insert:(fun k -> AFLf.insert t k k)
-          ~delete:(fun k -> AFLf.delete t k)
-          ~find:(fun k -> AFLf.mem t k)
-          ~domains:2 ~ops_per_domain:8 ~key_range:16
+        Lf_workload.Runner.run_chaos_recorded d ~domains:2 ~ops_per_domain:8 ~key_range:16
           ~mix:{ insert_pct = 70; delete_pct = 15 }
           ~seed ()
       in

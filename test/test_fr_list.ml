@@ -28,12 +28,11 @@ let oracle_flagless =
   Support.qcheck "flagless ablation agrees with oracle"
     (Support.ops_gen ~key_range:16 ~len:120)
     (fun script ->
-      let t = FR.create_with ~use_flags:false () in
+      let t = Flagless.create () in
+      let module D = Lf_workload.Dict.Of (Flagless) in
       let expected =
         Support.run_against_oracle script
-          ~insert:(fun k v -> FR.insert t k v)
-          ~delete:(fun k -> FR.delete t k)
-          ~find:(fun k -> FR.find t k)
+          { (D.make t) with find = (fun k -> FR.find t k = Some k) }
       in
       FR.to_list t = expected)
 
@@ -384,14 +383,8 @@ let test_linearizable_sim_histories () =
   List.iter
     (fun seed ->
       let t = FRS.create () in
-      let ops =
-        Lf_workload.Sim_driver.
-          {
-            insert = (fun k -> FRS.insert t k k);
-            delete = (fun k -> FRS.delete t k);
-            find = (fun k -> FRS.mem t k);
-          }
-      in
+      let module D = Lf_workload.Dict.Of (FRS) in
+      let ops = D.make t in
       let h =
         Lf_workload.Sim_driver.run_recorded ~policy:(Sim.Random seed) ~procs:3
           ~ops_per_proc:15 ~key_range:6

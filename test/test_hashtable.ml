@@ -41,14 +41,8 @@ let test_sim_linearizable () =
   List.iter
     (fun seed ->
       let t = HS.create_with ~buckets:4 () in
-      let ops =
-        Lf_workload.Sim_driver.
-          {
-            insert = (fun k -> HS.insert t k k);
-            delete = (fun k -> HS.delete t k);
-            find = (fun k -> HS.mem t k);
-          }
-      in
+      let module D = Lf_workload.Dict.Of (HS) in
+      let ops = D.make t in
       let h =
         Lf_workload.Sim_driver.run_recorded ~policy:(Sim.Random seed) ~procs:3
           ~ops_per_proc:15 ~key_range:8

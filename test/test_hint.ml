@@ -147,32 +147,6 @@ let test_list_hints_off_no_stats () =
 (* marked (or unlinked) the hinted node exercise the stale-recovery      *)
 (* path, and cumulative stats prove both paths were taken.               *)
 
-(* Invocation tick, run the op, return tick: the ref is incremented at the
-   real points of the cooperative schedule, exactly like the explorer's
-   dict scenarios. *)
-let record entries clock pid op run =
-  let inv = !clock in
-  incr clock;
-  let ok = run () in
-  let ret = !clock in
-  incr clock;
-  entries := { Lf_lin.History.pid; op; ok; inv; ret } :: !entries
-
-let lin_oracle ~initial entries () =
-  let h =
-    List.sort
-      (fun a b -> compare a.Lf_lin.History.inv b.Lf_lin.History.inv)
-      !entries
-  in
-  let init =
-    List.fold_left
-      (fun s k -> Lf_lin.Checker.IntSet.add k s)
-      Lf_lin.Checker.IntSet.empty initial
-  in
-  match Lf_lin.Checker.check ~init h with
-  | Lf_lin.Checker.Linearizable -> Ok ()
-  | Lf_lin.Checker.Not_linearizable -> Error "not linearizable"
-
 let explore_list_staleness () =
   let hits = ref 0 and stale = ref 0 in
   let mk () =
@@ -183,16 +157,14 @@ let explore_list_staleness () =
     (* Seed the hint at node 3 (the simulator's processes share the one
        real domain, hence one slot). *)
     Sim.quiet (fun () -> ignore (L.mem t 3));
-    let clock = ref 0 and entries = ref [] in
+    let rec_ = Lf_lin.Recorder.create () in
+    let record pid op call = Lf_lin.Recorder.record rec_ ~pid op call in
     let scripts =
       [|
         (fun () ->
-          record entries clock 0 (Lf_lin.History.Find 3) (fun () ->
-              L.mem t 3);
-          record entries clock 0 (Lf_lin.History.Find 1) (fun () -> L.mem t 1));
-        (fun () ->
-          record entries clock 1 (Lf_lin.History.Delete 3) (fun () ->
-              L.delete t 3));
+          record 0 (Lf_lin.History.Find 3) (fun () -> L.mem t 3);
+          record 0 (Lf_lin.History.Find 1) (fun () -> L.mem t 1));
+        (fun () -> record 1 (Lf_lin.History.Delete 3) (fun () -> L.delete t 3));
       |]
     in
     let check () =
@@ -202,7 +174,11 @@ let explore_list_staleness () =
           match Sim.quiet (fun () -> L.check_invariants t) with
           | exception Failure m -> Error m
           | () ->
-              let r = lin_oracle ~initial:[ 1; 3 ] entries () in
+              let r =
+                Lf_lin.Recorder.verdict
+                  ~init:(Lf_lin.Checker.IntSet.of_list [ 1; 3 ])
+                  rec_
+              in
               (match L.hint_stats t with
               | Some s ->
                   hits := !hits + s.Lf_kernel.Hint.hits;
@@ -284,14 +260,14 @@ let hints_agreement_test name ~mk_on ~mk_off =
     (Printf.sprintf "%s: hints on/off agree" name)
     (Support.ops_gen ~key_range:16 ~len:120)
     (fun script ->
-      let insert_on, delete_on, find_on = mk_on () in
-      let insert_off, delete_off, find_off = mk_off () in
+      let on : Lf_workload.Dict.t = mk_on () in
+      let off : Lf_workload.Dict.t = mk_off () in
       List.for_all
         (fun (tag, k) ->
           match tag with
-          | 0 -> insert_on k = insert_off k
-          | 1 -> delete_on k = delete_off k
-          | _ -> find_on k = find_off k)
+          | 0 -> on.insert k = off.insert k
+          | 1 -> on.delete k = off.delete k
+          | _ -> on.find k = off.find k)
         script)
 
 (* The list's batches in its other two configurations: with the
@@ -313,11 +289,7 @@ module List_flagless = struct
   let create () = create_with ~use_flags:false ()
 end
 
-let list_ops create () =
-  let t : int Lf_list.Fr_list.Atomic_int.t = create () in
-  ( (fun k -> Lf_list.Fr_list.Atomic_int.insert t k k),
-    (fun k -> Lf_list.Fr_list.Atomic_int.delete t k),
-    fun k -> Lf_list.Fr_list.Atomic_int.mem t k )
+module List_dict = Lf_workload.Dict.Of (Lf_list.Fr_list.Atomic_int)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-domain batch stress: conservation, linearizability of the      *)
@@ -326,10 +298,9 @@ let list_ops create () =
 let stress_batches (module D : Lf_workload.Runner.INT_DICT_BATCHED) ~domains
     ~batches ~batch ~key_range ~seed () =
   let t = D.create () in
-  let clock = Atomic.make 0 in
+  let rec_ = Lf_lin.Recorder.create () in
   let work did =
     let rng = Lf_kernel.Splitmix.create (seed + (131 * did)) in
-    let entries = ref [] in
     let balance = ref 0 in
     for _ = 1 to batches do
       let keys =
@@ -339,7 +310,7 @@ let stress_batches (module D : Lf_workload.Runner.INT_DICT_BATCHED) ~domains
       (* Batch elements share the batch-wide window: invocation before the
          call, return after it.  Sound for the interval-precedence
          linearizability checker (it only uses non-overlap ordering). *)
-      let inv = Atomic.fetch_and_add clock 1 in
+      let inv = Lf_lin.Recorder.tick rec_ in
       let op_results =
         match kind with
         | 0 ->
@@ -355,17 +326,18 @@ let stress_batches (module D : Lf_workload.Runner.INT_DICT_BATCHED) ~domains
               (List.map (fun k -> Lf_lin.History.Find k) keys)
               (D.mem_batch t keys)
       in
-      let ret = Atomic.fetch_and_add clock 1 in
-      List.iter
-        (fun (op, ok) ->
-          (match (op, ok) with
-          | Lf_lin.History.Insert _, true -> incr balance
-          | Lf_lin.History.Delete _, true -> decr balance
-          | _ -> ());
-          entries := { Lf_lin.History.pid = did; op; ok; inv; ret } :: !entries)
-        op_results
+      let ret = Lf_lin.Recorder.tick rec_ in
+      Lf_lin.Recorder.add rec_
+        (List.map
+           (fun (op, ok) ->
+             (match (op, ok) with
+             | Lf_lin.History.Insert _, true -> incr balance
+             | Lf_lin.History.Delete _, true -> decr balance
+             | _ -> ());
+             { Lf_lin.History.pid = did; op; ok; inv; ret })
+           op_results)
     done;
-    (!entries, !balance)
+    !balance
   in
   let spawned =
     List.init (domains - 1) (fun i -> Domain.spawn (fun () -> work (i + 1)))
@@ -373,14 +345,10 @@ let stress_batches (module D : Lf_workload.Runner.INT_DICT_BATCHED) ~domains
   let first = work 0 in
   let per_domain = first :: List.map Domain.join spawned in
   D.check_invariants t;
-  let balance = List.fold_left (fun acc (_, b) -> acc + b) 0 per_domain in
+  let balance = List.fold_left ( + ) 0 per_domain in
   Alcotest.(check int) "conservation: inserts - deletes = length" balance
     (D.length t);
-  let h =
-    List.concat_map fst per_domain
-    |> List.sort (fun a b -> compare a.Lf_lin.History.inv b.Lf_lin.History.inv)
-  in
-  Support.assert_linearizable h
+  Support.assert_linearizable (Lf_lin.Recorder.history rec_)
 
 let test_stress_list () =
   stress_batches
@@ -445,12 +413,12 @@ let () =
       ( "hints transparency",
         [
           hints_agreement_test "fr-list"
-            ~mk_on:
-              (list_ops (fun () -> Lf_list.Fr_list.Atomic_int.create ()))
-            ~mk_off:
-              (list_ops (fun () ->
-                   Lf_list.Fr_list.Atomic_int.create_with ~use_hints:false
-                     ~use_flags:true ()));
+            ~mk_on:(fun () ->
+              List_dict.make (Lf_list.Fr_list.Atomic_int.create ()))
+            ~mk_off:(fun () ->
+              List_dict.make
+                (Lf_list.Fr_list.Atomic_int.create_with ~use_hints:false
+                   ~use_flags:true ()));
         ] );
       ( "multi-domain stress",
         [

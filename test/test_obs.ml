@@ -308,14 +308,8 @@ module FRS = Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (Traced_sim)
 let sim_trace ~seed =
   with_recorder ~level:Recorder.Tracing ~clock:Recorder.Sim_steps (fun () ->
       let t = FRS.create () in
-      let ops =
-        Lf_workload.Sim_driver.
-          {
-            insert = (fun k -> FRS.insert t k k);
-            delete = (fun k -> FRS.delete t k);
-            find = (fun k -> FRS.mem t k);
-          }
-      in
+      let module D = Lf_workload.Dict.Of (FRS) in
+      let ops = D.make t in
       ignore
         (Lf_workload.Sim_driver.run_mixed
            ~policy:(Lf_dsim.Sim.Random seed) ~procs:4 ~ops_per_proc:40
@@ -329,6 +323,17 @@ let test_sim_trace_deterministic () =
   let b = sim_trace ~seed:11 in
   Alcotest.(check bool) "non-trivial" true (String.length a > 200);
   Alcotest.(check string) "byte-identical across reruns" a b
+
+(* The one JSON string escaper, shared by the trace and flight exporters,
+   the bench rows and the model-check reports: a string holding a quote, a
+   backslash and control characters reads back intact, and the reader
+   rejects any raw control character the escaper let through. *)
+let test_escape_roundtrip () =
+  let s = "q\"b\\n\nr\rt\tc\x01." in
+  match Lf_obs.Obs_json.parse ("\"" ^ Lf_obs.Chrome_trace.escape s ^ "\"") with
+  | Ok (Lf_obs.Obs_json.Str back) -> Alcotest.(check string) "round trip" s back
+  | Ok _ -> Alcotest.fail "not a JSON string"
+  | Error e -> Alcotest.failf "escaped string does not parse: %s" e
 
 let test_chrome_trace_well_formed () =
   let s = sim_trace ~seed:3 in
@@ -395,14 +400,8 @@ let test_recorder_drop_accounting () =
       with_recorder ~level:Recorder.Tracing ~clock:Recorder.Sim_steps
         (fun () ->
           let t = FRS.create () in
-          let ops =
-            Lf_workload.Sim_driver.
-              {
-                insert = (fun k -> FRS.insert t k k);
-                delete = (fun k -> FRS.delete t k);
-                find = (fun k -> FRS.mem t k);
-              }
-          in
+          let module D = Lf_workload.Dict.Of (FRS) in
+          let ops = D.make t in
           ignore
             (Lf_workload.Sim_driver.run_mixed ~procs:2 ~ops_per_proc:40
                ~key_range:16
@@ -522,6 +521,8 @@ let () =
             test_sim_trace_deterministic;
           Alcotest.test_case "chrome trace well-formed" `Quick
             test_chrome_trace_well_formed;
+          Alcotest.test_case "escaped strings round-trip" `Quick
+            test_escape_roundtrip;
           Alcotest.test_case "truncated trace still checks" `Quick
             test_ring_truncation_accounted;
           Alcotest.test_case "prometheus grammar" `Quick

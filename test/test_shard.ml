@@ -802,9 +802,12 @@ let test_chaos_shard_targeted_stall () =
   in
   let r =
     Lf_workload.Runner.run_chaos ~name:"router+stall-shard-0" ~window_s:0.15
-      ~insert:(fun k -> as_bool (Router.call router (Svc.Insert (k, k))))
-      ~delete:(fun k -> as_bool (Router.call router (Svc.Delete k)))
-      ~find:(fun k -> as_bool (Router.call router (Svc.Find k)))
+      {
+        insert = (fun k -> as_bool (Router.call router (Svc.Insert (k, k))));
+        delete = (fun k -> as_bool (Router.call router (Svc.Delete k)));
+        find = (fun k -> as_bool (Router.call router (Svc.Find k)));
+        check = ignore;
+      }
       ~domains:2 ~key_range
       ~mix:{ Lf_workload.Opgen.insert_pct = 30; delete_pct = 30 }
       ~seed:17 ()
@@ -884,7 +887,7 @@ let handoff_overlapped () =
       ~svc_config:(fun _ -> Svc.config ~clock ())
       backend
   in
-  let rec_ = History.Recorder.create () in
+  let rec_ = Lf_lin.Recorder.create () in
   let started = Atomic.make 0 in
   let handing_over = Atomic.make false and handed_over = Atomic.make false in
   let worker pid =
@@ -899,10 +902,10 @@ let handoff_overlapped () =
             | 1 -> (History.Delete k, Svc.Delete k)
             | _ -> (History.Find k, Svc.Find k)
           in
-          let inv = History.Recorder.tick rec_ in
+          let inv = Lf_lin.Recorder.tick rec_ in
           (match Router.call router req with
           | Svc.Served ok ->
-              let ret = History.Recorder.tick rec_ in
+              let ret = Lf_lin.Recorder.tick rec_ in
               entries := { History.pid; op; ok; inv; ret } :: !entries
           | Svc.Served_stale (_, lag) ->
               Alcotest.failf "unexpected stale read (lag=%d): no replicas" lag
@@ -924,21 +927,21 @@ let handoff_overlapped () =
           step ();
           incr n
         done;
-        History.Recorder.add rec_ !entries)
+        Lf_lin.Recorder.add rec_ !entries)
   in
   let d0 = worker 0 and d1 = worker 1 in
   while Atomic.get started < 2 do
     Domain.cpu_relax ()
   done;
-  let first = History.Recorder.tick rec_ in
+  let first = Lf_lin.Recorder.tick rec_ in
   Atomic.set handing_over true;
   let moved = Router.rebalance router ~slot:0 ~to_:1 in
-  let last = History.Recorder.tick rec_ in
+  let last = Lf_lin.Recorder.tick rec_ in
   Atomic.set handed_over true;
   Domain.join d0;
   Domain.join d1;
   Alcotest.(check bool) "rebalance ran" true (moved >= 0);
-  let hist = History.Recorder.history rec_ in
+  let hist = Lf_lin.Recorder.history rec_ in
   Alcotest.(check bool) "history not empty" true (hist <> []);
   let key_of_op = function
     | History.Find k | History.Insert k | History.Delete k -> k

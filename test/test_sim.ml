@@ -205,36 +205,6 @@ let test_writes_and_pause_counted () =
   Alcotest.(check int) "steps" 2 res.steps;
   Alcotest.(check int) "value" 5 (Sim.quiet (fun () -> SM.get r))
 
-let test_trace_recorder () =
-  let r = SM.make 0 in
-  let body _pid =
-    let v = SM.get r in
-    ignore (SM.cas r ~kind:Ev.Insertion ~expect:v (v + 1))
-  in
-  let tr = Lf_dsim.Trace.create ~capacity:8 () in
-  ignore (Sim.run ~on_step:(Lf_dsim.Trace.on_step tr) [| body; body |]);
-  Alcotest.(check int) "all steps recorded" 4 (Lf_dsim.Trace.total tr);
-  let kinds =
-    List.map (fun (e : Lf_dsim.Trace.entry) -> e.t_kind) (Lf_dsim.Trace.entries tr)
-  in
-  Alcotest.(check int) "reads" 2
-    (List.length (List.filter (( = ) Lf_dsim.Sim_effect.Read) kinds));
-  Alcotest.(check int) "cas" 2
-    (List.length
-       (List.filter (( = ) (Lf_dsim.Sim_effect.Cas Ev.Insertion)) kinds));
-  (* Ring behaviour: a long run keeps only the last [capacity]. *)
-  let tr2 = Lf_dsim.Trace.create ~capacity:4 () in
-  let busy _pid =
-    for _ = 1 to 10 do
-      ignore (SM.get r)
-    done
-  in
-  ignore (Sim.run ~on_step:(Lf_dsim.Trace.on_step tr2) [| busy |]);
-  Alcotest.(check int) "total" 10 (Lf_dsim.Trace.total tr2);
-  Alcotest.(check int) "buffered" 4 (List.length (Lf_dsim.Trace.entries tr2));
-  Alcotest.(check bool) "renders" true
-    (String.length (Lf_dsim.Trace.to_string tr2) > 0)
-
 let test_quiet_passthrough () =
   let r = SM.make 3 in
   let v =
@@ -256,7 +226,6 @@ let () =
           Alcotest.test_case "writes and pause" `Quick
             test_writes_and_pause_counted;
           Alcotest.test_case "quiet" `Quick test_quiet_passthrough;
-          Alcotest.test_case "trace recorder" `Quick test_trace_recorder;
           Alcotest.test_case "step budget" `Quick test_step_budget;
         ] );
       ( "policies",

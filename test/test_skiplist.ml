@@ -265,14 +265,8 @@ let test_sim_linearizable () =
   List.iter
     (fun seed ->
       let t = SLS.create_with ~max_level:6 () in
-      let ops =
-        Lf_workload.Sim_driver.
-          {
-            insert = (fun k -> SLS.insert t k k);
-            delete = (fun k -> SLS.delete t k);
-            find = (fun k -> SLS.mem t k);
-          }
-      in
+      let module D = Lf_workload.Dict.Of (SLS) in
+      let ops = D.make t in
       let h =
         Lf_workload.Sim_driver.run_recorded ~policy:(Sim.Random seed) ~procs:3
           ~ops_per_proc:15 ~key_range:6
@@ -316,14 +310,8 @@ let test_fraser_sim_linearizable () =
   List.iter
     (fun seed ->
       let t = FraserS.create_with ~max_level:5 () in
-      let ops =
-        Lf_workload.Sim_driver.
-          {
-            insert = (fun k -> FraserS.insert t k k);
-            delete = (fun k -> FraserS.delete t k);
-            find = (fun k -> FraserS.mem t k);
-          }
-      in
+      let module D = Lf_workload.Dict.Of (FraserS) in
+      let ops = D.make t in
       let h =
         Lf_workload.Sim_driver.run_recorded ~policy:(Sim.Random seed) ~procs:3
           ~ops_per_proc:15 ~key_range:6
@@ -339,16 +327,8 @@ let test_fraser_exhaustive_schedules () =
     Sim.quiet (fun () ->
         ignore (FraserS.insert_with_height t ~height:2 1 1);
         ignore (FraserS.insert_with_height t ~height:1 3 3));
-    let clock = ref 0 in
-    let entries = ref [] in
-    let record pid op f =
-      let inv = !clock in
-      incr clock;
-      let ok = f () in
-      let ret = !clock in
-      incr clock;
-      entries := { Lf_lin.History.pid; op; ok; inv; ret } :: !entries
-    in
+    let rec_ = Lf_lin.Recorder.create () in
+    let record pid op call = Lf_lin.Recorder.record rec_ ~pid op call in
     let scripts =
       [|
         (fun pid ->
@@ -364,16 +344,10 @@ let test_fraser_exhaustive_schedules () =
     let check () =
       match Sim.quiet (fun () -> FraserS.check_invariants t) with
       | exception Failure m -> Error m
-      | () -> (
-          let h =
-            List.sort
-              (fun a b -> compare a.Lf_lin.History.inv b.Lf_lin.History.inv)
-              !entries
-          in
-          let init = Lf_lin.Checker.IntSet.of_list [ 1; 3 ] in
-          match Lf_lin.Checker.check ~init h with
-          | Lf_lin.Checker.Linearizable -> Ok ()
-          | Lf_lin.Checker.Not_linearizable -> Error "not linearizable")
+      | () ->
+          Lf_lin.Recorder.verdict
+            ~init:(Lf_lin.Checker.IntSet.of_list [ 1; 3 ])
+            rec_
     in
     (scripts, check)
   in
@@ -418,14 +392,8 @@ let test_st_sim_linearizable () =
   List.iter
     (fun seed ->
       let t = StS.create_with ~max_level:5 () in
-      let ops =
-        Lf_workload.Sim_driver.
-          {
-            insert = (fun k -> StS.insert t k k);
-            delete = (fun k -> StS.delete t k);
-            find = (fun k -> StS.mem t k);
-          }
-      in
+      let module D = Lf_workload.Dict.Of (StS) in
+      let ops = D.make t in
       let h =
         Lf_workload.Sim_driver.run_recorded ~policy:(Sim.Random seed) ~procs:3
           ~ops_per_proc:15 ~key_range:6
@@ -441,16 +409,8 @@ let test_st_exhaustive_schedules () =
     Sim.quiet (fun () ->
         ignore (StS.insert_with_height t ~height:2 1 1);
         ignore (StS.insert_with_height t ~height:1 3 3));
-    let clock = ref 0 in
-    let entries = ref [] in
-    let record pid op f =
-      let inv = !clock in
-      incr clock;
-      let ok = f () in
-      let ret = !clock in
-      incr clock;
-      entries := { Lf_lin.History.pid; op; ok; inv; ret } :: !entries
-    in
+    let rec_ = Lf_lin.Recorder.create () in
+    let record pid op call = Lf_lin.Recorder.record rec_ ~pid op call in
     let scripts =
       [|
         (fun pid ->
@@ -466,16 +426,10 @@ let test_st_exhaustive_schedules () =
     let check () =
       match Sim.quiet (fun () -> StS.check_invariants t) with
       | exception Failure m -> Error m
-      | () -> (
-          let h =
-            List.sort
-              (fun a b -> compare a.Lf_lin.History.inv b.Lf_lin.History.inv)
-              !entries
-          in
-          let init = Lf_lin.Checker.IntSet.of_list [ 1; 3 ] in
-          match Lf_lin.Checker.check ~init h with
-          | Lf_lin.Checker.Linearizable -> Ok ()
-          | Lf_lin.Checker.Not_linearizable -> Error "not linearizable")
+      | () ->
+          Lf_lin.Recorder.verdict
+            ~init:(Lf_lin.Checker.IntSet.of_list [ 1; 3 ])
+            rec_
     in
     (scripts, check)
   in

@@ -3,6 +3,7 @@
 
 module Sim = Lf_dsim.Sim
 module FRS = Lf_list.Fr_list.Make (Lf_kernel.Ordered.Int) (Lf_dsim.Sim_mem)
+module FRS_dict = Lf_workload.Dict.Of (FRS)
 
 let test_throughput_smoke () =
   let r =
@@ -133,17 +134,12 @@ let test_open_loop_due_stamps () =
           a (a - first))
     !stamps
 
-let sim_ops t =
-  Lf_workload.Sim_driver.
-    {
-      insert = (fun k -> FRS.insert t k k);
-      delete = (fun k -> FRS.delete t k);
-      find = (fun k -> FRS.mem t k);
-    }
-
 let test_prefill_exact () =
   let t = FRS.create () in
-  let n = Lf_workload.Sim_driver.prefill ~key_range:100 ~count:40 ~seed:1 (sim_ops t) in
+  let n =
+    Lf_workload.Sim_driver.prefill ~key_range:100 ~count:40 ~seed:1
+      (FRS_dict.make t)
+  in
   Alcotest.(check int) "prefill count" 40 n;
   Alcotest.(check int) "length" 40 (Sim.quiet (fun () -> FRS.length t))
 
@@ -153,7 +149,7 @@ let test_run_mixed_records () =
     Lf_workload.Sim_driver.run_mixed ~policy:(Sim.Random 2) ~procs:3
       ~ops_per_proc:50 ~key_range:16
       ~mix:{ insert_pct = 40; delete_pct = 30 }
-      ~seed:7 (sim_ops t)
+      ~seed:7 (FRS_dict.make t)
   in
   Alcotest.(check int) "op count" 150 (List.length res.ops);
   List.iter
@@ -174,7 +170,7 @@ let test_sim_driver_deterministic () =
       Lf_workload.Sim_driver.run_mixed ~policy:(Sim.Random 9) ~procs:2
         ~ops_per_proc:40 ~key_range:8
         ~mix:{ insert_pct = 50; delete_pct = 30 }
-        ~seed:11 (sim_ops t)
+        ~seed:11 (FRS_dict.make t)
     in
     (res.steps, Sim.total_essential res, Sim.bound_sum res,
      Sim.quiet (fun () -> FRS.to_list t))

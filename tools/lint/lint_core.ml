@@ -168,7 +168,7 @@ let waivers =
       rule_raw_atomic,
       "lock-based baseline for EXP comparisons; not a subject of the \
        checked-memory sanitizers" );
-    ( "lib/lin/history.ml",
+    ( "lib/lin/recorder.ml",
       rule_raw_atomic,
       "history recorder infrastructure: its event counter is harness state, \
        not structure state" );
