@@ -87,7 +87,15 @@ let seeds n base = List.init n (fun i -> base + i)
 
 let run () =
   Tables.section "EXP-10  Linearizability battery (Wing-Gold checker)";
-  let widths = [ 14; 16; 8; 8 ] in
+  let names =
+    List.map (fun tgt -> tgt.sname) sim_targets
+    @ List.map
+        (fun (module D : Lf_workload.Runner.INT_DICT) -> D.name)
+        domain_targets
+  in
+  let widths =
+    [ List.fold_left (fun w n -> max w (String.length n)) 0 names; 16; 8; 8 ]
+  in
   Tables.row widths [ "impl"; "source"; "checked"; "passed" ];
   let all_ok = ref true in
   List.iter

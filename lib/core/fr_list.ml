@@ -21,7 +21,11 @@
    physical-equality compare-and-swap on the descriptor; since OCaml's CAS
    returns a boolean rather than the old value, the decision points that the
    paper bases on a failed C&S's return value instead re-read the cell and
-   re-validate (every such branch is self-validating, see DESIGN.md).
+   re-validate (every such branch is self-validating, see DESIGN.md).  Every
+   C&S installs a freshly allocated descriptor, and a new node's cell
+   starts, as in the paper's INSERT, from the (next,0,0) descriptor its
+   predecessor gives up in the linking C&S, so no two linked cells hold one
+   descriptor and no cell ever holds the same one twice.
 
    Layout, as in [Fr_skiplist].  A node is an inline record, so [right],
    backlinks and hint anchors point straight at it.  The head and the tail
@@ -651,10 +655,13 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           help_flagged t prev right;
           search t Insert elt s true k prev
         end
-    | Clean { right; right_key; right_succ } as ps when right == next ->
-        (* [right_key] and [right_succ] are [next]'s key and cell. *)
+    | Clean { right; _ } as ps when right == next ->
+        (* The new node's cell starts from [ps] itself, (next,0,0): the
+           linking C&S below takes [ps] out of [prev]'s cell, and if it
+           fails the node is never linked, so no two linked cells hold one
+           descriptor. *)
         let backlink = M.make Null in
-        let succ = M.make (Clean { right; right_key; right_succ }) in
+        let succ = M.make ps in
         let anchor = { live = Null } in
         let nn = Node { key = k; elt; succ; backlink; anchor } in
         anchor.live <- nn;

@@ -19,14 +19,20 @@
 
    Layout.  A node is an inline record, so [right], [down], [tower_root]
    and backlinks point straight at it and no C&S site allocates a box.
-   Keys are stored unboxed; the sentinels carry [K.any], and no code
-   compares a sentinel's key (the tail is known by identity, and only
-   sentinels have neither an element nor a tower root).  A succ
+   Its constructor is its kind, and each kind holds only its own fields:
+   a root ([Base]) its element, an upper node its [down] node and tower
+   root, a sentinel (a head or the tail) its [down] node.  Keys are
+   stored unboxed; the sentinels carry [K.any], and no code compares a
+   sentinel's key (the tail is known by identity).  A new node's cell
+   starts, as in the paper's INSERTNODE, from the (next,0,0) descriptor
+   its predecessor gives up in the linking C&S; every C&S installs a
+   freshly allocated descriptor, so no cell ever holds one twice.  A succ
    descriptor also carries copies of its [right] node's key and [succ]
-   cell ([right_key], [right_succ]), and a node carries its [down] node's
-   cell ([down_succ]).  A node's key and cells never change, so the copies
-   are exact, and a search step reaches the next descriptor through cells and
-   descriptors only ("Skiplists with Foresight"): it stops or descends on
+   cell ([right_key], [right_succ]), and an upper node or a sentinel
+   carries its [down] node's cell ([down_succ]).  A node's key and cells
+   never change, so the copies are exact, and a search step reaches the
+   next descriptor through cells and descriptors only ("Skiplists with
+   Foresight"): it stops or descends on
    [right_key], moves right through [right_succ] and descends through
    [down_succ], without loading the next node.  The walk carries its
    level, as FINDSTART_SL returns it, so a node stores none.  C&S still
@@ -70,19 +76,37 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
 
   type key = K.t
 
-  (* [Null] is the tail's [right], a level-1 [down], the [tower_root] of
-     roots and sentinels, and an unset backlink; nothing else. *)
+  (* A node's constructor is its kind, and each kind carries only its own
+     fields: a tower's root ([Base], level 1) holds the element, an
+     upper node its [down] node, that node's cell and its tower's root,
+     and a sentinel (a head or the tail) its [down] node and that node's
+     cell.  The fields every kind has come first and in the same order, so
+     [succ_of], [backlink_of] and [key_of] are one load each.  [Null] is
+     the tail's [right], a level-1 sentinel's [down] and an unset
+     backlink; nothing else. *)
   type 'a node =
     | Null
-    | Node of {
-        key : K.t; (* [K.any] at sentinels *)
-        elt : 'a option; (* Some only at root nodes of real towers *)
-        down : 'a node; (* Null at level 1 *)
-        down_succ : 'a succ M.aref;
-            (* [down]'s succ cell; the node's own at level 1 and the tail *)
-        tower_root : 'a node; (* Null for roots and sentinels (self / none) *)
+    | Base of {
         succ : 'a succ M.aref;
         backlink : 'a node M.aref;
+        key : K.t;
+        elt : 'a option; (* always [Some]: [find] returns it as it is *)
+      }
+    | Upper of {
+        succ : 'a succ M.aref;
+        backlink : 'a node M.aref;
+        key : K.t;
+        down : 'a node;
+        down_succ : 'a succ M.aref; (* [down]'s succ cell *)
+        tower_root : 'a node; (* the [Base] node its [down] chain ends at *)
+      }
+    | Sentinel of {
+        succ : 'a succ M.aref;
+        backlink : 'a node M.aref;
+        key : K.t; (* [K.any], never compared *)
+        down : 'a node; (* the head one level below; [Null] at level 1 *)
+        down_succ : 'a succ M.aref;
+            (* [down]'s succ cell; the node's own at level 1 and the tail *)
       }
 
   (* A descriptor's constructor is its state, as in [Fr_list]: [Clean]
@@ -116,11 +140,26 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   (* Field access.  A traversal only dereferences nodes it reached through
      a [right] before the tail, a [down] above level 1 or a set backlink. *)
   let null () = invalid_arg "Fr_skiplist: dereferenced a null link"
-  let key_of = function Node n -> n.key | Null -> null ()
-  let down_of = function Node n -> n.down | Null -> null ()
-  let down_succ_of = function Node n -> n.down_succ | Null -> null ()
-  let succ_of = function Node n -> n.succ | Null -> null ()
-  let backlink_of = function Node n -> n.backlink | Null -> null ()
+
+  let key_of = function
+    | Base { key; _ } | Upper { key; _ } | Sentinel { key; _ } -> key
+    | Null -> null ()
+
+  let succ_of = function
+    | Base { succ; _ } | Upper { succ; _ } | Sentinel { succ; _ } -> succ
+    | Null -> null ()
+
+  let backlink_of = function
+    | Base { backlink; _ } | Upper { backlink; _ } | Sentinel { backlink; _ }
+      ->
+        backlink
+    | Null -> null ()
+
+  (* A root has nothing below it. *)
+  let down_of = function
+    | Upper { down; _ } | Sentinel { down; _ } -> down
+    | Base _ -> Null
+    | Null -> null ()
 
   (* A descriptor's right node ([Null] for [End]) and its two bits. *)
   let right_of = function
@@ -136,27 +175,21 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     | End | Clean _ | Marked _ -> false
 
   (* [n] is a regular node holding key [k].  Sentinels carry [K.any], which
-     may also be a live key, so they must never match: only sentinels have
-     neither an element nor a tower root. *)
+     may also be a live key, so they must never match. *)
   let holds n k =
     match n with
-    | Node { key; elt; tower_root; _ } ->
-        (elt != None || tower_root != Null) && K.compare key k = 0
-    | Null -> false
+    | Base { key; _ } | Upper { key; _ } -> K.compare key k = 0
+    | Sentinel _ | Null -> false
 
   (* A node's key with the paper's sentinel values, for checked-memory
-     reports: a sentinel (no element, no tower root) is the tail or a
-     head. *)
+     reports: a sentinel is the tail or a head. *)
   let bounded_key tail : _ node -> K.t Lf_kernel.Ordered.bounded = function
-    | Node { elt = None; tower_root = Null; _ } as n ->
-        if n == tail then Pos_inf else Neg_inf
-    | Node n -> Mid n.key
+    | Sentinel _ as n -> if n == tail then Pos_inf else Neg_inf
+    | Base { key; _ } | Upper { key; _ } -> Mid key
     | Null -> null ()
 
   (* A node's level is one more than the length of its [down] chain. *)
-  let rec level_of = function
-    | Node { down = Node _ as d; _ } -> 1 + level_of d
-    | Node _ | Null -> 1
+  let rec level_of n = match down_of n with Null -> 1 | d -> 1 + level_of d
 
   (* Declare a node's cells to a checked memory (Lf_check.Check_mem); a
      no-op elsewhere, and guarded by [M.stamp <> 0] so unchecked memories
@@ -185,30 +218,29 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     match l with
     | Null ->
         { target_id = Lf_kernel.Protocol.null_id; left_of_owner = true }
-    | Node b ->
+    | Base _ | Upper _ | Sentinel _ ->
         {
-          target_id = M.stamp b.succ;
+          target_id = M.stamp (succ_of l);
           left_of_owner = BK.lt (bounded_key tail l) owner;
         }
 
-  let annotate_node tail = function
-    | Node n as node when M.stamp n.succ <> 0 ->
-        let key = bounded_key tail node in
-        let level = if node == tail then 0 else level_of node in
-        let owner = Format.asprintf "L%d:%a" level BK.pp key in
-        let head, sentinel =
-          match key with
-          | Neg_inf -> (true, true)
-          | Pos_inf -> (false, true)
-          | Mid _ -> (false, false)
-        in
-        M.annotate n.succ
-          (Lf_kernel.Protocol.Succ
-             { owner; head; sentinel; view = succ_view_of tail key });
-        M.annotate n.backlink
-          (Lf_kernel.Protocol.Backlink
-             { owner; view = link_view_of tail key })
-    | Node _ | Null -> ()
+  let annotate_node tail node =
+    if node != Null && M.stamp (succ_of node) <> 0 then begin
+      let key = bounded_key tail node in
+      let level = if node == tail then 0 else level_of node in
+      let owner = Format.asprintf "L%d:%a" level BK.pp key in
+      let head, sentinel =
+        match key with
+        | Neg_inf -> (true, true)
+        | Pos_inf -> (false, true)
+        | Mid _ -> (false, false)
+      in
+      M.annotate (succ_of node)
+        (Lf_kernel.Protocol.Succ
+           { owner; head; sentinel; view = succ_view_of tail key });
+      M.annotate (backlink_of node)
+        (Lf_kernel.Protocol.Backlink { owner; view = link_view_of tail key })
+    end
 
   let rng = Lf_kernel.Splitmix.domain_local 0x5ee
 
@@ -223,16 +255,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let backlink = M.make Null in
     let succ = M.make End in
     let tail =
-      Node
-        {
-          key = K.any;
-          elt = None;
-          down = Null;
-          down_succ = succ;
-          tower_root = Null;
-          succ;
-          backlink;
-        }
+      Sentinel { succ; backlink; key = K.any; down = Null; down_succ = succ }
     in
     let heads = Array.make max_level tail in
     annotate_node tail tail;
@@ -246,17 +269,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         if l = 1 then (Null, succ)
         else (heads.(l - 2), succ_of heads.(l - 2))
       in
-      heads.(l - 1) <-
-        Node
-          {
-            key = K.any;
-            elt = None;
-            down;
-            down_succ;
-            tower_root = Null;
-            succ;
-            backlink;
-          };
+      heads.(l - 1) <- Sentinel { succ; backlink; key = K.any; down; down_succ };
       annotate_node tail heads.(l - 1)
     done;
     { max_level; heads; tail; help_superfluous }
@@ -268,8 +281,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
      sentinels answer false here: a marked root is handled by the ordinary
      marked-node logic. *)
   let is_superfluous = function
-    | Node { tower_root = Node r; _ } -> is_marked (M.get r.succ)
-    | Node _ | Null -> false
+    | Upper { tower_root; _ } -> is_marked (M.get (succ_of tower_root))
+    | Base _ | Sentinel _ | Null -> false
 
   (* --- The per-level linked-list machinery (Section 3 reused). ---
 
@@ -331,14 +344,14 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   (* The root of the tower a node below a new upper node belongs to: the
      node itself at level 1, else its [tower_root]. *)
   let root_of = function
-    | Node { tower_root = Null; _ } as n -> n
-    | Node { tower_root; _ } -> tower_root
-    | Null -> null ()
+    | Base _ as n -> n
+    | Upper { tower_root; _ } -> tower_root
+    | Sentinel _ | Null -> null ()
 
-  (* The binding a regular root node holds; [None] at sentinels. *)
+  (* The binding a root holds; [None] at sentinels. *)
   let binding = function
-    | Node { key; elt = Some e; _ } -> Some (key, e)
-    | Node _ | Null -> None
+    | Base { key; elt = Some e; _ } -> Some (key, e)
+    | Base { elt = None; _ } | Upper _ | Sentinel _ | Null -> None
 
   (* --- Searches and the steps that follow them. ---
 
@@ -409,8 +422,11 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
           if inclusive then c > 0 else c >= 0
         then begin
           if l > v then
-            walk t nx x inclusive k v (l - 1) (down_of curr)
-              (M.get (down_succ_of curr))
+            match curr with
+            | Upper { down; down_succ; _ } | Sentinel { down; down_succ; _ }
+              ->
+                walk t nx x inclusive k v (l - 1) down (M.get down_succ)
+            | Base _ | Null -> null ()
           else found t nx x k v curr next
         end
         else if is_marked (M.get ncell) then begin
@@ -532,13 +548,14 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     help_flagged t prev target;
     if ours || nx == Unlink then prev else Null
 
-  (* INSERTNODE: link a fresh node with [key] = [k], [elt] and [down]
-     between [prev] and [next] on level [v], with the linked-list INSERT
-     loop's recovery; the search of each relocation comes back through
-     [nx]'s step, which tells a duplicate.  An upper node's [tower_root]
-     is its down node's root; once it is linked, a marked root means the
-     tower became superfluous while we were building it, and the node just
-     added is deleted again. *)
+  (* INSERTNODE: link a fresh node with [key] = [k] between [prev] and
+     [next] on level [v], with the linked-list INSERT loop's recovery; the
+     search of each relocation comes back through [nx]'s step, which tells
+     a duplicate.  The node is a root holding [elt] if [down] is [Null],
+     else an upper node above [down], whose [tower_root] is [down]'s root;
+     once it is linked, a marked root means the tower became superfluous
+     while we were building it, and the node just added is deleted
+     again. *)
   and insert_attempt :
       'a 'x.
       'a t ->
@@ -557,28 +574,38 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         M.event Ev.Help;
         help_flagged t prev right;
         search_right t nx x ~inclusive:true k v prev
-    | Clean { right; right_key; right_succ } as ps when right == next -> (
-        (* [right_key] and [right_succ] are [next]'s key and cell. *)
+    | Clean { right; _ } as ps when right == next ->
+        (* The new node's cell starts from [ps] itself, (next,0,0): the
+           linking C&S below takes [ps] out of [prev]'s cell, and if it
+           fails the node is never linked, so no two linked cells hold one
+           descriptor. *)
         let backlink = M.make Null in
-        let succ = M.make (Clean { right; right_key; right_succ }) in
-        let down_succ = match down with Node d -> d.succ | Null -> succ in
-        let tower_root =
-          match down with Node _ -> root_of down | Null -> Null
-        in
+        let succ = M.make ps in
         let nn =
-          Node { key = k; elt; down; down_succ; tower_root; succ; backlink }
+          match down with
+          | Null -> Base { succ; backlink; key = k; elt }
+          | Base _ | Upper _ | Sentinel _ ->
+              Upper
+                {
+                  succ;
+                  backlink;
+                  key = k;
+                  down;
+                  down_succ = succ_of down;
+                  tower_root = root_of down;
+                }
         in
         annotate_node t.tail nn;
         if
           M.cas (succ_of prev) ~kind:Ev.Insertion ~expect:ps
             (Clean { right = nn; right_key = k; right_succ = succ })
         then
-          match tower_root with
-          | Node r when is_marked (M.get r.succ) ->
-              ignore (delete_node t prev nn);
-              Null
-          | _ -> nn
-        else insert_recover t nx x k v prev)
+          if is_superfluous nn then begin
+            ignore (delete_node t prev nn);
+            Null
+          end
+          else nn
+        else insert_recover t nx x k v prev
     | End | Clean _ | Marked _ -> insert_recover t nx x k v prev
 
   and insert_recover :
@@ -607,8 +634,8 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   (* SEARCH_SL. *)
   let find t k =
     match search_to_level t Pred () ~inclusive:true k 1 with
-    | Node { key; elt = Some _ as elt; _ } when K.compare key k = 0 -> elt
-    | _ -> None
+    | Base { key; elt; _ } when K.compare key k = 0 -> elt
+    | Base _ | Upper _ | Sentinel _ | Null -> None
 
   let mem t k = Option.is_some (find t k)
 
@@ -685,19 +712,19 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let start = head_at t (find_start t 1 1) in
     binding (backtrack (rightmost t (rightmost_descend t start)))
 
-  let rec fold_level_from t hi f acc n =
-    match n with
-    | Null -> acc
-    | Node r ->
-        if n == t.tail || K.compare hi r.key < 0 then acc
+  (* Level 1 holds roots and ends at the tail. *)
+  let rec fold_level_from hi f acc = function
+    | Base { key; elt; succ; _ } ->
+        if K.compare hi key < 0 then acc
         else
-          let s = M.get r.succ in
+          let s = M.get succ in
           let acc =
-            match r.elt with
-            | Some e when not (is_marked s) -> f acc r.key e
-            | _ -> acc
+            match elt with
+            | Some e when not (is_marked s) -> f acc key e
+            | Some _ | None -> acc
           in
-          fold_level_from t hi f acc (right_of s)
+          fold_level_from hi f acc (right_of s)
+    | Upper _ | Sentinel _ | Null -> acc
 
   (* Fold over regular bindings with lo <= key <= hi, in key order; weakly
      consistent under concurrency (like any lock-free iterator). *)
@@ -705,7 +732,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     if K.compare lo hi > 0 then acc
     else begin
       let _, start = search_to_level t Window () ~inclusive:false lo 1 in
-      fold_level_from t hi f acc start
+      fold_level_from hi f acc start
     end
 
   (* --- Quiescent snapshots and validation. --- *)
@@ -713,11 +740,12 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let fold t f acc =
     let rec go acc = function
       | Null -> acc
-      | Node n -> (
-          let s = M.get n.succ in
-          match n.elt with
-          | Some e when not (is_marked s) -> go (f acc n.key e) (right_of s)
-          | _ -> go acc (right_of s))
+      | Base { key; elt = Some e; succ; _ } ->
+          let s = M.get succ in
+          if is_marked s then go acc (right_of s)
+          else go (f acc key e) (right_of s)
+      | (Base _ | Upper _ | Sentinel _) as n ->
+          go acc (right_of (M.get (succ_of n)))
     in
     go acc (right_of (M.get (succ_of (head_at t 1))))
 
@@ -732,7 +760,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
         let rec go acc = function
           | Null -> acc
           | n when n == t.tail -> acc
-          | Node n -> go (acc + 1) (right_of (M.get n.succ))
+          | n -> go (acc + 1) (right_of (M.get (succ_of n)))
         in
         go 0 (right_of (M.get (succ_of (head_at t (i + 1))))))
 
@@ -742,7 +770,7 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
     let rec go acc = function
       | Null -> List.rev acc
       | n when n == t.tail -> List.rev acc
-      | Node n -> go (n.key :: acc) (right_of (M.get n.succ))
+      | n -> go (key_of n :: acc) (right_of (M.get (succ_of n)))
     in
     go [] (right_of (M.get (succ_of (head_at t l))))
 
@@ -759,15 +787,40 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
   let check_invariants t =
     let fail fmt = Format.kasprintf failwith fmt in
     let check_down_succ l = function
-      | Node { down = Node d; down_succ; _ } ->
-          if down_succ != d.succ then
+      | Upper { down; down_succ; _ }
+      | Sentinel { down = (Base _ | Upper _ | Sentinel _) as down; down_succ; _ }
+        ->
+          if down_succ != succ_of down then
             fail "fr-skiplist: down_succ is not the down node's cell (level %d)"
               l
-      | Node { down = Null; down_succ; succ; _ } ->
+      | Sentinel { down = Null; down_succ; succ; _ } ->
           if down_succ != succ then
             fail "fr-skiplist: down_succ is not the node's own cell (level %d)"
               l
-      | Null -> ()
+      | Base _ | Null -> ()
+    in
+    (* The node a [down] chain ends at. *)
+    let rec chain_end = function Upper { down; _ } -> chain_end down | n -> n in
+    (* Roots sit on level 1 and upper nodes above it, each one level above
+       its [down] node, with the same key and the root its chain ends at. *)
+    let check_kind l = function
+      | Base _ when l = 1 -> ()
+      | Base _ -> fail "fr-skiplist: a root above level 1 (level %d)" l
+      | Upper _ when l = 1 -> fail "fr-skiplist: an upper node on level 1"
+      | Upper { key; down; tower_root; _ } -> (
+          if down == Null || not (Int.equal (level_of down) (l - 1)) then
+            fail "fr-skiplist: down pointer shape at level %d" l;
+          if K.compare (key_of down) key <> 0 then
+            fail "fr-skiplist: down pointer key mismatch";
+          match chain_end down with
+          | Base _ as root when root == tower_root -> ()
+          | Base _ | Upper _ | Sentinel _ | Null ->
+              fail
+                "fr-skiplist: tower_root is not the root its down chain ends \
+                 at (level %d)"
+                l)
+      | Sentinel _ | Null ->
+          fail "fr-skiplist: a sentinel inside level %d" l
     in
     check_down_succ 0 t.tail;
     if M.get (succ_of t.tail) != End then
@@ -788,40 +841,27 @@ module Make (K : Lf_kernel.Ordered.S) (M : Lf_kernel.Mem.S) = struct
             fail "fr-skiplist: flagged node at quiescence (level %d)" l
         | Marked _ when t.help_superfluous ->
             fail "fr-skiplist: marked node at quiescence (level %d)" l
-        | Clean { right; right_key; right_succ }
-        | Marked { right; right_key; right_succ } -> (
-            match right with
-            | Null -> fail "fr-skiplist: level %d ends before the tail" l
-            | Node n as next ->
-                if right_key != n.key then
-                  fail
-                    "fr-skiplist: right_key is not the right node's key (level %d)"
-                    l;
-                if right_succ != n.succ then
-                  fail
-                    "fr-skiplist: right_succ is not the right node's cell (level \
-                     %d)"
-                    l;
-                if next != t.tail then begin
-                  if prev != head && K.compare (key_of prev) n.key >= 0 then
-                    fail "fr-skiplist: level %d keys unsorted" l;
-                  (match n.down with
-                  | Node d when l > 1 ->
-                      if K.compare d.key n.key <> 0 then
-                        fail "fr-skiplist: down pointer key mismatch"
-                  | Null when l = 1 -> ()
-                  | _ -> fail "fr-skiplist: down pointer shape at level %d" l);
-                  check_down_succ l next;
-                  (if t.help_superfluous then
-                     match n.tower_root with
-                     | Null ->
-                         if l <> 1 then fail "fr-skiplist: upper node w/o root"
-                     | Node r ->
-                         if is_marked (M.get r.succ) then
-                           fail
-                             "fr-skiplist: superfluous node survives quiescence");
-                  go next (M.get n.succ)
-                end)
+        | Clean { right = next; right_key; right_succ }
+        | Marked { right = next; right_key; right_succ } ->
+            if next == Null then
+              fail "fr-skiplist: level %d ends before the tail" l;
+            let key = key_of next in
+            if right_key != key then
+              fail
+                "fr-skiplist: right_key is not the right node's key (level %d)" l;
+            if right_succ != succ_of next then
+              fail
+                "fr-skiplist: right_succ is not the right node's cell (level %d)"
+                l;
+            if next != t.tail then begin
+              if prev != head && K.compare (key_of prev) key >= 0 then
+                fail "fr-skiplist: level %d keys unsorted" l;
+              check_kind l next;
+              check_down_succ l next;
+              if t.help_superfluous && is_superfluous next then
+                fail "fr-skiplist: superfluous node survives quiescence";
+              go next (M.get (succ_of next))
+            end
       in
       go head (M.get (succ_of head))
     done

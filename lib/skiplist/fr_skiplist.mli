@@ -15,15 +15,20 @@
     marking) and leaves the remaining levels to a cleanup search.
 
     Nodes are inline records with unboxed keys, so links point straight at
-    them; the sentinels carry [K.any] and are never compared by key.  Each
-    succ descriptor's constructor is its mark and flag ([Clean], [Flagged]
-    or [Marked] around [{right; right_key; right_succ}]; the tail's own is
-    the constant [End]), and it carries copies of its right node's key and
-    [succ] cell, and each node carries
-    its down node's cell, so a search step stops, moves right or descends
-    through cells and descriptors only, without loading the next node.
-    C&S compares whole descriptors physically and never looks at the
-    copies; they are not a deviation from the paper.
+    them.  A node's constructor is its kind, and besides the cells and key
+    all kinds share, a root holds only its element, an upper node only its
+    [down] and [tower_root] links and a sentinel only its [down] link; the
+    sentinels carry [K.any] and are never compared by key.  Each succ
+    descriptor's constructor is its mark and flag ([Clean], [Flagged] or
+    [Marked] around [{right; right_key; right_succ}]; the tail's own is the
+    constant [End]), and it carries copies of its right node's key and
+    [succ] cell, and each upper node and sentinel carries its down node's
+    cell, so a search step stops, moves right or descends through cells
+    and descriptors only, without loading the next node.  Every C&S
+    installs a fresh descriptor, and a new node's cell starts from the one
+    its predecessor gives up in the linking C&S, as in the paper.  C&S
+    compares whole descriptors physically and never looks at the copies;
+    they are not a deviation from the paper.
 
     Deviations from the paper (recorded in DESIGN.md): the head tower is
     preallocated up to [max_level] instead of growing through [up]

@@ -548,11 +548,12 @@ let test_placeholder_string =
    search hands its window (n1, n2) to its operation's next step instead
    of returning it, and no step returns a pair, so an operation allocates
    only its result and what it links: [find]'s [Some] on a hit (2 words);
-   a new key's two cells (2 + 2), descriptor (4), node (6) and anchor (2)
-   and the linking C&S's descriptor (4), 20 in all; a deletion's flagging,
-   marking and unlinking descriptors (3 x 4 = 12).  A descriptor is its
-   state's constructor around [right], [right_key] and [right_succ].  The
-   list holds the even keys of [0, 2n), and every call of one kind takes a
+   a new key's two cells (2 + 2), node (6) and anchor (2) and the linking
+   C&S's descriptor (4), 16 in all, the new node's cell starting from the
+   descriptor that C&S replaces; a deletion's flagging, marking and
+   unlinking descriptors (3 x 4 = 12).  A descriptor is its state's
+   constructor around [right], [right_key] and [right_succ].  The list
+   holds the even keys of [0, 2n), and every call of one kind takes a
    different index [i]. *)
 let per_call_words ~hints op =
   let n = 1024 in
@@ -596,7 +597,7 @@ let test_find_ge_alloc () =
   check_per_call [ ("find_ge", 5., fun t i -> FR.find_ge t ((2 * i) + 1)) ]
 
 let test_insert_alloc () =
-  check_per_call [ ("new-key insert", 20., fun t i -> FR.insert t ((2 * i) + 1) i) ]
+  check_per_call [ ("new-key insert", 16., fun t i -> FR.insert t ((2 * i) + 1) i) ]
 
 let test_delete_alloc () =
   check_per_call [ ("present-key delete", 12., fun t i -> FR.delete t (2 * i)) ]

@@ -130,9 +130,10 @@ let test_failed_ops_alloc () =
     [ true; false ]
 
 (* A successful update allocates what the bucket's list links or C&Ses
-   in, as in test_fr_list: a new key's cells, descriptor, node, anchor and
-   linking descriptor (20 words), and a deletion's flagging, marking and
-   unlinking descriptors (12). *)
+   in, as in test_fr_list: a new key's cells, node, anchor and linking
+   descriptor (16 words; the new cell starts from the descriptor the
+   linking C&S replaces), and a deletion's flagging, marking and unlinking
+   descriptors (12). *)
 let test_update_alloc () =
   let n = 4096 in
   List.iter
@@ -149,7 +150,7 @@ let test_update_alloc () =
               (if use_hints then "on" else "off")
               words bar)
         [
-          ("new-key insert", 20., fun t i -> H.insert t ((2 * i) + 1) i);
+          ("new-key insert", 16., fun t i -> H.insert t ((2 * i) + 1) i);
           ("present-key delete", 12., fun t i -> H.delete t (2 * i));
         ])
     [ true; false ]

@@ -108,6 +108,32 @@ let test_placeholder_key_queue () =
     "pop the (0, 0) element" (Some (0, "first")) (SPQ.pop_min q);
   Alcotest.(check bool) "empty" true (SPQ.is_empty q && SPQ.pop_min q = None)
 
+(* --- Allocation budgets --- *)
+
+(* Words per call on the shipped queue, averaged over 2^15 calls on a
+   queue holding the even priorities of [0, 2^16).  A push links a tower
+   as a skip-list insert does: a root is 15 words (two cells, the 5-word
+   node, its [Some] and the linking C&S's descriptor) and each upper level
+   15, with one upper level on average.  A pop claims the leftmost root
+   with three descriptors per level (12), with two levels on average, and
+   returns [Some (priority, element)] (5 words). *)
+let check_per_call name ~bar op =
+  let n = 32_768 in
+  let q = PQ.create () in
+  for i = 0 to n - 1 do
+    ignore (PQ.push q (2 * i) i)
+  done;
+  let words = Support.words_per_call ~n (op q) in
+  if words > bar then
+    Alcotest.failf "%s allocates %.4f words/call at %d keys (bar: %.0f)" name
+      words n bar
+
+let test_push_alloc () =
+  check_per_call "new-key push" ~bar:32. (fun q i -> PQ.push q ((2 * i) + 1) i)
+
+let test_pop_min_alloc () =
+  check_per_call "pop_min" ~bar:31. (fun q _ -> PQ.pop_min q)
+
 (* Exhaustive bounded-schedule check of pop_min claims: two processes pop
    from a 4-element queue under every schedule with <= 2 preemptions; every
    element must be claimed exactly once and pops never fabricate
@@ -215,6 +241,11 @@ let () =
                test_placeholder_key_skiplist;
              Alcotest.test_case "queue pops (0, 0)" `Quick
                test_placeholder_key_queue;
+           ] );
+         ( "allocation",
+           [
+             Alcotest.test_case "new-key push" `Quick test_push_alloc;
+             Alcotest.test_case "pop_min" `Quick test_pop_min_alloc;
            ] );
          ( "concurrent",
            [

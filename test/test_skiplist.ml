@@ -614,13 +614,15 @@ let test_placeholder_string =
    and no step returns a pair or a variant, so a read or a failed update
    allocates nothing ([find] returns the root's own element option), and
    an update only what it links or C&Ses in.  A descriptor is 4 words (its
-   state's constructor around [right], [right_key] and [right_succ]) and a
-   node 8: a root costs two cells (2 + 2), a descriptor, the node, its
-   [Some] (2) and the linking C&S's descriptor (22 words) and each upper
-   level 20, with one upper level on average; a deletion costs three
-   descriptors per level (12), with two levels on average.  The skip list
-   holds the even keys of [0, 2n), and every call of one kind takes a
-   different index [i]. *)
+   state's constructor around [right], [right_key] and [right_succ]); a
+   root is 5 ([succ], [backlink], [key], [elt]) and an upper node 7
+   ([succ], [backlink], [key], [down], [down_succ], [tower_root]).  A new
+   node's cell starts from the descriptor the linking C&S replaces, so a
+   root costs two cells (2 + 2), the node, its [Some] (2) and the linking
+   C&S's descriptor (15 words) and each upper level 15, with one upper
+   level on average; a deletion costs three descriptors per level (12),
+   with two levels on average.  The skip list holds the even keys of
+   [0, 2n), and every call of one kind takes a different index [i]. *)
 let words_per_call ~n op =
   let t = SL.create () in
   for i = 0 to n - 1 do
@@ -647,9 +649,9 @@ let test_find_ge_alloc () =
   check_per_call "find_ge" ~bar:5. (fun t i -> SL.find_ge t ((2 * i) + 1))
 
 (* Averaged over 2^15 new keys, whose random tower heights put the mean
-   near 42 words. *)
+   near 30 words. *)
 let test_insert_alloc () =
-  check_per_call ~n:32_768 "new-key insert" ~bar:44. (fun t i ->
+  check_per_call ~n:32_768 "new-key insert" ~bar:32. (fun t i ->
       SL.insert t ((2 * i) + 1) i)
 
 (* An insert of a present key draws its tower height before its search
@@ -677,9 +679,12 @@ let test_find_alloc_flat () =
       small large
 
 (* Words reachable per key in a list of 16,384 keys: a node is one inline
-   record, and no pointer to it goes through a box.  The random tower
-   heights move the figure by about a word between 256 and 65,536 keys,
-   so the bar sits two words above the 34 measured. *)
+   record holding only its kind's fields, and no pointer to it goes
+   through a box.  A root with its two cells, the descriptor its cell
+   holds and its [Some] is 15 words, and an upper node with its cells and
+   descriptor 15, with one upper node per key on average.  The random
+   tower heights move the figure by about a word between 256 and 65,536
+   keys, so the bar sits two words above the 30 measured. *)
 let test_footprint () =
   let n = 16_384 in
   let words t = Obj.reachable_words (Obj.repr t) in
@@ -689,8 +694,8 @@ let test_footprint () =
     ignore (SL.insert t (2 * k) k)
   done;
   let per_key = float_of_int (words t - empty) /. float_of_int n in
-  if per_key > 36. then
-    Alcotest.failf "%.1f words reachable per key at 16,384 keys (bar: 36)"
+  if per_key > 32. then
+    Alcotest.failf "%.1f words reachable per key at 16,384 keys (bar: 32)"
       per_key
 
 (* --- Multi-domain stress --- *)
